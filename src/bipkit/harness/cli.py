@@ -57,7 +57,6 @@ from ..families import (
     universal_grid,
 )
 from ..structure import (
-    GuardExceeded,
     decompose,
     find_biconvex_order,
     format_letter,
@@ -255,11 +254,7 @@ def _cmd_decompose(args) -> int:
         if b is None:
             print("FAIL graph is not bipartite")
             return EXIT_FAIL
-    try:
-        tree = decompose(g, b, guard=args.guard)
-    except GuardExceeded as exc:
-        print(f"UNDECIDED {exc}")
-        return EXIT_UNDECIDED
+    tree = decompose(g, b)
     if tree is None:
         print("none")
         return EXIT_FAIL
@@ -400,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="build a union/join/skew tree over K1 leaves")
     p_dec.add_argument("graph")
-    p_dec.add_argument("--guard", type=int, default=16)
     p_dec.set_defaults(fn=_cmd_decompose)
 
     p_letter = sub.add_parser("letter", help="letter representation of the universal grid")

@@ -63,7 +63,6 @@ from ..families import (
 )
 from ..structure import (
     DecompositionTree,
-    GuardExceeded,
     decompose,
     format_tree,
     letter_representation_grid,
@@ -181,22 +180,28 @@ def _split_witness(text: str) -> tuple[str, dict[str, str]]:
 def reverify_witness(text: str) -> bool:
     """Re-check a failure witness through the module that produced it."""
     kind, sec = _split_witness(text)
+
+    def need(name: str) -> str:
+        if name not in sec:
+            raise ValueError(f"witness kind {kind!r} lacks section @{name}")
+        return sec[name]
+
     if kind == "embedding":
-        pattern, _ = parse_graph(sec["pattern"])
-        host, _ = parse_graph(sec["host"])
-        mapping = tuple(int(tok) for tok in sec["map"].split())
+        pattern, _ = parse_graph(need("pattern"))
+        host, _ = parse_graph(need("host"))
+        mapping = tuple(int(tok) for tok in need("map").split())
         return verify_embedding(Embedding(mapping), pattern, host)
     if kind == "perm-contain":
-        host = parse_permutation(sec["host"])
-        pat = parse_permutation(sec["pattern"])
+        host = parse_permutation(need("host"))
+        pat = parse_permutation(need("pattern"))
         return contains_pattern(host, pat)
     if kind == "graph-p9":
-        g, _ = parse_graph(sec["graph"])
+        g, _ = parse_graph(need("graph"))
         free = is_free(g, [path(7), cycle(4)]).free
         return free and has_path_subgraph(g, 9)
     if kind == "graph-chords":
-        g, _ = parse_graph(sec["graph"])
-        seq = tuple(int(tok) for tok in sec["path"].split())
+        g, _ = parse_graph(need("graph"))
+        seq = tuple(int(tok) for tok in need("path").split())
         if len(seq) != 7 or len(set(seq)) != 7:
             return False
         if not all(g.has_edge(seq[i], seq[i + 1]) for i in range(6)):
@@ -204,7 +209,7 @@ def reverify_witness(text: str) -> bool:
         ch = _path_chords(g, seq)
         return not (len(ch) == 1 and ch[0] in ((1, 6), (2, 7)))
     if kind == "graph-not-complete-bipartite":
-        g, _ = parse_graph(sec["graph"])
+        g, _ = parse_graph(need("graph"))
         if not is_free(g, [path(7), sun1()]).free:
             return False
         if find_induced_embedding(cycle(4), g) is None:
@@ -212,32 +217,32 @@ def reverify_witness(text: str) -> bool:
         b = find_bipartition(g)
         return b is None or g.edge_count != len(b.part_a) * len(b.part_b)
     if kind == "graph-no-decomposition":
-        g, b = parse_graph(sec["graph"])
+        g, b = parse_graph(need("graph"))
         if not is_free(g, [path(7), s123()]).free:
             return False
         if b is None:
             b = find_bipartition(g)
         return decompose(g, b) is None
     if kind == "tree-not-free":
-        tree = parse_tree(sec["tree"])
+        tree = parse_tree(need("tree"))
         g = recompose(tree)
         return not is_free(g, [path(7), s123()]).free
     if kind == "biconvex-orders-found":
-        g, b = parse_graph(sec["graph"])
-        order_a = tuple(int(tok) for tok in sec["order_a"].split())
-        order_b = tuple(int(tok) for tok in sec["order_b"].split())
+        g, b = parse_graph(need("graph"))
+        order_a = tuple(int(tok) for tok in need("order_a").split())
+        order_b = tuple(int(tok) for tok in need("order_b").split())
         return verify_biconvex_order(g, b, order_a, order_b)
     if kind == "biconvex-orders-rejected":
-        g, b = parse_graph(sec["graph"])
-        order_a = tuple(int(tok) for tok in sec["order_a"].split())
-        order_b = tuple(int(tok) for tok in sec["order_b"].split())
+        g, b = parse_graph(need("graph"))
+        order_a = tuple(int(tok) for tok in need("order_a").split())
+        order_b = tuple(int(tok) for tok in need("order_b").split())
         return not verify_biconvex_order(g, b, order_a, order_b)
     if kind == "letter-mismatch":
-        expected, _ = parse_graph(sec["expected"])
-        decoded, _ = parse_graph(sec["decoded"])
+        expected, _ = parse_graph(need("expected"))
+        decoded, _ = parse_graph(need("decoded"))
         return decoded != expected
     if kind == "value-mismatch":
-        return sec["expected"].strip() != sec["actual"].strip()
+        return need("expected").strip() != need("actual").strip()
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
@@ -274,8 +279,6 @@ def _exec_spec(spec) -> CaseVerdict:
         return fn(case, *args)
     except StepBudgetExceeded:
         return _undecided(case, "step budget exhausted")
-    except GuardExceeded as exc:
-        return _undecided(case, str(exc))
 
 
 def _run_cases(specs: list, workers: int) -> list[CaseVerdict]:

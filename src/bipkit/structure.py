@@ -2,12 +2,12 @@
 biconvex orders, incomparability graphs, the three bipartite composition
 operations with an exact decomposition engine, and letter representations.
 
-The decomposition engine searches for a build tree over single-vertex leaves
-using disjoint union, join, and skew join.  Union and join splits are forced
-(components, respectively complement components, of a buildable graph are
-themselves buildable, and any no-cross or all-cross split has buildable
-sides); only the skew split needs exact subset search, which is memoised and
-capped by a vertex guard.
+The decomposition engine finds a build tree over single-vertex leaves using
+disjoint union, join, and skew join.  Under a fixed orientation the graphs
+these operations build form a hereditary class (delete a leaf and contract
+its parent), so any valid split has buildable sides and each split can be
+forced: a component, a complement component, or a vertex's closure under the
+skew arcs.  No subset is searched, so the engine has no size cap.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .graphs import (
     mask_vertices,
     validate_bipartition,
 )
-
-
-class GuardExceeded(RuntimeError):
-    """Search guard tripped: the outcome is undecided, not a refusal."""
 
 
 # ---------------------------------------------------------------------------
@@ -257,131 +253,62 @@ def recompose(t: DecompositionTree) -> Graph:
     return Graph.from_edges(len(vs), sorted(acc))
 
 
-def decompose(g: Graph, b: Bipartition, *, guard: int = 16) -> DecompositionTree | None:
-    """Find a build tree for ``g`` under ``b``, trying both part orientations
-    at the root, or None when no tree exists.  Raises GuardExceeded above the
-    vertex guard.
+def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
+    """Find a build tree for ``g`` under ``b``, or None when no tree exists.
+
+    Exact with no size cap: every split is forced, so nothing is searched.  The
+    root orientation needs no second try, because a skew join under the
+    flipped orientation is a skew join with its operands swapped.
     """
     validate_bipartition(g, b)
-    if g.n > guard:
-        raise GuardExceeded(f"decomposition search is capped at {guard} vertices")
     if g.n == 0:
         return None
-    for orient in (b, b.flipped()):
-        tree = _decompose_oriented(g, mask_of(orient.part_a), mask_of(orient.part_b))
-        if tree is not None:
-            return tree
-    return None
-
-
-def _decompose_oriented(g: Graph, x_mask: int, y_mask: int) -> DecompositionTree | None:
     adj = g.adj
-    memo: dict[int, DecompositionTree | None] = {}
+    x_mask, y_mask = mask_of(b.part_a), mask_of(b.part_b)
+    in_x = [bool((x_mask >> i) & 1) for i in range(g.n)]
+    # cross non-neighbours: adjacency once cross pairs are flipped
+    co_adj = [(y_mask if in_x[i] else x_mask) & ~adj[i] for i in range(g.n)]
+    # a set closed under x->y on cross non-edges and y->x on cross edges is
+    # exactly the first operand of a skew split
+    arcs = [co_adj[i] if in_x[i] else adj[i] for i in range(g.n)]
 
-    def parts_of(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(mask_vertices(mask & x_mask)), tuple(mask_vertices(mask & y_mask))
-
-    def components(mask: int) -> list[int]:
-        comps = []
-        todo = mask
-        while todo:
-            seed = todo & -todo
-            comp = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                for v in mask_vertices(frontier):
-                    nxt |= adj[v - 1] & mask
-                frontier = nxt & ~comp
-                comp |= nxt
-            comps.append(comp)
-            todo &= ~comp
-        return comps
-
-    def complement_components(mask: int) -> list[int]:
-        # components when cross adjacency is flipped inside the fixed frame
-        mx, my = mask & x_mask, mask & y_mask
-        comps = []
-        todo = mask
-        while todo:
-            seed = todo & -todo
-            comp = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                for v in mask_vertices(frontier):
-                    opposite = my if (x_mask >> (v - 1)) & 1 else mx
-                    nxt |= opposite & ~adj[v - 1]
-                frontier = nxt & ~comp
-                comp |= nxt
-            comps.append(comp)
-            todo &= ~comp
-        return comps
-
-    def skew_ok(m1: int, m2: int) -> bool:
-        # all X1-Y2 pairs present, all X2-Y1 pairs absent
-        y2 = m2 & y_mask
-        for v in mask_vertices(m1 & x_mask):
-            if y2 & ~adj[v - 1]:
-                return False
-        y1 = m1 & y_mask
-        for v in mask_vertices(m2 & x_mask):
-            if adj[v - 1] & y1:
-                return False
-        return True
+    def closure(seed: int, succ: list[int], mask: int) -> int:
+        reached = frontier = seed
+        while frontier:
+            nxt = 0
+            for v in mask_vertices(frontier):
+                nxt |= succ[v - 1]
+            frontier = nxt & mask & ~reached
+            reached |= frontier
+        return reached
 
     def rec(mask: int) -> DecompositionTree | None:
-        if mask in memo:
-            return memo[mask]
-        px, py = parts_of(mask)
+        px, py = tuple(mask_vertices(mask & x_mask)), tuple(mask_vertices(mask & y_mask))
         if mask.bit_count() == 1:
-            tree = DecompositionTree("leaf", px, py)
-            memo[mask] = tree
-            return tree
-        result: DecompositionTree | None = None
-        comps = components(mask)
-        if len(comps) > 1:
-            first, rest = comps[0], mask & ~comps[0]
-            lt, rt = rec(first), rec(rest)
-            if lt is not None and rt is not None:
-                result = DecompositionTree("union", px, py, lt, rt)
-            memo[mask] = result
-            return result
-        cocomps = complement_components(mask)
-        if len(cocomps) > 1:
-            first, rest = cocomps[0], mask & ~cocomps[0]
-            lt, rt = rec(first), rec(rest)
-            if lt is not None and rt is not None:
-                result = DecompositionTree("join", px, py, lt, rt)
-            memo[mask] = result
-            return result
-        # connected and co-connected: only a skew split can work
+            return DecompositionTree("leaf", px, py)
         low = mask & -mask
-        rest = mask & ~low
-        sub = rest
-        while True:
-            m1 = sub | low
-            m2 = mask & ~m1
-            if m2:
-                for first, second in ((m1, m2), (m2, m1)):
-                    if skew_ok(first, second):
-                        lt = rec(first)
-                        if lt is None:
-                            continue
-                        rt = rec(second)
-                        if rt is None:
-                            continue
-                        result = DecompositionTree("skew", px, py, lt, rt)
-                        memo[mask] = result
-                        return result
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        memo[mask] = None
-        return None
+        kind, first = "union", closure(low, adj, mask)
+        if first == mask:
+            kind, first = "join", closure(low, co_adj, mask)
+        if first == mask:
+            kind = "skew"
+            for v in mask_vertices(mask):
+                first = closure(1 << (v - 1), arcs, mask)
+                if first != mask:
+                    break
+            else:
+                return None
+        # buildable graphs form a hereditary class, so any valid split has
+        # buildable sides and a failing side means the whole graph fails
+        left = rec(first)
+        if left is None:
+            return None
+        right = rec(mask & ~first)
+        if right is None:
+            return None
+        return DecompositionTree(kind, px, py, left, right)
 
-    full = x_mask | y_mask
-    return rec(full)
+    return rec(x_mask | y_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -413,37 +340,33 @@ def parse_tree(text: str) -> DecompositionTree:
     )
     pos = 0
 
-    def expect(tok: str) -> None:
+    def take() -> str:
         nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            raise ValueError(f"malformed tree text near token {pos}")
+        if pos >= len(tokens):
+            raise ValueError(f"tree text ends early at token {pos}")
         pos += 1
+        return tokens[pos - 1]
+
+    def expect(tok: str) -> None:
+        if take() != tok:
+            raise ValueError(f"malformed tree text near token {pos - 1}")
+
+    def read_ids(end: str) -> tuple[int, ...]:
+        ids = []
+        while (tok := take()) != end:
+            ids.append(int(tok))
+        return tuple(ids)
 
     def read_part_list() -> tuple[tuple[int, ...], tuple[int, ...]]:
-        nonlocal pos
         expect("[")
-        xs = []
-        while tokens[pos] not in ("|",):
-            xs.append(int(tokens[pos]))
-            pos += 1
-        expect("|")
-        ys = []
-        while tokens[pos] != "]":
-            ys.append(int(tokens[pos]))
-            pos += 1
-        expect("]")
-        return tuple(xs), tuple(ys)
+        return read_ids("|"), read_ids("]")
 
     def read_node() -> DecompositionTree:
-        nonlocal pos
         expect("(")
-        kind = tokens[pos]
-        pos += 1
+        kind = take()
         if kind == "leaf":
-            v = int(tokens[pos])
-            pos += 1
-            side = tokens[pos]
-            pos += 1
+            v = int(take())
+            side = take()
             expect(")")
             if side == "X":
                 return DecompositionTree("leaf", (v,), ())

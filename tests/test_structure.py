@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from bipkit.graphs import (
     Graph,
     find_bipartition,
     induced_subgraph,
+    mask_of,
     serialize_graph,
 )
 from bipkit.matching import are_isomorphic, is_free
@@ -26,7 +28,6 @@ from bipkit.families import (
 )
 from bipkit.structure import (
     DecompositionTree,
-    GuardExceeded,
     LetterRepresentation,
     decode_letter,
     decompose,
@@ -197,8 +198,18 @@ def test_decompose_examples():
 
     assert decompose(path(7), find_bipartition(path(7))) is None
 
-    with pytest.raises(GuardExceeded):
-        decompose(t_graph_star(6).graph, t_graph_star(6).bipartition)
+    # exact above 16 vertices: no guard, no search
+    assert decompose(t_graph_star(6).graph, t_graph_star(6).bipartition) is None
+    k99 = complete_bipartite(9, 9)
+    t = decompose(k99, find_bipartition(k99))
+    assert t is not None and recompose(t) == k99
+    rng = random.Random(20)
+    tree = random_leaf_tree(rng, max_depth=8, max_leaves=24)
+    while len(tree.vertices()) <= 16:
+        tree = random_leaf_tree(rng, max_depth=8, max_leaves=24)
+    g = recompose(tree)
+    t = decompose(g, Bipartition.of(set(tree.part_x), set(tree.part_y)))
+    assert t is not None and recompose(t) == g
 
 
 def test_decompose_skew_orientation():
@@ -253,10 +264,16 @@ def test_tree_round_trip_and_errors():
     t = decompose(p6, find_bipartition(p6))
     text = format_tree(t)
     assert recompose(parse_tree(text)) == p6
-    with pytest.raises(ValueError):
-        parse_tree("(leaf 1 Z)")
-    with pytest.raises(ValueError):
-        parse_tree("(union [1|] [2|] (leaf 1 X) (leaf 2 X)) extra")
+    for bad in (
+        "(leaf 1 Z)",
+        "(union [1|] [2|] (leaf 1 X) (leaf 2 X)) extra",
+        "(skew [1",
+        "(leaf",
+        "(union [1|",
+        "(",
+    ):
+        with pytest.raises(ValueError):
+            parse_tree(bad)
 
 
 def test_decompose_round_trip_on_random_trees():
@@ -268,6 +285,50 @@ def test_decompose_round_trip_on_random_trees():
         again = decompose(g, b)
         assert again is not None, format_tree(tree)
         assert recompose(again) == g
+
+
+def _buildable_by_brute_force(g: Graph, b: Bipartition) -> bool:
+    """Oracle for ``decompose``: try every ordered split of every vertex
+    subset under union, join and skew join (first operand's X to second's Y)."""
+    x_mask, y_mask = mask_of(b.part_a), mask_of(b.part_b)
+
+    def some_operation_fits(first: int, second: int) -> bool:
+        union = join = skew = True
+        for v in range(1, g.n + 1):
+            if not (first >> (v - 1)) & 1:
+                continue
+            in_x = bool((x_mask >> (v - 1)) & 1)
+            across = g.adj[v - 1] & second
+            opposite = second & (y_mask if in_x else x_mask)
+            union = union and across == 0
+            join = join and across == opposite
+            skew = skew and across == (opposite if in_x else 0)
+        return union or join or skew
+
+    @functools.cache
+    def buildable(mask: int) -> bool:
+        if mask & (mask - 1) == 0:
+            return True
+        first = (mask - 1) & mask
+        while first:
+            second = mask & ~first
+            if some_operation_fits(first, second) and buildable(first) and buildable(second):
+                return True
+            first = (first - 1) & mask
+        return False
+
+    return buildable(x_mask | y_mask)
+
+
+def test_decompose_matches_brute_force_oracle(all_levels):
+    for graphs in all_levels.values():
+        for g in graphs:
+            b = find_bipartition(g)
+            for orient in (b, b.flipped()):
+                tree = decompose(g, orient)
+                assert (tree is not None) == _buildable_by_brute_force(g, orient), serialize_graph(g)
+                if tree is not None:
+                    assert recompose(tree) == g
 
 
 def test_letter_grid_decodes_exactly(all_levels):

@@ -86,6 +86,11 @@ def test_witness_kinds_reverify():
         reverify_witness("kind mystery\n")
     with pytest.raises(ValueError):
         reverify_witness("no header\n")
+    # a missing section names the witness kind and the section
+    with pytest.raises(ValueError, match="'tree-not-free' lacks section @tree"):
+        reverify_witness("kind tree-not-free\n")
+    with pytest.raises(ValueError, match="'graph-p9' lacks section @graph"):
+        reverify_witness("kind graph-p9\n")
 
 
 def test_identity_suite_is_deterministic():
@@ -169,7 +174,9 @@ def test_cli_paths_decompose_letter_biconvex(capsys):
     assert cli.main(["decompose", "path:6"]) == 0
     assert capsys.readouterr().out.startswith("(")
     assert cli.main(["decompose", "path:7"]) == 1
-    assert cli.main(["decompose", "t-graph:6"]) == 3
+    capsys.readouterr()
+    assert cli.main(["decompose", "t-graph:6"]) == 1
+    assert capsys.readouterr().out.strip() == "none"
     assert cli.main(["decompose", "cycle:5"]) == 1
     assert cli.main(["letter", "grid", "2", "2", "--verify", "grid:2,2"]) == 0
     assert cli.main(["biconvex", "path:4"]) == 0
