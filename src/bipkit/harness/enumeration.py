@@ -13,8 +13,10 @@ subsets brute force that minimises over degree-compatible relabellings.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from ..graphs import Graph, connected_components, find_bipartition
+from ..matching import _Budget, _search
 
 MAX_VERTICES = 12
 
@@ -56,70 +58,23 @@ def refinement_certificate(g: Graph) -> tuple:
 
 
 def _color_guided_isomorphic(g: Graph, gcolors: list[int], h: Graph, hcolors: list[int]) -> bool:
-    """Exact isomorphism test with candidate domains restricted per colour.
+    """Exact isomorphism test: the matcher's search with one domain per colour.
 
-    Both graphs must carry equal refinement certificates; colours then give
-    tight initial domains and the backtracker only enforces the edge and
-    non-edge conditions.
+    Both graphs must carry equal refinement certificates, so they have equal
+    order, size and colour classes, and an induced embedding is a bijection
+    that preserves colours.
     """
-    n = g.n
     by_color: dict[int, int] = {}
     for x, c in enumerate(hcolors):
         by_color[c] = by_color.get(c, 0) | (1 << x)
-    domains = []
-    for c in gcolors:
-        m = by_color.get(c, 0)
-        if not m:
-            return False
-        domains.append(m)
-    gadj, hadj = g.adj, h.adj
     found = False
 
-    def extend(domains: list[int], unassigned: int) -> bool:
+    def stop(assignment: list[int]) -> bool:
         nonlocal found
-        if unassigned == 0:
-            found = True
-            return True
-        best_u = -1
-        best_size = -1
-        rest = unassigned
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            size = domains[u].bit_count()
-            if best_size < 0 or size < best_size:
-                best_u, best_size = u, size
-                if size <= 1:
-                    break
-        u = best_u
-        remaining = unassigned & ~(1 << u)
-        cands = domains[u]
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            x = low.bit_length() - 1
-            nbr = hadj[x]
-            new_domains = list(domains)
-            ok = True
-            rest = remaining
-            while rest:
-                vlow = rest & -rest
-                rest ^= vlow
-                v = vlow.bit_length() - 1
-                if (gadj[u] >> v) & 1:
-                    nd = new_domains[v] & nbr
-                else:
-                    nd = new_domains[v] & ~nbr & ~low
-                if nd == 0:
-                    ok = False
-                    break
-                new_domains[v] = nd
-            if ok and extend(new_domains, remaining):
-                return True
+        found = True
         return False
 
-    extend(domains, (1 << n) - 1)
+    _search(g, h, _Budget(None), stop, [by_color.get(c, 0) for c in gcolors])
     return found
 
 
@@ -206,23 +161,9 @@ def bipartite_level(n: int, connected_only: bool) -> list[Graph]:
     return _LEVEL_CACHE[key]
 
 
-class EnumerationStream:
-    """Iterator over one representative per isomorphism class."""
-
-    def __init__(self, n: int, connected_only: bool):
-        self.n = n
-        self.connected_only = connected_only
-        self._iter = iter(bipartite_level(n, connected_only))
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> Graph:
-        return next(self._iter)
-
-
-def enumerate_bipartite(n: int, connected_only: bool = False) -> EnumerationStream:
-    return EnumerationStream(n, connected_only)
+def enumerate_bipartite(n: int, connected_only: bool = False) -> Iterator[Graph]:
+    """One representative per isomorphism class; ValueError at once for n out of range."""
+    return iter(bipartite_level(n, connected_only))
 
 
 # ---------------------------------------------------------------------------

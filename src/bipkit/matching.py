@@ -4,10 +4,15 @@ The core is a backtracking search over candidate-domain bitmasks: assigning a
 pattern vertex intersects every remaining domain with the host neighbourhood
 (for pattern edges) or non-neighbourhood (for pattern non-edges) of the image,
 so the induced condition and injectivity are enforced incrementally.  Domains
-start from degree and neighbour-degree dominance filters and are tightened to
-arc consistency before the search.  Variable order is most-constrained-first
-with ascending-id tie-breaks and candidates are tried in ascending host id,
-so results are deterministic for fixed inputs.
+start from a degree filter (a host vertex is a candidate for every pattern
+vertex of no larger degree), or from masks the caller supplies: the
+enumerator's isomorphism test passes its refinement colour classes.  Nothing
+else runs before the search: stronger per-host set-up (arc consistency,
+neighbour-degree dominance) was measured to cost more than it pruned, both
+on the lemma checks' thousands of small hosts and on embeddings into large
+grids.  Variable order is most-constrained-first with ascending-id
+tie-breaks and candidates are tried in ascending host id, so results are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -74,94 +79,40 @@ class _Budget:
             raise StepBudgetExceeded("step budget exhausted")
 
 
-def _degree_dominates(host_degs: list[int], pat_degs: list[int]) -> bool:
-    # both sorted descending; host must cover the pattern prefix pointwise
-    for k, d in enumerate(pat_degs):
-        if host_degs[k] < d:
-            return False
-    return True
-
-
-def _initial_domains(pattern: Graph, host: Graph) -> list[int] | None:
-    p, h = pattern.n, host.n
-    pdeg = [row.bit_count() for row in pattern.adj]
-    hdeg = [row.bit_count() for row in host.adj]
-    pnbr = [
-        sorted((pdeg[j - 1] for j in mask_vertices(pattern.adj[u])), reverse=True)
-        for u in range(p)
-    ]
-    hnbr = [
-        sorted((hdeg[j - 1] for j in mask_vertices(host.adj[x])), reverse=True)
-        for x in range(h)
-    ]
-    domains = []
-    for u in range(p):
-        m = 0
-        for x in range(h):
-            if hdeg[x] >= pdeg[u] and _degree_dominates(hnbr[x], pnbr[u]):
-                m |= 1 << x
-        if m == 0:
-            return None
-        domains.append(m)
-    return domains
-
-
-def _arc_consistency(pattern: Graph, host: Graph, domains: list[int]) -> bool:
-    """Shrink domains until every candidate has support on every other vertex."""
-    p = pattern.n
-    padj = pattern.adj
-    hadj = host.adj
-    changed = True
-    while changed:
-        changed = False
-        for u in range(p):
-            du = domains[u]
-            for v in range(p):
-                if v == u:
-                    continue
-                dv = domains[v]
-                adjacent = (padj[u] >> v) & 1
-                kept = 0
-                rest = du
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    x = low.bit_length() - 1
-                    if adjacent:
-                        ok = hadj[x] & dv
-                    else:
-                        ok = dv & ~hadj[x] & ~low
-                    if ok:
-                        kept |= low
-                if kept != du:
-                    if kept == 0:
-                        return False
-                    domains[u] = kept
-                    du = kept
-                    changed = True
-    return True
-
-
 def _search(
     pattern: Graph,
     host: Graph,
     budget: _Budget,
     on_solution: Callable[[list[int]], bool],
+    domains: list[int] | None = None,
 ) -> None:
-    """Run the backtracking search; ``on_solution`` returns True to keep going."""
+    """Run the backtracking search; ``on_solution`` returns True to keep going.
+
+    ``domains[u]`` is the starting mask of host vertices (bit ``x`` for host
+    vertex ``x + 1``) that pattern vertex ``u + 1`` may map to.  A caller that
+    knows more than degrees, such as equal refinement colours, passes its own
+    masks.  When None, a host vertex is a candidate for every pattern vertex
+    of no larger degree.
+    """
     p = pattern.n
     if p == 0:
         on_solution([])
         return
-    if p > host.n or pattern.edge_count > host.edge_count:
-        return
-    domains = _initial_domains(pattern, host)
     if domains is None:
-        return
-    if not _arc_consistency(pattern, host, domains):
-        return
+        if p > host.n or pattern.edge_count > host.edge_count:
+            return
+        hdeg = [row.bit_count() for row in host.adj]
+        top = max(hdeg) + 1
+        # at_least[d]: host vertices of degree at least d; at_least[top] is empty
+        at_least = [0] * (top + 1)
+        for x, d in enumerate(hdeg):
+            at_least[d] |= 1 << x
+        for d in range(top - 1, -1, -1):
+            at_least[d] |= at_least[d + 1]
+        domains = [at_least[min(row.bit_count(), top)] for row in pattern.adj]
     padj = pattern.adj
     hadj = host.adj
+    bounded = budget.remaining is not None
     assignment = [0] * p
     unassigned = (1 << p) - 1
 
@@ -188,7 +139,8 @@ def _search(
             low = cands & -cands
             cands ^= low
             x = low.bit_length() - 1
-            budget.spend()
+            if bounded:
+                budget.spend()
             assignment[u] = x + 1
             nbr = hadj[x]
             new_domains = list(domains)

@@ -6,7 +6,6 @@ from bipkit.graphs import find_bipartition, is_connected
 from bipkit.matching import are_isomorphic
 from bipkit.families import complete_bipartite, cycle, path
 from bipkit.harness.enumeration import (
-    EnumerationStream,
     brute_force_bipartite_counts,
     bipartite_level,
     enumerate_bipartite,
@@ -27,6 +26,18 @@ def test_frozen_small_counts():
     assert [len(bipartite_level(n, True)) for n in range(1, 7)] == [1, 1, 1, 3, 5, 17]
 
 
+def test_counts_match_published_values_and_euler_transform(connected_levels, all_levels):
+    conn = [0] + [len(connected_levels[n]) for n in range(1, 12)]
+    assert conn[7:] == [44, 182, 730, 4032, 25598]  # OEIS A005142
+    # a graph is a multiset of connected graphs, so the all-graph counts are
+    # the Euler transform of the connected counts
+    c = [0] + [sum(d * conn[d] for d in range(1, k + 1) if k % d == 0) for k in range(1, 9)]
+    total = [1]
+    for n in range(1, 9):
+        total.append(sum(c[k] * total[n - k] for k in range(1, n + 1)) // n)
+    assert total[1:] == [len(all_levels[n]) for n in range(1, 9)]
+
+
 def test_connected_four_vertex_classes():
     level = bipartite_level(4, True)
     expected = [path(4), complete_bipartite(1, 3), cycle(4)]
@@ -37,9 +48,11 @@ def test_connected_four_vertex_classes():
 
 def test_stream_protocol():
     stream = enumerate_bipartite(4, connected_only=True)
-    assert isinstance(stream, EnumerationStream)
+    assert iter(stream) is stream
     graphs = list(stream)
     assert len(graphs) == 3
+    for want in (path(4), complete_bipartite(1, 3), cycle(4)):
+        assert sum(1 for g in graphs if are_isomorphic(g, want)) == 1
     with pytest.raises(ValueError):
         enumerate_bipartite(0)
     with pytest.raises(ValueError):

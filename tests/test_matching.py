@@ -33,17 +33,16 @@ from bipkit.families import (
 from bipkit.perms import Permutation, contains_pattern, permutation_graph
 
 
-def brute_force_embedding_exists(pattern: Graph, host: Graph) -> bool:
-    """Oracle: try all injective maps with incremental consistency checks."""
+def brute_force_embedding_count(pattern: Graph, host: Graph) -> int:
+    """Oracle: count all injective induced maps, with incremental consistency checks."""
     p, h = pattern.n, host.n
-    if p > h:
-        return False
     mapping = [0] * p
     used = [False] * (h + 1)
 
-    def rec(i: int) -> bool:
+    def rec(i: int) -> int:
         if i == p:
-            return True
+            return 1
+        total = 0
         for x in range(1, h + 1):
             if used[x]:
                 continue
@@ -53,10 +52,9 @@ def brute_force_embedding_exists(pattern: Graph, host: Graph) -> bool:
             ):
                 mapping[i] = x
                 used[x] = True
-                if rec(i + 1):
-                    return True
+                total += rec(i + 1)
                 used[x] = False
-        return False
+        return total
 
     return rec(0)
 
@@ -160,10 +158,11 @@ def test_completeness_against_bruteforce_oracle(all_levels):
     for pattern in patterns:
         for host in hosts:
             mine = find_induced_embedding(pattern, host)
-            expected = brute_force_embedding_exists(pattern, host)
-            assert (mine is not None) == expected, (pattern.edges(), host.edges())
+            expected = brute_force_embedding_count(pattern, host)
+            assert (mine is not None) == (expected > 0), (pattern.edges(), host.edges())
             if mine is not None:
                 assert verify_embedding(mine, pattern, host)
+            assert count_induced_embeddings(pattern, host, 10**9) == expected
 
 
 def _quasi_order_pool() -> list[Graph]:
@@ -233,7 +232,7 @@ def test_random_agreement_with_oracle():
         np_, nh = rng.randint(1, 5), rng.randint(1, 7)
         pat = _random_graph(rng, np_)
         host = _random_graph(rng, nh)
-        assert (find_induced_embedding(pat, host) is not None) == brute_force_embedding_exists(pat, host)
+        assert (find_induced_embedding(pat, host) is not None) == (brute_force_embedding_count(pat, host) > 0)
 
 
 def _random_graph(rng: random.Random, n: int) -> Graph:
