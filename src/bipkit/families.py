@@ -1,6 +1,9 @@
 """Concrete graph families: layered antichain constructions, the universal
 grid, and the small named graphs the verification suites quote.
 
+``GRAPH_FAMILIES`` and ``PERM_FAMILIES`` name every family once; the CLI's
+family specs and the verification suites both build members through them.
+
 Canonical numbering: zone blocks in order A, B, C(, D) with ascending index
 inside a zone; grids are numbered row-major.  Vertices carry provenance
 labels such as ``a3`` or ``r2c1`` so embedding certificates stay readable.
@@ -9,19 +12,34 @@ labels such as ``a3`` or ``r2c1`` so embedding certificates stay readable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .graphs import Bipartition, Graph
-from .perms import BiconvexWitness, Permutation, star_perm_S, star_perm_T, star_s_witness, verify_biconvex_witness
+from .graphs import Bipartition, Graph, bipartite_complement
+from .perms import (
+    BiconvexWitness,
+    Permutation,
+    mu_star,
+    permutation_graph,
+    rho_star,
+    star_perm_S,
+    star_perm_T,
+    star_s_witness,
+    verify_biconvex_witness,
+)
 
 
 @dataclass(frozen=True)
-class TGraphLayout:
-    """Four-zone layered graph built from a permutation.
+class ZoneLayout:
+    """Layered graph whose vertices sit in lettered zones of n vertices each,
+    numbered zone by zone; ``zones[v]`` is ``(zone letter, index)``.
 
-    Zones A, B, C, D each hold n vertices.  A-B is the perfect matching
+    ``t_graph`` has four zones A, B, C, D: A-B is the perfect matching
     ``a_i ~ b_{p(i)}``; C-D is a biclique; ``a_i`` sees ``d_1..d_i`` and
     ``b_i`` sees ``c_1..c_i`` (staircase neighbourhoods, so A-D and B-C are
     chain graphs).  Parts: A+C against B+D.
+
+    ``s_graph`` has three zones A, B, C, built from a convex factor pair:
+    ``b_i`` sees ``a_1..a_rho(i)`` and ``c_1..c_mu(i)``.  Parts: A+C against B.
     """
 
     graph: Graph
@@ -32,23 +50,17 @@ class TGraphLayout:
         return tuple(sorted(v for v, (z, _) in self.zones.items() if z == zone))
 
 
-@dataclass(frozen=True)
-class SGraphLayout:
-    """Three-zone layered graph built from a convex factor pair.
-
-    Zones A, B, C each hold n vertices; ``b_i`` sees ``a_1..a_rho(i)`` and
-    ``c_1..c_mu(i)``.  Parts: A+C against B.
-    """
-
-    graph: Graph
-    bipartition: Bipartition
-    zones: dict[int, tuple[str, int]]
-
-    def zone_vertices(self, zone: str) -> tuple[int, ...]:
-        return tuple(sorted(v for v, (z, _) in self.zones.items() if z == zone))
+def _zoned(n: int, letters: str, edges: list[tuple[int, int]], part_b: str) -> ZoneLayout:
+    """Zones ``letters`` of n vertices each, labelled like ``a3``; the zones
+    in ``part_b`` form part B."""
+    zones = {k * n + i: (z, i) for k, z in enumerate(letters) for i in range(1, n + 1)}
+    labels = [f"{z.lower()}{i}" for z, i in zones.values()]
+    g = Graph.from_edges(len(zones), [(min(u, v), max(u, v)) for u, v in edges], labels)
+    in_b = {v for v, (z, _) in zones.items() if z in part_b}
+    return ZoneLayout(g, Bipartition.of(set(zones) - in_b, in_b), zones)
 
 
-def t_graph(p: Permutation) -> TGraphLayout:
+def t_graph(p: Permutation) -> ZoneLayout:
     n = p.size
     a = lambda i: i
     b = lambda i: n + i
@@ -64,27 +76,10 @@ def t_graph(p: Permutation) -> TGraphLayout:
         for j in range(1, i + 1):
             edges.append((a(i), d(j)))
             edges.append((b(i), c(j)))
-    labels = (
-        [f"a{i}" for i in range(1, n + 1)]
-        + [f"b{i}" for i in range(1, n + 1)]
-        + [f"c{i}" for i in range(1, n + 1)]
-        + [f"d{i}" for i in range(1, n + 1)]
-    )
-    g = Graph.from_edges(4 * n, [(min(u, v), max(u, v)) for u, v in edges], labels)
-    bip = Bipartition.of(
-        set(range(1, n + 1)) | set(range(2 * n + 1, 3 * n + 1)),
-        set(range(n + 1, 2 * n + 1)) | set(range(3 * n + 1, 4 * n + 1)),
-    )
-    zones = {}
-    for i in range(1, n + 1):
-        zones[a(i)] = ("A", i)
-        zones[b(i)] = ("B", i)
-        zones[c(i)] = ("C", i)
-        zones[d(i)] = ("D", i)
-    return TGraphLayout(g, bip, zones)
+    return _zoned(n, "ABCD", edges, "BD")
 
 
-def s_graph(p: Permutation, w: BiconvexWitness) -> SGraphLayout:
+def s_graph(p: Permutation, w: BiconvexWitness) -> ZoneLayout:
     if not verify_biconvex_witness(p, w):
         raise ValueError("witness fails verification for the given permutation")
     n = p.size
@@ -98,30 +93,15 @@ def s_graph(p: Permutation, w: BiconvexWitness) -> SGraphLayout:
             edges.append((a(j), b(i)))
         for j in range(1, mu(i) + 1):
             edges.append((b(i), c(j)))
-    labels = (
-        [f"a{i}" for i in range(1, n + 1)]
-        + [f"b{i}" for i in range(1, n + 1)]
-        + [f"c{i}" for i in range(1, n + 1)]
-    )
-    g = Graph.from_edges(3 * n, edges, labels)
-    bip = Bipartition.of(
-        set(range(1, n + 1)) | set(range(2 * n + 1, 3 * n + 1)),
-        set(range(n + 1, 2 * n + 1)),
-    )
-    zones = {}
-    for i in range(1, n + 1):
-        zones[a(i)] = ("A", i)
-        zones[b(i)] = ("B", i)
-        zones[c(i)] = ("C", i)
-    return SGraphLayout(g, bip, zones)
+    return _zoned(n, "ABC", edges, "B")
 
 
-def t_graph_star(n: int) -> TGraphLayout:
+def t_graph_star(n: int) -> ZoneLayout:
     """t_graph over the self-inverse generator family."""
     return t_graph(star_perm_T(n))
 
 
-def s_graph_star(n: int) -> SGraphLayout:
+def s_graph_star(n: int) -> ZoneLayout:
     """s_graph over the biconvex generator family with its standard witness."""
     return s_graph(star_perm_S(n), star_s_witness(n))
 
@@ -202,11 +182,76 @@ def h_antichain(i: int) -> Graph:
     return Graph.from_edges(n, spine + pend)
 
 
+def _odd_even(n: int) -> Bipartition:
+    return Bipartition.of(range(1, n + 1, 2), range(2, n + 1, 2))
+
+
 def p_tilde(k: int) -> Graph:
     """Cross-complement of the k-vertex path over its odd/even split."""
-    from .graphs import bipartite_complement
+    return bipartite_complement(path(k), _odd_even(k))
 
-    g = path(k)
-    odd = {v for v in g.vertices() if v % 2 == 1}
-    even = set(g.vertices()) - odd
-    return bipartite_complement(g, Bipartition.of(odd, even))
+
+# ---------------------------------------------------------------------------
+# registry
+
+Built = tuple[Graph, Bipartition | None]
+
+
+def _bare(make: Callable[..., Graph]) -> Callable[..., Built]:
+    """Builder for a family that carries no bipartition of its own."""
+    return lambda *params: (make(*params), None)
+
+
+def _laid_out(make: Callable[[int], ZoneLayout]) -> Callable[[int], Built]:
+    def build(n: int) -> Built:
+        layout = make(n)
+        return layout.graph, layout.bipartition
+
+    return build
+
+
+def _kab(a: int, b: int) -> Built:
+    return complete_bipartite(a, b), Bipartition.of(range(1, a + 1), range(a + 1, a + b + 1))
+
+
+# name -> (parameter count, builder); ``perm-graph`` takes a Permutation, the
+# others take ints.
+GRAPH_FAMILIES: dict[str, tuple[int, Callable[..., Built]]] = {
+    "path": (1, _bare(path)),
+    "cycle": (1, _bare(cycle)),
+    "complete": (1, _bare(complete)),
+    "kab": (2, _kab),
+    "sun4": (0, _bare(sun4)),
+    "sun1": (0, _bare(sun1)),
+    "s123": (0, _bare(s123)),
+    "two-p3": (0, _bare(two_p3)),
+    "h": (1, _bare(h_antichain)),
+    "p-tilde": (1, lambda k: (p_tilde(k), _odd_even(k))),
+    "t-graph": (1, _laid_out(t_graph_star)),
+    "s-graph": (1, _laid_out(s_graph_star)),
+    "grid": (2, universal_grid),
+    "perm-graph": (1, _bare(permutation_graph)),
+}
+
+# name -> generator of the size-n member
+PERM_FAMILIES: dict[str, Callable[[int], Permutation]] = {
+    "star-t": star_perm_T,
+    "star-s": star_perm_S,
+    "rho": rho_star,
+    "mu": mu_star,
+}
+
+
+def build_family(name: str, *params) -> Built:
+    """A registered family member with its bipartition (None when the family
+    carries none), e.g. ``build_family("kab", 3, 4)``.
+
+    Raises ValueError on an unknown name, a wrong parameter count, or
+    parameters the family rejects.
+    """
+    if name not in GRAPH_FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    count, build = GRAPH_FAMILIES[name]
+    if len(params) != count:
+        raise ValueError(f"family {name} expects {count} parameter(s)")
+    return build(*params)

@@ -34,28 +34,9 @@ from ..perms import (
     format_permutation,
     inverse,
     is_convex,
-    mu_star,
     parse_permutation,
-    permutation_graph,
-    rho_star,
-    star_perm_S,
-    star_perm_T,
 )
-from ..families import (
-    complete,
-    complete_bipartite,
-    cycle,
-    h_antichain,
-    p_tilde,
-    path,
-    s123,
-    s_graph_star,
-    sun1,
-    sun4,
-    t_graph_star,
-    two_p3,
-    universal_grid,
-)
+from ..families import PERM_FAMILIES, build_family
 from ..structure import (
     decompose,
     find_biconvex_order,
@@ -72,61 +53,14 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 def _build_family(name: str, args: list[str]) -> tuple[Graph, Bipartition | None]:
-    def one_int(expected: int = 1) -> list[int]:
-        if len(args) != expected:
-            raise UsageError(f"family {name} expects {expected} integer parameter(s)")
-        try:
-            return [int(a) for a in args]
-        except ValueError:
-            raise UsageError(f"family {name} parameters must be integers") from None
-
+    if name == "perm-graph":
+        return build_family(name, *map(parse_permutation, args))
     try:
-        if name == "path":
-            return path(*one_int()), None
-        if name == "cycle":
-            return cycle(*one_int()), None
-        if name == "complete":
-            return complete(*one_int()), None
-        if name == "kab":
-            a, b = one_int(2)
-            g = complete_bipartite(a, b)
-            return g, Bipartition.of(set(range(1, a + 1)), set(range(a + 1, a + b + 1)))
-        if name == "sun4":
-            return sun4(), None
-        if name == "sun1":
-            return sun1(), None
-        if name == "s123":
-            return s123(), None
-        if name == "two-p3":
-            return two_p3(), None
-        if name == "h":
-            return h_antichain(*one_int()), None
-        if name == "p-tilde":
-            k = one_int()[0]
-            g = p_tilde(k)
-            odd = {v for v in g.vertices() if v % 2 == 1}
-            return g, Bipartition.of(odd, set(g.vertices()) - odd)
-        if name == "t-graph":
-            layout = t_graph_star(*one_int())
-            return layout.graph, layout.bipartition
-        if name == "s-graph":
-            layout = s_graph_star(*one_int())
-            return layout.graph, layout.bipartition
-        if name == "grid":
-            k, m = one_int(2)
-            return universal_grid(k, m)
-        if name == "perm-graph":
-            if len(args) != 1:
-                raise UsageError("perm-graph expects one permutation argument")
-            return permutation_graph(parse_permutation(args[0])), None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    raise UsageError(f"unknown family {name!r}")
+        params = [int(a) for a in args]
+    except ValueError:
+        raise ValueError(f"family {name} parameters must be integers") from None
+    return build_family(name, *params)
 
 
 _FAMILY_SPEC = re.compile(r"^([a-z0-9-]+)(?::(.*))?$")
@@ -146,73 +80,46 @@ def _load_graph(spec: str) -> tuple[Graph, Bipartition | None]:
         if name == "perm-graph" and raw:
             args = [raw]
         return _build_family(name, args)
-    raise UsageError(f"cannot read graph from {spec!r}: no such file or family")
-
-
-def _emit_graph(g: Graph, b: Bipartition | None, out: str | None) -> None:
-    text = serialize_graph(g, b)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    raise ValueError(f"cannot read graph from {spec!r}: no such file or family")
 
 
 def _cmd_gen(args) -> int:
-    g, b = _build_family(args.family, args.params)
-    _emit_graph(g, b, args.out)
+    text = serialize_graph(*_build_family(args.family, args.params))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
+# perm operation -> (permutation argument count, answer text)
+_PERM_OPS = {
+    "compose": (2, lambda outer, inner: format_permutation(compose(outer, inner))),
+    "inverse": (1, lambda p: format_permutation(inverse(p))),
+    "contains": (2, lambda host, pattern: "yes" if contains_pattern(host, pattern) else "no"),
+    "convex": (1, lambda p: "yes" if is_convex(p) else "no"),
+}
+
+
 def _cmd_perm(args) -> int:
-    op = args.op
-    rest = args.args
-    if op in ("star-t", "star-s", "rho", "mu"):
+    op, rest = args.op, args.args
+    if op in PERM_FAMILIES:
         if len(rest) != 1:
-            raise UsageError(f"perm {op} expects one size argument")
-        n = int(rest[0])
-        builder = {
-            "star-t": star_perm_T,
-            "star-s": star_perm_S,
-            "rho": rho_star,
-            "mu": mu_star,
-        }[op]
-        print(format_permutation(builder(n)))
+            raise ValueError(f"perm {op} expects one size argument")
+        print(format_permutation(PERM_FAMILIES[op](int(rest[0]))))
         return EXIT_OK
-    if op == "compose":
-        if len(rest) != 2:
-            raise UsageError("perm compose expects two permutations")
-        outer, inner = parse_permutation(rest[0]), parse_permutation(rest[1])
-        print(format_permutation(compose(outer, inner)))
-        return EXIT_OK
-    if op == "inverse":
-        if len(rest) != 1:
-            raise UsageError("perm inverse expects one permutation")
-        print(format_permutation(inverse(parse_permutation(rest[0]))))
-        return EXIT_OK
-    if op == "contains":
-        if len(rest) != 2:
-            raise UsageError("perm contains expects HOST PATTERN")
-        host, pat = parse_permutation(rest[0]), parse_permutation(rest[1])
-        result = contains_pattern(host, pat)
-        print("yes" if result else "no")
-        return EXIT_OK
-    if op == "convex":
-        if len(rest) != 1:
-            raise UsageError("perm convex expects one permutation")
-        print("yes" if is_convex(parse_permutation(rest[0])) else "no")
-        return EXIT_OK
-    raise UsageError(f"unknown perm operation {op!r}")
+    count, answer = _PERM_OPS[op]
+    if len(rest) != count:
+        raise ValueError(f"perm {op} expects {count} permutation argument(s)")
+    print(answer(*map(parse_permutation, rest)))
+    return EXIT_OK
 
 
 def _cmd_check_free(args) -> int:
     g, _ = _load_graph(args.graph)
     forbidden = [_load_graph(spec)[0] for spec in args.forbid]
-    try:
-        result = is_free(g, forbidden, budget=args.budget)
-    except StepBudgetExceeded:
-        print("UNDECIDED step budget exhausted")
-        return EXIT_UNDECIDED
+    result = is_free(g, forbidden, budget=args.budget)
     if result.free:
         print("ok free")
         return EXIT_OK
@@ -224,11 +131,7 @@ def _cmd_check_free(args) -> int:
 def _cmd_embed(args) -> int:
     pattern, _ = _load_graph(args.pattern)
     host, _ = _load_graph(args.host)
-    try:
-        emb = find_induced_embedding(pattern, host, budget=args.budget)
-    except StepBudgetExceeded:
-        print("UNDECIDED step budget exhausted")
-        return EXIT_UNDECIDED
+    emb = find_induced_embedding(pattern, host, budget=args.budget)
     if emb is None:
         print("none")
         return EXIT_FAIL
@@ -238,12 +141,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_paths(args) -> int:
     g, _ = _load_graph(args.graph)
-    try:
-        found = has_path_subgraph(g, args.k, budget=args.budget)
-    except StepBudgetExceeded:
-        print("UNDECIDED step budget exhausted")
-        return EXIT_UNDECIDED
-    print("yes" if found else "no")
+    print("yes" if has_path_subgraph(g, args.k, budget=args.budget) else "no")
     return EXIT_OK
 
 
@@ -282,10 +180,7 @@ def _cmd_biconvex(args) -> int:
         if b is None:
             print("FAIL graph is not bipartite")
             return EXIT_FAIL
-    try:
-        found = find_biconvex_order(g, b, guard=args.guard)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    found = find_biconvex_order(g, b, guard=args.guard)
     if found is None:
         print("none")
         return EXIT_FAIL
@@ -299,14 +194,14 @@ def _parse_pair(text: str) -> tuple[int, int]:
     try:
         i, j = (int(tok) for tok in text.split(","))
     except ValueError:
-        raise UsageError(f"pair must look like '6,8', got {text!r}") from None
+        raise ValueError(f"pair must look like '6,8', got {text!r}") from None
     return i, j
 
 
 def _cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in SUITE_NAMES:
-        raise UsageError(f"unknown suite {args.suite!r}")
+        raise ValueError(f"unknown suite {args.suite!r}")
     opts = SuiteOptions(
         budget=args.budget,
         lemma_key_max=args.nmax,
@@ -327,7 +222,6 @@ def _cmd_verify(args) -> int:
                 witness_path = os.path.join(args.witness_dir, fname)
                 with open(witness_path, "w", encoding="utf-8") as fh:
                     fh.write(verdict.witness_text)
-                verdict.witness_file = witness_path
                 line += f" {witness_path}"
             if verdict.note and args.verbose:
                 line += f"  # {verdict.note}"
@@ -368,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_perm = sub.add_parser("perm", help="permutation operations")
     p_perm.add_argument(
-        "op", choices=["compose", "inverse", "contains", "convex", "star-t", "star-s", "rho", "mu"]
+        "op", choices=[*_PERM_OPS, *PERM_FAMILIES]
     )
     p_perm.add_argument("args", nargs="*")
     p_perm.set_defaults(fn=_cmd_perm)
@@ -435,9 +329,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except StepBudgetExceeded:
+        # raised by check free, embed and paths; suites turn it into UNDECIDED cases
+        print("UNDECIDED step budget exhausted")
+        return EXIT_UNDECIDED
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,6 +7,27 @@ Budget exhaustion in any exact search is reported as UNDECIDED, never as a
 pass or a silent none.  Cases are independent, so a worker pool may run them
 in any order; verdicts are aggregated in case order and are identical for any
 worker count.
+
+Suites are data.  ``_SUITES`` maps each suite name, in report order, to a
+builder that lists its cases as specs ``(case name, case function,
+arguments)``.  Specs are pickled across the worker pool, so a case function
+is a module-level function and its arguments are plain data: ints, graphs,
+module-level functions, and family specs that name a member of the
+:mod:`bipkit.families` registry, such as ``("path", 7)``.
+
+- To add a case, append a spec to its suite's builder, reusing a shared case
+  function where one fits: ``_case_identity`` (an identity function returning
+  expected and actual values), ``_case_free`` (a family member free of
+  forbidden members), ``_case_pair`` (one family member not embedding into
+  another) or ``_case_spot`` (a named graph inside or outside a lemma's
+  universe).
+- To add an exhaustive lemma, add a ``Lemma`` to ``LEMMAS`` under its suite
+  name: its universe (connected bipartite graphs free of ``forbidden`` and
+  containing ``required``), its claim (a generator of violations on a
+  member) and the witness kinds the claim reports.  Then give the suite a
+  builder whose specs come from ``_exhaustive``.  ``_case_lemma_chunk``
+  checks the claim on every enumerated member, and :func:`reverify_witness`
+  re-checks the lemma's witnesses against the same entry.
 """
 
 from __future__ import annotations
@@ -16,8 +37,10 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from ..graphs import (
+    Bipartition,
     Graph,
     find_bipartition,
     is_connected,
@@ -48,17 +71,11 @@ from ..perms import (
     star_perm_T,
 )
 from ..families import (
-    complete_bipartite,
+    PERM_FAMILIES,
+    build_family,
     cycle,
-    h_antichain,
-    p_tilde,
     path,
-    s123,
     s_graph_star,
-    sun1,
-    sun4,
-    t_graph_star,
-    two_p3,
     universal_grid,
 )
 from ..structure import (
@@ -76,19 +93,9 @@ from ..structure import (
 )
 from .enumeration import bipartite_level, brute_force_bipartite_counts
 
-SUITE_NAMES = (
-    "identities",
-    "t-free",
-    "t-antichain",
-    "s-structure",
-    "s-antichain",
-    "lemma-key",
-    "lemma-reduction",
-    "universality",
-    "closure",
-)
-
 DEFAULT_BUDGET = 10**9
+
+Spec = tuple  # a registered family name, then its parameters: ("path", 7)
 
 
 @dataclass
@@ -97,7 +104,6 @@ class CaseVerdict:
     status: str  # "ok" | "FAIL" | "UNDECIDED"
     note: str = ""
     witness_text: str | None = None
-    witness_file: str | None = None
 
 
 @dataclass
@@ -161,24 +167,33 @@ def _split_witness(text: str) -> tuple[str, dict[str, str]]:
     if not lines or not lines[0].startswith("kind "):
         raise ValueError("witness must start with a kind line")
     kind = lines[0][5:].strip()
-    sections: dict[str, str] = {}
-    name = None
-    buf: list[str] = []
+    sections: dict[str, list[str]] = {}
+    body: list[str] = []  # lines before the first section are dropped
     for line in lines[1:]:
         if line.startswith("@"):
-            if name is not None:
-                sections[name] = "\n".join(buf)
-            name = line[1:].strip()
-            buf = []
+            body = sections[line[1:].strip()] = []
         else:
-            buf.append(line)
-    if name is not None:
-        sections[name] = "\n".join(buf)
-    return kind, sections
+            body.append(line)
+    return kind, {name: "\n".join(body) for name, body in sections.items()}
+
+
+def _vertex_ids(kind: str, name: str, text: str, n: int) -> tuple[int, ...]:
+    try:
+        ids = tuple(int(tok) for tok in text.split())
+    except ValueError:
+        raise ValueError(f"witness kind {kind!r} section @{name} holds a non-integer id") from None
+    if any(not 1 <= v <= n for v in ids):
+        raise ValueError(f"witness kind {kind!r} section @{name} holds an id outside 1..{n}")
+    return ids
 
 
 def reverify_witness(text: str) -> bool:
-    """Re-check a failure witness through the module that produced it."""
+    """Re-check a failure witness through the module that produced it.
+
+    A lemma witness re-verifies when its graph is in the lemma's universe and
+    the lemma's claim, run again on that graph, reports the witness's
+    violation, id sections included (a 7-path lowest end first).
+    """
     kind, sec = _split_witness(text)
 
     def need(name: str) -> str:
@@ -186,6 +201,12 @@ def reverify_witness(text: str) -> bool:
             raise ValueError(f"witness kind {kind!r} lacks section @{name}")
         return sec[name]
 
+    if kind in _LEMMA_OF_KIND:
+        lemma = LEMMAS[_LEMMA_OF_KIND[kind]]
+        g, _ = parse_graph(need("graph"))
+        ids = {name: _vertex_ids(kind, name, need(name), g.n) for name in lemma.witnesses[kind]}
+        b = _member(g, *_universe(lemma))
+        return b is not None and any(k == kind and found == ids for _, k, found in lemma.claim(g, b))
     if kind == "embedding":
         pattern, _ = parse_graph(need("pattern"))
         host, _ = parse_graph(need("host"))
@@ -195,48 +216,14 @@ def reverify_witness(text: str) -> bool:
         host = parse_permutation(need("host"))
         pat = parse_permutation(need("pattern"))
         return contains_pattern(host, pat)
-    if kind == "graph-p9":
-        g, _ = parse_graph(need("graph"))
-        free = is_free(g, [path(7), cycle(4)]).free
-        return free and has_path_subgraph(g, 9)
-    if kind == "graph-chords":
-        g, _ = parse_graph(need("graph"))
-        seq = tuple(int(tok) for tok in need("path").split())
-        if len(seq) != 7 or len(set(seq)) != 7:
-            return False
-        if not all(g.has_edge(seq[i], seq[i + 1]) for i in range(6)):
-            return False
-        ch = _path_chords(g, seq)
-        return not (len(ch) == 1 and ch[0] in ((1, 6), (2, 7)))
-    if kind == "graph-not-complete-bipartite":
-        g, _ = parse_graph(need("graph"))
-        if not is_free(g, [path(7), sun1()]).free:
-            return False
-        if find_induced_embedding(cycle(4), g) is None:
-            return False
-        b = find_bipartition(g)
-        return b is None or g.edge_count != len(b.part_a) * len(b.part_b)
-    if kind == "graph-no-decomposition":
-        g, b = parse_graph(need("graph"))
-        if not is_free(g, [path(7), s123()]).free:
-            return False
-        if b is None:
-            b = find_bipartition(g)
-        return decompose(g, b) is None
     if kind == "tree-not-free":
-        tree = parse_tree(need("tree"))
-        g = recompose(tree)
-        return not is_free(g, [path(7), s123()]).free
-    if kind == "biconvex-orders-found":
+        g = recompose(parse_tree(need("tree")))
+        return not is_free(g, _universe(LEMMAS["closure"])[0]).free
+    if kind in ("biconvex-orders-found", "biconvex-orders-rejected"):
         g, b = parse_graph(need("graph"))
         order_a = tuple(int(tok) for tok in need("order_a").split())
         order_b = tuple(int(tok) for tok in need("order_b").split())
-        return verify_biconvex_order(g, b, order_a, order_b)
-    if kind == "biconvex-orders-rejected":
-        g, b = parse_graph(need("graph"))
-        order_a = tuple(int(tok) for tok in need("order_a").split())
-        order_b = tuple(int(tok) for tok in need("order_b").split())
-        return not verify_biconvex_order(g, b, order_a, order_b)
+        return verify_biconvex_order(g, b, order_a, order_b) == (kind == "biconvex-orders-found")
     if kind == "letter-mismatch":
         expected, _ = parse_graph(need("expected"))
         decoded, _ = parse_graph(need("decoded"))
@@ -257,6 +244,10 @@ def _embedding_witness(pattern: Graph, host: Graph, emb: Embedding) -> str:
     )
 
 
+def _value_witness(expected: str, actual: str) -> str:
+    return make_witness("value-mismatch", {"expected": expected, "actual": actual})
+
+
 # ---------------------------------------------------------------------------
 # case machinery
 
@@ -269,16 +260,12 @@ def _fail(case: str, note: str, witness: str | None = None) -> CaseVerdict:
     return CaseVerdict(case, "FAIL", note, witness_text=witness)
 
 
-def _undecided(case: str, note: str) -> CaseVerdict:
-    return CaseVerdict(case, "UNDECIDED", note)
-
-
 def _exec_spec(spec) -> CaseVerdict:
     case, fn, args = spec
     try:
         return fn(case, *args)
     except StepBudgetExceeded:
-        return _undecided(case, "step budget exhausted")
+        return CaseVerdict(case, "UNDECIDED", "step budget exhausted")
 
 
 def _run_cases(specs: list, workers: int) -> list[CaseVerdict]:
@@ -288,183 +275,143 @@ def _run_cases(specs: list, workers: int) -> list[CaseVerdict]:
         return list(pool.imap(_exec_spec, specs, chunksize=1))
 
 
+def _graph(spec: Spec) -> Graph:
+    return build_family(*spec)[0]
+
+
 # ---------------------------------------------------------------------------
-# identities suite (generator fidelity, composition, convexity, involution)
+# identities suite (generator fidelity, composition, convexity, involution):
+# each identity is a function returning its expected and its actual value
 
-_PRINTED = {
-    "star-t-6": ((4, 2, 6, 1, 5, 3), lambda: star_perm_T(6)),
-    "star-t-8": ((4, 2, 6, 1, 8, 3, 7, 5), lambda: star_perm_T(8)),
-    "star-t-10": ((4, 2, 6, 1, 8, 3, 10, 5, 9, 7), lambda: star_perm_T(10)),
-    "star-s-8": ((2, 3, 5, 1, 8, 4, 7, 6), lambda: star_perm_S(8)),
-    "star-s-10": ((2, 3, 5, 1, 7, 4, 10, 6, 9, 8), lambda: star_perm_S(10)),
-    "star-s-12": ((2, 3, 5, 1, 7, 4, 9, 6, 12, 8, 11, 10), lambda: star_perm_S(12)),
-    "rho-10": ((1, 2, 3, 5, 7, 9, 10, 8, 6, 4), lambda: rho_star(10)),
-    "mu-10": ((2, 3, 5, 7, 10, 9, 8, 6, 4, 1), lambda: mu_star(10)),
-}
-
-
-def _value_witness(expected: str, actual: str) -> str:
-    return make_witness("value-mismatch", {"expected": expected, "actual": actual})
+_PRINTED = (
+    ("star-t", 6, (4, 2, 6, 1, 5, 3)),
+    ("star-t", 8, (4, 2, 6, 1, 8, 3, 7, 5)),
+    ("star-t", 10, (4, 2, 6, 1, 8, 3, 10, 5, 9, 7)),
+    ("star-s", 8, (2, 3, 5, 1, 8, 4, 7, 6)),
+    ("star-s", 10, (2, 3, 5, 1, 7, 4, 10, 6, 9, 8)),
+    ("star-s", 12, (2, 3, 5, 1, 7, 4, 9, 6, 12, 8, 11, 10)),
+    ("rho", 10, (1, 2, 3, 5, 7, 9, 10, 8, 6, 4)),
+    ("mu", 10, (2, 3, 5, 7, 10, 9, 8, 6, 4, 1)),
+)
 
 
-def _case_printed(case: str, key: str) -> CaseVerdict:
-    expected, builder = _PRINTED[key]
-    got = builder().oneline
-    if got == expected:
-        return _ok(case)
-    return _fail(case, f"got {got}", _value_witness(str(expected), str(got)))
+def _printed(family: str, n: int, oneline: tuple[int, ...]) -> tuple:
+    return oneline, PERM_FAMILIES[family](n).oneline
 
 
-def _case_involution(case: str, n: int) -> CaseVerdict:
+def _factor_value_at_3() -> tuple:
+    return 5, compose(mu_star(10), inverse(rho_star(10)))(3)
+
+
+def _involution(n: int) -> tuple:
     p = star_perm_T(n)
-    q = inverse(p)
-    if q == p:
+    return p, inverse(p)
+
+
+def _convex(n: int) -> tuple:
+    return (True, True), (is_convex(rho_star(n)), is_convex(mu_star(n)))
+
+
+def _factorisation(n: int) -> tuple:
+    return star_perm_S(n), compose(mu_star(n), inverse(rho_star(n)))
+
+
+def _case_identity(case: str, identity: Callable[..., tuple], *args) -> CaseVerdict:
+    expected, actual = identity(*args)
+    if actual == expected:
         return _ok(case)
-    return _fail(case, "not an involution", _value_witness(format_permutation(p), format_permutation(q)))
-
-
-def _case_convex(case: str, n: int) -> CaseVerdict:
-    for tag, p in (("rho", rho_star(n)), ("mu", mu_star(n))):
-        if not is_convex(p):
-            return _fail(case, f"{tag} not convex", _value_witness("convex", format_permutation(p)))
-    return _ok(case)
-
-
-def _case_compose(case: str, n: int) -> CaseVerdict:
-    got = compose(mu_star(n), inverse(rho_star(n)))
-    want = star_perm_S(n)
-    if got == want:
-        return _ok(case)
-    return _fail(case, "composition mismatch", _value_witness(format_permutation(want), format_permutation(got)))
-
-
-def _case_compose_eval(case: str) -> CaseVerdict:
-    got = compose(mu_star(10), inverse(rho_star(10)))(3)
-    if got == 5:
-        return _ok(case)
-    return _fail(case, f"value at 3 is {got}", _value_witness("5", str(got)))
+    return _fail(case, f"got {actual}", _value_witness(str(expected), str(actual)))
 
 
 def _suite_identities(opts: SuiteOptions) -> list:
-    specs = [(f"printed/{key}", _case_printed, (key,)) for key in _PRINTED]
-    specs.append(("compose/eval-n10-at-3", _case_compose_eval, ()))
-    specs += [(f"involution/n{n}", _case_involution, (n,)) for n in range(6, 42, 2)]
-    specs += [(f"convex/n{n}", _case_convex, (n,)) for n in range(8, 42, 2)]
-    specs += [(f"compose/n{n}", _case_compose, (n,)) for n in range(8, 42, 2)]
+    specs = [(f"printed/{fam}-{n}", _case_identity, (_printed, fam, n, want)) for fam, n, want in _PRINTED]
+    specs.append(("compose/eval-n10-at-3", _case_identity, (_factor_value_at_3,)))
+    specs += [(f"involution/n{n}", _case_identity, (_involution, n)) for n in range(6, 42, 2)]
+    specs += [(f"convex/n{n}", _case_identity, (_convex, n)) for n in range(8, 42, 2)]
+    specs += [(f"compose/n{n}", _case_identity, (_factorisation, n)) for n in range(8, 42, 2)]
     return specs
 
 
 # ---------------------------------------------------------------------------
-# freeness suites
+# freeness and antichain suites over registered family members
+
+_T_FORBIDDEN = (("two-p3",), ("sun4",))
+_S_FORBIDDEN = (("path", 8), ("p-tilde", 8))
 
 
-def _case_t_free(case: str, n: int, budget: int | None) -> CaseVerdict:
-    g = t_graph_star(n).graph
-    forbidden = [two_p3(), sun4()]
-    result = is_free(g, forbidden, budget=budget)
+def _case_free(case: str, spec: Spec, forbidden: tuple[Spec, ...], budget: int | None) -> CaseVerdict:
+    g = _graph(spec)
+    patterns = [_graph(f) for f in forbidden]
+    result = is_free(g, patterns, budget=budget)
     if result.free:
         return _ok(case)
-    pat = forbidden[result.pattern_index]
+    pat = patterns[result.pattern_index]
     return _fail(case, "forbidden pattern embeds", _embedding_witness(pat, g, result.witness))
 
 
 def _suite_t_free(opts: SuiteOptions) -> list:
-    return [(f"free/T{n}", _case_t_free, (n, opts.budget)) for n in range(6, 16, 2)]
+    return [(f"free/T{n}", _case_free, (("t-graph", n), _T_FORBIDDEN, opts.budget)) for n in range(6, 16, 2)]
 
 
-def _case_s_free(case: str, n: int, budget: int | None) -> CaseVerdict:
-    g = s_graph_star(n).graph
-    forbidden = [path(8), p_tilde(8)]
-    result = is_free(g, forbidden, budget=budget)
-    if result.free:
-        return _ok(case)
-    pat = forbidden[result.pattern_index]
-    return _fail(case, "forbidden pattern embeds", _embedding_witness(pat, g, result.witness))
-
-
-# ---------------------------------------------------------------------------
-# antichain suites
-
-_FAMILY_GRAPH = {
-    "T": lambda i: t_graph_star(i).graph,
-    "S": lambda i: s_graph_star(i).graph,
-    "H": h_antichain,
-}
-_FAMILY_PERM = {"permT": star_perm_T, "permS": star_perm_S}
-
-
-def _case_perm_pair(case: str, family: str, i: int, j: int) -> CaseVerdict:
-    gen = _FAMILY_PERM[family]
-    pat, host = gen(i), gen(j)
-    if not contains_pattern(host, pat):
-        return _ok(case)
-    witness = make_witness(
-        "perm-contain",
-        {"host": format_permutation(host), "pattern": format_permutation(pat)},
-    )
-    return _fail(case, "pattern contained", witness)
-
-
-def _case_graph_pair(case: str, family: str, i: int, j: int, budget: int | None) -> CaseVerdict:
-    gen = _FAMILY_GRAPH[family]
-    pat, host = gen(i), gen(j)
+def _case_pair(case: str, family: str, i: int, j: int, budget: int | None) -> CaseVerdict:
+    """Member ``i`` of a registered graph or permutation family does not
+    occur in member ``j``."""
+    if family in PERM_FAMILIES:
+        pat, host = PERM_FAMILIES[family](i), PERM_FAMILIES[family](j)
+        if not contains_pattern(host, pat):
+            return _ok(case)
+        witness = make_witness(
+            "perm-contain",
+            {"host": format_permutation(host), "pattern": format_permutation(pat)},
+        )
+        return _fail(case, "pattern contained", witness)
+    pat, host = _graph((family, i)), _graph((family, j))
     emb = find_induced_embedding(pat, host, budget=budget)
     if emb is None:
         return _ok(case)
     return _fail(case, "member embeds", _embedding_witness(pat, host, emb))
 
 
+def _pair_specs(label: str, family: str, pairs: list[tuple[int, int]], budget: int | None) -> list:
+    """One ``_case_pair`` spec per ordered pair; ``label`` formats ``i`` and ``j``."""
+    return [(label.format(i=i, j=j), _case_pair, (family, i, j, budget)) for i, j in pairs]
+
+
+def _ordered_pairs(indices) -> list[tuple[int, int]]:
+    return [(i, j) for i in indices for j in indices if i != j]
+
+
+_ANTICHAIN_FAMILIES = {"T": "t-graph", "S": "s-graph", "H": "h", "permT": "star-t", "permS": "star-s"}
+
+
 def antichain_check(
     family: str, indices: list[int], *, budget: int | None = DEFAULT_BUDGET, workers: int = 1
 ) -> SuiteReport:
-    """Pairwise non-containment over every ordered pair of family members."""
-    if family in _FAMILY_PERM:
-        specs = [
-            (f"{family}/{i}-into-{j}", _case_perm_pair, (family, i, j))
-            for i in indices
-            for j in indices
-            if i != j
-        ]
-    elif family in _FAMILY_GRAPH:
-        specs = [
-            (f"{family}/{i}-into-{j}", _case_graph_pair, (family, i, j, budget))
-            for i in indices
-            for j in indices
-            if i != j
-        ]
-    else:
+    """Pairwise non-containment over every ordered pair of family members;
+    ``family`` is T, S or H (graphs) or permT or permS (permutations)."""
+    if family not in _ANTICHAIN_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    pairs = _ordered_pairs(indices)
+    specs = _pair_specs(family + "/{i}-into-{j}", _ANTICHAIN_FAMILIES[family], pairs, budget)
     start = time.perf_counter()
     verdicts = _run_cases(specs, workers)
     return SuiteReport(f"antichain-{family}", verdicts, time.perf_counter() - start)
 
 
+def _antichain_suite(perms: str, indices: tuple[int, ...], graphs: str, letter: str, pairs, budget) -> list:
+    """The generator permutations pairwise, then each graph pair both ways."""
+    both_ways = [pair for i, j in pairs for pair in ((i, j), (j, i))]
+    label = f"graph/{letter}{{i}}-into-{letter}{{j}}"
+    specs = _pair_specs("perm/{i}-into-{j}", perms, _ordered_pairs(indices), budget)
+    return specs + _pair_specs(label, graphs, both_ways, budget)
+
+
 def _suite_t_antichain(opts: SuiteOptions) -> list:
-    idxs = (6, 8, 10, 12)
-    specs = [
-        (f"perm/{i}-into-{j}", _case_perm_pair, ("permT", i, j))
-        for i in idxs
-        for j in idxs
-        if i != j
-    ]
-    for i, j in opts.t_pairs:
-        specs.append((f"graph/T{i}-into-T{j}", _case_graph_pair, ("T", i, j, opts.budget)))
-        specs.append((f"graph/T{j}-into-T{i}", _case_graph_pair, ("T", j, i, opts.budget)))
-    return specs
+    return _antichain_suite("star-t", (6, 8, 10, 12), "t-graph", "T", opts.t_pairs, opts.budget)
 
 
 def _suite_s_antichain(opts: SuiteOptions) -> list:
-    idxs = (8, 10, 12, 14)
-    specs = [
-        (f"perm/{i}-into-{j}", _case_perm_pair, ("permS", i, j))
-        for i in idxs
-        for j in idxs
-        if i != j
-    ]
-    for i, j in opts.s_pairs:
-        specs.append((f"graph/S{i}-into-S{j}", _case_graph_pair, ("S", i, j, opts.budget)))
-        specs.append((f"graph/S{j}-into-S{i}", _case_graph_pair, ("S", j, i, opts.budget)))
-    return specs
+    return _antichain_suite("star-s", (8, 10, 12, 14), "s-graph", "S", opts.s_pairs, opts.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +430,10 @@ def _case_incomparability_iso(case: str, n: int) -> CaseVerdict:
     return _fail(case, "incomparability graph differs", witness)
 
 
-def _case_incomparability_edges(case: str) -> CaseVerdict:
+def _incomparability_edges_n8() -> tuple:
     layout = s_graph_star(8)
     inc = incomparability_graph(layout.graph, set(layout.zone_vertices("B")))
-    want = {(1, 8), (2, 8), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7), (5, 6)}
-    got = set(inc.edges())
-    if got == want:
-        return _ok(case)
-    return _fail(case, f"edge set {sorted(got)}", _value_witness(str(sorted(want)), str(sorted(got))))
+    return [(1, 8), (2, 8), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7), (5, 6)], inc.edges()
 
 
 def proof_biconvex_orders(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -502,19 +445,23 @@ def proof_biconvex_orders(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return order_ac, order_b
 
 
-def _case_biconvex_proof_order(case: str, n: int) -> CaseVerdict:
-    layout = s_graph_star(n)
-    order_ac, order_b = proof_biconvex_orders(n)
-    if verify_biconvex_order(layout.graph, layout.bipartition, order_ac, order_b):
-        return _ok(case)
-    witness = make_witness(
-        "biconvex-orders-rejected",
+def _biconvex_witness(kind: str, g: Graph, b: Bipartition, order_a, order_b) -> str:
+    return make_witness(
+        kind,
         {
-            "graph": serialize_graph(layout.graph, layout.bipartition).rstrip("\n"),
-            "order_a": " ".join(map(str, order_ac)),
+            "graph": serialize_graph(g, b).rstrip("\n"),
+            "order_a": " ".join(map(str, order_a)),
             "order_b": " ".join(map(str, order_b)),
         },
     )
+
+
+def _case_biconvex_proof_order(case: str, n: int) -> CaseVerdict:
+    layout = s_graph_star(n)
+    orders = proof_biconvex_orders(n)
+    if verify_biconvex_order(layout.graph, layout.bipartition, *orders):
+        return _ok(case)
+    witness = _biconvex_witness("biconvex-orders-rejected", layout.graph, layout.bipartition, *orders)
     return _fail(case, "explicit order rejected", witness)
 
 
@@ -524,22 +471,13 @@ def _case_biconvex_cycle6(case: str) -> CaseVerdict:
     found = find_biconvex_order(g, b)
     if found is None:
         return _ok(case)
-    order_a, order_b = found
-    witness = make_witness(
-        "biconvex-orders-found",
-        {
-            "graph": serialize_graph(g, b).rstrip("\n"),
-            "order_a": " ".join(map(str, order_a)),
-            "order_b": " ".join(map(str, order_b)),
-        },
-    )
-    return _fail(case, "unexpected biconvex order", witness)
+    return _fail(case, "unexpected biconvex order", _biconvex_witness("biconvex-orders-found", g, b, *found))
 
 
 def _suite_s_structure(opts: SuiteOptions) -> list:
-    specs = [(f"free/S{n}", _case_s_free, (n, opts.budget)) for n in range(8, 18, 2)]
+    specs = [(f"free/S{n}", _case_free, (("s-graph", n), _S_FORBIDDEN, opts.budget)) for n in range(8, 18, 2)]
     specs += [(f"incomparability/iso-n{n}", _case_incomparability_iso, (n,)) for n in (8, 10, 12)]
-    specs.append(("incomparability/edges-n8", _case_incomparability_edges, ()))
+    specs.append(("incomparability/edges-n8", _case_identity, (_incomparability_edges_n8,)))
     specs += [
         (f"biconvex/order-n{n}", _case_biconvex_proof_order, (n,)) for n in range(8, 18, 2)
     ]
@@ -549,6 +487,25 @@ def _suite_s_structure(opts: SuiteOptions) -> list:
 
 # ---------------------------------------------------------------------------
 # exhaustive lemma suites
+
+Violation = tuple[str, str, dict[str, tuple[int, ...]]]  # note, witness kind, id sections
+
+
+@dataclass(frozen=True)
+class Lemma:
+    """A claim over every connected bipartite graph free of ``forbidden``
+    that contains ``required`` (when given): its universe.
+
+    ``claim(g, b)`` yields the claim's violations on a member ``g`` with
+    bipartition ``b``; ``witnesses`` maps each witness kind it yields to the
+    names of its id sections; ``members`` names the members in a chunk's note.
+    """
+
+    forbidden: tuple[Spec, ...]
+    required: Spec | None
+    claim: Callable[[Graph, Bipartition], Iterator[Violation]]
+    witnesses: dict[str, tuple[str, ...]]
+    members: str
 
 
 def _path_chords(g: Graph, seq: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -581,6 +538,114 @@ def _seven_vertex_paths(g: Graph):
         yield from extend([s], 1 << (s - 1))
 
 
+def _no_p9_one_chord(g: Graph, b: Bipartition) -> Iterator[Violation]:
+    if has_path_subgraph(g, 9):
+        yield "(P7,C4)-free graph with a 9-vertex path", "graph-p9", {}
+    for seq in _seven_vertex_paths(g):
+        ch = _path_chords(g, seq)
+        if len(ch) != 1 or ch[0] not in ((1, 6), (2, 7)):
+            yield f"7-path {seq} has chords {ch}", "graph-chords", {"path": seq}
+
+
+def _complete_bipartite(g: Graph, b: Bipartition) -> Iterator[Violation]:
+    if g.edge_count != len(b.part_a) * len(b.part_b):
+        yield "graph with C4 is not complete bipartite", "graph-not-complete-bipartite", {}
+
+
+def _decomposes(g: Graph, b: Bipartition) -> Iterator[Violation]:
+    tree = decompose(g, b)
+    if tree is None or recompose(tree) != g:
+        yield "class member fails to decompose", "graph-no-decomposition", {}
+
+
+# suite name -> lemma; forbidden patterns are listed cheapest rejection first
+LEMMAS = {
+    "lemma-key": Lemma(
+        forbidden=(("cycle", 4), ("path", 7)),
+        required=None,
+        claim=_no_p9_one_chord,
+        witnesses={"graph-p9": (), "graph-chords": ("path",)},
+        members="in universe",
+    ),
+    "lemma-reduction": Lemma(
+        forbidden=(("path", 7), ("sun1",)),
+        required=("cycle", 4),
+        claim=_complete_bipartite,
+        witnesses={"graph-not-complete-bipartite": ()},
+        members="with C4 in universe",
+    ),
+    "closure": Lemma(
+        forbidden=(("path", 7), ("s123",)),
+        required=None,
+        claim=_decomposes,
+        witnesses={"graph-no-decomposition": ()},
+        members="in class",
+    ),
+}
+_LEMMA_OF_KIND = {kind: suite for suite, lemma in LEMMAS.items() for kind in lemma.witnesses}
+
+
+def _universe(lemma: Lemma) -> tuple[list[Graph], Graph | None]:
+    required = _graph(lemma.required) if lemma.required else None
+    return [_graph(spec) for spec in lemma.forbidden], required
+
+
+def _member(g: Graph, forbidden: list[Graph], required: Graph | None) -> Bipartition | None:
+    """``g``'s bipartition when ``g`` is in the universe, else None."""
+    if any(find_induced_embedding(h, g) is not None for h in forbidden):
+        return None
+    if required is not None and find_induced_embedding(required, g) is None:
+        return None
+    b = find_bipartition(g)
+    return b if b is not None and is_connected(g) else None
+
+
+def _lemma_witness(kind: str, g: Graph, ids: dict[str, tuple[int, ...]]) -> str:
+    sections = {"graph": _graph_block(g)}
+    sections.update((name, " ".join(map(str, seq))) for name, seq in ids.items())
+    return make_witness(kind, sections)
+
+
+def _case_lemma_chunk(case: str, suite: str, graphs: list[Graph]) -> CaseVerdict:
+    lemma = LEMMAS[suite]
+    universe = _universe(lemma)
+    members = 0
+    for g in graphs:
+        b = _member(g, *universe)
+        if b is None:
+            continue
+        members += 1
+        for note, kind, ids in lemma.claim(g, b):
+            return _fail(case, note, _lemma_witness(kind, g, ids))
+    return _ok(case, f"{len(graphs)} graphs, {members} {lemma.members}")
+
+
+def _case_spot(case: str, suite: str, spec: Spec, embeds: tuple[bool, ...]) -> CaseVerdict:
+    """A named graph embeds exactly the universe patterns (forbidden, then
+    required) that ``embeds`` says, and satisfies the claim when a member."""
+    lemma = LEMMAS[suite]
+    forbidden, required = _universe(lemma)
+    g = _graph(spec)
+    patterns = forbidden + ([required] if required else [])
+    got = tuple(find_induced_embedding(h, g) is not None for h in patterns)
+    if got != embeds:
+        return _fail(case, f"universe patterns embed as {got}, expected {embeds}")
+    b = _member(g, forbidden, required)
+    for note, kind, ids in lemma.claim(g, b) if b is not None else ():
+        return _fail(case, note, _lemma_witness(kind, g, ids))
+    return _ok(case)
+
+
+def _exhaustive(suite: str, n_min: int, n_max: int, chunk: int) -> list:
+    specs = []
+    for n in range(n_min, n_max + 1):
+        level = bipartite_level(n, True)
+        for idx, start in enumerate(range(0, len(level), chunk)):
+            part = level[start : start + chunk]
+            specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_chunk, (suite, part)))
+    return specs
+
+
 def _case_calibration(case: str, n: int) -> CaseVerdict:
     want = brute_force_bipartite_counts(n)
     got = (len(bipartite_level(n, False)), len(bipartite_level(n, True)))
@@ -589,125 +654,25 @@ def _case_calibration(case: str, n: int) -> CaseVerdict:
     return _fail(case, f"counts {got} != brute force {want}", _value_witness(str(want), str(got)))
 
 
-def _case_lemma_key_spot_s123(case: str) -> CaseVerdict:
-    g = s123()
-    if not is_free(g, [path(7), cycle(4)]).free:
-        return _fail(case, "spot graph not in the universe")
-    if has_path_subgraph(g, 9):
-        return _fail(case, "unexpected 9-vertex path", make_witness("graph-p9", {"graph": _graph_block(g)}))
-    return _ok(case)
-
-
-def _case_lemma_key_spot_cycle8(case: str) -> CaseVerdict:
-    g = cycle(8)
-    # the universe filter must exclude it: it is C4-free yet contains an induced P7
-    if find_induced_embedding(cycle(4), g) is not None:
-        return _fail(case, "cycle(8) should be C4-free")
-    if find_induced_embedding(path(7), g) is None:
-        return _fail(case, "cycle(8) should contain an induced P7")
-    return _ok(case)
-
-
-def _case_lemma_key_chunk(case: str, graphs: list[Graph]) -> CaseVerdict:
-    p7, c4 = path(7), cycle(4)
-    free_count = 0
-    for g in graphs:
-        if find_induced_embedding(c4, g) is not None:
-            continue
-        if find_induced_embedding(p7, g) is not None:
-            continue
-        free_count += 1
-        if has_path_subgraph(g, 9):
-            return _fail(
-                case,
-                "(P7,C4)-free graph with a 9-vertex path",
-                make_witness("graph-p9", {"graph": _graph_block(g)}),
-            )
-        for seq in _seven_vertex_paths(g):
-            ch = _path_chords(g, seq)
-            if len(ch) != 1 or ch[0] not in ((1, 6), (2, 7)):
-                return _fail(
-                    case,
-                    f"7-path {seq} has chords {ch}",
-                    make_witness(
-                        "graph-chords",
-                        {"graph": _graph_block(g), "path": " ".join(map(str, seq))},
-                    ),
-                )
-    return _ok(case, f"{len(graphs)} graphs, {free_count} in universe")
-
-
-def _chunked(graphs: list[Graph], size: int) -> list[list[Graph]]:
-    return [graphs[i : i + size] for i in range(0, len(graphs), size)]
-
-
 def _suite_lemma_key(opts: SuiteOptions) -> list:
     if not (9 <= opts.lemma_key_max <= 12):
         raise ValueError("lemma-key range must end between 9 and 12")
     specs = [(f"calibration/n{n}", _case_calibration, (n,)) for n in range(1, 7)]
-    specs.append(("spot/s123", _case_lemma_key_spot_s123, ()))
-    specs.append(("spot/cycle8", _case_lemma_key_spot_cycle8, ()))
-    for n in range(9, opts.lemma_key_max + 1):
-        chunks = _chunked(bipartite_level(n, True), opts.chunk)
-        for idx, chunk in enumerate(chunks):
-            specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_key_chunk, (chunk,)))
-    return specs
-
-
-def _case_reduction_spot_k33(case: str) -> CaseVerdict:
-    g = complete_bipartite(3, 3)
-    if not is_free(g, [path(7), sun1()]).free:
-        return _fail(case, "K33 should be in the universe")
-    if find_induced_embedding(cycle(4), g) is None:
-        return _fail(case, "K33 should contain a C4")
-    b = find_bipartition(g)
-    if g.edge_count != len(b.part_a) * len(b.part_b):
-        return _fail(case, "K33 should be complete bipartite")
-    return _ok(case)
-
-
-def _case_reduction_spot_sun1(case: str) -> CaseVerdict:
-    g = sun1()
-    if find_induced_embedding(cycle(4), g) is None:
-        return _fail(case, "sun1 should contain a C4")
-    if is_free(g, [sun1()]).free:
-        return _fail(case, "sun1 should be excluded from the universe")
-    return _ok(case)
-
-
-def _case_reduction_chunk(case: str, graphs: list[Graph]) -> CaseVerdict:
-    p7, s1, c4 = path(7), sun1(), cycle(4)
-    hits = 0
-    for g in graphs:
-        if find_induced_embedding(p7, g) is not None:
-            continue
-        if find_induced_embedding(s1, g) is not None:
-            continue
-        if find_induced_embedding(c4, g) is None:
-            continue
-        hits += 1
-        b = find_bipartition(g)
-        if g.edge_count != len(b.part_a) * len(b.part_b):
-            return _fail(
-                case,
-                "graph with C4 is not complete bipartite",
-                make_witness("graph-not-complete-bipartite", {"graph": _graph_block(g)}),
-            )
-    return _ok(case, f"{len(graphs)} graphs, {hits} with C4 in universe")
+    # universe patterns: C4, P7; cycle(8) is C4-free yet contains an induced P7
+    specs.append(("spot/s123", _case_spot, ("lemma-key", ("s123",), (False, False))))
+    specs.append(("spot/cycle8", _case_spot, ("lemma-key", ("cycle", 8), (False, True))))
+    return specs + _exhaustive("lemma-key", 9, opts.lemma_key_max, opts.chunk)
 
 
 def _suite_lemma_reduction(opts: SuiteOptions) -> list:
     if not (4 <= opts.lemma_reduction_max <= 12):
         raise ValueError("lemma-reduction range must end between 4 and 12")
+    # universe patterns: P7, Sun1, then the required C4
     specs = [
-        ("spot/k33", _case_reduction_spot_k33, ()),
-        ("spot/sun1", _case_reduction_spot_sun1, ()),
+        ("spot/k33", _case_spot, ("lemma-reduction", ("kab", 3, 3), (False, False, True))),
+        ("spot/sun1", _case_spot, ("lemma-reduction", ("sun1",), (False, True, True))),
     ]
-    for n in range(4, opts.lemma_reduction_max + 1):
-        chunks = _chunked(bipartite_level(n, True), opts.chunk)
-        for idx, chunk in enumerate(chunks):
-            specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_reduction_chunk, (chunk,)))
-    return specs
+    return specs + _exhaustive("lemma-reduction", 4, opts.lemma_reduction_max, opts.chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +730,7 @@ def _case_closure_path7(case: str) -> CaseVerdict:
 
 def _case_closure_random_trees(case: str, count: int, seed: int) -> CaseVerdict:
     rng = random.Random(seed)
-    forbidden = [path(7), s123()]
+    forbidden, _ = _universe(LEMMAS["closure"])
     for idx in range(count):
         tree = random_leaf_tree(rng)
         g = recompose(tree)
@@ -779,38 +744,12 @@ def _case_closure_random_trees(case: str, count: int, seed: int) -> CaseVerdict:
     return _ok(case, f"{count} random trees")
 
 
-def _case_closure_chunk(case: str, graphs: list[Graph]) -> CaseVerdict:
-    p7, s = path(7), s123()
-    members = 0
-    for g in graphs:
-        if find_induced_embedding(p7, g) is not None:
-            continue
-        if find_induced_embedding(s, g) is not None:
-            continue
-        members += 1
-        b = find_bipartition(g)
-        tree = decompose(g, b)
-        if tree is None or recompose(tree) != g:
-            return _fail(
-                case,
-                "class member fails to decompose",
-                make_witness(
-                    "graph-no-decomposition", {"graph": serialize_graph(g, b).rstrip("\n")}
-                ),
-            )
-    return _ok(case, f"{len(graphs)} graphs, {members} in class")
-
-
 def _suite_closure(opts: SuiteOptions) -> list:
     specs = [
         ("decompose/path7-none", _case_closure_path7, ()),
         ("random-trees/300", _case_closure_random_trees, (300, 20250808)),
     ]
-    for n in range(1, 11):
-        chunks = _chunked(bipartite_level(n, True), opts.chunk)
-        for idx, chunk in enumerate(chunks):
-            specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_closure_chunk, (chunk,)))
-    return specs
+    return specs + _exhaustive("closure", 1, 10, opts.chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +820,6 @@ def brute_grid_permutation(m: int) -> Permutation | None:
     g, _ = universal_grid(m, m)
     target = g.edge_count
     n = m * m
-    degs = sorted(g.adj[i].bit_count() for i in range(n))
     total_pairs = n * (n - 1) // 2
     hit: list[Permutation] = []
 
@@ -895,7 +833,7 @@ def brute_grid_permutation(m: int) -> Permutation | None:
         if not remaining:
             cand = Permutation(tuple(prefix))
             pg = permutation_graph(cand)
-            if sorted(pg.adj[i].bit_count() for i in range(n)) == degs and are_isomorphic(pg, g):
+            if are_isomorphic(pg, g):
                 hit.append(cand)
             return
         for v in sorted(remaining):
@@ -1023,7 +961,8 @@ def _suite_universality(opts: SuiteOptions) -> list:
 # ---------------------------------------------------------------------------
 # runner
 
-_SUITE_BUILDERS = {
+# suite name -> builder of its case specs, in report order
+_SUITES = {
     "identities": _suite_identities,
     "t-free": _suite_t_free,
     "t-antichain": _suite_t_antichain,
@@ -1034,13 +973,14 @@ _SUITE_BUILDERS = {
     "universality": _suite_universality,
     "closure": _suite_closure,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, opts: SuiteOptions | None = None) -> SuiteReport:
-    if name not in _SUITE_BUILDERS:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     opts = opts or SuiteOptions()
     start = time.perf_counter()
-    specs = _SUITE_BUILDERS[name](opts)
+    specs = _SUITES[name](opts)
     verdicts = _run_cases(specs, opts.workers)
     return SuiteReport(name, verdicts, time.perf_counter() - start)

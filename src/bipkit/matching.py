@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .graphs import Graph, connected_components, mask_vertices
+from .graphs import Graph, connected_components, find_bipartition
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -224,21 +224,15 @@ def are_isomorphic(g: Graph, h: Graph, *, budget: int | None = None) -> bool:
 def has_path_subgraph(g: Graph, k: int, *, budget: int | None = None) -> bool:
     """True iff ``g`` has a simple path on ``k`` vertices, not necessarily induced.
 
-    Backtracking DFS over simple paths with component-size pruning; hosts above
-    16 vertices switch to a dynamic program over (vertex set, endpoint) states.
+    Backtracking DFS over simple paths, started only in components that can
+    hold ``k`` path vertices: a component needs at least ``k`` vertices, and
+    since a path alternates between the parts, a component with parts of
+    sizes a and b (when ``g`` is bipartite) holds at most ``2 * min(a, b) + 1``.
     """
     if k < 1:
         raise ValueError("path length must be at least 1 vertex")
-    if k == 1:
-        return g.n >= 1
-    if k > g.n:
-        return False
-    comps = [c for c in connected_components(g) if len(c) >= k]
-    if not comps:
-        return False
+    parts = find_bipartition(g)
     tracker = _Budget(budget)
-    if g.n > 16:
-        return _path_dp(g, k, comps, tracker)
     adj = g.adj
 
     def extend(v: int, visited: int, length: int) -> bool:
@@ -253,40 +247,15 @@ def has_path_subgraph(g: Graph, k: int, *, budget: int | None = None) -> bool:
                 return True
         return False
 
-    for comp in comps:
+    for comp in connected_components(g):
+        room = len(comp)
+        if parts is not None:
+            in_a = sum(1 for v in comp if v in parts.part_a)
+            room = min(room, 2 * min(in_a, len(comp) - in_a) + 1)
+        if room < k:
+            continue
         for start in comp:
             tracker.spend()
             if extend(start - 1, 1 << (start - 1), 1):
                 return True
     return False
-
-
-def _path_dp(g: Graph, k: int, comps: list[tuple[int, ...]], tracker: _Budget) -> bool:
-    adj = g.adj
-    allowed = 0
-    for comp in comps:
-        for v in comp:
-            allowed |= 1 << (v - 1)
-    # ends[mask] = endpoints of simple paths covering exactly `mask`
-    ends: dict[int, int] = {}
-    for v in mask_vertices(allowed):
-        ends[1 << (v - 1)] = 1 << (v - 1)
-    for _ in range(k - 1):
-        nxt: dict[int, int] = {}
-        for mask, endpoints in ends.items():
-            rest = endpoints
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                grow = adj[v] & ~mask & allowed
-                while grow:
-                    glow = grow & -grow
-                    grow ^= glow
-                    tracker.spend()
-                    nm = mask | glow
-                    nxt[nm] = nxt.get(nm, 0) | glow
-        if not nxt:
-            return False
-        ends = nxt
-    return bool(ends)

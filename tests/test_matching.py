@@ -114,14 +114,23 @@ def test_has_path_subgraph_examples():
         has_path_subgraph(path(2), 0)
 
 
-def test_has_path_subgraph_dp_route_matches_dfs():
-    # hosts above 16 vertices take the subset-DP route
+def test_has_path_subgraph_large_hosts_match_dfs():
     assert has_path_subgraph(path(18), 18)
     assert not has_path_subgraph(path(18), 19)
     assert has_path_subgraph(complete_bipartite(9, 9), 18)
-    g, _ = universal_grid(3, 6)
-    for k in (2, 10, 18):
-        assert has_path_subgraph(g, k) == _dfs_path_reference(g, k), k
+    for rows, cols, ks in ((3, 6, (2, 10, 18)), (4, 5, (9, 12)), (5, 5, (9, 12))):
+        g, _ = universal_grid(rows, cols)
+        for k in ks:
+            assert has_path_subgraph(g, k) == _dfs_path_reference(g, k), (rows, cols, k)
+    # parts of 15 and 10 vertices hold no path longer than 21: answered without search
+    assert not has_path_subgraph(universal_grid(5, 5)[0], 25, budget=1000)
+
+
+def test_has_path_subgraph_matches_dfs_on_small_connected_graphs(connected_levels):
+    for n in range(1, 10):
+        for g in connected_levels[n]:
+            for k in range(2, 11):
+                assert has_path_subgraph(g, k) == _dfs_path_reference(g, k), (g.edges(), k)
 
 
 def _dfs_path_reference(g: Graph, k: int) -> bool:

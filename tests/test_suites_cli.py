@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -8,14 +10,16 @@ from bipkit.graphs import parse_graph
 from bipkit.families import path
 from bipkit.harness import cli
 from bipkit.harness.suites import (
+    SUITE_NAMES,
     SuiteOptions,
     antichain_check,
     make_witness,
     reverify_witness,
     run_suite,
-    _case_perm_pair,
-    _case_graph_pair,
+    _case_pair,
 )
+
+PINNED_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_verdicts.txt"
 
 
 def test_antichain_check_families():
@@ -32,11 +36,11 @@ def test_antichain_check_families():
 
 def test_failing_case_produces_reverifiable_witness():
     # a member trivially contains itself, so an equal pair must fail loudly
-    verdict = _case_perm_pair("self", "permT", 6, 6)
+    verdict = _case_pair("self", "star-t", 6, 6, None)
     assert verdict.status == "FAIL"
     assert reverify_witness(verdict.witness_text)
 
-    verdict = _case_graph_pair("self", "H", 2, 2, None)
+    verdict = _case_pair("self", "h", 2, 2, None)
     assert verdict.status == "FAIL"
     assert reverify_witness(verdict.witness_text)
 
@@ -82,6 +86,16 @@ def test_witness_kinds_reverify():
     )
     assert not reverify_witness(not_free)
 
+    # P7 is not (P7,C4)-free, so its path is no counterexample to the chord claim
+    p7 = serialize_graph(path(7)).rstrip()
+    not_in_universe = make_witness("graph-chords", {"graph": p7, "path": "1 2 3 4 5 6 7"})
+    assert not reverify_witness(not_in_universe)
+    # path ids outside 1..n are rejected by name, not aliased or indexed past the end
+    for ids in ("0 1 2 3 4 5 6", "99 1 2 3 4 5 6"):
+        bad_ids = make_witness("graph-chords", {"graph": p7, "path": ids})
+        with pytest.raises(ValueError, match="section @path holds an id outside 1..7"):
+            reverify_witness(bad_ids)
+
     with pytest.raises(ValueError):
         reverify_witness("kind mystery\n")
     with pytest.raises(ValueError):
@@ -111,6 +125,16 @@ def test_worker_pool_matches_sequential():
         (v.case, v.status) for v in par.verdicts
     ]
     assert seq.failed == 0
+    # every spec of these suites must pickle across the pool
+    for name, opts in (
+        ("identities", SuiteOptions()),
+        ("lemma-reduction", SuiteOptions(lemma_reduction_max=7)),
+    ):
+        seq = run_suite(name, opts)
+        par = run_suite(name, replace(opts, workers=2))
+        assert [(v.case, v.status, v.note) for v in seq.verdicts] == [
+            (v.case, v.status, v.note) for v in par.verdicts
+        ]
 
 
 def test_unknown_suite_rejected():
@@ -213,6 +237,15 @@ def test_cli_verify_failure_writes_witness(capsys, tmp_path, monkeypatch):
     witness_path = fail_lines[0].split()[-1]
     text = (tmp_path / witness_path).read_text()
     assert reverify_witness(text)
+
+
+def test_cli_verify_lines_match_pinned_verdicts(capsys, tmp_path, connected_levels):
+    lines = []
+    for suite in SUITE_NAMES:
+        argv = ["verify", suite, "--workers", "1", "--nmax", "10", "--witness-dir", str(tmp_path)]
+        assert cli.main(argv) == 0, suite
+        lines += [line for line in capsys.readouterr().out.splitlines() if not line.startswith("{")]
+    assert lines == PINNED_VERDICTS.read_text(encoding="utf-8").splitlines()
 
 
 def test_cli_verify_rejects_unknown_suite():
