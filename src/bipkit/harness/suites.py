@@ -143,7 +143,6 @@ class SuiteOptions:
     t_pairs: tuple[tuple[int, int], ...] = ((6, 8),)
     s_pairs: tuple[tuple[int, int], ...] = ((8, 10),)
     workers: int = 1
-    chunk: int = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def _case_pair(case: str, family: str, i: int, j: int, budget: int | None) -> Ca
     occur in member ``j``."""
     if family in PERM_FAMILIES:
         pat, host = PERM_FAMILIES[family](i), PERM_FAMILIES[family](j)
-        if not contains_pattern(host, pat):
+        if not contains_pattern(host, pat, budget=budget):
             return _ok(case)
         witness = make_witness(
             "perm-contain",
@@ -636,12 +635,16 @@ def _case_spot(case: str, suite: str, spec: Spec, embeds: tuple[bool, ...]) -> C
     return _ok(case)
 
 
-def _exhaustive(suite: str, n_min: int, n_max: int, chunk: int) -> list:
+# graphs per exhaustive case: one case name per chunk, such as ``n10/part02``
+_CHUNK = 2000
+
+
+def _exhaustive(suite: str, n_min: int, n_max: int) -> list:
     specs = []
     for n in range(n_min, n_max + 1):
         level = bipartite_level(n, True)
-        for idx, start in enumerate(range(0, len(level), chunk)):
-            part = level[start : start + chunk]
+        for idx, start in enumerate(range(0, len(level), _CHUNK)):
+            part = level[start : start + _CHUNK]
             specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_chunk, (suite, part)))
     return specs
 
@@ -661,7 +664,7 @@ def _suite_lemma_key(opts: SuiteOptions) -> list:
     # universe patterns: C4, P7; cycle(8) is C4-free yet contains an induced P7
     specs.append(("spot/s123", _case_spot, ("lemma-key", ("s123",), (False, False))))
     specs.append(("spot/cycle8", _case_spot, ("lemma-key", ("cycle", 8), (False, True))))
-    return specs + _exhaustive("lemma-key", 9, opts.lemma_key_max, opts.chunk)
+    return specs + _exhaustive("lemma-key", 9, opts.lemma_key_max)
 
 
 def _suite_lemma_reduction(opts: SuiteOptions) -> list:
@@ -672,7 +675,7 @@ def _suite_lemma_reduction(opts: SuiteOptions) -> list:
         ("spot/k33", _case_spot, ("lemma-reduction", ("kab", 3, 3), (False, False, True))),
         ("spot/sun1", _case_spot, ("lemma-reduction", ("sun1",), (False, True, True))),
     ]
-    return specs + _exhaustive("lemma-reduction", 4, opts.lemma_reduction_max, opts.chunk)
+    return specs + _exhaustive("lemma-reduction", 4, opts.lemma_reduction_max)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +752,7 @@ def _suite_closure(opts: SuiteOptions) -> list:
         ("decompose/path7-none", _case_closure_path7, ()),
         ("random-trees/300", _case_closure_random_trees, (300, 20250808)),
     ]
-    return specs + _exhaustive("closure", 1, 10, opts.chunk)
+    return specs + _exhaustive("closure", 1, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ constructions.
 A permutation is a bijection of ``{1..n}``; the one-line form is the sequence
 ``(p(1), ..., p(n))``.  Text form is comma-separated values in parentheses,
 e.g. ``(4,2,6,1,5,3)``; the parser tolerates whitespace.
+
+Containment is a forward checker over bitmask domains of host positions
+(Haralick & Elliott 1980).  It stays separate from ``matching._search``: a
+pattern pair of a permutation picks one of four quadrants, where a graph
+pair picks one of two neighbourhood masks, and routing both through one
+search was measured to slow the graph searches down.  It shares only the
+step budget.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
+from .matching import _Budget
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,18 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
-def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
+def contains_pattern(host: Permutation, pattern: Permutation, *, budget: int | None = None) -> bool:
     """True iff some subsequence of ``host`` is order-isomorphic to ``pattern``.
 
-    Exact DFS over host positions: each placed element must sit strictly
-    between the already placed values that flank the pattern value, and the
-    remaining host suffix must still be long enough.
+    Exact forward checking over bitmask domains.  Bit x stands for host
+    position x, counted from 0 like the pattern index t.  The domain of t
+    starts as the bits t..n-k+t whose host value lies in pv[t]..n-k+pv[t].
+    Placing t at x intersects every unplaced domain with the quadrant of x
+    (left or right of x, below or above its value) that the pattern pair
+    selects; an emptied domain prunes the branch.  The smallest domain is
+    placed next, ties broken by ascending index, so the search is
+    deterministic.  One budget step is spent per candidate placement;
+    raises StepBudgetExceeded when a step budget is given and runs out.
     """
     k = pattern.size
     n = host.size
@@ -71,30 +85,54 @@ def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
         return False
     hv = host.oneline
     pv = pattern.oneline
-    chosen = [0] * k
+    # upto[v]: positions holding a value <= v
+    upto = [0] * (n + 1)
+    for x, v in enumerate(hv):
+        upto[v] = 1 << x
+    for v in range(1, n + 1):
+        upto[v] |= upto[v - 1]
+    slack = (1 << (n - k + 1)) - 1
+    domains = [(slack << t) & upto[n - k + pv[t]] & ~upto[pv[t] - 1] for t in range(k)]
+    full = (1 << n) - 1
+    # quads[x][2 * (right of x) + (above x)]: the positions in that quadrant of x
+    quads = []
+    for x in range(n):
+        left = (1 << x) - 1
+        right = full ^ left ^ (1 << x)
+        below = upto[hv[x] - 1]
+        above = full ^ upto[hv[x]]
+        quads.append((left & below, left & above, right & below, right & above))
+    tracker = _Budget(budget)
+    bounded = budget is not None
 
-    def bounds(t: int) -> tuple[int, int]:
-        lo, hi = 0, n + 1
-        for s in range(t):
-            if pv[s] < pv[t]:
-                lo = max(lo, chosen[s])
-            else:
-                hi = min(hi, chosen[s])
-        return lo, hi
-
-    def place(t: int, start: int) -> bool:
-        if t == k:
+    def extend(domains: list[int], unplaced: tuple[int, ...]) -> bool:
+        if not unplaced:
             return True
-        lo, hi = bounds(t)
-        for pos in range(start, n - (k - t) + 1):
-            val = hv[pos]
-            if lo < val < hi:
-                chosen[t] = val
-                if place(t + 1, pos + 1):
+        # smallest domain first; min keeps the lowest index among ties
+        t = min(unplaced, key=lambda s: domains[s].bit_count())
+        # each other index with the quadrant of t's position it must occupy
+        pt = pv[t]
+        need = [(s, 2 * (s > t) + (pv[s] > pt)) for s in unplaced if s != t]
+        rest = tuple(s for s, _ in need)
+        cands = domains[t]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            if bounded:
+                tracker.spend()
+            quad = quads[low.bit_length() - 1]
+            narrowed = list(domains)
+            for s, q in need:
+                d = narrowed[s] & quad[q]
+                if not d:
+                    break
+                narrowed[s] = d
+            else:
+                if extend(narrowed, rest):
                     return True
         return False
 
-    return place(0, 0)
+    return extend(domains, tuple(range(k)))
 
 
 def is_convex(p: Permutation) -> bool:

@@ -7,7 +7,9 @@ disjoint union, join, and skew join.  Under a fixed orientation the graphs
 these operations build form a hereditary class (delete a leaf and contract
 its parent), so any valid split has buildable sides and each split can be
 forced: a component, a complement component, or a vertex's closure under the
-skew arcs.  No subset is searched, so the engine has no size cap.
+skew arcs.  No subset is searched, so the engine has no size cap.  A build
+tree can be as deep as the vertex count, so every walk over one (decompose,
+recompose, tree text) keeps an explicit stack instead of recursing.
 """
 
 from __future__ import annotations
@@ -201,45 +203,52 @@ class DecompositionTree:
         return tuple(sorted(self.part_x + self.part_y))
 
 
-def _tree_edges(t: DecompositionTree, acc: set[tuple[int, int]]) -> None:
-    if t.kind == "leaf":
-        return
-    left, right = t.left, t.right
-    if left is None or right is None:
-        raise ValueError("malformed tree: binary node without two children")
-    _tree_edges(left, acc)
-    _tree_edges(right, acc)
-    if t.kind == "union":
-        pairs = []
-    elif t.kind == "join":
-        pairs = [(left.part_x, right.part_y), (right.part_x, left.part_y)]
-    elif t.kind == "skew":
-        pairs = [(left.part_x, right.part_y)]
-    else:
-        raise ValueError(f"malformed tree: unknown node kind {t.kind!r}")
-    for xs, ys in pairs:
-        for x in xs:
-            for y in ys:
-                acc.add((min(x, y), max(x, y)))
+def _tree_edges(t: DecompositionTree) -> set[tuple[int, int]]:
+    acc: set[tuple[int, int]] = set()
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if node.kind == "leaf":
+            continue
+        left, right = node.left, node.right
+        if left is None or right is None:
+            raise ValueError("malformed tree: binary node without two children")
+        if node.kind == "union":
+            pairs = []
+        elif node.kind == "join":
+            pairs = [(left.part_x, right.part_y), (right.part_x, left.part_y)]
+        elif node.kind == "skew":
+            pairs = [(left.part_x, right.part_y)]
+        else:
+            raise ValueError(f"malformed tree: unknown node kind {node.kind!r}")
+        for xs, ys in pairs:
+            for x in xs:
+                for y in ys:
+                    acc.add((min(x, y), max(x, y)))
+        todo += (right, left)
+    return acc
 
 
 def _check_tree(t: DecompositionTree) -> None:
-    if set(t.part_x) & set(t.part_y):
-        raise ValueError("malformed tree: parts overlap")
-    if t.kind == "leaf":
-        if len(t.part_x) + len(t.part_y) != 1:
-            raise ValueError("malformed tree: leaf must hold exactly one vertex")
-        return
-    if t.left is None or t.right is None:
-        raise ValueError("malformed tree: binary node without two children")
-    for child in (t.left, t.right):
-        _check_tree(child)
-    lx, ly = set(t.left.part_x), set(t.left.part_y)
-    rx, ry = set(t.right.part_x), set(t.right.part_y)
-    if lx | rx != set(t.part_x) or ly | ry != set(t.part_y):
-        raise ValueError("malformed tree: node parts do not match its operands")
-    if (lx | ly) & (rx | ry):
-        raise ValueError("malformed tree: operands overlap")
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if set(node.part_x) & set(node.part_y):
+            raise ValueError("malformed tree: parts overlap")
+        if node.kind == "leaf":
+            if len(node.part_x) + len(node.part_y) != 1:
+                raise ValueError("malformed tree: leaf must hold exactly one vertex")
+            continue
+        left, right = node.left, node.right
+        if left is None or right is None:
+            raise ValueError("malformed tree: binary node without two children")
+        lx, ly = set(left.part_x), set(left.part_y)
+        rx, ry = set(right.part_x), set(right.part_y)
+        if lx | rx != set(node.part_x) or ly | ry != set(node.part_y):
+            raise ValueError("malformed tree: node parts do not match its operands")
+        if (lx | ly) & (rx | ry):
+            raise ValueError("malformed tree: operands overlap")
+        todo += (right, left)
 
 
 def recompose(t: DecompositionTree) -> Graph:
@@ -248,9 +257,7 @@ def recompose(t: DecompositionTree) -> Graph:
     vs = t.vertices()
     if vs != tuple(range(1, len(vs) + 1)):
         raise ValueError("malformed tree: root must cover ids 1..n")
-    acc: set[tuple[int, int]] = set()
-    _tree_edges(t, acc)
-    return Graph.from_edges(len(vs), sorted(acc))
+    return Graph.from_edges(len(vs), sorted(_tree_edges(t)))
 
 
 def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
@@ -282,10 +289,14 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
             reached |= frontier
         return reached
 
-    def rec(mask: int) -> DecompositionTree | None:
-        px, py = tuple(mask_vertices(mask & x_mask)), tuple(mask_vertices(mask & y_mask))
+    # top-down: force the split of every subgraph, recording each in visit order
+    splits: list[tuple[int, str]] = []
+    todo = [x_mask | y_mask]
+    while todo:
+        mask = todo.pop()
         if mask.bit_count() == 1:
-            return DecompositionTree("leaf", px, py)
+            splits.append((mask, "leaf"))
+            continue
         low = mask & -mask
         kind, first = "union", closure(low, adj, mask)
         if first == mask:
@@ -297,18 +308,22 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
                 if first != mask:
                     break
             else:
+                # buildable graphs form a hereditary class, so any valid split
+                # has buildable sides and a failing side means the whole graph fails
                 return None
-        # buildable graphs form a hereditary class, so any valid split has
-        # buildable sides and a failing side means the whole graph fails
-        left = rec(first)
-        if left is None:
-            return None
-        right = rec(mask & ~first)
-        if right is None:
-            return None
-        return DecompositionTree(kind, px, py, left, right)
-
-    return rec(x_mask | y_mask)
+        splits.append((mask, kind))
+        todo += (mask & ~first, first)
+    # bottom-up: in reverse visit order a node's first operand is built last,
+    # so it sits on top of the stack, with the second operand below it
+    built: list[DecompositionTree] = []
+    for mask, kind in reversed(splits):
+        px, py = tuple(mask_vertices(mask & x_mask)), tuple(mask_vertices(mask & y_mask))
+        if kind == "leaf":
+            built.append(DecompositionTree("leaf", px, py))
+        else:
+            left = built.pop()
+            built.append(DecompositionTree(kind, px, py, left, built.pop()))
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +338,22 @@ def format_tree(t: DecompositionTree) -> str:
         ys = " ".join(str(v) for v in node.part_y)
         return f"[{xs}|{ys}]"
 
-    if t.kind == "leaf":
-        v = (t.part_x + t.part_y)[0]
-        side = "X" if t.part_x else "Y"
-        return f"(leaf {v} {side})"
-    assert t.left is not None and t.right is not None
-    return (
-        f"({t.kind} {part_text(t.left)} {part_text(t.right)} "
-        f"{format_tree(t.left)} {format_tree(t.right)})"
-    )
+    pieces: list[str] = []
+    todo: list[DecompositionTree | str] = [t]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+        elif item.kind == "leaf":
+            v = (item.part_x + item.part_y)[0]
+            side = "X" if item.part_x else "Y"
+            pieces.append(f"(leaf {v} {side})")
+        else:
+            left, right = item.left, item.right
+            assert left is not None and right is not None
+            pieces.append(f"({item.kind} {part_text(left)} {part_text(right)} ")
+            todo += (")", right, " ", left)
+    return "".join(pieces)
 
 
 def parse_tree(text: str) -> DecompositionTree:
@@ -361,32 +383,36 @@ def parse_tree(text: str) -> DecompositionTree:
         expect("[")
         return read_ids("|"), read_ids("]")
 
-    def read_node() -> DecompositionTree:
+    # open binary nodes, outermost first: kind, operand part lists, first operand once read
+    open_nodes: list[list] = []
+    while True:
         expect("(")
         kind = take()
-        if kind == "leaf":
-            v = int(take())
-            side = take()
-            expect(")")
-            if side == "X":
-                return DecompositionTree("leaf", (v,), ())
-            if side == "Y":
-                return DecompositionTree("leaf", (), (v,))
-            raise ValueError(f"leaf side must be X or Y, got {side!r}")
-        if kind not in ("union", "join", "skew"):
+        if kind in ("union", "join", "skew"):
+            lparts = read_part_list()
+            open_nodes.append([kind, lparts, read_part_list(), None])
+            continue
+        if kind != "leaf":
             raise ValueError(f"unknown node kind {kind!r}")
-        lparts = read_part_list()
-        rparts = read_part_list()
-        left = read_node()
-        right = read_node()
+        v = int(take())
+        side = take()
         expect(")")
-        if (left.part_x, left.part_y) != lparts or (right.part_x, right.part_y) != rparts:
-            raise ValueError("operand part lists do not match the child nodes")
-        px = tuple(sorted(left.part_x + right.part_x))
-        py = tuple(sorted(left.part_y + right.part_y))
-        return DecompositionTree(kind, px, py, left, right)
+        if side not in ("X", "Y"):
+            raise ValueError(f"leaf side must be X or Y, got {side!r}")
+        node = DecompositionTree("leaf", (v,), ()) if side == "X" else DecompositionTree("leaf", (), (v,))
+        # a finished node closes every open node whose first operand is already read
+        while open_nodes and open_nodes[-1][3] is not None:
+            kind, lparts, rparts, left = open_nodes.pop()
+            expect(")")
+            if (left.part_x, left.part_y) != lparts or (node.part_x, node.part_y) != rparts:
+                raise ValueError("operand part lists do not match the child nodes")
+            px = tuple(sorted(left.part_x + node.part_x))
+            py = tuple(sorted(left.part_y + node.part_y))
+            node = DecompositionTree(kind, px, py, left, node)
+        if not open_nodes:
+            break
+        open_nodes[-1][3] = node
 
-    node = read_node()
     if pos != len(tokens):
         raise ValueError("trailing tokens after tree")
     _check_tree(node)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bipkit.matching import StepBudgetExceeded
 from bipkit.perms import (
     BiconvexWitness,
     Permutation,
@@ -134,6 +135,50 @@ def test_contains_pattern_examples():
     assert not contains_pattern(star_perm_T(8), star_perm_T(6))
 
 
+def _position_dfs_reference(host: Permutation, pattern: Permutation) -> bool:
+    """Plain DFS over host positions: each placed value must sit strictly
+    between the already placed values that flank the pattern value, and the
+    remaining host suffix must still be long enough."""
+    k = pattern.size
+    n = host.size
+    if k == 0:
+        return True
+    if k > n:
+        return False
+    hv = host.oneline
+    pv = pattern.oneline
+    chosen = [0] * k
+
+    def bounds(t: int) -> tuple[int, int]:
+        lo, hi = 0, n + 1
+        for s in range(t):
+            if pv[s] < pv[t]:
+                lo = max(lo, chosen[s])
+            else:
+                hi = min(hi, chosen[s])
+        return lo, hi
+
+    def place(t: int, start: int) -> bool:
+        if t == k:
+            return True
+        lo, hi = bounds(t)
+        for pos in range(start, n - (k - t) + 1):
+            val = hv[pos]
+            if lo < val < hi:
+                chosen[t] = val
+                if place(t + 1, pos + 1):
+                    return True
+        return False
+
+    return place(0, 0)
+
+
+def _random_perm(rng: random.Random, n: int) -> Permutation:
+    seq = list(range(1, n + 1))
+    rng.shuffle(seq)
+    return Permutation(tuple(seq))
+
+
 def test_contains_pattern_matches_bruteforce():
     def brute(host: Permutation, pattern: Permutation) -> bool:
         k = pattern.size
@@ -148,15 +193,28 @@ def test_contains_pattern_matches_bruteforce():
         return k == 0
 
     rng = random.Random(11)
-    for _ in range(300):
-        nh = rng.randint(1, 7)
-        np_ = rng.randint(1, nh)
-        host = list(range(1, nh + 1))
-        pat = list(range(1, np_ + 1))
-        rng.shuffle(host)
-        rng.shuffle(pat)
-        h, p = Permutation(tuple(host)), Permutation(tuple(pat))
+    for _ in range(600):
+        nh = rng.randint(1, 10)
+        h, p = _random_perm(rng, nh), _random_perm(rng, rng.randint(1, nh))
         assert contains_pattern(h, p) == brute(h, p)
+
+
+def test_contains_pattern_matches_position_dfs_on_long_hosts():
+    patterns = [star_perm_T(8), star_perm_S(8), rho_star(8), mu_star(8)]
+    for seed in range(10):
+        rng = random.Random(seed)
+        for _ in range(8):
+            h = _random_perm(rng, 40)
+            for p in patterns:
+                assert contains_pattern(h, p) == _position_dfs_reference(h, p), (seed, h, p)
+
+
+def test_contains_pattern_honours_step_budget():
+    with pytest.raises(StepBudgetExceeded):
+        contains_pattern(identity(20), identity(5), budget=2)
+    assert contains_pattern(identity(20), identity(5), budget=5)
+    # a pattern longer than the host needs no search
+    assert not contains_pattern(identity(3), identity(5), budget=0)
 
 
 def test_containment_is_reflexive_and_transitive_small():
@@ -184,12 +242,13 @@ def test_containment_is_reflexive_and_transitive_small():
 
 
 def test_perm_antichain_prefix():
-    members = [star_perm_T(n) for n in (6, 8, 10, 12)]
+    members = [star_perm_T(n) for n in range(6, 18, 2)]
     for a in members:
         for b in members:
             if a is b:
                 continue
             assert not contains_pattern(b, a)
+            assert not _position_dfs_reference(b, a)
 
 
 def test_permutation_graph_examples():

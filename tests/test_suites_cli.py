@@ -254,8 +254,11 @@ def test_cli_verify_rejects_unknown_suite():
 
 def test_cli_verify_undecided_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # a starving budget turns the graph-pair searches undecided, never failed
+    # a starving budget turns the graph-pair and permutation-pair searches
+    # undecided, never failed
     code = cli.main(["verify", "t-antichain", "--budget", "3"])
     assert code == 3
     out = capsys.readouterr().out
-    assert "UNDECIDED" in out and "FAIL" not in out
+    assert "FAIL" not in out
+    assert "UNDECIDED t-antichain/graph/T6-into-T8" in out
+    assert "UNDECIDED t-antichain/perm/6-into-8" in out
