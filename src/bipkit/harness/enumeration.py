@@ -1,18 +1,35 @@
 """Exhaustive bipartite-graph enumeration up to isomorphism.
 
-Generation is by vertex augmentation: every bipartite graph on n vertices
-arises from one on n-1 vertices by attaching a new vertex inside one colour
-side of each touched component, and every connected one arises from a
-connected parent with a nonempty attachment (delete a non-cut vertex).
-Isomorph rejection is a two-stage filter: an iterated-refinement certificate
-buckets candidates, and the exact matcher separates the rare certificate
-collisions.  Counts for small n are pinned against an independent all-edge-
-subsets brute force that minimises over degree-compatible relabellings.
+Generation is by vertex augmentation.  Level n grows from the representatives
+of level n-1: each parent P gets one new vertex whose neighbourhood lies
+inside one colour side of every component it touches (``_attachment_sets``).
+Connected levels grow connected parents with a nonempty neighbourhood only.
+
+Canonical deletion (McKay 1998, "Isomorph-free exhaustive generation") keeps
+most of those children away from the isomorphism test.  A vertex of a child
+is *deletable* when removing it leaves a graph of the parent level: a non-cut
+vertex on connected levels, any vertex on all-graph levels.  A child is kept
+only when its new vertex has the top refinement colour among its deletable
+vertices.  No class is lost.  Refinement colours are canonical, so
+isomorphisms preserve them.  Take any member G of level n and a deletable
+vertex w of G with the top colour.  G - w is isomorphic to a representative P
+of level n-1.  G is bipartite, so w's neighbours in each component of G - w
+lie on one side, and their image in P is one of P's attachment sets.  The
+child built from P and that set is isomorphic to G with the new vertex in
+w's place, so it passes the rule.
+
+Several deletable vertices can share the top colour, and then one class
+arrives from several (parent, neighbourhood) pairs.  So an exact registry
+stays behind the rule: a refinement certificate buckets the children that
+pass, and the matcher separates isomorphic ones inside a bucket.  Counts for
+small n are pinned against an independent all-edge-subsets brute force that
+minimises over degree-compatible relabellings.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from typing import Iterator
 
 from ..graphs import Graph, connected_components, find_bipartition
@@ -21,18 +38,22 @@ from ..matching import _Budget, _search
 MAX_VERTICES = 12
 
 _LEVEL_CACHE: dict[tuple[int, bool], list[Graph]] = {}
+# per built level: candidates, passed (the deletion rule), exact (isomorphism
+# calls), classes and seconds; read through level_stats()
+_LEVEL_STATS: dict[tuple[int, bool], dict[str, float]] = {}
 
 
-def _refinement_colors(g: Graph) -> tuple[list[int], tuple]:
+def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
     """Final colours of iterated neighbour-colour refinement plus a certificate.
 
     Colour ids are ranks of sorted (colour, neighbour-colour multiset) keys,
     so they are canonical: isomorphic graphs get corresponding colours and an
-    identical certificate.
+    identical certificate.  Each key starts with the previous colour, so the
+    final colour order refines the degree order.
     """
-    n = g.n
-    adj = g.adj
+    n = len(adj)
     colors = [row.bit_count() for row in adj]
+    edges = sum(colors) // 2
     while True:
         keys = []
         for i in range(n):
@@ -49,12 +70,12 @@ def _refinement_colors(g: Graph) -> tuple[list[int], tuple]:
         if new_colors == colors:
             break
         colors = new_colors
-    return colors, (n, g.edge_count, tuple(sorted(keys)))
+    return colors, (n, edges, tuple(sorted(keys)))
 
 
 def refinement_certificate(g: Graph) -> tuple:
     """Isomorphism-invariant summary from iterated neighbour-colour refinement."""
-    return _refinement_colors(g)[1]
+    return _refinement_colors(g.adj)[1]
 
 
 def _color_guided_isomorphic(g: Graph, gcolors: list[int], h: Graph, hcolors: list[int]) -> bool:
@@ -83,13 +104,17 @@ class _IsoRegistry:
 
     def __init__(self):
         self._buckets: dict[tuple, list[tuple[Graph, list[int]]]] = {}
+        self.exact_calls = 0
 
-    def add(self, g: Graph) -> bool:
-        """Register g; True when it is a new isomorphism class."""
-        colors, cert = _refinement_colors(g)
+    def add(self, g: Graph, colors: list[int], cert: tuple) -> bool:
+        """Register g, given its refinement colours and certificate; True when
+        it is a new isomorphism class."""
         bucket = self._buckets.setdefault(cert, [])
         for rep, rep_colors in bucket:
-            if g.adj == rep.adj or _color_guided_isomorphic(g, colors, rep, rep_colors):
+            if g.adj == rep.adj:
+                return False
+            self.exact_calls += 1
+            if _color_guided_isomorphic(g, colors, rep, rep_colors):
                 return False
         bucket.append((g, colors))
         return True
@@ -126,28 +151,100 @@ def _attachment_sets(parent: Graph, connected_only: bool) -> list[int]:
     return sorted(set(masks))
 
 
-def _augment(parent: Graph, neighbourhood: int) -> Graph:
-    n = parent.n + 1
-    bit = 1 << (n - 1)
-    adj = [
-        row | bit if (neighbourhood >> i) & 1 else row
-        for i, row in enumerate(parent.adj)
-    ]
-    adj.append(neighbourhood)
-    return Graph(n, tuple(adj))
+def _cut_pieces(parent: Graph) -> tuple[int, list[tuple[int, list[int]]]]:
+    """The non-cut vertices of a connected parent as a mask, and for every
+    other vertex v (0-based) the component masks of ``parent - v``.
+
+    In a child, a non-cut vertex v of the parent stays non-cut unless the new
+    vertex's only neighbour is v.  Any other vertex v becomes non-cut exactly
+    when the new vertex has a neighbour other than v in every component of
+    ``parent - v`` (vacuously so when v is the only vertex).
+    """
+    n = parent.n
+    adj = parent.adj
+    full = (1 << n) - 1
+    noncut = 0
+    cut: list[tuple[int, list[int]]] = []
+    for v in range(n):
+        rest = full & ~(1 << v)
+        pieces = []
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    nxt |= adj[low.bit_length() - 1]
+                frontier = nxt & rest & ~comp
+                comp |= frontier
+            pieces.append(comp)
+            rest &= ~comp
+        if len(pieces) == 1:
+            noncut |= 1 << v
+        else:
+            cut.append((v, pieces))
+    return noncut, cut
 
 
 def _build_level(n: int, connected_only: bool) -> list[Graph]:
+    """Level n from level n-1 under the canonical-deletion rule (see the
+    module docstring), with build statistics recorded in ``_LEVEL_STATS``."""
     if n == 1:
+        _LEVEL_STATS[(n, connected_only)] = {"candidates": 1, "passed": 1, "exact": 0, "classes": 1, "seconds": 0.0}
         return [Graph(1, (0,))]
     parents = bipartite_level(n - 1, connected_only)
+    start = time.perf_counter()
     registry = _IsoRegistry()
     out: list[Graph] = []
+    new = n - 1  # 0-based index of the new vertex
+    new_bit = 1 << new
+    candidates = passed = 0
     for parent in parents:
+        degrees = [row.bit_count() for row in parent.adj]
+        # at_least[d]: the parent vertices of degree d or more
+        at_least = [0] * (n + 1)
+        for v, d in enumerate(degrees):
+            for k in range(d + 1):
+                at_least[k] |= 1 << v
+        if connected_only:
+            noncut, cut = _cut_pieces(parent)
+        else:  # every vertex of an all-graph level is deletable
+            noncut, cut = (1 << new) - 1, []
         for mask in _attachment_sets(parent, connected_only):
-            child = _augment(parent, mask)
-            if registry.add(child):
-                out.append(child)
+            candidates += 1
+            size = mask.bit_count()
+            deletable = noncut & ~mask if connected_only and size == 1 else noncut
+            for v, pieces in cut:
+                rest = mask & ~(1 << v)
+                if all(rest & piece for piece in pieces):
+                    deletable |= 1 << v
+            # The final colour order refines the degree order, so a deletable
+            # vertex whose degree in the child exceeds the new vertex's has a
+            # higher colour, and the rule would reject the child anyway.
+            if (at_least[size + 1] | (at_least[size] & mask)) & deletable:
+                continue
+            adj = tuple(row | new_bit if (mask >> i) & 1 else row for i, row in enumerate(parent.adj)) + (mask,)
+            colors, cert = _refinement_colors(adj)
+            top = colors[new]
+            others = deletable
+            while others:
+                low = others & -others
+                others ^= low
+                if colors[low.bit_length() - 1] > top:
+                    break
+            else:
+                passed += 1
+                child = Graph(n, adj)
+                if registry.add(child, colors, cert):
+                    out.append(child)
+    _LEVEL_STATS[(n, connected_only)] = {
+        "candidates": candidates,
+        "passed": passed,
+        "exact": registry.exact_calls,
+        "classes": len(out),
+        "seconds": time.perf_counter() - start,
+    }
     return out
 
 
@@ -159,6 +256,14 @@ def bipartite_level(n: int, connected_only: bool) -> list[Graph]:
     if key not in _LEVEL_CACHE:
         _LEVEL_CACHE[key] = _build_level(n, connected_only)
     return _LEVEL_CACHE[key]
+
+
+def level_stats() -> dict[tuple[int, bool], dict[str, float]]:
+    """Build statistics of every level built in this process, keyed by
+    ``(n, connected_only)``: candidates (parent and attachment-set pairs),
+    passed (children that met the deletion rule), exact (isomorphism searches
+    run by the registry), classes and seconds (excluding the parent level)."""
+    return {key: dict(stats) for key, stats in _LEVEL_STATS.items()}
 
 
 def enumerate_bipartite(n: int, connected_only: bool = False) -> Iterator[Graph]:

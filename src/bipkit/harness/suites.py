@@ -110,7 +110,12 @@ class CaseVerdict:
 class SuiteReport:
     suite: str
     verdicts: list[CaseVerdict]
-    seconds: float = 0.0
+    build_seconds: float = 0.0  # building the case specs, enumeration levels included
+    check_seconds: float = 0.0  # running the cases
+
+    @property
+    def seconds(self) -> float:
+        return self.build_seconds + self.check_seconds
 
     @property
     def ok(self) -> int:
@@ -132,6 +137,8 @@ class SuiteReport:
             "fail": self.failed,
             "undecided": self.undecided,
             "seconds": round(self.seconds, 3),
+            "build_seconds": round(self.build_seconds, 3),
+            "check_seconds": round(self.check_seconds, 3),
         }
 
 
@@ -390,11 +397,12 @@ def antichain_check(
     ``family`` is T, S or H (graphs) or permT or permS (permutations)."""
     if family not in _ANTICHAIN_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    start = time.perf_counter()
     pairs = _ordered_pairs(indices)
     specs = _pair_specs(family + "/{i}-into-{j}", _ANTICHAIN_FAMILIES[family], pairs, budget)
-    start = time.perf_counter()
+    built = time.perf_counter()
     verdicts = _run_cases(specs, workers)
-    return SuiteReport(f"antichain-{family}", verdicts, time.perf_counter() - start)
+    return SuiteReport(f"antichain-{family}", verdicts, built - start, time.perf_counter() - built)
 
 
 def _antichain_suite(perms: str, indices: tuple[int, ...], graphs: str, letter: str, pairs, budget) -> list:
@@ -985,5 +993,7 @@ def run_suite(name: str, opts: SuiteOptions | None = None) -> SuiteReport:
     opts = opts or SuiteOptions()
     start = time.perf_counter()
     specs = _SUITES[name](opts)
+    built = time.perf_counter()
     verdicts = _run_cases(specs, opts.workers)
-    return SuiteReport(name, verdicts, time.perf_counter() - start)
+    end = time.perf_counter()
+    return SuiteReport(name, verdicts, built - start, end - built)

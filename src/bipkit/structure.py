@@ -188,10 +188,14 @@ def skew_join(g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[G
 # decomposition trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DecompositionTree:
     """Build tree over single-vertex leaves; each node carries the oriented
-    (X, Y) parts of the subgraph it recomposes."""
+    (X, Y) parts of the subgraph it recomposes.
+
+    A tree can be as deep as its vertex count, so equality, hashing and repr
+    walk it with an explicit stack instead of recursing once per level.
+    """
 
     kind: str  # "leaf" | "union" | "join" | "skew"
     part_x: tuple[int, ...]
@@ -201,6 +205,39 @@ class DecompositionTree:
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.part_x + self.part_y))
+
+    def _preorder(self) -> tuple:
+        """Every node's (kind, part_x, part_y) in preorder, None for a missing child."""
+        out: list = []
+        todo: list[DecompositionTree | None] = [self]
+        while todo:
+            node = todo.pop()
+            if node is None:
+                out.append(None)
+            else:
+                out.append((node.kind, node.part_x, node.part_y))
+                todo += (node.right, node.left)
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
+
+    def __repr__(self) -> str:
+        pieces: list[str] = []
+        todo: list[DecompositionTree | str | None] = [self]
+        while todo:
+            item = todo.pop()
+            if item is None or isinstance(item, str):
+                pieces.append(str(item))
+            else:
+                pieces.append(f"DecompositionTree(kind={item.kind!r}, part_x={item.part_x!r}, part_y={item.part_y!r}, left=")
+                todo += (")", item.right, ", right=", item.left)
+        return "".join(pieces)
 
 
 def _tree_edges(t: DecompositionTree) -> set[tuple[int, int]]:

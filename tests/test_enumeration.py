@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import bipkit
 from bipkit.graphs import find_bipartition, is_connected
 from bipkit.matching import are_isomorphic
 from bipkit.families import complete_bipartite, cycle, path
@@ -9,6 +14,7 @@ from bipkit.harness.enumeration import (
     brute_force_bipartite_counts,
     bipartite_level,
     enumerate_bipartite,
+    level_stats,
     refinement_certificate,
 )
 
@@ -36,6 +42,28 @@ def test_counts_match_published_values_and_euler_transform(connected_levels, all
     for n in range(1, 9):
         total.append(sum(c[k] * total[n - k] for k in range(1, n + 1)) // n)
     assert total[1:] == [len(all_levels[n]) for n in range(1, 9)]
+    # the all-graph levels take their own branch of the deletion rule
+    assert [len(bipartite_level(n, False)) for n in range(1, 10)] == [1, 2, 3, 7, 13, 35, 88, 303, 1119]  # OEIS A033995
+
+
+def test_level_order_is_deterministic_across_interpreters():
+    # case chunks and witness ids follow the level order
+    script = "from bipkit.harness.enumeration import bipartite_level; print([g.adj for g in bipartite_level(9, True)])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(bipkit.__file__))))
+    runs = [subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0].count("(") == 730
+
+
+def test_level_stats(connected_levels):
+    classes = {(n, c): len(bipartite_level(n, c)) for n in range(1, 11) for c in (True, False) if c or n < 10}
+    stats = level_stats()
+    for key, want in classes.items():
+        s = stats[key]
+        assert set(s) == {"candidates", "passed", "exact", "classes", "seconds"}
+        assert s["candidates"] >= s["passed"] >= s["classes"] == want
+    # the deletion rule keeps most candidates away from the registry
+    assert stats[(10, True)]["passed"] < stats[(10, True)]["candidates"] // 4
 
 
 def test_connected_four_vertex_classes():

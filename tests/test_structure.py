@@ -211,13 +211,13 @@ def test_decompose_examples():
     t = decompose(g, Bipartition.of(set(tree.part_x), set(tree.part_y)))
     assert t is not None and recompose(t) == g
 
-    # a build tree 1,200 levels deep, past Python's recursion limit; trees are
-    # compared through their text, since dataclass equality itself recurses
+    # a build tree 1,200 levels deep, past Python's recursion limit
     k600 = complete_bipartite(600, 600)
     t = decompose(k600, find_bipartition(k600))
     assert t is not None and recompose(t) == k600
     text = format_tree(t)
     again = parse_tree(text)
+    assert again == t and hash(again) == hash(t) and repr(again) == repr(t)
     assert format_tree(again) == text and recompose(again) == k600
 
 

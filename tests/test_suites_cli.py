@@ -116,6 +116,7 @@ def test_identity_suite_is_deterministic():
     assert a.failed == 0 and a.undecided == 0
     summary = a.summary()
     assert summary["cases"] == len(a.verdicts)
+    assert summary["build_seconds"] >= 0 and summary["check_seconds"] >= 0
 
 
 def test_worker_pool_matches_sequential():
