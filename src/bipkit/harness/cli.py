@@ -45,7 +45,7 @@ from ..structure import (
     letter_representation_grid,
     verify_letter,
 )
-from .suites import SUITE_NAMES, SuiteOptions, run_suite
+from .suites import DEFAULT_BUDGET, SUITE_NAMES, SuiteOptions, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -272,19 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_free = check_sub.add_parser("free", help="test H-freeness for each forbidden graph")
     p_free.add_argument("graph")
     p_free.add_argument("--forbid", nargs="+", required=True)
-    p_free.add_argument("--budget", type=int, default=None)
+    p_free.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_free.set_defaults(fn=_cmd_check_free)
 
     p_embed = sub.add_parser("embed", help="find an induced embedding PATTERN -> HOST")
     p_embed.add_argument("pattern")
     p_embed.add_argument("host")
-    p_embed.add_argument("--budget", type=int, default=None)
+    p_embed.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_embed.set_defaults(fn=_cmd_embed)
 
     p_paths = sub.add_parser("paths", help="test for a k-vertex path subgraph")
     p_paths.add_argument("graph")
     p_paths.add_argument("k", type=int)
-    p_paths.add_argument("--budget", type=int, default=None)
+    p_paths.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_paths.set_defaults(fn=_cmd_paths)
 
     p_dec = sub.add_parser("decompose", help="build a union/join/skew tree over K1 leaves")
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", help="one of: " + ", ".join(SUITE_NAMES) + ", all")
-    p_ver.add_argument("--budget", type=int, default=10**9)
+    p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_ver.add_argument("--nmax", type=int, default=11, help="lemma-key upper vertex count (9..12)")
     p_ver.add_argument(
         "--reduction-nmax", type=int, default=10, help="lemma-reduction upper vertex count (4..12)"

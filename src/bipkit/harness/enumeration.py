@@ -33,7 +33,7 @@ import time
 from typing import Iterator
 
 from ..graphs import Graph, connected_components, find_bipartition
-from ..matching import _Budget, _search
+from ..matching import _Budget, _refinement_colors, _search
 
 MAX_VERTICES = 12
 
@@ -41,36 +41,6 @@ _LEVEL_CACHE: dict[tuple[int, bool], list[Graph]] = {}
 # per built level: candidates, passed (the deletion rule), exact (isomorphism
 # calls), classes and seconds; read through level_stats()
 _LEVEL_STATS: dict[tuple[int, bool], dict[str, float]] = {}
-
-
-def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
-    """Final colours of iterated neighbour-colour refinement plus a certificate.
-
-    Colour ids are ranks of sorted (colour, neighbour-colour multiset) keys,
-    so they are canonical: isomorphic graphs get corresponding colours and an
-    identical certificate.  Each key starts with the previous colour, so the
-    final colour order refines the degree order.
-    """
-    n = len(adj)
-    colors = [row.bit_count() for row in adj]
-    edges = sum(colors) // 2
-    while True:
-        keys = []
-        for i in range(n):
-            row = adj[i]
-            nb = []
-            while row:
-                low = row & -row
-                row ^= low
-                nb.append(colors[low.bit_length() - 1])
-            nb.sort()
-            keys.append((colors[i], tuple(nb)))
-        ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
-        new_colors = [ranking[k] for k in keys]
-        if new_colors == colors:
-            break
-        colors = new_colors
-    return colors, (n, edges, tuple(sorted(keys)))
 
 
 def refinement_certificate(g: Graph) -> tuple:
@@ -315,49 +285,42 @@ def _is_connected_rows(n: int, adj: list[int]) -> bool:
 def brute_force_bipartite_counts(n: int) -> tuple[int, int]:
     """(all, connected) bipartite class counts by exhausting every edge subset.
 
-    Graphs are collapsed by the minimum edge code over all relabellings that
-    sort degrees descending; this never touches the enumeration pipeline, so
-    it calibrates it.
+    Edge codes are scanned in order.  The first bipartite code met of each
+    class counts it, and all n! relabelled codes of that graph go into a
+    ``seen`` set, so no later code of the class counts again.  This never
+    touches the enumeration pipeline, so it calibrates it.
     """
     pairs = list(itertools.combinations(range(n), 2))
-    seen_all: set[int] = set()
-    seen_conn: set[int] = set()
-    pair_index = {p: i for i, p in enumerate(pairs)}
+    pair_index = {pr: i for i, pr in enumerate(pairs)}
+    # relabel[k][i]: the bit of pair i under the k-th vertex permutation
+    relabel = [
+        [1 << pair_index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+        for perm in itertools.permutations(range(n))
+    ]
+    seen: set[int] = set()
+    count_all = count_conn = 0
     for code in range(1 << len(pairs)):
+        if code in seen:
+            continue
         adj = [0] * n
+        edges = []
         rest = code
         while rest:
             low = rest & -rest
             rest ^= low
-            u, v = pairs[low.bit_length() - 1]
+            i = low.bit_length() - 1
+            edges.append(i)
+            u, v = pairs[i]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         if not _is_bipartite_rows(n, adj):
             continue
-        degs = [adj[v].bit_count() for v in range(n)]
-        order = sorted(range(n), key=lambda v: -degs[v])
-        groups = []
-        for _, grp in itertools.groupby(order, key=lambda v: degs[v]):
-            groups.append(list(grp))
-        best = None
-        for arrangement in itertools.product(*(itertools.permutations(grp) for grp in groups)):
-            flat = [v for grp in arrangement for v in grp]
-            position = [0] * n
-            for idx, v in enumerate(flat):
-                position[v] = idx
-            relabeled = 0
-            rest = code
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                u, v = pairs[low.bit_length() - 1]
-                a, b = position[u], position[v]
-                if a > b:
-                    a, b = b, a
-                relabeled |= 1 << pair_index[(a, b)]
-            if best is None or relabeled < best:
-                best = relabeled
-        seen_all.add(best)
+        count_all += 1
         if _is_connected_rows(n, adj):
-            seen_conn.add(best)
-    return len(seen_all), len(seen_conn)
+            count_conn += 1
+        for bits in relabel:
+            relabeled = 0
+            for i in edges:
+                relabeled |= bits[i]
+            seen.add(relabeled)
+    return count_all, count_conn

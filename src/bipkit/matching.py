@@ -13,6 +13,15 @@ on the lemma checks' thousands of small hosts and on embeddings into large
 grids.  Variable order is most-constrained-first with ascending-id
 tie-breaks and candidates are tried in ascending host id, so results are
 deterministic for fixed inputs.
+
+``is_free`` adds symmetry-breaking order constraints on each forbidden
+pattern (``_order_constraints``), so it visits one embedding per orbit of
+the pattern's automorphisms rather than every automorphic copy: 2P3 has
+|Aut| = 8, and the T-graphs' {2P3, Sun4}-freeness was mostly spent on those
+copies.  ``find_induced_embedding`` and ``count_induced_embeddings`` search
+without them: on the paper's T pairs the pattern automorphism group has
+order 2, and on thousands of small permutation-graph embeddings building
+the constraints cost more than the search they saved.
 """
 
 from __future__ import annotations
@@ -79,12 +88,43 @@ class _Budget:
             raise StepBudgetExceeded("step budget exhausted")
 
 
+def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
+    """Final colours of iterated neighbour-colour refinement plus a certificate.
+
+    Colour ids are ranks of sorted (colour, neighbour-colour multiset) keys,
+    so they are canonical: isomorphic graphs get corresponding colours and an
+    identical certificate.  Each key starts with the previous colour, so the
+    final colour order refines the degree order.
+    """
+    n = len(adj)
+    colors = [row.bit_count() for row in adj]
+    edges = sum(colors) // 2
+    while True:
+        keys = []
+        for i in range(n):
+            row = adj[i]
+            nb = []
+            while row:
+                low = row & -row
+                row ^= low
+                nb.append(colors[low.bit_length() - 1])
+            nb.sort()
+            keys.append((colors[i], tuple(nb)))
+        ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
+        new_colors = [ranking[k] for k in keys]
+        if new_colors == colors:
+            break
+        colors = new_colors
+    return colors, (n, edges, tuple(sorted(keys)))
+
+
 def _search(
     pattern: Graph,
     host: Graph,
     budget: _Budget,
     on_solution: Callable[[list[int]], bool],
     domains: list[int] | None = None,
+    larger: list[int] | None = None,
 ) -> None:
     """Run the backtracking search; ``on_solution`` returns True to keep going.
 
@@ -93,6 +133,12 @@ def _search(
     knows more than degrees, such as equal refinement colours, passes its own
     masks.  When None, a host vertex is a candidate for every pattern vertex
     of no larger degree.
+
+    ``larger[u]`` is the mask of pattern vertices whose image must exceed the
+    image of pattern vertex ``u + 1`` (see ``_order_constraints``).  Placing
+    ``u`` at ``x`` then keeps only the host vertices above ``x`` in those
+    vertices' domains, and only those below ``x`` in the domains of vertices
+    that must stay under ``u``.
     """
     p = pattern.n
     if p == 0:
@@ -115,6 +161,14 @@ def _search(
     bounded = budget.remaining is not None
     assignment = [0] * p
     unassigned = (1 << p) - 1
+    smaller = None
+    if larger is not None:
+        smaller = [0] * p
+        for u, mask in enumerate(larger):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                smaller[low.bit_length() - 1] |= 1 << u
 
     def extend(domains: list[int], unassigned: int) -> bool:
         if unassigned == 0:
@@ -158,11 +212,87 @@ def _search(
                     ok = False
                     break
                 new_domains[v] = nd
+            if ok and larger is not None:
+                rest = (larger[u] | smaller[u]) & remaining
+                while rest:
+                    vlow = rest & -rest
+                    rest ^= vlow
+                    v = vlow.bit_length() - 1
+                    nd = new_domains[v]
+                    if larger[u] & vlow:
+                        nd &= -(low << 1)  # the host bits above x
+                    if smaller[u] & vlow:
+                        nd &= low - 1  # the host bits below x
+                    if nd == 0:
+                        ok = False
+                        break
+                    new_domains[v] = nd
             if ok and not extend(new_domains, remaining):
                 return False
         return True
 
     extend(domains, unassigned)
+
+
+def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
+    """Symmetry-breaking order constraints for ``pattern``, in ``_search``'s
+    ``larger`` form; None when no automorphism witnesses a pair.
+
+    A stabiliser chain: base points u = 0, 1, ... are fixed in turn.  With
+    the earlier base points fixed, every other vertex v of u's refinement
+    colour is tried as u's image by a search of the pattern into itself, and
+    each v that an automorphism reaches adds "image(u) < image(v)".  Among
+    the embeddings that differ by a pattern automorphism, the one whose
+    image tuple is least satisfies every such pair: an automorphism that
+    fixes the base points before u and sends u to v gives an embedding that
+    agrees with it before u and puts image(v) at u.  So the pairs lose no
+    embedding up to automorphism, and for an all-different search they keep
+    exactly one per orbit (Puget 2005, "Breaking symmetries in all different
+    problems").  The searches spend ``budget``; the walk ends once every
+    domain is a single vertex.
+    """
+    p = pattern.n
+    colors = _refinement_colors(pattern.adj)[0]
+    by_color: dict[int, int] = {}
+    for x, c in enumerate(colors):
+        by_color[c] = by_color.get(c, 0) | (1 << x)
+    domains = [by_color[c] for c in colors]
+    larger = [0] * p
+    found = False
+
+    def stop(assignment: list[int]) -> bool:
+        nonlocal found
+        found = True
+        return False
+
+    for u in range(p):
+        if all(d & (d - 1) == 0 for d in domains):
+            break
+        cands = domains[u] & ~(1 << u)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            trial = list(domains)
+            trial[u] = low
+            found = False
+            _search(pattern, pattern, budget, stop, trial)
+            if found:
+                larger[u] |= low
+        domains[u] = 1 << u
+    return larger if any(larger) else None
+
+
+def _first_embedding(
+    pattern: Graph, host: Graph, budget: _Budget, larger: list[int] | None = None
+) -> Embedding | None:
+    found: list[Embedding] = []
+
+    def take(assignment: list[int]) -> bool:
+        found.append(Embedding(tuple(assignment)))
+        return False
+
+    _search(pattern, host, budget, take, larger=larger)
+    return found[0] if found else None
 
 
 def find_induced_embedding(
@@ -172,14 +302,7 @@ def find_induced_embedding(
 
     Raises StepBudgetExceeded when a step budget is given and runs out.
     """
-    found: list[Embedding] = []
-
-    def take(assignment: list[int]) -> bool:
-        found.append(Embedding(tuple(assignment)))
-        return False
-
-    _search(pattern, host, _Budget(budget), take)
-    return found[0] if found else None
+    return _first_embedding(pattern, host, _Budget(budget))
 
 
 def count_induced_embeddings(
@@ -202,9 +325,19 @@ def count_induced_embeddings(
 def is_free(
     g: Graph, forbidden: list[Graph], *, budget: int | None = None
 ) -> FreenessResult:
-    """True iff no graph in ``forbidden`` embeds induced; else the first witness."""
+    """True iff no graph in ``forbidden`` embeds induced; else a witness for
+    the first one that does.
+
+    Each pattern gets its own step budget, which also pays for its order
+    constraints (``_order_constraints``): the search then visits one
+    embedding per orbit of the pattern's automorphisms, not all of them.
+    Raises StepBudgetExceeded when a budget runs out.
+    """
     for idx, h in enumerate(forbidden):
-        emb = find_induced_embedding(h, g, budget=budget)
+        if h.n > g.n or h.edge_count > g.edge_count:
+            continue  # cannot embed: skip the automorphism searches as well
+        tracker = _Budget(budget)
+        emb = _first_embedding(h, g, tracker, _order_constraints(h, tracker))
         if emb is not None:
             return FreenessResult(False, idx, emb)
     return FreenessResult(True, None, None)
@@ -234,19 +367,7 @@ def has_path_subgraph(g: Graph, k: int, *, budget: int | None = None) -> bool:
     parts = find_bipartition(g)
     tracker = _Budget(budget)
     adj = g.adj
-
-    def extend(v: int, visited: int, length: int) -> bool:
-        if length == k:
-            return True
-        rest = adj[v] & ~visited
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            tracker.spend()
-            if extend(low.bit_length() - 1, visited | low, length + 1):
-                return True
-        return False
-
+    last = k - 2  # stack depth at which one more vertex completes the path
     for comp in connected_components(g):
         room = len(comp)
         if parts is not None:
@@ -256,6 +377,25 @@ def has_path_subgraph(g: Graph, k: int, *, budget: int | None = None) -> bool:
             continue
         for start in comp:
             tracker.spend()
-            if extend(start - 1, 1 << (start - 1), 1):
+            if k == 1:
                 return True
+            # depth-first over simple paths from start: rest holds the current
+            # end's untried unvisited neighbours, and the stack holds (rest,
+            # visited) of every shorter prefix of the path
+            visited = 1 << (start - 1)
+            rest = adj[start - 1] & ~visited
+            stack: list[tuple[int, int]] = []
+            while True:
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    tracker.spend()
+                    if len(stack) == last:
+                        return True
+                    stack.append((rest, visited))
+                    visited |= low
+                    rest = adj[low.bit_length() - 1] & ~visited
+                if not stack:
+                    break
+                rest, visited = stack.pop()
     return False

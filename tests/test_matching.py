@@ -9,6 +9,9 @@ from bipkit.graphs import Graph
 from bipkit.matching import (
     Embedding,
     StepBudgetExceeded,
+    _Budget,
+    _order_constraints,
+    _search,
     are_isomorphic,
     count_induced_embeddings,
     find_induced_embedding,
@@ -25,6 +28,7 @@ from bipkit.families import (
     path,
     s123,
     s_graph_star,
+    sun1,
     sun4,
     t_graph_star,
     two_p3,
@@ -158,6 +162,14 @@ def test_budget_exhaustion_is_loud():
         find_induced_embedding(pattern, host, budget=3)
     with pytest.raises(StepBudgetExceeded):
         has_path_subgraph(complete_bipartite(6, 6), 12, budget=5)
+    # the order constraints are paid from the pattern's budget too
+    with pytest.raises(StepBudgetExceeded):
+        is_free(t_graph_star(10).graph, [two_p3(), sun4()], budget=5)
+
+
+def test_has_path_subgraph_finds_paths_longer_than_the_recursion_limit():
+    assert has_path_subgraph(path(1500), 1500)
+    assert not has_path_subgraph(path(1500), 1501)
 
 
 def test_completeness_against_bruteforce_oracle(all_levels):
@@ -253,3 +265,79 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
         if rng.random() < density
     ]
     return Graph.from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# symmetry-breaking order constraints (is_free)
+
+SYMMETRIC_PATTERNS = {
+    "C4": cycle(4),
+    "P7": path(7),
+    "P8": path(8),
+    "P~8": p_tilde(8),
+    "2P3": two_p3(),
+    "Sun1": sun1(),
+    "Sun4": sun4(),
+    "S123": s123(),
+    "K3,3": complete_bipartite(3, 3),
+    "K1,4": complete_bipartite(1, 4),
+    "C6": cycle(6),
+    "4K1": Graph.from_edges(4, []),
+    "T6": t_graph_star(6).graph,
+    "S8": s_graph_star(8).graph,
+}
+
+
+def _constrained_count(pattern: Graph, host: Graph) -> int:
+    count = 0
+
+    def take(assignment: list[int]) -> bool:
+        nonlocal count
+        count += 1
+        return True
+
+    _search(pattern, host, _Budget(None), take, larger=_order_constraints(pattern, _Budget(None)))
+    return count
+
+
+def test_order_constraints_follow_the_orbit_stabiliser_theorem():
+    # base point u's orbit under the stabiliser of the earlier base points is
+    # u plus the vertices that must map above it; the orbit sizes multiply to |Aut|
+    for name, pattern in SYMMETRIC_PATTERNS.items():
+        larger = _order_constraints(pattern, _Budget(None)) or []
+        product = 1
+        for mask in larger:
+            product *= 1 + mask.bit_count()
+        assert product == count_induced_embeddings(pattern, pattern, 10**9), name
+
+
+def test_constrained_search_keeps_one_embedding_per_automorphism_orbit(connected_levels):
+    hosts = [g for n in range(4, 10) for g in connected_levels[n][::9]]
+    hosts += [universal_grid(3, 3)[0], cycle(8)]
+    for name, pattern in SYMMETRIC_PATTERNS.items():
+        if pattern.n > 9:
+            continue
+        aut = count_induced_embeddings(pattern, pattern, 10**9)
+        for host in hosts:
+            assert _constrained_count(pattern, host) * aut == count_induced_embeddings(pattern, host, 10**9), (
+                name,
+                host.edges(),
+            )
+
+
+def test_is_free_agrees_with_unconstrained_search(connected_levels):
+    patterns = [h for h in SYMMETRIC_PATTERNS.values() if h.n <= 9]
+    for n in range(1, 10):
+        for g in connected_levels[n]:
+            for h in patterns:
+                result = is_free(g, [h])
+                assert result.free == (find_induced_embedding(h, g) is None), (h.edges(), g.edges())
+                if not result.free:
+                    assert result.pattern_index == 0 and verify_embedding(result.witness, h, g)
+    forbidden_t, forbidden_s = [two_p3(), sun4()], [path(8), p_tilde(8)]
+    for n in range(6, 17, 2):
+        assert is_free(t_graph_star(n).graph, forbidden_t).free
+        assert all(find_induced_embedding(h, t_graph_star(n).graph) is None for h in forbidden_t)
+    for n in range(8, 19, 2):
+        assert is_free(s_graph_star(n).graph, forbidden_s).free
+        assert all(find_induced_embedding(h, s_graph_star(n).graph) is None for h in forbidden_s)

@@ -10,6 +10,7 @@ from bipkit.graphs import parse_graph
 from bipkit.families import path
 from bipkit.harness import cli
 from bipkit.harness.suites import (
+    DEFAULT_BUDGET,
     SUITE_NAMES,
     SuiteOptions,
     antichain_check,
@@ -189,6 +190,20 @@ def test_cli_embed_and_check(capsys):
     assert cli.main(["check", "free", "path:7", "--forbid", "path:7"]) == 1
     # a starving budget must surface as undecided, exit 3
     assert cli.main(["embed", "t-graph:6", "t-graph:8", "--budget", "3"]) == 3
+    assert cli.main(["check", "free", "t-graph:10", "--forbid", "two-p3", "sun4", "--budget", "5"]) == 3
+    assert capsys.readouterr().out.strip().endswith("UNDECIDED step budget exhausted")
+
+
+def test_cli_searches_are_bounded_by_default():
+    parser = cli.build_parser()
+    for argv in (
+        ["check", "free", "path:3", "--forbid", "path:2"],
+        ["embed", "path:2", "path:3"],
+        ["paths", "path:3", "2"],
+        ["verify", "all"],
+    ):
+        budget = parser.parse_args(argv).budget
+        assert budget == DEFAULT_BUDGET and budget is not None, argv
 
 
 def test_cli_paths_decompose_letter_biconvex(capsys):
