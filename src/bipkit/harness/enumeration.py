@@ -33,7 +33,7 @@ import time
 from typing import Iterator
 
 from ..graphs import Graph, connected_components, find_bipartition
-from ..matching import _Budget, _refinement_colors, _search
+from ..matching import _Budget, _first_embedding, _refinement_colors
 
 MAX_VERTICES = 12
 
@@ -48,29 +48,14 @@ def refinement_certificate(g: Graph) -> tuple:
     return _refinement_colors(g.adj)[1]
 
 
-def _color_guided_isomorphic(g: Graph, gcolors: list[int], h: Graph, hcolors: list[int]) -> bool:
-    """Exact isomorphism test: the matcher's search with one domain per colour.
-
-    Both graphs must carry equal refinement certificates, so they have equal
-    order, size and colour classes, and an induced embedding is a bijection
-    that preserves colours.
-    """
-    by_color: dict[int, int] = {}
-    for x, c in enumerate(hcolors):
-        by_color[c] = by_color.get(c, 0) | (1 << x)
-    found = False
-
-    def stop(assignment: list[int]) -> bool:
-        nonlocal found
-        found = True
-        return False
-
-    _search(g, h, _Budget(None), stop, [by_color.get(c, 0) for c in gcolors])
-    return found
-
-
 class _IsoRegistry:
-    """Certificate buckets with exact-matcher separation inside each bucket."""
+    """Certificate buckets with exact-matcher separation inside each bucket.
+
+    Members of a bucket carry equal refinement certificates, so they have
+    equal order, size and colour classes.  The exact test is the matcher's
+    search with one domain per colour class: an induced embedding that
+    preserves colours is then a bijection, an isomorphism.
+    """
 
     def __init__(self):
         self._buckets: dict[tuple, list[tuple[Graph, list[int]]]] = {}
@@ -84,7 +69,11 @@ class _IsoRegistry:
             if g.adj == rep.adj:
                 return False
             self.exact_calls += 1
-            if _color_guided_isomorphic(g, colors, rep, rep_colors):
+            classes = [0] * len(colors)
+            for x, c in enumerate(rep_colors):
+                classes[c] |= 1 << x
+            domains = [classes[c] for c in colors]
+            if _first_embedding(g.adj, rep.adj, _Budget(None), domains) is not None:
                 return False
         bucket.append((g, colors))
         return True

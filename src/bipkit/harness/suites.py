@@ -216,7 +216,7 @@ def reverify_witness(text: str) -> bool:
     if kind == "embedding":
         pattern, _ = parse_graph(need("pattern"))
         host, _ = parse_graph(need("host"))
-        mapping = tuple(int(tok) for tok in need("map").split())
+        mapping = _vertex_ids(kind, "map", need("map"), host.n)
         return verify_embedding(Embedding(mapping), pattern, host)
     if kind == "perm-contain":
         host = parse_permutation(need("host"))
@@ -227,8 +227,8 @@ def reverify_witness(text: str) -> bool:
         return not is_free(g, _universe(LEMMAS["closure"])[0]).free
     if kind in ("biconvex-orders-found", "biconvex-orders-rejected"):
         g, b = parse_graph(need("graph"))
-        order_a = tuple(int(tok) for tok in need("order_a").split())
-        order_b = tuple(int(tok) for tok in need("order_b").split())
+        order_a = _vertex_ids(kind, "order_a", need("order_a"), g.n)
+        order_b = _vertex_ids(kind, "order_b", need("order_b"), g.n)
         return verify_biconvex_order(g, b, order_a, order_b) == (kind == "biconvex-orders-found")
     if kind == "letter-mismatch":
         expected, _ = parse_graph(need("expected"))

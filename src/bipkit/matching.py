@@ -1,27 +1,35 @@
 """Exact induced-subgraph search, isomorphism, and path-subgraph detection.
 
-The core is a backtracking search over candidate-domain bitmasks: assigning a
-pattern vertex intersects every remaining domain with the host neighbourhood
-(for pattern edges) or non-neighbourhood (for pattern non-edges) of the image,
-so the induced condition and injectivity are enforced incrementally.  Domains
-start from a degree filter (a host vertex is a candidate for every pattern
-vertex of no larger degree), or from masks the caller supplies: the
-enumerator's isomorphism test passes its refinement colour classes.  Nothing
-else runs before the search: stronger per-host set-up (arc consistency,
-neighbour-degree dominance) was measured to cost more than it pruned, both
-on the lemma checks' thousands of small hosts and on embeddings into large
-grids.  Variable order is most-constrained-first with ascending-id
-tie-breaks and candidates are tried in ascending host id, so results are
-deterministic for fixed inputs.
+One backtracking core, ``_search``, answers every embedding question in the
+package.  It walks candidate-domain bitmasks on an explicit stack: assigning
+a pattern vertex intersects every remaining domain with the host
+neighbourhood (for pattern edges) or non-neighbourhood (for pattern
+non-edges) of the image, so the induced condition and injectivity are
+enforced incrementally.  Domains start from a degree filter (a host vertex
+is a candidate for every pattern vertex of no larger degree), or from masks
+the caller supplies: the enumerator's isomorphism test passes its refinement
+colour classes, and ``perms.contains_pattern`` passes position windows.
+Optional order constraints (``larger``) keep some images above others.
+Nothing else runs before the search: stronger per-host set-up (arc
+consistency, neighbour-degree dominance) was measured to cost more than it
+pruned, both on the lemma checks' thousands of small hosts and on embeddings
+into large grids.  Variable order is most-constrained-first with
+ascending-id tie-breaks and candidates are tried in ascending host id, so
+results are deterministic for fixed inputs.  ``_first_embedding`` is the one
+entry for "the first solution or None"; only ``count_induced_embeddings``
+keeps a callback of its own.
 
-``is_free`` adds symmetry-breaking order constraints on each forbidden
-pattern (``_order_constraints``), so it visits one embedding per orbit of
-the pattern's automorphisms rather than every automorphic copy: 2P3 has
-|Aut| = 8, and the T-graphs' {2P3, Sun4}-freeness was mostly spent on those
-copies.  ``find_induced_embedding`` and ``count_induced_embeddings`` search
-without them: on the paper's T pairs the pattern automorphism group has
-order 2, and on thousands of small permutation-graph embeddings building
-the constraints cost more than the search they saved.
+The order constraints serve two callers.  ``is_free`` builds them from a
+stabiliser chain of each forbidden pattern's automorphisms
+(``_order_constraints``), so it visits one embedding per orbit rather than
+every automorphic copy: 2P3 has |Aut| = 8, and the T-graphs'
+{2P3, Sun4}-freeness was mostly spent on those copies.  Pattern containment
+of permutations chains every pattern position below the next, which makes an
+induced embedding of the positional inversion graphs an occurrence.
+``find_induced_embedding`` and ``count_induced_embeddings`` search without
+them: on the paper's T pairs the pattern automorphism group has order 2, and
+on thousands of small permutation-graph embeddings building the constraints
+cost more than the search they saved.
 """
 
 from __future__ import annotations
@@ -119,8 +127,8 @@ def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
 
 
 def _search(
-    pattern: Graph,
-    host: Graph,
+    padj: tuple[int, ...],
+    hadj: tuple[int, ...],
     budget: _Budget,
     on_solution: Callable[[list[int]], bool],
     domains: list[int] | None = None,
@@ -128,26 +136,31 @@ def _search(
 ) -> None:
     """Run the backtracking search; ``on_solution`` returns True to keep going.
 
-    ``domains[u]`` is the starting mask of host vertices (bit ``x`` for host
-    vertex ``x + 1``) that pattern vertex ``u + 1`` may map to.  A caller that
-    knows more than degrees, such as equal refinement colours, passes its own
-    masks.  When None, a host vertex is a candidate for every pattern vertex
-    of no larger degree.
+    ``padj`` and ``hadj`` are the adjacency rows of pattern and host (bit
+    ``x`` for vertex ``x + 1``), as in ``Graph.adj``.  ``domains[u]`` is the
+    starting mask of host vertices that pattern vertex ``u + 1`` may map to.
+    A caller that knows more than degrees, such as equal refinement colours
+    or a position window, passes its own masks.  When None, a host vertex is
+    a candidate for every pattern vertex of no larger degree.
 
     ``larger[u]`` is the mask of pattern vertices whose image must exceed the
     image of pattern vertex ``u + 1`` (see ``_order_constraints``).  Placing
     ``u`` at ``x`` then keeps only the host vertices above ``x`` in those
     vertices' domains, and only those below ``x`` in the domains of vertices
     that must stay under ``u``.
+
+    The search tree is walked on an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
-    p = pattern.n
+    p = len(padj)
     if p == 0:
         on_solution([])
         return
     if domains is None:
-        if p > host.n or pattern.edge_count > host.edge_count:
+        hdeg = [row.bit_count() for row in hadj]
+        pdeg = [row.bit_count() for row in padj]
+        if p > len(hadj) or sum(pdeg) > sum(hdeg):
             return
-        hdeg = [row.bit_count() for row in host.adj]
         top = max(hdeg) + 1
         # at_least[d]: host vertices of degree at least d; at_least[top] is empty
         at_least = [0] * (top + 1)
@@ -155,12 +168,9 @@ def _search(
             at_least[d] |= 1 << x
         for d in range(top - 1, -1, -1):
             at_least[d] |= at_least[d + 1]
-        domains = [at_least[min(row.bit_count(), top)] for row in pattern.adj]
-    padj = pattern.adj
-    hadj = host.adj
+        domains = [at_least[min(d, top)] for d in pdeg]
     bounded = budget.remaining is not None
     assignment = [0] * p
-    unassigned = (1 << p) - 1
     smaller = None
     if larger is not None:
         smaller = [0] * p
@@ -169,10 +179,11 @@ def _search(
                 low = mask & -mask
                 mask ^= low
                 smaller[low.bit_length() - 1] |= 1 << u
-
-    def extend(domains: list[int], unassigned: int) -> bool:
-        if unassigned == 0:
-            return on_solution(assignment)
+    # one frame per assigned pattern vertex: the vertex, its untried
+    # candidates, the domains it was chosen from and the vertices left after it
+    frames: list[tuple[int, int, list[int], int]] = []
+    unassigned = (1 << p) - 1
+    while True:
         # most-constrained vertex, ascending-id tie-break
         best_u = -1
         best_size = -1
@@ -189,7 +200,12 @@ def _search(
         u = best_u
         remaining = unassigned & ~(1 << u)
         cands = domains[u]
-        while cands:
+        while True:
+            if not cands:
+                if not frames:
+                    return
+                u, cands, domains, remaining = frames.pop()
+                continue
             low = cands & -cands
             cands ^= low
             x = low.bit_length() - 1
@@ -227,11 +243,35 @@ def _search(
                         ok = False
                         break
                     new_domains[v] = nd
-            if ok and not extend(new_domains, remaining):
-                return False
-        return True
+            if not ok:
+                continue
+            if remaining == 0:
+                if not on_solution(assignment):
+                    return
+                continue
+            frames.append((u, cands, domains, remaining))
+            domains = new_domains
+            unassigned = remaining
+            break
 
-    extend(domains, unassigned)
+
+def _first_embedding(
+    padj: tuple[int, ...],
+    hadj: tuple[int, ...],
+    budget: _Budget,
+    domains: list[int] | None = None,
+    larger: list[int] | None = None,
+) -> tuple[int, ...] | None:
+    """The first assignment ``_search`` finds, as 1-based host ids, or None."""
+    found = None
+
+    def take(assignment: list[int]) -> bool:
+        nonlocal found
+        found = tuple(assignment)
+        return False
+
+    _search(padj, hadj, budget, take, domains, larger)
+    return found
 
 
 def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
@@ -252,19 +292,13 @@ def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
     domain is a single vertex.
     """
     p = pattern.n
-    colors = _refinement_colors(pattern.adj)[0]
+    adj = pattern.adj
+    colors = _refinement_colors(adj)[0]
     by_color: dict[int, int] = {}
     for x, c in enumerate(colors):
         by_color[c] = by_color.get(c, 0) | (1 << x)
     domains = [by_color[c] for c in colors]
     larger = [0] * p
-    found = False
-
-    def stop(assignment: list[int]) -> bool:
-        nonlocal found
-        found = True
-        return False
-
     for u in range(p):
         if all(d & (d - 1) == 0 for d in domains):
             break
@@ -274,25 +308,10 @@ def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
             cands ^= low
             trial = list(domains)
             trial[u] = low
-            found = False
-            _search(pattern, pattern, budget, stop, trial)
-            if found:
+            if _first_embedding(adj, adj, budget, trial) is not None:
                 larger[u] |= low
         domains[u] = 1 << u
     return larger if any(larger) else None
-
-
-def _first_embedding(
-    pattern: Graph, host: Graph, budget: _Budget, larger: list[int] | None = None
-) -> Embedding | None:
-    found: list[Embedding] = []
-
-    def take(assignment: list[int]) -> bool:
-        found.append(Embedding(tuple(assignment)))
-        return False
-
-    _search(pattern, host, budget, take, larger=larger)
-    return found[0] if found else None
 
 
 def find_induced_embedding(
@@ -302,7 +321,8 @@ def find_induced_embedding(
 
     Raises StepBudgetExceeded when a step budget is given and runs out.
     """
-    return _first_embedding(pattern, host, _Budget(budget))
+    found = _first_embedding(pattern.adj, host.adj, _Budget(budget))
+    return None if found is None else Embedding(found)
 
 
 def count_induced_embeddings(
@@ -318,7 +338,7 @@ def count_induced_embeddings(
         count += 1
         return count < limit
 
-    _search(pattern, host, _Budget(budget), take)
+    _search(pattern.adj, host.adj, _Budget(budget), take)
     return count
 
 
@@ -337,9 +357,9 @@ def is_free(
         if h.n > g.n or h.edge_count > g.edge_count:
             continue  # cannot embed: skip the automorphism searches as well
         tracker = _Budget(budget)
-        emb = _first_embedding(h, g, tracker, _order_constraints(h, tracker))
-        if emb is not None:
-            return FreenessResult(False, idx, emb)
+        found = _first_embedding(h.adj, g.adj, tracker, larger=_order_constraints(h, tracker))
+        if found is not None:
+            return FreenessResult(False, idx, Embedding(found))
     return FreenessResult(True, None, None)
 
 

@@ -6,12 +6,11 @@ A permutation is a bijection of ``{1..n}``; the one-line form is the sequence
 ``(p(1), ..., p(n))``.  Text form is comma-separated values in parentheses,
 e.g. ``(4,2,6,1,5,3)``; the parser tolerates whitespace.
 
-Containment is a forward checker over bitmask domains of host positions
-(Haralick & Elliott 1980).  It stays separate from ``matching._search``: a
-pattern pair of a permutation picks one of four quadrants, where a graph
-pair picks one of two neighbourhood masks, and routing both through one
-search was measured to slow the graph searches down.  It shares only the
-step budget.
+Containment and permutation graphs share one inversion relation
+(``_inversion_rows``).  Containment runs on the matcher's backtracking core,
+``matching._search``: the positional inversion rows pick the side of a
+placed value, and a chain of position-order constraints picks the side of
+its position.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .matching import _Budget
+from .matching import _Budget, _first_embedding
 
 
 @dataclass(frozen=True)
@@ -64,18 +63,36 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
+def _inversion_rows(seq: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """Positional inversion rows of a one-line sequence, and its value prefixes.
+
+    ``upto[v]`` holds the positions (bit x for position x, from 0) whose value
+    is at most v.  Row x holds the positions left of x with a larger value and
+    those right of x with a smaller one: that is ``left(x) ^ upto[seq[x] - 1]``,
+    since x itself lies in neither mask.
+    """
+    upto = [0] * (len(seq) + 1)
+    for x, v in enumerate(seq):
+        upto[v] = 1 << x
+    for v in range(1, len(seq) + 1):
+        upto[v] |= upto[v - 1]
+    return tuple(((1 << x) - 1) ^ upto[v - 1] for x, v in enumerate(seq)), upto
+
+
 def contains_pattern(host: Permutation, pattern: Permutation, *, budget: int | None = None) -> bool:
     """True iff some subsequence of ``host`` is order-isomorphic to ``pattern``.
 
-    Exact forward checking over bitmask domains.  Bit x stands for host
-    position x, counted from 0 like the pattern index t.  The domain of t
-    starts as the bits t..n-k+t whose host value lies in pv[t]..n-k+pv[t].
-    Placing t at x intersects every unplaced domain with the quadrant of x
-    (left or right of x, below or above its value) that the pattern pair
-    selects; an emptied domain prunes the branch.  The smallest domain is
-    placed next, ties broken by ascending index, so the search is
-    deterministic.  One budget step is spent per candidate placement;
-    raises StepBudgetExceeded when a step budget is given and runs out.
+    An occurrence is an induced embedding of the pattern's positional
+    inversion graph into the host's that keeps the position order (Bose, Buss
+    & Lubiw 1998), so the matcher's search decides it exactly.  Bit x stands
+    for host position x, counted from 0 like the pattern index t.  The domain
+    of t starts as the positions t..n-k+t whose host value lies in
+    pv[t]..n-k+pv[t], and every later pattern index must sit right of t.
+    Placing t at x keeps, in each unplaced domain, the side of x its index
+    falls on and, through the inversion rows, the side of x's value; an
+    emptied domain prunes the branch.  One budget step is spent per candidate
+    placement; raises StepBudgetExceeded when a step budget is given and runs
+    out.
     """
     k = pattern.size
     n = host.size
@@ -83,56 +100,16 @@ def contains_pattern(host: Permutation, pattern: Permutation, *, budget: int | N
         return True
     if k > n:
         return False
-    hv = host.oneline
     pv = pattern.oneline
-    # upto[v]: positions holding a value <= v
-    upto = [0] * (n + 1)
-    for x, v in enumerate(hv):
-        upto[v] = 1 << x
-    for v in range(1, n + 1):
-        upto[v] |= upto[v - 1]
+    hadj, upto = _inversion_rows(host.oneline)
     slack = (1 << (n - k + 1)) - 1
     domains = [(slack << t) & upto[n - k + pv[t]] & ~upto[pv[t] - 1] for t in range(k)]
-    full = (1 << n) - 1
-    # quads[x][2 * (right of x) + (above x)]: the positions in that quadrant of x
-    quads = []
-    for x in range(n):
-        left = (1 << x) - 1
-        right = full ^ left ^ (1 << x)
-        below = upto[hv[x] - 1]
-        above = full ^ upto[hv[x]]
-        quads.append((left & below, left & above, right & below, right & above))
-    tracker = _Budget(budget)
-    bounded = budget is not None
-
-    def extend(domains: list[int], unplaced: tuple[int, ...]) -> bool:
-        if not unplaced:
-            return True
-        # smallest domain first; min keeps the lowest index among ties
-        t = min(unplaced, key=lambda s: domains[s].bit_count())
-        # each other index with the quadrant of t's position it must occupy
-        pt = pv[t]
-        need = [(s, 2 * (s > t) + (pv[s] > pt)) for s in unplaced if s != t]
-        rest = tuple(s for s, _ in need)
-        cands = domains[t]
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            if bounded:
-                tracker.spend()
-            quad = quads[low.bit_length() - 1]
-            narrowed = list(domains)
-            for s, q in need:
-                d = narrowed[s] & quad[q]
-                if not d:
-                    break
-                narrowed[s] = d
-            else:
-                if extend(narrowed, rest):
-                    return True
-        return False
-
-    return extend(domains, tuple(range(k)))
+    if not all(domains):
+        return False  # decided before any step, where the search would spend one
+    full = (1 << k) - 1
+    later = [full ^ ((2 << t) - 1) for t in range(k)]
+    found = _first_embedding(_inversion_rows(pv)[0], hadj, _Budget(budget), domains, later)
+    return found is not None
 
 
 def is_convex(p: Permutation) -> bool:
@@ -175,15 +152,7 @@ def verify_biconvex_witness(p: Permutation, w: BiconvexWitness) -> bool:
 
 def permutation_graph(p: Permutation) -> Graph:
     """Inversion graph on values 1..n: i < j adjacent iff i appears after j."""
-    n = p.size
-    pos = inverse(p).oneline  # pos[v-1] = position of value v
-    edges = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if pos[i - 1] > pos[j - 1]
-    ]
-    return Graph.from_edges(n, edges)
+    return Graph(p.size, _inversion_rows(inverse(p).oneline)[0])
 
 
 def star_perm_T(n: int) -> Permutation:

@@ -410,10 +410,16 @@ def parse_tree(text: str) -> DecompositionTree:
         if take() != tok:
             raise ValueError(f"malformed tree text near token {pos - 1}")
 
+    def as_id(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"malformed tree text near token {pos - 1}") from None
+
     def read_ids(end: str) -> tuple[int, ...]:
         ids = []
         while (tok := take()) != end:
-            ids.append(int(tok))
+            ids.append(as_id(tok))
         return tuple(ids)
 
     def read_part_list() -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -431,7 +437,7 @@ def parse_tree(text: str) -> DecompositionTree:
             continue
         if kind != "leaf":
             raise ValueError(f"unknown node kind {kind!r}")
-        v = int(take())
+        v = as_id(take())
         side = take()
         expect(")")
         if side not in ("X", "Y"):

@@ -172,6 +172,11 @@ def test_has_path_subgraph_finds_paths_longer_than_the_recursion_limit():
     assert not has_path_subgraph(path(1500), 1501)
 
 
+def test_embedding_search_is_deeper_than_the_recursion_limit():
+    emb = find_induced_embedding(path(1100), path(1100))
+    assert emb is not None and verify_embedding(emb, path(1100), path(1100))
+
+
 def test_completeness_against_bruteforce_oracle(all_levels):
     patterns = _all_graph_classes(3) + _all_graph_classes(4)
     hosts = list(all_levels[6]) + list(all_levels[7])
@@ -296,7 +301,7 @@ def _constrained_count(pattern: Graph, host: Graph) -> int:
         count += 1
         return True
 
-    _search(pattern, host, _Budget(None), take, larger=_order_constraints(pattern, _Budget(None)))
+    _search(pattern.adj, host.adj, _Budget(None), take, larger=_order_constraints(pattern, _Budget(None)))
     return count
 
 

@@ -209,6 +209,17 @@ def test_contains_pattern_matches_position_dfs_on_long_hosts():
                 assert contains_pattern(h, p) == _position_dfs_reference(h, p), (seed, h, p)
 
 
+def test_contains_pattern_keeps_position_order():
+    # the inversion graphs of 312 and (1,4,5,3,2,6) have an induced embedding
+    # that is not order preserving, so an order-blind search answers wrongly;
+    # every size-6 host against every size-3 pattern covers such pairs
+    patterns = [Permutation(p) for p in itertools.permutations(range(1, 4))]
+    for seq in itertools.permutations(range(1, 7)):
+        h = Permutation(seq)
+        for p in patterns:
+            assert contains_pattern(h, p) == _position_dfs_reference(h, p), (h, p)
+
+
 def test_contains_pattern_honours_step_budget():
     with pytest.raises(StepBudgetExceeded):
         contains_pattern(identity(20), identity(5), budget=2)

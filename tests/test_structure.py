@@ -283,6 +283,10 @@ def test_tree_round_trip_and_errors():
     ):
         with pytest.raises(ValueError):
             parse_tree(bad)
+    # a non-integer vertex id is located like every other malformed token
+    for bad in ("(leaf x X)", "(union [1|x] [2|] (leaf 1 X) (leaf 2 Y))"):
+        with pytest.raises(ValueError, match="token"):
+            parse_tree(bad)
 
 
 def test_decompose_round_trip_on_random_trees():

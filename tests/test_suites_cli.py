@@ -47,7 +47,7 @@ def test_failing_case_produces_reverifiable_witness():
 
 
 def test_witness_kinds_reverify():
-    from bipkit.graphs import serialize_graph
+    from bipkit.graphs import find_bipartition, serialize_graph
     from bipkit.families import s123, complete_bipartite
 
     good = make_witness(
@@ -77,6 +77,23 @@ def test_witness_kinds_reverify():
         },
     )
     assert not reverify_witness(bad_emb)
+    # non-integer ids name the witness kind and the section
+    not_ids = make_witness(
+        "embedding",
+        {
+            "pattern": serialize_graph(path(2)).rstrip(),
+            "host": serialize_graph(path(3)).rstrip(),
+            "map": "1 x",
+        },
+    )
+    with pytest.raises(ValueError, match="'embedding' section @map holds a non-integer id"):
+        reverify_witness(not_ids)
+    p4 = serialize_graph(path(4), find_bipartition(path(4))).rstrip()
+    orders = {"order_a": "1 3", "order_b": "2 4"}
+    assert reverify_witness(make_witness("biconvex-orders-found", {"graph": p4, **orders}))
+    not_order = make_witness("biconvex-orders-found", {"graph": p4, **orders, "order_b": "2 y"})
+    with pytest.raises(ValueError, match="section @order_b holds a non-integer id"):
+        reverify_witness(not_order)
 
     # a graph that is (P7,C4)-free and has no 9-vertex path does NOT re-verify
     not_p9 = make_witness("graph-p9", {"graph": serialize_graph(s123()).rstrip()})
@@ -192,6 +209,11 @@ def test_cli_embed_and_check(capsys):
     assert cli.main(["embed", "t-graph:6", "t-graph:8", "--budget", "3"]) == 3
     assert cli.main(["check", "free", "t-graph:10", "--forbid", "two-p3", "sun4", "--budget", "5"]) == 3
     assert capsys.readouterr().out.strip().endswith("UNDECIDED step budget exhausted")
+
+
+def test_cli_embed_answers_past_the_recursion_limit(capsys):
+    assert cli.main(["embed", "path:1100", "path:1100"]) == 0
+    assert capsys.readouterr().out.strip().endswith("1100->1100")
 
 
 def test_cli_searches_are_bounded_by_default():
