@@ -10,6 +10,7 @@ in equality; isomorphism lives in :mod:`bipkit.matching`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -221,55 +222,61 @@ def bipartite_complement(g: Graph, b: Bipartition) -> Graph:
     return Graph(g.n, tuple(adj), g.labels)
 
 
+@lru_cache(maxsize=256)
+def _component_masks(adj: tuple[int, ...]) -> tuple[tuple[int, int, bool], ...]:
+    """``(component, side, bipartite)`` masks per component, lowest id first.
+
+    A breadth-first search by layers from each component's lowest vertex:
+    ``side`` holds the even layers, the lowest vertex included, and the
+    component is bipartite iff no edge joins two vertices of one layer.
+    Cached, because the matcher asks again for every search into one host.
+    """
+    out = []
+    left = (1 << len(adj)) - 1
+    while left:
+        frontier = side = comp = left & -left
+        even = bipartite = True
+        while frontier:
+            reach = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reach |= adj[low.bit_length() - 1]
+            if reach & frontier:
+                bipartite = False
+            frontier = reach & ~comp
+            comp |= frontier
+            even = not even
+            if even:
+                side |= frontier
+        left &= ~comp
+        out.append((comp, side, bipartite))
+    return tuple(out)
+
+
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the components, each sorted, listed by minimum element."""
-    seen = 0
-    out = []
-    for start in range(g.n):
-        if (seen >> start) & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in mask_vertices(frontier):
-                nxt |= g.adj[v - 1]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        out.append(tuple(mask_vertices(comp)))
-    return out
+    return [tuple(mask_vertices(comp)) for comp, _, _ in _component_masks(g.adj)]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return len(_component_masks(g.adj)) <= 1
 
 
 def find_bipartition(g: Graph) -> Bipartition | None:
     """2-colour by BFS, or None when some component has an odd cycle.
 
-    Component by component in ascending order of the lowest id; the lowest id
-    of each component lands in part A, which pins the orientation.
+    The lowest id of each component lands in part A, which pins the
+    orientation.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            nxt = []
-            for v in queue:
-                for u in mask_vertices(g.adj[v]):
-                    if color[u - 1] == -1:
-                        color[u - 1] = color[v] ^ 1
-                        nxt.append(u - 1)
-                    elif color[u - 1] == color[v]:
-                        return None
-            queue = nxt
-    part_a = frozenset(v + 1 for v in range(g.n) if color[v] == 0)
-    part_b = frozenset(v + 1 for v in range(g.n) if color[v] == 1)
-    return Bipartition(part_a, part_b)
+    part_a = 0
+    for _, side, bipartite in _component_masks(g.adj):
+        if not bipartite:
+            return None
+        part_a |= side
+    part_b = ((1 << g.n) - 1) & ~part_a
+    return Bipartition(frozenset(mask_vertices(part_a)), frozenset(mask_vertices(part_b)))
 
 
 def parse_graph(text: str) -> tuple[Graph, Bipartition | None]:

@@ -227,6 +227,8 @@ def reverify_witness(text: str) -> bool:
         return not is_free(g, _universe(LEMMAS["closure"])[0]).free
     if kind in ("biconvex-orders-found", "biconvex-orders-rejected"):
         g, b = parse_graph(need("graph"))
+        if b is None:
+            raise ValueError(f"witness kind {kind!r} section @graph has no bipartition (b) line")
         order_a = _vertex_ids(kind, "order_a", need("order_a"), g.n)
         order_b = _vertex_ids(kind, "order_b", need("order_b"), g.n)
         return verify_biconvex_order(g, b, order_a, order_b) == (kind == "biconvex-orders-found")
@@ -575,14 +577,14 @@ LEMMAS = {
         members="in universe",
     ),
     "lemma-reduction": Lemma(
-        forbidden=(("path", 7), ("sun1",)),
+        forbidden=(("sun1",), ("path", 7)),
         required=("cycle", 4),
         claim=_complete_bipartite,
         witnesses={"graph-not-complete-bipartite": ()},
         members="with C4 in universe",
     ),
     "closure": Lemma(
-        forbidden=(("path", 7), ("s123",)),
+        forbidden=(("s123",), ("path", 7)),
         required=None,
         claim=_decomposes,
         witnesses={"graph-no-decomposition": ()},
@@ -678,10 +680,10 @@ def _suite_lemma_key(opts: SuiteOptions) -> list:
 def _suite_lemma_reduction(opts: SuiteOptions) -> list:
     if not (4 <= opts.lemma_reduction_max <= 12):
         raise ValueError("lemma-reduction range must end between 4 and 12")
-    # universe patterns: P7, Sun1, then the required C4
+    # universe patterns: Sun1, P7, then the required C4
     specs = [
         ("spot/k33", _case_spot, ("lemma-reduction", ("kab", 3, 3), (False, False, True))),
-        ("spot/sun1", _case_spot, ("lemma-reduction", ("sun1",), (False, True, True))),
+        ("spot/sun1", _case_spot, ("lemma-reduction", ("sun1",), (True, False, True))),
     ]
     return specs + _exhaustive("lemma-reduction", 4, opts.lemma_reduction_max)
 

@@ -10,6 +10,7 @@ from bipkit.matching import (
     Embedding,
     StepBudgetExceeded,
     _Budget,
+    _first_embedding,
     _order_constraints,
     _search,
     are_isomorphic,
@@ -189,6 +190,57 @@ def test_completeness_against_bruteforce_oracle(all_levels):
             if mine is not None:
                 assert verify_embedding(mine, pattern, host)
             assert count_induced_embeddings(pattern, host, 10**9) == expected
+
+
+def _disjoint(*graphs: Graph) -> Graph:
+    """Disjoint union, the vertices of each graph numbered after the previous ones."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph.from_edges(offset, edges)
+
+
+def test_component_and_parity_filter_against_bruteforce_oracle():
+    # hosts mixing an odd-cycle component with a bipartite one, both ways round
+    mixed = [(cycle(5), path(4)), (complete(3), cycle(6)), (cycle(5), complete_bipartite(1, 3))]
+    hosts = [_disjoint(a, b) for a, b in mixed] + [_disjoint(b, a) for a, b in mixed]
+    two_k2 = _disjoint(path(2), path(2))
+    patterns = [two_k2, _disjoint(path(3), path(1)), _disjoint(path(2), path(3))]
+    patterns += [_disjoint(complete(3), path(1)), path(3), path(4), cycle(5)]
+    for pattern in patterns:
+        for host in hosts:
+            expected = brute_force_embedding_count(pattern, host)
+            mine = find_induced_embedding(pattern, host)
+            assert (mine is not None) == (expected > 0), (pattern.edges(), host.edges())
+            if mine is not None:
+                assert verify_embedding(mine, pattern, host)
+            assert count_induced_embeddings(pattern, host, 10**9) == expected
+
+
+def test_odd_cycle_into_bipartite_host_needs_no_step():
+    assert find_induced_embedding(cycle(5), universal_grid(4, 4)[0], budget=0) is None
+
+
+def test_lemma_pattern_search_steps_are_pinned(connected_levels):
+    # Budget steps of the first-embedding search over every connected
+    # bipartite graph on 1..9 vertices (1,211 hosts).  Steps are exact where
+    # wall time is noisy, so a change that loses pruning fails here.  Before
+    # the component-and-parity filter the totals were C4 5,949, P7 43,097,
+    # Sun1 6,089 and S123 27,368.
+    pinned = {"C4": 5913, "P7": 15470, "Sun1": 6051, "S123": 10666}
+    patterns = {"C4": cycle(4), "P7": path(7), "Sun1": sun1(), "S123": s123()}
+    big = 10**12
+    totals = {}
+    for name, pattern in patterns.items():
+        total = 0
+        for n in range(1, 10):
+            for host in connected_levels[n]:
+                tracker = _Budget(big)
+                _first_embedding(pattern.adj, host.adj, tracker)
+                total += big - tracker.remaining
+        totals[name] = total
+    assert totals == pinned
 
 
 def _quasi_order_pool() -> list[Graph]:

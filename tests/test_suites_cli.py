@@ -94,6 +94,12 @@ def test_witness_kinds_reverify():
     not_order = make_witness("biconvex-orders-found", {"graph": p4, **orders, "order_b": "2 y"})
     with pytest.raises(ValueError, match="section @order_b holds a non-integer id"):
         reverify_witness(not_order)
+    # a biconvex witness needs the parts: a graph with no b line names the section
+    no_parts = serialize_graph(path(4)).rstrip()
+    for kind in ("biconvex-orders-found", "biconvex-orders-rejected"):
+        unsplit = make_witness(kind, {"graph": no_parts, **orders})
+        with pytest.raises(ValueError, match=f"'{kind}' section @graph has no bipartition"):
+            reverify_witness(unsplit)
 
     # a graph that is (P7,C4)-free and has no 9-vertex path does NOT re-verify
     not_p9 = make_witness("graph-p9", {"graph": serialize_graph(s123()).rstrip()})
