@@ -18,12 +18,37 @@ lie on one side, and their image in P is one of P's attachment sets.  The
 child built from P and that set is isomorphic to G with the new vertex in
 w's place, so it passes the rule.
 
-Several deletable vertices can share the top colour, and then one class
-arrives from several (parent, neighbourhood) pairs.  So an exact registry
-stays behind the rule: a refinement certificate buckets the children that
-pass, and the matcher separates isomorphic ones inside a bucket.  Counts for
-small n are pinned against an independent all-edge-subsets brute force that
-minimises over degree-compatible relabellings.
+Two steps keep the rule cheap (McKay's "one attachment set per orbit").
+First, orbit pruning: a parent P gets one child per orbit of Aut(P) on its
+attachment sets.  An automorphism of P that maps set m to m' extends, with
+the new vertex fixed, to an isomorphism between the two children, so only
+the least set of each orbit is built (``_orbit_representatives``, with the
+generators of ``matching._automorphism_generators``).  The least set comes
+first in ascending order, and the later sets of its orbit could only repeat
+its class, so the levels keep the order they have without the step.
+
+Second, refinement stops once the rule is decided.  Each round of
+``matching._refinement_rounds`` keeps the strict colour order of the round
+before, so the child is rejected at the first round where a deletable vertex
+outranks the new vertex, and accepted at the first round where the new
+vertex is strictly above every other deletable vertex.  Such a lone-top child
+is a new class and skips the registry.  Take any other child G' of the level
+that is isomorphic to it and passes the rule.  The isomorphism keeps
+colours and deletability, so the new vertex of G' is also a lone top and is
+the image of the new vertex.  Removing the two new vertices leaves isomorphic
+representatives of level n-1, which are then one parent P, and the
+isomorphism restricts to an automorphism of P that maps one attachment set
+to the other.  Orbit pruning keeps one set per orbit, so G' is the same
+child.  The skip is sound only together with orbit pruning.  A lone-top
+child is never isomorphic to a tied one either, since an isomorphism keeps
+the number of deletable vertices of the top colour.
+
+Children still tied with another deletable vertex at the stable colouring
+go to an exact registry: a refinement certificate buckets them, and the
+matcher separates isomorphic ones inside a bucket.  At n = 11 that is 39
+isomorphism searches for 25,598 classes.  Counts for small n are pinned
+against an independent all-edge-subsets brute force that minimises over
+degree-compatible relabellings.
 """
 
 from __future__ import annotations
@@ -33,7 +58,13 @@ import time
 from typing import Iterator
 
 from ..graphs import Graph, connected_components, find_bipartition
-from ..matching import _Budget, _first_embedding, _refinement_colors
+from ..matching import (
+    _automorphism_generators,
+    _Budget,
+    _first_embedding,
+    _refinement_colors,
+    _refinement_rounds,
+)
 
 MAX_VERTICES = 12
 
@@ -110,6 +141,38 @@ def _attachment_sets(parent: Graph, connected_only: bool) -> list[int]:
     return sorted(set(masks))
 
 
+def _orbit_representatives(masks: list[int], gens: list[tuple[int, ...]]) -> Iterator[int]:
+    """The masks that are least in their orbit under the group generated by
+    ``gens`` (vertex images, 0-based).
+
+    ``masks`` must be ascending and closed under the group, so the first
+    mask met of each orbit is its least member.
+    """
+    if not gens:
+        yield from masks
+        return
+    images = [[1 << y for y in gen] for gen in gens]
+    seen: set[int] = set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        yield mask
+        seen.add(mask)
+        frontier = [mask]
+        while frontier:
+            m = frontier.pop()
+            for bits in images:
+                img = 0
+                rest = m
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    img |= bits[low.bit_length() - 1]
+                if img not in seen:
+                    seen.add(img)
+                    frontier.append(img)
+
+
 def _cut_pieces(parent: Graph) -> tuple[int, list[tuple[int, list[int]]]]:
     """The non-cut vertices of a connected parent as a mask, and for every
     other vertex v (0-based) the component masks of ``parent - v``.
@@ -170,6 +233,7 @@ def _build_level(n: int, connected_only: bool) -> list[Graph]:
             noncut, cut = _cut_pieces(parent)
         else:  # every vertex of an all-graph level is deletable
             noncut, cut = (1 << new) - 1, []
+        kept: dict[int, int] = {}  # mask -> deletable, ascending, past the degree test
         for mask in _attachment_sets(parent, connected_only):
             candidates += 1
             size = mask.bit_count()
@@ -181,22 +245,29 @@ def _build_level(n: int, connected_only: bool) -> list[Graph]:
             # The final colour order refines the degree order, so a deletable
             # vertex whose degree in the child exceeds the new vertex's has a
             # higher colour, and the rule would reject the child anyway.
-            if (at_least[size + 1] | (at_least[size] & mask)) & deletable:
-                continue
+            if not (at_least[size + 1] | (at_least[size] & mask)) & deletable:
+                kept[mask] = deletable
+        # the degree test is invariant under Aut(parent), so the least mask
+        # of each orbit among the kept ones is least among all masks; a lone
+        # kept mask is its own orbit
+        gens = _automorphism_generators(parent.adj, _Budget(None)) if len(kept) > 1 else []
+        for mask in _orbit_representatives(list(kept), gens):
+            dels = [v for v in range(new) if (kept[mask] >> v) & 1]
             adj = tuple(row | new_bit if (mask >> i) & 1 else row for i, row in enumerate(parent.adj)) + (mask,)
-            colors, cert = _refinement_colors(adj)
-            top = colors[new]
-            others = deletable
-            while others:
-                low = others & -others
-                others ^= low
-                if colors[low.bit_length() - 1] > top:
+            for colors, cert in _refinement_rounds(adj):
+                top = colors[new]
+                best = max([colors[v] for v in dels], default=-1)
+                if best > top:
+                    break  # a deletable vertex outranks the new one in every later round
+                if best < top:  # the new vertex is the lone top: a new class
+                    passed += 1
+                    out.append(Graph(n, adj))
                     break
-            else:
-                passed += 1
-                child = Graph(n, adj)
-                if registry.add(child, colors, cert):
-                    out.append(child)
+                if cert is not None:  # tied at the stable colouring
+                    passed += 1
+                    child = Graph(n, adj)
+                    if registry.add(child, colors, cert):
+                        out.append(child)
     _LEVEL_STATS[(n, connected_only)] = {
         "candidates": candidates,
         "passed": passed,
@@ -220,8 +291,9 @@ def bipartite_level(n: int, connected_only: bool) -> list[Graph]:
 def level_stats() -> dict[tuple[int, bool], dict[str, float]]:
     """Build statistics of every level built in this process, keyed by
     ``(n, connected_only)``: candidates (parent and attachment-set pairs),
-    passed (children that met the deletion rule), exact (isomorphism searches
-    run by the registry), classes and seconds (excluding the parent level)."""
+    passed (children, one per attachment-set orbit, that met the deletion
+    rule), exact (isomorphism searches run by the registry), classes and
+    seconds (excluding the parent level)."""
     return {key: dict(stats) for key, stats in _LEVEL_STATS.items()}
 
 

@@ -34,15 +34,17 @@ graphs of up to 10 vertices this takes the first-embedding steps of P7 from
 move (30,344 to 30,257, 31,729 to 31,552).  It does nothing for the
 T-pair non-embeddings (T8 into T14 takes 359,586 steps either way).  Callers
 that pass ``domains`` (the enumerator, ``contains_pattern``,
-``_order_constraints``) keep their search tree step for step.  Stronger
+``_automorphism_generators``) keep their search tree step for step.  Stronger
 per-host set-up (arc consistency, neighbour-degree dominance, a distance
 ball around each root candidate) was measured to cost more than it pruned.
 
 The order constraints serve two callers.  ``is_free`` builds them from a
 stabiliser chain of each forbidden pattern's automorphisms
-(``_order_constraints``), so it visits one embedding per orbit rather than
-every automorphic copy: 2P3 has |Aut| = 8, and the T-graphs'
-{2P3, Sun4}-freeness was mostly spent on those copies.  Pattern containment
+(``_automorphism_generators``, which the enumerator also uses to prune
+attachment sets), so it visits one embedding per orbit rather than every
+automorphic copy: 2P3 has |Aut| = 8, and the T-graphs' {2P3, Sun4}-freeness
+was mostly spent on those copies.  They depend on the pattern alone, so they
+are cached per pattern (``_pattern_constraints``).  Pattern containment
 of permutations chains every pattern position below the next, which makes an
 induced embedding of the positional inversion graphs an occurrence.
 ``find_induced_embedding`` and ``count_induced_embeddings`` search without
@@ -53,9 +55,10 @@ cost more than the search they saved.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import Graph, _component_masks, connected_components, find_bipartition
 
@@ -116,17 +119,21 @@ class _Budget:
             raise StepBudgetExceeded("step budget exhausted")
 
 
-def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
-    """Final colours of iterated neighbour-colour refinement plus a certificate.
+def _refinement_rounds(adj: tuple[int, ...]) -> Iterator[tuple[list[int], tuple | None]]:
+    """Iterated neighbour-colour refinement, one ``(colours, certificate)``
+    pair per round.
 
-    Colour ids are ranks of sorted (colour, neighbour-colour multiset) keys,
-    so they are canonical: isomorphic graphs get corresponding colours and an
-    identical certificate.  Each key starts with the previous colour, so the
-    final colour order refines the degree order.
+    Round 0 is the degrees.  Each later round's colour ids are ranks of sorted
+    (colour, neighbour-colour multiset) keys, so they are canonical:
+    isomorphic graphs get corresponding colours.  Each key starts with the
+    previous colour, so every round keeps the strict order of the round
+    before it.  The certificate is None until the colouring is stable; the
+    last pair repeats the stable colours with the certificate.
     """
     n = len(adj)
     colors = [row.bit_count() for row in adj]
     edges = sum(colors) // 2
+    yield colors, None
     while True:
         keys = []
         for i in range(n):
@@ -141,9 +148,19 @@ def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
         ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
         new_colors = [ranking[k] for k in keys]
         if new_colors == colors:
-            break
+            yield colors, (n, edges, tuple(sorted(keys)))
+            return
         colors = new_colors
-    return colors, (n, edges, tuple(sorted(keys)))
+        yield colors, None
+
+
+def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
+    """Stable colours of ``_refinement_rounds`` plus the certificate:
+    isomorphic graphs get corresponding colours and an identical certificate,
+    and the colour order refines the degree order."""
+    for colors, cert in _refinement_rounds(adj):
+        pass
+    return colors, cert
 
 
 @lru_cache(maxsize=256)
@@ -339,32 +356,26 @@ def _first_embedding(
     return found
 
 
-def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
-    """Symmetry-breaking order constraints for ``pattern``, in ``_search``'s
-    ``larger`` form; None when no automorphism witnesses a pair.
+def _automorphism_generators(adj: tuple[int, ...], budget: _Budget) -> list[tuple[int, ...]]:
+    """A strong generating set of the automorphism group of the graph with
+    rows ``adj``, each automorphism as 0-based images (``gen[x]``).
 
     A stabiliser chain: base points u = 0, 1, ... are fixed in turn.  With
     the earlier base points fixed, every other vertex v of u's refinement
-    colour is tried as u's image by a search of the pattern into itself, and
-    each v that an automorphism reaches adds "image(u) < image(v)".  Among
-    the embeddings that differ by a pattern automorphism, the one whose
-    image tuple is least satisfies every such pair: an automorphism that
-    fixes the base points before u and sends u to v gives an embedding that
-    agrees with it before u and puts image(v) at u.  So the pairs lose no
-    embedding up to automorphism, and for an all-different search they keep
-    exactly one per orbit (Puget 2005, "Breaking symmetries in all different
-    problems").  The searches spend ``budget``; the walk ends once every
-    domain is a single vertex.
+    colour is tried as u's image by a search of the graph into itself, and
+    each search that succeeds adds the automorphism it found, which fixes the
+    base points before u and sends u to v.  Per base point these are coset
+    representatives of the next stabiliser, so together they generate the
+    whole group.  The searches spend ``budget``; the walk ends once every
+    domain is a single vertex, when the stabiliser is trivial.
     """
-    p = pattern.n
-    adj = pattern.adj
     colors = _refinement_colors(adj)[0]
     by_color: dict[int, int] = {}
     for x, c in enumerate(colors):
         by_color[c] = by_color.get(c, 0) | (1 << x)
     domains = [by_color[c] for c in colors]
-    larger = [0] * p
-    for u in range(p):
+    gens: list[tuple[int, ...]] = []
+    for u in range(len(adj)):
         if all(d & (d - 1) == 0 for d in domains):
             break
         cands = domains[u] & ~(1 << u)
@@ -373,10 +384,57 @@ def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
             cands ^= low
             trial = list(domains)
             trial[u] = low
-            if _first_embedding(adj, adj, budget, trial) is not None:
-                larger[u] |= low
+            found = _first_embedding(adj, adj, budget, trial)
+            if found is not None:
+                gens.append(tuple(x - 1 for x in found))
         domains[u] = 1 << u
+    return gens
+
+
+def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
+    """Symmetry-breaking order constraints for ``pattern``, in ``_search``'s
+    ``larger`` form; None when the pattern has no automorphism but the
+    identity.
+
+    Each generator of ``_automorphism_generators`` fixes the base points
+    before its first moved point u and sends u to v, and adds "image(u) <
+    image(v)".  Among the embeddings that differ by a pattern automorphism,
+    the one whose image tuple is least satisfies every such pair: composing
+    it with that generator gives an embedding that agrees with it before u
+    and puts image(v) at u.  So the pairs lose no embedding up to
+    automorphism, and for an all-different search they keep exactly one per
+    orbit (Puget 2005, "Breaking symmetries in all different problems").
+    """
+    larger = [0] * pattern.n
+    for gen in _automorphism_generators(pattern.adj, budget):
+        u = next(x for x, y in enumerate(gen) if x != y)
+        larger[u] |= 1 << gen[u]
     return larger if any(larger) else None
+
+
+# pattern rows -> (order constraints, steps spent building them), oldest
+# entry evicted first; see _pattern_constraints
+_CONSTRAINTS: dict[tuple[int, ...], tuple[list[int] | None, int]] = {}
+_CONSTRAINTS_MAX = 256
+
+
+def _pattern_constraints(pattern: Graph, tracker: _Budget) -> list[int] | None:
+    """``_order_constraints(pattern, tracker)``, cached per pattern.
+
+    The cache keeps the steps the build spent, and a hit charges them to
+    ``tracker`` again, so budgets and UNDECIDED verdicts do not depend on
+    what was built before.  A build that runs out of budget is not cached.
+    """
+    hit = _CONSTRAINTS.get(pattern.adj)
+    if hit is None:
+        start = sys.maxsize if tracker.remaining is None else tracker.remaining
+        probe = _Budget(start)
+        hit = (_order_constraints(pattern, probe), start - probe.remaining)
+        if len(_CONSTRAINTS) >= _CONSTRAINTS_MAX:
+            del _CONSTRAINTS[next(iter(_CONSTRAINTS))]
+        _CONSTRAINTS[pattern.adj] = hit
+    tracker.spend(hit[1])
+    return hit[0]
 
 
 def find_induced_embedding(
@@ -414,15 +472,16 @@ def is_free(
     the first one that does.
 
     Each pattern gets its own step budget, which also pays for its order
-    constraints (``_order_constraints``): the search then visits one
-    embedding per orbit of the pattern's automorphisms, not all of them.
+    constraints (``_pattern_constraints``), cached or not: the search then
+    visits one embedding per orbit of the pattern's automorphisms, not all
+    of them.
     Raises StepBudgetExceeded when a budget runs out.
     """
     for idx, h in enumerate(forbidden):
         if h.n > g.n or h.edge_count > g.edge_count:
             continue  # cannot embed: skip the automorphism searches as well
         tracker = _Budget(budget)
-        found = _first_embedding(h.adj, g.adj, tracker, larger=_order_constraints(h, tracker))
+        found = _first_embedding(h.adj, g.adj, tracker, larger=_pattern_constraints(h, tracker))
         if found is not None:
             return FreenessResult(False, idx, Embedding(found))
     return FreenessResult(True, None, None)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -8,9 +10,11 @@ import pytest
 
 import bipkit
 from bipkit.graphs import find_bipartition, is_connected
-from bipkit.matching import are_isomorphic
+from bipkit.matching import _automorphism_generators, _Budget, are_isomorphic
 from bipkit.families import complete_bipartite, cycle, path
 from bipkit.harness.enumeration import (
+    _attachment_sets,
+    _orbit_representatives,
     brute_force_bipartite_counts,
     bipartite_level,
     enumerate_bipartite,
@@ -55,6 +59,42 @@ def test_level_order_is_deterministic_across_interpreters():
     assert runs[0].count("(") == 730
 
 
+# sha256 of repr([g.adj for g in bipartite_level(n, True)]), recorded before
+# orbit pruning and the early accept/reject entered the enumerator
+LEVEL_DIGESTS = {
+    9: "10694f308b85dd387e8204f1db4628ecc546d45ba4eee9bf137b52deba40a303",
+    10: "2c650dcd430f5b25a91fbebf989779fbd9244c9d546826b4efffd5b31de5b00a",
+    11: "a36c6475f20b58e63beaee8634afb9a493af282651fe4a5af1b3bf040a7c84e9",
+}
+
+
+def test_level_order_is_pinned(connected_levels):
+    # case chunks and witness ids follow the level order, so the
+    # representatives must stay byte-identical, in the same order
+    for n, want in LEVEL_DIGESTS.items():
+        assert hashlib.sha256(repr([g.adj for g in connected_levels[n]]).encode()).hexdigest() == want, n
+
+
+def _permuted(mask: int, perm: tuple[int, ...]) -> int:
+    return sum(1 << perm[x] for x in range(len(perm)) if (mask >> x) & 1)
+
+
+def test_orbit_pruning_against_brute_force_automorphisms(all_levels):
+    # Aut(G) by trying all n! relabellings; a mask is kept when no
+    # automorphism maps it to a smaller one
+    for n in range(1, 8):
+        for g in all_levels[n]:
+            auts = [
+                perm
+                for perm in itertools.permutations(range(n))
+                if all(_permuted(g.adj[x], perm) == g.adj[perm[x]] for x in range(n))
+            ]
+            masks = _attachment_sets(g, False)
+            want = [m for m in masks if all(m <= _permuted(m, a) for a in auts)]
+            gens = _automorphism_generators(g.adj, _Budget(None))
+            assert list(_orbit_representatives(masks, gens)) == want, g.adj
+
+
 def test_level_stats(connected_levels):
     classes = {(n, c): len(bipartite_level(n, c)) for n in range(1, 11) for c in (True, False) if c or n < 10}
     stats = level_stats()
@@ -64,6 +104,10 @@ def test_level_stats(connected_levels):
         assert s["candidates"] >= s["passed"] >= s["classes"] == want
     # the deletion rule keeps most candidates away from the registry
     assert stats[(10, True)]["passed"] < stats[(10, True)]["candidates"] // 4
+    # orbit pruning and the early accept keep almost every child away from
+    # the exact test: without them it ran 2,468 and 15,316 times
+    assert stats[(10, True)]["exact"] <= 50
+    assert stats[(11, True)]["exact"] <= 200
 
 
 def test_connected_four_vertex_classes():

@@ -7,6 +7,7 @@ import pytest
 
 from bipkit.graphs import Graph
 from bipkit.matching import (
+    _CONSTRAINTS,
     Embedding,
     StepBudgetExceeded,
     _Budget,
@@ -166,6 +167,28 @@ def test_budget_exhaustion_is_loud():
     # the order constraints are paid from the pattern's budget too
     with pytest.raises(StepBudgetExceeded):
         is_free(t_graph_star(10).graph, [two_p3(), sun4()], budget=5)
+
+
+def test_cached_order_constraints_charge_their_steps_on_every_call():
+    host, pattern = t_graph_star(10).graph, two_p3()
+    big = 10**12
+    probe = _Budget(big)
+    larger = _order_constraints(pattern, probe)
+    cost = big - probe.remaining
+    probe = _Budget(big)
+    assert _first_embedding(pattern.adj, host.adj, probe, larger=larger) is None
+    total = cost + big - probe.remaining
+    assert cost > 0 and total > cost
+    _CONSTRAINTS.pop(pattern.adj, None)
+    with pytest.raises(StepBudgetExceeded):
+        is_free(host, [pattern], budget=cost - 1)
+    assert pattern.adj not in _CONSTRAINTS  # a build that runs out is not kept
+    assert is_free(host, [pattern], budget=total).free
+    assert pattern.adj in _CONSTRAINTS
+    for budget in (cost - 1, total - 1):  # a cache hit charges the build again
+        with pytest.raises(StepBudgetExceeded):
+            is_free(host, [pattern], budget=budget)
+    assert is_free(host, [pattern], budget=total).free
 
 
 def test_has_path_subgraph_finds_paths_longer_than_the_recursion_limit():
