@@ -237,15 +237,20 @@ def _build_level(n: int, connected_only: bool) -> list[Graph]:
         for mask in _attachment_sets(parent, connected_only):
             candidates += 1
             size = mask.bit_count()
+            # The final colour order refines the degree order, so a deletable
+            # vertex whose degree in the child exceeds the new vertex's has a
+            # higher colour, and the rule would reject the child anyway.  The
+            # non-cut vertices decide most candidates, so they are tested
+            # before any cut vertex's pieces are looked at.
+            outrank = at_least[size + 1] | (at_least[size] & mask)
             deletable = noncut & ~mask if connected_only and size == 1 else noncut
+            if outrank & deletable:
+                continue
             for v, pieces in cut:
                 rest = mask & ~(1 << v)
                 if all(rest & piece for piece in pieces):
                     deletable |= 1 << v
-            # The final colour order refines the degree order, so a deletable
-            # vertex whose degree in the child exceeds the new vertex's has a
-            # higher colour, and the rule would reject the child anyway.
-            if not (at_least[size + 1] | (at_least[size] & mask)) & deletable:
+            if not outrank & deletable:
                 kept[mask] = deletable
         # the degree test is invariant under Aut(parent), so the least mask
         # of each orbit among the kept ones is least among all masks; a lone

@@ -28,6 +28,19 @@ module-level functions, and family specs that name a member of the
   builder whose specs come from ``_exhaustive``.  ``_case_lemma_chunk``
   checks the claim on every enumerated member, and :func:`reverify_witness`
   re-checks the lemma's witnesses against the same entry.
+
+Membership in a lemma's universe is decided from the level below.  Every
+connected representative on n vertices is its enumerator parent, a
+representative on n-1 vertices, plus a last vertex, so removing that vertex
+gives the parent's rows exactly.  The forbidden patterns are induced
+subgraphs, so a graph whose parent contains one contains it too, and is
+rejected without a search.  Each process records, per suite and level, which
+representatives are free of the forbidden patterns (``_free_rows``), built
+from level 1 up by the same rule.  A graph whose parent is free, or whose
+parent is not recorded, gets the full membership search, so the rule skips
+only searches whose answer it knows.  The required pattern of a universe is
+not inherited and is searched on every graph the rule does not reject, and
+:func:`reverify_witness` always runs the full search.
 """
 
 from __future__ import annotations
@@ -609,6 +622,54 @@ def _member(g: Graph, forbidden: list[Graph], required: Graph | None) -> Biparti
     return b if b is not None and is_connected(g) else None
 
 
+def _parent_rows(g: Graph) -> tuple[int, ...]:
+    """``g`` minus its last vertex: on a connected level, the rows of the
+    level n-1 representative that ``g`` was grown from."""
+    drop = ~(1 << (g.n - 1))
+    return tuple(row & drop for row in g.adj[:-1])
+
+
+# (suite, n) -> rows of each connected representative on n vertices -> free
+# of the suite's forbidden patterns; filled by _free_rows, level 1 up
+_FREE_ROWS: dict[tuple[str, int], dict[tuple[int, ...], bool]] = {}
+
+
+def _free_rows(suite: str, n: int) -> dict[tuple[int, ...], bool]:
+    """Freeness of every connected representative on ``n`` vertices, decided
+    by the parent rule of the module docstring; empty for n = 0, the parent
+    level of level 1."""
+    if n == 0:
+        return {}
+    key = (suite, n)
+    if key not in _FREE_ROWS:
+        parents = _free_rows(suite, n - 1)
+        forbidden, _ = _universe(LEMMAS[suite])
+        _FREE_ROWS[key] = {
+            g.adj: parents.get(_parent_rows(g)) is not False
+            and not any(find_induced_embedding(h, g) is not None for h in forbidden)
+            for g in bipartite_level(n, True)
+        }
+    return _FREE_ROWS[key]
+
+
+def _members(suite: str, graphs: list[Graph]) -> Iterator[tuple[Graph, Bipartition]]:
+    """The members of the suite's universe among ``graphs``, representatives
+    of one connected level, each with its bipartition.
+
+    The parent rule of the module docstring: a graph whose parent is recorded
+    as not free is skipped, and every other graph gets the full ``_member``
+    search, required pattern included.
+    """
+    universe = _universe(LEMMAS[suite])
+    parents = _free_rows(suite, graphs[0].n - 1) if graphs else {}
+    for g in graphs:
+        if parents.get(_parent_rows(g)) is False:
+            continue
+        b = _member(g, *universe)
+        if b is not None:
+            yield g, b
+
+
 def _lemma_witness(kind: str, g: Graph, ids: dict[str, tuple[int, ...]]) -> str:
     sections = {"graph": _graph_block(g)}
     sections.update((name, " ".join(map(str, seq))) for name, seq in ids.items())
@@ -616,13 +677,19 @@ def _lemma_witness(kind: str, g: Graph, ids: dict[str, tuple[int, ...]]) -> str:
 
 
 def _case_lemma_chunk(case: str, suite: str, graphs: list[Graph]) -> CaseVerdict:
+    """Check the suite's lemma on every member among ``graphs``, a chunk of
+    one connected level.
+
+    Membership follows ``_members``' parent rule.  Every representative on n
+    vertices is its enumerator parent on n-1 vertices plus a last vertex, so
+    the parent of each graph is looked up in the freeness of level n-1, which
+    this process builds once per suite from level 1 up by the same rule.  A
+    graph is dropped unsearched only when that parent contains a forbidden
+    pattern; every graph the rule cannot settle gets the full search.
+    """
     lemma = LEMMAS[suite]
-    universe = _universe(lemma)
     members = 0
-    for g in graphs:
-        b = _member(g, *universe)
-        if b is None:
-            continue
+    for g, b in _members(suite, graphs):
         members += 1
         for note, kind, ids in lemma.claim(g, b):
             return _fail(case, note, _lemma_witness(kind, g, ids))
@@ -822,41 +889,64 @@ def grid_permutation(k: int, m: int) -> tuple[Permutation, dict[int, int]]:
     return Permutation(tuple(oneline)), value
 
 
+def _placement_degree(value: int, position: int, bigger: int) -> int:
+    """Degree in the inversion graph of ``value`` at 0-based ``position``
+    with ``bigger`` larger values before it: those ``bigger`` values, plus the
+    ``value - 1 - (position - bigger)`` smaller values after it."""
+    return 2 * bigger + value - 1 - position
+
+
 def brute_grid_permutation(m: int) -> Permutation | None:
     """Search for a permutation of size m*m realizing the m-by-m grid.
 
-    Exact DFS over one-line prefixes with inversion-count pruning; guarded to
-    m <= 3 (the search space is factorial in m*m).
+    Exact DFS over one-line prefixes, least value first, so the hit is the
+    first realizing permutation in lexicographic order; guarded to m <= 3
+    (the search space is factorial in m*m).  Two necessary conditions prune a
+    prefix without losing a hit.  Inversions are the graph's edges, so a
+    prefix's inversion count must stay within reach of the grid's edge count.
+    And a value's degree in the inversion graph is fixed once it is placed:
+    every larger value before it is already placed, and every smaller value
+    not placed yet comes after it (``_placement_degree``).  An isomorphism
+    keeps the degree multiset, so a value is placed only while the grid has a
+    vertex of its degree left unmatched.
     """
     if m > 3:
         raise ValueError("brute search is guarded to m <= 3")
     g, _ = universal_grid(m, m)
     target = g.edge_count
     n = m * m
+    full = (1 << n) - 1
     total_pairs = n * (n - 1) // 2
-    hit: list[Permutation] = []
+    slots = [0] * n  # slots[d]: grid vertices of degree d no placed value matches yet
+    for row in g.adj:
+        slots[row.bit_count()] += 1
+    prefix: list[int] = []
 
-    def rec(prefix: list[int], remaining: set[int], inv: int) -> None:
-        if hit:
-            return
+    def rec(remaining: int, inv: int) -> bool:  # value v is bit v - 1
         p = len(prefix)
-        max_future = total_pairs - p * (p - 1) // 2
-        if inv > target or inv + max_future < target:
-            return
+        if inv > target or inv + total_pairs - p * (p - 1) // 2 < target:
+            return False
         if not remaining:
-            cand = Permutation(tuple(prefix))
-            pg = permutation_graph(cand)
-            if are_isomorphic(pg, g):
-                hit.append(cand)
-            return
-        for v in sorted(remaining):
-            bigger = sum(1 for u in prefix if u > v)
-            rec(prefix + [v], remaining - {v}, inv + bigger)
-            if hit:
-                return
+            return are_isomorphic(permutation_graph(Permutation(tuple(prefix))), g)
+        placed = full ^ remaining
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length()
+            bigger = p - (placed & (low - 1)).bit_count()
+            d = _placement_degree(v, p, bigger)
+            if not slots[d]:
+                continue
+            slots[d] -= 1
+            prefix.append(v)
+            if rec(remaining ^ low, inv + bigger):
+                return True
+            prefix.pop()
+            slots[d] += 1
+        return False
 
-    rec([], set(range(1, n + 1)), 0)
-    return hit[0] if hit else None
+    return Permutation(tuple(prefix)) if rec(full, 0) else None
 
 
 def _case_letters_decode(case: str, limit: int) -> CaseVerdict:

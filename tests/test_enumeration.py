@@ -95,6 +95,17 @@ def test_orbit_pruning_against_brute_force_automorphisms(all_levels):
             assert list(_orbit_representatives(masks, gens)) == want, g.adj
 
 
+def test_every_representative_grows_from_a_parent_representative(connected_levels):
+    # minus its last vertex, a connected representative is, row for row, a
+    # representative of the level below: the lemma suites look up their
+    # parent rule by these rows, so a relabelling enumerator must keep this
+    for n in range(2, 11):
+        parents = {g.adj for g in connected_levels[n - 1]}
+        drop = ~(1 << (n - 1))
+        for g in connected_levels[n]:
+            assert tuple(row & drop for row in g.adj[:-1]) in parents, g.adj
+
+
 def test_level_stats(connected_levels):
     classes = {(n, c): len(bipartite_level(n, c)) for n in range(1, 11) for c in (True, False) if c or n < 10}
     stats = level_stats()

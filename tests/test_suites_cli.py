@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -7,18 +8,26 @@ from pathlib import Path
 import pytest
 
 from bipkit.graphs import parse_graph
-from bipkit.families import path
+from bipkit.families import path, universal_grid
 from bipkit.harness import cli
 from bipkit.harness.suites import (
     DEFAULT_BUDGET,
+    LEMMAS,
     SUITE_NAMES,
     SuiteOptions,
     antichain_check,
+    brute_grid_permutation,
     make_witness,
     reverify_witness,
     run_suite,
     _case_pair,
+    _member,
+    _members,
+    _placement_degree,
+    _universe,
 )
+from bipkit.matching import are_isomorphic
+from bipkit.perms import Permutation, permutation_graph
 
 PINNED_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_verdicts.txt"
 
@@ -151,15 +160,68 @@ def test_worker_pool_matches_sequential():
     ]
     assert seq.failed == 0
     # every spec of these suites must pickle across the pool
+    # pool workers rebuild the lemma suites' parent freeness themselves
     for name, opts in (
         ("identities", SuiteOptions()),
         ("lemma-reduction", SuiteOptions(lemma_reduction_max=7)),
+        ("lemma-key", SuiteOptions(lemma_key_max=9)),
     ):
         seq = run_suite(name, opts)
         par = run_suite(name, replace(opts, workers=2))
         assert [(v.case, v.status, v.note) for v in seq.verdicts] == [
             (v.case, v.status, v.note) for v in par.verdicts
         ]
+
+
+def test_parent_rule_members_equal_full_search(connected_levels):
+    # the rule drops a graph unsearched when its parent holds a forbidden
+    # pattern; the full membership search on every graph is the oracle
+    for suite in ("lemma-key", "lemma-reduction", "closure"):
+        universe = _universe(LEMMAS[suite])
+        for n in range(1, 11):
+            level = connected_levels[n]
+            got = {g.adj for g, _ in _members(suite, level)}
+            want = {g.adj for g in level if _member(g, *universe) is not None}
+            assert got == want, (suite, n)
+
+
+def _unpruned_grid_permutation(m: int) -> Permutation | None:
+    """The grid-permutation DFS without degree pruning: inversion counts only."""
+    g, _ = universal_grid(m, m)
+    target = g.edge_count
+    n = m * m
+    total_pairs = n * (n - 1) // 2
+    hit: list[Permutation] = []
+
+    def rec(prefix: list[int], remaining: set[int], inv: int) -> None:
+        p = len(prefix)
+        if hit or inv > target or inv + total_pairs - p * (p - 1) // 2 < target:
+            return
+        if not remaining:
+            cand = Permutation(tuple(prefix))
+            if are_isomorphic(permutation_graph(cand), g):
+                hit.append(cand)
+            return
+        for v in sorted(remaining):
+            rec(prefix + [v], remaining - {v}, inv + sum(1 for u in prefix if u > v))
+
+    rec([], set(range(1, n + 1)), 0)
+    return hit[0] if hit else None
+
+
+def test_degree_pruned_grid_search_matches_unpruned():
+    for m in (1, 2, 3):
+        assert brute_grid_permutation(m) == _unpruned_grid_permutation(m), m
+    assert brute_grid_permutation(3).oneline == (2, 4, 6, 7, 1, 8, 3, 9, 5)
+
+
+def test_placement_degree_matches_inversion_graph():
+    for size in range(1, 7):
+        for p in itertools.permutations(range(1, size + 1)):
+            degrees = [row.bit_count() for row in permutation_graph(Permutation(p)).adj]
+            for pos, v in enumerate(p):
+                bigger = sum(1 for u in p[:pos] if u > v)
+                assert _placement_degree(v, pos, bigger) == degrees[v - 1], (p, v)
 
 
 def test_unknown_suite_rejected():
