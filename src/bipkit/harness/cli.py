@@ -202,13 +202,14 @@ def _cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {args.suite!r}")
+    defaults = SuiteOptions()
     opts = SuiteOptions(
         budget=args.budget,
         lemma_key_max=args.nmax,
         lemma_reduction_max=args.reduction_nmax,
         workers=args.workers,
-        t_pairs=((6, 8),) + tuple(_parse_pair(p) for p in args.t_pair),
-        s_pairs=((8, 10),) + tuple(_parse_pair(p) for p in args.s_pair),
+        t_pairs=defaults.t_pairs + tuple(_parse_pair(p) for p in args.t_pair),
+        s_pairs=defaults.s_pairs + tuple(_parse_pair(p) for p in args.s_pair),
     )
     any_fail = any_undecided = False
     summaries = []

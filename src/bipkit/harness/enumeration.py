@@ -57,7 +57,7 @@ import itertools
 import time
 from typing import Iterator
 
-from ..graphs import Graph, connected_components, find_bipartition
+from ..graphs import Graph, _component_masks
 from ..matching import (
     _automorphism_generators,
     _Budget,
@@ -113,32 +113,22 @@ class _IsoRegistry:
 def _attachment_sets(parent: Graph, connected_only: bool) -> list[int]:
     """Neighbourhood masks for a new vertex that keep the graph bipartite.
 
-    Per component the new vertex may only touch one colour side, so the valid
-    masks are the products of per-component side subsets.  Connected parents
-    have a single component, and connected children need a nonempty mask.
+    Per component the new vertex may touch nothing or a nonempty subset of
+    one colour side, so the valid masks are the products of those choices.
+    Components and sides are disjoint, so the products are distinct.
+    Connected parents have a single component, and connected children need a
+    nonempty mask.
     """
-    comps = connected_components(parent)
-    coloring = find_bipartition(parent)
-    assert coloring is not None
-    per_component: list[list[int]] = []
-    for comp in comps:
-        side_a = [v for v in comp if v in coloring.part_a]
-        side_b = [v for v in comp if v in coloring.part_b]
-        choices = {0}
-        for side in (side_a, side_b):
-            for r in range(1, len(side) + 1):
-                for combo in itertools.combinations(side, r):
-                    m = 0
-                    for v in combo:
-                        m |= 1 << (v - 1)
-                    choices.add(m)
-        per_component.append(sorted(choices))
     masks = [0]
-    for choices in per_component:
+    for comp, side, _ in _component_masks(parent.adj):
+        choices = [0]
+        for half in (side, comp & ~side):
+            sub = half
+            while sub:
+                choices.append(sub)
+                sub = (sub - 1) & half
         masks = [m | c for m in masks for c in choices]
-    if connected_only:
-        masks = [m for m in masks if m]
-    return sorted(set(masks))
+    return sorted(m for m in masks if m or not connected_only)
 
 
 def _orbit_representatives(masks: list[int], gens: list[tuple[int, ...]]) -> Iterator[int]:

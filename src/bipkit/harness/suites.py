@@ -36,11 +36,12 @@ gives the parent's rows exactly.  The forbidden patterns are induced
 subgraphs, so a graph whose parent contains one contains it too, and is
 rejected without a search.  Each process records, per suite and level, which
 representatives are free of the forbidden patterns (``_free_rows``), built
-from level 1 up by the same rule.  A graph whose parent is free, or whose
-parent is not recorded, gets the full membership search, so the rule skips
-only searches whose answer it knows.  The required pattern of a universe is
-not inherited and is searched on every graph the rule does not reject, and
-:func:`reverify_witness` always runs the full search.
+from level 1 up by this parent rule: a graph whose parent is recorded as not
+free is not free, and every other graph gets one search per forbidden
+pattern.  A lemma chunk reads the record of its own level and searches only
+the universe's required pattern, which is not inherited, so each
+forbidden-pattern search runs at most once per graph in a process.  The spot
+cases and :func:`reverify_witness` run the full search (``_member``).
 """
 
 from __future__ import annotations
@@ -654,20 +655,12 @@ def _free_rows(suite: str, n: int) -> dict[tuple[int, ...], bool]:
 
 def _members(suite: str, graphs: list[Graph]) -> Iterator[tuple[Graph, Bipartition]]:
     """The members of the suite's universe among ``graphs``, representatives
-    of one connected level, each with its bipartition.
-
-    The parent rule of the module docstring: a graph whose parent is recorded
-    as not free is skipped, and every other graph gets the full ``_member``
-    search, required pattern included.
-    """
-    universe = _universe(LEMMAS[suite])
-    parents = _free_rows(suite, graphs[0].n - 1) if graphs else {}
+    of one connected level, each with its bipartition."""
+    required = _universe(LEMMAS[suite])[1]
+    free = _free_rows(suite, graphs[0].n) if graphs else {}
     for g in graphs:
-        if parents.get(_parent_rows(g)) is False:
-            continue
-        b = _member(g, *universe)
-        if b is not None:
-            yield g, b
+        if free[g.adj] and (required is None or find_induced_embedding(required, g) is not None):
+            yield g, find_bipartition(g)
 
 
 def _lemma_witness(kind: str, g: Graph, ids: dict[str, tuple[int, ...]]) -> str:
@@ -678,15 +671,7 @@ def _lemma_witness(kind: str, g: Graph, ids: dict[str, tuple[int, ...]]) -> str:
 
 def _case_lemma_chunk(case: str, suite: str, graphs: list[Graph]) -> CaseVerdict:
     """Check the suite's lemma on every member among ``graphs``, a chunk of
-    one connected level.
-
-    Membership follows ``_members``' parent rule.  Every representative on n
-    vertices is its enumerator parent on n-1 vertices plus a last vertex, so
-    the parent of each graph is looked up in the freeness of level n-1, which
-    this process builds once per suite from level 1 up by the same rule.  A
-    graph is dropped unsearched only when that parent contains a forbidden
-    pattern; every graph the rule cannot settle gets the full search.
-    """
+    one connected level."""
     lemma = LEMMAS[suite]
     members = 0
     for g, b in _members(suite, graphs):

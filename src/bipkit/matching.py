@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
-from .graphs import Graph, _component_masks, connected_components, find_bipartition
+from .graphs import Graph, _component_masks, mask_vertices
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -503,23 +503,22 @@ def has_path_subgraph(g: Graph, k: int, *, budget: int | None = None) -> bool:
 
     Backtracking DFS over simple paths, started only in components that can
     hold ``k`` path vertices: a component needs at least ``k`` vertices, and
-    since a path alternates between the parts, a component with parts of
-    sizes a and b (when ``g`` is bipartite) holds at most ``2 * min(a, b) + 1``.
+    since a path alternates between the parts, a bipartite component with
+    parts of sizes a and b holds at most ``2 * min(a, b) + 1``.
     """
     if k < 1:
         raise ValueError("path length must be at least 1 vertex")
-    parts = find_bipartition(g)
     tracker = _Budget(budget)
     adj = g.adj
     last = k - 2  # stack depth at which one more vertex completes the path
-    for comp in connected_components(g):
-        room = len(comp)
-        if parts is not None:
-            in_a = sum(1 for v in comp if v in parts.part_a)
-            room = min(room, 2 * min(in_a, len(comp) - in_a) + 1)
+    for comp, side, bipartite in _component_masks(adj):
+        room = comp.bit_count()
+        if bipartite:
+            a = side.bit_count()
+            room = min(room, 2 * min(a, room - a) + 1)
         if room < k:
             continue
-        for start in comp:
+        for start in mask_vertices(comp):
             tracker.spend()
             if k == 1:
                 return True

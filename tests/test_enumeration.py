@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bipkit
-from bipkit.graphs import find_bipartition, is_connected
+from bipkit.graphs import connected_components, find_bipartition, is_connected
 from bipkit.matching import _automorphism_generators, _Budget, are_isomorphic
 from bipkit.families import complete_bipartite, cycle, path
 from bipkit.harness.enumeration import (
@@ -73,6 +73,33 @@ def test_level_order_is_pinned(connected_levels):
     # representatives must stay byte-identical, in the same order
     for n, want in LEVEL_DIGESTS.items():
         assert hashlib.sha256(repr([g.adj for g in connected_levels[n]]).encode()).hexdigest() == want, n
+
+
+def _attachment_sets_reference(parent, connected_only: bool) -> list[int]:
+    """Attachment sets from vertex tuples: every subset of each component's
+    colour sides by ``itertools.combinations``, then a set-and-sort pass."""
+    coloring = find_bipartition(parent)
+    per_component: list[list[int]] = []
+    for comp in connected_components(parent):
+        choices = {0}
+        for side in ([v for v in comp if v in coloring.part_a], [v for v in comp if v in coloring.part_b]):
+            for r in range(1, len(side) + 1):
+                for combo in itertools.combinations(side, r):
+                    choices.add(sum(1 << (v - 1) for v in combo))
+        per_component.append(sorted(choices))
+    masks = [0]
+    for choices in per_component:
+        masks = [m | c for m in masks for c in choices]
+    if connected_only:
+        masks = [m for m in masks if m]
+    return sorted(set(masks))
+
+
+def test_attachment_sets_match_reference(connected_levels, all_levels):
+    for levels, connected_only, top in ((all_levels, False, 8), (connected_levels, True, 9)):
+        for n in range(1, top + 1):
+            for g in levels[n]:
+                assert _attachment_sets(g, connected_only) == _attachment_sets_reference(g, connected_only), g.adj
 
 
 def _permuted(mask: int, perm: tuple[int, ...]) -> int:

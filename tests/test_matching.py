@@ -139,6 +139,27 @@ def test_has_path_subgraph_matches_dfs_on_small_connected_graphs(connected_level
                 assert has_path_subgraph(g, k) == _dfs_path_reference(g, k), (g.edges(), k)
 
 
+def test_has_path_subgraph_matches_dfs_on_small_graphs(all_levels):
+    # disconnected hosts: each component gets its own size and parity bound
+    for n in range(1, 9):
+        for g in all_levels[n]:
+            for k in range(1, n + 2):
+                assert has_path_subgraph(g, k) == _dfs_path_reference(g, k), (g.edges(), k)
+
+
+def test_has_path_subgraph_bounds_bipartite_components_of_a_non_bipartite_host():
+    # K1,20 on 1..21 holds no path on 4 vertices, though C5 on 22..26 makes
+    # the host non-bipartite: the star is skipped unsearched
+    star = [(1, leaf) for leaf in range(2, 22)]
+    c5 = [(v, v + 1) for v in range(22, 26)] + [(26, 22)]
+    g = Graph.from_edges(26, star + c5)
+    assert has_path_subgraph(g, 4, budget=100)
+    assert not has_path_subgraph(g, 6, budget=100)
+    # a component with an odd cycle gets the size bound only: K4's search
+    # layers {1} and {2, 3, 4} would wrongly allow 3 path vertices
+    assert has_path_subgraph(complete(4), 4)
+
+
 def _dfs_path_reference(g: Graph, k: int) -> bool:
     if k == 1:
         return g.n >= 1

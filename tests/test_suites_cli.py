@@ -9,7 +9,7 @@ import pytest
 
 from bipkit.graphs import parse_graph
 from bipkit.families import path, universal_grid
-from bipkit.harness import cli
+from bipkit.harness import cli, suites
 from bipkit.harness.suites import (
     DEFAULT_BUDGET,
     LEMMAS,
@@ -20,6 +20,7 @@ from bipkit.harness.suites import (
     make_witness,
     reverify_witness,
     run_suite,
+    _case_lemma_chunk,
     _case_pair,
     _member,
     _members,
@@ -160,7 +161,7 @@ def test_worker_pool_matches_sequential():
     ]
     assert seq.failed == 0
     # every spec of these suites must pickle across the pool
-    # pool workers rebuild the lemma suites' parent freeness themselves
+    # pool workers rebuild the lemma suites' freeness records themselves
     for name, opts in (
         ("identities", SuiteOptions()),
         ("lemma-reduction", SuiteOptions(lemma_reduction_max=7)),
@@ -183,6 +184,27 @@ def test_parent_rule_members_equal_full_search(connected_levels):
             got = {g.adj for g, _ in _members(suite, level)}
             want = {g.adj for g in level if _member(g, *universe) is not None}
             assert got == want, (suite, n)
+
+
+def test_lemma_chunks_search_each_forbidden_pattern_once_per_graph(monkeypatch, connected_levels):
+    # a chunk reads its own level's freeness record, and the chunks of the
+    # next level look their parents up in it without searching them again
+    monkeypatch.setattr(suites, "_FREE_ROWS", {})
+    calls = []
+    search = suites.find_induced_embedding
+
+    def recorded(pattern, host, *args, **kwargs):
+        calls.append((pattern.adj, host.adj))
+        return search(pattern, host, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "find_induced_embedding", recorded)
+    for suite in ("closure", "lemma-reduction"):
+        forbidden = {h.adj for h in _universe(LEMMAS[suite])[0]}
+        calls.clear()
+        for n in range(1, 9):
+            assert _case_lemma_chunk("chunk", suite, connected_levels[n]).status == "ok", (suite, n)
+        keys = [key for key in calls if key[0] in forbidden]
+        assert keys and len(keys) == len(set(keys)), suite
 
 
 def _unpruned_grid_permutation(m: int) -> Permutation | None:
