@@ -307,12 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", help="one of: " + ", ".join(SUITE_NAMES) + ", all")
-    p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_ver.add_argument("--nmax", type=int, default=11, help="lemma-key upper vertex count (9..12)")
+    defaults = SuiteOptions()
+    p_ver.add_argument("--budget", type=int, default=defaults.budget)
+    p_ver.add_argument("--nmax", type=int, default=defaults.lemma_key_max, help="lemma-key upper vertex count (9..12)")
     p_ver.add_argument(
-        "--reduction-nmax", type=int, default=10, help="lemma-reduction upper vertex count (4..12)"
+        "--reduction-nmax", type=int, default=defaults.lemma_reduction_max, help="lemma-reduction upper vertex count (4..12)"
     )
-    p_ver.add_argument("--workers", type=int, default=1)
+    p_ver.add_argument("--workers", type=int, default=defaults.workers)
     p_ver.add_argument("--witness-dir", default="witnesses")
     p_ver.add_argument("--t-pair", action="append", default=[], help="extra T pair, e.g. 8,10")
     p_ver.add_argument("--s-pair", action="append", default=[], help="extra S pair, e.g. 10,12")

@@ -40,8 +40,9 @@ from level 1 up by this parent rule: a graph whose parent is recorded as not
 free is not free, and every other graph gets one search per forbidden
 pattern.  A lemma chunk reads the record of its own level and searches only
 the universe's required pattern, which is not inherited, so each
-forbidden-pattern search runs at most once per graph in a process.  The spot
-cases and :func:`reverify_witness` run the full search (``_member``).
+forbidden-pattern search runs at most once per graph in a process.  A spot
+case reads membership off its own pattern searches; only
+:func:`reverify_witness` runs the full search (``_member``).
 """
 
 from __future__ import annotations
@@ -691,7 +692,9 @@ def _case_spot(case: str, suite: str, spec: Spec, embeds: tuple[bool, ...]) -> C
     got = tuple(find_induced_embedding(h, g) is not None for h in patterns)
     if got != embeds:
         return _fail(case, f"universe patterns embed as {got}, expected {embeds}")
-    b = _member(g, forbidden, required)
+    # ``got`` already answers the searches ``_member`` would run again
+    in_universe = not any(got[: len(forbidden)]) and all(got[len(forbidden) :]) and is_connected(g)
+    b = find_bipartition(g) if in_universe else None
     for note, kind, ids in lemma.claim(g, b) if b is not None else ():
         return _fail(case, note, _lemma_witness(kind, g, ids))
     return _ok(case)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .graphs import (
     Bipartition,
     Graph,
-    bipartite_complement,
     mask_of,
     mask_vertices,
     validate_bipartition,
@@ -31,6 +30,19 @@ from .graphs import (
 # neighbourhood structure
 
 
+def _independent_part(g: Graph, part: set[int] | frozenset[int]) -> list[int]:
+    """The part's ids ascending, once each is a vertex of ``g`` and no two are adjacent."""
+    vs = sorted(part)
+    for v in vs:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"part vertex {v} outside 1..{g.n}")
+    pmask = mask_of(vs)
+    for v in vs:
+        if g.adj[v - 1] & pmask:
+            raise ValueError(f"part is not an independent set at vertex {v}")
+    return vs
+
+
 def neighborhoods_nested(g: Graph, part: set[int] | frozenset[int]) -> tuple[bool, tuple[int, ...] | None]:
     """Check the neighbourhoods of an independent set form a chain under inclusion.
 
@@ -38,11 +50,7 @@ def neighborhoods_nested(g: Graph, part: set[int] | frozenset[int]) -> tuple[boo
     part must be independent; chain order is by (degree, id), so equal
     neighbourhoods keep ascending ids.
     """
-    vs = sorted(part)
-    pmask = mask_of(vs)
-    for v in vs:
-        if g.adj[v - 1] & pmask:
-            raise ValueError("part is not an independent set")
+    vs = _independent_part(g, part)
     chain = sorted(vs, key=lambda v: (g.adj[v - 1].bit_count(), v))
     for prev, nxt in zip(chain, chain[1:]):
         a, b = g.adj[prev - 1], g.adj[nxt - 1]
@@ -54,11 +62,7 @@ def neighborhoods_nested(g: Graph, part: set[int] | frozenset[int]) -> tuple[boo
 def incomparability_graph(g: Graph, part: set[int] | frozenset[int]) -> Graph:
     """Graph on the part (relabelled 1..k in id order): edges join vertices
     whose neighbourhoods are incomparable under inclusion."""
-    vs = sorted(part)
-    pmask = mask_of(vs)
-    for v in vs:
-        if g.adj[v - 1] & pmask:
-            raise ValueError("part is not an independent set")
+    vs = _independent_part(g, part)
     k = len(vs)
     edges = []
     for i in range(k):
@@ -133,55 +137,55 @@ def find_biconvex_order(
 # composition operations
 
 
-def _relabel_shift(b: Bipartition, shift: int) -> Bipartition:
-    return Bipartition(
-        frozenset(v + shift for v in b.part_a),
-        frozenset(v + shift for v in b.part_b),
-    )
+def _add_cross(rows: list[int], kind: str, x1: int, y1: int, x2: int, y2: int) -> None:
+    """OR into ``rows`` the edges a node of this kind adds between operands
+    with side masks (X1, Y1) and (X2, Y2).
+
+    A node's kind alone fixes them: none for a union, X1-Y2 for a skew join,
+    and X1-Y2 plus X2-Y1 for a join (a join is a skew join both ways).
+    """
+    skew = ((x1, y2),)
+    pairs = {"union": (), "skew": skew, "join": skew + ((x2, y1),)}.get(kind)
+    if pairs is None:
+        raise ValueError(f"malformed tree: unknown node kind {kind!r}")
+    for xs, ys in pairs:
+        for v in mask_vertices(xs):
+            rows[v - 1] |= ys
+        for v in mask_vertices(ys):
+            rows[v - 1] |= xs
 
 
-def _merged_labels(g1: Graph, g2: Graph):
-    if g1.labels is None and g2.labels is None:
-        return None
-    l1 = g1.labels if g1.labels is not None else (None,) * g1.n
-    l2 = g2.labels if g2.labels is not None else (None,) * g2.n
-    return l1 + l2
-
-
-def disjoint_union(
-    g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition
-) -> tuple[Graph, Bipartition]:
-    """Side-by-side union; the second operand is relabelled up by g1.n."""
+def _compose(kind: str, g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[Graph, Bipartition]:
+    """The operands side by side, the second relabelled up by g1.n, plus the
+    cross edges of a node of this kind."""
     validate_bipartition(g1, b1)
     validate_bipartition(g2, b2)
-    edges = g1.edges() + [(u + g1.n, v + g1.n) for u, v in g2.edges()]
-    g = Graph.from_edges(g1.n + g2.n, edges, _merged_labels(g1, g2))
-    shifted = _relabel_shift(b2, g1.n)
-    return g, Bipartition(b1.part_a | shifted.part_a, b1.part_b | shifted.part_b)
+    shift = g1.n
+    rows = list(g1.adj) + [row << shift for row in g2.adj]
+    x1, y1 = mask_of(b1.part_a), mask_of(b1.part_b)
+    x2, y2 = mask_of(b2.part_a) << shift, mask_of(b2.part_b) << shift
+    _add_cross(rows, kind, x1, y1, x2, y2)
+    labels = None
+    if g1.labels is not None or g2.labels is not None:
+        labels = (g1.labels or (None,) * g1.n) + (g2.labels or (None,) * g2.n)
+    b = Bipartition.of(mask_vertices(x1 | x2), mask_vertices(y1 | y2))
+    return Graph(g1.n + g2.n, tuple(rows), labels), b
+
+
+def disjoint_union(g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[Graph, Bipartition]:
+    """Side-by-side union; the second operand is relabelled up by g1.n."""
+    return _compose("union", g1, b1, g2, b2)
 
 
 def join(g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[Graph, Bipartition]:
-    """Cross-complement of the disjoint union of the cross-complements.
-
-    Implemented literally through the complement so the operation stays
-    definitionally faithful; the direct edge formula (union plus all A1-B2
-    and A2-B1 pairs) is pinned by tests.
-    """
-    c1 = bipartite_complement(g1, b1)
-    c2 = bipartite_complement(g2, b2)
-    u, ub = disjoint_union(c1, b1, c2, b2)
-    return bipartite_complement(u, ub), ub
+    """Union plus every A1-B2 and A2-B1 edge: the cross-complement of the
+    disjoint union of the cross-complements (the definition is the test oracle)."""
+    return _compose("join", g1, b1, g2, b2)
 
 
 def skew_join(g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[Graph, Bipartition]:
     """Union plus every edge from the first operand's A-part to the second's B-part."""
-    g, b = disjoint_union(g1, b1, g2, b2)
-    extra = [
-        (min(x, y + g1.n), max(x, y + g1.n))
-        for x in b1.part_a
-        for y in b2.part_b
-    ]
-    return Graph.from_edges(g.n, g.edges() + extra, g.labels), b
+    return _compose("skew", g1, b1, g2, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -240,37 +244,23 @@ class DecompositionTree:
         return "".join(pieces)
 
 
-def _tree_edges(t: DecompositionTree) -> set[tuple[int, int]]:
-    acc: set[tuple[int, int]] = set()
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        if node.kind == "leaf":
-            continue
-        left, right = node.left, node.right
-        if left is None or right is None:
-            raise ValueError("malformed tree: binary node without two children")
-        if node.kind == "union":
-            pairs = []
-        elif node.kind == "join":
-            pairs = [(left.part_x, right.part_y), (right.part_x, left.part_y)]
-        elif node.kind == "skew":
-            pairs = [(left.part_x, right.part_y)]
-        else:
-            raise ValueError(f"malformed tree: unknown node kind {node.kind!r}")
-        for xs, ys in pairs:
-            for x in xs:
-                for y in ys:
-                    acc.add((min(x, y), max(x, y)))
-        todo += (right, left)
-    return acc
+def recompose(t: DecompositionTree) -> Graph:
+    """Replay a build tree into the graph it certifies (same ids, same edges).
 
-
-def _check_tree(t: DecompositionTree) -> None:
-    todo = [t]
+    One walk from the root checks each node, then ORs the cross edges its
+    kind fixes into the rows.  The root must cover ids 1..n and each node's
+    parts must be the disjoint union of its operands' parts, so every mask
+    stays inside 1..n.
+    """
+    ids = t.part_x + t.part_y
+    n = len(ids)
+    if sorted(ids) != list(range(1, n + 1)):
+        raise ValueError("malformed tree: root must cover ids 1..n")
+    rows = [0] * n
+    todo = [(t, mask_of(t.part_x), mask_of(t.part_y))]
     while todo:
-        node = todo.pop()
-        if set(node.part_x) & set(node.part_y):
+        node, x, y = todo.pop()
+        if x & y:
             raise ValueError("malformed tree: parts overlap")
         if node.kind == "leaf":
             if len(node.part_x) + len(node.part_y) != 1:
@@ -279,22 +269,18 @@ def _check_tree(t: DecompositionTree) -> None:
         left, right = node.left, node.right
         if left is None or right is None:
             raise ValueError("malformed tree: binary node without two children")
-        lx, ly = set(left.part_x), set(left.part_y)
-        rx, ry = set(right.part_x), set(right.part_y)
-        if lx | rx != set(node.part_x) or ly | ry != set(node.part_y):
+        parts = (left.part_x, left.part_y, right.part_x, right.part_y)
+        # range first, so an id far outside 1..n never becomes a mask
+        if any(p and (min(p) < 1 or max(p) > n) for p in parts):
+            raise ValueError("malformed tree: operand id outside the root's 1..n")
+        lx, ly, rx, ry = map(mask_of, parts)
+        if lx | rx != x or ly | ry != y:
             raise ValueError("malformed tree: node parts do not match its operands")
         if (lx | ly) & (rx | ry):
             raise ValueError("malformed tree: operands overlap")
-        todo += (right, left)
-
-
-def recompose(t: DecompositionTree) -> Graph:
-    """Replay a build tree into the graph it certifies (same ids, same edges)."""
-    _check_tree(t)
-    vs = t.vertices()
-    if vs != tuple(range(1, len(vs) + 1)):
-        raise ValueError("malformed tree: root must cover ids 1..n")
-    return Graph.from_edges(len(vs), sorted(_tree_edges(t)))
+        _add_cross(rows, node.kind, lx, ly, rx, ry)
+        todo += ((right, rx, ry), (left, lx, ly))
+    return Graph(n, tuple(rows))
 
 
 def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
@@ -458,7 +444,12 @@ def parse_tree(text: str) -> DecompositionTree:
 
     if pos != len(tokens):
         raise ValueError("trailing tokens after tree")
-    _check_tree(node)
+    # every node's parts are the sorted join of its operands' parts, repeats
+    # kept, and each node matches its part lists: so a repeated id anywhere
+    # repeats at the root, and no other fault can reach a parsed tree
+    ids = node.part_x + node.part_y
+    if len(set(ids)) != len(ids):
+        raise ValueError("repeated vertex id in tree text")
     return node
 
 

@@ -9,6 +9,7 @@ import pytest
 from bipkit.graphs import (
     Bipartition,
     Graph,
+    bipartite_complement,
     find_bipartition,
     induced_subgraph,
     mask_of,
@@ -99,6 +100,14 @@ def test_incomparability_examples():
         incomparability_graph(path(3), {1, 2})
 
 
+def test_part_ids_outside_the_graph_are_located():
+    # bad ids end in a ValueError naming them, never in an IndexError
+    for check in (neighborhoods_nested, incomparability_graph):
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match=f"vertex {bad} outside 1..3"):
+                check(path(3), {1, bad})
+
+
 def test_incomparability_isolated_vertices():
     g = path(6)
     b = find_bipartition(g)
@@ -171,6 +180,10 @@ def test_join_matches_direct_formula():
         extra |= {(min(x + shift, y), max(x + shift, y)) for x in b2.part_a for y in b1.part_b}
         assert set(joined.edges()) == set(union.edges()) | extra
         assert jb == ub
+        # the definition: cross-complement of the union of the cross-complements
+        c1, c2 = bipartite_complement(g1, b1), bipartite_complement(g2, b2)
+        literal = bipartite_complement(*disjoint_union(c1, b1, c2, b2))
+        assert joined == literal and joined.labels == literal.labels
 
 
 def _random_bipartite(rng: random.Random) -> tuple[Graph, Bipartition]:
@@ -182,7 +195,8 @@ def _random_bipartite(rng: random.Random) -> tuple[Graph, Bipartition]:
         for v in range(1, nb + 1)
         if rng.random() < 0.5
     ]
-    return Graph.from_edges(n, edges), Bipartition.of(
+    labels = [f"v{v}" for v in range(1, n + 1)] if rng.random() < 0.5 else None
+    return Graph.from_edges(n, edges, labels), Bipartition.of(
         set(range(1, na + 1)), set(range(na + 1, n + 1))
     )
 
@@ -219,6 +233,7 @@ def test_decompose_examples():
     again = parse_tree(text)
     assert again == t and hash(again) == hash(t) and repr(again) == repr(t)
     assert format_tree(again) == text and recompose(again) == k600
+    assert k600.edges() == sorted(_tree_edges_reference(t))
 
 
 def test_decompose_skew_orientation():
@@ -238,6 +253,29 @@ def test_recompose_of_hand_built_tree():
         DecompositionTree("leaf", (), (2,)),
     )
     assert recompose(hand) == Graph.from_edges(2, [(1, 2)])
+
+
+def _tree_edges_reference(t: DecompositionTree) -> set[tuple[int, int]]:
+    """Oracle for ``recompose``: every cross pair of every node, one pair at a time."""
+    acc: set[tuple[int, int]] = set()
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if node.kind == "leaf":
+            continue
+        left, right = node.left, node.right
+        if node.kind == "union":
+            pairs = []
+        elif node.kind == "join":
+            pairs = [(left.part_x, right.part_y), (right.part_x, left.part_y)]
+        else:
+            pairs = [(left.part_x, right.part_y)]
+        for xs, ys in pairs:
+            for x in xs:
+                for y in ys:
+                    acc.add((min(x, y), max(x, y)))
+        todo += (right, left)
+    return acc
 
 
 def test_recompose_rejects_malformed_trees():
@@ -266,6 +304,14 @@ def test_recompose_rejects_malformed_trees():
     shifted = DecompositionTree("leaf", (3,), ())
     with pytest.raises(ValueError):
         recompose(shifted)
+    # an operand id outside the root's ids is rejected before it becomes a mask
+    k1 = DecompositionTree("leaf", (1,), ())
+    for far in (0, 2, 10**7):
+        stray = DecompositionTree("union", (1,), (), k1, DecompositionTree("leaf", (far,), ()))
+        with pytest.raises(ValueError, match="outside"):
+            recompose(stray)
+    with pytest.raises(ValueError):
+        recompose(DecompositionTree("meet", (1,), (2,), k1, DecompositionTree("leaf", (), (2,))))
 
 
 def test_tree_round_trip_and_errors():
@@ -287,6 +333,14 @@ def test_tree_round_trip_and_errors():
     for bad in ("(leaf x X)", "(union [1|x] [2|] (leaf 1 X) (leaf 2 Y))"):
         with pytest.raises(ValueError, match="token"):
             parse_tree(bad)
+    # a repeated id, on one side or on both, repeats at the root
+    for bad in (
+        "(union [1|] [1|] (leaf 1 X) (leaf 1 X))",
+        "(union [1|] [|1] (leaf 1 X) (leaf 1 Y))",
+        "(join [1|2] [3|1] (skew [1|] [|2] (leaf 1 X) (leaf 2 Y)) (union [3|] [|1] (leaf 3 X) (leaf 1 Y)))",
+    ):
+        with pytest.raises(ValueError, match="repeated"):
+            parse_tree(bad)
 
 
 def test_decompose_round_trip_on_random_trees():
@@ -298,6 +352,7 @@ def test_decompose_round_trip_on_random_trees():
         again = decompose(g, b)
         assert again is not None, format_tree(tree)
         assert recompose(again) == g
+        assert g.edges() == sorted(_tree_edges_reference(tree))
 
 
 def _buildable_by_brute_force(g: Graph, b: Bipartition) -> bool:

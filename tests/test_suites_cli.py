@@ -205,6 +205,18 @@ def test_lemma_chunks_search_each_forbidden_pattern_once_per_graph(monkeypatch, 
             assert _case_lemma_chunk("chunk", suite, connected_levels[n]).status == "ok", (suite, n)
         keys = [key for key in calls if key[0] in forbidden]
         assert keys and len(keys) == len(set(keys)), suite
+    # a spot case decides membership from the universe searches it already ran
+    spots = [
+        spec
+        for suite in ("lemma-key", "lemma-reduction")
+        for spec in suites._SUITES[suite](SuiteOptions())
+        if spec[0].startswith("spot/")
+    ]
+    assert len(spots) == 4
+    for spec in spots:
+        calls.clear()
+        assert suites._exec_spec(spec).status == "ok", spec[0]
+        assert calls and len(calls) == len(set(calls)), spec[0]
 
 
 def _unpruned_grid_permutation(m: int) -> Permutation | None:
@@ -374,6 +386,21 @@ def test_cli_verify_lines_match_pinned_verdicts(capsys, tmp_path, connected_leve
         assert cli.main(argv) == 0, suite
         lines += [line for line in capsys.readouterr().out.splitlines() if not line.startswith("{")]
     assert lines == PINNED_VERDICTS.read_text(encoding="utf-8").splitlines()
+
+
+def test_cli_verify_defaults_are_the_suite_options(monkeypatch):
+    args = cli.build_parser().parse_args(["verify", "all"])
+    defaults = SuiteOptions()
+    assert (args.budget, args.nmax, args.reduction_nmax, args.workers) == (
+        defaults.budget,
+        defaults.lemma_key_max,
+        defaults.lemma_reduction_max,
+        defaults.workers,
+    )
+    # a changed default reaches the parser without a second edit
+    monkeypatch.setattr(cli, "SuiteOptions", lambda: SuiteOptions(lemma_key_max=12, lemma_reduction_max=11))
+    args = cli.build_parser().parse_args(["verify", "all"])
+    assert (args.nmax, args.reduction_nmax) == (12, 11)
 
 
 def test_cli_verify_rejects_unknown_suite():
