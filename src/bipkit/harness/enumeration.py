@@ -1,22 +1,20 @@
-"""Exhaustive bipartite-graph enumeration up to isomorphism.
+"""Exhaustive enumeration of connected bipartite graphs up to isomorphism.
 
 Generation is by vertex augmentation.  Level n grows from the representatives
-of level n-1: each parent P gets one new vertex whose neighbourhood lies
-inside one colour side of every component it touches (``_attachment_sets``).
-Connected levels grow connected parents with a nonempty neighbourhood only.
+of level n-1: each parent P gets one new vertex whose neighbourhood is a
+nonempty subset of one colour side of P (``_attachment_sets``).
 
 Canonical deletion (McKay 1998, "Isomorph-free exhaustive generation") keeps
 most of those children away from the isomorphism test.  A vertex of a child
-is *deletable* when removing it leaves a graph of the parent level: a non-cut
-vertex on connected levels, any vertex on all-graph levels.  A child is kept
-only when its new vertex has the top refinement colour among its deletable
-vertices.  No class is lost.  Refinement colours are canonical, so
-isomorphisms preserve them.  Take any member G of level n and a deletable
-vertex w of G with the top colour.  G - w is isomorphic to a representative P
-of level n-1.  G is bipartite, so w's neighbours in each component of G - w
-lie on one side, and their image in P is one of P's attachment sets.  The
-child built from P and that set is isomorphic to G with the new vertex in
-w's place, so it passes the rule.
+is *deletable* when it is not a cut vertex, so that removing it leaves a
+graph of the parent level.  A child is kept only when its new vertex has the
+top refinement colour among its deletable vertices.  No class is lost.
+Refinement colours are canonical, so isomorphisms preserve them.  Take any
+member G of level n and a deletable vertex w of G with the top colour.  G - w
+is connected and isomorphic to a representative P of level n-1.  G is
+bipartite, so w's neighbours lie on one side of G - w, and their image in P
+is one of P's attachment sets.  The child built from P and that set is
+isomorphic to G with the new vertex in w's place, so it passes the rule.
 
 Two steps keep the rule cheap (McKay's "one attachment set per orbit").
 First, orbit pruning: a parent P gets one child per orbit of Aut(P) on its
@@ -47,8 +45,10 @@ Children still tied with another deletable vertex at the stable colouring
 go to an exact registry: a refinement certificate buckets them, and the
 matcher separates isomorphic ones inside a bucket.  At n = 11 that is 39
 isomorphism searches for 25,598 classes.  Counts for small n are pinned
-against an independent all-edge-subsets brute force that minimises over
-degree-compatible relabellings.
+against an independent all-edge-subsets brute force.  A bipartite graph is a
+multiset of connected ones, so the counts of all bipartite graphs are the
+Euler transform of the connected counts (``euler_transform``; Harary &
+Palmer 1973, "Graphical Enumeration").
 """
 
 from __future__ import annotations
@@ -62,21 +62,15 @@ from ..matching import (
     _automorphism_generators,
     _Budget,
     _first_embedding,
-    _refinement_colors,
     _refinement_rounds,
 )
 
 MAX_VERTICES = 12
 
-_LEVEL_CACHE: dict[tuple[int, bool], list[Graph]] = {}
+_LEVEL_CACHE: dict[int, list[Graph]] = {}
 # per built level: candidates, passed (the deletion rule), exact (isomorphism
 # calls), classes and seconds; read through level_stats()
-_LEVEL_STATS: dict[tuple[int, bool], dict[str, float]] = {}
-
-
-def refinement_certificate(g: Graph) -> tuple:
-    """Isomorphism-invariant summary from iterated neighbour-colour refinement."""
-    return _refinement_colors(g.adj)[1]
+_LEVEL_STATS: dict[int, dict[str, float]] = {}
 
 
 class _IsoRegistry:
@@ -110,25 +104,18 @@ class _IsoRegistry:
         return True
 
 
-def _attachment_sets(parent: Graph, connected_only: bool) -> list[int]:
-    """Neighbourhood masks for a new vertex that keep the graph bipartite.
-
-    Per component the new vertex may touch nothing or a nonempty subset of
-    one colour side, so the valid masks are the products of those choices.
-    Components and sides are disjoint, so the products are distinct.
-    Connected parents have a single component, and connected children need a
-    nonempty mask.
-    """
-    masks = [0]
-    for comp, side, _ in _component_masks(parent.adj):
-        choices = [0]
-        for half in (side, comp & ~side):
-            sub = half
-            while sub:
-                choices.append(sub)
-                sub = (sub - 1) & half
-        masks = [m | c for m in masks for c in choices]
-    return sorted(m for m in masks if m or not connected_only)
+def _attachment_sets(parent: Graph) -> list[int]:
+    """Neighbourhood masks for a new vertex that keep a connected parent
+    connected and bipartite: the nonempty subsets of one colour side.  The
+    sides are disjoint, so the masks are distinct."""
+    ((comp, side, _),) = _component_masks(parent.adj)
+    masks = []
+    for half in (side, comp & ~side):
+        sub = half
+        while sub:
+            masks.append(sub)
+            sub = (sub - 1) & half
+    return sorted(masks)
 
 
 def _orbit_representatives(masks: list[int], gens: list[tuple[int, ...]]) -> Iterator[int]:
@@ -199,13 +186,13 @@ def _cut_pieces(parent: Graph) -> tuple[int, list[tuple[int, list[int]]]]:
     return noncut, cut
 
 
-def _build_level(n: int, connected_only: bool) -> list[Graph]:
+def _build_level(n: int) -> list[Graph]:
     """Level n from level n-1 under the canonical-deletion rule (see the
     module docstring), with build statistics recorded in ``_LEVEL_STATS``."""
     if n == 1:
-        _LEVEL_STATS[(n, connected_only)] = {"candidates": 1, "passed": 1, "exact": 0, "classes": 1, "seconds": 0.0}
+        _LEVEL_STATS[n] = {"candidates": 1, "passed": 1, "exact": 0, "classes": 1, "seconds": 0.0}
         return [Graph(1, (0,))]
-    parents = bipartite_level(n - 1, connected_only)
+    parents = bipartite_level(n - 1)
     start = time.perf_counter()
     registry = _IsoRegistry()
     out: list[Graph] = []
@@ -213,18 +200,14 @@ def _build_level(n: int, connected_only: bool) -> list[Graph]:
     new_bit = 1 << new
     candidates = passed = 0
     for parent in parents:
-        degrees = [row.bit_count() for row in parent.adj]
         # at_least[d]: the parent vertices of degree d or more
         at_least = [0] * (n + 1)
-        for v, d in enumerate(degrees):
-            for k in range(d + 1):
+        for v, row in enumerate(parent.adj):
+            for k in range(row.bit_count() + 1):
                 at_least[k] |= 1 << v
-        if connected_only:
-            noncut, cut = _cut_pieces(parent)
-        else:  # every vertex of an all-graph level is deletable
-            noncut, cut = (1 << new) - 1, []
+        noncut, cut = _cut_pieces(parent)
         kept: dict[int, int] = {}  # mask -> deletable, ascending, past the degree test
-        for mask in _attachment_sets(parent, connected_only):
+        for mask in _attachment_sets(parent):
             candidates += 1
             size = mask.bit_count()
             # The final colour order refines the degree order, so a deletable
@@ -233,7 +216,7 @@ def _build_level(n: int, connected_only: bool) -> list[Graph]:
             # non-cut vertices decide most candidates, so they are tested
             # before any cut vertex's pieces are looked at.
             outrank = at_least[size + 1] | (at_least[size] & mask)
-            deletable = noncut & ~mask if connected_only and size == 1 else noncut
+            deletable = noncut & ~mask if size == 1 else noncut
             if outrank & deletable:
                 continue
             for v, pieces in cut:
@@ -263,7 +246,7 @@ def _build_level(n: int, connected_only: bool) -> list[Graph]:
                     child = Graph(n, adj)
                     if registry.add(child, colors, cert):
                         out.append(child)
-    _LEVEL_STATS[(n, connected_only)] = {
+    _LEVEL_STATS[n] = {
         "candidates": candidates,
         "passed": passed,
         "exact": registry.exact_calls,
@@ -273,28 +256,36 @@ def _build_level(n: int, connected_only: bool) -> list[Graph]:
     return out
 
 
-def bipartite_level(n: int, connected_only: bool) -> list[Graph]:
-    """All bipartite graphs on n vertices up to isomorphism (cached per level)."""
+def bipartite_level(n: int, connected: bool = True) -> list[Graph]:
+    """The connected bipartite graphs on n vertices up to isomorphism, built
+    once per process; ``connected`` accepts True only (see ``euler_transform``)."""
+    if connected is not True:
+        raise ValueError("only connected levels are enumerated")
     if not (1 <= n <= MAX_VERTICES):
         raise ValueError(f"supported range is 1..{MAX_VERTICES} vertices")
-    key = (n, connected_only)
-    if key not in _LEVEL_CACHE:
-        _LEVEL_CACHE[key] = _build_level(n, connected_only)
-    return _LEVEL_CACHE[key]
+    if n not in _LEVEL_CACHE:
+        _LEVEL_CACHE[n] = _build_level(n)
+    return _LEVEL_CACHE[n]
 
 
-def level_stats() -> dict[tuple[int, bool], dict[str, float]]:
-    """Build statistics of every level built in this process, keyed by
-    ``(n, connected_only)``: candidates (parent and attachment-set pairs),
-    passed (children, one per attachment-set orbit, that met the deletion
-    rule), exact (isomorphism searches run by the registry), classes and
-    seconds (excluding the parent level)."""
-    return {key: dict(stats) for key, stats in _LEVEL_STATS.items()}
+def level_stats() -> dict[int, dict[str, float]]:
+    """Build statistics of every level built in this process, keyed by n:
+    candidates (parent and attachment-set pairs), passed (children, one per
+    attachment-set orbit, that met the deletion rule), exact (isomorphism
+    searches run by the registry), classes and seconds (excluding level n-1)."""
+    return {n: dict(stats) for n, stats in _LEVEL_STATS.items()}
 
 
-def enumerate_bipartite(n: int, connected_only: bool = False) -> Iterator[Graph]:
-    """One representative per isomorphism class; ValueError at once for n out of range."""
-    return iter(bipartite_level(n, connected_only))
+def euler_transform(connected_counts: list[int]) -> list[int]:
+    """Class counts of all graphs on 1..k vertices from the connected counts
+    on 1..k vertices, since a graph is a multiset of connected graphs."""
+    a = [0, *connected_counts]
+    # c[m]: the sum of d * a[d] over the divisors d of m
+    c = [sum(d * a[d] for d in range(1, m + 1) if m % d == 0) for m in range(len(a))]
+    total = [1]
+    for m in range(1, len(a)):
+        total.append(sum(c[j] * total[m - j] for j in range(1, m + 1)) // m)
+    return total[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ from ..structure import (
     find_biconvex_order,
     incomparability_graph,
 )
-from .enumeration import bipartite_level, brute_force_bipartite_counts
+from .enumeration import bipartite_level, brute_force_bipartite_counts, euler_transform
 
 DEFAULT_BUDGET = 10**9
 
@@ -649,7 +649,7 @@ def _free_rows(suite: str, n: int) -> dict[tuple[int, ...], bool]:
         _FREE_ROWS[key] = {
             g.adj: parents.get(_parent_rows(g)) is not False
             and not any(find_induced_embedding(h, g) is not None for h in forbidden)
-            for g in bipartite_level(n, True)
+            for g in bipartite_level(n)
         }
     return _FREE_ROWS[key]
 
@@ -707,7 +707,7 @@ _CHUNK = 2000
 def _exhaustive(suite: str, n_min: int, n_max: int) -> list:
     specs = []
     for n in range(n_min, n_max + 1):
-        level = bipartite_level(n, True)
+        level = bipartite_level(n)
         for idx, start in enumerate(range(0, len(level), _CHUNK)):
             part = level[start : start + _CHUNK]
             specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_chunk, (suite, part)))
@@ -716,7 +716,8 @@ def _exhaustive(suite: str, n_min: int, n_max: int) -> list:
 
 def _case_calibration(case: str, n: int) -> CaseVerdict:
     want = brute_force_bipartite_counts(n)
-    got = (len(bipartite_level(n, False)), len(bipartite_level(n, True)))
+    connected = [len(bipartite_level(k)) for k in range(1, n + 1)]
+    got = (euler_transform(connected)[-1], connected[-1])
     if got == want:
         return _ok(case, f"all={got[0]} connected={got[1]}")
     return _fail(case, f"counts {got} != brute force {want}", _value_witness(str(want), str(got)))

@@ -244,6 +244,17 @@ class DecompositionTree:
         return "".join(pieces)
 
 
+def _operands(node: DecompositionTree) -> tuple[DecompositionTree, DecompositionTree] | None:
+    """A binary node's two children, None for a leaf; ValueError on a malformed node."""
+    if node.kind == "leaf":
+        if len(node.part_x) + len(node.part_y) != 1:
+            raise ValueError("malformed tree: leaf must hold exactly one vertex")
+        return None
+    if node.left is None or node.right is None:
+        raise ValueError("malformed tree: binary node without two children")
+    return node.left, node.right
+
+
 def recompose(t: DecompositionTree) -> Graph:
     """Replay a build tree into the graph it certifies (same ids, same edges).
 
@@ -262,13 +273,9 @@ def recompose(t: DecompositionTree) -> Graph:
         node, x, y = todo.pop()
         if x & y:
             raise ValueError("malformed tree: parts overlap")
-        if node.kind == "leaf":
-            if len(node.part_x) + len(node.part_y) != 1:
-                raise ValueError("malformed tree: leaf must hold exactly one vertex")
+        if (operands := _operands(node)) is None:
             continue
-        left, right = node.left, node.right
-        if left is None or right is None:
-            raise ValueError("malformed tree: binary node without two children")
+        left, right = operands
         parts = (left.part_x, left.part_y, right.part_x, right.part_y)
         # range first, so an id far outside 1..n never becomes a mask
         if any(p and (min(p) < 1 or max(p) > n) for p in parts):
@@ -367,13 +374,12 @@ def format_tree(t: DecompositionTree) -> str:
         item = todo.pop()
         if isinstance(item, str):
             pieces.append(item)
-        elif item.kind == "leaf":
+        elif (operands := _operands(item)) is None:
             v = (item.part_x + item.part_y)[0]
             side = "X" if item.part_x else "Y"
             pieces.append(f"(leaf {v} {side})")
         else:
-            left, right = item.left, item.right
-            assert left is not None and right is not None
+            left, right = operands
             pieces.append(f"({item.kind} {part_text(left)} {part_text(right)} ")
             todo += (")", right, " ", left)
     return "".join(pieces)

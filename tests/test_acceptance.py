@@ -52,7 +52,7 @@ from bipkit.structure import (
     verify_biconvex_order,
     verify_letter,
 )
-from bipkit.harness.enumeration import brute_force_bipartite_counts, bipartite_level
+from bipkit.harness.enumeration import brute_force_bipartite_counts, bipartite_level, euler_transform
 from bipkit.harness.suites import (
     _path_chords,
     _seven_vertex_paths,
@@ -237,6 +237,6 @@ def test_criterion_13_universality():
 def test_criterion_14_enumerator_calibration():
     for n in range(1, 7):
         want = brute_force_bipartite_counts(n)
-        got = (len(bipartite_level(n, False)), len(bipartite_level(n, True)))
-        assert got == want, n
-    _report(14, "class counts for n <= 6 match the all-edge-subsets oracle exactly")
+        connected = [len(bipartite_level(k)) for k in range(1, n + 1)]
+        assert (euler_transform(connected)[-1], connected[-1]) == want, n
+    _report(14, "connected class counts for n <= 6 and their Euler transform match the all-edge-subsets oracle exactly")

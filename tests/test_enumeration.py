@@ -7,59 +7,59 @@ import subprocess
 import sys
 
 import pytest
+from conftest import all_bipartite
 
 import bipkit
 from bipkit.graphs import connected_components, find_bipartition, is_connected
-from bipkit.matching import _automorphism_generators, _Budget, are_isomorphic
+from bipkit.matching import _automorphism_generators, _Budget, _refinement_colors, are_isomorphic
 from bipkit.families import complete_bipartite, cycle, path
 from bipkit.harness.enumeration import (
     _attachment_sets,
     _orbit_representatives,
     brute_force_bipartite_counts,
     bipartite_level,
-    enumerate_bipartite,
+    euler_transform,
     level_stats,
-    refinement_certificate,
 )
+
+A033995 = [1, 2, 3, 7, 13, 35, 88, 303, 1119]  # all bipartite graphs on 1..9 vertices
 
 
 def test_counts_match_bruteforce_oracle():
+    conn = [len(bipartite_level(n)) for n in range(1, 7)]
     for n in range(1, 7):
         want_all, want_conn = brute_force_bipartite_counts(n)
-        assert len(bipartite_level(n, False)) == want_all
-        assert len(bipartite_level(n, True)) == want_conn
+        assert conn[n - 1] == want_conn
+        assert euler_transform(conn[:n])[-1] == want_all
+        assert len(all_bipartite(n)) == want_all
 
 
 def test_frozen_small_counts():
     # values pinned from the brute-force oracle
-    assert [len(bipartite_level(n, False)) for n in range(1, 7)] == [1, 2, 3, 7, 13, 35]
-    assert [len(bipartite_level(n, True)) for n in range(1, 7)] == [1, 1, 1, 3, 5, 17]
+    assert [len(bipartite_level(n)) for n in range(1, 7)] == [1, 1, 1, 3, 5, 17]
+    assert euler_transform([1, 1, 1, 3, 5, 17]) == [1, 2, 3, 7, 13, 35]
+    assert [len(all_bipartite(n)) for n in range(1, 7)] == [1, 2, 3, 7, 13, 35]
 
 
-def test_counts_match_published_values_and_euler_transform(connected_levels, all_levels):
-    conn = [0] + [len(connected_levels[n]) for n in range(1, 12)]
-    assert conn[7:] == [44, 182, 730, 4032, 25598]  # OEIS A005142
+def test_counts_match_published_values_and_euler_transform(connected_levels):
+    conn = [len(connected_levels[n]) for n in range(1, 12)]
+    assert conn[6:] == [44, 182, 730, 4032, 25598]  # OEIS A005142
     # a graph is a multiset of connected graphs, so the all-graph counts are
     # the Euler transform of the connected counts
-    c = [0] + [sum(d * conn[d] for d in range(1, k + 1) if k % d == 0) for k in range(1, 9)]
-    total = [1]
-    for n in range(1, 9):
-        total.append(sum(c[k] * total[n - k] for k in range(1, n + 1)) // n)
-    assert total[1:] == [len(all_levels[n]) for n in range(1, 9)]
-    # the all-graph levels take their own branch of the deletion rule
-    assert [len(bipartite_level(n, False)) for n in range(1, 10)] == [1, 2, 3, 7, 13, 35, 88, 303, 1119]  # OEIS A033995
+    assert euler_transform(conn[:9]) == A033995
+    assert [len(all_bipartite(n)) for n in range(1, 9)] == A033995[:8]
 
 
 def test_level_order_is_deterministic_across_interpreters():
     # case chunks and witness ids follow the level order
-    script = "from bipkit.harness.enumeration import bipartite_level; print([g.adj for g in bipartite_level(9, True)])"
+    script = "from bipkit.harness.enumeration import bipartite_level; print([g.adj for g in bipartite_level(9)])"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(bipkit.__file__))))
     runs = [subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout for _ in range(2)]
     assert runs[0] == runs[1]
     assert runs[0].count("(") == 730
 
 
-# sha256 of repr([g.adj for g in bipartite_level(n, True)]), recorded before
+# sha256 of repr([g.adj for g in bipartite_level(n)]), recorded before
 # orbit pruning and the early accept/reject entered the enumerator
 LEVEL_DIGESTS = {
     9: "10694f308b85dd387e8204f1db4628ecc546d45ba4eee9bf137b52deba40a303",
@@ -75,9 +75,10 @@ def test_level_order_is_pinned(connected_levels):
         assert hashlib.sha256(repr([g.adj for g in connected_levels[n]]).encode()).hexdigest() == want, n
 
 
-def _attachment_sets_reference(parent, connected_only: bool) -> list[int]:
-    """Attachment sets from vertex tuples: every subset of each component's
-    colour sides by ``itertools.combinations``, then a set-and-sort pass."""
+def _attachment_sets_reference(parent) -> list[int]:
+    """Nonempty attachment sets from vertex tuples: every subset of each
+    component's colour sides by ``itertools.combinations``, then a
+    set-and-sort pass."""
     coloring = find_bipartition(parent)
     per_component: list[list[int]] = []
     for comp in connected_components(parent):
@@ -90,33 +91,30 @@ def _attachment_sets_reference(parent, connected_only: bool) -> list[int]:
     masks = [0]
     for choices in per_component:
         masks = [m | c for m in masks for c in choices]
-    if connected_only:
-        masks = [m for m in masks if m]
-    return sorted(set(masks))
+    return sorted(set(masks) - {0})
 
 
-def test_attachment_sets_match_reference(connected_levels, all_levels):
-    for levels, connected_only, top in ((all_levels, False, 8), (connected_levels, True, 9)):
-        for n in range(1, top + 1):
-            for g in levels[n]:
-                assert _attachment_sets(g, connected_only) == _attachment_sets_reference(g, connected_only), g.adj
+def test_attachment_sets_match_reference(connected_levels):
+    for n in range(1, 10):
+        for g in connected_levels[n]:
+            assert _attachment_sets(g) == _attachment_sets_reference(g), g.adj
 
 
 def _permuted(mask: int, perm: tuple[int, ...]) -> int:
     return sum(1 << perm[x] for x in range(len(perm)) if (mask >> x) & 1)
 
 
-def test_orbit_pruning_against_brute_force_automorphisms(all_levels):
+def test_orbit_pruning_against_brute_force_automorphisms(connected_levels):
     # Aut(G) by trying all n! relabellings; a mask is kept when no
     # automorphism maps it to a smaller one
     for n in range(1, 8):
-        for g in all_levels[n]:
+        for g in connected_levels[n]:
             auts = [
                 perm
                 for perm in itertools.permutations(range(n))
                 if all(_permuted(g.adj[x], perm) == g.adj[perm[x]] for x in range(n))
             ]
-            masks = _attachment_sets(g, False)
+            masks = _attachment_sets(g)
             want = [m for m in masks if all(m <= _permuted(m, a) for a in auts)]
             gens = _automorphism_generators(g.adj, _Budget(None))
             assert list(_orbit_representatives(masks, gens)) == want, g.adj
@@ -134,54 +132,53 @@ def test_every_representative_grows_from_a_parent_representative(connected_level
 
 
 def test_level_stats(connected_levels):
-    classes = {(n, c): len(bipartite_level(n, c)) for n in range(1, 11) for c in (True, False) if c or n < 10}
+    classes = {n: len(connected_levels[n]) for n in range(1, 12)}
     stats = level_stats()
-    for key, want in classes.items():
-        s = stats[key]
+    for n, want in classes.items():
+        s = stats[n]
         assert set(s) == {"candidates", "passed", "exact", "classes", "seconds"}
         assert s["candidates"] >= s["passed"] >= s["classes"] == want
     # the deletion rule keeps most candidates away from the registry
-    assert stats[(10, True)]["passed"] < stats[(10, True)]["candidates"] // 4
+    assert stats[10]["passed"] < stats[10]["candidates"] // 4
     # orbit pruning and the early accept keep almost every child away from
     # the exact test: without them it ran 2,468 and 15,316 times
-    assert stats[(10, True)]["exact"] <= 50
-    assert stats[(11, True)]["exact"] <= 200
+    assert stats[10]["exact"] <= 50
+    assert stats[11]["exact"] <= 200
 
 
 def test_connected_four_vertex_classes():
-    level = bipartite_level(4, True)
+    level = bipartite_level(4)
     expected = [path(4), complete_bipartite(1, 3), cycle(4)]
     assert len(level) == 3
     for want in expected:
         assert sum(1 for g in level if are_isomorphic(g, want)) == 1
 
 
-def test_stream_protocol():
-    stream = enumerate_bipartite(4, connected_only=True)
-    assert iter(stream) is stream
-    graphs = list(stream)
-    assert len(graphs) == 3
-    for want in (path(4), complete_bipartite(1, 3), cycle(4)):
-        assert sum(1 for g in graphs if are_isomorphic(g, want)) == 1
+def test_level_arguments():
     with pytest.raises(ValueError):
-        enumerate_bipartite(0)
+        bipartite_level(0)
     with pytest.raises(ValueError):
-        enumerate_bipartite(13)
+        bipartite_level(13)
+    # only connected levels are built
+    with pytest.raises(ValueError):
+        bipartite_level(4, False)
+    for n in range(1, 5):
+        assert bipartite_level(n, True) is bipartite_level(n)
 
 
 def test_enumerated_graphs_satisfy_constraints():
-    for g in bipartite_level(7, False):
+    for g in all_bipartite(7):
         assert find_bipartition(g) is not None
-    for g in bipartite_level(7, True):
+    for g in bipartite_level(7):
         assert find_bipartition(g) is not None
         assert is_connected(g)
 
 
 def test_no_two_representatives_isomorphic():
-    level = bipartite_level(6, False)
-    for i, g in enumerate(level):
-        for h in level[i + 1 :]:
-            assert not are_isomorphic(g, h)
+    for level in (all_bipartite(6), bipartite_level(7)):
+        for i, g in enumerate(level):
+            for h in level[i + 1 :]:
+                assert not are_isomorphic(g, h)
 
 
 def test_certificate_is_invariant_and_discriminating():
@@ -196,6 +193,6 @@ def test_certificate_is_invariant_and_discriminating():
     perm = list(range(1, 6))
     rng.shuffle(perm)
     relabeled = Graph.from_edges(5, [(min(perm[u - 1], perm[v - 1]), max(perm[u - 1], perm[v - 1])) for u, v in g.edges()])
-    assert refinement_certificate(g) == refinement_certificate(relabeled)
+    assert _refinement_colors(g.adj)[1] == _refinement_colors(relabeled.adj)[1]
     # different classes usually separate already at the certificate
-    assert refinement_certificate(path(4)) != refinement_certificate(cycle(4))
+    assert _refinement_colors(path(4).adj)[1] != _refinement_colors(cycle(4).adj)[1]

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from conftest import all_bipartite
 
 from bipkit.graphs import Graph
 from bipkit.matching import (
@@ -139,10 +140,10 @@ def test_has_path_subgraph_matches_dfs_on_small_connected_graphs(connected_level
                 assert has_path_subgraph(g, k) == _dfs_path_reference(g, k), (g.edges(), k)
 
 
-def test_has_path_subgraph_matches_dfs_on_small_graphs(all_levels):
+def test_has_path_subgraph_matches_dfs_on_small_graphs():
     # disconnected hosts: each component gets its own size and parity bound
     for n in range(1, 9):
-        for g in all_levels[n]:
+        for g in all_bipartite(n):
             for k in range(1, n + 2):
                 assert has_path_subgraph(g, k) == _dfs_path_reference(g, k), (g.edges(), k)
 
@@ -222,9 +223,9 @@ def test_embedding_search_is_deeper_than_the_recursion_limit():
     assert emb is not None and verify_embedding(emb, path(1100), path(1100))
 
 
-def test_completeness_against_bruteforce_oracle(all_levels):
+def test_completeness_against_bruteforce_oracle():
     patterns = _all_graph_classes(3) + _all_graph_classes(4)
-    hosts = list(all_levels[6]) + list(all_levels[7])
+    hosts = list(all_bipartite(6)) + list(all_bipartite(7))
     hosts += [complete(4), complete(5), cycle(5), cycle(7)]
     for pattern in patterns:
         for host in hosts:

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from conftest import all_bipartite
 
 from bipkit.graphs import (
     Bipartition,
@@ -22,6 +23,7 @@ from bipkit.families import (
     complete_bipartite,
     cycle,
     path,
+    s123,
     s_graph_star,
     t_graph_star,
     two_p3,
@@ -76,9 +78,9 @@ def test_staircase_zones_are_chain_graphs():
         assert ok and chain == tuple(range(1, n + 1))
 
 
-def test_nestedness_equals_two_k2_freeness(all_levels):
+def test_nestedness_equals_two_k2_freeness():
     for n in range(2, 9):
-        for g in all_levels[n]:
+        for g in all_bipartite(n):
             b = find_bipartition(g)
             nested_a, _ = neighborhoods_nested(g, b.part_a)
             nested_b, _ = neighborhoods_nested(g, b.part_b)
@@ -314,6 +316,18 @@ def test_recompose_rejects_malformed_trees():
         recompose(DecompositionTree("meet", (1,), (2,), k1, DecompositionTree("leaf", (), (2,))))
 
 
+def test_format_tree_rejects_malformed_trees():
+    # the same trees and messages as recompose, never an IndexError
+    for bad, message in (
+        (DecompositionTree("leaf", (), ()), "exactly one vertex"),
+        (DecompositionTree("union", (1,), (2,), DecompositionTree("leaf", (1,), ()), None), "two children"),
+        (DecompositionTree("join", (1,), (2,)), "two children"),
+    ):
+        for show in (format_tree, recompose):
+            with pytest.raises(ValueError, match=message):
+                show(bad)
+
+
 def test_tree_round_trip_and_errors():
     p6 = path(6)
     t = decompose(p6, find_bipartition(p6))
@@ -388,9 +402,9 @@ def _buildable_by_brute_force(g: Graph, b: Bipartition) -> bool:
     return buildable(x_mask | y_mask)
 
 
-def test_decompose_matches_brute_force_oracle(all_levels):
-    for graphs in all_levels.values():
-        for g in graphs:
+def test_decompose_matches_brute_force_oracle():
+    for n in range(1, 9):
+        for g in all_bipartite(n):
             b = find_bipartition(g)
             for orient in (b, b.flipped()):
                 tree = decompose(g, orient)
@@ -399,7 +413,20 @@ def test_decompose_matches_brute_force_oracle(all_levels):
                     assert recompose(tree) == g
 
 
-def test_letter_grid_decodes_exactly(all_levels):
+def test_decompose_fails_exactly_on_graphs_with_p7_or_s123(connected_levels):
+    # the closure suite checks members only; this checks the "no" answers:
+    # a connected bipartite graph decomposes iff it is (P7,S123)-free
+    forbidden = [path(7), s123()]
+    refused = 0
+    for n in range(1, 10):
+        for g in connected_levels[n]:
+            tree = decompose(g, find_bipartition(g))
+            assert (tree is None) == (not is_free(g, forbidden).free), serialize_graph(g)
+            refused += tree is None
+    assert refused == 302
+
+
+def test_letter_grid_decodes_exactly():
     for k in range(1, 9):
         for m in range(1, 9):
             rep = letter_representation_grid(k, m)
