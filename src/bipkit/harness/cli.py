@@ -180,7 +180,7 @@ def _cmd_biconvex(args) -> int:
         if b is None:
             print("FAIL graph is not bipartite")
             return EXIT_FAIL
-    found = find_biconvex_order(g, b, guard=args.guard)
+    found = find_biconvex_order(g, b)
     if found is None:
         print("none")
         return EXIT_FAIL
@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bic = sub.add_parser("biconvex", help="search for a biconvex order pair")
     p_bic.add_argument("graph")
-    p_bic.add_argument("--guard", type=int, default=8)
     p_bic.set_defaults(fn=_cmd_biconvex)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

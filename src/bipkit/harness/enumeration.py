@@ -256,6 +256,14 @@ def _build_level(n: int) -> list[Graph]:
     return out
 
 
+def parent_rows(g: Graph) -> tuple[int, ...]:
+    """``g`` minus its last vertex.  ``_build_level`` appends each child's new
+    vertex last, so for a connected representative these are exactly the rows
+    of the representative on n-1 vertices that it was grown from."""
+    drop = ~(1 << (g.n - 1))
+    return tuple(row & drop for row in g.adj[:-1])
+
+
 def bipartite_level(n: int, connected: bool = True) -> list[Graph]:
     """The connected bipartite graphs on n vertices up to isomorphism, built
     once per process; ``connected`` accepts True only (see ``euler_transform``)."""

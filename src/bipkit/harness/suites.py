@@ -26,23 +26,17 @@ module-level functions, and family specs that name a member of the
   containing ``required``), its claim (a generator of violations on a
   member) and the witness kinds the claim reports.  Then give the suite a
   builder whose specs come from ``_exhaustive``.  ``_case_lemma_chunk``
-  checks the claim on every enumerated member, and :func:`reverify_witness`
+  checks the claim on every member of its chunk, and :func:`reverify_witness`
   re-checks the lemma's witnesses against the same entry.
 
-Membership in a lemma's universe is decided from the level below.  Every
-connected representative on n vertices is its enumerator parent, a
-representative on n-1 vertices, plus a last vertex, so removing that vertex
-gives the parent's rows exactly.  The forbidden patterns are induced
-subgraphs, so a graph whose parent contains one contains it too, and is
-rejected without a search.  Each process records, per suite and level, which
-representatives are free of the forbidden patterns (``_free_rows``), built
-from level 1 up by this parent rule: a graph whose parent is recorded as not
-free is not free, and every other graph gets one search per forbidden
-pattern.  A lemma chunk reads the record of its own level and searches only
-the universe's required pattern, which is not inherited, so each
-forbidden-pattern search runs at most once per graph in a process.  A spot
-case reads membership off its own pattern searches; only
-:func:`reverify_witness` runs the full search (``_member``).
+``_exhaustive`` decides membership while it lists the chunks, walking the
+levels from 1 up.  A representative minus its last vertex is its enumerator
+parent (``enumeration.parent_rows``), and the forbidden patterns are induced
+subgraphs, so a graph whose parent is not free is rejected unsearched; every
+other graph gets one search per forbidden pattern, and a free graph one
+search for the required pattern, which is not inherited.  A spot case reads
+membership off its own pattern searches; only :func:`reverify_witness` runs
+the full search (``_member``).
 """
 
 from __future__ import annotations
@@ -106,7 +100,13 @@ from ..structure import (
     find_biconvex_order,
     incomparability_graph,
 )
-from .enumeration import bipartite_level, brute_force_bipartite_counts, euler_transform
+from .enumeration import (
+    MAX_VERTICES,
+    bipartite_level,
+    brute_force_bipartite_counts,
+    euler_transform,
+    parent_rows,
+)
 
 DEFAULT_BUDGET = 10**9
 
@@ -125,7 +125,8 @@ class CaseVerdict:
 class SuiteReport:
     suite: str
     verdicts: list[CaseVerdict]
-    build_seconds: float = 0.0  # building the case specs, enumeration levels included
+    # building the case specs, enumeration levels and lemma membership included
+    build_seconds: float = 0.0
     check_seconds: float = 0.0  # running the cases
 
     @property
@@ -165,6 +166,12 @@ class SuiteOptions:
     t_pairs: tuple[tuple[int, int], ...] = ((6, 8),)
     s_pairs: tuple[tuple[int, int], ...] = ((8, 10),)
     workers: int = 1
+
+    def __post_init__(self):
+        if not 9 <= self.lemma_key_max <= MAX_VERTICES:
+            raise ValueError(f"lemma-key range must end between 9 and {MAX_VERTICES}")
+        if not 4 <= self.lemma_reduction_max <= MAX_VERTICES:
+            raise ValueError(f"lemma-reduction range must end between 4 and {MAX_VERTICES}")
 
 
 # ---------------------------------------------------------------------------
@@ -624,62 +631,20 @@ def _member(g: Graph, forbidden: list[Graph], required: Graph | None) -> Biparti
     return b if b is not None and is_connected(g) else None
 
 
-def _parent_rows(g: Graph) -> tuple[int, ...]:
-    """``g`` minus its last vertex: on a connected level, the rows of the
-    level n-1 representative that ``g`` was grown from."""
-    drop = ~(1 << (g.n - 1))
-    return tuple(row & drop for row in g.adj[:-1])
-
-
-# (suite, n) -> rows of each connected representative on n vertices -> free
-# of the suite's forbidden patterns; filled by _free_rows, level 1 up
-_FREE_ROWS: dict[tuple[str, int], dict[tuple[int, ...], bool]] = {}
-
-
-def _free_rows(suite: str, n: int) -> dict[tuple[int, ...], bool]:
-    """Freeness of every connected representative on ``n`` vertices, decided
-    by the parent rule of the module docstring; empty for n = 0, the parent
-    level of level 1."""
-    if n == 0:
-        return {}
-    key = (suite, n)
-    if key not in _FREE_ROWS:
-        parents = _free_rows(suite, n - 1)
-        forbidden, _ = _universe(LEMMAS[suite])
-        _FREE_ROWS[key] = {
-            g.adj: parents.get(_parent_rows(g)) is not False
-            and not any(find_induced_embedding(h, g) is not None for h in forbidden)
-            for g in bipartite_level(n)
-        }
-    return _FREE_ROWS[key]
-
-
-def _members(suite: str, graphs: list[Graph]) -> Iterator[tuple[Graph, Bipartition]]:
-    """The members of the suite's universe among ``graphs``, representatives
-    of one connected level, each with its bipartition."""
-    required = _universe(LEMMAS[suite])[1]
-    free = _free_rows(suite, graphs[0].n) if graphs else {}
-    for g in graphs:
-        if free[g.adj] and (required is None or find_induced_embedding(required, g) is not None):
-            yield g, find_bipartition(g)
-
-
 def _lemma_witness(kind: str, g: Graph, ids: dict[str, tuple[int, ...]]) -> str:
     sections = {"graph": _graph_block(g)}
     sections.update((name, " ".join(map(str, seq))) for name, seq in ids.items())
     return make_witness(kind, sections)
 
 
-def _case_lemma_chunk(case: str, suite: str, graphs: list[Graph]) -> CaseVerdict:
-    """Check the suite's lemma on every member among ``graphs``, a chunk of
-    one connected level."""
+def _case_lemma_chunk(case: str, suite: str, size: int, members: list[Graph]) -> CaseVerdict:
+    """Check the suite's lemma on ``members``, the universe's members among a
+    chunk of ``size`` graphs of one connected level."""
     lemma = LEMMAS[suite]
-    members = 0
-    for g, b in _members(suite, graphs):
-        members += 1
-        for note, kind, ids in lemma.claim(g, b):
+    for g in members:
+        for note, kind, ids in lemma.claim(g, find_bipartition(g)):
             return _fail(case, note, _lemma_witness(kind, g, ids))
-    return _ok(case, f"{len(graphs)} graphs, {members} {lemma.members}")
+    return _ok(case, f"{size} graphs, {len(members)} {lemma.members}")
 
 
 def _case_spot(case: str, suite: str, spec: Spec, embeds: tuple[bool, ...]) -> CaseVerdict:
@@ -700,17 +665,34 @@ def _case_spot(case: str, suite: str, spec: Spec, embeds: tuple[bool, ...]) -> C
     return _ok(case)
 
 
-# graphs per exhaustive case: one case name per chunk, such as ``n10/part02``
+# graphs per exhaustive case: one case name per chunk, such as ``n10/part02``;
+# chunks slice the full level, members or not, so case names stay fixed
 _CHUNK = 2000
 
 
 def _exhaustive(suite: str, n_min: int, n_max: int) -> list:
+    """One ``_case_lemma_chunk`` spec per chunk of levels n_min..n_max, each
+    with its members, decided by the parent rule of the module docstring."""
+    forbidden, required = _universe(LEMMAS[suite])
+    free = {()}  # rows of the free representatives one level down; () is level 0
     specs = []
-    for n in range(n_min, n_max + 1):
+    for n in range(1, n_max + 1):
         level = bipartite_level(n)
+        free = {
+            g.adj
+            for g in level
+            if parent_rows(g) in free and not any(find_induced_embedding(h, g) is not None for h in forbidden)
+        }
+        if n < n_min:
+            continue
         for idx, start in enumerate(range(0, len(level), _CHUNK)):
             part = level[start : start + _CHUNK]
-            specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_chunk, (suite, part)))
+            members = [
+                g
+                for g in part
+                if g.adj in free and (required is None or find_induced_embedding(required, g) is not None)
+            ]
+            specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_chunk, (suite, len(part), members)))
     return specs
 
 
@@ -724,8 +706,6 @@ def _case_calibration(case: str, n: int) -> CaseVerdict:
 
 
 def _suite_lemma_key(opts: SuiteOptions) -> list:
-    if not (9 <= opts.lemma_key_max <= 12):
-        raise ValueError("lemma-key range must end between 9 and 12")
     specs = [(f"calibration/n{n}", _case_calibration, (n,)) for n in range(1, 7)]
     # universe patterns: C4, P7; cycle(8) is C4-free yet contains an induced P7
     specs.append(("spot/s123", _case_spot, ("lemma-key", ("s123",), (False, False))))
@@ -734,8 +714,6 @@ def _suite_lemma_key(opts: SuiteOptions) -> list:
 
 
 def _suite_lemma_reduction(opts: SuiteOptions) -> list:
-    if not (4 <= opts.lemma_reduction_max <= 12):
-        raise ValueError("lemma-reduction range must end between 4 and 12")
     # universe patterns: Sun1, P7, then the required C4
     specs = [
         ("spot/k33", _case_spot, ("lemma-reduction", ("kab", 3, 3), (False, False, True))),

@@ -104,19 +104,21 @@ def verify_biconvex_order(
     )
 
 
-def find_biconvex_order(
-    g: Graph, b: Bipartition, *, guard: int = 8
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+# the most vertices per part that find_biconvex_order tries every order of
+BICONVEX_GUARD = 8
+
+
+def find_biconvex_order(g: Graph, b: Bipartition) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Exhaustive first-hit search for a biconvex order pair, or None.
 
     The two part orders are independent (a part's order only has to make the
     opposite part's neighbourhoods into intervals), so each side is searched
-    separately over at most guard! candidates.
+    separately over at most ``BICONVEX_GUARD``! candidates.
     """
     validate_bipartition(g, b)
     side_a, side_b = b.sorted_a(), b.sorted_b()
-    if len(side_a) > guard or len(side_b) > guard:
-        raise ValueError(f"parts exceed the search guard of {guard}")
+    if len(side_a) > BICONVEX_GUARD or len(side_b) > BICONVEX_GUARD:
+        raise ValueError(f"parts exceed the search guard of {BICONVEX_GUARD}")
 
     def first_order(side: tuple[int, ...], opposite: tuple[int, ...]):
         for candidate in itertools.permutations(side):

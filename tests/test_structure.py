@@ -148,6 +148,10 @@ def test_find_biconvex_order():
     assert find_biconvex_order(path(6), find_bipartition(path(6))) is not None
     assert find_biconvex_order(cycle(6), find_bipartition(cycle(6))) is None
     assert find_biconvex_order(cycle(4), find_bipartition(cycle(4))) is not None
+    # the guard allows 8 vertices per part and refuses 9
+    assert find_biconvex_order(path(16), find_bipartition(path(16))) is not None
+    with pytest.raises(ValueError, match="parts exceed the search guard of 8"):
+        find_biconvex_order(path(17), find_bipartition(path(17)))
     found = find_biconvex_order(path(6), find_bipartition(path(6)))
     assert verify_biconvex_order(path(6), find_bipartition(path(6)), *found)
     big = complete_bipartite(9, 2)

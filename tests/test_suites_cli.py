@@ -20,10 +20,9 @@ from bipkit.harness.suites import (
     make_witness,
     reverify_witness,
     run_suite,
-    _case_lemma_chunk,
     _case_pair,
+    _exhaustive,
     _member,
-    _members,
     _placement_degree,
     _universe,
 )
@@ -161,11 +160,11 @@ def test_worker_pool_matches_sequential():
     ]
     assert seq.failed == 0
     # every spec of these suites must pickle across the pool
-    # pool workers rebuild the lemma suites' freeness records themselves
     for name, opts in (
         ("identities", SuiteOptions()),
         ("lemma-reduction", SuiteOptions(lemma_reduction_max=7)),
         ("lemma-key", SuiteOptions(lemma_key_max=9)),
+        ("closure", SuiteOptions()),
     ):
         seq = run_suite(name, opts)
         par = run_suite(name, replace(opts, workers=2))
@@ -174,22 +173,21 @@ def test_worker_pool_matches_sequential():
         ]
 
 
-def test_parent_rule_members_equal_full_search(connected_levels):
-    # the rule drops a graph unsearched when its parent holds a forbidden
-    # pattern; the full membership search on every graph is the oracle
+def test_exhaustive_members_equal_full_search(connected_levels):
+    # the parent rule drops a graph unsearched when its parent holds a
+    # forbidden pattern; the full membership search on every graph is the oracle
     for suite in ("lemma-key", "lemma-reduction", "closure"):
         universe = _universe(LEMMAS[suite])
         for n in range(1, 11):
+            chunks = [args[1:] for _, _, args in _exhaustive(suite, n, n)]
             level = connected_levels[n]
-            got = {g.adj for g, _ in _members(suite, level)}
-            want = {g.adj for g in level if _member(g, *universe) is not None}
-            assert got == want, (suite, n)
+            assert sum(size for size, _ in chunks) == len(level), (suite, n)
+            got = [g.adj for _, members in chunks for g in members]
+            assert got == [g.adj for g in level if _member(g, *universe) is not None], (suite, n)
 
 
-def test_lemma_chunks_search_each_forbidden_pattern_once_per_graph(monkeypatch, connected_levels):
-    # a chunk reads its own level's freeness record, and the chunks of the
-    # next level look their parents up in it without searching them again
-    monkeypatch.setattr(suites, "_FREE_ROWS", {})
+def _record_searches(monkeypatch) -> list:
+    """The (pattern rows, host rows) of every suites.find_induced_embedding call."""
     calls = []
     search = suites.find_induced_embedding
 
@@ -198,14 +196,28 @@ def test_lemma_chunks_search_each_forbidden_pattern_once_per_graph(monkeypatch, 
         return search(pattern, host, *args, **kwargs)
 
     monkeypatch.setattr(suites, "find_induced_embedding", recorded)
-    for suite in ("closure", "lemma-reduction"):
+    return calls
+
+
+def test_exhaustive_searches_each_pattern_once_per_graph(monkeypatch):
+    # membership is decided while the specs are built, each parent's freeness
+    # read from the level below; the chunks only run the claim
+    calls = _record_searches(monkeypatch)
+    for suite in ("lemma-key", "lemma-reduction", "closure"):
         forbidden = {h.adj for h in _universe(LEMMAS[suite])[0]}
         calls.clear()
-        for n in range(1, 9):
-            assert _case_lemma_chunk("chunk", suite, connected_levels[n]).status == "ok", (suite, n)
-        keys = [key for key in calls if key[0] in forbidden]
-        assert keys and len(keys) == len(set(keys)), suite
+        specs = _exhaustive(suite, 1, 9)
+        assert any(key[0] in forbidden for key in calls), suite
+        assert len(calls) == len(set(calls)), suite
+        calls.clear()
+        for spec in specs:
+            assert suites._exec_spec(spec).status == "ok", (suite, spec[0])
+        assert calls == [], suite
+
+
+def test_spot_cases_search_each_pattern_once(monkeypatch):
     # a spot case decides membership from the universe searches it already ran
+    calls = _record_searches(monkeypatch)
     spots = [
         spec
         for suite in ("lemma-key", "lemma-reduction")
@@ -405,6 +417,19 @@ def test_cli_verify_defaults_are_the_suite_options(monkeypatch):
 
 def test_cli_verify_rejects_unknown_suite():
     assert cli.main(["verify", "bogus"]) == 2
+
+
+def test_cli_verify_checks_ranges_before_any_suite_runs(capsys):
+    assert cli.main(["verify", "all", "--nmax", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lemma-key range must end between 9 and 12" in captured.err
+    assert cli.main(["verify", "all", "--reduction-nmax", "3"]) == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError, match="lemma-key range"):
+        SuiteOptions(lemma_key_max=8)
+    with pytest.raises(ValueError, match="lemma-reduction range"):
+        SuiteOptions(lemma_reduction_max=13)
 
 
 def test_cli_verify_undecided_exit_code(capsys, tmp_path, monkeypatch):
