@@ -90,6 +90,18 @@ class Graph:
         lab = tuple(labels) if labels is not None else None
         return cls(n, tuple(adj), lab)
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph from rows that are symmetric, loop-free and in range by
+        construction, skipping ``__post_init__``'s checks."""
+        g = object.__new__(cls)
+        # the frozen dataclass's own __init__ sets fields this way; writing
+        # to g.__dict__ instead would give every graph a larger dict
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        object.__setattr__(g, "labels", None)
+        return g
+
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

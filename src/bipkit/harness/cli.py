@@ -45,6 +45,7 @@ from ..structure import (
     letter_representation_grid,
     verify_letter,
 )
+from .enumeration import MAX_VERTICES
 from .suites import DEFAULT_BUDGET, SUITE_NAMES, SuiteOptions, run_suite
 
 EXIT_OK = 0
@@ -247,6 +248,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    """A ``--budget`` value: a step count, zero included."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bipkit",
@@ -273,19 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_free = check_sub.add_parser("free", help="test H-freeness for each forbidden graph")
     p_free.add_argument("graph")
     p_free.add_argument("--forbid", nargs="+", required=True)
-    p_free.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_free.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p_free.set_defaults(fn=_cmd_check_free)
 
     p_embed = sub.add_parser("embed", help="find an induced embedding PATTERN -> HOST")
     p_embed.add_argument("pattern")
     p_embed.add_argument("host")
-    p_embed.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_embed.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p_embed.set_defaults(fn=_cmd_embed)
 
     p_paths = sub.add_parser("paths", help="test for a k-vertex path subgraph")
     p_paths.add_argument("graph")
     p_paths.add_argument("k", type=int)
-    p_paths.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_paths.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p_paths.set_defaults(fn=_cmd_paths)
 
     p_dec = sub.add_parser("decompose", help="build a union/join/skew tree over K1 leaves")
@@ -308,9 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", help="one of: " + ", ".join(SUITE_NAMES) + ", all")
     defaults = SuiteOptions()
     p_ver.add_argument("--budget", type=int, default=defaults.budget)
-    p_ver.add_argument("--nmax", type=int, default=defaults.lemma_key_max, help="lemma-key upper vertex count (9..12)")
     p_ver.add_argument(
-        "--reduction-nmax", type=int, default=defaults.lemma_reduction_max, help="lemma-reduction upper vertex count (4..12)"
+        "--nmax", type=int, default=defaults.lemma_key_max, help=f"lemma-key upper vertex count (9..{MAX_VERTICES})"
+    )
+    p_ver.add_argument(
+        "--reduction-nmax",
+        type=int,
+        default=defaults.lemma_reduction_max,
+        help=f"lemma-reduction upper vertex count (4..{MAX_VERTICES})",
     )
     p_ver.add_argument("--workers", type=int, default=defaults.workers)
     p_ver.add_argument("--witness-dir", default="witnesses")

@@ -45,7 +45,9 @@ Children still tied with another deletable vertex at the stable colouring
 go to an exact registry: a refinement certificate buckets them, and the
 matcher separates isomorphic ones inside a bucket.  At n = 11 that is 39
 isomorphism searches for 25,598 classes.  Counts for small n are pinned
-against an independent all-edge-subsets brute force.  A bipartite graph is a
+against an independent brute force (``brute_force_bipartite_counts``) that
+scans every edge set lying inside the cross pairs of some 2-colouring, which
+are exactly the bipartite edge sets.  A bipartite graph is a
 multiset of connected ones, so the counts of all bipartite graphs are the
 Euler transform of the connected counts (``euler_transform``; Harary &
 Palmer 1973, "Graphical Enumeration").
@@ -239,11 +241,11 @@ def _build_level(n: int) -> list[Graph]:
                     break  # a deletable vertex outranks the new one in every later round
                 if best < top:  # the new vertex is the lone top: a new class
                     passed += 1
-                    out.append(Graph(n, adj))
+                    out.append(Graph._trusted(n, adj))
                     break
                 if cert is not None:  # tied at the stable colouring
                     passed += 1
-                    child = Graph(n, adj)
+                    child = Graph._trusted(n, adj)
                     if registry.add(child, colors, cert):
                         out.append(child)
     _LEVEL_STATS[n] = {
@@ -300,28 +302,6 @@ def euler_transform(connected_counts: list[int]) -> list[int]:
 # independent brute-force oracle
 
 
-def _is_bipartite_rows(n: int, adj: list[int]) -> bool:
-    color = [-1] * n
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            row = adj[v]
-            while row:
-                low = row & -row
-                row ^= low
-                u = low.bit_length() - 1
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
-
-
 def _is_connected_rows(n: int, adj: list[int]) -> bool:
     seen = 1
     frontier = 1
@@ -338,12 +318,16 @@ def _is_connected_rows(n: int, adj: list[int]) -> bool:
 
 
 def brute_force_bipartite_counts(n: int) -> tuple[int, int]:
-    """(all, connected) bipartite class counts by exhausting every edge subset.
+    """(all, connected) bipartite class counts by exhausting the bipartite
+    edge subsets.
 
-    Edge codes are scanned in order.  The first bipartite code met of each
-    class counts it, and all n! relabelled codes of that graph go into a
-    ``seen`` set, so no later code of the class counts again.  This never
-    touches the enumeration pipeline, so it calibrates it.
+    An edge set is bipartite exactly when it lies inside the cross pairs of
+    some 2-colouring, so the bipartite edge codes are the submasks of the
+    cross-pair masks of the 2^(n-1) colourings with vertex 0 on side 0.  They
+    are scanned in order.  The first code met of each class counts it, and
+    all n! relabelled codes of that graph go into a ``seen`` set, so no later
+    code of the class counts again.  This never touches the enumeration
+    pipeline or the matcher, so it calibrates them.
     """
     pairs = list(itertools.combinations(range(n), 2))
     pair_index = {pr: i for i, pr in enumerate(pairs)}
@@ -352,9 +336,19 @@ def brute_force_bipartite_counts(n: int) -> tuple[int, int]:
         [1 << pair_index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
         for perm in itertools.permutations(range(n))
     ]
+    codes = {0}
+    for side in range(0, 1 << n, 2):  # the vertices coloured 1; vertex 0 never is
+        cross = 0
+        for i, (u, v) in enumerate(pairs):
+            if ((side >> u) ^ (side >> v)) & 1:
+                cross |= 1 << i
+        sub = cross
+        while sub:
+            codes.add(sub)
+            sub = (sub - 1) & cross
     seen: set[int] = set()
     count_all = count_conn = 0
-    for code in range(1 << len(pairs)):
+    for code in sorted(codes):
         if code in seen:
             continue
         adj = [0] * n
@@ -368,8 +362,6 @@ def brute_force_bipartite_counts(n: int) -> tuple[int, int]:
             u, v = pairs[i]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        if not _is_bipartite_rows(n, adj):
-            continue
         count_all += 1
         if _is_connected_rows(n, adj):
             count_conn += 1

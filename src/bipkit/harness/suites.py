@@ -172,6 +172,10 @@ class SuiteOptions:
             raise ValueError(f"lemma-key range must end between 9 and {MAX_VERTICES}")
         if not 4 <= self.lemma_reduction_max <= MAX_VERTICES:
             raise ValueError(f"lemma-reduction range must end between 4 and {MAX_VERTICES}")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must be non-negative")
 
 
 # ---------------------------------------------------------------------------

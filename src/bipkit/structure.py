@@ -10,6 +10,15 @@ forced: a component, a complement component, or a vertex's closure under the
 skew arcs.  No subset is searched, so the engine has no size cap.  A build
 tree can be as deep as the vertex count, so every walk over one (decompose,
 recompose, tree text) keeps an explicit stack instead of recursing.
+
+The skew split's first operand is the closure of the least vertex whose
+closure is not the whole subgraph, found with at most three closures.  If
+the least vertex ``low`` closes to a proper subset, it starts the split.
+Otherwise every closure that contains ``low`` contains all of ``low``'s
+closure, the whole subgraph, so the vertices that close to the whole
+subgraph are exactly those that reach ``low``: the closure of ``low`` over
+the reversed arcs.  The least vertex outside that set starts the split, and
+when no vertex is outside it no skew split exists.
 """
 
 from __future__ import annotations
@@ -146,15 +155,20 @@ def _add_cross(rows: list[int], kind: str, x1: int, y1: int, x2: int, y2: int) -
     A node's kind alone fixes them: none for a union, X1-Y2 for a skew join,
     and X1-Y2 plus X2-Y1 for a join (a join is a skew join both ways).
     """
-    skew = ((x1, y2),)
-    pairs = {"union": (), "skew": skew, "join": skew + ((x2, y1),)}.get(kind)
-    if pairs is None:
+    if kind == "union":
+        return
+    if kind == "skew":
+        pairs: tuple[tuple[int, int], ...] = ((x1, y2),)
+    elif kind == "join":
+        pairs = ((x1, y2), (x2, y1))
+    else:
         raise ValueError(f"malformed tree: unknown node kind {kind!r}")
     for xs, ys in pairs:
-        for v in mask_vertices(xs):
-            rows[v - 1] |= ys
-        for v in mask_vertices(ys):
-            rows[v - 1] |= xs
+        for side, other in ((xs, ys), (ys, xs)):
+            while side:
+                low = side & -side
+                side ^= low
+                rows[low.bit_length() - 1] |= other
 
 
 def _compose(kind: str, g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[Graph, Bipartition]:
@@ -278,11 +292,16 @@ def recompose(t: DecompositionTree) -> Graph:
         if (operands := _operands(node)) is None:
             continue
         left, right = operands
-        parts = (left.part_x, left.part_y, right.part_x, right.part_y)
-        # range first, so an id far outside 1..n never becomes a mask
-        if any(p and (min(p) < 1 or max(p) > n) for p in parts):
-            raise ValueError("malformed tree: operand id outside the root's 1..n")
-        lx, ly, rx, ry = map(mask_of, parts)
+        masks = []
+        for part in (left.part_x, left.part_y, right.part_x, right.part_y):
+            m = 0
+            for v in part:
+                # range first, so an id far outside 1..n never becomes a mask
+                if not 1 <= v <= n:
+                    raise ValueError("malformed tree: operand id outside the root's 1..n")
+                m |= 1 << (v - 1)
+            masks.append(m)
+        lx, ly, rx, ry = masks
         if lx | rx != x or ly | ry != y:
             raise ValueError("malformed tree: node parts do not match its operands")
         if (lx | ly) & (rx | ry):
@@ -310,16 +329,28 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
     # a set closed under x->y on cross non-edges and y->x on cross edges is
     # exactly the first operand of a skew split
     arcs = [co_adj[i] if in_x[i] else adj[i] for i in range(g.n)]
+    # the same rule over reversed arcs: y->x on cross non-edges, x->y on cross edges
+    back = [adj[i] if in_x[i] else co_adj[i] for i in range(g.n)]
 
     def closure(seed: int, succ: list[int], mask: int) -> int:
         reached = frontier = seed
         while frontier:
             nxt = 0
-            for v in mask_vertices(frontier):
-                nxt |= succ[v - 1]
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= succ[low.bit_length() - 1]
             frontier = nxt & mask & ~reached
             reached |= frontier
         return reached
+
+    def ids(mask: int) -> tuple[int, ...]:
+        out = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.append(low.bit_length())
+        return tuple(out)
 
     # top-down: force the split of every subgraph, recording each in visit order
     splits: list[tuple[int, str]] = []
@@ -334,22 +365,23 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
         if first == mask:
             kind, first = "join", closure(low, co_adj, mask)
         if first == mask:
-            kind = "skew"
-            for v in mask_vertices(mask):
-                first = closure(1 << (v - 1), arcs, mask)
-                if first != mask:
-                    break
-            else:
-                # buildable graphs form a hereditary class, so any valid split
-                # has buildable sides and a failing side means the whole graph fails
-                return None
+            # the skew split starts from the least vertex whose closure is not
+            # the whole mask (see the module docstring)
+            kind, first = "skew", closure(low, arcs, mask)
+            if first == mask:
+                rest = mask & ~closure(low, back, mask)
+                if not rest:
+                    # buildable graphs form a hereditary class, so any valid split
+                    # has buildable sides and a failing side means the whole graph fails
+                    return None
+                first = closure(rest & -rest, arcs, mask)
         splits.append((mask, kind))
         todo += (mask & ~first, first)
     # bottom-up: in reverse visit order a node's first operand is built last,
     # so it sits on top of the stack, with the second operand below it
     built: list[DecompositionTree] = []
     for mask, kind in reversed(splits):
-        px, py = tuple(mask_vertices(mask & x_mask)), tuple(mask_vertices(mask & y_mask))
+        px, py = ids(mask & x_mask), ids(mask & y_mask)
         if kind == "leaf":
             built.append(DecompositionTree("leaf", px, py))
         else:

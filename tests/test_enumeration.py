@@ -10,7 +10,7 @@ import pytest
 from conftest import all_bipartite
 
 import bipkit
-from bipkit.graphs import connected_components, find_bipartition, is_connected
+from bipkit.graphs import Graph, connected_components, find_bipartition, is_connected
 from bipkit.matching import _automorphism_generators, _Budget, _refinement_colors, are_isomorphic
 from bipkit.families import complete_bipartite, cycle, path
 from bipkit.harness.enumeration import (
@@ -24,6 +24,55 @@ from bipkit.harness.enumeration import (
 )
 
 A033995 = [1, 2, 3, 7, 13, 35, 88, 303, 1119]  # all bipartite graphs on 1..9 vertices
+
+
+def _edge_subset_counts_reference(n: int) -> tuple[int, int]:
+    """(all, connected) bipartite class counts from every edge subset on n
+    vertices: a 2-colouring search rejects the non-bipartite ones, and each
+    class counts at its first code, with every relabelled code marked seen."""
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    seen: set[int] = set()
+    count_all = count_conn = 0
+    for code in range(1 << len(pairs)):
+        if code in seen:
+            continue
+        edges = [pairs[i] for i in range(len(pairs)) if (code >> i) & 1]
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        color: list[int | None] = [None] * n
+        bipartite = True
+        components = 0
+        for start in range(n):
+            if color[start] is not None:
+                continue
+            components += 1
+            color[start] = 0
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for v in nbrs[u]:
+                    if color[v] is None:
+                        color[v] = 1 - color[u]
+                        stack.append(v)
+                    elif color[v] == color[u]:
+                        bipartite = False
+        if not bipartite:
+            continue
+        count_all += 1
+        count_conn += components == 1
+        for perm in perms:
+            seen.add(sum(1 << pairs.index(tuple(sorted((perm[u], perm[v])))) for u, v in edges))
+    return count_all, count_conn
+
+
+def test_colouring_oracle_matches_edge_subset_reference():
+    for n in range(1, 7):
+        assert brute_force_bipartite_counts(n) == _edge_subset_counts_reference(n), n
+    # A033995 and A005142 at seven vertices
+    assert brute_force_bipartite_counts(7) == (88, 44)
 
 
 def test_counts_match_bruteforce_oracle():
@@ -129,6 +178,13 @@ def test_every_representative_grows_from_a_parent_representative(connected_level
         parents = {g.adj for g in connected_levels[n - 1]}
         for g in connected_levels[n]:
             assert parent_rows(g) in parents, g.adj
+
+
+def test_representatives_pass_full_validation(connected_levels):
+    # the enumerator builds its children without Graph's checks
+    for n in range(1, 10):
+        for g in connected_levels[n]:
+            assert g == Graph(n, g.adj) and g.labels is None, g.adj
 
 
 def test_level_stats(connected_levels):

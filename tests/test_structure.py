@@ -14,6 +14,7 @@ from bipkit.graphs import (
     find_bipartition,
     induced_subgraph,
     mask_of,
+    mask_vertices,
     serialize_graph,
 )
 from bipkit.matching import are_isomorphic, is_free
@@ -415,6 +416,60 @@ def test_decompose_matches_brute_force_oracle():
                 assert (tree is not None) == _buildable_by_brute_force(g, orient), serialize_graph(g)
                 if tree is not None:
                     assert recompose(tree) == g
+
+
+def _decompose_reference(g: Graph, b: Bipartition) -> DecompositionTree | None:
+    """``decompose`` with one skew closure per vertex: the skew split starts
+    from the least vertex whose closure under the skew arcs is not the whole
+    subgraph, found by trying every vertex in turn."""
+    x_mask, y_mask = mask_of(b.part_a), mask_of(b.part_b)
+    co_adj = [(x_mask if (y_mask >> i) & 1 else y_mask) & ~g.adj[i] for i in range(g.n)]
+    arcs = [co_adj[i] if (x_mask >> i) & 1 else g.adj[i] for i in range(g.n)]
+
+    def closure(v: int, succ: list[int], mask: int) -> int:
+        reached = frontier = 1 << (v - 1)
+        while frontier:
+            nxt = 0
+            for u in mask_vertices(frontier):
+                nxt |= succ[u - 1]
+            frontier = nxt & mask & ~reached
+            reached |= frontier
+        return reached
+
+    def build(mask: int) -> DecompositionTree | None:
+        px, py = tuple(mask_vertices(mask & x_mask)), tuple(mask_vertices(mask & y_mask))
+        if mask.bit_count() == 1:
+            return DecompositionTree("leaf", px, py)
+        low = next(mask_vertices(mask))
+        for kind, firsts in (
+            ("union", [closure(low, g.adj, mask)]),
+            ("join", [closure(low, co_adj, mask)]),
+            ("skew", (closure(v, arcs, mask) for v in mask_vertices(mask))),
+        ):
+            for first in firsts:
+                if first != mask:
+                    left, right = build(first), build(mask & ~first)
+                    if left is None or right is None:
+                        return None
+                    return DecompositionTree(kind, px, py, left, right)
+        return None
+
+    return build(x_mask | y_mask) if g.n else None
+
+
+def test_decompose_matches_per_vertex_skew_reference(connected_levels):
+    def same_tree(g: Graph, b: Bipartition) -> None:
+        for orient in (b, b.flipped()):
+            got, want = decompose(g, orient), _decompose_reference(g, orient)
+            assert (got and format_tree(got)) == (want and format_tree(want)), serialize_graph(g)
+
+    for n in range(1, 10):
+        for g in connected_levels[n]:
+            same_tree(g, find_bipartition(g))
+    rng = random.Random(91)
+    for _ in range(200):
+        tree = random_leaf_tree(rng)
+        same_tree(recompose(tree), Bipartition.of(set(tree.part_x), set(tree.part_y)))
 
 
 def test_decompose_fails_exactly_on_graphs_with_p7_or_s123(connected_levels):

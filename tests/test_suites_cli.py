@@ -432,6 +432,34 @@ def test_cli_verify_checks_ranges_before_any_suite_runs(capsys):
         SuiteOptions(lemma_reduction_max=13)
 
 
+def test_cli_rejects_negative_budgets_and_workers(capsys):
+    for argv in (
+        ["verify", "identities", "--workers", "-3"],
+        ["verify", "identities", "--workers", "0"],
+        ["verify", "t-free", "--budget", "-1"],
+        ["check", "free", "path:3", "--forbid", "path:2", "--budget", "-1"],
+        ["embed", "path:2", "path:3", "--budget", "-1"],
+        ["paths", "path:3", "2", "--budget", "-1"],
+    ):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
+    with pytest.raises(ValueError, match="workers"):
+        SuiteOptions(workers=0)
+    with pytest.raises(ValueError, match="budget"):
+        SuiteOptions(budget=-1)
+    # a zero budget and an unlimited one stay valid: a zero budget runs the
+    # search and reports it undecided
+    assert SuiteOptions(budget=0).budget == 0 and SuiteOptions(budget=None).budget is None
+    assert cli.main(["embed", "path:2", "path:3", "--budget", "0"]) == 3
+
+
+def test_cli_verify_range_help_names_the_enumerator_bound(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_VERTICES", 14)
+    assert cli.main(["verify", "--help"]) == 0
+    text = capsys.readouterr().out
+    assert "(9..14)" in text and "(4..14)" in text
+
+
 def test_cli_verify_undecided_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # a starving budget turns the graph-pair and permutation-pair searches
