@@ -167,13 +167,6 @@ class Bipartition:
     def flipped(self) -> "Bipartition":
         return Bipartition(self.part_b, self.part_a)
 
-    def side(self, v: int) -> str:
-        if v in self.part_a:
-            return "A"
-        if v in self.part_b:
-            return "B"
-        raise ValueError(f"vertex {v} is in neither part")
-
     def sorted_a(self) -> tuple[int, ...]:
         return tuple(sorted(self.part_a))
 

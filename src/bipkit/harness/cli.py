@@ -146,13 +146,21 @@ def _cmd_paths(args) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(args) -> int:
-    g, b = _load_graph(args.graph)
+def _load_bipartite(spec: str) -> tuple[Graph, Bipartition | None]:
+    """The graph with its own bipartition, else its 2-colouring; the
+    bipartition is None, after a FAIL line, when the graph has neither."""
+    g, b = _load_graph(spec)
     if b is None:
         b = find_bipartition(g)
         if b is None:
             print("FAIL graph is not bipartite")
-            return EXIT_FAIL
+    return g, b
+
+
+def _cmd_decompose(args) -> int:
+    g, b = _load_bipartite(args.graph)
+    if b is None:
+        return EXIT_FAIL
     tree = decompose(g, b)
     if tree is None:
         print("none")
@@ -175,12 +183,9 @@ def _cmd_letter(args) -> int:
 
 
 def _cmd_biconvex(args) -> int:
-    g, b = _load_graph(args.graph)
+    g, b = _load_bipartite(args.graph)
     if b is None:
-        b = find_bipartition(g)
-        if b is None:
-            print("FAIL graph is not bipartite")
-            return EXIT_FAIL
+        return EXIT_FAIL
     found = find_biconvex_order(g, b)
     if found is None:
         print("none")

@@ -325,7 +325,7 @@ def brute_force_bipartite_counts(n: int) -> tuple[int, int]:
     some 2-colouring, so the bipartite edge codes are the submasks of the
     cross-pair masks of the 2^(n-1) colourings with vertex 0 on side 0.  They
     are scanned in order.  The first code met of each class counts it, and
-    all n! relabelled codes of that graph go into a ``seen`` set, so no later
+    all n! relabelled codes of that graph leave the code set, so no later
     code of the class counts again.  This never touches the enumeration
     pipeline or the matcher, so it calibrates them.
     """
@@ -346,10 +346,9 @@ def brute_force_bipartite_counts(n: int) -> tuple[int, int]:
         while sub:
             codes.add(sub)
             sub = (sub - 1) & cross
-    seen: set[int] = set()
     count_all = count_conn = 0
     for code in sorted(codes):
-        if code in seen:
+        if code not in codes:
             continue
         adj = [0] * n
         edges = []
@@ -369,5 +368,5 @@ def brute_force_bipartite_counts(n: int) -> tuple[int, int]:
             relabeled = 0
             for i in edges:
                 relabeled |= bits[i]
-            seen.add(relabeled)
+            codes.discard(relabeled)
     return count_all, count_conn

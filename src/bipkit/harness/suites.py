@@ -753,18 +753,9 @@ def random_leaf_tree(rng: random.Random, max_depth: int = 6, max_leaves: int = 1
     def build(s) -> DecompositionTree:
         if s[0] == "leaf":
             v = next(counter)
-            if rng.random() < 0.5:
-                return DecompositionTree("leaf", (v,), ())
-            return DecompositionTree("leaf", (), (v,))
+            return DecompositionTree("leaf", v, "X" if rng.random() < 0.5 else "Y")
         left = build(s[1])
-        right = build(s[2])
-        return DecompositionTree(
-            s[0],
-            tuple(sorted(left.part_x + right.part_x)),
-            tuple(sorted(left.part_y + right.part_y)),
-            left,
-            right,
-        )
+        return DecompositionTree(s[0], left=left, right=build(s[2]))
 
     return build(s)
 

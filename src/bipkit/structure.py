@@ -8,8 +8,11 @@ these operations build form a hereditary class (delete a leaf and contract
 its parent), so any valid split has buildable sides and each split can be
 forced: a component, a complement component, or a vertex's closure under the
 skew arcs.  No subset is searched, so the engine has no size cap.  A build
-tree can be as deep as the vertex count, so every walk over one (decompose,
-recompose, tree text) keeps an explicit stack instead of recursing.
+tree names each vertex once, at its leaf, with its side; a node's parts are
+derived from the leaves below it, so a tree and its text grow linearly with
+the vertex count.  A tree can be as deep as the vertex count, so every walk
+over one (decompose, recompose, tree text) keeps an explicit stack instead
+of recursing.
 
 The skew split's first operand is the closure of the least vertex whose
 closure is not the whole subgraph, found with at most three closures.  If
@@ -154,15 +157,12 @@ def _add_cross(rows: list[int], kind: str, x1: int, y1: int, x2: int, y2: int) -
 
     A node's kind alone fixes them: none for a union, X1-Y2 for a skew join,
     and X1-Y2 plus X2-Y1 for a join (a join is a skew join both ways).
+    Callers pass one of the three kinds; a tree's kinds are checked before
+    it is replayed.
     """
     if kind == "union":
         return
-    if kind == "skew":
-        pairs: tuple[tuple[int, int], ...] = ((x1, y2),)
-    elif kind == "join":
-        pairs = ((x1, y2), (x2, y1))
-    else:
-        raise ValueError(f"malformed tree: unknown node kind {kind!r}")
+    pairs: tuple[tuple[int, int], ...] = ((x1, y2),) if kind == "skew" else ((x1, y2), (x2, y1))
     for xs, ys in pairs:
         for side, other in ((xs, ys), (ys, xs)):
             while side:
@@ -210,24 +210,48 @@ def skew_join(g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[G
 
 @dataclass(frozen=True, eq=False, repr=False)
 class DecompositionTree:
-    """Build tree over single-vertex leaves; each node carries the oriented
-    (X, Y) parts of the subgraph it recomposes.
+    """Build tree over single-vertex leaves.  A leaf names its vertex and its
+    side, X or Y; a union, join or skew node holds only its two operands, so
+    each vertex is named once, at its leaf.
 
-    A tree can be as deep as its vertex count, so equality, hashing and repr
-    walk it with an explicit stack instead of recursing once per level.
+    A tree can be as deep as its vertex count, so the derived parts,
+    equality, hashing and repr walk it with an explicit stack instead of
+    recursing once per level.
     """
 
     kind: str  # "leaf" | "union" | "join" | "skew"
-    part_x: tuple[int, ...]
-    part_y: tuple[int, ...]
+    vertex: int | None = None  # a leaf's id
+    side: str | None = None  # a leaf's side, "X" or "Y"
     left: "DecompositionTree | None" = None
     right: "DecompositionTree | None" = None
+
+    def _leaf_ids(self, side: str) -> tuple[int, ...]:
+        ids = []
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            if node.kind == "leaf":
+                if node.side == side:
+                    ids.append(node.vertex)
+            else:
+                todo += (node.right, node.left)
+        return tuple(sorted(ids))
+
+    @property
+    def part_x(self) -> tuple[int, ...]:
+        """The X leaves' ids below this node, ascending."""
+        return self._leaf_ids("X")
+
+    @property
+    def part_y(self) -> tuple[int, ...]:
+        """The Y leaves' ids below this node, ascending."""
+        return self._leaf_ids("Y")
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.part_x + self.part_y))
 
     def _preorder(self) -> tuple:
-        """Every node's (kind, part_x, part_y) in preorder, None for a missing child."""
+        """Every node's (kind, vertex, side) in preorder, None for a missing child."""
         out: list = []
         todo: list[DecompositionTree | None] = [self]
         while todo:
@@ -235,7 +259,7 @@ class DecompositionTree:
             if node is None:
                 out.append(None)
             else:
-                out.append((node.kind, node.part_x, node.part_y))
+                out.append((node.kind, node.vertex, node.side))
                 todo += (node.right, node.left)
         return tuple(out)
 
@@ -255,59 +279,55 @@ class DecompositionTree:
             if item is None or isinstance(item, str):
                 pieces.append(str(item))
             else:
-                pieces.append(f"DecompositionTree(kind={item.kind!r}, part_x={item.part_x!r}, part_y={item.part_y!r}, left=")
+                pieces.append(f"DecompositionTree(kind={item.kind!r}, vertex={item.vertex!r}, side={item.side!r}, left=")
                 todo += (")", item.right, ", right=", item.left)
         return "".join(pieces)
 
 
-def _operands(node: DecompositionTree) -> tuple[DecompositionTree, DecompositionTree] | None:
-    """A binary node's two children, None for a leaf; ValueError on a malformed node."""
-    if node.kind == "leaf":
-        if len(node.part_x) + len(node.part_y) != 1:
-            raise ValueError("malformed tree: leaf must hold exactly one vertex")
-        return None
-    if node.left is None or node.right is None:
-        raise ValueError("malformed tree: binary node without two children")
-    return node.left, node.right
+def _checked_preorder(t: DecompositionTree) -> list[DecompositionTree]:
+    """The tree's nodes in preorder, once every node is well formed and the
+    leaf ids are 1..n, each once; ValueError otherwise."""
+    nodes, ids = [], []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        if node.kind == "leaf":
+            if node.side not in ("X", "Y"):
+                raise ValueError(f"malformed tree: leaf side must be X or Y, got {node.side!r}")
+            ids.append(node.vertex)
+        elif node.kind not in ("union", "join", "skew"):
+            raise ValueError(f"malformed tree: unknown node kind {node.kind!r}")
+        elif node.left is None or node.right is None:
+            raise ValueError("malformed tree: binary node without two children")
+        else:
+            todo += (node.right, node.left)
+    if sorted(ids) != list(range(1, len(ids) + 1)):
+        raise ValueError(f"malformed tree: leaf ids must be 1..{len(ids)}, each once")
+    return nodes
 
 
 def recompose(t: DecompositionTree) -> Graph:
     """Replay a build tree into the graph it certifies (same ids, same edges).
 
-    One walk from the root checks each node, then ORs the cross edges its
-    kind fixes into the rows.  The root must cover ids 1..n and each node's
-    parts must be the disjoint union of its operands' parts, so every mask
-    stays inside 1..n.
+    The leaf ids are checked to be 1..n, each once, before any mask is built.
+    Then, in reverse preorder, every node meets its operands' finished
+    (X, Y) masks and ORs the cross edges its kind fixes into the rows.
     """
-    ids = t.part_x + t.part_y
-    n = len(ids)
-    if sorted(ids) != list(range(1, n + 1)):
-        raise ValueError("malformed tree: root must cover ids 1..n")
+    nodes = _checked_preorder(t)
+    n = (len(nodes) + 1) // 2  # n leaves make 2n - 1 nodes
     rows = [0] * n
-    todo = [(t, mask_of(t.part_x), mask_of(t.part_y))]
-    while todo:
-        node, x, y = todo.pop()
-        if x & y:
-            raise ValueError("malformed tree: parts overlap")
-        if (operands := _operands(node)) is None:
-            continue
-        left, right = operands
-        masks = []
-        for part in (left.part_x, left.part_y, right.part_x, right.part_y):
-            m = 0
-            for v in part:
-                # range first, so an id far outside 1..n never becomes a mask
-                if not 1 <= v <= n:
-                    raise ValueError("malformed tree: operand id outside the root's 1..n")
-                m |= 1 << (v - 1)
-            masks.append(m)
-        lx, ly, rx, ry = masks
-        if lx | rx != x or ly | ry != y:
-            raise ValueError("malformed tree: node parts do not match its operands")
-        if (lx | ly) & (rx | ry):
-            raise ValueError("malformed tree: operands overlap")
-        _add_cross(rows, node.kind, lx, ly, rx, ry)
-        todo += ((right, rx, ry), (left, lx, ly))
+    # a node's first operand finishes last, so its masks sit on top of the stack
+    masks: list[tuple[int, int]] = []
+    for node in reversed(nodes):
+        if node.kind == "leaf":
+            bit = 1 << (node.vertex - 1)
+            masks.append((bit, 0) if node.side == "X" else (0, bit))
+        else:
+            lx, ly = masks.pop()
+            rx, ry = masks.pop()
+            _add_cross(rows, node.kind, lx, ly, rx, ry)
+            masks.append((lx | rx, ly | ry))
     return Graph(n, tuple(rows))
 
 
@@ -344,14 +364,6 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
             reached |= frontier
         return reached
 
-    def ids(mask: int) -> tuple[int, ...]:
-        out = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out.append(low.bit_length())
-        return tuple(out)
-
     # top-down: force the split of every subgraph, recording each in visit order
     splits: list[tuple[int, str]] = []
     todo = [x_mask | y_mask]
@@ -381,12 +393,11 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
     # so it sits on top of the stack, with the second operand below it
     built: list[DecompositionTree] = []
     for mask, kind in reversed(splits):
-        px, py = ids(mask & x_mask), ids(mask & y_mask)
         if kind == "leaf":
-            built.append(DecompositionTree("leaf", px, py))
+            built.append(DecompositionTree("leaf", mask.bit_length(), "X" if mask & x_mask else "Y"))
         else:
             left = built.pop()
-            built.append(DecompositionTree(kind, px, py, left, built.pop()))
+            built.append(DecompositionTree(kind, left=left, right=built.pop()))
     return built[0]
 
 
@@ -395,34 +406,28 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
 
 
 def format_tree(t: DecompositionTree) -> str:
-    """S-expression with per-node part lists, e.g. ``(skew [1|2] (leaf 1 X) (leaf 2 Y))``."""
-
-    def part_text(node: DecompositionTree) -> str:
-        xs = " ".join(str(v) for v in node.part_x)
-        ys = " ".join(str(v) for v in node.part_y)
-        return f"[{xs}|{ys}]"
-
+    """S-expression naming each vertex once, at its leaf, e.g.
+    ``(skew (leaf 1 X) (leaf 2 Y))``; a tree ``recompose`` rejects raises the
+    same ValueError here."""
+    _checked_preorder(t)
     pieces: list[str] = []
     todo: list[DecompositionTree | str] = [t]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             pieces.append(item)
-        elif (operands := _operands(item)) is None:
-            v = (item.part_x + item.part_y)[0]
-            side = "X" if item.part_x else "Y"
-            pieces.append(f"(leaf {v} {side})")
+        elif item.kind == "leaf":
+            pieces.append(f"(leaf {item.vertex} {item.side})")
         else:
-            left, right = operands
-            pieces.append(f"({item.kind} {part_text(left)} {part_text(right)} ")
-            todo += (")", right, " ", left)
+            pieces.append(f"({item.kind} ")
+            todo += (")", item.right, " ", item.left)
     return "".join(pieces)
 
 
 def parse_tree(text: str) -> DecompositionTree:
-    tokens = (
-        text.replace("(", " ( ").replace(")", " ) ").replace("[", " [ ").replace("]", " ] ").replace("|", " | ").split()
-    )
+    """Read ``format_tree``'s text; ValueError with the token position on
+    malformed text or a repeated vertex id."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
     def take() -> str:
@@ -436,60 +441,40 @@ def parse_tree(text: str) -> DecompositionTree:
         if take() != tok:
             raise ValueError(f"malformed tree text near token {pos - 1}")
 
-    def as_id(tok: str) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"malformed tree text near token {pos - 1}") from None
-
-    def read_ids(end: str) -> tuple[int, ...]:
-        ids = []
-        while (tok := take()) != end:
-            ids.append(as_id(tok))
-        return tuple(ids)
-
-    def read_part_list() -> tuple[tuple[int, ...], tuple[int, ...]]:
-        expect("[")
-        return read_ids("|"), read_ids("]")
-
-    # open binary nodes, outermost first: kind, operand part lists, first operand once read
+    # open binary nodes, outermost first: kind, first operand once read
     open_nodes: list[list] = []
+    seen: set[int] = set()
     while True:
         expect("(")
         kind = take()
         if kind in ("union", "join", "skew"):
-            lparts = read_part_list()
-            open_nodes.append([kind, lparts, read_part_list(), None])
+            open_nodes.append([kind, None])
             continue
         if kind != "leaf":
-            raise ValueError(f"unknown node kind {kind!r}")
-        v = as_id(take())
+            raise ValueError(f"unknown node kind {kind!r} at token {pos - 1}")
+        try:
+            v = int(take())
+        except ValueError:
+            raise ValueError(f"malformed tree text near token {pos - 1}") from None
+        if v in seen:
+            raise ValueError(f"repeated vertex id {v} at token {pos - 1}")
+        seen.add(v)
         side = take()
-        expect(")")
         if side not in ("X", "Y"):
-            raise ValueError(f"leaf side must be X or Y, got {side!r}")
-        node = DecompositionTree("leaf", (v,), ()) if side == "X" else DecompositionTree("leaf", (), (v,))
+            raise ValueError(f"leaf side must be X or Y, got {side!r} at token {pos - 1}")
+        expect(")")
+        node = DecompositionTree("leaf", v, side)
         # a finished node closes every open node whose first operand is already read
-        while open_nodes and open_nodes[-1][3] is not None:
-            kind, lparts, rparts, left = open_nodes.pop()
+        while open_nodes and open_nodes[-1][1] is not None:
+            kind, left = open_nodes.pop()
             expect(")")
-            if (left.part_x, left.part_y) != lparts or (node.part_x, node.part_y) != rparts:
-                raise ValueError("operand part lists do not match the child nodes")
-            px = tuple(sorted(left.part_x + node.part_x))
-            py = tuple(sorted(left.part_y + node.part_y))
-            node = DecompositionTree(kind, px, py, left, node)
+            node = DecompositionTree(kind, left=left, right=node)
         if not open_nodes:
             break
-        open_nodes[-1][3] = node
+        open_nodes[-1][1] = node
 
     if pos != len(tokens):
         raise ValueError("trailing tokens after tree")
-    # every node's parts are the sorted join of its operands' parts, repeats
-    # kept, and each node matches its part lists: so a repeated id anywhere
-    # repeats at the root, and no other fault can reach a parsed tree
-    ids = node.part_x + node.part_y
-    if len(set(ids)) != len(ids):
-        raise ValueError("repeated vertex id in tree text")
     return node
 
 

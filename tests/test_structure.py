@@ -252,14 +252,11 @@ def test_decompose_skew_orientation():
 
 
 def test_recompose_of_hand_built_tree():
-    hand = DecompositionTree(
-        "skew",
-        (1,),
-        (2,),
-        DecompositionTree("leaf", (1,), ()),
-        DecompositionTree("leaf", (), (2,)),
-    )
+    hand = DecompositionTree("skew", left=DecompositionTree("leaf", 1, "X"), right=DecompositionTree("leaf", 2, "Y"))
     assert recompose(hand) == Graph.from_edges(2, [(1, 2)])
+    # the parts are read off the leaves
+    assert (hand.part_x, hand.part_y, hand.vertices()) == ((1,), (2,), (1, 2))
+    assert (hand.left.part_x, hand.left.part_y, hand.right.part_x, hand.right.part_y) == ((1,), (), (), (2,))
 
 
 def _tree_edges_reference(t: DecompositionTree) -> set[tuple[int, int]]:
@@ -285,80 +282,81 @@ def _tree_edges_reference(t: DecompositionTree) -> set[tuple[int, int]]:
     return acc
 
 
+def _leaf(v, side="X") -> DecompositionTree:
+    return DecompositionTree("leaf", v, side)
+
+
+def _union(left, right) -> DecompositionTree:
+    return DecompositionTree("union", left=left, right=right)
+
+
 def test_recompose_rejects_malformed_trees():
-    with pytest.raises(ValueError):
-        recompose(DecompositionTree("leaf", (1, 2), ()))
-    with pytest.raises(ValueError):
-        recompose(DecompositionTree("union", (1,), (), None, None))
-    overlapping = DecompositionTree(
-        "union",
-        (1,),
-        (2,),
-        DecompositionTree("leaf", (1,), ()),
-        DecompositionTree("leaf", (), (2,)),
-    )
-    bad = DecompositionTree(
-        "union",
-        (1,),
-        (1,),
-        DecompositionTree("leaf", (1,), ()),
-        DecompositionTree("leaf", (), (1,)),
-    )
-    assert recompose(overlapping) is not None
-    with pytest.raises(ValueError):
-        recompose(bad)
-    # root ids must be dense from 1
-    shifted = DecompositionTree("leaf", (3,), ())
-    with pytest.raises(ValueError):
-        recompose(shifted)
-    # an operand id outside the root's ids is rejected before it becomes a mask
-    k1 = DecompositionTree("leaf", (1,), ())
-    for far in (0, 2, 10**7):
-        stray = DecompositionTree("union", (1,), (), k1, DecompositionTree("leaf", (far,), ()))
-        with pytest.raises(ValueError, match="outside"):
-            recompose(stray)
-    with pytest.raises(ValueError):
-        recompose(DecompositionTree("meet", (1,), (2,), k1, DecompositionTree("leaf", (), (2,))))
+    assert recompose(_union(_leaf(1), _leaf(2, "Y"))) == Graph.from_edges(2, [])
+    for show in (format_tree, recompose):
+        with pytest.raises(ValueError, match="unknown node kind 'meet'"):
+            show(DecompositionTree("meet", left=_leaf(1), right=_leaf(2, "Y")))
+        # a well-formed node above a malformed one
+        with pytest.raises(ValueError, match="unknown node kind 'meet'"):
+            show(_union(_leaf(3), DecompositionTree("meet", left=_leaf(1), right=_leaf(2, "Y"))))
 
 
 def test_format_tree_rejects_malformed_trees():
-    # the same trees and messages as recompose, never an IndexError
+    # the same trees and messages as recompose, never an IndexError; the ids
+    # are checked before recompose builds any mask, so 10**12 never becomes one
     for bad, message in (
-        (DecompositionTree("leaf", (), ()), "exactly one vertex"),
-        (DecompositionTree("union", (1,), (2,), DecompositionTree("leaf", (1,), ()), None), "two children"),
-        (DecompositionTree("join", (1,), (2,)), "two children"),
+        (_leaf(1, "Z"), "leaf side must be X or Y, got 'Z'"),
+        (DecompositionTree("leaf", 1), "leaf side must be X or Y, got None"),
+        (_union(_leaf(1), None), "binary node without two children"),
+        (DecompositionTree("join"), "binary node without two children"),
+        (_union(_leaf(1), _leaf(1)), "leaf ids must be 1..2, each once"),
+        (_union(_leaf(1), _leaf(1, "Y")), "leaf ids must be 1..2, each once"),
+        (_union(_leaf(1), _union(_leaf(2), _leaf(4, "Y"))), "leaf ids must be 1..3, each once"),
+        (_leaf(3), "leaf ids must be 1..1, each once"),
+        (_union(_leaf(0), _leaf(1, "Y")), "leaf ids must be 1..2, each once"),
+        (_union(_leaf(1), _leaf(10**12, "Y")), "leaf ids must be 1..2, each once"),
     ):
         for show in (format_tree, recompose):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError) as err:
                 show(bad)
+            assert str(err.value) == f"malformed tree: {message}", (show, bad)
 
 
 def test_tree_round_trip_and_errors():
     p6 = path(6)
     t = decompose(p6, find_bipartition(p6))
     text = format_tree(t)
-    assert recompose(parse_tree(text)) == p6
+    again = parse_tree(text)
+    assert again == t and format_tree(again) == text and recompose(again) == p6
+    assert format_tree(_union(_leaf(2, "Y"), _leaf(1))) == "(union (leaf 2 Y) (leaf 1 X))"
+    with pytest.raises(ValueError, match="got 'Z' at token 3$"):
+        parse_tree("(leaf 1 Z)")
+    with pytest.raises(ValueError, match="unknown node kind 'meet' at token 1$"):
+        parse_tree("(meet (leaf 1 X) (leaf 2 Y))")
     for bad in (
-        "(leaf 1 Z)",
-        "(union [1|] [2|] (leaf 1 X) (leaf 2 X)) extra",
-        "(skew [1",
+        "(union (leaf 1 X) (leaf 2 X)) extra",
+        "(union (leaf 1 X) (leaf 2 X) (leaf 3 X))",
+        "(skew (leaf 1",
         "(leaf",
-        "(union [1|",
+        "(union (leaf 1 X)",
         "(",
+        "",
     ):
         with pytest.raises(ValueError):
             parse_tree(bad)
+    # the old text with per-node part lists is not read, and the error is located
+    with pytest.raises(ValueError, match="near token 2$"):
+        parse_tree("(skew [1|2] (leaf 1 X) (leaf 2 Y))")
     # a non-integer vertex id is located like every other malformed token
-    for bad in ("(leaf x X)", "(union [1|x] [2|] (leaf 1 X) (leaf 2 Y))"):
-        with pytest.raises(ValueError, match="token"):
+    for bad, at in (("(leaf x X)", 2), ("(union (leaf 1 X) (leaf x Y))", 9)):
+        with pytest.raises(ValueError, match=f"near token {at}$"):
             parse_tree(bad)
-    # a repeated id, on one side or on both, repeats at the root
-    for bad in (
-        "(union [1|] [1|] (leaf 1 X) (leaf 1 X))",
-        "(union [1|] [|1] (leaf 1 X) (leaf 1 Y))",
-        "(join [1|2] [3|1] (skew [1|] [|2] (leaf 1 X) (leaf 2 Y)) (union [3|] [|1] (leaf 3 X) (leaf 1 Y)))",
+    # a repeated id, on one side or on both, is located at its second leaf
+    for bad, at in (
+        ("(union (leaf 1 X) (leaf 1 X))", 9),
+        ("(union (leaf 1 X) (leaf 1 Y))", 9),
+        ("(join (skew (leaf 1 X) (leaf 2 Y)) (union (leaf 3 X) (leaf 1 Y)))", 24),
     ):
-        with pytest.raises(ValueError, match="repeated"):
+        with pytest.raises(ValueError, match=f"repeated vertex id 1 at token {at}$"):
             parse_tree(bad)
 
 
@@ -372,6 +370,18 @@ def test_decompose_round_trip_on_random_trees():
         assert again is not None, format_tree(tree)
         assert recompose(again) == g
         assert g.edges() == sorted(_tree_edges_reference(tree))
+
+
+def test_random_leaf_tree_draws_are_pinned():
+    # the closure suite and perfbench draw their trees by seed, so the draws
+    # and their order must not change under them
+    rng = random.Random(2)
+    assert [format_tree(random_leaf_tree(rng, max_leaves=16)) for _ in range(3)] == [
+        "(union (leaf 1 X) (union (skew (join (skew (leaf 2 X) (join (leaf 3 X) (leaf 4 Y)))"
+        " (skew (skew (leaf 5 Y) (leaf 6 Y)) (skew (leaf 7 X) (leaf 8 X)))) (skew (leaf 9 X) (leaf 10 X))) (leaf 11 Y)))",
+        "(leaf 1 X)",
+        "(leaf 1 Y)",
+    ]
 
 
 def _buildable_by_brute_force(g: Graph, b: Bipartition) -> bool:
@@ -437,9 +447,8 @@ def _decompose_reference(g: Graph, b: Bipartition) -> DecompositionTree | None:
         return reached
 
     def build(mask: int) -> DecompositionTree | None:
-        px, py = tuple(mask_vertices(mask & x_mask)), tuple(mask_vertices(mask & y_mask))
         if mask.bit_count() == 1:
-            return DecompositionTree("leaf", px, py)
+            return DecompositionTree("leaf", mask.bit_length(), "X" if mask & x_mask else "Y")
         low = next(mask_vertices(mask))
         for kind, firsts in (
             ("union", [closure(low, g.adj, mask)]),
@@ -451,7 +460,7 @@ def _decompose_reference(g: Graph, b: Bipartition) -> DecompositionTree | None:
                     left, right = build(first), build(mask & ~first)
                     if left is None or right is None:
                         return None
-                    return DecompositionTree(kind, px, py, left, right)
+                    return DecompositionTree(kind, left=left, right=right)
         return None
 
     return build(x_mask | y_mask) if g.n else None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from bipkit.harness.suites import (
 )
 from bipkit.matching import are_isomorphic
 from bipkit.perms import Permutation, permutation_graph
+from bipkit.structure import format_tree
 
 PINNED_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_verdicts.txt"
 
@@ -58,6 +60,10 @@ def test_failing_case_produces_reverifiable_witness():
 def test_witness_kinds_reverify():
     from bipkit.graphs import find_bipartition, serialize_graph
     from bipkit.families import s123, complete_bipartite
+
+    # a random tree recomposes into the closure class, so it is no counterexample
+    tree = suites.random_leaf_tree(random.Random(2), max_leaves=16)
+    assert not reverify_witness(make_witness("tree-not-free", {"tree": format_tree(tree)}))
 
     good = make_witness(
         "perm-contain", {"host": "(2,3,1)", "pattern": "(1,2)"}
@@ -347,17 +353,32 @@ def test_cli_paths_decompose_letter_biconvex(capsys):
     assert capsys.readouterr().out.strip() == "yes"
     assert cli.main(["paths", "s123", "9"]) == 0
     assert capsys.readouterr().out.strip() == "no"
+    # the tree text, byte for byte: each vertex named once, at its leaf
     assert cli.main(["decompose", "path:6"]) == 0
-    assert capsys.readouterr().out.startswith("(")
+    assert capsys.readouterr().out == (
+        "(join (union (leaf 1 X) (union (join (leaf 3 X) (leaf 4 Y)) (leaf 6 Y))) (union (leaf 2 Y) (leaf 5 X)))\n"
+    )
+    assert cli.main(["decompose", "kab:3,4"]) == 0
+    assert capsys.readouterr().out == (
+        "(join (leaf 1 X) (join (leaf 2 X) (join (leaf 3 X)"
+        " (union (leaf 4 Y) (union (leaf 5 Y) (union (leaf 6 Y) (leaf 7 Y)))))))\n"
+    )
+    # README's example of the tree text
+    assert cli.main(["decompose", "path:3"]) == 0
+    assert capsys.readouterr().out == "(join (leaf 1 X) (join (leaf 2 Y) (leaf 3 X)))\n"
     assert cli.main(["decompose", "path:7"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().out == "none\n"
     assert cli.main(["decompose", "t-graph:6"]) == 1
     assert capsys.readouterr().out.strip() == "none"
-    assert cli.main(["decompose", "cycle:5"]) == 1
+    for command in ("decompose", "biconvex"):
+        assert cli.main([command, "cycle:5"]) == 1
+        assert capsys.readouterr().out == "FAIL graph is not bipartite\n"
     assert cli.main(["letter", "grid", "2", "2", "--verify", "grid:2,2"]) == 0
-    assert cli.main(["biconvex", "path:4"]) == 0
-    assert cli.main(["biconvex", "cycle:6"]) == 1
     capsys.readouterr()
+    assert cli.main(["biconvex", "path:4"]) == 0
+    assert capsys.readouterr().out == "A: 1 3\nB: 2 4\n"
+    assert cli.main(["biconvex", "cycle:6"]) == 1
+    assert capsys.readouterr().out == "none\n"
 
 
 def test_cli_stdin_graph(capsys, monkeypatch):
