@@ -19,9 +19,15 @@ callback of its own.
 
 On the degree-filter path (``find_induced_embedding``,
 ``count_induced_embeddings``, ``is_free``) one more filter runs, from one
-bitmask breadth-first search each over host and pattern.  Both are cached:
-the lemma checks search the same few patterns in thousands of hosts, and
-family-search embeds thousands of patterns into one grid.  A connected pattern component maps into one host
+bitmask breadth-first search each over host and pattern.  The whole set-up
+of that path is cached, once per host rows (``_host_parts``: degree total,
+degree-threshold masks, components) and once per pattern rows
+(``_pattern_parts``: degree total, degrees, components and sides), in
+bounded caches.  The lemma checks search the same few patterns in
+thousands of tiny hosts, where rebuilding the set-up on every call was a
+large share of each search, and family-search embeds thousands of patterns
+into one grid.  The search reads only the cached values, so a cache hit
+spends the same steps as a miss.  A connected pattern component maps into one host
 component, and a pattern path of length d maps to a host walk of length d,
 so in a bipartite host component pattern distance parity is kept.  Hence a
 pattern with an odd cycle has no embedding in a bipartite host (answered
@@ -164,11 +170,30 @@ def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
 
 
 @lru_cache(maxsize=256)
-def _pattern_parts(padj: tuple[int, ...]) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
-    """Whether the pattern has an odd cycle; per vertex u, u's component
-    (``pcomp[u]``) and the vertices of that component on u's side
-    (``pside[u]``, 0 when the component has an odd cycle)."""
+def _host_parts(hadj: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[tuple[int, int, bool], ...], bool]:
+    """The degree-filter set-up of a host: its degree total; ``at_least[d]``,
+    the host vertices of degree at least d, for d up to the top degree; its
+    ``_component_masks``; and whether every component is bipartite."""
+    degrees = [row.bit_count() for row in hadj]
+    at_least = [0] * (max(degrees, default=0) + 1)
+    for x, d in enumerate(degrees):
+        at_least[d] |= 1 << x
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    comps = _component_masks(hadj)
+    return sum(degrees), tuple(at_least), comps, all(c[2] for c in comps)
+
+
+@lru_cache(maxsize=256)
+def _pattern_parts(
+    padj: tuple[int, ...],
+) -> tuple[int, tuple[int, ...], int, bool, tuple[int, ...], tuple[int, ...]]:
+    """The degree-filter set-up of a pattern: its degree total, degrees and
+    top degree; whether it has an odd cycle; per vertex u, u's component (``pcomp[u]``)
+    and the vertices of that component on u's side (``pside[u]``, 0 when the
+    component has an odd cycle)."""
     p = len(padj)
+    degrees = tuple(row.bit_count() for row in padj)
     pcomp = [0] * p
     pside = [0] * p
     odd = False
@@ -182,7 +207,7 @@ def _pattern_parts(padj: tuple[int, ...]) -> tuple[bool, tuple[int, ...], tuple[
             pcomp[u] = comp
             if bipartite:
                 pside[u] = side if side & low else comp & ~side
-    return odd, tuple(pcomp), tuple(pside)
+    return sum(degrees), degrees, max(degrees), odd, tuple(pcomp), tuple(pside)
 
 
 def _search(
@@ -218,22 +243,13 @@ def _search(
         return
     pcomp = None
     if domains is None:
-        hdeg = [row.bit_count() for row in hadj]
-        pdeg = [row.bit_count() for row in padj]
-        if p > len(hadj) or sum(pdeg) > sum(hdeg):
+        hsum, at_least, hcomps, all_bipartite = _host_parts(hadj)
+        psum, pdeg, ptop, odd, pcomp, pside = _pattern_parts(padj)
+        if p > len(hadj) or psum > hsum or ptop >= len(at_least) or (odd and all_bipartite):
+            # too big, a vertex of higher degree than any host vertex (an
+            # empty domain), or an odd cycle with no image in a bipartite host
             return
-        hcomps = _component_masks(hadj)
-        odd, pcomp, pside = _pattern_parts(padj)
-        if odd and all(c[2] for c in hcomps):
-            return  # an odd cycle has no image in a bipartite host
-        top = max(hdeg) + 1
-        # at_least[d]: host vertices of degree at least d; at_least[top] is empty
-        at_least = [0] * (top + 1)
-        for x, d in enumerate(hdeg):
-            at_least[d] |= 1 << x
-        for d in range(top - 1, -1, -1):
-            at_least[d] |= at_least[d + 1]
-        domains = [at_least[min(d, top)] for d in pdeg]
+        domains = [at_least[d] for d in pdeg]
     bounded = budget.remaining is not None
     assignment = [0] * p
     smaller = None
@@ -249,7 +265,8 @@ def _search(
     frames: list[tuple[int, int, list[int], int]] = []
     # most-constrained vertex first, ascending-id tie-break; after the first,
     # each choice is made while the domains are filtered
-    u = min(range(p), key=lambda v: domains[v].bit_count())
+    sizes = [d.bit_count() for d in domains]
+    u = sizes.index(min(sizes))
     remaining = ((1 << p) - 1) & ~(1 << u)
     cands = domains[u]
     while True:

@@ -10,9 +10,12 @@ forced: a component, a complement component, or a vertex's closure under the
 skew arcs.  No subset is searched, so the engine has no size cap.  A build
 tree names each vertex once, at its leaf, with its side; a node's parts are
 derived from the leaves below it, so a tree and its text grow linearly with
-the vertex count.  A tree can be as deep as the vertex count, so every walk
-over one (decompose, recompose, tree text) keeps an explicit stack instead
-of recursing.
+the vertex count.  A node is an immutable tuple ``(kind, vertex, side,
+left, right)`` with named fields, cheaper to build than a dataclass: the
+member trees of the connected graphs on up to 10 vertices hold over 40,000
+nodes.  A tree can be as deep as the vertex count, so every walk over one
+(decompose, recompose, tree text, ``==``, ``!=``, hash, repr) keeps an
+explicit stack instead of recursing.
 
 The skew split's first operand is the closure of the least vertex whose
 closure is not the whole subgraph, found with at most three closures.  If
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graphs import (
     Bipartition,
@@ -208,47 +212,69 @@ def skew_join(g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[G
 # decomposition trees
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class DecompositionTree:
+_BINARY = ("union", "join", "skew")
+_NO_CHILDREN = "malformed tree: binary node without two children"
+
+
+class DecompositionTree(tuple):
     """Build tree over single-vertex leaves.  A leaf names its vertex and its
     side, X or Y; a union, join or skew node holds only its two operands, so
     each vertex is named once, at its leaf.
 
-    A tree can be as deep as its vertex count, so the derived parts,
-    equality, hashing and repr walk it with an explicit stack instead of
-    recursing once per level.
+    A node is an immutable tuple ``(kind, vertex, side, left, right)`` whose
+    fields are read by name.  A tree can be as deep as its vertex count, so
+    the derived parts, ``==``, ``!=``, hashing and repr walk it with an
+    explicit stack instead of recursing once per level, as the tuple's own
+    comparisons would.
     """
 
-    kind: str  # "leaf" | "union" | "join" | "skew"
-    vertex: int | None = None  # a leaf's id
-    side: str | None = None  # a leaf's side, "X" or "Y"
-    left: "DecompositionTree | None" = None
-    right: "DecompositionTree | None" = None
+    __slots__ = ()
 
-    def _leaf_ids(self, side: str) -> tuple[int, ...]:
+    def __new__(
+        cls,
+        kind: str,  # "leaf" | "union" | "join" | "skew"
+        vertex: int | None = None,  # a leaf's id
+        side: str | None = None,  # a leaf's side, "X" or "Y"
+        left: DecompositionTree | None = None,
+        right: DecompositionTree | None = None,
+    ) -> DecompositionTree:
+        return tuple.__new__(cls, (kind, vertex, side, left, right))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)  # copy and pickle call __new__ with the fields
+
+    kind = property(itemgetter(0))
+    vertex = property(itemgetter(1))
+    side = property(itemgetter(2))
+    left = property(itemgetter(3))
+    right = property(itemgetter(4))
+
+    def _leaf_ids(self, sides: tuple[str, ...]) -> tuple[int, ...]:
         ids = []
         todo = [self]
         while todo:
-            node = todo.pop()
-            if node.kind == "leaf":
-                if node.side == side:
-                    ids.append(node.vertex)
+            kind, vertex, side, left, right = todo.pop()
+            if kind == "leaf":
+                if side in sides:
+                    ids.append(vertex)
+            elif left is None or right is None:
+                raise ValueError(_NO_CHILDREN)
             else:
-                todo += (node.right, node.left)
+                todo += (right, left)
         return tuple(sorted(ids))
 
     @property
     def part_x(self) -> tuple[int, ...]:
         """The X leaves' ids below this node, ascending."""
-        return self._leaf_ids("X")
+        return self._leaf_ids(("X",))
 
     @property
     def part_y(self) -> tuple[int, ...]:
         """The Y leaves' ids below this node, ascending."""
-        return self._leaf_ids("Y")
+        return self._leaf_ids(("Y",))
 
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.part_x + self.part_y))
+        return self._leaf_ids(("X", "Y"))
 
     def _preorder(self) -> tuple:
         """Every node's (kind, vertex, side) in preorder, None for a missing child."""
@@ -259,17 +285,29 @@ class DecompositionTree:
             if node is None:
                 out.append(None)
             else:
-                out.append((node.kind, node.vertex, node.side))
-                todo += (node.right, node.left)
+                kind, vertex, side, left, right = node
+                out.append((kind, vertex, side))
+                todo += (right, left)
         return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
-            return NotImplemented
+            # a plain tuple of the same fields is no tree
+            return False if isinstance(other, tuple) else NotImplemented
         return self._preorder() == other._preorder()
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
         return hash(self._preorder())
+
+    def _unordered(self, other: object) -> bool:
+        return NotImplemented
+
+    # trees have no order; the tuple's would compare once per level
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __repr__(self) -> str:
         pieces: list[str] = []
@@ -279,9 +317,28 @@ class DecompositionTree:
             if item is None or isinstance(item, str):
                 pieces.append(str(item))
             else:
-                pieces.append(f"DecompositionTree(kind={item.kind!r}, vertex={item.vertex!r}, side={item.side!r}, left=")
-                todo += (")", item.right, ", right=", item.left)
+                kind, vertex, side, left, right = item
+                pieces.append(f"DecompositionTree(kind={kind!r}, vertex={vertex!r}, side={side!r}, left=")
+                todo += (")", right, ", right=", left)
         return "".join(pieces)
+
+
+def _check_node(kind: str, side: str | None, left, right) -> bool:
+    """Whether a well-formed node is a leaf; ValueError on a malformed one."""
+    if kind == "leaf":
+        if side not in ("X", "Y"):
+            raise ValueError(f"malformed tree: leaf side must be X or Y, got {side!r}")
+        return True
+    if kind not in _BINARY:
+        raise ValueError(f"malformed tree: unknown node kind {kind!r}")
+    if left is None or right is None:
+        raise ValueError(_NO_CHILDREN)
+    return False
+
+
+def _check_leaf_ids(ids: list[int]) -> None:
+    if sorted(ids) != list(range(1, len(ids) + 1)):
+        raise ValueError(f"malformed tree: leaf ids must be 1..{len(ids)}, each once")
 
 
 def _checked_preorder(t: DecompositionTree) -> list[DecompositionTree]:
@@ -292,18 +349,12 @@ def _checked_preorder(t: DecompositionTree) -> list[DecompositionTree]:
     while todo:
         node = todo.pop()
         nodes.append(node)
-        if node.kind == "leaf":
-            if node.side not in ("X", "Y"):
-                raise ValueError(f"malformed tree: leaf side must be X or Y, got {node.side!r}")
-            ids.append(node.vertex)
-        elif node.kind not in ("union", "join", "skew"):
-            raise ValueError(f"malformed tree: unknown node kind {node.kind!r}")
-        elif node.left is None or node.right is None:
-            raise ValueError("malformed tree: binary node without two children")
+        kind, vertex, side, left, right = node
+        if _check_node(kind, side, left, right):
+            ids.append(vertex)
         else:
-            todo += (node.right, node.left)
-    if sorted(ids) != list(range(1, len(ids) + 1)):
-        raise ValueError(f"malformed tree: leaf ids must be 1..{len(ids)}, each once")
+            todo += (right, left)
+    _check_leaf_ids(ids)
     return nodes
 
 
@@ -313,22 +364,25 @@ def recompose(t: DecompositionTree) -> Graph:
     The leaf ids are checked to be 1..n, each once, before any mask is built.
     Then, in reverse preorder, every node meets its operands' finished
     (X, Y) masks and ORs the cross edges its kind fixes into the rows.
+    ``_add_cross`` writes each edge into the rows of both its ends, which are
+    leaves of disjoint operands with ids in 1..n, so the rows are symmetric,
+    loop-free and in range by construction and skip ``Graph``'s checks.
     """
     nodes = _checked_preorder(t)
     n = (len(nodes) + 1) // 2  # n leaves make 2n - 1 nodes
     rows = [0] * n
     # a node's first operand finishes last, so its masks sit on top of the stack
     masks: list[tuple[int, int]] = []
-    for node in reversed(nodes):
-        if node.kind == "leaf":
-            bit = 1 << (node.vertex - 1)
-            masks.append((bit, 0) if node.side == "X" else (0, bit))
+    for kind, vertex, side, _, _ in reversed(nodes):
+        if kind == "leaf":
+            bit = 1 << (vertex - 1)
+            masks.append((bit, 0) if side == "X" else (0, bit))
         else:
             lx, ly = masks.pop()
             rx, ry = masks.pop()
-            _add_cross(rows, node.kind, lx, ly, rx, ry)
+            _add_cross(rows, kind, lx, ly, rx, ry)
             masks.append((lx | rx, ly | ry))
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
@@ -408,73 +462,88 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
 def format_tree(t: DecompositionTree) -> str:
     """S-expression naming each vertex once, at its leaf, e.g.
     ``(skew (leaf 1 X) (leaf 2 Y))``; a tree ``recompose`` rejects raises the
-    same ValueError here."""
-    _checked_preorder(t)
+    same ValueError here.  One walk checks the nodes and writes the text."""
     pieces: list[str] = []
+    ids: list[int] = []
     todo: list[DecompositionTree | str] = [t]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             pieces.append(item)
-        elif item.kind == "leaf":
-            pieces.append(f"(leaf {item.vertex} {item.side})")
+            continue
+        kind, vertex, side, left, right = item
+        if _check_node(kind, side, left, right):
+            ids.append(vertex)
+            pieces.append(f"(leaf {vertex} {side})")
         else:
-            pieces.append(f"({item.kind} ")
-            todo += (")", item.right, " ", item.left)
+            pieces.append(f"({kind} ")
+            todo += (")", right, " ", left)
+    _check_leaf_ids(ids)
     return "".join(pieces)
 
 
 def parse_tree(text: str) -> DecompositionTree:
     """Read ``format_tree``'s text; ValueError with the token position on
-    malformed text or a repeated vertex id."""
+    malformed text or a repeated vertex id.
+
+    One loop reads the tokens; ``expect`` names what the next one must be:
+    "(" opens a node, "kind" names it, "id" and "side" fill a leaf, ")"
+    closes a leaf and "close" a binary node, and "done" follows the root.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"tree text ends early at token {pos}")
-        pos += 1
-        return tokens[pos - 1]
-
-    def expect(tok: str) -> None:
-        if take() != tok:
-            raise ValueError(f"malformed tree text near token {pos - 1}")
-
+    expect = "("
     # open binary nodes, outermost first: kind, first operand once read
     open_nodes: list[list] = []
     seen: set[int] = set()
-    while True:
-        expect("(")
-        kind = take()
-        if kind in ("union", "join", "skew"):
-            open_nodes.append([kind, None])
-            continue
-        if kind != "leaf":
-            raise ValueError(f"unknown node kind {kind!r} at token {pos - 1}")
-        try:
-            v = int(take())
-        except ValueError:
-            raise ValueError(f"malformed tree text near token {pos - 1}") from None
-        if v in seen:
-            raise ValueError(f"repeated vertex id {v} at token {pos - 1}")
-        seen.add(v)
-        side = take()
-        if side not in ("X", "Y"):
-            raise ValueError(f"leaf side must be X or Y, got {side!r} at token {pos - 1}")
-        expect(")")
-        node = DecompositionTree("leaf", v, side)
-        # a finished node closes every open node whose first operand is already read
-        while open_nodes and open_nodes[-1][1] is not None:
-            kind, left = open_nodes.pop()
-            expect(")")
-            node = DecompositionTree(kind, left=left, right=node)
-        if not open_nodes:
-            break
-        open_nodes[-1][1] = node
-
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after tree")
+    node = vertex = None
+    for pos, tok in enumerate(tokens):
+        if expect == "(":
+            if tok != "(":
+                raise ValueError(f"malformed tree text near token {pos}")
+            expect = "kind"
+        elif expect == "kind":
+            if tok in _BINARY:
+                open_nodes.append([tok, None])
+                expect = "("
+            elif tok == "leaf":
+                expect = "id"
+            else:
+                raise ValueError(f"unknown node kind {tok!r} at token {pos}")
+        elif expect == "id":
+            try:
+                vertex = int(tok)
+            except ValueError:
+                raise ValueError(f"malformed tree text near token {pos}") from None
+            if vertex in seen:
+                raise ValueError(f"repeated vertex id {vertex} at token {pos}")
+            seen.add(vertex)
+            expect = "side"
+        elif expect == "side":
+            if tok not in ("X", "Y"):
+                raise ValueError(f"leaf side must be X or Y, got {tok!r} at token {pos}")
+            node = DecompositionTree("leaf", vertex, tok)
+            expect = ")"
+        elif expect == "done":
+            raise ValueError("trailing tokens after tree")
+        else:
+            if tok != ")":
+                raise ValueError(f"malformed tree text near token {pos}")
+            if expect == "close":
+                kind, left = open_nodes.pop()
+                node = DecompositionTree(kind, left=left, right=node)
+            # a finished node closes the open node whose first operand is read
+            if open_nodes and open_nodes[-1][1] is not None:
+                expect = "close"
+            elif open_nodes:
+                open_nodes[-1][1] = node
+                expect = "("
+            else:
+                expect = "done"
+    if expect == "id":
+        # the id is read at the token after "leaf", located at "leaf"
+        raise ValueError(f"malformed tree text near token {len(tokens) - 1}")
+    if expect != "done":
+        raise ValueError(f"tree text ends early at token {len(tokens)}")
     return node
 
 

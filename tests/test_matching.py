@@ -13,7 +13,9 @@ from bipkit.matching import (
     StepBudgetExceeded,
     _Budget,
     _first_embedding,
+    _host_parts,
     _order_constraints,
+    _pattern_parts,
     _search,
     are_isomorphic,
     count_induced_embeddings,
@@ -269,23 +271,50 @@ def test_odd_cycle_into_bipartite_host_needs_no_step():
 
 def test_lemma_pattern_search_steps_are_pinned(connected_levels):
     # Budget steps of the first-embedding search over every connected
-    # bipartite graph on 1..9 vertices (1,211 hosts).  Steps are exact where
+    # bipartite graph on 1..9 vertices (1,211 hosts) and on 1..10 (5,016
+    # hosts), as the module docstring states them.  Steps are exact where
     # wall time is noisy, so a change that loses pruning fails here.  Before
-    # the component-and-parity filter the totals were C4 5,949, P7 43,097,
-    # Sun1 6,089 and S123 27,368.
-    pinned = {"C4": 5913, "P7": 15470, "Sun1": 6051, "S123": 10666}
+    # the component-and-parity filter the 1..9 totals were C4 5,949, P7
+    # 43,097, Sun1 6,089 and S123 27,368.
+    pinned = {
+        9: {"C4": 5913, "P7": 15470, "Sun1": 6051, "S123": 10666},
+        10: {"C4": 30257, "P7": 106534, "Sun1": 31552, "S123": 80411},
+    }
     patterns = {"C4": cycle(4), "P7": path(7), "Sun1": sun1(), "S123": s123()}
     big = 10**12
-    totals = {}
+    totals = {9: {}, 10: {}}
     for name, pattern in patterns.items():
         total = 0
-        for n in range(1, 10):
+        for n in range(1, 11):
             for host in connected_levels[n]:
-                tracker = _Budget(big)
-                _first_embedding(pattern.adj, host.adj, tracker)
-                total += big - tracker.remaining
-        totals[name] = total
+                # the second search into the host reads its cached set-up and
+                # must find the same embedding with the same steps
+                runs = []
+                for _ in range(2):
+                    tracker = _Budget(big)
+                    runs.append((_first_embedding(pattern.adj, host.adj, tracker), big - tracker.remaining))
+                assert runs[0] == runs[1], (name, host.adj)
+                total += runs[0][1]
+            if n in totals:
+                totals[n][name] = total
     assert totals == pinned
+
+
+def test_cached_search_set_up_runs_out_of_budget_at_the_same_step(connected_levels):
+    host = connected_levels[10][-1]
+    for pattern in (cycle(4), path(7), sun1(), s123()):
+        tracker = _Budget(10**12)
+        found = _first_embedding(pattern.adj, host.adj, tracker)
+        steps = 10**12 - tracker.remaining
+        assert steps > 0
+        for cold in (True, False):  # a cache miss, then a hit
+            if cold:
+                _host_parts.cache_clear()
+                _pattern_parts.cache_clear()
+            with pytest.raises(StepBudgetExceeded):
+                find_induced_embedding(pattern, host, budget=steps - 1)
+            emb = find_induced_embedding(pattern, host, budget=steps)
+            assert (None if emb is None else emb.mapping) == found
 
 
 def _quasi_order_pool() -> list[Graph]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -360,11 +361,74 @@ def test_tree_round_trip_and_errors():
             parse_tree(bad)
 
 
+def test_parse_tree_locates_every_cut():
+    # the text cut after each of its tokens; the messages were captured from
+    # the parser before it read tokens in one loop.  A cut right after "leaf"
+    # fails on the missing id, located at the "leaf" token; every other cut
+    # runs out of tokens
+    text = "(skew (union (leaf 1 X) (leaf 3 Y)) (join (leaf 2 Y) (leaf 4 X)))"
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    expected = [
+        "tree text ends early at token 1", "tree text ends early at token 2",
+        "tree text ends early at token 3", "tree text ends early at token 4",
+        "tree text ends early at token 5", "malformed tree text near token 5",
+        "tree text ends early at token 7", "tree text ends early at token 8",
+        "tree text ends early at token 9", "tree text ends early at token 10",
+        "malformed tree text near token 10", "tree text ends early at token 12",
+        "tree text ends early at token 13", "tree text ends early at token 14",
+        "tree text ends early at token 15", "tree text ends early at token 16",
+        "tree text ends early at token 17", "tree text ends early at token 18",
+        "malformed tree text near token 18", "tree text ends early at token 20",
+        "tree text ends early at token 21", "tree text ends early at token 22",
+        "tree text ends early at token 23", "malformed tree text near token 23",
+        "tree text ends early at token 25", "tree text ends early at token 26",
+        "tree text ends early at token 27", "tree text ends early at token 28",
+    ]
+    assert len(tokens) == len(expected) + 1
+    for k, message in enumerate(expected):
+        with pytest.raises(ValueError) as err:
+            parse_tree(" ".join(tokens[: k + 1]))
+        assert str(err.value) == message, k
+    assert format_tree(parse_tree(" ".join(tokens))) == text
+
+
+def test_tree_nodes_are_immutable_tuples_walked_without_recursion():
+    # a caterpillar 6,000 levels deep, built bottom-up
+    deep = _leaf(1)
+    for v in range(2, 6002):
+        deep = _union(deep, _leaf(v, "Y"))
+    copy = parse_tree(format_tree(deep))
+    assert copy is not deep and copy == deep and not (copy != deep)
+    assert hash(copy) == hash(deep) and repr(copy) == repr(deep)
+    other = _union(copy.left, _leaf(6001))  # the last leaf on the other side
+    assert other != deep and not (other == deep)
+    assert deep.part_y == tuple(range(2, 6002)) and len(deep.vertices()) == 6001
+    with pytest.raises(AttributeError):
+        deep.kind = "join"
+    with pytest.raises(AttributeError):
+        deep.extra = 1
+    with pytest.raises(TypeError):
+        deep < copy
+    assert _leaf(2, "Y") == pickle.loads(pickle.dumps(_leaf(2, "Y")))
+    assert repr(_leaf(1)) == "DecompositionTree(kind='leaf', vertex=1, side='X', left=None, right=None)"
+    # a tree and a plain tuple of the same fields are not equal either way
+    assert _leaf(1) != ("leaf", 1, "X", None, None) and ("leaf", 1, "X", None, None) != _leaf(1)
+
+
+def test_derived_parts_reject_a_binary_node_without_two_children():
+    for bad in (_union(_leaf(1), None), DecompositionTree("union", left=_leaf(1)), DecompositionTree("join")):
+        for read in (lambda t: t.part_x, lambda t: t.part_y, lambda t: t.vertices()):
+            with pytest.raises(ValueError) as err:
+                read(bad)
+            assert str(err.value) == "malformed tree: binary node without two children"
+
+
 def test_decompose_round_trip_on_random_trees():
     rng = random.Random(777)
     for _ in range(40):
         tree = random_leaf_tree(rng, max_depth=4, max_leaves=9)
         g = recompose(tree)
+        assert Graph(g.n, g.adj) == g  # the rows recompose trusts pass Graph's checks
         b = Bipartition.of(set(tree.part_x), set(tree.part_y))
         again = decompose(g, b)
         assert again is not None, format_tree(tree)
