@@ -733,31 +733,27 @@ def _suite_lemma_reduction(opts: SuiteOptions) -> list:
 def random_leaf_tree(rng: random.Random, max_depth: int = 6, max_leaves: int = 12) -> DecompositionTree:
     """Random build tree over single-vertex leaves with fresh ids 1..n."""
 
-    def shape(depth: int) -> list:
+    def shape(depth: int) -> list[str]:
+        """A random tree's kinds in preorder, "leaf" at each leaf."""
         if depth >= max_depth or rng.random() < 0.3:
             return ["leaf"]
         kind = rng.choice(["union", "join", "skew"])
-        return [kind, shape(depth + 1), shape(depth + 1)]
-
-    def count_leaves(s) -> int:
-        if s[0] == "leaf":
-            return 1
-        return count_leaves(s[1]) + count_leaves(s[2])
+        return [kind, *shape(depth + 1), *shape(depth + 1)]
 
     s = shape(0)
-    while count_leaves(s) > max_leaves:
+    while s.count("leaf") > max_leaves:
         s = shape(0)
 
+    # the leaves are numbered and given sides in preorder, once the shape is kept
     counter = itertools.count(1)
-
-    def build(s) -> DecompositionTree:
-        if s[0] == "leaf":
+    tree: list[int | str] = []
+    for kind in s:
+        if kind == "leaf":
             v = next(counter)
-            return DecompositionTree("leaf", v, "X" if rng.random() < 0.5 else "Y")
-        left = build(s[1])
-        return DecompositionTree(s[0], left=left, right=build(s[2]))
-
-    return build(s)
+            tree.append(v if rng.random() < 0.5 else -v)
+        else:
+            tree.append(kind)
+    return DecompositionTree(tree)
 
 
 def _case_closure_path7(case: str) -> CaseVerdict:

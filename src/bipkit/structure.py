@@ -8,14 +8,14 @@ these operations build form a hereditary class (delete a leaf and contract
 its parent), so any valid split has buildable sides and each split can be
 forced: a component, a complement component, or a vertex's closure under the
 skew arcs.  No subset is searched, so the engine has no size cap.  A build
-tree names each vertex once, at its leaf, with its side; a node's parts are
-derived from the leaves below it, so a tree and its text grow linearly with
-the vertex count.  A node is an immutable tuple ``(kind, vertex, side,
-left, right)`` with named fields, cheaper to build than a dataclass: the
+tree is its preorder, stored as one flat tuple: a union, join or skew node
+is its kind string, and a leaf is its vertex id, negated when the vertex is
+on side Y.  So each vertex is named once, at its leaf, a tree and its text
+grow linearly with the vertex count, and no node object is built: the
 member trees of the connected graphs on up to 10 vertices hold over 40,000
-nodes.  A tree can be as deep as the vertex count, so every walk over one
-(decompose, recompose, tree text, ``==``, ``!=``, hash, repr) keeps an
-explicit stack instead of recursing.
+nodes.  A tree can be as deep as the vertex count; every walk over one
+(decompose, recompose, tree text) is a loop over the flat entries or the
+tokens, and ``==``, hashing and repr are the flat tuple's own.
 
 The skew split's first operand is the closure of the least vertex whose
 closure is not the whole subgraph, found with at most three closures.  If
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .graphs import (
     Bipartition,
@@ -213,174 +212,87 @@ def skew_join(g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[G
 
 
 _BINARY = ("union", "join", "skew")
-_NO_CHILDREN = "malformed tree: binary node without two children"
 
 
 class DecompositionTree(tuple):
-    """Build tree over single-vertex leaves.  A leaf names its vertex and its
-    side, X or Y; a union, join or skew node holds only its two operands, so
-    each vertex is named once, at its leaf.
+    """Build tree over single-vertex leaves, stored as its preorder: one flat
+    tuple with one entry per node.  A union, join or skew node is its kind
+    string, followed by its first operand's entries and then its second's.
+    A leaf is its vertex id, negated when the vertex is on side Y, so each
+    vertex is named once, with its side.
 
-    A node is an immutable tuple ``(kind, vertex, side, left, right)`` whose
-    fields are read by name.  A tree can be as deep as its vertex count, so
-    the derived parts, ``==``, ``!=``, hashing and repr walk it with an
-    explicit stack instead of recursing once per level, as the tuple's own
-    comparisons would.
+    Equality, hashing, pickling and repr are the tuple's own; the tuple is
+    flat, so none of them recurses however deep the tree is.  The parts are
+    read off the leaves once the tree passes ``recompose``'s checks.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        kind: str,  # "leaf" | "union" | "join" | "skew"
-        vertex: int | None = None,  # a leaf's id
-        side: str | None = None,  # a leaf's side, "X" or "Y"
-        left: DecompositionTree | None = None,
-        right: DecompositionTree | None = None,
-    ) -> DecompositionTree:
-        return tuple.__new__(cls, (kind, vertex, side, left, right))
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)  # copy and pickle call __new__ with the fields
-
-    kind = property(itemgetter(0))
-    vertex = property(itemgetter(1))
-    side = property(itemgetter(2))
-    left = property(itemgetter(3))
-    right = property(itemgetter(4))
-
-    def _leaf_ids(self, sides: tuple[str, ...]) -> tuple[int, ...]:
-        ids = []
-        todo = [self]
-        while todo:
-            kind, vertex, side, left, right = todo.pop()
-            if kind == "leaf":
-                if side in sides:
-                    ids.append(vertex)
-            elif left is None or right is None:
-                raise ValueError(_NO_CHILDREN)
-            else:
-                todo += (right, left)
-        return tuple(sorted(ids))
-
     @property
     def part_x(self) -> tuple[int, ...]:
-        """The X leaves' ids below this node, ascending."""
-        return self._leaf_ids(("X",))
+        """The X leaves' ids, ascending."""
+        _check_tree(self)
+        return tuple(sorted(e for e in self if e.__class__ is int and e > 0))
 
     @property
     def part_y(self) -> tuple[int, ...]:
-        """The Y leaves' ids below this node, ascending."""
-        return self._leaf_ids(("Y",))
+        """The Y leaves' ids, ascending."""
+        _check_tree(self)
+        return tuple(sorted(-e for e in self if e.__class__ is int and e < 0))
 
     def vertices(self) -> tuple[int, ...]:
-        return self._leaf_ids(("X", "Y"))
-
-    def _preorder(self) -> tuple:
-        """Every node's (kind, vertex, side) in preorder, None for a missing child."""
-        out: list = []
-        todo: list[DecompositionTree | None] = [self]
-        while todo:
-            node = todo.pop()
-            if node is None:
-                out.append(None)
-            else:
-                kind, vertex, side, left, right = node
-                out.append((kind, vertex, side))
-                todo += (right, left)
-        return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            # a plain tuple of the same fields is no tree
-            return False if isinstance(other, tuple) else NotImplemented
-        return self._preorder() == other._preorder()
-
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        return hash(self._preorder())
-
-    def _unordered(self, other: object) -> bool:
-        return NotImplemented
-
-    # trees have no order; the tuple's would compare once per level
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
-
-    def __repr__(self) -> str:
-        pieces: list[str] = []
-        todo: list[DecompositionTree | str | None] = [self]
-        while todo:
-            item = todo.pop()
-            if item is None or isinstance(item, str):
-                pieces.append(str(item))
-            else:
-                kind, vertex, side, left, right = item
-                pieces.append(f"DecompositionTree(kind={kind!r}, vertex={vertex!r}, side={side!r}, left=")
-                todo += (")", right, ", right=", left)
-        return "".join(pieces)
+        return tuple(range(1, _check_tree(self) + 1))
 
 
-def _check_node(kind: str, side: str | None, left, right) -> bool:
-    """Whether a well-formed node is a leaf; ValueError on a malformed one."""
-    if kind == "leaf":
-        if side not in ("X", "Y"):
-            raise ValueError(f"malformed tree: leaf side must be X or Y, got {side!r}")
-        return True
-    if kind not in _BINARY:
-        raise ValueError(f"malformed tree: unknown node kind {kind!r}")
-    if left is None or right is None:
-        raise ValueError(_NO_CHILDREN)
-    return False
+def _check_tree(t: DecompositionTree) -> int:
+    """The tree's vertex count, once its entries make one tree whose leaf
+    ids are 1..n, each once; ValueError otherwise.
 
-
-def _check_leaf_ids(ids: list[int]) -> None:
+    In reverse preorder a node's operands are finished before the node, so
+    counting finished operands checks the shape: a leaf finishes one, and a
+    binary node turns its two into one.
+    """
+    finished = 0
+    ids = []
+    for entry in reversed(t):
+        if entry.__class__ is int:
+            ids.append(abs(entry))
+            finished += 1
+        elif entry in _BINARY:
+            if finished < 2:
+                raise ValueError("malformed tree: binary node without two children")
+            finished -= 1
+        else:
+            raise ValueError(f"malformed tree: unknown node kind {entry!r}")
+    if finished != 1:
+        raise ValueError(f"malformed tree: {len(t)} entries do not make one tree")
     if sorted(ids) != list(range(1, len(ids) + 1)):
         raise ValueError(f"malformed tree: leaf ids must be 1..{len(ids)}, each once")
-
-
-def _checked_preorder(t: DecompositionTree) -> list[DecompositionTree]:
-    """The tree's nodes in preorder, once every node is well formed and the
-    leaf ids are 1..n, each once; ValueError otherwise."""
-    nodes, ids = [], []
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        nodes.append(node)
-        kind, vertex, side, left, right = node
-        if _check_node(kind, side, left, right):
-            ids.append(vertex)
-        else:
-            todo += (right, left)
-    _check_leaf_ids(ids)
-    return nodes
+    return len(ids)
 
 
 def recompose(t: DecompositionTree) -> Graph:
     """Replay a build tree into the graph it certifies (same ids, same edges).
 
-    The leaf ids are checked to be 1..n, each once, before any mask is built.
-    Then, in reverse preorder, every node meets its operands' finished
-    (X, Y) masks and ORs the cross edges its kind fixes into the rows.
-    ``_add_cross`` writes each edge into the rows of both its ends, which are
-    leaves of disjoint operands with ids in 1..n, so the rows are symmetric,
-    loop-free and in range by construction and skip ``Graph``'s checks.
+    The tree is checked first, so the leaf ids are 1..n, each once, before
+    any mask is built.  Then, in reverse preorder, every node meets its
+    operands' finished (X, Y) masks and ORs the cross edges its kind fixes
+    into the rows.  ``_add_cross`` writes each edge into the rows of both
+    its ends, which are leaves of disjoint operands with ids in 1..n, so the
+    rows are symmetric, loop-free and in range by construction and skip
+    ``Graph``'s checks.
     """
-    nodes = _checked_preorder(t)
-    n = (len(nodes) + 1) // 2  # n leaves make 2n - 1 nodes
+    n = _check_tree(t)
     rows = [0] * n
     # a node's first operand finishes last, so its masks sit on top of the stack
     masks: list[tuple[int, int]] = []
-    for kind, vertex, side, _, _ in reversed(nodes):
-        if kind == "leaf":
-            bit = 1 << (vertex - 1)
-            masks.append((bit, 0) if side == "X" else (0, bit))
+    for entry in reversed(t):
+        if entry.__class__ is int:
+            masks.append((1 << (entry - 1), 0) if entry > 0 else (0, 1 << (-entry - 1)))
         else:
             lx, ly = masks.pop()
             rx, ry = masks.pop()
-            _add_cross(rows, kind, lx, ly, rx, ry)
+            _add_cross(rows, entry, lx, ly, rx, ry)
             masks.append((lx | rx, ly | ry))
     return Graph._trusted(n, tuple(rows))
 
@@ -418,13 +330,15 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
             reached |= frontier
         return reached
 
-    # top-down: force the split of every subgraph, recording each in visit order
-    splits: list[tuple[int, str]] = []
+    # force the split of every subgraph, first operand first: the visit
+    # order is the tree's preorder
+    tree: list[int | str] = []
     todo = [x_mask | y_mask]
     while todo:
         mask = todo.pop()
         if mask.bit_count() == 1:
-            splits.append((mask, "leaf"))
+            v = mask.bit_length()
+            tree.append(v if mask & x_mask else -v)
             continue
         low = mask & -mask
         kind, first = "union", closure(low, adj, mask)
@@ -441,18 +355,9 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
                     # has buildable sides and a failing side means the whole graph fails
                     return None
                 first = closure(rest & -rest, arcs, mask)
-        splits.append((mask, kind))
+        tree.append(kind)
         todo += (mask & ~first, first)
-    # bottom-up: in reverse visit order a node's first operand is built last,
-    # so it sits on top of the stack, with the second operand below it
-    built: list[DecompositionTree] = []
-    for mask, kind in reversed(splits):
-        if kind == "leaf":
-            built.append(DecompositionTree("leaf", mask.bit_length(), "X" if mask & x_mask else "Y"))
-        else:
-            left = built.pop()
-            built.append(DecompositionTree(kind, left=left, right=built.pop()))
-    return built[0]
+    return DecompositionTree(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -462,40 +367,44 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
 def format_tree(t: DecompositionTree) -> str:
     """S-expression naming each vertex once, at its leaf, e.g.
     ``(skew (leaf 1 X) (leaf 2 Y))``; a tree ``recompose`` rejects raises the
-    same ValueError here.  One walk checks the nodes and writes the text."""
+    same ValueError here."""
+    _check_tree(t)
     pieces: list[str] = []
-    ids: list[int] = []
-    todo: list[DecompositionTree | str] = [t]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            pieces.append(item)
+    # operands still to write, per open binary node, innermost last
+    owed: list[int] = []
+    for entry in t:
+        if entry.__class__ is not int:
+            pieces.append(f"({entry} ")
+            owed.append(2)
             continue
-        kind, vertex, side, left, right = item
-        if _check_node(kind, side, left, right):
-            ids.append(vertex)
-            pieces.append(f"(leaf {vertex} {side})")
-        else:
-            pieces.append(f"({kind} ")
-            todo += (")", right, " ", left)
-    _check_leaf_ids(ids)
+        pieces.append(f"(leaf {entry} X)" if entry > 0 else f"(leaf {-entry} Y)")
+        # a finished operand closes every node it was the last operand of
+        while owed:
+            owed[-1] -= 1
+            if owed[-1]:
+                pieces.append(" ")
+                break
+            owed.pop()
+            pieces.append(")")
     return "".join(pieces)
 
 
 def parse_tree(text: str) -> DecompositionTree:
     """Read ``format_tree``'s text; ValueError with the token position on
-    malformed text or a repeated vertex id.
+    malformed text, a vertex id below 1 or a repeated vertex id.
 
     One loop reads the tokens; ``expect`` names what the next one must be:
     "(" opens a node, "kind" names it, "id" and "side" fill a leaf, ")"
     closes a leaf and "close" a binary node, and "done" follows the root.
+    Each node's entry is appended as its kind or side is read, in preorder.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     expect = "("
-    # open binary nodes, outermost first: kind, first operand once read
-    open_nodes: list[list] = []
+    entries: list[int | str] = []
+    # per open binary node, outermost first: whether its first operand is read
+    first_read: list[bool] = []
     seen: set[int] = set()
-    node = vertex = None
+    vertex = 0
     for pos, tok in enumerate(tokens):
         if expect == "(":
             if tok != "(":
@@ -503,7 +412,8 @@ def parse_tree(text: str) -> DecompositionTree:
             expect = "kind"
         elif expect == "kind":
             if tok in _BINARY:
-                open_nodes.append([tok, None])
+                entries.append(tok)
+                first_read.append(False)
                 expect = "("
             elif tok == "leaf":
                 expect = "id"
@@ -514,6 +424,8 @@ def parse_tree(text: str) -> DecompositionTree:
                 vertex = int(tok)
             except ValueError:
                 raise ValueError(f"malformed tree text near token {pos}") from None
+            if vertex < 1:
+                raise ValueError(f"vertex id must be at least 1, got {vertex} at token {pos}")
             if vertex in seen:
                 raise ValueError(f"repeated vertex id {vertex} at token {pos}")
             seen.add(vertex)
@@ -521,7 +433,7 @@ def parse_tree(text: str) -> DecompositionTree:
         elif expect == "side":
             if tok not in ("X", "Y"):
                 raise ValueError(f"leaf side must be X or Y, got {tok!r} at token {pos}")
-            node = DecompositionTree("leaf", vertex, tok)
+            entries.append(vertex if tok == "X" else -vertex)
             expect = ")"
         elif expect == "done":
             raise ValueError("trailing tokens after tree")
@@ -529,13 +441,12 @@ def parse_tree(text: str) -> DecompositionTree:
             if tok != ")":
                 raise ValueError(f"malformed tree text near token {pos}")
             if expect == "close":
-                kind, left = open_nodes.pop()
-                node = DecompositionTree(kind, left=left, right=node)
+                first_read.pop()
             # a finished node closes the open node whose first operand is read
-            if open_nodes and open_nodes[-1][1] is not None:
+            if first_read and first_read[-1]:
                 expect = "close"
-            elif open_nodes:
-                open_nodes[-1][1] = node
+            elif first_read:
+                first_read[-1] = True
                 expect = "("
             else:
                 expect = "done"
@@ -544,7 +455,7 @@ def parse_tree(text: str) -> DecompositionTree:
         raise ValueError(f"malformed tree text near token {len(tokens) - 1}")
     if expect != "done":
         raise ValueError(f"tree text ends early at token {len(tokens)}")
-    return node
+    return DecompositionTree(entries)
 
 
 # ---------------------------------------------------------------------------

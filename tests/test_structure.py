@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import pickle
 import random
@@ -211,8 +212,8 @@ def _random_bipartite(rng: random.Random) -> tuple[Graph, Bipartition]:
 
 def test_decompose_examples():
     k1 = Graph.from_edges(1, [])
-    t = decompose(k1, Bipartition.of({1}, set()))
-    assert t is not None and t.kind == "leaf"
+    assert decompose(k1, Bipartition.of({1}, set())) == (1,)
+    assert decompose(k1, Bipartition.of(set(), {1})) == (-1,)
 
     p6 = path(6)
     t = decompose(p6, find_bipartition(p6))
@@ -240,6 +241,8 @@ def test_decompose_examples():
     text = format_tree(t)
     again = parse_tree(text)
     assert again == t and hash(again) == hash(t) and repr(again) == repr(t)
+    unpickled = pickle.loads(pickle.dumps(t))
+    assert unpickled == t and type(unpickled) is DecompositionTree
     assert format_tree(again) == text and recompose(again) == k600
     assert k600.edges() == sorted(_tree_edges_reference(t))
 
@@ -252,73 +255,97 @@ def test_decompose_skew_orientation():
         assert t is not None and recompose(t) == g
 
 
+def _tree(*entries) -> DecompositionTree:
+    return DecompositionTree(entries)
+
+
 def test_recompose_of_hand_built_tree():
-    hand = DecompositionTree("skew", left=DecompositionTree("leaf", 1, "X"), right=DecompositionTree("leaf", 2, "Y"))
+    hand = _tree("skew", 1, -2)
     assert recompose(hand) == Graph.from_edges(2, [(1, 2)])
-    # the parts are read off the leaves
+    # the parts are read off the leaves, a negative leaf being on side Y
     assert (hand.part_x, hand.part_y, hand.vertices()) == ((1,), (2,), (1, 2))
-    assert (hand.left.part_x, hand.left.part_y, hand.right.part_x, hand.right.part_y) == ((1,), (), (), (2,))
+    deeper = _tree("join", "union", -3, 1, "skew", 4, -2)
+    assert (deeper.part_x, deeper.part_y, deeper.vertices()) == ((1, 4), (2, 3), (1, 2, 3, 4))
+    assert recompose(deeper) == Graph.from_edges(4, [(1, 2), (2, 4), (3, 4)])
+
+
+_KINDS = ("union", "join", "skew")
+
+
+def _span_end(t: DecompositionTree, i: int) -> int:
+    """End (exclusive) of the subtree whose preorder starts at index i: the
+    first point at which the leaves read outnumber the binary nodes read."""
+    need = 1
+    while need:
+        need += 1 if t[i] in _KINDS else -1
+        i += 1
+    return i
+
+
+def _sides(entries: tuple) -> tuple[list[int], list[int]]:
+    """The X ids and the Y ids of the leaves among ``entries``."""
+    leaves = [e for e in entries if e not in _KINDS]
+    return [v for v in leaves if v > 0], [-v for v in leaves if v < 0]
 
 
 def _tree_edges_reference(t: DecompositionTree) -> set[tuple[int, int]]:
-    """Oracle for ``recompose``: every cross pair of every node, one pair at a time."""
+    """Oracle for ``recompose``: every cross pair of every node, one pair at
+    a time, with each node's operands cut out of the preorder by counting."""
     acc: set[tuple[int, int]] = set()
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        if node.kind == "leaf":
+    for i, kind in enumerate(t):
+        if kind not in _KINDS:
             continue
-        left, right = node.left, node.right
-        if node.kind == "union":
+        mid = _span_end(t, i + 1)
+        left, right = t[i + 1 : mid], t[mid : _span_end(t, mid)]
+        (lx, ly), (rx, ry) = _sides(left), _sides(right)
+        if kind == "union":
             pairs = []
-        elif node.kind == "join":
-            pairs = [(left.part_x, right.part_y), (right.part_x, left.part_y)]
+        elif kind == "join":
+            pairs = [(lx, ry), (rx, ly)]
         else:
-            pairs = [(left.part_x, right.part_y)]
+            pairs = [(lx, ry)]
         for xs, ys in pairs:
             for x in xs:
                 for y in ys:
                     acc.add((min(x, y), max(x, y)))
-        todo += (right, left)
     return acc
 
 
-def _leaf(v, side="X") -> DecompositionTree:
-    return DecompositionTree("leaf", v, side)
-
-
-def _union(left, right) -> DecompositionTree:
-    return DecompositionTree("union", left=left, right=right)
-
-
 def test_recompose_rejects_malformed_trees():
-    assert recompose(_union(_leaf(1), _leaf(2, "Y"))) == Graph.from_edges(2, [])
+    assert recompose(_tree("union", 1, -2)) == Graph.from_edges(2, [])
     for show in (format_tree, recompose):
         with pytest.raises(ValueError, match="unknown node kind 'meet'"):
-            show(DecompositionTree("meet", left=_leaf(1), right=_leaf(2, "Y")))
+            show(_tree("meet", 1, -2))
         # a well-formed node above a malformed one
         with pytest.raises(ValueError, match="unknown node kind 'meet'"):
-            show(_union(_leaf(3), DecompositionTree("meet", left=_leaf(1), right=_leaf(2, "Y"))))
+            show(_tree("union", 3, "meet", 1, -2))
 
 
 def test_format_tree_rejects_malformed_trees():
-    # the same trees and messages as recompose, never an IndexError; the ids
-    # are checked before recompose builds any mask, so 10**12 never becomes one
+    # every flat tuple that is no tree, with the same message from both and
+    # never an IndexError; the ids are checked before recompose builds any
+    # mask, so 10**12 never becomes one
     for bad, message in (
-        (_leaf(1, "Z"), "leaf side must be X or Y, got 'Z'"),
-        (DecompositionTree("leaf", 1), "leaf side must be X or Y, got None"),
-        (_union(_leaf(1), None), "binary node without two children"),
-        (DecompositionTree("join"), "binary node without two children"),
-        (_union(_leaf(1), _leaf(1)), "leaf ids must be 1..2, each once"),
-        (_union(_leaf(1), _leaf(1, "Y")), "leaf ids must be 1..2, each once"),
-        (_union(_leaf(1), _union(_leaf(2), _leaf(4, "Y"))), "leaf ids must be 1..3, each once"),
-        (_leaf(3), "leaf ids must be 1..1, each once"),
-        (_union(_leaf(0), _leaf(1, "Y")), "leaf ids must be 1..2, each once"),
-        (_union(_leaf(1), _leaf(10**12, "Y")), "leaf ids must be 1..2, each once"),
+        ((), "0 entries do not make one tree"),
+        (("union", 1, -2, 3), "4 entries do not make one tree"),
+        ((1, -2), "2 entries do not make one tree"),
+        (("join",), "binary node without two children"),
+        (("join", 1), "binary node without two children"),
+        (("union", "join", 1, -2), "binary node without two children"),
+        (("union", 1, "leaf"), "unknown node kind 'leaf'"),
+        (("union", 1, True), "unknown node kind True"),
+        (("union", 1, 2.0), "unknown node kind 2.0"),
+        (("union", 1, None), "unknown node kind None"),
+        (("union", 1, 1), "leaf ids must be 1..2, each once"),
+        (("union", 1, -1), "leaf ids must be 1..2, each once"),
+        (("union", 1, "union", 2, -4), "leaf ids must be 1..3, each once"),
+        ((3,), "leaf ids must be 1..1, each once"),
+        (("union", 0, -1), "leaf ids must be 1..2, each once"),
+        (("union", 1, -(10**12)), "leaf ids must be 1..2, each once"),
     ):
         for show in (format_tree, recompose):
             with pytest.raises(ValueError) as err:
-                show(bad)
+                show(DecompositionTree(bad))
             assert str(err.value) == f"malformed tree: {message}", (show, bad)
 
 
@@ -328,7 +355,8 @@ def test_tree_round_trip_and_errors():
     text = format_tree(t)
     again = parse_tree(text)
     assert again == t and format_tree(again) == text and recompose(again) == p6
-    assert format_tree(_union(_leaf(2, "Y"), _leaf(1))) == "(union (leaf 2 Y) (leaf 1 X))"
+    assert format_tree(_tree("union", -2, 1)) == "(union (leaf 2 Y) (leaf 1 X))"
+    assert parse_tree("(union (leaf 2 Y) (leaf 1 X))") == ("union", -2, 1)
     with pytest.raises(ValueError, match="got 'Z' at token 3$"):
         parse_tree("(leaf 1 Z)")
     with pytest.raises(ValueError, match="unknown node kind 'meet' at token 1$"):
@@ -392,31 +420,37 @@ def test_parse_tree_locates_every_cut():
     assert format_tree(parse_tree(" ".join(tokens))) == text
 
 
-def test_tree_nodes_are_immutable_tuples_walked_without_recursion():
-    # a caterpillar 6,000 levels deep, built bottom-up
-    deep = _leaf(1)
-    for v in range(2, 6002):
-        deep = _union(deep, _leaf(v, "Y"))
+def test_parse_tree_rejects_ids_below_one_at_their_token():
+    # a leaf's entry is its id, negated on side Y, so "-3 X" must not read as 3 Y
+    for bad, vertex, at in (
+        ("(leaf -3 X)", -3, 2),
+        ("(leaf 0 X)", 0, 2),
+        ("(union (leaf 1 X) (leaf -2 Y))", -2, 9),
+    ):
+        with pytest.raises(ValueError, match=f"vertex id must be at least 1, got {vertex} at token {at}$"):
+            parse_tree(bad)
+
+
+def test_deep_trees_round_trip_compare_hash_and_pickle():
+    # a caterpillar 6,000 levels deep: each union takes the tree so far and one Y leaf
+    deep = DecompositionTree(["union"] * 6000 + [1] + [-v for v in range(2, 6002)])
     copy = parse_tree(format_tree(deep))
     assert copy is not deep and copy == deep and not (copy != deep)
     assert hash(copy) == hash(deep) and repr(copy) == repr(deep)
-    other = _union(copy.left, _leaf(6001))  # the last leaf on the other side
+    other = _tree(*copy[:-1], 6001)  # the last leaf on the other side
     assert other != deep and not (other == deep)
     assert deep.part_y == tuple(range(2, 6002)) and len(deep.vertices()) == 6001
-    with pytest.raises(AttributeError):
-        deep.kind = "join"
+    assert recompose(deep) == Graph.from_edges(6001, [])
+    with pytest.raises(TypeError):
+        deep[0] = "join"
     with pytest.raises(AttributeError):
         deep.extra = 1
-    with pytest.raises(TypeError):
-        deep < copy
-    assert _leaf(2, "Y") == pickle.loads(pickle.dumps(_leaf(2, "Y")))
-    assert repr(_leaf(1)) == "DecompositionTree(kind='leaf', vertex=1, side='X', left=None, right=None)"
-    # a tree and a plain tuple of the same fields are not equal either way
-    assert _leaf(1) != ("leaf", 1, "X", None, None) and ("leaf", 1, "X", None, None) != _leaf(1)
+    again = pickle.loads(pickle.dumps(deep))
+    assert again == deep and type(again) is DecompositionTree
 
 
 def test_derived_parts_reject_a_binary_node_without_two_children():
-    for bad in (_union(_leaf(1), None), DecompositionTree("union", left=_leaf(1)), DecompositionTree("join")):
+    for bad in (_tree("union", 1), _tree("union", "join", 1, -2), _tree("join")):
         for read in (lambda t: t.part_x, lambda t: t.part_y, lambda t: t.vertices()):
             with pytest.raises(ValueError) as err:
                 read(bad)
@@ -446,6 +480,26 @@ def test_random_leaf_tree_draws_are_pinned():
         "(leaf 1 X)",
         "(leaf 1 Y)",
     ]
+
+
+# sha256 of "\n".join(format_tree(t)) over each list of trees, recorded before
+# a build tree became its flat preorder: the member trees of connected levels
+# 1..10 in level order under find_bipartition, and the closure suite's 300
+# random trees
+TREE_TEXT_DIGESTS = {
+    "members": "5d0298ce3af9f6a0a7a64d0a0002d122eb4821b325933691acc08ebdb82b0e4a",
+    "closure": "c33f4b813c931247b8b9420b1a8664fcfa2849b6defd5ecdc885084dbd107fa4",
+}
+
+
+def test_tree_text_is_pinned(connected_levels):
+    trees = [decompose(g, find_bipartition(g)) for n in range(1, 11) for g in connected_levels[n]]
+    members = [format_tree(t) for t in trees if t is not None]
+    assert len(members) == 2327
+    rng = random.Random(20250808)
+    closure = [format_tree(random_leaf_tree(rng)) for _ in range(300)]
+    for name, texts in (("members", members), ("closure", closure)):
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == TREE_TEXT_DIGESTS[name], name
 
 
 def _buildable_by_brute_force(g: Graph, b: Bipartition) -> bool:
@@ -510,9 +564,10 @@ def _decompose_reference(g: Graph, b: Bipartition) -> DecompositionTree | None:
             reached |= frontier
         return reached
 
-    def build(mask: int) -> DecompositionTree | None:
+    def build(mask: int) -> list | None:
         if mask.bit_count() == 1:
-            return DecompositionTree("leaf", mask.bit_length(), "X" if mask & x_mask else "Y")
+            v = mask.bit_length()
+            return [v if mask & x_mask else -v]
         low = next(mask_vertices(mask))
         for kind, firsts in (
             ("union", [closure(low, g.adj, mask)]),
@@ -524,10 +579,11 @@ def _decompose_reference(g: Graph, b: Bipartition) -> DecompositionTree | None:
                     left, right = build(first), build(mask & ~first)
                     if left is None or right is None:
                         return None
-                    return DecompositionTree(kind, left=left, right=right)
+                    return [kind, *left, *right]
         return None
 
-    return build(x_mask | y_mask) if g.n else None
+    entries = build(x_mask | y_mask) if g.n else None
+    return None if entries is None else DecompositionTree(entries)
 
 
 def test_decompose_matches_per_vertex_skew_reference(connected_levels):
