@@ -22,6 +22,15 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
+def _canonical_int(tok: str) -> int:
+    """``int(tok)`` when ``str(int(tok)) == tok``, else ValueError: no ``+``,
+    leading zero, ``_`` or non-ASCII digit, so formatters write back what was read."""
+    value = int(tok)
+    if str(value) != tok:
+        raise ValueError(f"not a canonical integer: {tok!r}")
+    return value
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask for a collection of 1-based vertex ids."""
     m = 0
@@ -287,7 +296,8 @@ def find_bipartition(g: Graph) -> Bipartition | None:
 def parse_graph(text: str) -> tuple[Graph, Bipartition | None]:
     """Parse the text format: ``# comment`` lines, ``p <n>``, optional ``b``, ``e u v``.
 
-    Edge lines require ``1 <= u < v <= n``.  Errors carry the line number.
+    Numbers are canonical decimals (``_canonical_int``), and edge lines
+    require ``1 <= u < v <= n``.  Errors carry the line number.
     """
     n = None
     part_a: list[int] | None = None
@@ -305,9 +315,9 @@ def parse_graph(text: str) -> tuple[Graph, Bipartition | None]:
             if len(fields) != 2:
                 raise GraphParseError("header must be 'p <n>'", line_no)
             try:
-                n = int(fields[1])
+                n = _canonical_int(fields[1])
             except ValueError:
-                raise GraphParseError("vertex count is not an integer", line_no) from None
+                raise GraphParseError("vertex count is not an integer in canonical form", line_no) from None
             if n < 0:
                 raise GraphParseError("vertex count must be non-negative", line_no)
         elif kind == "b":
@@ -316,9 +326,9 @@ def parse_graph(text: str) -> tuple[Graph, Bipartition | None]:
             if part_a is not None:
                 raise GraphParseError("duplicate 'b' line", line_no)
             try:
-                part_a = [int(f) for f in fields[1:]]
+                part_a = [_canonical_int(f) for f in fields[1:]]
             except ValueError:
-                raise GraphParseError("non-integer id in 'b' line", line_no) from None
+                raise GraphParseError("id in 'b' line is not an integer in canonical form", line_no) from None
             for v in part_a:
                 if not (1 <= v <= n):
                     raise GraphParseError(f"id {v} out of range 1..{n}", line_no)
@@ -330,9 +340,9 @@ def parse_graph(text: str) -> tuple[Graph, Bipartition | None]:
             if len(fields) != 3:
                 raise GraphParseError("edge line must be 'e <u> <v>'", line_no)
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = _canonical_int(fields[1]), _canonical_int(fields[2])
             except ValueError:
-                raise GraphParseError("non-integer edge endpoint", line_no) from None
+                raise GraphParseError("edge endpoint is not an integer in canonical form", line_no) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphParseError(f"edge {u},{v} out of range 1..{n}", line_no)
             if u >= v:

@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", help="one of: " + ", ".join(SUITE_NAMES) + ", all")
     defaults = SuiteOptions()
-    p_ver.add_argument("--budget", type=int, default=defaults.budget)
+    p_ver.add_argument("--budget", type=_budget, default=defaults.budget)
     p_ver.add_argument(
         "--nmax", type=int, default=defaults.lemma_key_max, help=f"lemma-key upper vertex count (9..{MAX_VERTICES})"
     )

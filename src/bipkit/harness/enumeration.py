@@ -63,8 +63,8 @@ from ..graphs import Graph, _component_masks
 from ..matching import (
     _automorphism_generators,
     _Budget,
-    _first_embedding,
     _refinement_rounds,
+    _search,
 )
 
 MAX_VERTICES = 12
@@ -100,7 +100,7 @@ class _IsoRegistry:
             for x, c in enumerate(rep_colors):
                 classes[c] |= 1 << x
             domains = [classes[c] for c in colors]
-            if _first_embedding(g.adj, rep.adj, _Budget(None), domains) is not None:
+            if next(_search(g.adj, rep.adj, _Budget(None), domains), None) is not None:
                 return False
         bucket.append((g, colors))
         return True

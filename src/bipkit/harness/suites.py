@@ -59,6 +59,7 @@ from ..graphs import (
 from ..matching import (
     Embedding,
     StepBudgetExceeded,
+    _Budget,
     find_induced_embedding,
     has_path_subgraph,
     is_free,
@@ -174,8 +175,7 @@ class SuiteOptions:
             raise ValueError(f"lemma-reduction range must end between 4 and {MAX_VERTICES}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be non-negative")
+        _Budget(self.budget)  # the searches' own check, before any suite runs
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ Optional order constraints (``larger``) keep some images above others.
 Variable order is most-constrained-first with ascending-id tie-breaks, the
 next choice taken while the domains are filtered rather than by a second
 scan, and candidates are tried in ascending host id, so results are
-deterministic for fixed inputs.  ``_first_embedding`` is the one entry for
-"the first solution or None"; only ``count_induced_embeddings`` keeps a
-callback of its own.
+deterministic for fixed inputs.  ``_search`` is a generator: it yields
+each embedding as a tuple of host ids, and it counts every candidate
+placement as one step of a ``_Budget``, bounded or not.  Every caller takes
+``next(_search(...), None)`` for the first embedding or None, except
+``count_induced_embeddings``, which counts an ``itertools.islice`` of it.
 
 On the degree-filter path (``find_induced_embedding``,
 ``count_induced_embeddings``, ``is_free``) one more filter runs, from one
@@ -61,12 +63,13 @@ cost more than the search they saved.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .graphs import Graph, _component_masks, mask_vertices
+from .graphs import Graph, _component_masks
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -81,12 +84,6 @@ class Embedding:
     """
 
     mapping: tuple[int, ...]
-
-    def image(self, v: int) -> int:
-        return self.mapping[v - 1]
-
-    def as_dict(self) -> dict[int, int]:
-        return {i + 1: x for i, x in enumerate(self.mapping)}
 
 
 def verify_embedding(emb: Embedding, pattern: Graph, host: Graph) -> bool:
@@ -112,17 +109,21 @@ class FreenessResult(NamedTuple):
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    """A step counter: ``spent`` counts every step of the searches run on it,
+    bounded or not, and the step that takes it past ``limit`` (``sys.maxsize``
+    for None) raises StepBudgetExceeded.  A budget that is not None or an int
+    of at least 0 raises ValueError, before any search looks at its graphs.
+    """
 
-    def __init__(self, budget: int | None):
-        self.remaining = budget
+    __slots__ = ("limit", "spent")
 
-    def spend(self, amount: int = 1) -> None:
-        if self.remaining is None:
-            return
-        self.remaining -= amount
-        if self.remaining < 0:
-            raise StepBudgetExceeded("step budget exhausted")
+    def __init__(self, limit: int | None):
+        if limit is None:
+            limit = sys.maxsize
+        elif isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+            raise ValueError(f"budget must be None or an int of at least 0, got {limit!r}")
+        self.limit = limit
+        self.spent = 0
 
 
 def _refinement_rounds(adj: tuple[int, ...]) -> Iterator[tuple[list[int], tuple | None]]:
@@ -214,11 +215,14 @@ def _search(
     padj: tuple[int, ...],
     hadj: tuple[int, ...],
     budget: _Budget,
-    on_solution: Callable[[list[int]], bool],
     domains: list[int] | None = None,
     larger: list[int] | None = None,
-) -> None:
-    """Run the backtracking search; ``on_solution`` returns True to keep going.
+) -> Iterator[tuple[int, ...]]:
+    """Yield each induced embedding in search order, as a tuple of 1-based
+    host ids (item u is the image of pattern vertex ``u + 1``).
+
+    Each candidate placement is one step of ``budget``, counted in a local
+    int and written back to ``budget.spent`` before a yield, return or raise.
 
     ``padj`` and ``hadj`` are the adjacency rows of pattern and host (bit
     ``x`` for vertex ``x + 1``), as in ``Graph.adj``.  ``domains[u]`` is the
@@ -239,7 +243,7 @@ def _search(
     """
     p = len(padj)
     if p == 0:
-        on_solution([])
+        yield ()
         return
     pcomp = None
     if domains is None:
@@ -250,7 +254,8 @@ def _search(
             # empty domain), or an odd cycle with no image in a bipartite host
             return
         domains = [at_least[d] for d in pdeg]
-    bounded = budget.remaining is not None
+    steps = budget.spent
+    cap = budget.limit
     assignment = [0] * p
     smaller = None
     if larger is not None:
@@ -272,14 +277,17 @@ def _search(
     while True:
         if not cands:
             if not frames:
+                budget.spent = steps
                 return
             u, cands, domains, remaining = frames.pop()
             continue
         low = cands & -cands
         cands ^= low
         x = low.bit_length() - 1
-        if bounded:
-            budget.spend()
+        steps += 1
+        if steps > cap:
+            budget.spent = steps
+            raise StepBudgetExceeded("step budget exhausted")
         assignment[u] = x + 1
         pu = padj[u]
         nbr = hadj[x]
@@ -344,33 +352,14 @@ def _search(
         if not ok:
             continue
         if remaining == 0:
-            if not on_solution(assignment):
-                return
+            budget.spent = steps
+            yield tuple(assignment)
             continue
         frames.append((u, cands, domains, remaining))
         domains = new_domains
         u = best
         remaining &= ~(1 << u)
         cands = domains[u]
-
-
-def _first_embedding(
-    padj: tuple[int, ...],
-    hadj: tuple[int, ...],
-    budget: _Budget,
-    domains: list[int] | None = None,
-    larger: list[int] | None = None,
-) -> tuple[int, ...] | None:
-    """The first assignment ``_search`` finds, as 1-based host ids, or None."""
-    found = None
-
-    def take(assignment: list[int]) -> bool:
-        nonlocal found
-        found = tuple(assignment)
-        return False
-
-    _search(padj, hadj, budget, take, domains, larger)
-    return found
 
 
 def _automorphism_generators(adj: tuple[int, ...], budget: _Budget) -> list[tuple[int, ...]]:
@@ -401,7 +390,7 @@ def _automorphism_generators(adj: tuple[int, ...], budget: _Budget) -> list[tupl
             cands ^= low
             trial = list(domains)
             trial[u] = low
-            found = _first_embedding(adj, adj, budget, trial)
+            found = next(_search(adj, adj, budget, trial), None)
             if found is not None:
                 gens.append(tuple(x - 1 for x in found))
         domains[u] = 1 << u
@@ -443,15 +432,17 @@ def _pattern_constraints(pattern: Graph, tracker: _Budget) -> list[int] | None:
     what was built before.  A build that runs out of budget is not cached.
     """
     hit = _CONSTRAINTS.get(pattern.adj)
-    if hit is None:
-        start = sys.maxsize if tracker.remaining is None else tracker.remaining
-        probe = _Budget(start)
-        hit = (_order_constraints(pattern, probe), start - probe.remaining)
-        if len(_CONSTRAINTS) >= _CONSTRAINTS_MAX:
-            del _CONSTRAINTS[next(iter(_CONSTRAINTS))]
-        _CONSTRAINTS[pattern.adj] = hit
-    tracker.spend(hit[1])
-    return hit[0]
+    if hit is not None:
+        tracker.spent += hit[1]
+        if tracker.spent > tracker.limit:
+            raise StepBudgetExceeded("step budget exhausted")
+        return hit[0]
+    start = tracker.spent
+    larger = _order_constraints(pattern, tracker)
+    if len(_CONSTRAINTS) >= _CONSTRAINTS_MAX:
+        del _CONSTRAINTS[next(iter(_CONSTRAINTS))]
+    _CONSTRAINTS[pattern.adj] = (larger, tracker.spent - start)
+    return larger
 
 
 def find_induced_embedding(
@@ -461,7 +452,8 @@ def find_induced_embedding(
 
     Raises StepBudgetExceeded when a step budget is given and runs out.
     """
-    found = _first_embedding(pattern.adj, host.adj, _Budget(budget))
+    tracker = _Budget(budget)
+    found = next(_search(pattern.adj, host.adj, tracker), None)
     return None if found is None else Embedding(found)
 
 
@@ -469,17 +461,10 @@ def count_induced_embeddings(
     pattern: Graph, host: Graph, limit: int, *, budget: int | None = None
 ) -> int:
     """Number of distinct induced embeddings (as maps), stopping at ``limit``."""
+    tracker = _Budget(budget)
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    count = 0
-
-    def take(assignment: list[int]) -> bool:
-        nonlocal count
-        count += 1
-        return count < limit
-
-    _search(pattern.adj, host.adj, _Budget(budget), take)
-    return count
+    return sum(1 for _ in itertools.islice(_search(pattern.adj, host.adj, tracker), limit))
 
 
 def is_free(
@@ -494,11 +479,12 @@ def is_free(
     of them.
     Raises StepBudgetExceeded when a budget runs out.
     """
+    tracker = _Budget(budget)
     for idx, h in enumerate(forbidden):
         if h.n > g.n or h.edge_count > g.edge_count:
             continue  # cannot embed: skip the automorphism searches as well
-        tracker = _Budget(budget)
-        found = _first_embedding(h.adj, g.adj, tracker, larger=_pattern_constraints(h, tracker))
+        tracker.spent = 0  # each pattern gets the whole budget
+        found = next(_search(h.adj, g.adj, tracker, larger=_pattern_constraints(h, tracker)), None)
         if found is not None:
             return FreenessResult(False, idx, Embedding(found))
     return FreenessResult(True, None, None)
@@ -506,13 +492,14 @@ def is_free(
 
 def are_isomorphic(g: Graph, h: Graph, *, budget: int | None = None) -> bool:
     """Equal sizes plus one induced embedding; the embedding is then a bijection."""
+    tracker = _Budget(budget)
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     if sorted(row.bit_count() for row in g.adj) != sorted(
         row.bit_count() for row in h.adj
     ):
         return False
-    return find_induced_embedding(g, h, budget=budget) is not None
+    return next(_search(g.adj, h.adj, tracker), None) is not None
 
 
 def has_path_subgraph(g: Graph, k: int, *, budget: int | None = None) -> bool:
@@ -523,11 +510,12 @@ def has_path_subgraph(g: Graph, k: int, *, budget: int | None = None) -> bool:
     since a path alternates between the parts, a bipartite component with
     parts of sizes a and b holds at most ``2 * min(a, b) + 1``.
     """
+    cap = _Budget(budget).limit
     if k < 1:
         raise ValueError("path length must be at least 1 vertex")
-    tracker = _Budget(budget)
+    steps = 0
     adj = g.adj
-    last = k - 2  # stack depth at which one more vertex completes the path
+    last = k - 1  # stack depth at which one more vertex completes the path
     for comp, side, bipartite in _component_masks(adj):
         room = comp.bit_count()
         if bipartite:
@@ -535,27 +523,24 @@ def has_path_subgraph(g: Graph, k: int, *, budget: int | None = None) -> bool:
             room = min(room, 2 * min(a, room - a) + 1)
         if room < k:
             continue
-        for start in mask_vertices(comp):
-            tracker.spend()
-            if k == 1:
-                return True
-            # depth-first over simple paths from start: rest holds the current
-            # end's untried unvisited neighbours, and the stack holds (rest,
-            # visited) of every shorter prefix of the path
-            visited = 1 << (start - 1)
-            rest = adj[start - 1] & ~visited
-            stack: list[tuple[int, int]] = []
-            while True:
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    tracker.spend()
-                    if len(stack) == last:
-                        return True
-                    stack.append((rest, visited))
-                    visited |= low
-                    rest = adj[low.bit_length() - 1] & ~visited
-                if not stack:
-                    break
-                rest, visited = stack.pop()
+        # depth-first over simple paths: rest holds the untried vertices that
+        # can end the path (at first every start vertex of the component),
+        # and the stack holds (rest, visited) of every shorter prefix
+        rest, visited = comp, 0
+        stack: list[tuple[int, int]] = []
+        while True:
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                steps += 1
+                if steps > cap:
+                    raise StepBudgetExceeded("step budget exhausted")
+                if len(stack) == last:
+                    return True
+                stack.append((rest, visited))
+                visited |= low
+                rest = adj[low.bit_length() - 1] & ~visited
+            if not stack:
+                break
+            rest, visited = stack.pop()
     return False

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
-from .matching import _Budget, _first_embedding
+from .graphs import Graph, _canonical_int
+from .matching import _Budget, _search
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,7 @@ def contains_pattern(host: Permutation, pattern: Permutation, *, budget: int | N
     placement; raises StepBudgetExceeded when a step budget is given and runs
     out.
     """
+    tracker = _Budget(budget)
     k = pattern.size
     n = host.size
     if k == 0:
@@ -108,8 +109,7 @@ def contains_pattern(host: Permutation, pattern: Permutation, *, budget: int | N
         return False  # decided before any step, where the search would spend one
     full = (1 << k) - 1
     later = [full ^ ((2 << t) - 1) for t in range(k)]
-    found = _first_embedding(_inversion_rows(pv)[0], hadj, _Budget(budget), domains, later)
-    return found is not None
+    return next(_search(_inversion_rows(pv)[0], hadj, tracker, domains, later), None) is not None
 
 
 def is_convex(p: Permutation) -> bool:
@@ -221,9 +221,9 @@ def parse_permutation(text: str) -> Permutation:
     if not body:
         raise ValueError("empty permutation")
     try:
-        values = tuple(int(tok.strip()) for tok in body.split(","))
+        values = tuple(_canonical_int(tok.strip()) for tok in body.split(","))
     except ValueError:
-        raise ValueError(f"non-integer entry in permutation: {text!r}") from None
+        raise ValueError(f"permutation entry is not an integer in canonical form: {text!r}") from None
     return Permutation(values)
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from .graphs import (
     Bipartition,
     Graph,
+    _canonical_int,
     mask_of,
     mask_vertices,
     validate_bipartition,
@@ -391,7 +392,8 @@ def format_tree(t: DecompositionTree) -> str:
 
 def parse_tree(text: str) -> DecompositionTree:
     """Read ``format_tree``'s text; ValueError with the token position on
-    malformed text, a vertex id below 1 or a repeated vertex id.
+    malformed text (a vertex id not in canonical decimal form included), a
+    vertex id below 1 or a repeated vertex id.
 
     One loop reads the tokens; ``expect`` names what the next one must be:
     "(" opens a node, "kind" names it, "id" and "side" fill a leaf, ")"
@@ -421,7 +423,7 @@ def parse_tree(text: str) -> DecompositionTree:
                 raise ValueError(f"unknown node kind {tok!r} at token {pos}")
         elif expect == "id":
             try:
-                vertex = int(tok)
+                vertex = _canonical_int(tok)
             except ValueError:
                 raise ValueError(f"malformed tree text near token {pos}") from None
             if vertex < 1:

@@ -182,6 +182,11 @@ def test_parse_errors_carry_line_numbers():
     cases = [
         ("p 3\ne 1 2\ne 1 2\n", 3, "duplicate edge"),
         ("p x\n", 1, "not an integer"),
+        # only canonical decimals: int() would read these as 10, 1 and 3
+        ("p 1_0\n", 1, "vertex count is not an integer in canonical form"),
+        ("p 4\ne +1 0003\n", 2, "edge endpoint is not an integer in canonical form"),
+        ("p 4\ne 1 \u0663\n", 2, "edge endpoint is not an integer in canonical form"),
+        ("p 4\nb 01\n", 2, "id in 'b' line is not an integer in canonical form"),
         ("e 1 2\n", 1, "before header"),
         ("p 2\ne 2 1\n", 2, "u < v"),
         ("p 2\ne 1 5\n", 2, "out of range"),

@@ -12,7 +12,6 @@ from bipkit.matching import (
     Embedding,
     StepBudgetExceeded,
     _Budget,
-    _first_embedding,
     _host_parts,
     _order_constraints,
     _pattern_parts,
@@ -193,15 +192,44 @@ def test_budget_exhaustion_is_loud():
         is_free(t_graph_star(10).graph, [two_p3(), sun4()], budget=5)
 
 
+def test_search_entries_reject_a_bad_budget_before_their_graphs():
+    # None stands in for every graph and permutation, so an entry that looked
+    # at them before its budget would fail with another error
+    entries = {
+        "find_induced_embedding": lambda b: find_induced_embedding(None, None, budget=b),
+        "count_induced_embeddings": lambda b: count_induced_embeddings(None, None, 5, budget=b),
+        "is_free": lambda b: is_free(None, [None], budget=b),
+        "are_isomorphic": lambda b: are_isomorphic(None, None, budget=b),
+        "has_path_subgraph": lambda b: has_path_subgraph(None, 3, budget=b),
+        "contains_pattern": lambda b: contains_pattern(None, None, budget=b),
+    }
+    for entry in entries.values():
+        for bad in (-1, True, 2.5, "7"):
+            with pytest.raises(ValueError, match=f"budget must be None or an int of at least 0, got {bad!r}$"):
+                entry(bad)
+    with pytest.raises(ValueError, match="budget"):
+        is_free(None, [], budget=-1)
+    # a zero budget is valid, and the first step runs it out
+    relabeled = Graph.from_edges(4, [(2, 4), (4, 1), (1, 3)])
+    for run in (
+        lambda: find_induced_embedding(path(3), path(4), budget=0),
+        lambda: count_induced_embeddings(path(2), cycle(4), 3, budget=0),
+        lambda: is_free(path(4), [path(3)], budget=0),
+        lambda: are_isomorphic(path(4), relabeled, budget=0),
+        lambda: has_path_subgraph(path(3), 2, budget=0),
+        lambda: contains_pattern(Permutation((2, 1, 3)), Permutation((2, 1)), budget=0),
+    ):
+        with pytest.raises(StepBudgetExceeded):
+            run()
+
+
 def test_cached_order_constraints_charge_their_steps_on_every_call():
     host, pattern = t_graph_star(10).graph, two_p3()
-    big = 10**12
-    probe = _Budget(big)
-    larger = _order_constraints(pattern, probe)
-    cost = big - probe.remaining
-    probe = _Budget(big)
-    assert _first_embedding(pattern.adj, host.adj, probe, larger=larger) is None
-    total = cost + big - probe.remaining
+    tracker = _Budget(None)
+    larger = _order_constraints(pattern, tracker)
+    cost = tracker.spent
+    assert next(_search(pattern.adj, host.adj, tracker, larger=larger), None) is None
+    total = tracker.spent
     assert cost > 0 and total > cost
     _CONSTRAINTS.pop(pattern.adj, None)
     with pytest.raises(StepBudgetExceeded):
@@ -237,6 +265,12 @@ def test_completeness_against_bruteforce_oracle():
             if mine is not None:
                 assert verify_embedding(mine, pattern, host)
             assert count_induced_embeddings(pattern, host, 10**9) == expected
+            # walked to the end, the search yields every embedding once, the
+            # first of them being find_induced_embedding's
+            walked = list(_search(pattern.adj, host.adj, _Budget(None)))
+            assert len(set(walked)) == len(walked) == expected, (pattern.edges(), host.edges())
+            assert all(verify_embedding(Embedding(found), pattern, host) for found in walked)
+            assert walked[:1] == ([] if mine is None else [mine.mapping])
 
 
 def _disjoint(*graphs: Graph) -> Graph:
@@ -281,18 +315,18 @@ def test_lemma_pattern_search_steps_are_pinned(connected_levels):
         10: {"C4": 30257, "P7": 106534, "Sun1": 31552, "S123": 80411},
     }
     patterns = {"C4": cycle(4), "P7": path(7), "Sun1": sun1(), "S123": s123()}
-    big = 10**12
     totals = {9: {}, 10: {}}
     for name, pattern in patterns.items():
         total = 0
         for n in range(1, 11):
             for host in connected_levels[n]:
                 # the second search into the host reads its cached set-up and
-                # must find the same embedding with the same steps
+                # must find the same embedding with the same steps, and an
+                # unbounded budget counts the steps a bounded one does
                 runs = []
-                for _ in range(2):
-                    tracker = _Budget(big)
-                    runs.append((_first_embedding(pattern.adj, host.adj, tracker), big - tracker.remaining))
+                for limit in (None, 10**12):
+                    tracker = _Budget(limit)
+                    runs.append((next(_search(pattern.adj, host.adj, tracker), None), tracker.spent))
                 assert runs[0] == runs[1], (name, host.adj)
                 total += runs[0][1]
             if n in totals:
@@ -303,9 +337,9 @@ def test_lemma_pattern_search_steps_are_pinned(connected_levels):
 def test_cached_search_set_up_runs_out_of_budget_at_the_same_step(connected_levels):
     host = connected_levels[10][-1]
     for pattern in (cycle(4), path(7), sun1(), s123()):
-        tracker = _Budget(10**12)
-        found = _first_embedding(pattern.adj, host.adj, tracker)
-        steps = 10**12 - tracker.remaining
+        tracker = _Budget(None)
+        found = next(_search(pattern.adj, host.adj, tracker), None)
+        steps = tracker.spent
         assert steps > 0
         for cold in (True, False):  # a cache miss, then a hit
             if cold:
@@ -420,15 +454,8 @@ SYMMETRIC_PATTERNS = {
 
 
 def _constrained_count(pattern: Graph, host: Graph) -> int:
-    count = 0
-
-    def take(assignment: list[int]) -> bool:
-        nonlocal count
-        count += 1
-        return True
-
-    _search(pattern.adj, host.adj, _Budget(None), take, larger=_order_constraints(pattern, _Budget(None)))
-    return count
+    larger = _order_constraints(pattern, _Budget(None))
+    return sum(1 for _ in _search(pattern.adj, host.adj, _Budget(None), larger=larger))
 
 
 def test_order_constraints_follow_the_orbit_stabiliser_theorem():

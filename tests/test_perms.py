@@ -299,3 +299,9 @@ def test_parse_format_round_trip():
     for bad in ("4,2,1,3", "()", "(1,2,x)", "(0,1)"):
         with pytest.raises(ValueError):
             parse_permutation(bad)
+    # int() reads each entry here as (2,1,3); only canonical decimals are
+    # accepted, so an accepted text is written back as it was read
+    for bad in ("(+2, 0001, \u0663)", "(2,1,3_0)", "(2,01,3)"):
+        with pytest.raises(ValueError, match="not an integer in canonical form"):
+            parse_permutation(bad)
+    assert format_permutation(parse_permutation("(2,1,3)")) == "(2,1,3)"

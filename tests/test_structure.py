@@ -375,9 +375,19 @@ def test_tree_round_trip_and_errors():
     # the old text with per-node part lists is not read, and the error is located
     with pytest.raises(ValueError, match="near token 2$"):
         parse_tree("(skew [1|2] (leaf 1 X) (leaf 2 Y))")
-    # a non-integer vertex id is located like every other malformed token
-    for bad, at in (("(leaf x X)", 2), ("(union (leaf 1 X) (leaf x Y))", 9)):
-        with pytest.raises(ValueError, match=f"near token {at}$"):
+    # a non-integer vertex id is located like every other malformed token, and
+    # so is one not in canonical decimal form, which int() would read as 1 or
+    # 10 and format_tree would write back differently
+    for bad, at in (
+        ("(leaf x X)", 2),
+        ("(union (leaf 1 X) (leaf x Y))", 9),
+        ("(leaf +1 X)", 2),
+        ("(leaf 0001 X)", 2),
+        ("(leaf \u0661 X)", 2),  # an Arabic-Indic digit one
+        ("(leaf -0 X)", 2),
+        ("(union (leaf 1_0 X) (leaf 1 Y))", 4),
+    ):
+        with pytest.raises(ValueError, match=f"^malformed tree text near token {at}$"):
             parse_tree(bad)
     # a repeated id, on one side or on both, is located at its second leaf
     for bad, at in (

@@ -464,14 +464,22 @@ def test_cli_rejects_negative_budgets_and_workers(capsys):
     ):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().out == "", argv
+    # verify's --budget is read like the other commands', at the command line
+    for text in ("-1", "x", "2.5"):
+        assert cli.main(["verify", "t-free", "--budget", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"budget must be a non-negative integer, got {text!r}" in captured.err
     with pytest.raises(ValueError, match="workers"):
         SuiteOptions(workers=0)
-    with pytest.raises(ValueError, match="budget"):
-        SuiteOptions(budget=-1)
+    for bad in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="budget"):
+            SuiteOptions(budget=bad)
     # a zero budget and an unlimited one stay valid: a zero budget runs the
     # search and reports it undecided
     assert SuiteOptions(budget=0).budget == 0 and SuiteOptions(budget=None).budget is None
     assert cli.main(["embed", "path:2", "path:3", "--budget", "0"]) == 3
+    assert cli.main(["verify", "t-free", "--budget", "0"]) == 3
+    assert "UNDECIDED" in capsys.readouterr().out
 
 
 def test_cli_verify_range_help_names_the_enumerator_bound(capsys, monkeypatch):
