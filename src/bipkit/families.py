@@ -5,8 +5,11 @@ grid, and the small named graphs the verification suites quote.
 family specs and the verification suites both build members through them.
 
 Canonical numbering: zone blocks in order A, B, C(, D) with ascending index
-inside a zone; grids are numbered row-major.  Vertices carry provenance
-labels such as ``a3`` or ``r2c1`` so embedding certificates stay readable.
+inside a zone; grids are numbered row-major.  A graph carries no vertex
+names, so provenance lives in the numbering: ``ZoneLayout.zones`` maps each
+id of a T or S graph to its ``(zone letter, index)``, and grid vertex
+``(i, j)`` is id ``(i-1)*m + j``.  An embedding certificate names host ids,
+which read back through these maps.
 """
 
 from __future__ import annotations
@@ -51,11 +54,11 @@ class ZoneLayout:
 
 
 def _zoned(n: int, letters: str, edges: list[tuple[int, int]], part_b: str) -> ZoneLayout:
-    """Zones ``letters`` of n vertices each, labelled like ``a3``; the zones
-    in ``part_b`` form part B."""
+    """Zones ``letters`` of n vertices each, numbered zone by zone; ``zones``
+    maps id ``k*n + i`` to ``(letters[k], i)``, and the zones in ``part_b``
+    form part B."""
     zones = {k * n + i: (z, i) for k, z in enumerate(letters) for i in range(1, n + 1)}
-    labels = [f"{z.lower()}{i}" for z, i in zones.values()]
-    g = Graph.from_edges(len(zones), [(min(u, v), max(u, v)) for u, v in edges], labels)
+    g = Graph.from_edges(len(zones), [(min(u, v), max(u, v)) for u, v in edges])
     in_b = {v for v, (z, _) in zones.items() if z in part_b}
     return ZoneLayout(g, Bipartition.of(set(zones) - in_b, in_b), zones)
 
@@ -109,7 +112,8 @@ def s_graph_star(n: int) -> ZoneLayout:
 def universal_grid(k: int, m: int) -> tuple[Graph, Bipartition]:
     """Grid on k rows of m vertices: (i, j) sees (i+1, 1..j); parts = odd/even rows.
 
-    Vertex ids are row-major: (i, j) -> (i-1)*m + j; labels are ``r{i}c{j}``.
+    Vertex ids are row-major, (i, j) -> (i-1)*m + j, and the id is the only
+    record of a vertex's row and column.
     """
     if k < 1 or m < 1:
         raise ValueError("grid dimensions must be positive")
@@ -119,8 +123,7 @@ def universal_grid(k: int, m: int) -> tuple[Graph, Bipartition]:
         for j in range(1, m + 1):
             for jj in range(1, j + 1):
                 edges.append((vid(i, j), vid(i + 1, jj)))
-    labels = [f"r{i}c{j}" for i in range(1, k + 1) for j in range(1, m + 1)]
-    g = Graph.from_edges(k * m, [(min(u, v), max(u, v)) for u, v in edges], labels)
+    g = Graph.from_edges(k * m, [(min(u, v), max(u, v)) for u, v in edges])
     odd = {vid(i, j) for i in range(1, k + 1, 2) for j in range(1, m + 1)}
     even = set(g.vertices()) - odd
     return g, Bipartition.of(odd, even)

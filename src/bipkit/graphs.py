@@ -3,8 +3,9 @@
 Vertices are dense 1-based ids ``1..n``.  Adjacency is stored as one bitmask
 per vertex (bit ``v-1`` set when ``v`` is a neighbour), so is-edge tests and
 neighbourhood intersections cost a single integer operation at the sizes this
-package targets.  Labels are optional per-vertex metadata and never take part
-in equality; isomorphism lives in :mod:`bipkit.matching`.
+package targets.  A graph is its vertex count and its rows, nothing more: two
+graphs are equal when their rows are, and isomorphism lives in
+:mod:`bipkit.matching`.
 """
 
 from __future__ import annotations
@@ -47,17 +48,16 @@ def mask_vertices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Graph:
     """Undirected graph on vertices ``1..n`` without loops or multi-edges.
 
-    Equality and hashing compare ``(n, adj)`` only: labels are provenance
-    metadata.  Values are immutable and safe to share across workers.
+    Equality and hashing compare ``(n, adj)``.  Values are immutable and safe
+    to share across workers.
     """
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -77,16 +77,9 @@ class Graph:
                 rest ^= low
                 if not (self.adj[j] >> i) & 1:
                     raise ValueError(f"edge {i + 1},{j + 1} is not symmetric")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label tuple length does not match vertex count")
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Iterable[str | None] | None = None,
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; duplicate edges collapse silently."""
         adj = [0] * n
         for u, v in edges:
@@ -96,8 +89,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
-        lab = tuple(labels) if labels is not None else None
-        return cls(n, tuple(adj), lab)
+        return cls(n, tuple(adj))
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -108,16 +100,7 @@ class Graph:
         # to g.__dict__ instead would give every graph a larger dict
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)
-        object.__setattr__(g, "labels", None)
         return g
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -147,11 +130,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v - 1].bit_count()
-
-    def label(self, v: int) -> str | None:
-        if self.labels is None:
-            return None
-        return self.labels[v - 1]
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -202,8 +180,9 @@ def validate_bipartition(g: Graph, b: Bipartition) -> None:
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     """Subgraph induced by ``s``, relabelled ``1..|s|`` in ascending id order.
 
-    Labels are carried over; the relabelling preserves the order of the kept
-    ids, so certificates over the result translate back by position.
+    The relabelling preserves the order of the kept ids, so vertex ``i`` of
+    the result is the ``i``-th smallest id of ``s`` and certificates over the
+    result translate back by position.
     """
     kept = sorted(set(s))
     for v in kept:
@@ -217,10 +196,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
             if (row >> (u - 1)) & 1:
                 adj[i] |= 1 << index[u]
                 adj[index[u]] |= 1 << i
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[v - 1] for v in kept)
-    return Graph(len(kept), tuple(adj), labels)
+    return Graph(len(kept), tuple(adj))
 
 
 def bipartite_complement(g: Graph, b: Bipartition) -> Graph:
@@ -233,7 +209,7 @@ def bipartite_complement(g: Graph, b: Bipartition) -> Graph:
         adj[v - 1] = mask_b & ~g.adj[v - 1]
     for v in b.part_b:
         adj[v - 1] = mask_a & ~g.adj[v - 1]
-    return Graph(g.n, tuple(adj), g.labels)
+    return Graph(g.n, tuple(adj))
 
 
 @lru_cache(maxsize=256)

@@ -51,6 +51,7 @@ from typing import Callable, Iterator
 from ..graphs import (
     Bipartition,
     Graph,
+    _canonical_int,
     find_bipartition,
     is_connected,
     parse_graph,
@@ -81,6 +82,7 @@ from ..perms import (
     star_perm_T,
 )
 from ..families import (
+    GRAPH_FAMILIES,
     PERM_FAMILIES,
     build_family,
     cycle,
@@ -176,6 +178,17 @@ class SuiteOptions:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         _Budget(self.budget)  # the searches' own check, before any suite runs
+        # each index through its family's own check, before any suite runs
+        for flag, pairs, member in (
+            ("t-pair", self.t_pairs, star_perm_T),
+            ("s-pair", self.s_pairs, star_perm_S),
+        ):
+            for i, j in pairs:
+                try:
+                    member(i)
+                    member(j)
+                except ValueError as exc:
+                    raise ValueError(f"{flag} {i},{j}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +216,10 @@ def _split_witness(text: str) -> tuple[str, dict[str, str]]:
     body: list[str] = []  # lines before the first section are dropped
     for line in lines[1:]:
         if line.startswith("@"):
-            body = sections[line[1:].strip()] = []
+            name = line[1:].strip()
+            if name in sections:
+                raise ValueError(f"witness kind {kind!r} repeats section @{name}")
+            body = sections[name] = []
         else:
             body.append(line)
     return kind, {name: "\n".join(body) for name, body in sections.items()}
@@ -211,9 +227,11 @@ def _split_witness(text: str) -> tuple[str, dict[str, str]]:
 
 def _vertex_ids(kind: str, name: str, text: str, n: int) -> tuple[int, ...]:
     try:
-        ids = tuple(int(tok) for tok in text.split())
+        ids = tuple(_canonical_int(tok) for tok in text.split())
     except ValueError:
-        raise ValueError(f"witness kind {kind!r} section @{name} holds a non-integer id") from None
+        raise ValueError(
+            f"witness kind {kind!r} section @{name} holds an id that is not an integer in canonical form"
+        ) from None
     if any(not 1 <= v <= n for v in ids):
         raise ValueError(f"witness kind {kind!r} section @{name} holds an id outside 1..{n}")
     return ids
@@ -415,19 +433,18 @@ def _ordered_pairs(indices) -> list[tuple[int, int]]:
     return [(i, j) for i in indices for j in indices if i != j]
 
 
-_ANTICHAIN_FAMILIES = {"T": "t-graph", "S": "s-graph", "H": "h", "permT": "star-t", "permS": "star-s"}
-
-
 def antichain_check(
     family: str, indices: list[int], *, budget: int | None = DEFAULT_BUDGET, workers: int = 1
 ) -> SuiteReport:
     """Pairwise non-containment over every ordered pair of family members;
-    ``family`` is T, S or H (graphs) or permT or permS (permutations)."""
-    if family not in _ANTICHAIN_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    ``family`` is a registry name with one integer parameter: a graph family
+    such as ``h`` or ``t-graph``, or a permutation family such as ``star-t``."""
+    count = GRAPH_FAMILIES[family][0] if family in GRAPH_FAMILIES else None
+    if family not in PERM_FAMILIES and (count != 1 or family == "perm-graph"):
+        raise ValueError(f"unknown family {family!r}: name a registered family with one integer parameter")
     start = time.perf_counter()
     pairs = _ordered_pairs(indices)
-    specs = _pair_specs(family + "/{i}-into-{j}", _ANTICHAIN_FAMILIES[family], pairs, budget)
+    specs = _pair_specs(family + "/{i}-into-{j}", family, pairs, budget)
     built = time.perf_counter()
     verdicts = _run_cases(specs, workers)
     return SuiteReport(f"antichain-{family}", verdicts, built - start, time.perf_counter() - built)
@@ -797,54 +814,35 @@ def _suite_closure(opts: SuiteOptions) -> list:
 def grid_permutation(k: int, m: int) -> tuple[Permutation, dict[int, int]]:
     """Permutation realizing the k-by-m grid, plus the vertex-to-value map.
 
-    Construction: orient grid edges from the odd row to the even row (no
-    directed two-step paths, hence transitive), orient non-edges toward the
-    higher column inside a row, toward the higher row otherwise.  Both unions
-    are acyclic tournaments; their two linear orders give each vertex its
-    value and its position, and crossings reproduce exactly the grid edges.
+    Closed form.  Row i of the grid holds vertices (i, 1..m), and (i, j)
+    sees (i+1, jj) exactly when jj <= j.  Two orders of the vertices:
+    values take row 1, then rows (2, 3), (4, 5), ... and positions take rows
+    (1, 2), (3, 4), ...; a last unpaired row comes alone.  Inside a block the
+    rows are interleaved column by column: the odd row first at each column
+    in the value order, the even row first in the position order.  Vertex v
+    gets value ``value[v]`` at its place in the position order, and two
+    vertices cross (an edge of the permutation graph) exactly when the two
+    orders disagree on them.
+
+    Proof that the crossings are the grid edges.  Both orders go by block,
+    then column, and both keep the row order between blocks.  One row's
+    vertices are ordered by column in both.  Rows two or more apart lie in
+    different blocks of both orders, so the lower row comes first in both.
+    Adjacent rows i, i+1 share a block in exactly one order (the value order
+    when i is even, the position order when i is odd), and the other order
+    puts row i first.  In the shared block the row that comes first at equal
+    columns is i+1 (it is the odd row when i is even, the even row when i is
+    odd), so (i+1, jj) precedes (i, j) exactly when jj <= j.  So the orders
+    disagree on (i, j) and (i+1, jj) exactly when jj <= j, the grid's edge
+    rule, and agree on every other pair.
     """
-    g, _ = universal_grid(k, m)
-    n = g.n
-
-    def rowcol(v: int) -> tuple[int, int]:
-        return (v - 1) // m + 1, (v - 1) % m + 1
-
-    edge_forward = [[False] * (n + 1) for _ in range(n + 1)]
-    non_forward = [[False] * (n + 1) for _ in range(n + 1)]
-    for u in range(1, n + 1):
-        ru, cu = rowcol(u)
-        for v in range(u + 1, n + 1):
-            rv, cv = rowcol(v)
-            if g.has_edge(u, v):
-                if ru % 2 == 1 and rv % 2 == 0:
-                    edge_forward[u][v] = True
-                else:
-                    edge_forward[v][u] = True
-            else:
-                if ru == rv:
-                    first = u if cu < cv else v
-                else:
-                    first = u if ru < rv else v
-                non_forward[first][u + v - first] = True
-
-    def total_order(edge_dir) -> dict[int, int]:
-        indeg = [0] * (n + 1)
-        for u in range(1, n + 1):
-            for v in range(1, n + 1):
-                if u != v and (edge_dir[u][v] or non_forward[u][v]):
-                    indeg[v] += 1
-        ranks = sorted(range(1, n + 1), key=lambda v: indeg[v])
-        if sorted(indeg[1:]) != list(range(n)):
-            raise AssertionError("orientation did not produce a total order")
-        return {v: i + 1 for i, v in enumerate(ranks)}
-
-    value = total_order(edge_forward)
-    reverse = [[edge_forward[v][u] for v in range(n + 1)] for u in range(n + 1)]
-    position = total_order(reverse)
-    oneline = [0] * n
-    for v in range(1, n + 1):
-        oneline[position[v] - 1] = value[v]
-    return Permutation(tuple(oneline)), value
+    if k < 1 or m < 1:
+        raise ValueError("grid dimensions must be positive")
+    cells = [(i, j) for i in range(1, k + 1) for j in range(1, m + 1)]
+    by_value = sorted(cells, key=lambda c: (c[0] // 2, c[1], 1 - c[0] % 2))
+    by_position = sorted(cells, key=lambda c: ((c[0] + 1) // 2, c[1], c[0] % 2))
+    value = {(i - 1) * m + j: rank for rank, (i, j) in enumerate(by_value, start=1)}
+    return Permutation(tuple(value[(i - 1) * m + j] for i, j in by_position)), value
 
 
 def _placement_degree(value: int, position: int, bigger: int) -> int:

@@ -86,10 +86,7 @@ def incomparability_graph(g: Graph, part: set[int] | frozenset[int]) -> Graph:
             a, b = g.adj[vs[i] - 1], g.adj[vs[j] - 1]
             if (a & ~b) and (b & ~a):
                 edges.append((i + 1, j + 1))
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[v - 1] for v in vs)
-    return Graph.from_edges(k, edges, labels)
+    return Graph.from_edges(k, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +182,8 @@ def _compose(kind: str, g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) 
     x1, y1 = mask_of(b1.part_a), mask_of(b1.part_b)
     x2, y2 = mask_of(b2.part_a) << shift, mask_of(b2.part_b) << shift
     _add_cross(rows, kind, x1, y1, x2, y2)
-    labels = None
-    if g1.labels is not None or g2.labels is not None:
-        labels = (g1.labels or (None,) * g1.n) + (g2.labels or (None,) * g2.n)
     b = Bipartition.of(mask_vertices(x1 | x2), mask_vertices(y1 | y2))
-    return Graph(g1.n + g2.n, tuple(rows), labels), b
+    return Graph(g1.n + g2.n, tuple(rows)), b
 
 
 def disjoint_union(g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[Graph, Bipartition]:

@@ -184,7 +184,7 @@ def test_representatives_pass_full_validation(connected_levels):
     # the enumerator builds its children without Graph's checks
     for n in range(1, 10):
         for g in connected_levels[n]:
-            assert g == Graph(n, g.adj) and g.labels is None, g.adj
+            assert g == Graph(n, g.adj), g.adj
 
 
 def test_level_stats(connected_levels):

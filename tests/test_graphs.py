@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -43,12 +45,26 @@ def test_graph_validation_rejects_bad_values():
         Graph.from_edges(2, [(1, 3)])
 
 
-def test_equality_ignores_labels():
-    g1 = Graph.from_edges(2, [(1, 2)], labels=["x", "y"])
-    g2 = Graph.from_edges(2, [(1, 2)])
-    assert g1 == g2
-    assert hash(g1) == hash(g2)
-    assert g1.label(1) == "x" and g2.label(1) is None
+def test_equality_and_hash_go_by_rows():
+    # every way of making a graph, the worker pool's pickle round trip
+    # included, gives one value per (n, rows)
+    rows = (0b010, 0b101, 0b010)
+    made = [
+        Graph(3, rows),
+        Graph.from_edges(3, [(2, 3), (1, 2), (2, 1)]),
+        Graph._trusted(3, rows),
+        pickle.loads(pickle.dumps(Graph._trusted(3, rows))),
+        pickle.loads(pickle.dumps(path(3))),
+    ]
+    for g in made:
+        assert g == path(3) and hash(g) == hash(path(3))
+        assert (g.n, g.adj) == (3, rows)
+    assert len(set(made)) == 1
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+    # other rows, another vertex count or another type are not equal
+    assert Graph(3, (0b110, 0b001, 0b001)) != path(3)
+    assert Graph(4, rows + (0,)) != path(3)
+    assert Graph(3, rows) != (3, rows)
 
 
 def test_from_edges_collapses_duplicates():
@@ -65,12 +81,6 @@ def test_induced_subgraph_examples():
     assert induced_subgraph(g, g.vertices()) == g
     with pytest.raises(ValueError):
         induced_subgraph(path(3), {0, 1})
-
-
-def test_induced_subgraph_carries_labels():
-    g = Graph.from_edges(3, [(1, 2)], labels=["a", "b", "c"])
-    sub = induced_subgraph(g, {1, 3})
-    assert sub.labels == ("a", "c")
 
 
 def test_bipartite_complement_examples():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bipkit.graphs import parse_graph
+from bipkit.graphs import Graph, parse_graph
 from bipkit.families import path, universal_grid
 from bipkit.harness import cli, suites
 from bipkit.harness.suites import (
@@ -18,6 +18,7 @@ from bipkit.harness.suites import (
     SuiteOptions,
     antichain_check,
     brute_grid_permutation,
+    grid_permutation,
     make_witness,
     reverify_witness,
     run_suite,
@@ -35,15 +36,21 @@ PINNED_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_ve
 
 
 def test_antichain_check_families():
-    report = antichain_check("H", [1, 2, 3, 4])
+    # families go by their registry names
+    report = antichain_check("h", [1, 2, 3, 4])
     assert report.failed == 0 and report.undecided == 0
     assert len(report.verdicts) == 12
-    report = antichain_check("permT", [6, 8])
-    assert report.failed == 0
-    report = antichain_check("permS", [8, 10])
-    assert report.failed == 0
-    with pytest.raises(ValueError):
-        antichain_check("nope", [1, 2])
+    assert report.suite == "antichain-h" and report.verdicts[0].case == "h/1-into-2"
+    report = antichain_check("star-t", [6, 8])
+    assert report.failed == 0 and len(report.verdicts) == 2
+    report = antichain_check("star-s", [8, 10])
+    assert report.failed == 0 and len(report.verdicts) == 2
+    report = antichain_check("t-graph", [6, 8])
+    assert report.failed == 0 and len(report.verdicts) == 2
+    # unknown names, the old aliases, and families not indexed by one integer
+    for name in ("nope", "H", "permT", "kab", "sun4", "perm-graph"):
+        with pytest.raises(ValueError, match="unknown family"):
+            antichain_check(name, [1, 2])
 
 
 def test_failing_case_produces_reverifiable_witness():
@@ -101,13 +108,27 @@ def test_witness_kinds_reverify():
             "map": "1 x",
         },
     )
-    with pytest.raises(ValueError, match="'embedding' section @map holds a non-integer id"):
+    not_canonical = "holds an id that is not an integer in canonical form"
+    with pytest.raises(ValueError, match=f"'embedding' section @map {not_canonical}"):
         reverify_witness(not_ids)
+    # ids are read in canonical decimal form only, like the graph, tree and
+    # permutation parsers read theirs
+    for spelling in ("+2", "02", "\u0662", "2.0", "1_0"):
+        odd = emb.replace("@map\n1 2", f"@map\n1 {spelling}")
+        assert odd != emb
+        with pytest.raises(ValueError, match=f"section @map {not_canonical}"):
+            reverify_witness(odd)
+    # a repeated section is refused by name, not read as the last one given
+    twice = emb + "@map\n1 3\n"
+    with pytest.raises(ValueError, match="'embedding' repeats section @map"):
+        reverify_witness(twice)
+    with pytest.raises(ValueError, match="repeats section @pattern"):
+        reverify_witness(emb.replace("@host", "@pattern"))
     p4 = serialize_graph(path(4), find_bipartition(path(4))).rstrip()
     orders = {"order_a": "1 3", "order_b": "2 4"}
     assert reverify_witness(make_witness("biconvex-orders-found", {"graph": p4, **orders}))
     not_order = make_witness("biconvex-orders-found", {"graph": p4, **orders, "order_b": "2 y"})
-    with pytest.raises(ValueError, match="section @order_b holds a non-integer id"):
+    with pytest.raises(ValueError, match=f"section @order_b {not_canonical}"):
         reverify_witness(not_order)
     # a biconvex witness needs the parts: a graph with no b line names the section
     no_parts = serialize_graph(path(4)).rstrip()
@@ -265,6 +286,21 @@ def test_degree_pruned_grid_search_matches_unpruned():
     for m in (1, 2, 3):
         assert brute_grid_permutation(m) == _unpruned_grid_permutation(m), m
     assert brute_grid_permutation(3).oneline == (2, 4, 6, 7, 1, 8, 3, 9, 5)
+
+
+def test_grid_permutation_realises_the_grid():
+    perm, _ = grid_permutation(3, 3)
+    assert perm.oneline == (5, 1, 7, 2, 9, 3, 4, 6, 8)
+    for k in range(1, 9):
+        for m in range(1, 9):
+            perm, value = grid_permutation(k, m)
+            g, _ = universal_grid(k, m)
+            assert sorted(value) == sorted(value.values()) == list(g.vertices()), (k, m)
+            # the value map is an isomorphism onto the permutation graph
+            moved = [(min(value[u], value[v]), max(value[u], value[v])) for u, v in g.edges()]
+            assert Graph.from_edges(g.n, moved) == permutation_graph(perm), (k, m)
+    with pytest.raises(ValueError):
+        grid_permutation(0, 3)
 
 
 def test_placement_degree_matches_inversion_graph():
@@ -451,6 +487,22 @@ def test_cli_verify_checks_ranges_before_any_suite_runs(capsys):
         SuiteOptions(lemma_key_max=8)
     with pytest.raises(ValueError, match="lemma-reduction range"):
         SuiteOptions(lemma_reduction_max=13)
+
+
+def test_cli_verify_checks_pairs_before_any_suite_runs(capsys):
+    # a pair outside its family fails at once, naming the pair, before the
+    # suites ahead of the antichain suites print a line
+    for argv, message in (
+        (["verify", "all", "--t-pair", "6,7"], "t-pair 6,7: defined for even n >= 6"),
+        (["verify", "all", "--s-pair", "8,9"], "s-pair 8,9: defined for even n >= 8"),
+        (["verify", "t-antichain", "--t-pair", "4,6"], "t-pair 4,6: defined for even n >= 6"),
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, argv
+    with pytest.raises(ValueError, match="s-pair 10,7"):
+        SuiteOptions(s_pairs=((10, 7),))
+    assert SuiteOptions(t_pairs=((8, 10),), s_pairs=((10, 12),)).t_pairs == ((8, 10),)
 
 
 def test_cli_rejects_negative_budgets_and_workers(capsys):
