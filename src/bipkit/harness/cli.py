@@ -18,6 +18,7 @@ from ..graphs import (
     Bipartition,
     Graph,
     GraphParseError,
+    _canonical_int,
     find_bipartition,
     parse_graph,
     serialize_graph,
@@ -58,9 +59,9 @@ def _build_family(name: str, args: list[str]) -> tuple[Graph, Bipartition | None
     if name == "perm-graph":
         return build_family(name, *map(parse_permutation, args))
     try:
-        params = [int(a) for a in args]
+        params = [_canonical_int(a) for a in args]
     except ValueError:
-        raise ValueError(f"family {name} parameters must be integers") from None
+        raise ValueError(f"family {name} parameters must be integers in canonical form") from None
     return build_family(name, *params)
 
 
@@ -108,7 +109,7 @@ def _cmd_perm(args) -> int:
     if op in PERM_FAMILIES:
         if len(rest) != 1:
             raise ValueError(f"perm {op} expects one size argument")
-        print(format_permutation(PERM_FAMILIES[op](int(rest[0]))))
+        print(format_permutation(PERM_FAMILIES[op](_canonical_int(rest[0]))))
         return EXIT_OK
     count, answer = _PERM_OPS[op]
     if len(rest) != count:
@@ -198,7 +199,7 @@ def _cmd_biconvex(args) -> int:
 
 def _parse_pair(text: str) -> tuple[int, int]:
     try:
-        i, j = (int(tok) for tok in text.split(","))
+        i, j = (_canonical_int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"pair must look like '6,8', got {text!r}") from None
     return i, j
@@ -253,10 +254,19 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """An integer argument, read in canonical decimal form like the graph text:
+    no ``+``, leading zero, ``_`` or non-ASCII digit."""
+    try:
+        return _canonical_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer in canonical form: {text!r}") from None
+
+
 def _budget(text: str) -> int:
     """A ``--budget`` value: a step count, zero included."""
     try:
-        value = int(text)
+        value = _canonical_int(text)
     except ValueError:
         value = -1
     if value < 0:
@@ -301,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_paths = sub.add_parser("paths", help="test for a k-vertex path subgraph")
     p_paths.add_argument("graph")
-    p_paths.add_argument("k", type=int)
+    p_paths.add_argument("k", type=_integer)
     p_paths.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p_paths.set_defaults(fn=_cmd_paths)
 
@@ -312,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_letter = sub.add_parser("letter", help="letter representation of the universal grid")
     letter_sub = p_letter.add_subparsers(dest="letter_op", required=True)
     p_lgrid = letter_sub.add_parser("grid")
-    p_lgrid.add_argument("k", type=int)
-    p_lgrid.add_argument("m", type=int)
+    p_lgrid.add_argument("k", type=_integer)
+    p_lgrid.add_argument("m", type=_integer)
     p_lgrid.add_argument("--verify", default=None)
     p_lgrid.set_defaults(fn=_cmd_letter)
 
@@ -326,15 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = SuiteOptions()
     p_ver.add_argument("--budget", type=_budget, default=defaults.budget)
     p_ver.add_argument(
-        "--nmax", type=int, default=defaults.lemma_key_max, help=f"lemma-key upper vertex count (9..{MAX_VERTICES})"
+        "--nmax", type=_integer, default=defaults.lemma_key_max, help=f"lemma-key upper vertex count (9..{MAX_VERTICES})"
     )
     p_ver.add_argument(
         "--reduction-nmax",
-        type=int,
+        type=_integer,
         default=defaults.lemma_reduction_max,
         help=f"lemma-reduction upper vertex count (4..{MAX_VERTICES})",
     )
-    p_ver.add_argument("--workers", type=int, default=defaults.workers)
+    p_ver.add_argument("--workers", type=_integer, default=defaults.workers)
     p_ver.add_argument("--witness-dir", default="witnesses")
     p_ver.add_argument("--t-pair", action="append", default=[], help="extra T pair, e.g. 8,10")
     p_ver.add_argument("--s-pair", action="append", default=[], help="extra S pair, e.g. 10,12")

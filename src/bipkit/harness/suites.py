@@ -1,7 +1,9 @@
 """Named verification suites over the library: each suite is a deterministic
-list of cases producing ok / FAIL / UNDECIDED verdicts, where every FAIL
+list of cases producing ok / FAIL / UNDECIDED verdicts, where a FAIL
 carries a witness text that re-verifies on its own through
-:func:`reverify_witness`.
+:func:`reverify_witness` unless its case has nothing to show: a spot case's
+pattern answers, a letter tamper, an embedding lift and the grid
+permutations fail with a note only.
 
 Budget exhaustion in any exact search is reported as UNDECIDED, never as a
 pass or a silent none.  Cases are independent, so a worker pool may run them
@@ -280,6 +282,11 @@ def reverify_witness(text: str) -> bool:
         expected, _ = parse_graph(need("expected"))
         decoded, _ = parse_graph(need("decoded"))
         return decoded != expected
+    if kind == "incomparability-mismatch":
+        # the incomparability graph is relabelled 1..k, so only its isomorphism type counts
+        expected, _ = parse_graph(need("expected"))
+        inc, _ = parse_graph(need("incomparability"))
+        return not are_isomorphic(inc, expected)
     if kind == "value-mismatch":
         return need("expected").strip() != need("actual").strip()
     raise ValueError(f"unknown witness kind {kind!r}")
@@ -477,7 +484,7 @@ def _case_incomparability_iso(case: str, n: int) -> CaseVerdict:
     if are_isomorphic(inc, want):
         return _ok(case)
     witness = make_witness(
-        "letter-mismatch", {"expected": _graph_block(want), "decoded": _graph_block(inc)}
+        "incomparability-mismatch", {"expected": _graph_block(want), "incomparability": _graph_block(inc)}
     )
     return _fail(case, "incomparability graph differs", witness)
 

@@ -37,10 +37,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.oneline[i - 1]
 
-    def position(self, value: int) -> int:
-        """1-based position of ``value`` in the one-line sequence."""
-        return self.oneline.index(value) + 1
-
     def __repr__(self):
         return f"Permutation{self.oneline}"
 

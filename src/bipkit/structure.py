@@ -458,84 +458,41 @@ def parse_tree(text: str) -> DecompositionTree:
 # letter representations
 
 
-_DECODER_SYMBOLS = ("F", "B", "C", "E")
-_MIRROR = {"F": "B", "B": "F", "C": "C", "E": "E"}
-
-
 @dataclass(frozen=True)
 class LetterRepresentation:
-    """Vertex partition, linear order, and per-pair decoder certifying how
-    every cross edge set arises from the order (forward/backward/complete/empty)."""
+    """A letter graph (Petkovšek 2002): ``letters[v - 1]`` is vertex v's
+    letter, an int of at least 0, ``order`` lists the vertices, and
+    ``decoder`` is a set of ordered letter pairs.  Vertices u placed before v
+    are adjacent exactly when ``(letters[u - 1], letters[v - 1])`` is in the
+    decoder, so ``(a, a)`` makes letter a's vertices a clique."""
 
-    parts: tuple[tuple[int, ...], ...]
-    part_kinds: tuple[str, ...]  # "independent" | "clique" per part
+    letters: tuple[int, ...]
     order: tuple[int, ...]
-    decoder: tuple[tuple[str, ...], ...]  # diagonal entries are "."
-
-
-def _validate_letter(rep: LetterRepresentation) -> int:
-    seen: set[int] = set()
-    for part in rep.parts:
-        for v in part:
-            if v in seen:
-                raise ValueError(f"vertex {v} appears in two parts")
-            seen.add(v)
-    n = len(seen)
-    if sorted(seen) != list(range(1, n + 1)):
-        raise ValueError("parts must cover ids 1..n")
-    if sorted(rep.order) != list(range(1, n + 1)):
-        raise ValueError("order must be a permutation of the vertices")
-    p = len(rep.parts)
-    if len(rep.part_kinds) != p or any(k not in ("independent", "clique") for k in rep.part_kinds):
-        raise ValueError("part kinds must be 'independent' or 'clique' per part")
-    if len(rep.decoder) != p or any(len(row) != p for row in rep.decoder):
-        raise ValueError("decoder must be a p x p table")
-    for i in range(p):
-        if rep.decoder[i][i] != ".":
-            raise ValueError("decoder diagonal must be '.'")
-        for j in range(p):
-            if i == j:
-                continue
-            sym = rep.decoder[i][j]
-            if sym not in _DECODER_SYMBOLS:
-                raise ValueError(f"unknown decoder symbol {sym!r}")
-            if _MIRROR[sym] != rep.decoder[j][i]:
-                raise ValueError("decoder table is not mirror-consistent")
-    return n
+    decoder: frozenset[tuple[int, int]]
 
 
 def decode_letter(rep: LetterRepresentation) -> Graph:
-    """Rebuild the graph prescribed by (parts, order, decoder)."""
-    n = _validate_letter(rep)
-    rank = {v: i for i, v in enumerate(rep.order)}
-    edges: list[tuple[int, int]] = []
-    for pi, part in enumerate(rep.parts):
-        if rep.part_kinds[pi] == "clique":
-            edges.extend(
-                (min(u, v), max(u, v)) for u, v in itertools.combinations(part, 2)
-            )
-    p = len(rep.parts)
-    for i in range(p):
-        for j in range(i + 1, p):
-            sym = rep.decoder[i][j]
-            if sym == "E":
-                continue
-            for u in rep.parts[i]:
-                for v in rep.parts[j]:
-                    if sym == "C":
-                        keep = True
-                    elif sym == "F":
-                        keep = rank[u] < rank[v]
-                    else:  # "B"
-                        keep = rank[v] < rank[u]
-                    if keep:
-                        edges.append((min(u, v), max(u, v)))
-    return Graph.from_edges(n, edges)
+    """Rebuild the graph the representation prescribes; ValueError when the
+    order is not a permutation of the vertices or a letter is not an int of
+    at least 0."""
+    letters, order, decoder = rep.letters, rep.order, rep.decoder
+    n = len(letters)
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError("order must be a permutation of the vertices")
+    if any(a.__class__ is not int or a < 0 for a in letters):
+        raise ValueError("letters must be ints of at least 0")
+    rows = [0] * n
+    for i, u in enumerate(order):
+        for v in order[i + 1 :]:
+            if (letters[u - 1], letters[v - 1]) in decoder:
+                rows[u - 1] |= 1 << (v - 1)
+                rows[v - 1] |= 1 << (u - 1)
+    # the order is a permutation of 1..n, so the rows are symmetric, loop-free and in range
+    return Graph._trusted(n, tuple(rows))
 
 
 def verify_letter(rep: LetterRepresentation, g: Graph) -> bool:
-    """Decoder-consistency against ``g``: every cross pair and every part kind
-    must match what the representation prescribes."""
+    """True iff the representation is valid and decodes to exactly ``g``."""
     try:
         decoded = decode_letter(rep)
     except ValueError:
@@ -544,33 +501,30 @@ def verify_letter(rep: LetterRepresentation, g: Graph) -> bool:
 
 
 def letter_representation_grid(k: int, m: int) -> LetterRepresentation:
-    """Representation of the k-by-m universal grid: parts are rows, the order
-    walks columns left to right with rows descending inside each column, and
-    consecutive rows decode as order comparisons (all other pairs are empty)."""
+    """Representation of the k-by-m universal grid: row i is letter i - 1, the
+    order walks columns left to right with rows descending inside each
+    column, and the decoder is every pair (i + 1, i): the lower row, met
+    first, sees the row above."""
     if k < 1 or m < 1:
         raise ValueError("grid dimensions must be positive")
-    vid = lambda i, j: (i - 1) * m + j
-    parts = tuple(tuple(vid(i, j) for j in range(1, m + 1)) for i in range(1, k + 1))
-    order = tuple(vid(i, c) for c in range(1, m + 1) for i in range(k, 0, -1))
-    decoder = tuple(
-        tuple(
-            "."
-            if i == j
-            else ("B" if j == i + 1 else ("F" if j == i - 1 else "E"))
-            for j in range(k)
-        )
-        for i in range(k)
-    )
-    return LetterRepresentation(parts, ("independent",) * k, order, decoder)
+    letters = tuple(i for i in range(k) for _ in range(m))
+    order = tuple(i * m + c for c in range(1, m + 1) for i in range(k - 1, -1, -1))
+    return LetterRepresentation(letters, order, frozenset((i + 1, i) for i in range(k - 1)))
 
 
 def format_letter(rep: LetterRepresentation) -> str:
-    lines = [f"parts {len(rep.parts)}"]
-    for idx, (part, kind) in enumerate(zip(rep.parts, rep.part_kinds), start=1):
-        tag = "I" if kind == "independent" else "K"
-        lines.append(f"part {idx} {tag}: " + " ".join(str(v) for v in part))
+    """Text form: each letter 0..max as a part of its vertices, tagged K when
+    (a, a) is in the decoder and I otherwise; the order; and a table whose
+    row a, column b is F when only (a, b) is in the decoder, B when only
+    (b, a) is, C when both are, E when neither is, and . on the diagonal."""
+    k = max(rep.letters, default=-1) + 1
+    d = rep.decoder
+    lines = [f"parts {k}"]
+    for a in range(k):
+        part = " ".join(str(v) for v, x in enumerate(rep.letters, start=1) if x == a)
+        lines.append(f"part {a + 1} {'K' if (a, a) in d else 'I'}: {part}")
     lines.append("order: " + " ".join(str(v) for v in rep.order))
     lines.append("decoder:")
-    for row in rep.decoder:
-        lines.append(" ".join(row))
+    for a in range(k):
+        lines.append(" ".join("." if a == b else "EBFC"[2 * ((a, b) in d) + ((b, a) in d)] for b in range(k)))
     return "\n".join(lines) + "\n"

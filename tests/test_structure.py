@@ -642,51 +642,87 @@ def test_letter_tampering_detected():
 
 
 def test_letter_with_clique_parts():
-    rep = LetterRepresentation(
-        parts=((1, 2), (3,)),
-        part_kinds=("clique", "independent"),
-        order=(1, 2, 3),
-        decoder=((".", "C"), ("C", ".")),
-    )
+    # (0, 0) makes letter 0 a clique, and (0, 1) with (1, 0) joins the letters both ways
+    rep = LetterRepresentation(letters=(0, 0, 1), order=(1, 2, 3), decoder=frozenset({(0, 0), (0, 1), (1, 0)}))
     assert decode_letter(rep) == complete(3)
-    forward = LetterRepresentation(
-        parts=((1, 2), (3, 4)),
-        part_kinds=("independent", "independent"),
-        order=(1, 3, 2, 4),
-        decoder=((".", "F"), ("B", ".")),
-    )
+    # (0, 1) alone joins a letter-0 vertex to the letter-1 vertices after it
+    forward = LetterRepresentation(letters=(0, 0, 1, 1), order=(1, 3, 2, 4), decoder=frozenset({(0, 1)}))
     decoded = decode_letter(forward)
     assert set(decoded.edges()) == {(1, 3), (1, 4), (2, 4)}
 
 
 def test_letter_validation_errors():
-    with pytest.raises(ValueError):
-        decode_letter(
-            LetterRepresentation(
-                parts=((1, 2), (2, 3)),
-                part_kinds=("independent", "independent"),
-                order=(1, 2, 3),
-                decoder=((".", "E"), ("E", ".")),
-            )
-        )
-    with pytest.raises(ValueError):
-        decode_letter(
-            LetterRepresentation(
-                parts=((1,), (2,)),
-                part_kinds=("independent", "independent"),
-                order=(1, 2),
-                decoder=((".", "F"), ("F", ".")),
-            )
-        )
-    with pytest.raises(ValueError):
-        decode_letter(
-            LetterRepresentation(
-                parts=((1,), (2,)),
-                part_kinds=("independent", "wrong"),
-                order=(1, 2),
-                decoder=((".", "E"), ("E", ".")),
-            )
-        )
+    # the form holds each vertex's one letter, so a vertex in two parts, an
+    # unknown part kind or a table that is not mirror-consistent cannot be built;
+    # what can be wrong is the order and the letters
+    decoder = frozenset({(0, 1)})
+    for order in ((1, 1, 3), (1, 2, 4), (1, 2), (1, 2, 3, 4)):
+        rep = LetterRepresentation((0, 0, 1), order, decoder)
+        with pytest.raises(ValueError, match="order must be a permutation"):
+            decode_letter(rep)
+        assert not verify_letter(rep, path(3))
+    for letters in ((0, -1, 1), (0, 1.0, 1), (0, True, 1)):
+        rep = LetterRepresentation(letters, (1, 2, 3), decoder)
+        with pytest.raises(ValueError, match="letters must be ints of at least 0"):
+            decode_letter(rep)
+        assert not verify_letter(rep, path(3))
+
+
+def _table_decode_reference(text: str) -> Graph:
+    """The symbol-table decoder over ``format_letter``'s text: each part is
+    independent (I) or a clique (K), and the entry at row i, column j joins
+    every u of part i to every v of part j when it is C, when u comes first
+    when it is F, when v comes first when it is B, and never when it is E."""
+    lines = text.splitlines()
+    p = int(lines[0].split()[1])
+    parts, kinds = [], []
+    for line in lines[1 : p + 1]:
+        head, _, ids = line.partition(":")
+        kinds.append(head.split()[2])
+        parts.append([int(v) for v in ids.split()])
+    order = [int(v) for v in lines[p + 1].split()[1:]]
+    table = [line.split() for line in lines[p + 3 :]]
+    assert len(table) == p and all(table[i][i] == "." for i in range(p))
+    rank = {v: i for i, v in enumerate(order)}
+    edges = []
+    for part, kind in zip(parts, kinds):
+        if kind == "K":
+            edges += itertools.combinations(sorted(part), 2)
+    for i in range(p):
+        for j in range(i + 1, p):
+            sym = table[i][j]
+            assert sym in "FBCE" and table[j][i] == {"F": "B", "B": "F"}.get(sym, sym)
+            for u in parts[i]:
+                for v in parts[j]:
+                    if sym == "C" or (sym == "F" and rank[u] < rank[v]) or (sym == "B" and rank[v] < rank[u]):
+                        edges.append((min(u, v), max(u, v)))
+    return Graph.from_edges(len(order), edges)
+
+
+def test_letter_decoder_matches_symbol_table_reference():
+    rng = random.Random(24)
+    symbols = set()
+    for _ in range(1500):
+        n, k = rng.randint(1, 9), rng.randint(1, 4)
+        letters = tuple(rng.randrange(k) for _ in range(n))
+        order = tuple(rng.sample(range(1, n + 1), n))
+        decoder = frozenset((a, b) for a in range(k) for b in range(k) if rng.random() < 0.4)
+        rep = LetterRepresentation(letters, order, decoder)
+        text = format_letter(rep)
+        symbols.update(text.split("decoder:")[1].split())
+        assert decode_letter(rep) == _table_decode_reference(text), text
+    assert symbols == {".", "F", "B", "C", "E"}
+    for k in range(1, 6):
+        for m in range(1, 6):
+            rep = letter_representation_grid(k, m)
+            assert decode_letter(rep) == _table_decode_reference(format_letter(rep))
+
+
+def test_format_letter_text_is_pinned():
+    text = "".join(format_letter(letter_representation_grid(k, m)) for k in range(1, 9) for m in range(1, 9))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "327243da2e3becbec30c8d2ef2de04c3bc0436c8a4ab7f07efa43ca592446ae8"
+    )
 
 
 def test_format_letter_output():

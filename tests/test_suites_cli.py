@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,6 +167,29 @@ def test_witness_kinds_reverify():
         reverify_witness("kind tree-not-free\n")
     with pytest.raises(ValueError, match="'graph-p9' lacks section @graph"):
         reverify_witness("kind graph-p9\n")
+
+
+def test_incomparability_witness_reverifies_by_isomorphism_type(monkeypatch):
+    from bipkit.families import complete_bipartite
+    from bipkit.graphs import serialize_graph
+
+    def witness(expected: Graph, inc: Graph) -> str:
+        blocks = {"expected": serialize_graph(expected).rstrip(), "incomparability": serialize_graph(inc).rstrip()}
+        return make_witness("incomparability-mismatch", blocks)
+
+    # the incomparability graph is relabelled 1..k, so a relabelled path is no mismatch
+    relabelled = Graph.from_edges(3, [(1, 3), (2, 3)])
+    assert relabelled != path(3)
+    assert not reverify_witness(witness(path(3), relabelled))
+    assert reverify_witness(witness(path(4), complete_bipartite(1, 3)))
+    # letter decoding shares its ids, so there any differing edge set re-verifies
+    letters = {"expected": serialize_graph(path(3)).rstrip(), "decoded": serialize_graph(relabelled).rstrip()}
+    assert reverify_witness(make_witness("letter-mismatch", letters))
+    # the case writes that kind, and a real mismatch re-verifies
+    monkeypatch.setattr(suites, "permutation_graph", lambda p: path(p.size))
+    verdict = suites._case_incomparability_iso("inc", 8)
+    assert verdict.status == "FAIL" and verdict.witness_text.startswith("kind incomparability-mismatch\n")
+    assert reverify_witness(verdict.witness_text)
 
 
 def test_identity_suite_is_deterministic():
@@ -417,6 +442,36 @@ def test_cli_paths_decompose_letter_biconvex(capsys):
     assert capsys.readouterr().out == "none\n"
 
 
+# sha256 of each README CLI example's stdout, in the block's order
+README_CLI_DIGESTS = (
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "200f70256f7faa24f8a9244f6bc4808bd319331dbc076f468ea1982f37c37bbf",
+    "45e1689b85f498f6084e3a237174ad544b41adb0536cb0342e793f141cdea9f4",
+    "97e753b3885629f9e2c17e71e131838d8992faa94702f0aff06794ebaa6d1f17",
+    "5040625b1fb6fa4af07226683f6e6003b29e5e70b16f8cfb24be7a752393f0ee",
+    "b8c10bef68c752f539133a35fd3033366dfb448ead77929423bda1f8c965d520",
+    "2ab150d0ce68e19feed8ca7441f6ff42293edf97e5183435edaee1f075ccfb77",
+    "5040625b1fb6fa4af07226683f6e6003b29e5e70b16f8cfb24be7a752393f0ee",
+    "47fc7b506d8c0372f34722214d5232a85d913befc77c78eb92fafb74dcf4045e",
+    "23bf47deead84a754c7df59faab6b4c5e6751df745bb011f8762432299c509ff",
+    "f6f9ac0104060a8bd15403969288fe65de4599fa9c799ab6494f348f567e7231",
+)
+
+
+def test_readme_cli_examples_run_and_print_pinned_text(capsys, tmp_path, monkeypatch):
+    # the first bash block under "## CLI", one command a line; `gen ... --out
+    # t6.graph` writes the file the `check free` line reads, in tmp_path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert len(commands) == len(README_CLI_DIGESTS)
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in zip(commands, README_CLI_DIGESTS):
+        assert argv[0] == "bipkit", argv
+        assert cli.main(argv[1:]) == 0, argv
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
+
+
 def test_cli_stdin_graph(capsys, monkeypatch):
     import io
 
@@ -532,6 +587,47 @@ def test_cli_rejects_negative_budgets_and_workers(capsys):
     assert cli.main(["embed", "path:2", "path:3", "--budget", "0"]) == 3
     assert cli.main(["verify", "t-free", "--budget", "0"]) == 3
     assert "UNDECIDED" in capsys.readouterr().out
+
+
+def test_cli_reads_integers_in_canonical_form_only(capsys, tmp_path, monkeypatch):
+    # int() would read each of these as the integer after it
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gen", "path", "07"],
+        ["gen", "path", "+7"],
+        ["gen", "grid", "5", "5_0"],
+        ["perm", "star-t", "08"],
+        ["paths", "path:7", "+7"],
+        ["embed", "path:03", "path:\u0667"],
+        ["check", "free", "kab:3,04", "--forbid", "path:2"],
+        ["letter", "grid", "02", "2"],
+        ["letter", "grid", "2", "\u0662"],
+        ["verify", "identities", "--budget", "1_000"],
+        ["verify", "identities", "--budget", "+5"],
+        ["verify", "identities", "--nmax", "09"],
+        ["verify", "identities", "--reduction-nmax", "+5"],
+        ["verify", "identities", "--workers", "01"],
+        ["verify", "t-antichain", "--t-pair", "\u0668,\u0661\u0660"],
+        ["verify", "s-antichain", "--s-pair", "10,012"],
+    ):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
+    assert not (tmp_path / "witnesses").exists()
+    # the canonical spellings still work
+    for argv in (
+        ["gen", "path", "7"],
+        ["perm", "star-t", "8"],
+        ["paths", "path:7", "7"],
+        ["embed", "path:3", "path:7"],
+        ["letter", "grid", "2", "2"],
+    ):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
+    args = cli.build_parser().parse_args(
+        ["verify", "all", "--budget", "1000", "--nmax", "10", "--reduction-nmax", "9", "--workers", "2"]
+    )
+    assert (args.budget, args.nmax, args.reduction_nmax, args.workers) == (1000, 10, 9, 2)
+    assert cli._parse_pair("8,10") == (8, 10)
 
 
 def test_cli_verify_range_help_names_the_enumerator_bound(capsys, monkeypatch):
