@@ -2,8 +2,8 @@
 
 Graph arguments accept a file path, ``-`` for stdin, or a family spec such as
 ``path:7``, ``kab:3,4``, ``t-graph:6``, ``grid:5,5`` or ``perm-graph:(2,1)``.
-Exit codes: 0 all pass, 1 any failure, 2 usage or parse error, 3 undecided
-outcomes without failures.
+Exit codes: 0 all pass, 1 any failure, 2 usage or parse error or a file that
+cannot be read or written, 3 undecided outcomes without failures.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _load_graph(spec: str) -> tuple[Graph, Bipartition | None]:
     if m:
         name = m.group(1)
         raw = m.group(2)
-        args = [a for a in (raw.split(",") if raw else []) if a != ""]
+        args = raw.split(",") if raw else []
         if name == "perm-graph" and raw:
             args = [raw]
         return _build_family(name, args)
@@ -369,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError names the file it could not read or write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,8 +1,9 @@
 """Named verification suites over the library: each suite is a deterministic
 list of cases producing ok / FAIL / UNDECIDED verdicts, where a FAIL
-carries a witness text that re-verifies on its own through
-:func:`reverify_witness` unless its case has nothing to show: a spot case's
-pattern answers, a letter tamper, an embedding lift and the grid
+carries a witness text that :func:`reverify_witness` re-checks on its own by
+recomputing it, unless its case has nothing to show: an identity's values, a
+calibration count, a spot case's pattern answers, a grid decoding, a letter
+tamper, an embedding search or lift, a row occupancy and the grid
 permutations fail with a note only.
 
 Budget exhaustion in any exact search is reported as UNDECIDED, never as a
@@ -13,23 +14,23 @@ worker count.
 Suites are data.  ``_SUITES`` maps each suite name, in report order, to a
 builder that lists its cases as specs ``(case name, case function,
 arguments)``.  Specs are pickled across the worker pool, so a case function
-is a module-level function and its arguments are plain data: ints, graphs,
-module-level functions, and family specs that name a member of the
-:mod:`bipkit.families` registry, such as ``("path", 7)``.
+is a module-level function and its arguments are plain data: ints, names,
+graphs and module-level functions.
 
 - To add a case, append a spec to its suite's builder, reusing a shared case
   function where one fits: ``_case_identity`` (an identity function returning
-  expected and actual values), ``_case_free`` (a family member free of
-  forbidden members), ``_case_pair`` (one family member not embedding into
-  another) or ``_case_spot`` (a named graph inside or outside a lemma's
+  expected and actual values), ``_case_free`` (a graph free of forbidden
+  graphs), ``_case_pair`` (one member of a registered family not embedding
+  into another) or ``_case_spot`` (a graph inside or outside a lemma's
   universe).
 - To add an exhaustive lemma, add a ``Lemma`` to ``LEMMAS`` under its suite
-  name: its universe (connected bipartite graphs free of ``forbidden`` and
-  containing ``required``), its claim (a generator of violations on a
-  member) and the witness kinds the claim reports.  Then give the suite a
-  builder whose specs come from ``_exhaustive``.  ``_case_lemma_chunk``
-  checks the claim on every member of its chunk, and :func:`reverify_witness`
-  re-checks the lemma's witnesses against the same entry.
+  name: its universe (connected bipartite graphs free of the ``forbidden``
+  graphs and containing ``required``) and its claim (a generator of one note
+  per violation on a member).  Then give the suite a builder whose specs come
+  from ``_exhaustive``.  ``_case_lemma_chunk`` checks the claim on every
+  member of its chunk; a violation's witness is ``kind <suite>`` with
+  sections ``@graph`` and ``@note``, and :func:`reverify_witness` accepts it
+  when the graph is a member and the claim, run again, yields the note.
 
 ``_exhaustive`` decides membership while it lists the chunks, walking the
 levels from 1 up.  A representative minus its last vertex is its enumerator
@@ -87,9 +88,16 @@ from ..families import (
     GRAPH_FAMILIES,
     PERM_FAMILIES,
     build_family,
+    complete_bipartite,
     cycle,
+    p_tilde,
     path,
+    s123,
     s_graph_star,
+    sun1,
+    sun4,
+    t_graph_star,
+    two_p3,
     universal_grid,
 )
 from ..structure import (
@@ -114,8 +122,6 @@ from .enumeration import (
 )
 
 DEFAULT_BUDGET = 10**9
-
-Spec = tuple  # a registered family name, then its parameters: ("path", 7)
 
 
 @dataclass
@@ -242,9 +248,9 @@ def _vertex_ids(kind: str, name: str, text: str, n: int) -> tuple[int, ...]:
 def reverify_witness(text: str) -> bool:
     """Re-check a failure witness through the module that produced it.
 
-    A lemma witness re-verifies when its graph is in the lemma's universe and
-    the lemma's claim, run again on that graph, reports the witness's
-    violation, id sections included (a 7-path lowest end first).
+    A lemma witness, of kind its suite name, re-verifies when its graph is in
+    the lemma's universe and the lemma's claim, run again on that graph,
+    yields the witness's note.
     """
     kind, sec = _split_witness(text)
 
@@ -253,12 +259,11 @@ def reverify_witness(text: str) -> bool:
             raise ValueError(f"witness kind {kind!r} lacks section @{name}")
         return sec[name]
 
-    if kind in _LEMMA_OF_KIND:
-        lemma = LEMMAS[_LEMMA_OF_KIND[kind]]
+    if kind in LEMMAS:
         g, _ = parse_graph(need("graph"))
-        ids = {name: _vertex_ids(kind, name, need(name), g.n) for name in lemma.witnesses[kind]}
-        b = _member(g, *_universe(lemma))
-        return b is not None and any(k == kind and found == ids for _, k, found in lemma.claim(g, b))
+        note = need("note")
+        b = _member(g, LEMMAS[kind])
+        return b is not None and note in LEMMAS[kind].claim(g, b)
     if kind == "embedding":
         pattern, _ = parse_graph(need("pattern"))
         host, _ = parse_graph(need("host"))
@@ -270,7 +275,7 @@ def reverify_witness(text: str) -> bool:
         return contains_pattern(host, pat)
     if kind == "tree-not-free":
         g = recompose(parse_tree(need("tree")))
-        return not is_free(g, _universe(LEMMAS["closure"])[0]).free
+        return not is_free(g, LEMMAS["closure"].forbidden).free
     if kind in ("biconvex-orders-found", "biconvex-orders-rejected"):
         g, b = parse_graph(need("graph"))
         if b is None:
@@ -278,17 +283,11 @@ def reverify_witness(text: str) -> bool:
         order_a = _vertex_ids(kind, "order_a", need("order_a"), g.n)
         order_b = _vertex_ids(kind, "order_b", need("order_b"), g.n)
         return verify_biconvex_order(g, b, order_a, order_b) == (kind == "biconvex-orders-found")
-    if kind == "letter-mismatch":
-        expected, _ = parse_graph(need("expected"))
-        decoded, _ = parse_graph(need("decoded"))
-        return decoded != expected
     if kind == "incomparability-mismatch":
         # the incomparability graph is relabelled 1..k, so only its isomorphism type counts
         expected, _ = parse_graph(need("expected"))
         inc, _ = parse_graph(need("incomparability"))
         return not are_isomorphic(inc, expected)
-    if kind == "value-mismatch":
-        return need("expected").strip() != need("actual").strip()
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
@@ -301,10 +300,6 @@ def _embedding_witness(pattern: Graph, host: Graph, emb: Embedding) -> str:
             "map": " ".join(str(x) for x in emb.mapping),
         },
     )
-
-
-def _value_witness(expected: str, actual: str) -> str:
-    return make_witness("value-mismatch", {"expected": expected, "actual": actual})
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +327,6 @@ def _run_cases(specs: list, workers: int) -> list[CaseVerdict]:
         return [_exec_spec(spec) for spec in specs]
     with multiprocessing.Pool(workers) as pool:
         return list(pool.imap(_exec_spec, specs, chunksize=1))
-
-
-def _graph(spec: Spec) -> Graph:
-    return build_family(*spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +370,7 @@ def _case_identity(case: str, identity: Callable[..., tuple], *args) -> CaseVerd
     expected, actual = identity(*args)
     if actual == expected:
         return _ok(case)
-    return _fail(case, f"got {actual}", _value_witness(str(expected), str(actual)))
+    return _fail(case, f"expected {expected}, got {actual}")
 
 
 def _suite_identities(opts: SuiteOptions) -> list:
@@ -394,22 +385,20 @@ def _suite_identities(opts: SuiteOptions) -> list:
 # ---------------------------------------------------------------------------
 # freeness and antichain suites over registered family members
 
-_T_FORBIDDEN = (("two-p3",), ("sun4",))
-_S_FORBIDDEN = (("path", 8), ("p-tilde", 8))
+_T_FORBIDDEN = (two_p3(), sun4())
+_S_FORBIDDEN = (path(8), p_tilde(8))
 
 
-def _case_free(case: str, spec: Spec, forbidden: tuple[Spec, ...], budget: int | None) -> CaseVerdict:
-    g = _graph(spec)
-    patterns = [_graph(f) for f in forbidden]
-    result = is_free(g, patterns, budget=budget)
+def _case_free(case: str, g: Graph, forbidden: tuple[Graph, ...], budget: int | None) -> CaseVerdict:
+    result = is_free(g, forbidden, budget=budget)
     if result.free:
         return _ok(case)
-    pat = patterns[result.pattern_index]
+    pat = forbidden[result.pattern_index]
     return _fail(case, "forbidden pattern embeds", _embedding_witness(pat, g, result.witness))
 
 
 def _suite_t_free(opts: SuiteOptions) -> list:
-    return [(f"free/T{n}", _case_free, (("t-graph", n), _T_FORBIDDEN, opts.budget)) for n in range(6, 16, 2)]
+    return [(f"free/T{n}", _case_free, (t_graph_star(n).graph, _T_FORBIDDEN, opts.budget)) for n in range(6, 16, 2)]
 
 
 def _case_pair(case: str, family: str, i: int, j: int, budget: int | None) -> CaseVerdict:
@@ -424,7 +413,7 @@ def _case_pair(case: str, family: str, i: int, j: int, budget: int | None) -> Ca
             {"host": format_permutation(host), "pattern": format_permutation(pat)},
         )
         return _fail(case, "pattern contained", witness)
-    pat, host = _graph((family, i)), _graph((family, j))
+    pat, host = build_family(family, i)[0], build_family(family, j)[0]
     emb = find_induced_embedding(pat, host, budget=budget)
     if emb is None:
         return _ok(case)
@@ -534,7 +523,7 @@ def _case_biconvex_cycle6(case: str) -> CaseVerdict:
 
 
 def _suite_s_structure(opts: SuiteOptions) -> list:
-    specs = [(f"free/S{n}", _case_free, (("s-graph", n), _S_FORBIDDEN, opts.budget)) for n in range(8, 18, 2)]
+    specs = [(f"free/S{n}", _case_free, (s_graph_star(n).graph, _S_FORBIDDEN, opts.budget)) for n in range(8, 18, 2)]
     specs += [(f"incomparability/iso-n{n}", _case_incomparability_iso, (n,)) for n in (8, 10, 12)]
     specs.append(("incomparability/edges-n8", _case_identity, (_incomparability_edges_n8,)))
     specs += [
@@ -547,23 +536,19 @@ def _suite_s_structure(opts: SuiteOptions) -> list:
 # ---------------------------------------------------------------------------
 # exhaustive lemma suites
 
-Violation = tuple[str, str, dict[str, tuple[int, ...]]]  # note, witness kind, id sections
-
-
 @dataclass(frozen=True)
 class Lemma:
     """A claim over every connected bipartite graph free of ``forbidden``
     that contains ``required`` (when given): its universe.
 
-    ``claim(g, b)`` yields the claim's violations on a member ``g`` with
-    bipartition ``b``; ``witnesses`` maps each witness kind it yields to the
-    names of its id sections; ``members`` names the members in a chunk's note.
+    ``claim(g, b)`` yields one note per violation of the claim on a member
+    ``g`` with bipartition ``b``; ``members`` names the members in a chunk's
+    note.
     """
 
-    forbidden: tuple[Spec, ...]
-    required: Spec | None
-    claim: Callable[[Graph, Bipartition], Iterator[Violation]]
-    witnesses: dict[str, tuple[str, ...]]
+    forbidden: tuple[Graph, ...]
+    required: Graph | None
+    claim: Callable[[Graph, Bipartition], Iterator[str]]
     members: str
 
 
@@ -597,72 +582,50 @@ def _seven_vertex_paths(g: Graph):
         yield from extend([s], 1 << (s - 1))
 
 
-def _no_p9_one_chord(g: Graph, b: Bipartition) -> Iterator[Violation]:
+def _no_p9_one_chord(g: Graph, b: Bipartition) -> Iterator[str]:
     if has_path_subgraph(g, 9):
-        yield "(P7,C4)-free graph with a 9-vertex path", "graph-p9", {}
+        yield "(P7,C4)-free graph with a 9-vertex path"
     for seq in _seven_vertex_paths(g):
         ch = _path_chords(g, seq)
         if len(ch) != 1 or ch[0] not in ((1, 6), (2, 7)):
-            yield f"7-path {seq} has chords {ch}", "graph-chords", {"path": seq}
+            yield f"7-path {seq} has chords {ch}"
 
 
-def _complete_bipartite(g: Graph, b: Bipartition) -> Iterator[Violation]:
+def _complete_bipartite(g: Graph, b: Bipartition) -> Iterator[str]:
     if g.edge_count != len(b.part_a) * len(b.part_b):
-        yield "graph with C4 is not complete bipartite", "graph-not-complete-bipartite", {}
+        yield "graph with C4 is not complete bipartite"
 
 
-def _decomposes(g: Graph, b: Bipartition) -> Iterator[Violation]:
+def _decomposes(g: Graph, b: Bipartition) -> Iterator[str]:
     tree = decompose(g, b)
     if tree is None or recompose(tree) != g:
-        yield "class member fails to decompose", "graph-no-decomposition", {}
+        yield "class member fails to decompose"
 
 
 # suite name -> lemma; forbidden patterns are listed cheapest rejection first
 LEMMAS = {
     "lemma-key": Lemma(
-        forbidden=(("cycle", 4), ("path", 7)),
-        required=None,
-        claim=_no_p9_one_chord,
-        witnesses={"graph-p9": (), "graph-chords": ("path",)},
-        members="in universe",
+        forbidden=(cycle(4), path(7)), required=None, claim=_no_p9_one_chord, members="in universe"
     ),
     "lemma-reduction": Lemma(
-        forbidden=(("sun1",), ("path", 7)),
-        required=("cycle", 4),
-        claim=_complete_bipartite,
-        witnesses={"graph-not-complete-bipartite": ()},
-        members="with C4 in universe",
+        forbidden=(sun1(), path(7)), required=cycle(4), claim=_complete_bipartite, members="with C4 in universe"
     ),
-    "closure": Lemma(
-        forbidden=(("s123",), ("path", 7)),
-        required=None,
-        claim=_decomposes,
-        witnesses={"graph-no-decomposition": ()},
-        members="in class",
-    ),
+    "closure": Lemma(forbidden=(s123(), path(7)), required=None, claim=_decomposes, members="in class"),
 }
-_LEMMA_OF_KIND = {kind: suite for suite, lemma in LEMMAS.items() for kind in lemma.witnesses}
 
 
-def _universe(lemma: Lemma) -> tuple[list[Graph], Graph | None]:
-    required = _graph(lemma.required) if lemma.required else None
-    return [_graph(spec) for spec in lemma.forbidden], required
-
-
-def _member(g: Graph, forbidden: list[Graph], required: Graph | None) -> Bipartition | None:
-    """``g``'s bipartition when ``g`` is in the universe, else None."""
-    if any(find_induced_embedding(h, g) is not None for h in forbidden):
+def _member(g: Graph, lemma: Lemma) -> Bipartition | None:
+    """``g``'s bipartition when ``g`` is in the lemma's universe, else None."""
+    if any(find_induced_embedding(h, g) is not None for h in lemma.forbidden):
         return None
-    if required is not None and find_induced_embedding(required, g) is None:
+    if lemma.required is not None and find_induced_embedding(lemma.required, g) is None:
         return None
     b = find_bipartition(g)
     return b if b is not None and is_connected(g) else None
 
 
-def _lemma_witness(kind: str, g: Graph, ids: dict[str, tuple[int, ...]]) -> str:
-    sections = {"graph": _graph_block(g)}
-    sections.update((name, " ".join(map(str, seq))) for name, seq in ids.items())
-    return make_witness(kind, sections)
+def _lemma_witness(suite: str, g: Graph, note: str) -> str:
+    return make_witness(suite, {"graph": _graph_block(g), "note": note})
 
 
 def _case_lemma_chunk(case: str, suite: str, size: int, members: list[Graph]) -> CaseVerdict:
@@ -670,26 +633,24 @@ def _case_lemma_chunk(case: str, suite: str, size: int, members: list[Graph]) ->
     chunk of ``size`` graphs of one connected level."""
     lemma = LEMMAS[suite]
     for g in members:
-        for note, kind, ids in lemma.claim(g, find_bipartition(g)):
-            return _fail(case, note, _lemma_witness(kind, g, ids))
+        for note in lemma.claim(g, find_bipartition(g)):
+            return _fail(case, note, _lemma_witness(suite, g, note))
     return _ok(case, f"{size} graphs, {len(members)} {lemma.members}")
 
 
-def _case_spot(case: str, suite: str, spec: Spec, embeds: tuple[bool, ...]) -> CaseVerdict:
-    """A named graph embeds exactly the universe patterns (forbidden, then
-    required) that ``embeds`` says, and satisfies the claim when a member."""
+def _case_spot(case: str, suite: str, g: Graph, embeds: tuple[bool, ...]) -> CaseVerdict:
+    """``g`` embeds exactly the universe patterns (forbidden, then required)
+    that ``embeds`` says, and satisfies the claim when a member."""
     lemma = LEMMAS[suite]
-    forbidden, required = _universe(lemma)
-    g = _graph(spec)
-    patterns = forbidden + ([required] if required else [])
+    k = len(lemma.forbidden)
+    patterns = lemma.forbidden + ((lemma.required,) if lemma.required is not None else ())
     got = tuple(find_induced_embedding(h, g) is not None for h in patterns)
     if got != embeds:
         return _fail(case, f"universe patterns embed as {got}, expected {embeds}")
     # ``got`` already answers the searches ``_member`` would run again
-    in_universe = not any(got[: len(forbidden)]) and all(got[len(forbidden) :]) and is_connected(g)
-    b = find_bipartition(g) if in_universe else None
-    for note, kind, ids in lemma.claim(g, b) if b is not None else ():
-        return _fail(case, note, _lemma_witness(kind, g, ids))
+    b = find_bipartition(g) if not any(got[:k]) and all(got[k:]) and is_connected(g) else None
+    for note in lemma.claim(g, b) if b is not None else ():
+        return _fail(case, note, _lemma_witness(suite, g, note))
     return _ok(case)
 
 
@@ -701,7 +662,7 @@ _CHUNK = 2000
 def _exhaustive(suite: str, n_min: int, n_max: int) -> list:
     """One ``_case_lemma_chunk`` spec per chunk of levels n_min..n_max, each
     with its members, decided by the parent rule of the module docstring."""
-    forbidden, required = _universe(LEMMAS[suite])
+    lemma = LEMMAS[suite]
     free = {()}  # rows of the free representatives one level down; () is level 0
     specs = []
     for n in range(1, n_max + 1):
@@ -709,7 +670,8 @@ def _exhaustive(suite: str, n_min: int, n_max: int) -> list:
         free = {
             g.adj
             for g in level
-            if parent_rows(g) in free and not any(find_induced_embedding(h, g) is not None for h in forbidden)
+            if parent_rows(g) in free
+            and not any(find_induced_embedding(h, g) is not None for h in lemma.forbidden)
         }
         if n < n_min:
             continue
@@ -718,7 +680,8 @@ def _exhaustive(suite: str, n_min: int, n_max: int) -> list:
             members = [
                 g
                 for g in part
-                if g.adj in free and (required is None or find_induced_embedding(required, g) is not None)
+                if g.adj in free
+                and (lemma.required is None or find_induced_embedding(lemma.required, g) is not None)
             ]
             specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_chunk, (suite, len(part), members)))
     return specs
@@ -730,22 +693,22 @@ def _case_calibration(case: str, n: int) -> CaseVerdict:
     got = (euler_transform(connected)[-1], connected[-1])
     if got == want:
         return _ok(case, f"all={got[0]} connected={got[1]}")
-    return _fail(case, f"counts {got} != brute force {want}", _value_witness(str(want), str(got)))
+    return _fail(case, f"counts {got} != brute force {want}")
 
 
 def _suite_lemma_key(opts: SuiteOptions) -> list:
     specs = [(f"calibration/n{n}", _case_calibration, (n,)) for n in range(1, 7)]
     # universe patterns: C4, P7; cycle(8) is C4-free yet contains an induced P7
-    specs.append(("spot/s123", _case_spot, ("lemma-key", ("s123",), (False, False))))
-    specs.append(("spot/cycle8", _case_spot, ("lemma-key", ("cycle", 8), (False, True))))
+    specs.append(("spot/s123", _case_spot, ("lemma-key", s123(), (False, False))))
+    specs.append(("spot/cycle8", _case_spot, ("lemma-key", cycle(8), (False, True))))
     return specs + _exhaustive("lemma-key", 9, opts.lemma_key_max)
 
 
 def _suite_lemma_reduction(opts: SuiteOptions) -> list:
     # universe patterns: Sun1, P7, then the required C4
     specs = [
-        ("spot/k33", _case_spot, ("lemma-reduction", ("kab", 3, 3), (False, False, True))),
-        ("spot/sun1", _case_spot, ("lemma-reduction", ("sun1",), (True, False, True))),
+        ("spot/k33", _case_spot, ("lemma-reduction", complete_bipartite(3, 3), (False, False, True))),
+        ("spot/sun1", _case_spot, ("lemma-reduction", sun1(), (True, False, True))),
     ]
     return specs + _exhaustive("lemma-reduction", 4, opts.lemma_reduction_max)
 
@@ -792,11 +755,10 @@ def _case_closure_path7(case: str) -> CaseVerdict:
 
 def _case_closure_random_trees(case: str, count: int, seed: int) -> CaseVerdict:
     rng = random.Random(seed)
-    forbidden, _ = _universe(LEMMAS["closure"])
     for idx in range(count):
         tree = random_leaf_tree(rng)
         g = recompose(tree)
-        result = is_free(g, forbidden)
+        result = is_free(g, LEMMAS["closure"].forbidden)
         if not result.free:
             return _fail(
                 case,
@@ -919,11 +881,7 @@ def _case_letters_decode(case: str, limit: int) -> CaseVerdict:
             expected, _ = universal_grid(k, m)
             decoded = decode_letter(rep)
             if decoded != expected or not verify_letter(rep, expected):
-                witness = make_witness(
-                    "letter-mismatch",
-                    {"expected": _graph_block(expected), "decoded": _graph_block(decoded)},
-                )
-                return _fail(case, f"grid {k}x{m} decode mismatch", witness)
+                return _fail(case, f"grid {k}x{m} decode mismatch")
     return _ok(case, f"all grids up to {limit}x{limit}")
 
 
@@ -957,11 +915,7 @@ def _case_embed_size(case: str, m: int, budget: int | None) -> CaseVerdict:
         bipartite += 1
         emb = find_induced_embedding(gp, host, budget=budget)
         if emb is None:
-            witness = make_witness(
-                "value-mismatch",
-                {"expected": f"embedding of {p} into {m}x{m} grid", "actual": "none"},
-            )
-            return _fail(case, f"{p} does not embed into the {m}x{m} grid", witness)
+            return _fail(case, f"{p} does not embed into the {m}x{m} grid")
         lifted = _grid_inclusion(emb, m, 6)
         if not verify_embedding(lifted, gp, big):
             return _fail(case, f"inclusion lift failed for {p}")
@@ -981,11 +935,7 @@ def _case_row_occupancy(case: str, m_max: int, budget: int | None) -> CaseVerdic
             rows = min(longest + 1, m)
             host, _ = universal_grid(rows, m)
             if find_induced_embedding(gp, host, budget=budget) is None:
-                witness = make_witness(
-                    "value-mismatch",
-                    {"expected": f"{p} inside {rows} rows", "actual": "no embedding"},
-                )
-                return _fail(case, f"{p} needs more than {rows} rows", witness)
+                return _fail(case, f"{p} needs more than {rows} rows")
             checked += 1
     return _ok(case, f"{checked} connected graphs")
 

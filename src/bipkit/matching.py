@@ -126,6 +126,13 @@ class _Budget:
         self.spent = 0
 
 
+def _positive(name: str, value: int) -> None:
+    """Refuse a count that is not an int of at least 1; a bool is refused too,
+    as ``_Budget`` refuses one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
+
+
 def _refinement_rounds(adj: tuple[int, ...]) -> Iterator[tuple[list[int], tuple | None]]:
     """Iterated neighbour-colour refinement, one ``(colours, certificate)``
     pair per round.
@@ -461,9 +468,8 @@ def count_induced_embeddings(
     pattern: Graph, host: Graph, limit: int, *, budget: int | None = None
 ) -> int:
     """Number of distinct induced embeddings (as maps), stopping at ``limit``."""
+    _positive("limit", limit)
     tracker = _Budget(budget)
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
     return sum(1 for _ in itertools.islice(_search(pattern.adj, host.adj, tracker), limit))
 
 
@@ -510,9 +516,8 @@ def has_path_subgraph(g: Graph, k: int, *, budget: int | None = None) -> bool:
     since a path alternates between the parts, a bipartite component with
     parts of sizes a and b holds at most ``2 * min(a, b) + 1``.
     """
+    _positive("path length k", k)
     cap = _Budget(budget).limit
-    if k < 1:
-        raise ValueError("path length must be at least 1 vertex")
     steps = 0
     adj = g.adj
     last = k - 1  # stack depth at which one more vertex completes the path

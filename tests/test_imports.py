@@ -1,13 +1,17 @@
 """The package needs nothing beyond the standard library (README: "standard
-library only"): every absolute import in ``src/bipkit`` names a stdlib module."""
+library only"): every absolute import in ``src/bipkit`` names a stdlib module.
+And every name the benchmark under ``perfbench/`` imports from the package
+exists, so a rename fails here rather than in a benchmark run."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bipkit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bipkit"
 
 
 def test_package_imports_only_the_standard_library():
@@ -28,3 +32,14 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_perfbench_imports_from_the_package_resolve():
+    imported = set()
+    for source in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"), str(source))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "bipkit":
+                imported.update((node.module, alias.name) for alias in node.names)
+    assert len(imported) >= 30
+    missing = sorted((module, name) for module, name in imported if not hasattr(importlib.import_module(module), name))
+    assert missing == []

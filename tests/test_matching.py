@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from conftest import all_bipartite
@@ -221,6 +222,16 @@ def test_search_entries_reject_a_bad_budget_before_their_graphs():
     ):
         with pytest.raises(StepBudgetExceeded):
             run()
+
+
+def test_path_length_and_count_limit_must_be_ints_of_at_least_one():
+    # checked before the graphs are read, so None stands in for them; a float
+    # length ran a full search and a string one raised TypeError
+    for bad in (2.5, True, "3", 0):
+        with pytest.raises(ValueError, match=re.escape(f"path length k must be an int of at least 1, got {bad!r}")):
+            has_path_subgraph(None, bad)
+        with pytest.raises(ValueError, match=re.escape(f"limit must be an int of at least 1, got {bad!r}")):
+            count_induced_embeddings(None, None, bad)
 
 
 def test_cached_order_constraints_charge_their_steps_on_every_call():

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from bipkit.graphs import Graph, parse_graph
-from bipkit.families import path, universal_grid
+from bipkit.graphs import Graph, parse_graph, serialize_graph
+from bipkit.families import cycle, path, universal_grid
 from bipkit.harness import cli, suites
 from bipkit.harness.suites import (
     DEFAULT_BUDGET,
@@ -28,7 +28,6 @@ from bipkit.harness.suites import (
     _exhaustive,
     _member,
     _placement_degree,
-    _universe,
 )
 from bipkit.matching import are_isomorphic
 from bipkit.perms import Permutation, permutation_graph
@@ -67,7 +66,7 @@ def test_failing_case_produces_reverifiable_witness():
 
 
 def test_witness_kinds_reverify():
-    from bipkit.graphs import find_bipartition, serialize_graph
+    from bipkit.graphs import find_bipartition
     from bipkit.families import s123, complete_bipartite
 
     # a random tree recomposes into the closure class, so it is no counterexample
@@ -139,24 +138,20 @@ def test_witness_kinds_reverify():
         with pytest.raises(ValueError, match=f"'{kind}' section @graph has no bipartition"):
             reverify_witness(unsplit)
 
-    # a graph that is (P7,C4)-free and has no 9-vertex path does NOT re-verify
-    not_p9 = make_witness("graph-p9", {"graph": serialize_graph(s123()).rstrip()})
+    # a lemma witness is its suite's kind, the graph and the claim's note
+    p9 = "(P7,C4)-free graph with a 9-vertex path"
+    # s123 is (P7,C4)-free and has no 9-vertex path, so the note is not the claim's
+    not_p9 = make_witness("lemma-key", {"graph": serialize_graph(s123()).rstrip(), "note": p9})
     assert not reverify_witness(not_p9)
     # K_{5,4} has a 9-vertex path but is not C4-free, so it does not re-verify either
     not_free = make_witness(
-        "graph-p9", {"graph": serialize_graph(complete_bipartite(5, 4)).rstrip()}
+        "lemma-key", {"graph": serialize_graph(complete_bipartite(5, 4)).rstrip(), "note": p9}
     )
     assert not reverify_witness(not_free)
-
     # P7 is not (P7,C4)-free, so its path is no counterexample to the chord claim
     p7 = serialize_graph(path(7)).rstrip()
-    not_in_universe = make_witness("graph-chords", {"graph": p7, "path": "1 2 3 4 5 6 7"})
-    assert not reverify_witness(not_in_universe)
-    # path ids outside 1..n are rejected by name, not aliased or indexed past the end
-    for ids in ("0 1 2 3 4 5 6", "99 1 2 3 4 5 6"):
-        bad_ids = make_witness("graph-chords", {"graph": p7, "path": ids})
-        with pytest.raises(ValueError, match="section @path holds an id outside 1..7"):
-            reverify_witness(bad_ids)
+    chords = make_witness("lemma-key", {"graph": p7, "note": "7-path (1, 2, 3, 4, 5, 6, 7) has chords []"})
+    assert not reverify_witness(chords)
 
     with pytest.raises(ValueError):
         reverify_witness("kind mystery\n")
@@ -165,13 +160,36 @@ def test_witness_kinds_reverify():
     # a missing section names the witness kind and the section
     with pytest.raises(ValueError, match="'tree-not-free' lacks section @tree"):
         reverify_witness("kind tree-not-free\n")
-    with pytest.raises(ValueError, match="'graph-p9' lacks section @graph"):
-        reverify_witness("kind graph-p9\n")
+    with pytest.raises(ValueError, match="'lemma-key' lacks section @graph"):
+        reverify_witness("kind lemma-key\n")
+    with pytest.raises(ValueError, match="'lemma-key' lacks section @note"):
+        reverify_witness(make_witness("lemma-key", {"graph": p7}))
+
+
+def test_lemma_witness_reverifies_when_the_claim_yields_its_note(monkeypatch):
+    # every lemma holds, so a false claim stands in for a violated one
+    def false_claim(g, b):
+        if g.n > 6:
+            yield f"{g.n} vertices"
+
+    monkeypatch.setitem(suites.LEMMAS, "closure", replace(LEMMAS["closure"], claim=false_claim))
+    [(case, _, args)] = _exhaustive("closure", 7, 7)
+    assert len(args[2]) > 0
+    verdict = suites._case_lemma_chunk(case, *args)
+    assert verdict.status == "FAIL" and verdict.note == "7 vertices"
+    assert verdict.witness_text.startswith("kind closure\n@graph\n")
+    assert verdict.witness_text.endswith("@note\n7 vertices\n")
+    assert reverify_witness(verdict.witness_text)
+    # another note, or a graph outside the universe, does not re-verify
+    assert not reverify_witness(verdict.witness_text.replace("7 vertices", "8 vertices"))
+    graph = verdict.witness_text.split("@graph\n", 1)[1].split("@note", 1)[0]
+    outside = verdict.witness_text.replace(graph, serialize_graph(path(7)))
+    assert outside != verdict.witness_text
+    assert not reverify_witness(outside)
 
 
 def test_incomparability_witness_reverifies_by_isomorphism_type(monkeypatch):
     from bipkit.families import complete_bipartite
-    from bipkit.graphs import serialize_graph
 
     def witness(expected: Graph, inc: Graph) -> str:
         blocks = {"expected": serialize_graph(expected).rstrip(), "incomparability": serialize_graph(inc).rstrip()}
@@ -182,9 +200,15 @@ def test_incomparability_witness_reverifies_by_isomorphism_type(monkeypatch):
     assert relabelled != path(3)
     assert not reverify_witness(witness(path(3), relabelled))
     assert reverify_witness(witness(path(4), complete_bipartite(1, 3)))
-    # letter decoding shares its ids, so there any differing edge set re-verifies
-    letters = {"expected": serialize_graph(path(3)).rstrip(), "decoded": serialize_graph(relabelled).rstrip()}
-    assert reverify_witness(make_witness("letter-mismatch", letters))
+    # a witness that records two values without the inputs that give them
+    # cannot be recomputed, so those kinds are gone: these forgeries are refused
+    letters = {"expected": serialize_graph(path(3)).rstrip(), "decoded": serialize_graph(cycle(4)).rstrip()}
+    for forged in (
+        make_witness("value-mismatch", {"expected": "1", "actual": "2"}),
+        make_witness("letter-mismatch", letters),
+    ):
+        with pytest.raises(ValueError, match="unknown witness kind"):
+            reverify_witness(forged)
     # the case writes that kind, and a real mismatch re-verifies
     monkeypatch.setattr(suites, "permutation_graph", lambda p: path(p.size))
     verdict = suites._case_incomparability_iso("inc", 8)
@@ -229,13 +253,12 @@ def test_exhaustive_members_equal_full_search(connected_levels):
     # the parent rule drops a graph unsearched when its parent holds a
     # forbidden pattern; the full membership search on every graph is the oracle
     for suite in ("lemma-key", "lemma-reduction", "closure"):
-        universe = _universe(LEMMAS[suite])
         for n in range(1, 11):
             chunks = [args[1:] for _, _, args in _exhaustive(suite, n, n)]
             level = connected_levels[n]
             assert sum(size for size, _ in chunks) == len(level), (suite, n)
             got = [g.adj for _, members in chunks for g in members]
-            assert got == [g.adj for g in level if _member(g, *universe) is not None], (suite, n)
+            assert got == [g.adj for g in level if _member(g, LEMMAS[suite]) is not None], (suite, n)
 
 
 def _record_searches(monkeypatch) -> list:
@@ -256,7 +279,7 @@ def test_exhaustive_searches_each_pattern_once_per_graph(monkeypatch):
     # read from the level below; the chunks only run the claim
     calls = _record_searches(monkeypatch)
     for suite in ("lemma-key", "lemma-reduction", "closure"):
-        forbidden = {h.adj for h in _universe(LEMMAS[suite])[0]}
+        forbidden = {h.adj for h in LEMMAS[suite].forbidden}
         calls.clear()
         specs = _exhaustive(suite, 1, 9)
         assert any(key[0] in forbidden for key in calls), suite
@@ -613,6 +636,11 @@ def test_cli_reads_integers_in_canonical_form_only(capsys, tmp_path, monkeypatch
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().out == "", argv
     assert not (tmp_path / "witnesses").exists()
+    # an empty field in a family spec is no parameter, not one to skip
+    for spec in ("path:,3", "path:3,", "kab:2,,2"):
+        assert cli.main(["embed", spec, "path:4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be integers in canonical form" in captured.err, spec
     # the canonical spellings still work
     for argv in (
         ["gen", "path", "7"],
@@ -620,6 +648,8 @@ def test_cli_reads_integers_in_canonical_form_only(capsys, tmp_path, monkeypatch
         ["paths", "path:7", "7"],
         ["embed", "path:3", "path:7"],
         ["letter", "grid", "2", "2"],
+        ["embed", "cycle:4", "sun1"],
+        ["embed", "perm-graph:(2,1)", "path:3"],
     ):
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out, argv
@@ -628,6 +658,24 @@ def test_cli_reads_integers_in_canonical_form_only(capsys, tmp_path, monkeypatch
     )
     assert (args.budget, args.nmax, args.reduction_nmax, args.workers) == (1000, 10, 9, 2)
     assert cli._parse_pair("8,10") == (8, 10)
+
+
+def test_cli_file_errors_are_usage_errors(capsys, tmp_path, monkeypatch):
+    # a file that cannot be read or written is the user's to fix: exit 2 and
+    # one line naming the path, not a traceback and the failure exit
+    monkeypatch.chdir(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for argv, name in (
+        (["gen", "path", "3", "--out", str(tmp_path / "missing" / "x.graph")], "x.graph"),
+        (["gen", "grid", "2", "2", "--out", str(tmp_path)], str(tmp_path)),
+        (["embed", str(tmp_path), "path:3"], str(tmp_path)),
+        # the self-pair fails, and its witness cannot be written under a file
+        (["verify", "t-antichain", "--t-pair", "6,6", "--witness-dir", str(afile)], str(afile)),
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err, argv
 
 
 def test_cli_verify_range_help_names_the_enumerator_bound(capsys, monkeypatch):
