@@ -21,9 +21,13 @@ First, orbit pruning: a parent P gets one child per orbit of Aut(P) on its
 attachment sets.  An automorphism of P that maps set m to m' extends, with
 the new vertex fixed, to an isomorphism between the two children, so only
 the least set of each orbit is built (``_orbit_representatives``, with the
-generators of ``matching._automorphism_generators``).  The least set comes
-first in ascending order, and the later sets of its orbit could only repeat
-its class, so the levels keep the order they have without the step.
+generators of ``matching._automorphism_generators``).  Those come from an
+orbit-pruned stabiliser chain, which searches the parent into itself only
+for images its generators do not yet reach, and the steps of those searches
+are recorded per level as ``automorphism_steps``.  Any generating set of
+Aut(P) gives the same orbits.  The least set comes first in ascending
+order, and the later sets of its orbit could only repeat its class, so the
+levels keep the order they have without the step.
 
 Second, refinement stops once the rule is decided.  Each round of
 ``matching._refinement_rounds`` keeps the strict colour order of the round
@@ -71,7 +75,7 @@ MAX_VERTICES = 12
 
 _LEVEL_CACHE: dict[int, list[Graph]] = {}
 # per built level: candidates, passed (the deletion rule), exact (isomorphism
-# calls), classes and seconds; read through level_stats()
+# calls), automorphism_steps, classes and seconds; read through level_stats()
 _LEVEL_STATS: dict[int, dict[str, float]] = {}
 
 
@@ -192,11 +196,12 @@ def _build_level(n: int) -> list[Graph]:
     """Level n from level n-1 under the canonical-deletion rule (see the
     module docstring), with build statistics recorded in ``_LEVEL_STATS``."""
     if n == 1:
-        _LEVEL_STATS[n] = {"candidates": 1, "passed": 1, "exact": 0, "classes": 1, "seconds": 0.0}
+        _LEVEL_STATS[n] = dict(candidates=1, passed=1, exact=0, automorphism_steps=0, classes=1, seconds=0.0)
         return [Graph(1, (0,))]
     parents = bipartite_level(n - 1)
     start = time.perf_counter()
     registry = _IsoRegistry()
+    automorphisms = _Budget(None)
     out: list[Graph] = []
     new = n - 1  # 0-based index of the new vertex
     new_bit = 1 << new
@@ -230,7 +235,7 @@ def _build_level(n: int) -> list[Graph]:
         # the degree test is invariant under Aut(parent), so the least mask
         # of each orbit among the kept ones is least among all masks; a lone
         # kept mask is its own orbit
-        gens = _automorphism_generators(parent.adj, _Budget(None)) if len(kept) > 1 else []
+        gens = _automorphism_generators(parent.adj, automorphisms)[0] if len(kept) > 1 else []
         for mask in _orbit_representatives(list(kept), gens):
             dels = [v for v in range(new) if (kept[mask] >> v) & 1]
             adj = tuple(row | new_bit if (mask >> i) & 1 else row for i, row in enumerate(parent.adj)) + (mask,)
@@ -252,6 +257,7 @@ def _build_level(n: int) -> list[Graph]:
         "candidates": candidates,
         "passed": passed,
         "exact": registry.exact_calls,
+        "automorphism_steps": automorphisms.spent,
         "classes": len(out),
         "seconds": time.perf_counter() - start,
     }
@@ -282,7 +288,9 @@ def level_stats() -> dict[int, dict[str, float]]:
     """Build statistics of every level built in this process, keyed by n:
     candidates (parent and attachment-set pairs), passed (children, one per
     attachment-set orbit, that met the deletion rule), exact (isomorphism
-    searches run by the registry), classes and seconds (excluding level n-1)."""
+    searches run by the registry), automorphism_steps (the search steps of
+    ``_automorphism_generators`` on the parents), classes and seconds
+    (excluding level n-1)."""
     return {n: dict(stats) for n, stats in _LEVEL_STATS.items()}
 
 

@@ -48,6 +48,7 @@ import itertools
 import multiprocessing
 import random
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -315,11 +316,17 @@ def _fail(case: str, note: str, witness: str | None = None) -> CaseVerdict:
 
 
 def _exec_spec(spec) -> CaseVerdict:
+    """Run one case.  A budget that runs out makes it UNDECIDED; any other
+    error fails this case alone, with the traceback on stderr, so the other
+    cases and suites still run."""
     case, fn, args = spec
     try:
         return fn(case, *args)
     except StepBudgetExceeded:
         return CaseVerdict(case, "UNDECIDED", "step budget exhausted")
+    except Exception as exc:
+        traceback.print_exc()
+        return _fail(case, f"{type(exc).__name__}: {exc}")
 
 
 def _run_cases(specs: list, workers: int) -> list[CaseVerdict]:
@@ -930,7 +937,8 @@ def _case_row_occupancy(case: str, m_max: int, budget: int | None) -> CaseVerdic
             if find_bipartition(gp) is None or not is_connected(gp):
                 continue
             longest = max(
-                j for j in range(1, m + 1) if find_induced_embedding(path(j), gp) is not None
+                (j for j in range(1, m + 1) if find_induced_embedding(path(j), gp) is not None),
+                default=0,
             )
             rows = min(longest + 1, m)
             host, _ = universal_grid(rows, m)

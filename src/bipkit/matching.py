@@ -46,15 +46,20 @@ that pass ``domains`` (the enumerator, ``contains_pattern``,
 per-host set-up (arc consistency, neighbour-degree dominance, a distance
 ball around each root candidate) was measured to cost more than it pruned.
 
-The order constraints serve two callers.  ``is_free`` builds them from a
-stabiliser chain of each forbidden pattern's automorphisms
-(``_automorphism_generators``, which the enumerator also uses to prune
-attachment sets), so it visits one embedding per orbit rather than every
-automorphic copy: 2P3 has |Aut| = 8, and the T-graphs' {2P3, Sun4}-freeness
-was mostly spent on those copies.  They depend on the pattern alone, so they
-are cached per pattern (``_pattern_constraints``).  Pattern containment
-of permutations chains every pattern position below the next, which makes an
-induced embedding of the positional inversion graphs an occurrence.
+The order constraints serve two callers.  ``is_free`` builds them from the
+orbits of an orbit-pruned stabiliser chain of each forbidden pattern's
+automorphisms (``_automorphism_generators``, which the enumerator also uses
+to prune attachment sets), so it visits one embedding per orbit rather than
+every automorphic copy: 2P3 has |Aut| = 8, and the T-graphs'
+{2P3, Sun4}-freeness was mostly spent on those copies.  The chain searches
+the pattern into itself only for an image that the automorphisms found so
+far do not reach and that no failed search has ruled out: building levels
+1..10 of the enumerator takes 879 such searches, not the 5,138 of trying
+every vertex of the base point's colour class.  The constraints depend on
+the pattern alone, so they are cached per pattern (``_pattern_constraints``).
+Pattern containment of permutations chains every pattern position below the
+next, which makes an induced embedding of the positional inversion graphs an
+occurrence.
 ``find_induced_embedding`` and ``count_induced_embeddings`` search without
 them: on the paper's T pairs the pattern automorphism group has order 2, and
 on thousands of small permutation-graph embeddings building the constraints
@@ -369,39 +374,83 @@ def _search(
         cands = domains[u]
 
 
-def _automorphism_generators(adj: tuple[int, ...], budget: _Budget) -> list[tuple[int, ...]]:
-    """A strong generating set of the automorphism group of the graph with
-    rows ``adj``, each automorphism as 0-based images (``gen[x]``).
+def _automorphism_generators(
+    adj: tuple[int, ...], budget: _Budget
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Generators of the automorphism group of the graph with rows ``adj``,
+    each automorphism as 0-based images (``gen[x]``), and per vertex u the
+    mask of u's orbit under the automorphisms that fix 0..u-1.
 
-    A stabiliser chain: base points u = 0, 1, ... are fixed in turn.  With
-    the earlier base points fixed, every other vertex v of u's refinement
-    colour is tried as u's image by a search of the graph into itself, and
-    each search that succeeds adds the automorphism it found, which fixes the
-    base points before u and sends u to v.  Per base point these are coset
-    representatives of the next stabiliser, so together they generate the
-    whole group.  The searches spend ``budget``; the walk ends once every
-    domain is a single vertex, when the stabiliser is trivial.
+    An orbit-pruned stabiliser chain (McKay & Piperno 2014, "Practical graph
+    isomorphism, II").  The base points are 0..k-1, where k is one past the
+    last vertex whose refinement colour class has two or more members: an
+    automorphism keeps colours, so one that fixes 0..k-1 fixes every vertex.
+    The base points are walked deepest first, and every generator found so
+    far fixes 0..u-1 when base point u is reached; the orbits of those
+    generators are kept as one mask per vertex.  At u, the transposition of
+    u with each later twin (equal rows) is added first.  Then each later
+    vertex v of u's colour class gets one search of the graph into itself
+    with 0..u-1 fixed and u sent to v, unless v is already in u's orbit or
+    in the orbit of a vertex whose search failed at this u: any vertex of
+    that orbit would give the same answer.  A search that succeeds adds the
+    automorphism it found, and its orbits join.  Vertices before u are
+    fixed, so they are never tried.  The searches spend ``budget``.
+
+    The generators found at base points u and later generate the stabiliser
+    of 0..u-1, by induction from k down, where that stabiliser is trivial.
+    The generators found at u+1 and later generate the stabiliser H of
+    0..u, and when u is done, the generators reach every point of u's orbit
+    under the stabiliser G of 0..u-1, since each point outside the orbit
+    was refuted by a search and each point inside it was found or reached.
+    So they generate a subgroup of G that contains H, the stabiliser of u
+    in G, and that is transitive on u's orbit, which is all of G by the
+    orbit-stabiliser theorem.  Each orbit mask is read when its base point
+    is done, so it is u's whole orbit under G.
     """
+    n = len(adj)
     colors = _refinement_colors(adj)[0]
     by_color: dict[int, int] = {}
     for x, c in enumerate(colors):
         by_color[c] = by_color.get(c, 0) | (1 << x)
     domains = [by_color[c] for c in colors]
+    k = max((x + 1 for x, d in enumerate(domains) if d & (d - 1)), default=0)
+    fixed = [1 << x for x in range(n)]
+    orbit = list(fixed)  # orbit[x]: x's orbit under the generators found so far
+    orbits = list(fixed)
     gens: list[tuple[int, ...]] = []
-    for u in range(len(adj)):
-        if all(d & (d - 1) == 0 for d in domains):
-            break
-        cands = domains[u] & ~(1 << u)
+
+    def add(gen: tuple[int, ...]) -> None:
+        gens.append(gen)
+        for x, y in enumerate(gen):
+            if not orbit[x] >> y & 1:
+                joined = orbit[x] | orbit[y]
+                rest = joined
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    orbit[low.bit_length() - 1] = joined
+
+    for u in range(k - 1, -1, -1):
+        for w in range(u + 1, n):
+            if adj[w] == adj[u] and not orbit[u] >> w & 1:
+                twin = list(range(n))
+                twin[u], twin[w] = w, u
+                add(tuple(twin))
+        failed = 0
+        cands = domains[u] & -(2 << u)  # the vertices after u
         while cands:
             low = cands & -cands
             cands ^= low
-            trial = list(domains)
-            trial[u] = low
-            found = next(_search(adj, adj, budget, trial), None)
-            if found is not None:
-                gens.append(tuple(x - 1 for x in found))
-        domains[u] = 1 << u
-    return gens
+            v = low.bit_length() - 1
+            if orbit[v] & (orbit[u] | failed):
+                continue
+            found = next(_search(adj, adj, budget, fixed[:u] + [low] + domains[u + 1 :]), None)
+            if found is None:
+                failed |= low
+            else:
+                add(tuple(x - 1 for x in found))
+        orbits[u] = orbit[u]
+    return gens, orbits
 
 
 def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
@@ -409,19 +458,18 @@ def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
     ``larger`` form; None when the pattern has no automorphism but the
     identity.
 
-    Each generator of ``_automorphism_generators`` fixes the base points
-    before its first moved point u and sends u to v, and adds "image(u) <
-    image(v)".  Among the embeddings that differ by a pattern automorphism,
+    From ``_automorphism_generators``: ``larger[u]`` is u's orbit under the
+    automorphisms that fix 0..u-1, without u, so each such v adds "image(u)
+    < image(v)".  Among the embeddings that differ by a pattern automorphism,
     the one whose image tuple is least satisfies every such pair: composing
-    it with that generator gives an embedding that agrees with it before u
-    and puts image(v) at u.  So the pairs lose no embedding up to
-    automorphism, and for an all-different search they keep exactly one per
-    orbit (Puget 2005, "Breaking symmetries in all different problems").
+    it with an automorphism that fixes 0..u-1 and sends u to v gives an
+    embedding that agrees with it before u and puts image(v) at u.  So the
+    pairs lose no embedding up to automorphism, and for an all-different
+    search they keep exactly one per orbit (Puget 2005, "Breaking symmetries
+    in all different problems").
     """
-    larger = [0] * pattern.n
-    for gen in _automorphism_generators(pattern.adj, budget):
-        u = next(x for x, y in enumerate(gen) if x != y)
-        larger[u] |= 1 << gen[u]
+    orbits = _automorphism_generators(pattern.adj, budget)[1]
+    larger = [orbit & ~(1 << u) for u, orbit in enumerate(orbits)]
     return larger if any(larger) else None
 
 

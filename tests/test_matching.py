@@ -13,6 +13,7 @@ from bipkit.matching import (
     Embedding,
     StepBudgetExceeded,
     _Budget,
+    _automorphism_generators,
     _host_parts,
     _order_constraints,
     _pattern_parts,
@@ -478,6 +479,66 @@ def test_order_constraints_follow_the_orbit_stabiliser_theorem():
         for mask in larger:
             product *= 1 + mask.bit_count()
         assert product == count_induced_embeddings(pattern, pattern, 10**9), name
+
+
+LEMMA_PATTERNS = ("C4", "P7", "Sun1", "S123", "2P3", "Sun4", "P8", "P~8")
+
+
+def _brute_force_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    """Every relabelling of the n! that keeps the rows, as 0-based images."""
+    n = g.n
+    return {
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(sum(1 << perm[y] for y in range(n) if g.adj[x] >> y & 1) == g.adj[perm[x]] for x in range(n))
+    }
+
+
+def _closure(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
+    """The group the generators generate, closed by products."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        a = frontier.pop()
+        for gen in gens:
+            b = tuple(gen[x] for x in a)
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return group
+
+
+def test_automorphism_generators_generate_the_whole_group():
+    # every bipartite graph on up to 7 vertices, the connected level graphs
+    # row for row among them; disconnected ones such as 3K2 need two
+    # searches at one base point
+    graphs = [g for n in range(1, 8) for g in all_bipartite(n)]
+    graphs += [SYMMETRIC_PATTERNS[name] for name in LEMMA_PATTERNS]
+    for g in graphs:
+        auts = _brute_force_automorphisms(g)
+        gens, orbits = _automorphism_generators(g.adj, _Budget(None))
+        assert _closure(gens, g.n) == auts, g.adj
+        # orbits[u]: u's orbit under the automorphisms that fix 0..u-1
+        for u in range(g.n):
+            want = sum({1 << a[u] for a in auts if a[:u] == tuple(range(u))})
+            assert orbits[u] == want, (g.adj, u)
+
+
+def test_order_constraints_are_pinned():
+    # the masks that is_free searches with, recorded before the chain was
+    # pruned by orbits
+    pinned = {
+        "C4": [0b1110, 0b1000, 0, 0],
+        "P7": [0b1000000, 0, 0, 0, 0, 0, 0],
+        "Sun1": [0, 0b1000, 0, 0, 0],
+        "S123": None,
+        "2P3": [0b101100, 0, 0, 0b100000, 0, 0],
+        "Sun4": [0b1110, 0b1000, 0, 0, 0, 0, 0, 0],
+        "P8": [0b10000000, 0, 0, 0, 0, 0, 0, 0],
+        "P~8": [0b10000000, 0, 0, 0, 0, 0, 0, 0],
+    }
+    for name, want in pinned.items():
+        assert _order_constraints(SYMMETRIC_PATTERNS[name], _Budget(None)) == want, name
 
 
 def test_constrained_search_keeps_one_embedding_per_automorphism_orbit(connected_levels):

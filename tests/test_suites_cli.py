@@ -678,6 +678,34 @@ def test_cli_file_errors_are_usage_errors(capsys, tmp_path, monkeypatch):
         assert err.startswith("error: ") and name in err and "Traceback" not in err, argv
 
 
+def _raise_runtime_error(case: str):
+    raise RuntimeError("boom")
+
+
+def test_an_unexpected_error_fails_its_case_and_the_run_goes_on(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    builder = suites._SUITES["identities"]
+    monkeypatch.setitem(
+        suites._SUITES, "identities", lambda opts: [("boom", _raise_runtime_error, ()), *builder(opts)]
+    )
+    monkeypatch.setattr(cli, "SUITE_NAMES", ("identities", "t-free"))
+    assert cli.main(["verify", "all", "--verbose"]) == 1
+    captured = capsys.readouterr()
+    lines = [line for line in captured.out.splitlines() if not line.startswith("{")]
+    assert lines[0] == "FAIL identities/boom  # RuntimeError: boom"
+    assert all(line.startswith("ok ") for line in lines[1:])
+    assert any(line.startswith("ok t-free/") for line in lines)
+    assert "RuntimeError: boom" in captured.err  # the traceback
+
+
+def test_row_occupancy_fails_located_when_no_path_embeds(monkeypatch):
+    # a matcher that finds nothing leaves no longest path: a located FAIL,
+    # not max() of an empty sequence
+    monkeypatch.setattr(suites, "find_induced_embedding", lambda *args, **kwargs: None)
+    verdict = suites._exec_spec(("embed/row-occupancy", suites._case_row_occupancy, (6, None)))
+    assert (verdict.status, verdict.note) == ("FAIL", "(2, 1) needs more than 1 rows")
+
+
 def test_cli_verify_range_help_names_the_enumerator_bound(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_VERTICES", 14)
     assert cli.main(["verify", "--help"]) == 0
