@@ -219,7 +219,11 @@ def _component_masks(adj: tuple[int, ...]) -> tuple[tuple[int, int, bool], ...]:
     A breadth-first search by layers from each component's lowest vertex:
     ``side`` holds the even layers, the lowest vertex included, and the
     component is bipartite iff no edge joins two vertices of one layer.
-    Cached, because the matcher asks again for every search into one host.
+    Cached, because callers ask again about one graph in turn: the suites
+    call ``find_bipartition`` and then ``is_connected``, and the enumerator
+    reads a parent's sides for its candidate count and its attachment sets.
+    The matcher reads it once per host, through the per-host cache
+    ``matching._host_parts``.
     """
     out = []
     left = (1 << len(adj)) - 1

@@ -45,6 +45,27 @@ child.  The skip is sound only together with orbit pruning.  A lone-top
 child is never isomorphic to a tied one either, since an isomorphism keeps
 the number of deletable vertices of the top colour.
 
+Third, rounds 0 and 1 are read off the parent (``_round_one``), before orbit
+pruning and before any child rows are built.  In the child of P and an
+attachment set m, a vertex w of P has degree deg_P(w) + [w in m] and the new
+vertex has degree |m|.  A non-cut vertex of P stays deletable unless it is
+the lone member of m, and its degree does not fall, so every set smaller
+than the largest non-cut degree of P fails the degree test except the
+singletons; only the singletons and the sets of at least that size are
+generated.  Round-1 colours are ranks of (degree, sorted neighbour degrees)
+keys, so they order the vertices as the keys do.  A deletable vertex of
+lower degree has a lower key, so only the tied ones, the deletable vertices
+of the new vertex's degree, are compared.  The new vertex's key lists the
+child degrees of m; a tied vertex's lists those of its neighbours in P,
+plus |m| when it lies in m.  A larger key rejects the child, all smaller
+keys make the new vertex the lone top (a new class, as above), and only an
+equal key leaves the child to ``_refinement_rounds``, which decides every
+later round and feeds the registry.  The verdict depends on P and m only up
+to isomorphism, so Aut(P) keeps it: rejection drops whole orbits, the least
+kept set of each kept orbit is still least in its orbit, and orbit pruning
+on the kept sets picks the same children.  A parent with at most one kept
+set needs no automorphism search.
+
 Children still tied with another deletable vertex at the stable colouring
 go to an exact registry: a refinement certificate buckets them, and the
 matcher separates isomorphic ones inside a bucket.  At n = 11 that is 39
@@ -74,8 +95,9 @@ from ..matching import (
 MAX_VERTICES = 12
 
 _LEVEL_CACHE: dict[int, list[Graph]] = {}
-# per built level: candidates, passed (the deletion rule), exact (isomorphism
-# calls), automorphism_steps, classes and seconds; read through level_stats()
+# per built level: candidates, passed (the deletion rule), refined (children
+# sent to _refinement_rounds), exact (isomorphism calls), automorphism_steps,
+# classes and seconds; read through level_stats()
 _LEVEL_STATS: dict[int, dict[str, float]] = {}
 
 
@@ -110,16 +132,18 @@ class _IsoRegistry:
         return True
 
 
-def _attachment_sets(parent: Graph) -> list[int]:
+def _attachment_sets(parent: Graph, floor: int) -> list[int]:
     """Neighbourhood masks for a new vertex that keep a connected parent
-    connected and bipartite: the nonempty subsets of one colour side.  The
-    sides are disjoint, so the masks are distinct."""
+    connected and bipartite: the subsets of one colour side with at least
+    ``floor`` members (``floor`` >= 1), ascending.  The sides are disjoint,
+    so the masks are distinct."""
     ((comp, side, _),) = _component_masks(parent.adj)
     masks = []
     for half in (side, comp & ~side):
         sub = half
         while sub:
-            masks.append(sub)
+            if sub.bit_count() >= floor:
+                masks.append(sub)
             sub = (sub - 1) & half
     return sorted(masks)
 
@@ -192,11 +216,73 @@ def _cut_pieces(parent: Graph) -> tuple[int, list[tuple[int, list[int]]]]:
     return noncut, cut
 
 
+def _round_one(parent: Graph) -> Iterator[tuple[int, int, int]]:
+    """``(mask, deletable, verdict)`` for each attachment set of ``parent``
+    whose child passes the degree test, ascending by mask, decided without
+    building the child (see the module docstring).
+
+    ``deletable`` holds the child's deletable parent vertices.  ``verdict``
+    is what refinement round 1 of the child decides: -1 when a deletable
+    vertex outranks the new vertex, 1 when the new vertex is the lone top,
+    and 0 when it ties with a deletable vertex.
+    """
+    n = parent.n
+    adj = parent.adj
+    deg = [row.bit_count() for row in adj]
+    # at_least[d]: the parent vertices of degree d or more
+    at_least = [0] * (n + 2)
+    for v, d in enumerate(deg):
+        for k in range(d + 1):
+            at_least[k] |= 1 << v
+    nbrs = [[u for u in range(n) if (row >> u) & 1] for row in adj]
+    noncut, cut = _cut_pieces(parent)
+    floor = max([deg[v] for v in range(n) if (noncut >> v) & 1], default=1)
+    masks = _attachment_sets(parent, floor)
+    if floor > 1:
+        masks = sorted(masks + [1 << v for v in range(n)])
+    for mask in masks:
+        size = mask.bit_count()
+        # The final colour order refines the degree order, so a deletable
+        # vertex whose degree in the child exceeds the new vertex's has a
+        # higher colour, and the rule would reject the child anyway.  The
+        # non-cut vertices decide most candidates, so they are tested
+        # before any cut vertex's pieces are looked at.
+        outrank = at_least[size + 1] | (at_least[size] & mask)
+        deletable = noncut & ~mask if size == 1 else noncut
+        if outrank & deletable:
+            continue
+        for v, pieces in cut:  # the pieces of parent - v exclude v
+            if all(map(mask.__and__, pieces)):
+                deletable |= 1 << v
+        if outrank & deletable:
+            continue
+        # round 1: the deletable vertices of the new vertex's degree compare
+        # their sorted neighbour degrees in the child with the new vertex's
+        tied = deletable & ((at_least[size] & ~mask) | (at_least[size - 1] & mask))
+        verdict = 1
+        if tied:
+            top = sorted([deg[v] + 1 for v in range(n) if (mask >> v) & 1])
+            while tied:
+                low = tied & -tied
+                tied ^= low
+                w = low.bit_length() - 1
+                key = [deg[u] + ((mask >> u) & 1) for u in nbrs[w]]
+                if mask & low:
+                    key.append(size)
+                key.sort()
+                if key > top:
+                    verdict = -1
+                    break
+                if key == top:
+                    verdict = 0
+        yield mask, deletable, verdict
+
+
 def _build_level(n: int) -> list[Graph]:
     """Level n from level n-1 under the canonical-deletion rule (see the
     module docstring), with build statistics recorded in ``_LEVEL_STATS``."""
     if n == 1:
-        _LEVEL_STATS[n] = dict(candidates=1, passed=1, exact=0, automorphism_steps=0, classes=1, seconds=0.0)
+        _LEVEL_STATS[n] = dict(candidates=1, passed=1, refined=0, exact=0, automorphism_steps=0, classes=1, seconds=0.0)
         return [Graph(1, (0,))]
     parents = bipartite_level(n - 1)
     start = time.perf_counter()
@@ -205,40 +291,26 @@ def _build_level(n: int) -> list[Graph]:
     out: list[Graph] = []
     new = n - 1  # 0-based index of the new vertex
     new_bit = 1 << new
-    candidates = passed = 0
+    candidates = passed = refined = 0
     for parent in parents:
-        # at_least[d]: the parent vertices of degree d or more
-        at_least = [0] * (n + 1)
-        for v, row in enumerate(parent.adj):
-            for k in range(row.bit_count() + 1):
-                at_least[k] |= 1 << v
-        noncut, cut = _cut_pieces(parent)
-        kept: dict[int, int] = {}  # mask -> deletable, ascending, past the degree test
-        for mask in _attachment_sets(parent):
-            candidates += 1
-            size = mask.bit_count()
-            # The final colour order refines the degree order, so a deletable
-            # vertex whose degree in the child exceeds the new vertex's has a
-            # higher colour, and the rule would reject the child anyway.  The
-            # non-cut vertices decide most candidates, so they are tested
-            # before any cut vertex's pieces are looked at.
-            outrank = at_least[size + 1] | (at_least[size] & mask)
-            deletable = noncut & ~mask if size == 1 else noncut
-            if outrank & deletable:
-                continue
-            for v, pieces in cut:
-                rest = mask & ~(1 << v)
-                if all(rest & piece for piece in pieces):
-                    deletable |= 1 << v
-            if not outrank & deletable:
-                kept[mask] = deletable
-        # the degree test is invariant under Aut(parent), so the least mask
-        # of each orbit among the kept ones is least among all masks; a lone
-        # kept mask is its own orbit
+        ((_, side, _),) = _component_masks(parent.adj)
+        a = side.bit_count()
+        candidates += (1 << a) + (1 << (new - a)) - 2
+        # mask -> (deletable, verdict), ascending, past round 1
+        kept = {mask: (deletable, verdict) for mask, deletable, verdict in _round_one(parent) if verdict >= 0}
+        # round 1 is invariant under Aut(parent), so the least mask of each
+        # orbit among the kept ones is least among all masks; a lone kept
+        # mask is its own orbit
         gens = _automorphism_generators(parent.adj, automorphisms)[0] if len(kept) > 1 else []
         for mask in _orbit_representatives(list(kept), gens):
-            dels = [v for v in range(new) if (kept[mask] >> v) & 1]
+            deletable, verdict = kept[mask]
             adj = tuple(row | new_bit if (mask >> i) & 1 else row for i, row in enumerate(parent.adj)) + (mask,)
+            if verdict:  # the new vertex is the lone top: a new class
+                passed += 1
+                out.append(Graph._trusted(n, adj))
+                continue
+            refined += 1
+            dels = [v for v in range(new) if (deletable >> v) & 1]
             for colors, cert in _refinement_rounds(adj):
                 top = colors[new]
                 best = max([colors[v] for v in dels], default=-1)
@@ -256,6 +328,7 @@ def _build_level(n: int) -> list[Graph]:
     _LEVEL_STATS[n] = {
         "candidates": candidates,
         "passed": passed,
+        "refined": refined,
         "exact": registry.exact_calls,
         "automorphism_steps": automorphisms.spent,
         "classes": len(out),
@@ -286,8 +359,10 @@ def bipartite_level(n: int, connected: bool = True) -> list[Graph]:
 
 def level_stats() -> dict[int, dict[str, float]]:
     """Build statistics of every level built in this process, keyed by n:
-    candidates (parent and attachment-set pairs), passed (children, one per
-    attachment-set orbit, that met the deletion rule), exact (isomorphism
+    candidates (parent and attachment-set pairs, counting the sets below the
+    size floor that are never generated), passed (children, one per
+    attachment-set orbit, that met the deletion rule), refined (children that
+    round 1 left tied and ``_refinement_rounds`` decided), exact (isomorphism
     searches run by the registry), automorphism_steps (the search steps of
     ``_automorphism_generators`` on the parents), classes and seconds
     (excluding level n-1)."""

@@ -11,11 +11,12 @@ from conftest import all_bipartite
 
 import bipkit
 from bipkit.graphs import Graph, connected_components, find_bipartition, is_connected
-from bipkit.matching import _automorphism_generators, _Budget, _refinement_colors, are_isomorphic
+from bipkit.matching import _automorphism_generators, _Budget, _refinement_colors, _refinement_rounds, are_isomorphic
 from bipkit.families import complete_bipartite, cycle, path
 from bipkit.harness.enumeration import (
     _attachment_sets,
     _orbit_representatives,
+    _round_one,
     brute_force_bipartite_counts,
     bipartite_level,
     euler_transform,
@@ -147,7 +148,57 @@ def _attachment_sets_reference(parent) -> list[int]:
 def test_attachment_sets_match_reference(connected_levels):
     for n in range(1, 10):
         for g in connected_levels[n]:
-            assert _attachment_sets(g) == _attachment_sets_reference(g), g.adj
+            want = _attachment_sets_reference(g)
+            for floor in range(1, n + 2):
+                assert _attachment_sets(g, floor) == [m for m in want if m.bit_count() >= floor], (g.adj, floor)
+
+
+def _deletable_mask(adj: tuple[int, ...]) -> int:
+    """The vertices v whose removal leaves the graph connected, each found by
+    a search from another vertex."""
+    n = len(adj)
+    full = (1 << n) - 1
+    out = 0
+    for v in range(n):
+        rest = full & ~(1 << v)
+        seen = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        if seen == rest:
+            out |= 1 << v
+    return out
+
+
+def test_round_one_matches_refinement_of_the_child(connected_levels):
+    # On every parent of levels <= 9, built children are judged from scratch:
+    # the sets that _round_one skips are exactly those where a deletable
+    # vertex has a higher degree than the new vertex, and for the others its
+    # deletable mask and verdict (-1 reject, 1 lone top, 0 tied) are what
+    # rounds 0 and 1 of _refinement_rounds decide on the child.
+    for n in range(1, 10):
+        for parent in connected_levels[n]:
+            got = {mask: (dels, verdict) for mask, dels, verdict in _round_one(parent)}
+            for mask in _attachment_sets_reference(parent):
+                adj = tuple(row | (1 << n) if (mask >> v) & 1 else row for v, row in enumerate(parent.adj)) + (mask,)
+                deletable = _deletable_mask(adj) & ~(1 << n)
+                dels = [v for v in range(n) if (deletable >> v) & 1]
+                if any(adj[v].bit_count() > mask.bit_count() for v in dels):
+                    assert mask not in got, (parent.adj, mask)
+                    continue
+                want = 0
+                for colors, _ in itertools.islice(_refinement_rounds(adj), 2):
+                    best = max([colors[v] for v in dels], default=-1)
+                    if best != colors[n]:
+                        want = 1 if best < colors[n] else -1
+                        break
+                assert got.pop(mask) == (deletable, want), (parent.adj, mask)
+            assert not got, parent.adj
 
 
 def _permuted(mask: int, perm: tuple[int, ...]) -> int:
@@ -164,7 +215,7 @@ def test_orbit_pruning_against_brute_force_automorphisms(connected_levels):
                 for perm in itertools.permutations(range(n))
                 if all(_permuted(g.adj[x], perm) == g.adj[perm[x]] for x in range(n))
             ]
-            masks = _attachment_sets(g)
+            masks = _attachment_sets(g, 1)
             want = [m for m in masks if all(m <= _permuted(m, a) for a in auts)]
             gens = _automorphism_generators(g.adj, _Budget(None))[0]
             assert list(_orbit_representatives(masks, gens)) == want, g.adj
@@ -192,8 +243,15 @@ def test_level_stats(connected_levels):
     stats = level_stats()
     for n, want in classes.items():
         s = stats[n]
-        assert set(s) == {"candidates", "passed", "exact", "automorphism_steps", "classes", "seconds"}
+        assert set(s) == {"candidates", "passed", "refined", "exact", "automorphism_steps", "classes", "seconds"}
         assert s["candidates"] >= s["passed"] >= s["classes"] == want
+    # every attachment set counts, those below the size floor included
+    assert stats[10]["candidates"] == 38_854
+    assert stats[11]["candidates"] == 304_418
+    # round 1 read off the parent settles most passing children: levels
+    # 1..10 sent 7,708 children to _refinement_rounds before, and send 2,609
+    assert stats[10]["refined"] < stats[10]["passed"]
+    assert sum(stats[n]["refined"] for n in range(1, 11)) < 7_708 // 2
     # the deletion rule keeps most candidates away from the registry
     assert stats[10]["passed"] < stats[10]["candidates"] // 4
     # orbit pruning and the early accept keep almost every child away from
