@@ -58,17 +58,38 @@ lower degree has a lower key, so only the tied ones, the deletable vertices
 of the new vertex's degree, are compared.  The new vertex's key lists the
 child degrees of m; a tied vertex's lists those of its neighbours in P,
 plus |m| when it lies in m.  A larger key rejects the child, all smaller
-keys make the new vertex the lone top (a new class, as above), and only an
-equal key leaves the child to ``_refinement_rounds``, which decides every
-later round and feeds the registry.  The verdict depends on P and m only up
-to isomorphism, so Aut(P) keeps it: rejection drops whole orbits, the least
-kept set of each kept orbit is still least in its orbit, and orbit pruning
-on the kept sets picks the same children.  A parent with at most one kept
-set needs no automorphism search.
+keys make the new vertex the lone top (a new class, as above), and an equal
+key leaves the child to ``_refinement_rounds`` (but see the twins below),
+which decides every later round and feeds the registry.  The verdict
+depends on P and m only up to isomorphism, so Aut(P) keeps it: rejection
+drops whole orbits, the least kept set of each kept orbit is still least in
+its orbit, and orbit pruning on the kept sets picks the same children.  A
+parent with at most one kept set needs no automorphism search.
+
+Fourth, ties with twins of the new vertex v are settled from the parent
+too.  A vertex w of P with N_P(w) = m has v's neighbours in the child, so
+it is deletable, has v's degree and key, and swapping v and w is an
+automorphism of the child: twins keep equal colours in every round.  When
+every equal key at round 1 comes from such a twin, every other deletable
+vertex is already below v, so the top deletable class of the stable
+colouring is v and its twins, one orbit of Aut(child) under those swaps.
+Any child G' isomorphic to this one that passes the rule has its new vertex
+in the image of that class, so an isomorphism can be chosen that maps new
+vertex to new vertex, and as for a lone top G' is the same child.  So such
+a child is a new class, kept without ``_refinement_rounds`` or the
+registry.  The generation is trimmed to what the degree test can pass.
+When the largest non-cut degree f of P is above 1, a set of size f holding
+a non-cut vertex of degree f gives that vertex the child degree f + 1, and
+a singleton other than the lone non-cut vertex of degree 2 or more (when
+there is only one) leaves such a vertex deletable, so neither kind is
+generated.  Every generated set then passes the test on the non-cut
+vertices, so only cut vertices of child degree at least |m| are tested for
+deletability, and only the deletable vertices of v's degree are passed on:
+one of lower degree is below v in every round.
 
 Children still tied with another deletable vertex at the stable colouring
 go to an exact registry: a refinement certificate buckets them, and the
-matcher separates isomorphic ones inside a bucket.  At n = 11 that is 39
+matcher separates isomorphic ones inside a bucket.  At n = 11 that is 33
 isomorphism searches for 25,598 classes.  Counts for small n are pinned
 against an independent brute force (``brute_force_bipartite_counts``) that
 scans every edge set lying inside the cross pairs of some 2-colouring, which
@@ -221,10 +242,12 @@ def _round_one(parent: Graph) -> Iterator[tuple[int, int, int]]:
     whose child passes the degree test, ascending by mask, decided without
     building the child (see the module docstring).
 
-    ``deletable`` holds the child's deletable parent vertices.  ``verdict``
-    is what refinement round 1 of the child decides: -1 when a deletable
-    vertex outranks the new vertex, 1 when the new vertex is the lone top,
-    and 0 when it ties with a deletable vertex.
+    ``deletable`` holds the child's deletable parent vertices of the new
+    vertex's degree; the others rank below the new vertex in every round.
+    ``verdict`` is what refinement round 1 of the child decides: -1 when a
+    deletable vertex outranks the new vertex, 1 when the new vertex is the
+    lone top or ties only with its twins, and 0 when it ties with another
+    deletable vertex.
     """
     n = parent.n
     adj = parent.adj
@@ -236,36 +259,52 @@ def _round_one(parent: Graph) -> Iterator[tuple[int, int, int]]:
             at_least[k] |= 1 << v
     nbrs = [[u for u in range(n) if (row >> u) & 1] for row in adj]
     noncut, cut = _cut_pieces(parent)
+    cut.sort(key=lambda item: -deg[item[0]])
     floor = max([deg[v] for v in range(n) if (noncut >> v) & 1], default=1)
     masks = _attachment_sets(parent, floor)
     if floor > 1:
-        masks = sorted(masks + [1 << v for v in range(n)])
+        # Of the sets of size floor and the singletons, only those that pass
+        # the degree test on the non-cut vertices are generated: the sets of
+        # size floor that avoid the non-cut vertices of degree floor, and the
+        # singleton of the one non-cut vertex of degree 2 or more, when
+        # there is only one.
+        heavy = noncut & at_least[floor]
+        masks = [m for m in masks if not m & heavy or m.bit_count() > floor]
+        lone = noncut & at_least[2]
+        if lone.bit_count() == 1:
+            masks = sorted(masks + [lone])
     for mask in masks:
         size = mask.bit_count()
         # The final colour order refines the degree order, so a deletable
         # vertex whose degree in the child exceeds the new vertex's has a
-        # higher colour, and the rule would reject the child anyway.  The
-        # non-cut vertices decide most candidates, so they are tested
-        # before any cut vertex's pieces are looked at.
+        # higher colour, and the rule would reject the child anyway; one of
+        # lower degree has a lower colour and is left out.  The generated
+        # sets pass this test on the non-cut vertices, so only cut vertices
+        # can fail it; they come in falling degree, highest first.
         outrank = at_least[size + 1] | (at_least[size] & mask)
-        deletable = noncut & ~mask if size == 1 else noncut
-        if outrank & deletable:
-            continue
+        reach = at_least[size] | (at_least[size - 1] & mask)  # child degree >= size
+        deletable = (noncut & ~mask if size == 1 else noncut) & reach
         for v, pieces in cut:  # the pieces of parent - v exclude v
-            if all(map(mask.__and__, pieces)):
+            if deg[v] < size - 1:
+                break
+            if (reach >> v) & 1 and all(map(mask.__and__, pieces)):
                 deletable |= 1 << v
         if outrank & deletable:
             continue
-        # round 1: the deletable vertices of the new vertex's degree compare
-        # their sorted neighbour degrees in the child with the new vertex's
-        tied = deletable & ((at_least[size] & ~mask) | (at_least[size - 1] & mask))
+        # round 1: the deletable vertices, all of the new vertex's degree,
+        # compare their sorted neighbour degrees in the child with the new
+        # vertex's; a twin of the new vertex (same neighbours) ties it in
+        # every round and does not stop it from being a new class
         verdict = 1
+        tied = deletable
         if tied:
             top = sorted([deg[v] + 1 for v in range(n) if (mask >> v) & 1])
             while tied:
                 low = tied & -tied
                 tied ^= low
                 w = low.bit_length() - 1
+                if adj[w] == mask:
+                    continue
                 key = [deg[u] + ((mask >> u) & 1) for u in nbrs[w]]
                 if mask & low:
                     key.append(size)
@@ -305,7 +344,7 @@ def _build_level(n: int) -> list[Graph]:
         for mask in _orbit_representatives(list(kept), gens):
             deletable, verdict = kept[mask]
             adj = tuple(row | new_bit if (mask >> i) & 1 else row for i, row in enumerate(parent.adj)) + (mask,)
-            if verdict:  # the new vertex is the lone top: a new class
+            if verdict:  # a lone top, or tied with its twins only: a new class
                 passed += 1
                 out.append(Graph._trusted(n, adj))
                 continue
@@ -350,8 +389,8 @@ def bipartite_level(n: int, connected: bool = True) -> list[Graph]:
     once per process; ``connected`` accepts True only (see ``euler_transform``)."""
     if connected is not True:
         raise ValueError("only connected levels are enumerated")
-    if not (1 <= n <= MAX_VERTICES):
-        raise ValueError(f"supported range is 1..{MAX_VERTICES} vertices")
+    if isinstance(n, bool) or not isinstance(n, int) or not (1 <= n <= MAX_VERTICES):
+        raise ValueError(f"n must be an int in the supported range 1..{MAX_VERTICES}, got {n!r}")
     if n not in _LEVEL_CACHE:
         _LEVEL_CACHE[n] = _build_level(n)
     return _LEVEL_CACHE[n]
@@ -359,10 +398,11 @@ def bipartite_level(n: int, connected: bool = True) -> list[Graph]:
 
 def level_stats() -> dict[int, dict[str, float]]:
     """Build statistics of every level built in this process, keyed by n:
-    candidates (parent and attachment-set pairs, counting the sets below the
-    size floor that are never generated), passed (children, one per
+    candidates (parent and attachment-set pairs, counting the sets that the
+    degree test rules out before they are generated), passed (children, one per
     attachment-set orbit, that met the deletion rule), refined (children that
-    round 1 left tied and ``_refinement_rounds`` decided), exact (isomorphism
+    round 1 left tied with a deletable vertex other than a twin of the new
+    vertex, and ``_refinement_rounds`` decided), exact (isomorphism
     searches run by the registry), automorphism_steps (the search steps of
     ``_automorphism_generators`` on the parents), classes and seconds
     (excluding level n-1)."""

@@ -13,6 +13,7 @@ import bipkit
 from bipkit.graphs import Graph, connected_components, find_bipartition, is_connected
 from bipkit.matching import _automorphism_generators, _Budget, _refinement_colors, _refinement_rounds, are_isomorphic
 from bipkit.families import complete_bipartite, cycle, path
+from bipkit.harness import enumeration
 from bipkit.harness.enumeration import (
     _attachment_sets,
     _orbit_representatives,
@@ -175,30 +176,104 @@ def _deletable_mask(adj: tuple[int, ...]) -> int:
     return out
 
 
+def _children_by_rounds_zero_and_one(parent):
+    """``(mask, adj, deletable, verdict, twins)`` for every attachment set of
+    the independent reference, judged on the built child: ``deletable`` is
+    found by search, ``verdict`` is None when a deletable vertex has a higher
+    degree than the new vertex, and otherwise what rounds 0 and 1 of
+    ``_refinement_rounds`` decide (-1 reject, 1 lone top, 0 tied); ``twins``
+    are the deletable vertices tied at round 1, kept when each has the new
+    vertex's neighbours and 0 otherwise."""
+    n = parent.n
+    for mask in _attachment_sets_reference(parent):
+        adj = tuple(row | (1 << n) if (mask >> v) & 1 else row for v, row in enumerate(parent.adj)) + (mask,)
+        deletable = _deletable_mask(adj) & ~(1 << n)
+        dels = [v for v in range(n) if (deletable >> v) & 1]
+        verdict = twins = 0
+        if any(adj[v].bit_count() > mask.bit_count() for v in dels):
+            verdict = None
+        else:
+            for colors, _ in itertools.islice(_refinement_rounds(adj), 2):
+                best = max([colors[v] for v in dels], default=-1)
+                if best != colors[n]:
+                    verdict = 1 if best < colors[n] else -1
+                    break
+            else:
+                tied = [v for v in dels if colors[v] == colors[n]]
+                if all(adj[v] == mask for v in tied):
+                    twins = sum(1 << v for v in tied)
+        yield mask, adj, deletable, verdict, twins
+
+
 def test_round_one_matches_refinement_of_the_child(connected_levels):
     # On every parent of levels <= 9, built children are judged from scratch:
     # the sets that _round_one skips are exactly those where a deletable
-    # vertex has a higher degree than the new vertex, and for the others its
-    # deletable mask and verdict (-1 reject, 1 lone top, 0 tied) are what
-    # rounds 0 and 1 of _refinement_rounds decide on the child.
+    # vertex has a higher degree than the new vertex.  For the others its
+    # deletable mask is the deletable vertices of the new vertex's degree,
+    # and its verdict is what rounds 0 and 1 of _refinement_rounds decide,
+    # except that a child tied only with twins of its new vertex is a new
+    # class (1): there the stable colouring ties the new vertex with exactly
+    # those twins among the deletable vertices, and puts them on top.
+    twin_settled = 0
     for n in range(1, 10):
         for parent in connected_levels[n]:
             got = {mask: (dels, verdict) for mask, dels, verdict in _round_one(parent)}
-            for mask in _attachment_sets_reference(parent):
-                adj = tuple(row | (1 << n) if (mask >> v) & 1 else row for v, row in enumerate(parent.adj)) + (mask,)
-                deletable = _deletable_mask(adj) & ~(1 << n)
-                dels = [v for v in range(n) if (deletable >> v) & 1]
-                if any(adj[v].bit_count() > mask.bit_count() for v in dels):
+            for mask, adj, deletable, want, twins in _children_by_rounds_zero_and_one(parent):
+                if want is None:
                     assert mask not in got, (parent.adj, mask)
                     continue
-                want = 0
-                for colors, _ in itertools.islice(_refinement_rounds(adj), 2):
-                    best = max([colors[v] for v in dels], default=-1)
-                    if best != colors[n]:
-                        want = 1 if best < colors[n] else -1
-                        break
-                assert got.pop(mask) == (deletable, want), (parent.adj, mask)
+                if twins:
+                    twin_settled += 1
+                    want = 1
+                    colors = _refinement_colors(adj)[0]
+                    dels = [v for v in range(n) if (deletable >> v) & 1]
+                    assert max(colors[v] for v in dels) == colors[n], (parent.adj, mask)
+                    assert sum(1 << v for v in dels if colors[v] == colors[n]) == twins, (parent.adj, mask)
+                same_degree = sum(1 << v for v in range(n) if (deletable >> v) & 1 and adj[v].bit_count() == mask.bit_count())
+                assert got.pop(mask) == (same_degree, want), (parent.adj, mask)
             assert not got, parent.adj
+    assert twin_settled > 0
+
+
+def _automorphism_images(adj: tuple[int, ...], v: int) -> int:
+    """The images of v under the automorphisms of the graph: for each
+    candidate image, a backtracking search over partial bijections that send
+    v there first and keep every adjacency and non-adjacency."""
+    n = len(adj)
+    order = [v] + [x for x in range(n) if x != v]
+
+    def extend(images: list[int], used: int) -> bool:
+        if len(images) == n:
+            return True
+        x = order[len(images)]
+        return any(
+            extend(images + [y], used | 1 << y)
+            for y in range(n)
+            if not (used >> y) & 1 and all((adj[x] >> order[i] & 1) == (adj[y] >> images[i] & 1) for i in range(len(images)))
+        )
+
+    return sum(1 << y for y in range(n) if extend([y], 1 << y))
+
+
+def test_twin_settled_new_vertex_is_one_orbit_with_its_twins(connected_levels):
+    # The premise of settling twin ties from the parent, on every child of at
+    # most 9 vertices tied at round 1 only with twins of its new vertex: the
+    # orbit of the new vertex under Aut(child), found by brute force, is the
+    # new vertex and its twins, and is the top deletable class of the stable
+    # colouring
+    checked = 0
+    for n in range(1, 9):
+        for parent in connected_levels[n]:
+            for mask, adj, deletable, verdict, twins in _children_by_rounds_zero_and_one(parent):
+                if not twins:
+                    continue
+                checked += 1
+                orbit = twins | 1 << n
+                assert _automorphism_images(adj, n) == orbit, (parent.adj, mask)
+                colors = _refinement_colors(adj)[0]
+                top = max(colors[v] for v in range(n + 1) if (deletable | 1 << n) >> v & 1)
+                assert sum(1 << v for v in range(n + 1) if (deletable | 1 << n) >> v & 1 and colors[v] == top) == orbit
+    assert checked == 438
 
 
 def _permuted(mask: int, perm: tuple[int, ...]) -> int:
@@ -249,9 +324,11 @@ def test_level_stats(connected_levels):
     assert stats[10]["candidates"] == 38_854
     assert stats[11]["candidates"] == 304_418
     # round 1 read off the parent settles most passing children: levels
-    # 1..10 sent 7,708 children to _refinement_rounds before, and send 2,609
+    # 1..10 sent 7,708 children to _refinement_rounds before, 2,609 once
+    # round 1 was read off the parent, and 1,206 now that a child tied only
+    # with twins of its new vertex is settled as a new class
     assert stats[10]["refined"] < stats[10]["passed"]
-    assert sum(stats[n]["refined"] for n in range(1, 11)) < 7_708 // 2
+    assert sum(stats[n]["refined"] for n in range(1, 11)) < 2_609 // 2
     # the deletion rule keeps most candidates away from the registry
     assert stats[10]["passed"] < stats[10]["candidates"] // 4
     # orbit pruning and the early accept keep almost every child away from
@@ -272,7 +349,7 @@ def test_connected_four_vertex_classes():
         assert sum(1 for g in level if are_isomorphic(g, want)) == 1
 
 
-def test_level_arguments():
+def test_level_arguments(monkeypatch):
     with pytest.raises(ValueError):
         bipartite_level(0)
     with pytest.raises(ValueError):
@@ -280,6 +357,15 @@ def test_level_arguments():
     # only connected levels are built
     with pytest.raises(ValueError):
         bipartite_level(4, False)
+    # n is an int: a bool or a float is refused before any level is looked
+    # up or built
+    def build(n):
+        raise AssertionError(f"level {n!r} built")
+
+    monkeypatch.setattr(enumeration, "_build_level", build)
+    for bad in (True, 3.0, 2.5):
+        with pytest.raises(ValueError, match="must be an int"):
+            bipartite_level(bad)
     for n in range(1, 5):
         assert bipartite_level(n, True) is bipartite_level(n)
 
