@@ -29,13 +29,13 @@ Aut(P) gives the same orbits.  The least set comes first in ascending
 order, and the later sets of its orbit could only repeat its class, so the
 levels keep the order they have without the step.
 
-Second, refinement stops once the rule is decided.  Each round of
-``matching._refinement_rounds`` keeps the strict colour order of the round
-before, so the child is rejected at the first round where a deletable vertex
-outranks the new vertex, and accepted at the first round where the new
-vertex is strictly above every other deletable vertex.  Such a lone-top child
-is a new class and skips the registry.  Take any other child G' of the level
-that is isomorphic to it and passes the rule.  The isomorphism keeps
+Second, every refinement round keeps the strict colour order of the round
+before (``matching._refinement_colors``), so the first round that separates
+the new vertex from the top deletable vertex decides the rule as the stable
+colouring does: a deletable vertex above the new vertex rejects the child,
+and the new vertex alone on top makes it a lone-top child, a new class that
+skips the registry.  Take any other child G' of the level that is
+isomorphic to it and passes the rule.  The isomorphism keeps
 colours and deletability, so the new vertex of G' is also a lone top and is
 the image of the new vertex.  Removing the two new vertices leaves isomorphic
 representatives of level n-1, which are then one parent P, and the
@@ -59,12 +59,14 @@ of the new vertex's degree, are compared.  The new vertex's key lists the
 child degrees of m; a tied vertex's lists those of its neighbours in P,
 plus |m| when it lies in m.  A larger key rejects the child, all smaller
 keys make the new vertex the lone top (a new class, as above), and an equal
-key leaves the child to ``_refinement_rounds`` (but see the twins below),
-which decides every later round and feeds the registry.  The verdict
-depends on P and m only up to isomorphism, so Aut(P) keeps it: rejection
-drops whole orbits, the least kept set of each kept orbit is still least in
-its orbit, and orbit pruning on the kept sets picks the same children.  A
-parent with at most one kept set needs no automorphism search.
+key leaves the child tied (but see the twins below).  A tied child is
+refined once, to its stable colouring, which decides the rule as above or
+sends the child to the registry; these children are counted per level as
+``refined``.  The verdict depends on P and m only up to isomorphism, so
+Aut(P) keeps it: rejection drops whole orbits, the least kept set of each
+kept orbit is still least in its orbit, and orbit pruning on the kept sets
+picks the same children.  A parent with at most one kept set needs no
+automorphism search.
 
 Fourth, ties with twins of the new vertex v are settled from the parent
 too.  A vertex w of P with N_P(w) = m has v's neighbours in the child, so
@@ -76,13 +78,12 @@ colouring is v and its twins, one orbit of Aut(child) under those swaps.
 Any child G' isomorphic to this one that passes the rule has its new vertex
 in the image of that class, so an isomorphism can be chosen that maps new
 vertex to new vertex, and as for a lone top G' is the same child.  So such
-a child is a new class, kept without ``_refinement_rounds`` or the
-registry.  The generation is trimmed to what the degree test can pass.
-When the largest non-cut degree f of P is above 1, a set of size f holding
-a non-cut vertex of degree f gives that vertex the child degree f + 1, and
-a singleton other than the lone non-cut vertex of degree 2 or more (when
-there is only one) leaves such a vertex deletable, so neither kind is
-generated.  Every generated set then passes the test on the non-cut
+a child is a new class, kept without refinement or the registry.  The
+generation is trimmed to what the degree test can pass.  When the largest
+non-cut degree f of P is above 1, a set of size f holding a non-cut vertex
+of degree f gives that vertex the child degree f + 1, and a singleton other
+than the lone non-cut vertex of degree 2 or more (when there is only one)
+leaves such a vertex deletable, so neither kind is generated.  Every generated set then passes the test on the non-cut
 vertices, so only cut vertices of child degree at least |m| are tested for
 deletability, and only the deletable vertices of v's degree are passed on:
 one of lower degree is below v in every round.
@@ -109,7 +110,8 @@ from ..graphs import Graph, _component_masks
 from ..matching import (
     _automorphism_generators,
     _Budget,
-    _refinement_rounds,
+    _positive,
+    _refinement_colors,
     _search,
 )
 
@@ -117,8 +119,8 @@ MAX_VERTICES = 12
 
 _LEVEL_CACHE: dict[int, list[Graph]] = {}
 # per built level: candidates, passed (the deletion rule), refined (children
-# sent to _refinement_rounds), exact (isomorphism calls), automorphism_steps,
-# classes and seconds; read through level_stats()
+# refined once to the stable colouring), exact (isomorphism calls),
+# automorphism_steps, classes and seconds; read through level_stats()
 _LEVEL_STATS: dict[int, dict[str, float]] = {}
 
 
@@ -140,8 +142,6 @@ class _IsoRegistry:
         it is a new isomorphism class."""
         bucket = self._buckets.setdefault(cert, [])
         for rep, rep_colors in bucket:
-            if g.adj == rep.adj:
-                return False
             self.exact_calls += 1
             classes = [0] * len(colors)
             for x, c in enumerate(rep_colors):
@@ -237,17 +237,16 @@ def _cut_pieces(parent: Graph) -> tuple[int, list[tuple[int, list[int]]]]:
     return noncut, cut
 
 
-def _round_one(parent: Graph) -> Iterator[tuple[int, int, int]]:
-    """``(mask, deletable, verdict)`` for each attachment set of ``parent``
-    whose child passes the degree test, ascending by mask, decided without
-    building the child (see the module docstring).
+def _round_one(parent: Graph) -> Iterator[tuple[int, int]]:
+    """``(mask, tied)`` for each attachment set of ``parent`` whose child
+    passes the degree test and refinement round 1, ascending by mask, decided
+    without building the child (see the module docstring).
 
-    ``deletable`` holds the child's deletable parent vertices of the new
-    vertex's degree; the others rank below the new vertex in every round.
-    ``verdict`` is what refinement round 1 of the child decides: -1 when a
-    deletable vertex outranks the new vertex, 1 when the new vertex is the
-    lone top or ties only with its twins, and 0 when it ties with another
-    deletable vertex.
+    ``tied`` is 0 when round 1 makes the new vertex the lone top of the
+    child's deletable vertices or ties it only with its twins: the child is a
+    new class.  Otherwise it holds the child's deletable parent vertices of
+    the new vertex's degree, one of which round 1 ties with the new vertex;
+    the other deletable vertices rank below the new vertex in every round.
     """
     n = parent.n
     adj = parent.adj
@@ -295,26 +294,26 @@ def _round_one(parent: Graph) -> Iterator[tuple[int, int, int]]:
         # compare their sorted neighbour degrees in the child with the new
         # vertex's; a twin of the new vertex (same neighbours) ties it in
         # every round and does not stop it from being a new class
-        verdict = 1
-        tied = deletable
-        if tied:
+        tied = 0
+        rest = deletable
+        if rest:
             top = sorted([deg[v] + 1 for v in range(n) if (mask >> v) & 1])
-            while tied:
-                low = tied & -tied
-                tied ^= low
-                w = low.bit_length() - 1
-                if adj[w] == mask:
-                    continue
-                key = [deg[u] + ((mask >> u) & 1) for u in nbrs[w]]
-                if mask & low:
-                    key.append(size)
-                key.sort()
-                if key > top:
-                    verdict = -1
-                    break
-                if key == top:
-                    verdict = 0
-        yield mask, deletable, verdict
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            if adj[w] == mask:
+                continue
+            key = [deg[u] + ((mask >> u) & 1) for u in nbrs[w]]
+            if mask & low:
+                key.append(size)
+            key.sort()
+            if key > top:
+                break  # rejected
+            if key == top:
+                tied = deletable
+        else:
+            yield mask, tied
 
 
 def _build_level(n: int) -> list[Graph]:
@@ -335,35 +334,34 @@ def _build_level(n: int) -> list[Graph]:
         ((_, side, _),) = _component_masks(parent.adj)
         a = side.bit_count()
         candidates += (1 << a) + (1 << (new - a)) - 2
-        # mask -> (deletable, verdict), ascending, past round 1
-        kept = {mask: (deletable, verdict) for mask, deletable, verdict in _round_one(parent) if verdict >= 0}
+        kept = dict(_round_one(parent))  # mask -> tied, ascending
         # round 1 is invariant under Aut(parent), so the least mask of each
         # orbit among the kept ones is least among all masks; a lone kept
         # mask is its own orbit
         gens = _automorphism_generators(parent.adj, automorphisms)[0] if len(kept) > 1 else []
         for mask in _orbit_representatives(list(kept), gens):
-            deletable, verdict = kept[mask]
-            adj = tuple(row | new_bit if (mask >> i) & 1 else row for i, row in enumerate(parent.adj)) + (mask,)
-            if verdict:  # a lone top, or tied with its twins only: a new class
-                passed += 1
-                out.append(Graph._trusted(n, adj))
-                continue
-            refined += 1
-            dels = [v for v in range(new) if (deletable >> v) & 1]
-            for colors, cert in _refinement_rounds(adj):
-                top = colors[new]
-                best = max([colors[v] for v in dels], default=-1)
-                if best > top:
-                    break  # a deletable vertex outranks the new one in every later round
-                if best < top:  # the new vertex is the lone top: a new class
-                    passed += 1
-                    out.append(Graph._trusted(n, adj))
-                    break
-                if cert is not None:  # tied at the stable colouring
+            rows = [*parent.adj, mask]
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                rows[low.bit_length() - 1] |= new_bit
+            adj = tuple(rows)
+            tied = kept[mask]
+            if tied:  # decided at the stable colouring
+                refined += 1
+                colors, cert = _refinement_colors(adj)
+                best = max([colors[v] for v in range(new) if (tied >> v) & 1])
+                if best > colors[new]:
+                    continue  # a deletable vertex outranks the new one
+                if best == colors[new]:
                     passed += 1
                     child = Graph._trusted(n, adj)
                     if registry.add(child, colors, cert):
                         out.append(child)
+                    continue
+            passed += 1  # the new vertex is the lone top, or tied with its twins only: a new class
+            out.append(Graph._trusted(n, adj))
     _LEVEL_STATS[n] = {
         "candidates": candidates,
         "passed": passed,
@@ -402,7 +400,7 @@ def level_stats() -> dict[int, dict[str, float]]:
     degree test rules out before they are generated), passed (children, one per
     attachment-set orbit, that met the deletion rule), refined (children that
     round 1 left tied with a deletable vertex other than a twin of the new
-    vertex, and ``_refinement_rounds`` decided), exact (isomorphism
+    vertex, each refined once to its stable colouring), exact (isomorphism
     searches run by the registry), automorphism_steps (the search steps of
     ``_automorphism_generators`` on the parents), classes and seconds
     (excluding level n-1)."""
@@ -452,6 +450,7 @@ def brute_force_bipartite_counts(n: int) -> tuple[int, int]:
     code of the class counts again.  This never touches the enumeration
     pipeline or the matcher, so it calibrates them.
     """
+    _positive("n", n)
     pairs = list(itertools.combinations(range(n), 2))
     pair_index = {pr: i for i, pr in enumerate(pairs)}
     # relabel[k][i]: the bit of pair i under the k-th vertex permutation

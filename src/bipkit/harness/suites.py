@@ -65,6 +65,7 @@ from ..matching import (
     Embedding,
     StepBudgetExceeded,
     _Budget,
+    _positive,
     find_induced_embedding,
     has_path_subgraph,
     is_free,
@@ -725,7 +726,9 @@ def _suite_lemma_reduction(opts: SuiteOptions) -> list:
 
 
 def random_leaf_tree(rng: random.Random, max_depth: int = 6, max_leaves: int = 12) -> DecompositionTree:
-    """Random build tree over single-vertex leaves with fresh ids 1..n."""
+    """Random build tree over single-vertex leaves with fresh ids 1..n.
+    Every shape has a leaf, so ``max_leaves`` must be an int of at least 1."""
+    _positive("max_leaves", max_leaves)
 
     def shape(depth: int) -> list[str]:
         """A random tree's kinds in preorder, "leaf" at each leaf."""

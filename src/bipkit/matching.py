@@ -138,21 +138,20 @@ def _positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
 
 
-def _refinement_rounds(adj: tuple[int, ...]) -> Iterator[tuple[list[int], tuple | None]]:
-    """Iterated neighbour-colour refinement, one ``(colours, certificate)``
-    pair per round.
+def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
+    """Stable colours of iterated neighbour-colour refinement, plus a
+    certificate.
 
     Round 0 is the degrees.  Each later round's colour ids are ranks of sorted
     (colour, neighbour-colour multiset) keys, so they are canonical:
-    isomorphic graphs get corresponding colours.  Each key starts with the
-    previous colour, so every round keeps the strict order of the round
-    before it.  The certificate is None until the colouring is stable; the
-    last pair repeats the stable colours with the certificate.
+    isomorphic graphs get corresponding colours and an identical certificate.
+    Each key starts with the previous colour, so every round keeps the strict
+    order of the round before it, and the stable colour order refines the
+    order of every round, the degree order first.
     """
     n = len(adj)
     colors = [row.bit_count() for row in adj]
     edges = sum(colors) // 2
-    yield colors, None
     while True:
         keys = []
         for i in range(n):
@@ -167,19 +166,8 @@ def _refinement_rounds(adj: tuple[int, ...]) -> Iterator[tuple[list[int], tuple 
         ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
         new_colors = [ranking[k] for k in keys]
         if new_colors == colors:
-            yield colors, (n, edges, tuple(sorted(keys)))
-            return
+            return colors, (n, edges, tuple(sorted(keys)))
         colors = new_colors
-        yield colors, None
-
-
-def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
-    """Stable colours of ``_refinement_rounds`` plus the certificate:
-    isomorphic graphs get corresponding colours and an identical certificate,
-    and the colour order refines the degree order."""
-    for colors, cert in _refinement_rounds(adj):
-        pass
-    return colors, cert
 
 
 @lru_cache(maxsize=256)

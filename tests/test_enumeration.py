@@ -11,7 +11,7 @@ from conftest import all_bipartite
 
 import bipkit
 from bipkit.graphs import Graph, connected_components, find_bipartition, is_connected
-from bipkit.matching import _automorphism_generators, _Budget, _refinement_colors, _refinement_rounds, are_isomorphic
+from bipkit.matching import _automorphism_generators, _Budget, _refinement_colors, are_isomorphic
 from bipkit.families import complete_bipartite, cycle, path
 from bipkit.harness import enumeration
 from bipkit.harness.enumeration import (
@@ -75,6 +75,13 @@ def test_colouring_oracle_matches_edge_subset_reference():
         assert brute_force_bipartite_counts(n) == _edge_subset_counts_reference(n), n
     # A033995 and A005142 at seven vertices
     assert brute_force_bipartite_counts(7) == (88, 44)
+
+
+def test_colouring_oracle_arguments():
+    # refused before any pair or permutation is built
+    for bad in (0, -1, True, 3.0):
+        with pytest.raises(ValueError, match="n must be an int of at least 1"):
+            brute_force_bipartite_counts(bad)
 
 
 def test_counts_match_bruteforce_oracle():
@@ -176,14 +183,23 @@ def _deletable_mask(adj: tuple[int, ...]) -> int:
     return out
 
 
+def _rounds_zero_and_one(adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Refinement rounds 0 and 1 of the graph: the degrees, then the ranks of
+    the (degree, sorted neighbour degrees) keys."""
+    n = len(adj)
+    degrees = [row.bit_count() for row in adj]
+    keys = [(degrees[v], tuple(sorted(degrees[u] for u in range(n) if (adj[v] >> u) & 1))) for v in range(n)]
+    ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return degrees, [ranking[k] for k in keys]
+
+
 def _children_by_rounds_zero_and_one(parent):
     """``(mask, adj, deletable, verdict, twins)`` for every attachment set of
     the independent reference, judged on the built child: ``deletable`` is
     found by search, ``verdict`` is None when a deletable vertex has a higher
-    degree than the new vertex, and otherwise what rounds 0 and 1 of
-    ``_refinement_rounds`` decide (-1 reject, 1 lone top, 0 tied); ``twins``
-    are the deletable vertices tied at round 1, kept when each has the new
-    vertex's neighbours and 0 otherwise."""
+    degree than the new vertex, and otherwise what rounds 0 and 1 decide (-1
+    reject, 1 lone top, 0 tied); ``twins`` are the deletable vertices tied at
+    round 1, kept when each has the new vertex's neighbours and 0 otherwise."""
     n = parent.n
     for mask in _attachment_sets_reference(parent):
         adj = tuple(row | (1 << n) if (mask >> v) & 1 else row for v, row in enumerate(parent.adj)) + (mask,)
@@ -193,7 +209,7 @@ def _children_by_rounds_zero_and_one(parent):
         if any(adj[v].bit_count() > mask.bit_count() for v in dels):
             verdict = None
         else:
-            for colors, _ in itertools.islice(_refinement_rounds(adj), 2):
+            for colors in _rounds_zero_and_one(adj):
                 best = max([colors[v] for v in dels], default=-1)
                 if best != colors[n]:
                     verdict = 1 if best < colors[n] else -1
@@ -206,33 +222,79 @@ def _children_by_rounds_zero_and_one(parent):
 
 
 def test_round_one_matches_refinement_of_the_child(connected_levels):
-    # On every parent of levels <= 9, built children are judged from scratch:
-    # the sets that _round_one skips are exactly those where a deletable
-    # vertex has a higher degree than the new vertex.  For the others its
-    # deletable mask is the deletable vertices of the new vertex's degree,
-    # and its verdict is what rounds 0 and 1 of _refinement_rounds decide,
-    # except that a child tied only with twins of its new vertex is a new
-    # class (1): there the stable colouring ties the new vertex with exactly
-    # those twins among the deletable vertices, and puts them on top.
+    # On every parent of levels <= 9, built children are judged from scratch.
+    # _round_one keeps exactly the sets that neither the degree test nor
+    # round 1 rejects.  It reports a child as a new class (tied 0) when
+    # round 1 makes the new vertex the lone top, or ties it only with twins
+    # of the new vertex: there the stable colouring ties the new vertex with
+    # exactly those twins among the deletable vertices, and puts them on
+    # top.  Any other child is tied, with the deletable vertices of the new
+    # vertex's degree.
     twin_settled = 0
     for n in range(1, 10):
         for parent in connected_levels[n]:
-            got = {mask: (dels, verdict) for mask, dels, verdict in _round_one(parent)}
-            for mask, adj, deletable, want, twins in _children_by_rounds_zero_and_one(parent):
-                if want is None:
+            got = dict(_round_one(parent))
+            for mask, adj, deletable, verdict, twins in _children_by_rounds_zero_and_one(parent):
+                if verdict is None or verdict < 0:
                     assert mask not in got, (parent.adj, mask)
                     continue
+                want = 0
                 if twins:
                     twin_settled += 1
-                    want = 1
                     colors = _refinement_colors(adj)[0]
                     dels = [v for v in range(n) if (deletable >> v) & 1]
                     assert max(colors[v] for v in dels) == colors[n], (parent.adj, mask)
                     assert sum(1 << v for v in dels if colors[v] == colors[n]) == twins, (parent.adj, mask)
-                same_degree = sum(1 << v for v in range(n) if (deletable >> v) & 1 and adj[v].bit_count() == mask.bit_count())
-                assert got.pop(mask) == (same_degree, want), (parent.adj, mask)
+                elif verdict == 0:
+                    want = sum(1 << v for v in range(n) if (deletable >> v) & 1 and adj[v].bit_count() == mask.bit_count())
+                assert got.pop(mask) == want, (parent.adj, mask)
             assert not got, parent.adj
     assert twin_settled > 0
+
+
+def _first_separating_round(adj: tuple[int, ...], deletable: int) -> int:
+    """Refinement round by round from the degrees, each round's colours the
+    ranks of (colour, sorted neighbour colours) keys, until the number of
+    colours stops growing: 1 when the first round that separates the last
+    vertex from the top ``deletable`` vertex puts the last vertex above, -1
+    when it puts it below, and 0 when no round separates them."""
+    n = len(adj)
+    nbrs = [[u for u in range(n) if (adj[v] >> u) & 1] for v in range(n)]
+    colors = [len(nb) for nb in nbrs]
+    while True:
+        best = max(colors[v] for v in range(n) if (deletable >> v) & 1)
+        if best != colors[-1]:
+            return 1 if best < colors[-1] else -1
+        keys = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
+        ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
+        refined = [ranking[k] for k in keys]
+        if len(ranking) == len(set(colors)):
+            return 0
+        colors = refined
+
+
+def test_stable_colouring_decides_a_tied_child_as_the_first_separating_round(connected_levels):
+    # _build_level decides a child that round 1 leaves tied once, at its
+    # stable colouring, from the tied vertices only: the new vertex below
+    # the top tied vertex rejects the child, above it makes a new class, and
+    # level with it goes to the registry.  On every such child of at most
+    # 10 vertices, that decision is the one of the first refinement round
+    # that separates the new vertex from the top deletable vertex (found by
+    # search), as refinement keeps each round's strict colour order.
+    decisions = {-1: 0, 0: 0, 1: 0}
+    for n in range(1, 10):
+        for parent in connected_levels[n]:
+            for mask, tied in _round_one(parent):
+                if not tied:
+                    continue
+                adj = tuple(row | (1 << n) if (mask >> v) & 1 else row for v, row in enumerate(parent.adj)) + (mask,)
+                colors = _refinement_colors(adj)[0]
+                best = max(colors[v] for v in range(n) if (tied >> v) & 1)
+                stable = (best < colors[n]) - (best > colors[n])
+                assert stable == _first_separating_round(adj, _deletable_mask(adj) & ~(1 << n)), (parent.adj, mask)
+                decisions[stable] += 1
+    # all three outcomes occur, over the kept sets before orbit pruning
+    assert decisions == {-1: 401, 0: 1176, 1: 288}
 
 
 def _automorphism_images(adj: tuple[int, ...], v: int) -> int:
@@ -313,32 +375,34 @@ def test_representatives_pass_full_validation(connected_levels):
             assert g == Graph(n, g.adj), g.adj
 
 
+# level_stats() per level, seconds left out: candidates, passed, refined,
+# exact, automorphism_steps, classes
+LEVEL_STATS = {
+    1: (1, 1, 0, 0, 0, 1),
+    2: (1, 1, 1, 0, 0, 1),
+    3: (2, 1, 0, 0, 2, 1),
+    4: (4, 3, 2, 0, 0, 3),
+    5: (20, 5, 1, 0, 5, 5),
+    6: (56, 17, 7, 0, 7, 17),
+    7: (280, 44, 10, 0, 67, 44),
+    8: (1_118, 182, 61, 0, 117, 182),
+    9: (6_598, 730, 148, 1, 868, 730),
+    10: (38_854, 4_033, 976, 10, 2_390, 4_032),
+    11: (304_418, 25_600, 4_704, 33, 17_291, 25_598),
+}
+
+
 def test_level_stats(connected_levels):
-    classes = {n: len(connected_levels[n]) for n in range(1, 12)}
+    # the counts pin which children each step of the deletion rule settles,
+    # so a refactor that sends other children to refinement, the registry
+    # or the automorphism search fails here even when the levels agree
     stats = level_stats()
-    for n, want in classes.items():
+    for n, want in LEVEL_STATS.items():
         s = stats[n]
         assert set(s) == {"candidates", "passed", "refined", "exact", "automorphism_steps", "classes", "seconds"}
-        assert s["candidates"] >= s["passed"] >= s["classes"] == want
-    # every attachment set counts, those below the size floor included
-    assert stats[10]["candidates"] == 38_854
-    assert stats[11]["candidates"] == 304_418
-    # round 1 read off the parent settles most passing children: levels
-    # 1..10 sent 7,708 children to _refinement_rounds before, 2,609 once
-    # round 1 was read off the parent, and 1,206 now that a child tied only
-    # with twins of its new vertex is settled as a new class
-    assert stats[10]["refined"] < stats[10]["passed"]
-    assert sum(stats[n]["refined"] for n in range(1, 11)) < 2_609 // 2
-    # the deletion rule keeps most candidates away from the registry
-    assert stats[10]["passed"] < stats[10]["candidates"] // 4
-    # orbit pruning and the early accept keep almost every child away from
-    # the exact test: without them it ran 2,468 and 15,316 times
-    assert stats[10]["exact"] <= 50
-    assert stats[11]["exact"] <= 200
-    # the orbit-pruned stabiliser chain: levels 1..10 spent 26,362
-    # automorphism search steps when every vertex of a base point's colour
-    # class was searched as its image, and spend 3,839 with the pruning
-    assert sum(stats[n]["automorphism_steps"] for n in range(1, 11)) < 26_362 // 4
+        got = (s["candidates"], s["passed"], s["refined"], s["exact"], s["automorphism_steps"], s["classes"])
+        assert got == want, n
+        assert s["classes"] == len(connected_levels[n])
 
 
 def test_connected_four_vertex_classes():

@@ -492,6 +492,13 @@ def test_random_leaf_tree_draws_are_pinned():
     ]
 
 
+def test_random_leaf_tree_arguments():
+    # every shape has a leaf, so a max_leaves below 1 could never be met
+    for bad in (0, -3, True, 4.0):
+        with pytest.raises(ValueError, match="max_leaves must be an int of at least 1"):
+            random_leaf_tree(random.Random(2), max_leaves=bad)
+
+
 # sha256 of "\n".join(format_tree(t)) over each list of trees, recorded before
 # a build tree became its flat preorder: the member trees of connected levels
 # 1..10 in level order under find_bipartition, and the closure suite's 300
