@@ -24,10 +24,14 @@ the least set of each orbit is built (``_orbit_representatives``, with the
 generators of ``matching._automorphism_generators``).  Those come from an
 orbit-pruned stabiliser chain, which searches the parent into itself only
 for images its generators do not yet reach, and the steps of those searches
-are recorded per level as ``automorphism_steps``.  Any generating set of
-Aut(P) gives the same orbits.  The least set comes first in ascending
-order, and the later sets of its orbit could only repeat its class, so the
-levels keep the order they have without the step.
+are recorded per level as ``automorphism_steps``.  The chain's domains are
+the classes of P's round-1 keys, (degree, sorted neighbour degrees), which
+``_round_one`` builds from the degree and neighbour tables it decides the
+children with: automorphisms keep them, and on parents of at most 11 vertices the further
+rounds to the stable colouring cost more than the searches they save.  Any
+generating set of Aut(P) gives the same orbits.  The least set comes first
+in ascending order, and the later sets of its orbit could only repeat its
+class, so the levels keep the order they have without the step.
 
 Second, every refinement round keeps the strict colour order of the round
 before (``matching._refinement_colors``), so the first round that separates
@@ -237,10 +241,11 @@ def _cut_pieces(parent: Graph) -> tuple[int, list[tuple[int, list[int]]]]:
     return noncut, cut
 
 
-def _round_one(parent: Graph) -> Iterator[tuple[int, int]]:
-    """``(mask, tied)`` for each attachment set of ``parent`` whose child
+def _round_one(parent: Graph) -> tuple[dict[int, int], list[tuple[int, tuple[int, ...]]]]:
+    """``{mask: tied}`` for each attachment set of ``parent`` whose child
     passes the degree test and refinement round 1, ascending by mask, decided
-    without building the child (see the module docstring).
+    without building the child (see the module docstring), and the parent's
+    own round-1 keys, ``(degree, sorted neighbour degrees)`` per vertex.
 
     ``tied`` is 0 when round 1 makes the new vertex the lone top of the
     child's deletable vertices or ties it only with its twins: the child is a
@@ -251,12 +256,21 @@ def _round_one(parent: Graph) -> Iterator[tuple[int, int]]:
     n = parent.n
     adj = parent.adj
     deg = [row.bit_count() for row in adj]
+    nbrs = []
+    for row in adj:
+        nb = []
+        while row:
+            low = row & -row
+            row ^= low
+            nb.append(low.bit_length() - 1)
+        nbrs.append(nb)
+    keys = [(d, tuple(sorted([deg[u] for u in nb]))) for d, nb in zip(deg, nbrs)]
     # at_least[d]: the parent vertices of degree d or more
     at_least = [0] * (n + 2)
     for v, d in enumerate(deg):
-        for k in range(d + 1):
-            at_least[k] |= 1 << v
-    nbrs = [[u for u in range(n) if (row >> u) & 1] for row in adj]
+        at_least[d] |= 1 << v
+    for d in range(n, -1, -1):
+        at_least[d] |= at_least[d + 1]
     noncut, cut = _cut_pieces(parent)
     cut.sort(key=lambda item: -deg[item[0]])
     floor = max([deg[v] for v in range(n) if (noncut >> v) & 1], default=1)
@@ -272,6 +286,7 @@ def _round_one(parent: Graph) -> Iterator[tuple[int, int]]:
         lone = noncut & at_least[2]
         if lone.bit_count() == 1:
             masks = sorted(masks + [lone])
+    kept: dict[int, int] = {}
     for mask in masks:
         size = mask.bit_count()
         # The final colour order refines the degree order, so a deletable
@@ -297,7 +312,13 @@ def _round_one(parent: Graph) -> Iterator[tuple[int, int]]:
         tied = 0
         rest = deletable
         if rest:
-            top = sorted([deg[v] + 1 for v in range(n) if (mask >> v) & 1])
+            top = []
+            bits = mask
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                top.append(deg[low.bit_length() - 1] + 1)
+            top.sort()
         while rest:
             low = rest & -rest
             rest ^= low
@@ -313,7 +334,8 @@ def _round_one(parent: Graph) -> Iterator[tuple[int, int]]:
             if key == top:
                 tied = deletable
         else:
-            yield mask, tied
+            kept[mask] = tied
+    return kept, keys
 
 
 def _build_level(n: int) -> list[Graph]:
@@ -334,11 +356,11 @@ def _build_level(n: int) -> list[Graph]:
         ((_, side, _),) = _component_masks(parent.adj)
         a = side.bit_count()
         candidates += (1 << a) + (1 << (new - a)) - 2
-        kept = dict(_round_one(parent))  # mask -> tied, ascending
+        kept, keys = _round_one(parent)  # mask -> tied, ascending
         # round 1 is invariant under Aut(parent), so the least mask of each
         # orbit among the kept ones is least among all masks; a lone kept
         # mask is its own orbit
-        gens = _automorphism_generators(parent.adj, automorphisms)[0] if len(kept) > 1 else []
+        gens = _automorphism_generators(parent.adj, automorphisms, keys)[0] if len(kept) > 1 else []
         for mask in _orbit_representatives(list(kept), gens):
             rows = [*parent.adj, mask]
             rest = mask
@@ -402,8 +424,9 @@ def level_stats() -> dict[int, dict[str, float]]:
     round 1 left tied with a deletable vertex other than a twin of the new
     vertex, each refined once to its stable colouring), exact (isomorphism
     searches run by the registry), automorphism_steps (the search steps of
-    ``_automorphism_generators`` on the parents), classes and seconds
-    (excluding level n-1)."""
+    ``_automorphism_generators`` on the parents with two or more kept
+    attachment sets, started from each parent's round-1 keys), classes and
+    seconds (excluding level n-1)."""
     return {n: dict(stats) for n, stats in _LEVEL_STATS.items()}
 
 

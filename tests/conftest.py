@@ -42,3 +42,11 @@ def all_bipartite(n: int) -> tuple[Graph, ...]:
                 rows += [row << offset for row in g.adj]
             out.append(Graph(n, tuple(rows)))
     return tuple(out)
+
+
+def round_one_keys(adj: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Refinement round-1 keys, (degree, sorted neighbour degrees) per vertex,
+    from the rows bit by bit: a colouring every automorphism keeps."""
+    n = len(adj)
+    deg = [row.bit_count() for row in adj]
+    return [(deg[v], tuple(sorted(deg[u] for u in range(n) if adj[v] >> u & 1))) for v in range(n)]

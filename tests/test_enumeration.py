@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from conftest import all_bipartite
+from conftest import all_bipartite, round_one_keys
 
 import bipkit
 from bipkit.graphs import Graph, connected_components, find_bipartition, is_connected
@@ -233,7 +233,8 @@ def test_round_one_matches_refinement_of_the_child(connected_levels):
     twin_settled = 0
     for n in range(1, 10):
         for parent in connected_levels[n]:
-            got = dict(_round_one(parent))
+            got, keys = _round_one(parent)
+            assert keys == round_one_keys(parent.adj), parent.adj
             for mask, adj, deletable, verdict, twins in _children_by_rounds_zero_and_one(parent):
                 if verdict is None or verdict < 0:
                     assert mask not in got, (parent.adj, mask)
@@ -284,7 +285,7 @@ def test_stable_colouring_decides_a_tied_child_as_the_first_separating_round(con
     decisions = {-1: 0, 0: 0, 1: 0}
     for n in range(1, 10):
         for parent in connected_levels[n]:
-            for mask, tied in _round_one(parent):
+            for mask, tied in _round_one(parent)[0].items():
                 if not tied:
                     continue
                 adj = tuple(row | (1 << n) if (mask >> v) & 1 else row for v, row in enumerate(parent.adj)) + (mask,)
@@ -354,8 +355,11 @@ def test_orbit_pruning_against_brute_force_automorphisms(connected_levels):
             ]
             masks = _attachment_sets(g, 1)
             want = [m for m in masks if all(m <= _permuted(m, a) for a in auts)]
-            gens = _automorphism_generators(g.adj, _Budget(None))[0]
-            assert list(_orbit_representatives(masks, gens)) == want, g.adj
+            # the enumerator starts the chain from round-1 keys, patterns
+            # from stable colours: the orbits must not depend on the start
+            for colors in (round_one_keys(g.adj), _refinement_colors(g.adj)[0]):
+                gens = _automorphism_generators(g.adj, _Budget(None), colors)[0]
+                assert list(_orbit_representatives(masks, gens)) == want, g.adj
 
 
 def test_every_representative_grows_from_a_parent_representative(connected_levels):
@@ -385,10 +389,10 @@ LEVEL_STATS = {
     5: (20, 5, 1, 0, 5, 5),
     6: (56, 17, 7, 0, 7, 17),
     7: (280, 44, 10, 0, 67, 44),
-    8: (1_118, 182, 61, 0, 117, 182),
-    9: (6_598, 730, 148, 1, 868, 730),
-    10: (38_854, 4_033, 976, 10, 2_390, 4_032),
-    11: (304_418, 25_600, 4_704, 33, 17_291, 25_598),
+    8: (1_118, 182, 61, 0, 131, 182),
+    9: (6_598, 730, 148, 1, 965, 730),
+    10: (38_854, 4_033, 976, 10, 3_203, 4_032),
+    11: (304_418, 25_600, 4_704, 33, 23_393, 25_598),
 }
 
 

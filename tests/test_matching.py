@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from conftest import all_bipartite
+from conftest import all_bipartite, round_one_keys
 
 from bipkit.graphs import Graph
 from bipkit.matching import (
@@ -16,7 +16,9 @@ from bipkit.matching import (
     _automorphism_generators,
     _host_parts,
     _order_constraints,
+    _pattern_constraints,
     _pattern_parts,
+    _refinement_colors,
     _search,
     are_isomorphic,
     count_induced_embeddings,
@@ -511,17 +513,20 @@ def _closure(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
 def test_automorphism_generators_generate_the_whole_group():
     # every bipartite graph on up to 7 vertices, the connected level graphs
     # row for row among them; disconnected ones such as 3K2 need two
-    # searches at one base point
+    # searches at one base point.  The chain starts from round-1 keys (the
+    # enumerator's parents) or stable colours (patterns) and must give the
+    # same group and orbits from either.
     graphs = [g for n in range(1, 8) for g in all_bipartite(n)]
     graphs += [SYMMETRIC_PATTERNS[name] for name in LEMMA_PATTERNS]
     for g in graphs:
         auts = _brute_force_automorphisms(g)
-        gens, orbits = _automorphism_generators(g.adj, _Budget(None))
-        assert _closure(gens, g.n) == auts, g.adj
-        # orbits[u]: u's orbit under the automorphisms that fix 0..u-1
-        for u in range(g.n):
-            want = sum({1 << a[u] for a in auts if a[:u] == tuple(range(u))})
-            assert orbits[u] == want, (g.adj, u)
+        for colors in (round_one_keys(g.adj), _refinement_colors(g.adj)[0]):
+            gens, orbits = _automorphism_generators(g.adj, _Budget(None), colors)
+            assert _closure(gens, g.n) == auts, g.adj
+            # orbits[u]: u's orbit under the automorphisms that fix 0..u-1
+            for u in range(g.n):
+                want = sum({1 << a[u] for a in auts if a[:u] == tuple(range(u))})
+                assert orbits[u] == want, (g.adj, u)
 
 
 def test_order_constraints_are_pinned():
@@ -539,6 +544,16 @@ def test_order_constraints_are_pinned():
     }
     for name, want in pinned.items():
         assert _order_constraints(SYMMETRIC_PATTERNS[name], _Budget(None)) == want, name
+
+
+def test_pattern_constraints_start_from_stable_colours():
+    # the steps is_free is charged for a pattern's order constraints; from
+    # round-1 keys, which leave a long path or a large grid in a few coarse
+    # classes, the chain spends 30,861 and 9,559
+    for pattern, want in ((path(60), 495), (universal_grid(8, 8)[0], 399)):
+        tracker = _Budget(None)
+        _pattern_constraints(pattern, tracker)
+        assert tracker.spent == want, pattern.n
 
 
 def test_constrained_search_keeps_one_embedding_per_automorphism_orbit(connected_levels):
