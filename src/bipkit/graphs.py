@@ -222,8 +222,8 @@ def _component_masks(adj: tuple[int, ...]) -> tuple[tuple[int, int, bool], ...]:
     Cached, because callers ask again about one graph in turn: the suites
     call ``find_bipartition`` and then ``is_connected``, and the enumerator
     reads a parent's sides for its candidate count and its attachment sets.
-    The matcher reads it once per host, through the per-host cache
-    ``matching._host_parts``.
+    The matcher reads it once per graph, through its one set-up record per
+    graph, ``matching._parts``.
     """
     out = []
     left = (1 << len(adj)) - 1

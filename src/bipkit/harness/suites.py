@@ -610,7 +610,6 @@ def _decomposes(g: Graph, b: Bipartition) -> Iterator[str]:
         yield "class member fails to decompose"
 
 
-# suite name -> lemma; forbidden patterns are listed cheapest rejection first
 LEMMAS = {
     "lemma-key": Lemma(
         forbidden=(cycle(4), path(7)), required=None, claim=_no_p9_one_chord, members="in universe"
@@ -620,6 +619,29 @@ LEMMAS = {
     ),
     "closure": Lemma(forbidden=(s123(), path(7)), required=None, claim=_decomposes, members="in class"),
 }
+"""The lemmas by suite name, forbidden patterns listed cheapest rejection
+first.  Two claims have a support argument that carries them from the
+checked sizes to every n.
+
+lemma-key's chords: every 7-vertex path of a member has one chord, (1,6) or
+(2,7).  The path's vertices induce a connected bipartite (P7,C4)-free graph
+on 7 vertices with the same chords, isomorphic to a member of level 7, so
+level 7 covers every n.  There a chord joins path positions at odd
+distance, 3 or 5, as the graph is bipartite.  A distance-3 chord closes an
+induced C4 with the path between its ends: the two pairs at distance 2 are
+on one side, so non-adjacent.  The two distance-5 chords together close the
+induced C4 1-2-7-6.  With no chord the path is an induced P7.  So exactly
+one of (1,6) and (2,7) is a chord.
+
+lemma-reduction: a connected bipartite graph G with an induced C4 that is
+not complete bipartite holds an induced Sun1, P7-free or not.  Take a
+maximal complete bipartite induced subgraph K of G that holds the C4.  K is
+not all of G, so, G being connected, some x outside K has a neighbour b in
+K.  x lies on the side of G opposite b, so it has no neighbour on K's side
+opposite b, and by the maximality of K it misses some b' on b's side.  Then
+b, b' and two vertices of K's other side make a C4 to which x is a pendant
+at b: an induced Sun1.
+"""
 
 
 def _member(g: Graph, lemma: Lemma) -> Bipartition | None:

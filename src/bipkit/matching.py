@@ -22,29 +22,30 @@ placement as one step of a ``_Budget``, bounded or not.  Every caller takes
 On the degree-filter path (``find_induced_embedding``,
 ``count_induced_embeddings``, ``is_free``) one more filter runs, from one
 bitmask breadth-first search each over host and pattern.  The whole set-up
-of that path is cached, once per host rows (``_host_parts``: degree total,
-degree-threshold masks, components) and once per pattern rows
-(``_pattern_parts``: degree total, degrees, components and sides), in
-bounded caches.  The lemma checks search the same few patterns in
-thousands of tiny hosts, where rebuilding the set-up on every call was a
-large share of each search, and family-search embeds thousands of patterns
-into one grid.  The search reads only the cached values, so a cache hit
-spends the same steps as a miss.  A connected pattern component maps into one host
-component, and a pattern path of length d maps to a host walk of length d,
-so in a bipartite host component pattern distance parity is kept.  Hence a
-pattern with an odd cycle has no embedding in a bipartite host (answered
-before any step), and when the first vertex u of a pattern component is
-placed at x, every other vertex of that component is confined to x's host
-component and, if that component is bipartite, to x's side or the other
-one as its pattern side agrees with u's.  On the 5,016 connected bipartite
-graphs of up to 10 vertices this takes the first-embedding steps of P7 from
-303,076 to 106,534 and of S123 from 193,638 to 80,411; C4 and Sun1 hardly
-move (30,344 to 30,257, 31,729 to 31,552).  It does nothing for the
-T-pair non-embeddings (T8 into T14 takes 359,586 steps either way).  Callers
-that pass ``domains`` (the enumerator, ``contains_pattern``,
-``_automorphism_generators``) keep their search tree step for step.  Stronger
-per-host set-up (arc consistency, neighbour-degree dominance, a distance
-ball around each root candidate) was measured to cost more than it pruned.
+of that path is one record per graph rows, for host and pattern alike
+(``_parts``: degree total, degrees, degree-threshold masks, bipartiteness,
+each vertex's component and side), in one bounded cache read once for the
+host and once for the pattern.  The lemma checks search the same few
+patterns in thousands of tiny hosts, where rebuilding the set-up on every
+call was a large share of each search, and family-search embeds thousands of
+patterns into one grid.  The search reads only the cached values, so a cache
+hit spends the same steps as a miss.  A connected pattern component maps
+into one host component, and a pattern path of length d maps to a host walk
+of length d, so in a bipartite host component pattern distance parity is
+kept.  Hence a pattern with an odd cycle has no embedding in a bipartite
+host (answered before any step), and when the first vertex u of a pattern
+component is placed at x, every other vertex of that component is confined
+to x's host component and, if that component is bipartite, to x's side or
+the other one as its pattern side agrees with u's.  On the 5,016 connected
+bipartite graphs of up to 10 vertices this takes the first-embedding steps
+of P7 from 303,076 to 106,534 and of S123 from 193,638 to 80,411; C4 and
+Sun1 hardly move (30,344 to 30,257, 31,729 to 31,552).  It does nothing for
+the T-pair non-embeddings (T8 into T14 takes 359,586 steps either way).
+Callers that pass ``domains`` (the enumerator, ``contains_pattern``,
+``_automorphism_generators``) keep their search tree step for step.
+Stronger per-host set-up (arc consistency, neighbour-degree dominance, a
+distance ball around each root candidate) was measured to cost more than it
+pruned.
 
 The order constraints serve two callers.  ``is_free`` builds them from the
 orbits of an orbit-pruned stabiliser chain of each forbidden pattern's
@@ -56,8 +57,8 @@ the pattern into itself only for an image that the automorphisms found so
 far do not reach and that no failed search has ruled out: building levels
 1..10 of the enumerator, whose parents start from their round-1 colours,
 takes 1,304 such searches, not the 2,878 of trying every vertex of the base
-point's colour class.  The constraints depend on the pattern alone, so they
-are cached per pattern (``_pattern_constraints``).
+point's colour class.  A build stops at the caller's budget, so the
+constraints are cached per pattern and limit (``_pattern_constraints``).
 Pattern containment of permutations chains every pattern position below the
 next, which makes an induced embedding of the positional inversion graphs an
 occurrence.
@@ -172,44 +173,33 @@ def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
 
 
 @lru_cache(maxsize=256)
-def _host_parts(hadj: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[tuple[int, int, bool], ...], bool]:
-    """The degree-filter set-up of a host: its degree total; ``at_least[d]``,
-    the host vertices of degree at least d, for d up to the top degree; its
-    ``_component_masks``; and whether every component is bipartite."""
-    degrees = [row.bit_count() for row in hadj]
+def _parts(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...], bool, tuple[int, ...], tuple[int, ...]]:
+    """The degree-filter set-up of a graph, host or pattern: its degree total
+    and degrees; ``at_least[d]``, the vertices of degree at least d, for d up
+    to the top degree; whether every component is bipartite; and per vertex
+    u, u's component (``comp[u]``) and the vertices of that component on u's
+    side (``side[u]``, 0 when the component has an odd cycle)."""
+    degrees = tuple(row.bit_count() for row in adj)
     at_least = [0] * (max(degrees, default=0) + 1)
     for x, d in enumerate(degrees):
         at_least[d] |= 1 << x
     for d in range(len(at_least) - 2, -1, -1):
         at_least[d] |= at_least[d + 1]
-    comps = _component_masks(hadj)
-    return sum(degrees), tuple(at_least), comps, all(c[2] for c in comps)
-
-
-@lru_cache(maxsize=256)
-def _pattern_parts(
-    padj: tuple[int, ...],
-) -> tuple[int, tuple[int, ...], int, bool, tuple[int, ...], tuple[int, ...]]:
-    """The degree-filter set-up of a pattern: its degree total, degrees and
-    top degree; whether it has an odd cycle; per vertex u, u's component (``pcomp[u]``)
-    and the vertices of that component on u's side (``pside[u]``, 0 when the
-    component has an odd cycle)."""
-    p = len(padj)
-    degrees = tuple(row.bit_count() for row in padj)
-    pcomp = [0] * p
-    pside = [0] * p
-    odd = False
-    for comp, side, bipartite in _component_masks(padj):
-        odd = odd or not bipartite
-        rest = comp
+    comp = [0] * len(adj)
+    side = [0] * len(adj)
+    all_bipartite = True
+    for c, s, bipartite in _component_masks(adj):
+        all_bipartite = all_bipartite and bipartite
+        t = c & ~s
+        rest = c
         while rest:
             low = rest & -rest
             rest ^= low
             u = low.bit_length() - 1
-            pcomp[u] = comp
+            comp[u] = c
             if bipartite:
-                pside[u] = side if side & low else comp & ~side
-    return sum(degrees), degrees, max(degrees), odd, tuple(pcomp), tuple(pside)
+                side[u] = s if s & low else t
+    return sum(degrees), degrees, tuple(at_least), all_bipartite, tuple(comp), tuple(side)
 
 
 def _search(
@@ -248,9 +238,9 @@ def _search(
         return
     pcomp = None
     if domains is None:
-        hsum, at_least, hcomps, all_bipartite = _host_parts(hadj)
-        psum, pdeg, ptop, odd, pcomp, pside = _pattern_parts(padj)
-        if p > len(hadj) or psum > hsum or ptop >= len(at_least) or (odd and all_bipartite):
+        hsum, _, at_least, hbipartite, hcomp, hside = _parts(hadj)
+        psum, pdeg, pat_least, pbipartite, pcomp, pside = _parts(padj)
+        if p > len(hadj) or psum > hsum or len(pat_least) > len(at_least) or (hbipartite and not pbipartite):
             # too big, a vertex of higher degree than any host vertex (an
             # empty domain), or an odd cycle with no image in a bipartite host
             return
@@ -298,16 +288,11 @@ def _search(
             # u is the first vertex placed in its component: the component
             # maps into x's component, and into a bipartite one with the
             # parity of pattern distances kept
-            for comp, side, bipartite in hcomps:
-                if comp & low:
-                    break
-            same = other = comp
             su = pside[u]
-            if bipartite:
-                if not su:
-                    continue
-                same = comp & (side if side & low else ~side)
-                other = comp & ~same
+            if hside[x] and not su:
+                continue
+            same = hside[x] or hcomp[x]
+            other = hcomp[x] & ~hside[x]
             rest = pcomp[u] & remaining & ~pu
             while rest:
                 vlow = rest & -rest
@@ -473,31 +458,16 @@ def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
     return larger if any(larger) else None
 
 
-# pattern rows -> (order constraints, steps spent building them), oldest
-# entry evicted first; see _pattern_constraints
-_CONSTRAINTS: dict[tuple[int, ...], tuple[list[int] | None, int]] = {}
-_CONSTRAINTS_MAX = 256
+@lru_cache(maxsize=256)
+def _pattern_constraints(pattern: Graph, limit: int) -> tuple[list[int] | None, int]:
+    """``_order_constraints(pattern, _Budget(limit))`` and the steps it spent.
 
-
-def _pattern_constraints(pattern: Graph, tracker: _Budget) -> list[int] | None:
-    """``_order_constraints(pattern, tracker)``, cached per pattern.
-
-    The cache keeps the steps the build spent, and a hit charges them to
-    ``tracker`` again, so budgets and UNDECIDED verdicts do not depend on
-    what was built before.  A build that runs out of budget is not cached.
+    The caller charges those steps on a hit as on a miss, so budgets and
+    UNDECIDED verdicts do not depend on what was built before.  A build that
+    runs out raises and is not cached; a smaller limit is its own key.
     """
-    hit = _CONSTRAINTS.get(pattern.adj)
-    if hit is not None:
-        tracker.spent += hit[1]
-        if tracker.spent > tracker.limit:
-            raise StepBudgetExceeded("step budget exhausted")
-        return hit[0]
-    start = tracker.spent
-    larger = _order_constraints(pattern, tracker)
-    if len(_CONSTRAINTS) >= _CONSTRAINTS_MAX:
-        del _CONSTRAINTS[next(iter(_CONSTRAINTS))]
-    _CONSTRAINTS[pattern.adj] = (larger, tracker.spent - start)
-    return larger
+    budget = _Budget(limit)
+    return _order_constraints(pattern, budget), budget.spent
 
 
 def find_induced_embedding(
@@ -528,17 +498,18 @@ def is_free(
     the first one that does.
 
     Each pattern gets its own step budget, which also pays for its order
-    constraints (``_pattern_constraints``), cached or not: the search then
-    visits one embedding per orbit of the pattern's automorphisms, not all
-    of them.
+    constraints, cached per pattern and budget or not (``_pattern_constraints``):
+    the search then visits one embedding per orbit of the pattern's
+    automorphisms, not all of them.
     Raises StepBudgetExceeded when a budget runs out.
     """
     tracker = _Budget(budget)
     for idx, h in enumerate(forbidden):
         if h.n > g.n or h.edge_count > g.edge_count:
             continue  # cannot embed: skip the automorphism searches as well
-        tracker.spent = 0  # each pattern gets the whole budget
-        found = next(_search(h.adj, g.adj, tracker, larger=_pattern_constraints(h, tracker)), None)
+        # each pattern gets the whole budget, its constraints' steps charged first
+        larger, tracker.spent = _pattern_constraints(h, tracker.limit)
+        found = next(_search(h.adj, g.adj, tracker, larger=larger), None)
         if found is not None:
             return FreenessResult(False, idx, Embedding(found))
     return FreenessResult(True, None, None)

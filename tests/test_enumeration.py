@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+from math import comb, factorial, prod
 
 import pytest
 from conftest import all_bipartite, round_one_keys
@@ -360,6 +361,34 @@ def test_orbit_pruning_against_brute_force_automorphisms(connected_levels):
             for colors in (round_one_keys(g.adj), _refinement_colors(g.adj)[0]):
                 gens = _automorphism_generators(g.adj, _Budget(None), colors)[0]
                 assert list(_orbit_representatives(masks, gens)) == want, g.adj
+
+
+def _labelled_connected_bipartite(nmax: int) -> list[int]:
+    """Labelled connected bipartite graphs on 0..nmax vertices.  b(n) counts
+    2-coloured graphs, the connected ones c(n) follow from
+    b(n) = sum over k of C(n-1, k-1) c(k) b(n-k) (the component of vertex 1
+    has k vertices), and a connected bipartite graph has two 2-colourings."""
+    b = [sum(comb(n, k) * 2 ** (k * (n - k)) for k in range(n + 1)) for n in range(nmax + 1)]
+    c = [0] * (nmax + 1)
+    for n in range(1, nmax + 1):
+        c[n] = b[n] - sum(comb(n - 1, k - 1) * c[k] * b[n - k] for k in range(1, n))
+    return [x // 2 for x in c]
+
+
+def test_levels_satisfy_the_orbit_stabiliser_identity(connected_levels):
+    # sum over a level of n!/|Aut(G)| counts its labelled graphs, |Aut(G)| the
+    # product of the chain's orbit sizes; a missing or duplicated class, a
+    # missed generator or a wrong one each moves the sum
+    want = _labelled_connected_bipartite(10)
+    assert want[10] == 5_254_054_111
+    for n in range(1, 11):
+        total = 0
+        for g in connected_levels[n]:
+            orbits = _automorphism_generators(g.adj, _Budget(None), _refinement_colors(g.adj)[0])[1]
+            aut = prod(orbit.bit_count() for orbit in orbits)
+            assert factorial(n) % aut == 0, g.adj
+            total += factorial(n) // aut
+        assert total == want[n], n
 
 
 def test_every_representative_grows_from_a_parent_representative(connected_levels):

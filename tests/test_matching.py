@@ -9,15 +9,13 @@ from conftest import all_bipartite, round_one_keys
 
 from bipkit.graphs import Graph
 from bipkit.matching import (
-    _CONSTRAINTS,
     Embedding,
     StepBudgetExceeded,
     _Budget,
     _automorphism_generators,
-    _host_parts,
     _order_constraints,
+    _parts,
     _pattern_constraints,
-    _pattern_parts,
     _refinement_colors,
     _search,
     are_isomorphic,
@@ -245,16 +243,21 @@ def test_cached_order_constraints_charge_their_steps_on_every_call():
     assert next(_search(pattern.adj, host.adj, tracker, larger=larger), None) is None
     total = tracker.spent
     assert cost > 0 and total > cost
-    _CONSTRAINTS.pop(pattern.adj, None)
+    _pattern_constraints.cache_clear()
     with pytest.raises(StepBudgetExceeded):
         is_free(host, [pattern], budget=cost - 1)
-    assert pattern.adj not in _CONSTRAINTS  # a build that runs out is not kept
+    assert _pattern_constraints.cache_info().currsize == 0  # a build that runs out is not kept
     assert is_free(host, [pattern], budget=total).free
-    assert pattern.adj in _CONSTRAINTS
-    for budget in (cost - 1, total - 1):  # a cache hit charges the build again
-        with pytest.raises(StepBudgetExceeded):
-            is_free(host, [pattern], budget=budget)
+    assert _pattern_constraints.cache_info().currsize == 1
+    assert _pattern_constraints(pattern, total) == (larger, cost)
+    for budget in (cost - 1, total - 1):
+        for _ in range(2):  # a miss, then for total - 1 a hit, which charges the build again
+            with pytest.raises(StepBudgetExceeded):
+                is_free(host, [pattern], budget=budget)
+    info = _pattern_constraints.cache_info()
+    assert (info.hits, info.currsize) == (2, 2)
     assert is_free(host, [pattern], budget=total).free
+    assert _pattern_constraints.cache_info().hits == 3
 
 
 def test_has_path_subgraph_finds_paths_longer_than_the_recursion_limit():
@@ -357,8 +360,7 @@ def test_cached_search_set_up_runs_out_of_budget_at_the_same_step(connected_leve
         assert steps > 0
         for cold in (True, False):  # a cache miss, then a hit
             if cold:
-                _host_parts.cache_clear()
-                _pattern_parts.cache_clear()
+                _parts.cache_clear()
             with pytest.raises(StepBudgetExceeded):
                 find_induced_embedding(pattern, host, budget=steps - 1)
             emb = find_induced_embedding(pattern, host, budget=steps)
@@ -551,9 +553,7 @@ def test_pattern_constraints_start_from_stable_colours():
     # round-1 keys, which leave a long path or a large grid in a few coarse
     # classes, the chain spends 30,861 and 9,559
     for pattern, want in ((path(60), 495), (universal_grid(8, 8)[0], 399)):
-        tracker = _Budget(None)
-        _pattern_constraints(pattern, tracker)
-        assert tracker.spent == want, pattern.n
+        assert _pattern_constraints(pattern, _Budget(None).limit)[1] == want, pattern.n
 
 
 def test_constrained_search_keeps_one_embedding_per_automorphism_orbit(connected_levels):

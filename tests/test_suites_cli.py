@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from bipkit.graphs import Graph, parse_graph, serialize_graph
-from bipkit.families import cycle, path, universal_grid
+from bipkit.graphs import Graph, find_bipartition, parse_graph, serialize_graph
+from bipkit.families import cycle, path, sun1, universal_grid
 from bipkit.harness import cli, suites
 from bipkit.harness.suites import (
     DEFAULT_BUDGET,
@@ -27,9 +27,11 @@ from bipkit.harness.suites import (
     _case_pair,
     _exhaustive,
     _member,
+    _path_chords,
     _placement_degree,
+    _seven_vertex_paths,
 )
-from bipkit.matching import are_isomorphic
+from bipkit.matching import are_isomorphic, find_induced_embedding
 from bipkit.perms import Permutation, permutation_graph
 from bipkit.structure import format_tree
 
@@ -259,6 +261,31 @@ def test_exhaustive_members_equal_full_search(connected_levels):
             assert sum(size for size, _ in chunks) == len(level), (suite, n)
             got = [g.adj for _, members in chunks for g in members]
             assert got == [g.adj for g in level if _member(g, LEMMAS[suite]) is not None], (suite, n)
+
+
+def test_sun1_embeds_in_every_connected_bipartite_graph_with_a_c4_that_is_not_complete_bipartite(connected_levels):
+    # lemma-reduction's support argument (LEMMAS docstring) for every size,
+    # with no P7-freeness assumed
+    checked = 0
+    for n in range(1, 11):
+        for g in connected_levels[n]:
+            if find_induced_embedding(cycle(4), g) is None:
+                continue
+            b = find_bipartition(g)
+            if g.edge_count == len(b.part_a) * len(b.part_b):
+                continue
+            checked += 1
+            assert find_induced_embedding(sun1(), g) is not None, g.edges()
+    assert checked == 4702
+
+
+def test_seven_vertex_paths_of_lemma_key_members_have_one_chord(connected_levels):
+    # a 7-vertex path of any member induces a member on 7 vertices with the
+    # same chords, so level 7 is the whole check (LEMMAS docstring)
+    members = [g for g in connected_levels[7] if _member(g, LEMMAS["lemma-key"]) is not None]
+    chords = [_path_chords(g, seq) for g in members for seq in _seven_vertex_paths(g)]
+    assert len(members) == 11
+    assert sorted(chords) == [[(1, 6)], [(2, 7)]]
 
 
 def _record_searches(monkeypatch) -> list:
