@@ -14,8 +14,8 @@ worker count.
 Suites are data.  ``_SUITES`` maps each suite name, in report order, to a
 builder that lists its cases as specs ``(case name, case function,
 arguments)``.  Specs are pickled across the worker pool, so a case function
-is a module-level function and its arguments are plain data: ints, names,
-graphs and module-level functions.
+is a module-level function, or a ``functools.partial`` of one, and its
+arguments are plain data: ints, names, graphs and module-level functions.
 
 - To add a case, append a spec to its suite's builder, reusing a shared case
   function where one fits: ``_case_identity`` (an identity function returning
@@ -35,15 +35,22 @@ graphs and module-level functions.
 ``_exhaustive`` decides membership while it lists the chunks, walking the
 levels from 1 up.  A representative minus its last vertex is its enumerator
 parent (``enumeration.parent_rows``), and the forbidden patterns are induced
-subgraphs, so a graph whose parent is not free is rejected unsearched; every
-other graph gets one search per forbidden pattern, and a free graph one
-search for the required pattern, which is not inherited.  A spot case reads
-membership off its own pattern searches; only :func:`reverify_witness` runs
-the full search (``_member``).
+subgraphs, so a graph whose parent is not free is rejected unsearched.
+Every other graph gets one search per forbidden pattern, anchored at its
+last vertex (``matching._find_embedding_through``): a copy that avoids that
+vertex would lie in the free parent.  A free graph gets one whole-graph
+search for the required pattern, which is not inherited.  Every search
+takes the suite's budget.  A graph whose search runs out is undecided,
+neither free nor rejected, and so are its children, for which the parent
+rule has no answer; a chunk that holds an undecided graph is UNDECIDED,
+with their count in its note.  A spot case reads membership off its own
+pattern searches; only :func:`reverify_witness` runs the full search
+(``_member``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import random
@@ -65,6 +72,7 @@ from ..matching import (
     Embedding,
     StepBudgetExceeded,
     _Budget,
+    _find_embedding_through,
     _positive,
     find_induced_embedding,
     has_path_subgraph,
@@ -265,7 +273,7 @@ def reverify_witness(text: str) -> bool:
         g, _ = parse_graph(need("graph"))
         note = need("note")
         b = _member(g, LEMMAS[kind])
-        return b is not None and note in LEMMAS[kind].claim(g, b)
+        return b is not None and note in LEMMAS[kind].claim(g, b, None)
     if kind == "embedding":
         pattern, _ = parse_graph(need("pattern"))
         host, _ = parse_graph(need("host"))
@@ -549,14 +557,14 @@ class Lemma:
     """A claim over every connected bipartite graph free of ``forbidden``
     that contains ``required`` (when given): its universe.
 
-    ``claim(g, b)`` yields one note per violation of the claim on a member
-    ``g`` with bipartition ``b``; ``members`` names the members in a chunk's
-    note.
+    ``claim(g, b, budget)`` yields one note per violation of the claim on a
+    member ``g`` with bipartition ``b``, its searches bounded by ``budget``;
+    ``members`` names the members in a chunk's note.
     """
 
     forbidden: tuple[Graph, ...]
     required: Graph | None
-    claim: Callable[[Graph, Bipartition], Iterator[str]]
+    claim: Callable[[Graph, Bipartition, int | None], Iterator[str]]
     members: str
 
 
@@ -590,8 +598,8 @@ def _seven_vertex_paths(g: Graph):
         yield from extend([s], 1 << (s - 1))
 
 
-def _no_p9_one_chord(g: Graph, b: Bipartition) -> Iterator[str]:
-    if has_path_subgraph(g, 9):
+def _no_p9_one_chord(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
+    if has_path_subgraph(g, 9, budget=budget):
         yield "(P7,C4)-free graph with a 9-vertex path"
     for seq in _seven_vertex_paths(g):
         ch = _path_chords(g, seq)
@@ -599,12 +607,12 @@ def _no_p9_one_chord(g: Graph, b: Bipartition) -> Iterator[str]:
             yield f"7-path {seq} has chords {ch}"
 
 
-def _complete_bipartite(g: Graph, b: Bipartition) -> Iterator[str]:
+def _complete_bipartite(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
     if g.edge_count != len(b.part_a) * len(b.part_b):
         yield "graph with C4 is not complete bipartite"
 
 
-def _decomposes(g: Graph, b: Bipartition) -> Iterator[str]:
+def _decomposes(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
     tree = decompose(g, b)
     if tree is None or recompose(tree) != g:
         yield "class member fails to decompose"
@@ -658,28 +666,35 @@ def _lemma_witness(suite: str, g: Graph, note: str) -> str:
     return make_witness(suite, {"graph": _graph_block(g), "note": note})
 
 
-def _case_lemma_chunk(case: str, suite: str, size: int, members: list[Graph]) -> CaseVerdict:
+def _case_lemma_chunk(
+    case: str, suite: str, size: int, members: list[Graph], *, budget: int | None = DEFAULT_BUDGET, undecided: int = 0
+) -> CaseVerdict:
     """Check the suite's lemma on ``members``, the universe's members among a
-    chunk of ``size`` graphs of one connected level."""
+    chunk of ``size`` graphs of one connected level, of which ``undecided``
+    more ran out of budget before their membership was known.  A violation
+    fails the chunk; else an undecided graph leaves it UNDECIDED."""
     lemma = LEMMAS[suite]
     for g in members:
-        for note in lemma.claim(g, find_bipartition(g)):
+        for note in lemma.claim(g, find_bipartition(g), budget):
             return _fail(case, note, _lemma_witness(suite, g, note))
-    return _ok(case, f"{size} graphs, {len(members)} {lemma.members}")
+    note = f"{size} graphs, {len(members)} {lemma.members}"
+    if undecided:
+        return CaseVerdict(case, "UNDECIDED", f"{note}, {undecided} undecided: step budget exhausted")
+    return _ok(case, note)
 
 
-def _case_spot(case: str, suite: str, g: Graph, embeds: tuple[bool, ...]) -> CaseVerdict:
+def _case_spot(case: str, suite: str, g: Graph, embeds: tuple[bool, ...], budget: int | None) -> CaseVerdict:
     """``g`` embeds exactly the universe patterns (forbidden, then required)
     that ``embeds`` says, and satisfies the claim when a member."""
     lemma = LEMMAS[suite]
     k = len(lemma.forbidden)
     patterns = lemma.forbidden + ((lemma.required,) if lemma.required is not None else ())
-    got = tuple(find_induced_embedding(h, g) is not None for h in patterns)
+    got = tuple(find_induced_embedding(h, g, budget=budget) is not None for h in patterns)
     if got != embeds:
         return _fail(case, f"universe patterns embed as {got}, expected {embeds}")
     # ``got`` already answers the searches ``_member`` would run again
     b = find_bipartition(g) if not any(got[:k]) and all(got[k:]) and is_connected(g) else None
-    for note in lemma.claim(g, b) if b is not None else ():
+    for note in lemma.claim(g, b, budget) if b is not None else ():
         return _fail(case, note, _lemma_witness(suite, g, note))
     return _ok(case)
 
@@ -689,31 +704,46 @@ def _case_spot(case: str, suite: str, g: Graph, embeds: tuple[bool, ...]) -> Cas
 _CHUNK = 2000
 
 
-def _exhaustive(suite: str, n_min: int, n_max: int) -> list:
+def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT_BUDGET) -> list:
     """One ``_case_lemma_chunk`` spec per chunk of levels n_min..n_max, each
-    with its members, decided by the parent rule of the module docstring."""
+    with its members, decided by the parent rule of the module docstring
+    with every search bounded by ``budget``."""
     lemma = LEMMAS[suite]
-    free = {()}  # rows of the free representatives one level down; () is level 0
+    required = lemma.required
+    # rows of the free and of the undecided representatives one level down;
+    # () is level 0
+    free, unknown = {()}, set()
     specs = []
     for n in range(1, n_max + 1):
         level = bipartite_level(n)
-        free = {
-            g.adj
-            for g in level
-            if parent_rows(g) in free
-            and not any(find_induced_embedding(h, g) is not None for h in lemma.forbidden)
-        }
+        free_below, unknown_below = free, unknown
+        free, unknown = set(), set()
+        for g in level:
+            parent = parent_rows(g)
+            if parent in unknown_below:
+                unknown.add(g.adj)
+            elif parent in free_below:
+                try:
+                    if not any(_find_embedding_through(h, g, n, budget=budget) is not None for h in lemma.forbidden):
+                        free.add(g.adj)
+                except StepBudgetExceeded:
+                    unknown.add(g.adj)
         if n < n_min:
             continue
         for idx, start in enumerate(range(0, len(level), _CHUNK)):
             part = level[start : start + _CHUNK]
-            members = [
-                g
-                for g in part
-                if g.adj in free
-                and (lemma.required is None or find_induced_embedding(lemma.required, g) is not None)
-            ]
-            specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_chunk, (suite, len(part), members)))
+            members, undecided = [], 0
+            for g in part:
+                if g.adj in unknown:
+                    undecided += 1
+                elif g.adj in free:
+                    try:
+                        if required is None or find_induced_embedding(required, g, budget=budget) is not None:
+                            members.append(g)
+                    except StepBudgetExceeded:
+                        undecided += 1
+            case = functools.partial(_case_lemma_chunk, budget=budget, undecided=undecided)
+            specs.append((f"exhaustive/n{n}/part{idx:02d}", case, (suite, len(part), members)))
     return specs
 
 
@@ -729,18 +759,18 @@ def _case_calibration(case: str, n: int) -> CaseVerdict:
 def _suite_lemma_key(opts: SuiteOptions) -> list:
     specs = [(f"calibration/n{n}", _case_calibration, (n,)) for n in range(1, 7)]
     # universe patterns: C4, P7; cycle(8) is C4-free yet contains an induced P7
-    specs.append(("spot/s123", _case_spot, ("lemma-key", s123(), (False, False))))
-    specs.append(("spot/cycle8", _case_spot, ("lemma-key", cycle(8), (False, True))))
-    return specs + _exhaustive("lemma-key", 9, opts.lemma_key_max)
+    specs.append(("spot/s123", _case_spot, ("lemma-key", s123(), (False, False), opts.budget)))
+    specs.append(("spot/cycle8", _case_spot, ("lemma-key", cycle(8), (False, True), opts.budget)))
+    return specs + _exhaustive("lemma-key", 9, opts.lemma_key_max, opts.budget)
 
 
 def _suite_lemma_reduction(opts: SuiteOptions) -> list:
     # universe patterns: Sun1, P7, then the required C4
     specs = [
-        ("spot/k33", _case_spot, ("lemma-reduction", complete_bipartite(3, 3), (False, False, True))),
-        ("spot/sun1", _case_spot, ("lemma-reduction", sun1(), (True, False, True))),
+        ("spot/k33", _case_spot, ("lemma-reduction", complete_bipartite(3, 3), (False, False, True), opts.budget)),
+        ("spot/sun1", _case_spot, ("lemma-reduction", sun1(), (True, False, True), opts.budget)),
     ]
-    return specs + _exhaustive("lemma-reduction", 4, opts.lemma_reduction_max)
+    return specs + _exhaustive("lemma-reduction", 4, opts.lemma_reduction_max, opts.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -785,12 +815,12 @@ def _case_closure_path7(case: str) -> CaseVerdict:
     return _fail(case, "path(7) unexpectedly decomposed", witness)
 
 
-def _case_closure_random_trees(case: str, count: int, seed: int) -> CaseVerdict:
+def _case_closure_random_trees(case: str, count: int, seed: int, budget: int | None) -> CaseVerdict:
     rng = random.Random(seed)
     for idx in range(count):
         tree = random_leaf_tree(rng)
         g = recompose(tree)
-        result = is_free(g, LEMMAS["closure"].forbidden)
+        result = is_free(g, LEMMAS["closure"].forbidden, budget=budget)
         if not result.free:
             return _fail(
                 case,
@@ -803,9 +833,9 @@ def _case_closure_random_trees(case: str, count: int, seed: int) -> CaseVerdict:
 def _suite_closure(opts: SuiteOptions) -> list:
     specs = [
         ("decompose/path7-none", _case_closure_path7, ()),
-        ("random-trees/300", _case_closure_random_trees, (300, 20250808)),
+        ("random-trees/300", _case_closure_random_trees, (300, 20250808, opts.budget)),
     ]
-    return specs + _exhaustive("closure", 1, 10)
+    return specs + _exhaustive("closure", 1, 10, opts.budget)
 
 
 # ---------------------------------------------------------------------------

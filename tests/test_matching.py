@@ -13,9 +13,11 @@ from bipkit.matching import (
     StepBudgetExceeded,
     _Budget,
     _automorphism_generators,
+    _find_embedding_through,
     _order_constraints,
     _parts,
     _pattern_constraints,
+    _pattern_roots,
     _refinement_colors,
     _search,
     are_isomorphic,
@@ -204,6 +206,7 @@ def test_search_entries_reject_a_bad_budget_before_their_graphs():
         "are_isomorphic": lambda b: are_isomorphic(None, None, budget=b),
         "has_path_subgraph": lambda b: has_path_subgraph(None, 3, budget=b),
         "contains_pattern": lambda b: contains_pattern(None, None, budget=b),
+        "_find_embedding_through": lambda b: _find_embedding_through(None, None, 1, budget=b),
     }
     for entry in entries.values():
         for bad in (-1, True, 2.5, "7"):
@@ -364,6 +367,47 @@ def test_cached_search_set_up_runs_out_of_budget_at_the_same_step(connected_leve
             with pytest.raises(StepBudgetExceeded):
                 find_induced_embedding(pattern, host, budget=steps - 1)
             emb = find_induced_embedding(pattern, host, budget=steps)
+            assert (None if emb is None else emb.mapping) == found
+
+
+def test_anchored_search_against_the_full_enumeration(connected_levels):
+    # an embedding through v exists exactly when one of the full search's
+    # does; C3+C4's refinement colours are one class but its orbits two, so
+    # roots taken per colour class would miss the embeddings through one cycle
+    patterns = [cycle(4), path(7), sun1(), s123(), two_p3(), cycle(5), _disjoint(cycle(3), cycle(4))]
+    hosts = [g for n in range(1, 9) for g in connected_levels[n]]
+    hosts += [_disjoint(cycle(3), cycle(4)), _disjoint(path(2), cycle(4), cycle(3)), _disjoint(cycle(5), path(4))]
+    hosts += [_disjoint(path(3), path(3), path(2)), _disjoint(sun1(), path(7)), complete(4), cycle(7)]
+    for pattern in patterns:
+        for host in hosts:
+            used = 0
+            for found in _search(pattern.adj, host.adj, _Budget(None)):
+                used |= sum(1 << x for x in found)
+            for v in range(1, host.n + 1):
+                emb = _find_embedding_through(pattern, host, v)
+                assert (emb is not None) == bool(used >> v & 1), (pattern.edges(), host.edges(), v)
+                assert emb is None or (v in emb.mapping and verify_embedding(emb, pattern, host))
+
+
+def test_anchored_search_runs_out_at_the_step_past_its_budget(connected_levels):
+    for pattern, host, v in ((path(7), path(9), 5), (s123(), connected_levels[10][-1], 10), (cycle(4), cycle(8), 1)):
+        roots, cost = _pattern_roots(pattern, _Budget(None).limit)
+        tracker = _Budget(None)
+        found = next(_search(pattern.adj, host.adj, tracker, anchor=(v - 1, roots)), None)
+        steps = tracker.spent
+        assert steps > 0
+        for k in range(steps):
+            tracker = _Budget(k)
+            with pytest.raises(StepBudgetExceeded):
+                next(_search(pattern.adj, host.adj, tracker, anchor=(v - 1, roots)), None)
+            assert tracker.spent == k + 1
+        # the entry point charges the roots' build first, on a miss or a hit
+        _pattern_roots.cache_clear()
+        for _ in range(2):
+            for k in {max(cost - 1, 0), cost + steps - 1}:
+                with pytest.raises(StepBudgetExceeded):
+                    _find_embedding_through(pattern, host, v, budget=k)
+            emb = _find_embedding_through(pattern, host, v, budget=cost + steps)
             assert (None if emb is None else emb.mapping) == found
 
 

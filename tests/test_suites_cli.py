@@ -170,7 +170,7 @@ def test_witness_kinds_reverify():
 
 def test_lemma_witness_reverifies_when_the_claim_yields_its_note(monkeypatch):
     # every lemma holds, so a false claim stands in for a violated one
-    def false_claim(g, b):
+    def false_claim(g, b, budget):
         if g.n > 6:
             yield f"{g.n} vertices"
 
@@ -288,33 +288,38 @@ def test_seven_vertex_paths_of_lemma_key_members_have_one_chord(connected_levels
     assert sorted(chords) == [[(1, 6)], [(2, 7)]]
 
 
-def _record_searches(monkeypatch) -> list:
-    """The (pattern rows, host rows) of every suites.find_induced_embedding call."""
+def _record_searches(monkeypatch, name: str = "find_induced_embedding") -> list:
+    """The (pattern rows, host rows) of every call of the search ``name`` that suites imports."""
     calls = []
-    search = suites.find_induced_embedding
+    search = getattr(suites, name)
 
     def recorded(pattern, host, *args, **kwargs):
         calls.append((pattern.adj, host.adj))
         return search(pattern, host, *args, **kwargs)
 
-    monkeypatch.setattr(suites, "find_induced_embedding", recorded)
+    monkeypatch.setattr(suites, name, recorded)
     return calls
 
 
 def test_exhaustive_searches_each_pattern_once_per_graph(monkeypatch):
     # membership is decided while the specs are built, each parent's freeness
-    # read from the level below; the chunks only run the claim
-    calls = _record_searches(monkeypatch)
+    # read from the level below and each child searched through its new
+    # vertex only; the chunks only run the claim
+    calls = _record_searches(monkeypatch, "_find_embedding_through")
+    full = _record_searches(monkeypatch)
     for suite in ("lemma-key", "lemma-reduction", "closure"):
         forbidden = {h.adj for h in LEMMAS[suite].forbidden}
         calls.clear()
+        full.clear()
         specs = _exhaustive(suite, 1, 9)
         assert any(key[0] in forbidden for key in calls), suite
         assert len(calls) == len(set(calls)), suite
+        assert not any(key[0] in forbidden for key in full), suite
         calls.clear()
+        full.clear()
         for spec in specs:
             assert suites._exec_spec(spec).status == "ok", (suite, spec[0])
-        assert calls == [], suite
+        assert calls == full == [], suite
 
 
 def test_spot_cases_search_each_pattern_once(monkeypatch):
@@ -750,3 +755,25 @@ def test_cli_verify_undecided_exit_code(capsys, tmp_path, monkeypatch):
     assert "FAIL" not in out
     assert "UNDECIDED t-antichain/graph/T6-into-T8" in out
     assert "UNDECIDED t-antichain/perm/6-into-8" in out
+
+
+def test_cli_verify_budget_bounds_the_lemma_suites(capsys, tmp_path, monkeypatch):
+    # membership, spot, claim and random-tree searches all take --budget; a
+    # graph whose search runs out is undecided, so are its children, and so
+    # is every chunk that holds one, the same for any worker count
+    monkeypatch.chdir(tmp_path)
+    lines = {}
+    for suite, budget in (("lemma-reduction", "1"), ("closure", "10")):
+        outs = []
+        for workers in ("1", "2"):
+            assert cli.main(["verify", suite, "--budget", budget, "--workers", workers, "--verbose"]) == 3
+            outs.append([line for line in capsys.readouterr().out.splitlines() if not line.startswith("{")])
+        assert outs[0] == outs[1], suite
+        assert not any(line.startswith("FAIL") for line in outs[0]), suite
+        lines[suite] = outs[0]
+        chunks = [line for line in outs[0] if line.startswith(f"UNDECIDED {suite}/exhaustive/")]
+        assert chunks and all(line.endswith(" undecided: step budget exhausted") for line in chunks), suite
+    assert "UNDECIDED lemma-reduction/spot/k33  # step budget exhausted" in lines["lemma-reduction"]
+    assert "UNDECIDED closure/random-trees/300  # step budget exhausted" in lines["closure"]
+    # levels below P7's and S123's size need no search and stay decided
+    assert "ok closure/exhaustive/n6/part00  # 17 graphs, 17 in class" in lines["closure"]
