@@ -189,12 +189,14 @@ class SuiteOptions:
     workers: int = 1
 
     def __post_init__(self):
+        # each count an int through the searches' own check, before any suite runs
+        _positive("lemma-key range end", self.lemma_key_max)
+        _positive("lemma-reduction range end", self.lemma_reduction_max)
+        _positive("workers", self.workers)
         if not 9 <= self.lemma_key_max <= MAX_VERTICES:
             raise ValueError(f"lemma-key range must end between 9 and {MAX_VERTICES}")
         if not 4 <= self.lemma_reduction_max <= MAX_VERTICES:
             raise ValueError(f"lemma-reduction range must end between 4 and {MAX_VERTICES}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         _Budget(self.budget)  # the searches' own check, before any suite runs
         # each index through its family's own check, before any suite runs
         for flag, pairs, member in (
@@ -568,43 +570,9 @@ class Lemma:
     members: str
 
 
-def _path_chords(g: Graph, seq: tuple[int, ...]) -> list[tuple[int, int]]:
-    out = []
-    for i in range(len(seq)):
-        for j in range(i + 2, len(seq)):
-            if g.has_edge(seq[i], seq[j]):
-                out.append((i + 1, j + 1))
-    return out
-
-
-def _seven_vertex_paths(g: Graph):
-    adj = g.adj
-
-    def extend(seq: list[int], visited: int):
-        if len(seq) == 7:
-            if seq[0] < seq[-1]:
-                yield tuple(seq)
-            return
-        rest = adj[seq[-1] - 1] & ~visited
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length()
-            seq.append(v)
-            yield from extend(seq, visited | low)
-            seq.pop()
-
-    for s in range(1, g.n + 1):
-        yield from extend([s], 1 << (s - 1))
-
-
-def _no_p9_one_chord(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
+def _no_p9(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
     if has_path_subgraph(g, 9, budget=budget):
         yield "(P7,C4)-free graph with a 9-vertex path"
-    for seq in _seven_vertex_paths(g):
-        ch = _path_chords(g, seq)
-        if len(ch) != 1 or ch[0] not in ((1, 6), (2, 7)):
-            yield f"7-path {seq} has chords {ch}"
 
 
 def _complete_bipartite(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
@@ -620,7 +588,7 @@ def _decomposes(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
 
 LEMMAS = {
     "lemma-key": Lemma(
-        forbidden=(cycle(4), path(7)), required=None, claim=_no_p9_one_chord, members="in universe"
+        forbidden=(cycle(4), path(7)), required=None, claim=_no_p9, members="in universe"
     ),
     "lemma-reduction": Lemma(
         forbidden=(sun1(), path(7)), required=cycle(4), claim=_complete_bipartite, members="with C4 in universe"
@@ -628,18 +596,20 @@ LEMMAS = {
     "closure": Lemma(forbidden=(s123(), path(7)), required=None, claim=_decomposes, members="in class"),
 }
 """The lemmas by suite name, forbidden patterns listed cheapest rejection
-first.  Two claims have a support argument that carries them from the
-checked sizes to every n.
+first.  Two facts have an argument that carries them to every n.
 
 lemma-key's chords: every 7-vertex path of a member has one chord, (1,6) or
-(2,7).  The path's vertices induce a connected bipartite (P7,C4)-free graph
-on 7 vertices with the same chords, isomorphic to a member of level 7, so
-level 7 covers every n.  There a chord joins path positions at odd
-distance, 3 or 5, as the graph is bipartite.  A distance-3 chord closes an
-induced C4 with the path between its ends: the two pairs at distance 2 are
-on one side, so non-adjacent.  The two distance-5 chords together close the
-induced C4 1-2-7-6.  With no chord the path is an induced P7.  So exactly
-one of (1,6) and (2,7) is a chord.
+(2,7).  This half of the lemma holds on every bipartite (P7,C4)-free graph,
+so the suite's claim is only the other half, no 9-vertex path.  The path's
+vertices induce a bipartite (P7,C4)-free graph: the path and those of its
+chords the member has, each joining path positions at odd distance, 3 or
+5, as the graph is bipartite.  A distance-3 chord closes an induced C4 with
+the path between its ends: the two pairs at distance 2 are on one side, so
+non-adjacent.  The two distance-5 chords together close the induced C4
+1-2-7-6.  With no chord the path is an induced P7.  So exactly one of (1,6)
+and (2,7) is a chord.  ``test_seven_vertex_path_has_one_chord_in_every_member``
+checks this on the 64 graphs the path and a subset of its six odd-distance
+chords make, which covers every member of every size.
 
 lemma-reduction: a connected bipartite graph G with an induced C4 that is
 not complete bipartite holds an induced Sun1, P7-free or not.  Take a
@@ -869,6 +839,8 @@ def grid_permutation(k: int, m: int) -> tuple[Permutation, dict[int, int]]:
     """
     if k < 1 or m < 1:
         raise ValueError("grid dimensions must be positive")
+    _positive("k", k)
+    _positive("m", m)
     cells = [(i, j) for i in range(1, k + 1) for j in range(1, m + 1)]
     by_value = sorted(cells, key=lambda c: (c[0] // 2, c[1], 1 - c[0] % 2))
     by_position = sorted(cells, key=lambda c: ((c[0] + 1) // 2, c[1], c[0] % 2))

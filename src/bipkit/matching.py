@@ -52,10 +52,11 @@ asks whether some embedding uses one host vertex v.  The lemma suites ask it
 of each graph whose enumerator parent, the graph minus v, is free of the
 pattern: a copy that avoids v lies in the parent, so any copy uses v.  The
 root level places at v one pattern vertex per orbit of the pattern's
-automorphism group (``_pattern_roots``), skipping any of higher degree than
-v, and below it the search runs with both filters as usual.  One root per
-orbit loses nothing: if an embedding f sends w' to v and the automorphism s
-sends w to w', then f composed with s is an embedding that sends w to v.
+automorphism group (``_pattern_symmetry``), skipping any of higher degree
+than v, and below it the search runs with both filters as usual.  One root
+per orbit loses nothing: if an embedding f sends w' to v and the
+automorphism s sends w to w', then f composed with s is an embedding that
+sends w to v.
 On the 4,904 (pattern, graph) searches of the closure lemma over levels up
 to 10 (S123 and P7 into each graph with a free parent) this takes 48,934
 steps instead of the whole-graph search's 102,811; every pattern vertex as
@@ -73,8 +74,10 @@ the pattern into itself only for an image that the automorphisms found so
 far do not reach and that no failed search has ruled out: building levels
 1..10 of the enumerator, whose parents start from their round-1 colours,
 takes 1,304 such searches, not the 2,878 of trying every vertex of the base
-point's colour class.  A build stops at the caller's budget, so the
-constraints are cached per pattern and limit (``_pattern_constraints``).
+point's colour class.  One chain per pattern gives both the order
+constraints and the anchored search's orbit roots, and its build stops at
+the caller's budget, so the two are cached together per pattern and limit
+(``_pattern_symmetry``), each search charged the chain's steps.
 Pattern containment of permutations chains every pattern position below the
 next, which makes an induced embedding of the positional inversion graphs an
 occurrence.
@@ -241,7 +244,7 @@ def _search(
     component-and-parity filter of the module docstring runs.
 
     ``larger[u]`` is the mask of pattern vertices whose image must exceed the
-    image of pattern vertex ``u + 1`` (see ``_order_constraints``).  Placing
+    image of pattern vertex ``u + 1`` (see ``_pattern_symmetry``).  Placing
     ``u`` at ``x`` then keeps only the host vertices above ``x`` in those
     vertices' domains, and only those below ``x`` in the domains of vertices
     that must stay under ``u``.
@@ -387,10 +390,11 @@ def _search(
 
 def _automorphism_generators(
     adj: tuple[int, ...], budget: _Budget, colors: list
-) -> tuple[list[tuple[int, ...]], list[int]]:
+) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
     """Generators of the automorphism group of the graph with rows ``adj``,
-    each automorphism as 0-based images (``gen[x]``), and per vertex u the
-    mask of u's orbit under the automorphisms that fix 0..u-1.
+    each automorphism as 0-based images (``gen[x]``); per vertex u the mask
+    of u's orbit under the automorphisms that fix 0..u-1; and per vertex x
+    the mask of x's orbit under the whole group.
 
     ``colors[x]`` is a colour of vertex x (any hashable value) that every
     automorphism keeps, such as a refinement round's key or the stable
@@ -428,7 +432,8 @@ def _automorphism_generators(
     So they generate a subgroup of G that contains H, the stabiliser of u
     in G, and that is transitive on u's orbit, which is all of G by the
     orbit-stabiliser theorem.  Each orbit mask is read when its base point
-    is done, so it is u's whole orbit under G.
+    is done, so it is u's whole orbit under G.  At the end the generators
+    generate the whole group, so the masks kept for them are its orbits.
     """
     n = len(adj)
     by_color: dict = {}
@@ -472,63 +477,38 @@ def _automorphism_generators(
             else:
                 add(tuple(x - 1 for x in found))
         orbits[u] = orbit[u]
-    return gens, orbits
-
-
-def _order_constraints(pattern: Graph, budget: _Budget) -> list[int] | None:
-    """Symmetry-breaking order constraints for ``pattern``, in ``_search``'s
-    ``larger`` form; None when the pattern has no automorphism but the
-    identity.
-
-    From ``_automorphism_generators``: ``larger[u]`` is u's orbit under the
-    automorphisms that fix 0..u-1, without u, so each such v adds "image(u)
-    < image(v)".  Among the embeddings that differ by a pattern automorphism,
-    the one whose image tuple is least satisfies every such pair: composing
-    it with an automorphism that fixes 0..u-1 and sends u to v gives an
-    embedding that agrees with it before u and puts image(v) at u.  So the
-    pairs lose no embedding up to automorphism, and for an all-different
-    search they keep exactly one per orbit (Puget 2005, "Breaking symmetries
-    in all different problems").
-    """
-    orbits = _automorphism_generators(pattern.adj, budget, _refinement_colors(pattern.adj)[0])[1]
-    larger = [orbit & ~(1 << u) for u, orbit in enumerate(orbits)]
-    return larger if any(larger) else None
+    return gens, orbits, orbit
 
 
 @lru_cache(maxsize=256)
-def _pattern_constraints(pattern: Graph, limit: int) -> tuple[list[int] | None, int]:
-    """``_order_constraints(pattern, _Budget(limit))`` and the steps it spent.
+def _pattern_symmetry(pattern: Graph, limit: int) -> tuple[list[int] | None, int, int]:
+    """The symmetry record of ``pattern``: its order constraints, in
+    ``_search``'s ``larger`` form (None when the pattern has no automorphism
+    but the identity); the mask of the least vertex of each orbit of its
+    automorphism group; and the steps the one ``_automorphism_generators``
+    chain behind both spent on ``_Budget(limit)``.
 
-    The caller charges those steps on a hit as on a miss, so budgets and
+    ``larger[u]`` is u's orbit under the automorphisms that fix 0..u-1,
+    without u, so each such v adds "image(u) < image(v)".  Among the
+    embeddings that differ by a pattern automorphism, the one whose image
+    tuple is least satisfies every such pair: composing it with an
+    automorphism that fixes 0..u-1 and sends u to v gives an embedding that
+    agrees with it before u and puts image(v) at u.  So the pairs lose no
+    embedding up to automorphism, and for an all-different search they keep
+    exactly one per orbit (Puget 2005, "Breaking symmetries in all different
+    problems").  The roots are read off the chain's orbit partition of the
+    whole group.
+
+    The caller charges the steps on a hit as on a miss, so budgets and
     UNDECIDED verdicts do not depend on what was built before.  A build that
     runs out raises and is not cached; a smaller limit is its own key.
     """
     budget = _Budget(limit)
-    return _order_constraints(pattern, budget), budget.spent
-
-
-@lru_cache(maxsize=256)
-def _pattern_roots(pattern: Graph, limit: int) -> tuple[int, int]:
-    """The mask of the least vertex of each orbit of ``pattern``'s
-    automorphism group, from ``_automorphism_generators`` run on
-    ``_Budget(limit)``, and the steps it spent; cached and charged as
-    ``_pattern_constraints`` is."""
-    budget = _Budget(limit)
-    gens = _automorphism_generators(pattern.adj, budget, _refinement_colors(pattern.adj)[0])[0]
-    roots = seen = 0
-    for x in range(pattern.n):
-        if seen >> x & 1:
-            continue
-        roots |= 1 << x
-        orbit, todo = 1 << x, [x]  # close x's orbit under the generators
-        while todo:
-            y = todo.pop()
-            for gen in gens:
-                if not orbit >> gen[y] & 1:
-                    orbit |= 1 << gen[y]
-                    todo.append(gen[y])
-        seen |= orbit
-    return roots, budget.spent
+    _, orbits, partition = _automorphism_generators(pattern.adj, budget, _refinement_colors(pattern.adj)[0])
+    larger = [orbit & ~(1 << u) for u, orbit in enumerate(orbits)]
+    # x is its orbit's least vertex when no lower bit is set in the orbit
+    roots = sum(1 << x for x, orbit in enumerate(partition) if orbit & -orbit == 1 << x)
+    return (larger if any(larger) else None), roots, budget.spent
 
 
 def _find_embedding_through(
@@ -538,14 +518,14 @@ def _find_embedding_through(
     vertex ``v``, or None when every embedding avoids v.
 
     One search anchored at v (``_search``'s ``anchor``), its roots one
-    pattern vertex per automorphism orbit (``_pattern_roots``), whose build
-    steps are charged first.  Raises StepBudgetExceeded when a step budget
-    is given and runs out.
+    pattern vertex per automorphism orbit (``_pattern_symmetry``), whose
+    build steps are charged first.  Raises StepBudgetExceeded when a step
+    budget is given and runs out.
     """
     tracker = _Budget(budget)
     if pattern.n > host.n or pattern.edge_count > host.edge_count:
         return None  # cannot embed: skip the automorphism searches as well
-    roots, tracker.spent = _pattern_roots(pattern, tracker.limit)
+    _, roots, tracker.spent = _pattern_symmetry(pattern, tracker.limit)
     found = next(_search(pattern.adj, host.adj, tracker, anchor=(v - 1, roots)), None)
     return None if found is None else Embedding(found)
 
@@ -578,7 +558,7 @@ def is_free(
     the first one that does.
 
     Each pattern gets its own step budget, which also pays for its order
-    constraints, cached per pattern and budget or not (``_pattern_constraints``):
+    constraints, cached per pattern and budget or not (``_pattern_symmetry``):
     the search then visits one embedding per orbit of the pattern's
     automorphisms, not all of them.
     Raises StepBudgetExceeded when a budget runs out.
@@ -588,7 +568,7 @@ def is_free(
         if h.n > g.n or h.edge_count > g.edge_count:
             continue  # cannot embed: skip the automorphism searches as well
         # each pattern gets the whole budget, its constraints' steps charged first
-        larger, tracker.spent = _pattern_constraints(h, tracker.limit)
+        larger, _, tracker.spent = _pattern_symmetry(h, tracker.limit)
         found = next(_search(h.adj, g.adj, tracker, larger=larger), None)
         if found is not None:
             return FreenessResult(False, idx, Embedding(found))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, _canonical_int
-from .matching import _Budget, _search
+from .matching import _Budget, _positive, _search
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,7 @@ def star_perm_T(n: int) -> Permutation:
     """
     if n < 6 or n % 2:
         raise ValueError("defined for even n >= 6")
+    _positive("n", n)
     seq = [4, 2]
     for j in range(3, n // 2 + 1):
         seq += [2 * j, 2 * j - 5]
@@ -174,6 +175,7 @@ def star_perm_S(n: int) -> Permutation:
     """
     if n < 8 or n % 2:
         raise ValueError("defined for even n >= 8")
+    _positive("n", n)
     seq = [2, 3, 5, 1]
     for j in range(2, n // 2 - 2):
         seq += [2 * j + 3, 2 * j]
@@ -185,6 +187,7 @@ def rho_star(n: int) -> Permutation:
     """Convex factor: 1, 2, odd values ascending to n-1, n, even values descending to 4."""
     if n < 8 or n % 2:
         raise ValueError("defined for even n >= 8")
+    _positive("n", n)
     seq = [1, 2]
     seq += list(range(3, n, 2))
     seq += [n]
@@ -196,6 +199,7 @@ def mu_star(n: int) -> Permutation:
     """Convex factor: 2, odds ascending to n-3, n, n-1, n-2, evens descending to 4, 1."""
     if n < 8 or n % 2:
         raise ValueError("defined for even n >= 8")
+    _positive("n", n)
     seq = [2]
     seq += list(range(3, n - 2, 2))
     seq += [n, n - 1, n - 2]

@@ -40,6 +40,7 @@ from .graphs import (
     mask_vertices,
     validate_bipartition,
 )
+from .matching import _positive
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +508,8 @@ def letter_representation_grid(k: int, m: int) -> LetterRepresentation:
     first, sees the row above."""
     if k < 1 or m < 1:
         raise ValueError("grid dimensions must be positive")
+    _positive("k", k)
+    _positive("m", m)
     letters = tuple(i for i in range(k) for _ in range(m))
     order = tuple(i * m + c for c in range(1, m + 1) for i in range(k - 1, -1, -1))
     return LetterRepresentation(letters, order, frozenset((i + 1, i) for i in range(k - 1)))

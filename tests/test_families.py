@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from bipkit.graphs import mask_of, validate_bipartition
@@ -29,6 +31,8 @@ from bipkit.families import (
     two_p3,
     universal_grid,
 )
+from bipkit.harness.suites import grid_permutation
+from bipkit.structure import letter_representation_grid
 
 
 def _zone_checks(layout, n):
@@ -162,3 +166,33 @@ def test_h_family_is_an_antichain_prefix():
 def test_family_freeness_spot_checks():
     assert is_free(t_graph_star(6).graph, [two_p3(), sun4()]).free
     assert is_free(s_graph_star(8).graph, [path(8), p_tilde(8)]).free
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (path, (2.5,), "n must be an int of at least 1, got 2.5"),
+        (path, (True,), "n must be an int of at least 1, got True"),
+        (path, (0,), "path needs at least one vertex"),
+        (cycle, (4.0,), "n must be an int of at least 1, got 4.0"),
+        (cycle, (True,), "cycle needs at least three vertices"),
+        (complete, (True,), "n must be an int of at least 1, got True"),
+        (complete_bipartite, (True, 2), "a must be an int of at least 1, got True"),
+        (complete_bipartite, (2, 1.5), "b must be an int of at least 1, got 1.5"),
+        (h_antichain, (2.0,), "i must be an int of at least 1, got 2.0"),
+        (universal_grid, (2.5, 2), "k must be an int of at least 1, got 2.5"),
+        (universal_grid, (2, True), "m must be an int of at least 1, got True"),
+        (letter_representation_grid, (True, 3), "k must be an int of at least 1, got True"),
+        (grid_permutation, (3, 2.0), "m must be an int of at least 1, got 2.0"),
+        (star_perm_T, (6.0,), "n must be an int of at least 1, got 6.0"),
+        (star_perm_T, (7,), "defined for even n >= 6"),
+        (star_perm_S, (8.0,), "n must be an int of at least 1, got 8.0"),
+        (rho_star, (10.0,), "n must be an int of at least 1, got 10.0"),
+        (mu_star, (True,), "defined for even n >= 8"),
+    ],
+)
+def test_family_sizes_are_ints(build, args, message):
+    # a float size raised TypeError deep in the build, and True built the
+    # size-1 member; the range and parity messages stay as they were
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(*args)

@@ -1,5 +1,6 @@
 """The package needs nothing beyond the standard library (README: "standard
-library only"): every absolute import in ``src/bipkit`` names a stdlib module.
+library only"): every absolute import in ``src/bipkit`` names a stdlib module,
+and every name a module imports is read in it.
 And every name the benchmark under ``perfbench/`` imports from the package
 exists, so a rename fails here rather than in a benchmark run."""
 
@@ -43,3 +44,24 @@ def test_perfbench_imports_from_the_package_resolve():
     assert len(imported) >= 30
     missing = sorted((module, name) for module, name in imported if not hasattr(importlib.import_module(module), name))
     assert missing == []
+
+
+def test_package_reads_every_name_it_imports():
+    # with no linter in the toolchain, a deletion could leave a dead import
+    # behind: every name a module binds by a module-level import is read in
+    # that module, except the re-exports of ``__init__.py`` and the
+    # ``annotations`` future import
+    unused = []
+    for source in sorted(PACKAGE.rglob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                bound += [(node.lineno, alias.asname or alias.name) for alias in node.names if alias.name != "annotations"]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(source.name, line, name) for line, name in bound if name not in read]
+    assert unused == []

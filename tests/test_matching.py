@@ -14,10 +14,8 @@ from bipkit.matching import (
     _Budget,
     _automorphism_generators,
     _find_embedding_through,
-    _order_constraints,
     _parts,
-    _pattern_constraints,
-    _pattern_roots,
+    _pattern_symmetry,
     _refinement_colors,
     _search,
     are_isomorphic,
@@ -240,27 +238,31 @@ def test_path_length_and_count_limit_must_be_ints_of_at_least_one():
 
 def test_cached_order_constraints_charge_their_steps_on_every_call():
     host, pattern = t_graph_star(10).graph, two_p3()
+    larger, roots, cost = _pattern_symmetry(pattern, _Budget(None).limit)
     tracker = _Budget(None)
-    larger = _order_constraints(pattern, tracker)
-    cost = tracker.spent
+    tracker.spent = cost
     assert next(_search(pattern.adj, host.adj, tracker, larger=larger), None) is None
     total = tracker.spent
     assert cost > 0 and total > cost
-    _pattern_constraints.cache_clear()
+    _pattern_symmetry.cache_clear()
     with pytest.raises(StepBudgetExceeded):
         is_free(host, [pattern], budget=cost - 1)
-    assert _pattern_constraints.cache_info().currsize == 0  # a build that runs out is not kept
+    assert _pattern_symmetry.cache_info().currsize == 0  # a build that runs out is not kept
     assert is_free(host, [pattern], budget=total).free
-    assert _pattern_constraints.cache_info().currsize == 1
-    assert _pattern_constraints(pattern, total) == (larger, cost)
+    assert _pattern_symmetry.cache_info().currsize == 1
+    assert _pattern_symmetry(pattern, total) == (larger, roots, cost)
     for budget in (cost - 1, total - 1):
         for _ in range(2):  # a miss, then for total - 1 a hit, which charges the build again
             with pytest.raises(StepBudgetExceeded):
                 is_free(host, [pattern], budget=budget)
-    info = _pattern_constraints.cache_info()
+    info = _pattern_symmetry.cache_info()
     assert (info.hits, info.currsize) == (2, 2)
     assert is_free(host, [pattern], budget=total).free
-    assert _pattern_constraints.cache_info().hits == 3
+    assert _pattern_symmetry.cache_info().hits == 3
+    # the anchored search reads the same record
+    assert _find_embedding_through(pattern, host, 1, budget=total) is None
+    info = _pattern_symmetry.cache_info()
+    assert (info.hits, info.currsize) == (4, 2)
 
 
 def test_has_path_subgraph_finds_paths_longer_than_the_recursion_limit():
@@ -391,7 +393,7 @@ def test_anchored_search_against_the_full_enumeration(connected_levels):
 
 def test_anchored_search_runs_out_at_the_step_past_its_budget(connected_levels):
     for pattern, host, v in ((path(7), path(9), 5), (s123(), connected_levels[10][-1], 10), (cycle(4), cycle(8), 1)):
-        roots, cost = _pattern_roots(pattern, _Budget(None).limit)
+        _, roots, cost = _pattern_symmetry(pattern, _Budget(None).limit)
         tracker = _Budget(None)
         found = next(_search(pattern.adj, host.adj, tracker, anchor=(v - 1, roots)), None)
         steps = tracker.spent
@@ -402,7 +404,7 @@ def test_anchored_search_runs_out_at_the_step_past_its_budget(connected_levels):
                 next(_search(pattern.adj, host.adj, tracker, anchor=(v - 1, roots)), None)
             assert tracker.spent == k + 1
         # the entry point charges the roots' build first, on a miss or a hit
-        _pattern_roots.cache_clear()
+        _pattern_symmetry.cache_clear()
         for _ in range(2):
             for k in {max(cost - 1, 0), cost + steps - 1}:
                 with pytest.raises(StepBudgetExceeded):
@@ -514,7 +516,7 @@ SYMMETRIC_PATTERNS = {
 
 
 def _constrained_count(pattern: Graph, host: Graph) -> int:
-    larger = _order_constraints(pattern, _Budget(None))
+    larger = _pattern_symmetry(pattern, _Budget(None).limit)[0]
     return sum(1 for _ in _search(pattern.adj, host.adj, _Budget(None), larger=larger))
 
 
@@ -522,7 +524,7 @@ def test_order_constraints_follow_the_orbit_stabiliser_theorem():
     # base point u's orbit under the stabiliser of the earlier base points is
     # u plus the vertices that must map above it; the orbit sizes multiply to |Aut|
     for name, pattern in SYMMETRIC_PATTERNS.items():
-        larger = _order_constraints(pattern, _Budget(None)) or []
+        larger = _pattern_symmetry(pattern, _Budget(None).limit)[0] or []
         product = 1
         for mask in larger:
             product *= 1 + mask.bit_count()
@@ -567,12 +569,22 @@ def test_automorphism_generators_generate_the_whole_group():
     for g in graphs:
         auts = _brute_force_automorphisms(g)
         for colors in (round_one_keys(g.adj), _refinement_colors(g.adj)[0]):
-            gens, orbits = _automorphism_generators(g.adj, _Budget(None), colors)
+            gens, orbits, partition = _automorphism_generators(g.adj, _Budget(None), colors)
             assert _closure(gens, g.n) == auts, g.adj
-            # orbits[u]: u's orbit under the automorphisms that fix 0..u-1
+            # orbits[u]: u's orbit under the automorphisms that fix 0..u-1;
+            # partition[u]: u's orbit under the whole group
             for u in range(g.n):
                 want = sum({1 << a[u] for a in auts if a[:u] == tuple(range(u))})
                 assert orbits[u] == want, (g.adj, u)
+                assert partition[u] == sum({1 << a[u] for a in auts}), (g.adj, u)
+
+
+def test_pattern_roots_are_the_least_vertex_of_each_orbit():
+    # every automorphism, from the unconstrained search of the pattern into itself
+    for name, pattern in SYMMETRIC_PATTERNS.items():
+        auts = list(_search(pattern.adj, pattern.adj, _Budget(None)))
+        least = {min(a[u] - 1 for a in auts) for u in range(pattern.n)}
+        assert _pattern_symmetry(pattern, _Budget(None).limit)[1] == sum(1 << x for x in least), name
 
 
 def test_order_constraints_are_pinned():
@@ -589,15 +601,15 @@ def test_order_constraints_are_pinned():
         "P~8": [0b10000000, 0, 0, 0, 0, 0, 0, 0],
     }
     for name, want in pinned.items():
-        assert _order_constraints(SYMMETRIC_PATTERNS[name], _Budget(None)) == want, name
+        assert _pattern_symmetry(SYMMETRIC_PATTERNS[name], _Budget(None).limit)[0] == want, name
 
 
-def test_pattern_constraints_start_from_stable_colours():
-    # the steps is_free is charged for a pattern's order constraints; from
-    # round-1 keys, which leave a long path or a large grid in a few coarse
-    # classes, the chain spends 30,861 and 9,559
+def test_pattern_symmetry_starts_from_stable_colours():
+    # the steps is_free and the anchored search are charged for a pattern's
+    # symmetry record; from round-1 keys, which leave a long path or a large
+    # grid in a few coarse classes, the chain spends 30,861 and 9,559
     for pattern, want in ((path(60), 495), (universal_grid(8, 8)[0], 399)):
-        assert _pattern_constraints(pattern, _Budget(None).limit)[1] == want, pattern.n
+        assert _pattern_symmetry(pattern, _Budget(None).limit)[2] == want, pattern.n
 
 
 def test_constrained_search_keeps_one_embedding_per_automorphism_orbit(connected_levels):

@@ -27,9 +27,7 @@ from bipkit.harness.suites import (
     _case_pair,
     _exhaustive,
     _member,
-    _path_chords,
     _placement_degree,
-    _seven_vertex_paths,
 )
 from bipkit.matching import are_isomorphic, find_induced_embedding
 from bipkit.perms import Permutation, permutation_graph
@@ -150,7 +148,8 @@ def test_witness_kinds_reverify():
         "lemma-key", {"graph": serialize_graph(complete_bipartite(5, 4)).rstrip(), "note": p9}
     )
     assert not reverify_witness(not_free)
-    # P7 is not (P7,C4)-free, so its path is no counterexample to the chord claim
+    # the chord half is not the suite's claim (LEMMAS docstring), and P7 is
+    # not (P7,C4)-free either, so a chord note does not re-verify
     p7 = serialize_graph(path(7)).rstrip()
     chords = make_witness("lemma-key", {"graph": p7, "note": "7-path (1, 2, 3, 4, 5, 6, 7) has chords []"})
     assert not reverify_witness(chords)
@@ -279,13 +278,20 @@ def test_sun1_embeds_in_every_connected_bipartite_graph_with_a_c4_that_is_not_co
     assert checked == 4702
 
 
-def test_seven_vertex_paths_of_lemma_key_members_have_one_chord(connected_levels):
-    # a 7-vertex path of any member induces a member on 7 vertices with the
-    # same chords, so level 7 is the whole check (LEMMAS docstring)
-    members = [g for g in connected_levels[7] if _member(g, LEMMAS["lemma-key"]) is not None]
-    chords = [_path_chords(g, seq) for g in members for seq in _seven_vertex_paths(g)]
-    assert len(members) == 11
-    assert sorted(chords) == [[(1, 6)], [(2, 7)]]
+def test_seven_vertex_path_has_one_chord_in_every_member():
+    # the 7 vertices of a path in a bipartite (P7,C4)-free graph induce the
+    # path and some of its chords, each at odd distance 3 or 5, and that
+    # graph is (P7,C4)-free again: these 64 graphs cover every member of
+    # every size (LEMMAS docstring)
+    odd = [(i, j) for i in range(1, 8) for j in range(i + 3, 8, 2)]
+    assert len(odd) == 6
+    free = []
+    for k in range(len(odd) + 1):
+        for chords in itertools.combinations(odd, k):
+            g = Graph.from_edges(7, [(i, i + 1) for i in range(1, 7)] + list(chords))
+            if all(find_induced_embedding(h, g) is None for h in (cycle(4), path(7))):
+                free.append(chords)
+    assert free == [((1, 6),), ((2, 7),)]
 
 
 def _record_searches(monkeypatch, name: str = "find_induced_embedding") -> list:
@@ -636,6 +642,11 @@ def test_cli_rejects_negative_budgets_and_workers(capsys):
     for bad in (-1, True, 2.5):
         with pytest.raises(ValueError, match="budget"):
             SuiteOptions(budget=bad)
+    # a count that is no int fails here, not as a TypeError once a suite runs
+    for field, name in (("workers", "workers"), ("lemma_key_max", "lemma-key"), ("lemma_reduction_max", "lemma-reduction")):
+        for bad in (2.5, 9.5, True, "9", None):
+            with pytest.raises(ValueError, match=f"{name}.* must be an int of at least 1, got {bad!r}"):
+                SuiteOptions(**{field: bad})
     # a zero budget and an unlimited one stay valid: a zero budget runs the
     # search and reports it undecided
     assert SuiteOptions(budget=0).budget == 0 and SuiteOptions(budget=None).budget is None
