@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import Bipartition, Graph, bipartite_complement
-from .matching import _positive
+from .graphs import Bipartition, Graph, _int_in, bipartite_complement
 from .perms import (
     BiconvexWitness,
     Permutation,
@@ -116,10 +115,8 @@ def universal_grid(k: int, m: int) -> tuple[Graph, Bipartition]:
     Vertex ids are row-major, (i, j) -> (i-1)*m + j, and the id is the only
     record of a vertex's row and column.
     """
-    if k < 1 or m < 1:
-        raise ValueError("grid dimensions must be positive")
-    _positive("k", k)
-    _positive("m", m)
+    _int_in("k", k)
+    _int_in("m", m)
     vid = lambda i, j: (i - 1) * m + j
     edges = []
     for i in range(1, k):
@@ -133,31 +130,23 @@ def universal_grid(k: int, m: int) -> tuple[Graph, Bipartition]:
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
-    _positive("n", n)
+    _int_in("n", n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(1, n)])
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least three vertices")
-    _positive("n", n)
+    _int_in("n", n, 3)
     return Graph.from_edges(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph needs at least one vertex")
-    _positive("n", n)
+    _int_in("n", n)
     return Graph.from_edges(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    if a < 1 or b < 1:
-        raise ValueError("both sides need at least one vertex")
-    _positive("a", a)
-    _positive("b", b)
+    _int_in("a", a)
+    _int_in("b", b)
     return Graph.from_edges(a + b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
 
 
@@ -185,9 +174,7 @@ def s123() -> Graph:
 
 def h_antichain(i: int) -> Graph:
     """Spine of i+1 vertices with two pendant vertices on each end (i+5 total)."""
-    if i < 1:
-        raise ValueError("index must be at least 1")
-    _positive("i", i)
+    _int_in("i", i)
     n = i + 5
     spine = [(v, v + 1) for v in range(1, i + 1)]
     pend = [(1, i + 2), (1, i + 3), (i + 1, i + 4), (i + 1, i + 5)]

@@ -32,6 +32,16 @@ def _canonical_int(tok: str) -> int:
     return value
 
 
+def _int_in(name: str, value: int, least: int = 1, most: int | None = None) -> None:
+    """The package's one rule for a count, size, range end or budget: refuse a
+    bool or any other non-int first, so no comparison ever sees it, then a
+    value outside ``least..most`` (no upper bound when ``most`` is None), with
+    one ValueError that names the value and its bounds."""
+    if value.__class__ is not int or value < least or (most is not None and value > most):
+        bounds = f"of at least {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an int {bounds}, got {value!r}")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask for a collection of 1-based vertex ids."""
     m = 0
@@ -60,12 +70,13 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
+        _int_in("vertex count", self.n, 0)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
         for i, row in enumerate(self.adj):
+            if row.__class__ is not int:
+                raise ValueError(f"vertex {i + 1} row must be an int bitmask, got {row!r}")
             if row & ~full:
                 raise ValueError(f"vertex {i + 1} has a neighbour out of range")
             if (row >> i) & 1:
@@ -81,10 +92,11 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; duplicate edges collapse silently."""
+        _int_in("vertex count", n, 0)
         adj = [0] * n
         for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge endpoint out of range: {u},{v}")
+            if u.__class__ is not int or v.__class__ is not int or not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge endpoints must be ints in 1..{n}, got {u!r},{v!r}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u - 1] |= 1 << (v - 1)
@@ -184,10 +196,10 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     the result is the ``i``-th smallest id of ``s`` and certificates over the
     result translate back by position.
     """
-    kept = sorted(set(s))
-    for v in kept:
-        if not (1 <= v <= g.n):
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
+    ids = set(s)
+    for v in ids:
+        _int_in("vertex", v, 1, g.n)
+    kept = sorted(ids)
     index = {v: i for i, v in enumerate(kept)}
     adj = [0] * len(kept)
     for i, v in enumerate(kept):

@@ -256,22 +256,13 @@ def _cmd_verify(args) -> int:
 
 def _integer(text: str) -> int:
     """An integer argument, read in canonical decimal form like the graph text:
-    no ``+``, leading zero, ``_`` or non-ASCII digit."""
+    no ``+``, leading zero, ``_`` or non-ASCII digit.  Its range is the
+    library's to check (``graphs._int_in``): a ``--budget`` below 0, say,
+    fails in the search's own check, before the search starts."""
     try:
         return _canonical_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer in canonical form: {text!r}") from None
-
-
-def _budget(text: str) -> int:
-    """A ``--budget`` value: a step count, zero included."""
-    try:
-        value = _canonical_int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,19 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_free = check_sub.add_parser("free", help="test H-freeness for each forbidden graph")
     p_free.add_argument("graph")
     p_free.add_argument("--forbid", nargs="+", required=True)
-    p_free.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    p_free.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p_free.set_defaults(fn=_cmd_check_free)
 
     p_embed = sub.add_parser("embed", help="find an induced embedding PATTERN -> HOST")
     p_embed.add_argument("pattern")
     p_embed.add_argument("host")
-    p_embed.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    p_embed.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p_embed.set_defaults(fn=_cmd_embed)
 
     p_paths = sub.add_parser("paths", help="test for a k-vertex path subgraph")
     p_paths.add_argument("graph")
     p_paths.add_argument("k", type=_integer)
-    p_paths.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    p_paths.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p_paths.set_defaults(fn=_cmd_paths)
 
     p_dec = sub.add_parser("decompose", help="build a union/join/skew tree over K1 leaves")
@@ -334,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", help="one of: " + ", ".join(SUITE_NAMES) + ", all")
     defaults = SuiteOptions()
-    p_ver.add_argument("--budget", type=_budget, default=defaults.budget)
+    p_ver.add_argument("--budget", type=_integer, default=defaults.budget)
     p_ver.add_argument(
         "--nmax", type=_integer, default=defaults.lemma_key_max, help=f"lemma-key upper vertex count (9..{MAX_VERTICES})"
     )

@@ -110,11 +110,10 @@ import itertools
 import time
 from typing import Iterator
 
-from ..graphs import Graph, _component_masks
+from ..graphs import Graph, _component_masks, _int_in
 from ..matching import (
     _automorphism_generators,
     _Budget,
-    _positive,
     _refinement_colors,
     _search,
 )
@@ -409,8 +408,7 @@ def bipartite_level(n: int, connected: bool = True) -> list[Graph]:
     once per process; ``connected`` accepts True only (see ``euler_transform``)."""
     if connected is not True:
         raise ValueError("only connected levels are enumerated")
-    if isinstance(n, bool) or not isinstance(n, int) or not (1 <= n <= MAX_VERTICES):
-        raise ValueError(f"n must be an int in the supported range 1..{MAX_VERTICES}, got {n!r}")
+    _int_in("n", n, 1, MAX_VERTICES)
     if n not in _LEVEL_CACHE:
         _LEVEL_CACHE[n] = _build_level(n)
     return _LEVEL_CACHE[n]
@@ -473,7 +471,7 @@ def brute_force_bipartite_counts(n: int) -> tuple[int, int]:
     code of the class counts again.  This never touches the enumeration
     pipeline or the matcher, so it calibrates them.
     """
-    _positive("n", n)
+    _int_in("n", n)
     pairs = list(itertools.combinations(range(n), 2))
     pair_index = {pr: i for i, pr in enumerate(pairs)}
     # relabel[k][i]: the bit of pair i under the k-th vertex permutation

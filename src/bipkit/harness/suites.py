@@ -63,6 +63,7 @@ from ..graphs import (
     Bipartition,
     Graph,
     _canonical_int,
+    _int_in,
     find_bipartition,
     is_connected,
     parse_graph,
@@ -73,7 +74,6 @@ from ..matching import (
     StepBudgetExceeded,
     _Budget,
     _find_embedding_through,
-    _positive,
     find_induced_embedding,
     has_path_subgraph,
     is_free,
@@ -189,15 +189,11 @@ class SuiteOptions:
     workers: int = 1
 
     def __post_init__(self):
-        # each count an int through the searches' own check, before any suite runs
-        _positive("lemma-key range end", self.lemma_key_max)
-        _positive("lemma-reduction range end", self.lemma_reduction_max)
-        _positive("workers", self.workers)
-        if not 9 <= self.lemma_key_max <= MAX_VERTICES:
-            raise ValueError(f"lemma-key range must end between 9 and {MAX_VERTICES}")
-        if not 4 <= self.lemma_reduction_max <= MAX_VERTICES:
-            raise ValueError(f"lemma-reduction range must end between 4 and {MAX_VERTICES}")
-        _Budget(self.budget)  # the searches' own check, before any suite runs
+        # each count and the budget through the package's one rule, before any suite runs
+        _int_in("lemma-key range end", self.lemma_key_max, 9, MAX_VERTICES)
+        _int_in("lemma-reduction range end", self.lemma_reduction_max, 4, MAX_VERTICES)
+        _int_in("workers", self.workers)
+        _Budget(self.budget)
         # each index through its family's own check, before any suite runs
         for flag, pairs, member in (
             ("t-pair", self.t_pairs, star_perm_T),
@@ -749,8 +745,10 @@ def _suite_lemma_reduction(opts: SuiteOptions) -> list:
 
 def random_leaf_tree(rng: random.Random, max_depth: int = 6, max_leaves: int = 12) -> DecompositionTree:
     """Random build tree over single-vertex leaves with fresh ids 1..n.
-    Every shape has a leaf, so ``max_leaves`` must be an int of at least 1."""
-    _positive("max_leaves", max_leaves)
+    Every shape has a leaf, so ``max_leaves`` must be an int of at least 1;
+    ``max_depth`` must be an int of at least 0."""
+    _int_in("max_depth", max_depth, 0)
+    _int_in("max_leaves", max_leaves)
 
     def shape(depth: int) -> list[str]:
         """A random tree's kinds in preorder, "leaf" at each leaf."""
@@ -837,10 +835,8 @@ def grid_permutation(k: int, m: int) -> tuple[Permutation, dict[int, int]]:
     disagree on (i, j) and (i+1, jj) exactly when jj <= j, the grid's edge
     rule, and agree on every other pair.
     """
-    if k < 1 or m < 1:
-        raise ValueError("grid dimensions must be positive")
-    _positive("k", k)
-    _positive("m", m)
+    _int_in("k", k)
+    _int_in("m", m)
     cells = [(i, j) for i in range(1, k + 1) for j in range(1, m + 1)]
     by_value = sorted(cells, key=lambda c: (c[0] // 2, c[1], 1 - c[0] % 2))
     by_position = sorted(cells, key=lambda c: ((c[0] + 1) // 2, c[1], c[0] % 2))
@@ -869,8 +865,7 @@ def brute_grid_permutation(m: int) -> Permutation | None:
     keeps the degree multiset, so a value is placed only while the grid has a
     vertex of its degree left unmatched.
     """
-    if m > 3:
-        raise ValueError("brute search is guarded to m <= 3")
+    _int_in("m", m, 1, 3)
     g, _ = universal_grid(m, m)
     target = g.edge_count
     n = m * m

@@ -95,7 +95,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .graphs import Graph, _component_masks
+from .graphs import Graph, _component_masks, _int_in
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -138,7 +138,8 @@ class _Budget:
     """A step counter: ``spent`` counts every step of the searches run on it,
     bounded or not, and the step that takes it past ``limit`` (``sys.maxsize``
     for None) raises StepBudgetExceeded.  A budget that is not None or an int
-    of at least 0 raises ValueError, before any search looks at its graphs.
+    of at least 0 raises ValueError (``graphs._int_in``), before any search
+    looks at its graphs.
     """
 
     __slots__ = ("limit", "spent")
@@ -146,17 +147,10 @@ class _Budget:
     def __init__(self, limit: int | None):
         if limit is None:
             limit = sys.maxsize
-        elif isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
-            raise ValueError(f"budget must be None or an int of at least 0, got {limit!r}")
+        else:
+            _int_in("budget", limit, 0)
         self.limit = limit
         self.spent = 0
-
-
-def _positive(name: str, value: int) -> None:
-    """Refuse a count that is not an int of at least 1; a bool is refused too,
-    as ``_Budget`` refuses one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
 
 
 def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
@@ -546,7 +540,7 @@ def count_induced_embeddings(
     pattern: Graph, host: Graph, limit: int, *, budget: int | None = None
 ) -> int:
     """Number of distinct induced embeddings (as maps), stopping at ``limit``."""
-    _positive("limit", limit)
+    _int_in("limit", limit)
     tracker = _Budget(budget)
     return sum(1 for _ in itertools.islice(_search(pattern.adj, host.adj, tracker), limit))
 
@@ -595,7 +589,7 @@ def has_path_subgraph(g: Graph, k: int, *, budget: int | None = None) -> bool:
     since a path alternates between the parts, a bipartite component with
     parts of sizes a and b holds at most ``2 * min(a, b) + 1``.
     """
-    _positive("path length k", k)
+    _int_in("path length k", k)
     cap = _Budget(budget).limit
     steps = 0
     adj = g.adj

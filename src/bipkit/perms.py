@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _canonical_int
-from .matching import _Budget, _positive, _search
+from .graphs import Graph, _canonical_int, _int_in
+from .matching import _Budget, _search
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,9 @@ class Permutation:
 
     def __post_init__(self):
         n = len(self.oneline)
+        for v in self.oneline:
+            if v.__class__ is not int:
+                raise ValueError(f"permutation entries must be ints, got {v!r}")
         if sorted(self.oneline) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.oneline}")
 
@@ -155,10 +158,12 @@ def star_perm_T(n: int) -> Permutation:
     """Self-inverse family feeding the four-zone antichain graphs (even n >= 6).
 
     Shape: prefix (4, 2), pairs (2j, 2j-5) for j = 3 .. n/2, tail (n-1, n-3).
+    An n that is not an int of at least 6 fails ``graphs._int_in``; an odd
+    one fails the parity check.
     """
-    if n < 6 or n % 2:
+    _int_in("n", n, 6)
+    if n % 2:
         raise ValueError("defined for even n >= 6")
-    _positive("n", n)
     seq = [4, 2]
     for j in range(3, n // 2 + 1):
         seq += [2 * j, 2 * j - 5]
@@ -172,10 +177,12 @@ def star_perm_S(n: int) -> Permutation:
     Shape: prefix (2, 3, 5, 1), pairs (2j+3, 2j) for j = 2 .. n/2 - 3, tail
     (n, n-4, n-1, n-2).  The pair range ends at n/2 - 3: this is the unique
     range that reproduces the fixed instances for n = 8, 10 and 12, below.
+    An n that is not an int of at least 8 fails ``graphs._int_in``; an odd
+    one fails the parity check.
     """
-    if n < 8 or n % 2:
+    _int_in("n", n, 8)
+    if n % 2:
         raise ValueError("defined for even n >= 8")
-    _positive("n", n)
     seq = [2, 3, 5, 1]
     for j in range(2, n // 2 - 2):
         seq += [2 * j + 3, 2 * j]
@@ -184,10 +191,11 @@ def star_perm_S(n: int) -> Permutation:
 
 
 def rho_star(n: int) -> Permutation:
-    """Convex factor: 1, 2, odd values ascending to n-1, n, even values descending to 4."""
-    if n < 8 or n % 2:
+    """Convex factor: 1, 2, odd values ascending to n-1, n, even values descending to 4.
+    Sizes are checked as in ``star_perm_S``."""
+    _int_in("n", n, 8)
+    if n % 2:
         raise ValueError("defined for even n >= 8")
-    _positive("n", n)
     seq = [1, 2]
     seq += list(range(3, n, 2))
     seq += [n]
@@ -196,10 +204,11 @@ def rho_star(n: int) -> Permutation:
 
 
 def mu_star(n: int) -> Permutation:
-    """Convex factor: 2, odds ascending to n-3, n, n-1, n-2, evens descending to 4, 1."""
-    if n < 8 or n % 2:
+    """Convex factor: 2, odds ascending to n-3, n, n-1, n-2, evens descending to 4, 1.
+    Sizes are checked as in ``star_perm_S``."""
+    _int_in("n", n, 8)
+    if n % 2:
         raise ValueError("defined for even n >= 8")
-    _positive("n", n)
     seq = [2]
     seq += list(range(3, n - 2, 2))
     seq += [n, n - 1, n - 2]

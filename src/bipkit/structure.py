@@ -36,11 +36,11 @@ from .graphs import (
     Bipartition,
     Graph,
     _canonical_int,
+    _int_in,
     mask_of,
     mask_vertices,
     validate_bipartition,
 )
-from .matching import _positive
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +506,8 @@ def letter_representation_grid(k: int, m: int) -> LetterRepresentation:
     order walks columns left to right with rows descending inside each
     column, and the decoder is every pair (i + 1, i): the lower row, met
     first, sees the row above."""
-    if k < 1 or m < 1:
-        raise ValueError("grid dimensions must be positive")
-    _positive("k", k)
-    _positive("m", m)
+    _int_in("k", k)
+    _int_in("m", m)
     letters = tuple(i for i in range(k) for _ in range(m))
     order = tuple(i * m + c for c in range(1, m + 1) for i in range(k - 1, -1, -1))
     return LetterRepresentation(letters, order, frozenset((i + 1, i) for i in range(k - 1)))

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 
 from bipkit.graphs import mask_of, validate_bipartition
-from bipkit.matching import are_isomorphic, find_induced_embedding, is_free
+from bipkit.matching import (
+    are_isomorphic,
+    count_induced_embeddings,
+    find_induced_embedding,
+    has_path_subgraph,
+    is_free,
+)
 from bipkit.perms import (
     BiconvexWitness,
     identity,
@@ -15,6 +22,9 @@ from bipkit.perms import (
     star_perm_T,
 )
 from bipkit.families import (
+    GRAPH_FAMILIES,
+    PERM_FAMILIES,
+    build_family,
     complete,
     complete_bipartite,
     cycle,
@@ -31,7 +41,8 @@ from bipkit.families import (
     two_p3,
     universal_grid,
 )
-from bipkit.harness.suites import grid_permutation
+from bipkit.harness.enumeration import bipartite_level
+from bipkit.harness.suites import SuiteOptions, brute_grid_permutation, grid_permutation, random_leaf_tree
 from bipkit.structure import letter_representation_grid
 
 
@@ -173,9 +184,9 @@ def test_family_freeness_spot_checks():
     [
         (path, (2.5,), "n must be an int of at least 1, got 2.5"),
         (path, (True,), "n must be an int of at least 1, got True"),
-        (path, (0,), "path needs at least one vertex"),
-        (cycle, (4.0,), "n must be an int of at least 1, got 4.0"),
-        (cycle, (True,), "cycle needs at least three vertices"),
+        (path, (0,), "n must be an int of at least 1, got 0"),
+        (cycle, (4.0,), "n must be an int of at least 3, got 4.0"),
+        (cycle, (True,), "n must be an int of at least 3, got True"),
         (complete, (True,), "n must be an int of at least 1, got True"),
         (complete_bipartite, (True, 2), "a must be an int of at least 1, got True"),
         (complete_bipartite, (2, 1.5), "b must be an int of at least 1, got 1.5"),
@@ -184,15 +195,87 @@ def test_family_freeness_spot_checks():
         (universal_grid, (2, True), "m must be an int of at least 1, got True"),
         (letter_representation_grid, (True, 3), "k must be an int of at least 1, got True"),
         (grid_permutation, (3, 2.0), "m must be an int of at least 1, got 2.0"),
-        (star_perm_T, (6.0,), "n must be an int of at least 1, got 6.0"),
+        (star_perm_T, (6.0,), "n must be an int of at least 6, got 6.0"),
         (star_perm_T, (7,), "defined for even n >= 6"),
-        (star_perm_S, (8.0,), "n must be an int of at least 1, got 8.0"),
-        (rho_star, (10.0,), "n must be an int of at least 1, got 10.0"),
-        (mu_star, (True,), "defined for even n >= 8"),
+        (star_perm_S, (8.0,), "n must be an int of at least 8, got 8.0"),
+        (rho_star, (10.0,), "n must be an int of at least 8, got 10.0"),
+        (mu_star, (9,), "defined for even n >= 8"),
+        (mu_star, (True,), "n must be an int of at least 8, got True"),
     ],
 )
 def test_family_sizes_are_ints(build, args, message):
     # a float size raised TypeError deep in the build, and True built the
-    # size-1 member; the range and parity messages stay as they were
+    # size-1 member; every size goes through ``graphs._int_in``, type first
+    # and then the family's least size, and only the parity messages are the
+    # builders' own
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(*args)
+
+
+BAD_COUNTS = ("3", None, 2.5, True, 0, -1)
+
+
+def _least_size(name: str, count: int) -> int:
+    """The least n at which the family builds with every parameter n."""
+    for n in range(1, 13):
+        try:
+            build_family(name, *[n] * count)
+        except ValueError:
+            continue
+        return n
+    raise AssertionError(f"family {name} builds at no size up to 12")
+
+
+def _count_sites():
+    """(label, call, least) for every count the package reads through
+    ``graphs._int_in``: each parameter of each registered family (the others
+    at the family's least size), each perm family, and each builder, option
+    and search parameter outside the registries."""
+    sites = []
+    for name, (count, _) in GRAPH_FAMILIES.items():
+        if name == "perm-graph":  # takes a Permutation, not a count
+            continue
+        least = _least_size(name, count)
+        for at in range(count):
+            call = lambda bad, name=name, at=at, count=count, least=least: build_family(
+                name, *[least] * at, bad, *[least] * (count - at - 1)
+            )
+            sites.append((f"{name}#{at + 1}", call, 1))
+    for name, member in PERM_FAMILIES.items():
+        sites.append((f"perm-{name}", member, 1))
+    sites += [
+        ("letter-grid#1", lambda bad: letter_representation_grid(bad, 2), 1),
+        ("letter-grid#2", lambda bad: letter_representation_grid(2, bad), 1),
+        ("grid_permutation#1", lambda bad: grid_permutation(bad, 2), 1),
+        ("grid_permutation#2", lambda bad: grid_permutation(2, bad), 1),
+        ("brute_grid_permutation", brute_grid_permutation, 1),
+        ("random_leaf_tree.max_depth", lambda bad: random_leaf_tree(random.Random(1), max_depth=bad), 0),
+        ("random_leaf_tree.max_leaves", lambda bad: random_leaf_tree(random.Random(1), max_leaves=bad), 1),
+        ("SuiteOptions.lemma_key_max", lambda bad: SuiteOptions(lemma_key_max=bad), 1),
+        ("SuiteOptions.lemma_reduction_max", lambda bad: SuiteOptions(lemma_reduction_max=bad), 1),
+        ("SuiteOptions.workers", lambda bad: SuiteOptions(workers=bad), 1),
+        ("bipartite_level", bipartite_level, 1),
+        # checked before the graphs are read, so None stands in for them
+        ("has_path_subgraph.k", lambda bad: has_path_subgraph(None, bad), 1),
+        ("count_induced_embeddings.limit", lambda bad: count_induced_embeddings(None, None, bad), 1),
+    ]
+    return sites
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        pytest.param(call, bad, id=f"{label}-{bad!r}")
+        for label, call, least in _count_sites()
+        for bad in BAD_COUNTS
+        if bad.__class__ is not int or bad < least
+    ],
+)
+def test_every_count_refuses_bad_values(call, bad):
+    # one rule for every count: a non-int or an out-of-range value raises a
+    # ValueError that names it, never a TypeError from a comparison or a
+    # build; a family added to a registry is covered here without an edit
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    rule = rf".+ must be an int (of at least \d+|in \d+\.\.\d+), got {re.escape(repr(bad))}"
+    assert re.fullmatch(rule, str(info.value)), str(info.value)

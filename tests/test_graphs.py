@@ -45,6 +45,29 @@ def test_graph_validation_rejects_bad_values():
         Graph.from_edges(2, [(1, 3)])
 
 
+def test_graph_constructors_refuse_values_of_the_wrong_type():
+    # each of these failed with a TypeError before any check was reached
+    for build, message in (
+        (lambda: Graph("2", (0, 0)), "vertex count must be an int of at least 0, got '2'"),
+        (lambda: Graph(True, (0,)), "vertex count must be an int of at least 0, got True"),
+        (lambda: Graph(-1, ()), "vertex count must be an int of at least 0, got -1"),
+        (lambda: Graph(2, (0.0, 0)), "vertex 1 row must be an int bitmask, got 0.0"),
+        (lambda: Graph(2, (0, True)), "vertex 2 row must be an int bitmask, got True"),
+        (lambda: Graph.from_edges("3", []), "vertex count must be an int of at least 0, got '3'"),
+        (lambda: Graph.from_edges(3, [(1, 2.0)]), "edge endpoints must be ints in 1..3, got 1,2.0"),
+        (lambda: Graph.from_edges(3, [("1", 2)]), "edge endpoints must be ints in 1..3, got '1',2"),
+        (lambda: Graph.from_edges(2, [(1, 3)]), "edge endpoints must be ints in 1..2, got 1,3"),
+        (lambda: induced_subgraph(path(3), ["1"]), "vertex must be an int in 1..3, got '1'"),
+        (lambda: induced_subgraph(path(3), [1.0, 2]), "vertex must be an int in 1..3, got 1.0"),
+        (lambda: induced_subgraph(path(3), ["1", 2]), "vertex must be an int in 1..3, got '1'"),
+        (lambda: induced_subgraph(path(3), [4]), "vertex must be an int in 1..3, got 4"),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+    assert Graph(0, ()) == Graph.from_edges(0, []) == induced_subgraph(path(3), [])
+
+
 def test_equality_and_hash_go_by_rows():
     # every way of making a graph, the worker pool's pickle round trip
     # included, gives one value per (n, rows)

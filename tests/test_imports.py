@@ -65,3 +65,41 @@ def test_package_reads_every_name_it_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(source.name, line, name) for line, name in bound if name not in read]
     assert unused == []
+
+
+def _package_imports(source: Path) -> set[str]:
+    """The package modules a source imports from, by name: ``graphs``,
+    ``matching``, ``harness.enumeration``, ..."""
+    here = source.relative_to(PACKAGE).parent.parts
+    out = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"), str(source))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = here[: len(here) - (node.level - 1)]
+            out.add(".".join((*base, node.module)) if node.module else ".".join(base))
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "bipkit":
+            out.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[2] for alias in node.names if alias.name.split(".")[0] == "bipkit")
+    return out
+
+
+def test_the_count_rule_lives_in_graphs_alone():
+    # every count, size, range end and budget goes through ``graphs._int_in``:
+    # graphs, which every module imports, imports no other package module;
+    # structure and families take nothing from the matcher; and no module
+    # outside graphs tests a value's type with isinstance or raises a
+    # "must be an int" message of its own, which is what a second count
+    # validator would do
+    assert _package_imports(PACKAGE / "graphs.py") == set()
+    assert "matching" not in _package_imports(PACKAGE / "structure.py")
+    assert "matching" not in _package_imports(PACKAGE / "families.py")
+    validators = []
+    for source in sorted(PACKAGE.rglob("*.py")):
+        if source.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"), str(source))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                validators.append((source.name, node.lineno, ast.unparse(node)))
+            elif isinstance(node, ast.Raise) and "must be an int" in ast.unparse(node):
+                validators.append((source.name, node.lineno, ast.unparse(node)))
+    assert validators == []

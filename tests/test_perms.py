@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -31,6 +32,15 @@ def test_permutation_validation():
         Permutation((1, 1, 2))
     with pytest.raises(ValueError):
         Permutation((2, 3))
+
+
+def test_permutation_entries_are_ints():
+    # (1.0, 2) passed the sorted-equals-range test, since 1.0 == 1, and then
+    # inverse and permutation_graph raised TypeError; True stood in for 1
+    for entries, bad in (((True, 2), True), ((1.0, 2), 1.0), ((2, "1"), "1"), ((1, None), None)):
+        with pytest.raises(ValueError, match=f"^permutation entries must be ints, got {re.escape(repr(bad))}$"):
+            Permutation(entries)
+    assert inverse(Permutation((2, 1))) == Permutation((2, 1))
 
 
 def test_printed_instances_byte_exact():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -596,12 +597,14 @@ def test_cli_verify_checks_ranges_before_any_suite_runs(capsys):
     assert cli.main(["verify", "all", "--nmax", "13"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "lemma-key range must end between 9 and 12" in captured.err
+    assert captured.err == "error: lemma-key range end must be an int in 9..12, got 13\n"
     assert cli.main(["verify", "all", "--reduction-nmax", "3"]) == 2
-    assert capsys.readouterr().out == ""
-    with pytest.raises(ValueError, match="lemma-key range"):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lemma-reduction range end must be an int in 4..12, got 3\n"
+    with pytest.raises(ValueError, match="^lemma-key range end must be an int in 9..12, got 8$"):
         SuiteOptions(lemma_key_max=8)
-    with pytest.raises(ValueError, match="lemma-reduction range"):
+    with pytest.raises(ValueError, match="^lemma-reduction range end must be an int in 4..12, got 13$"):
         SuiteOptions(lemma_reduction_max=13)
 
 
@@ -611,7 +614,7 @@ def test_cli_verify_checks_pairs_before_any_suite_runs(capsys):
     for argv, message in (
         (["verify", "all", "--t-pair", "6,7"], "t-pair 6,7: defined for even n >= 6"),
         (["verify", "all", "--s-pair", "8,9"], "s-pair 8,9: defined for even n >= 8"),
-        (["verify", "t-antichain", "--t-pair", "4,6"], "t-pair 4,6: defined for even n >= 6"),
+        (["verify", "t-antichain", "--t-pair", "4,6"], "t-pair 4,6: n must be an int of at least 6, got 4"),
     ):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -632,20 +635,28 @@ def test_cli_rejects_negative_budgets_and_workers(capsys):
     ):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().out == "", argv
-    # verify's --budget is read like the other commands', at the command line
-    for text in ("-1", "x", "2.5"):
+    # --budget is read as an integer like every count at the command line,
+    # and its range is the searches' own check
+    assert cli.main(["verify", "t-free", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: budget must be an int of at least 0, got -1\n"
+    for text in ("x", "2.5"):
         assert cli.main(["verify", "t-free", "--budget", text]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"budget must be a non-negative integer, got {text!r}" in captured.err
+        assert captured.out == "" and f"argument --budget: not an integer in canonical form: {text!r}" in captured.err
     with pytest.raises(ValueError, match="workers"):
         SuiteOptions(workers=0)
     for bad in (-1, True, 2.5):
         with pytest.raises(ValueError, match="budget"):
             SuiteOptions(budget=bad)
     # a count that is no int fails here, not as a TypeError once a suite runs
-    for field, name in (("workers", "workers"), ("lemma_key_max", "lemma-key"), ("lemma_reduction_max", "lemma-reduction")):
+    for field, rule in (
+        ("workers", "workers must be an int of at least 1"),
+        ("lemma_key_max", "lemma-key range end must be an int in 9..12"),
+        ("lemma_reduction_max", "lemma-reduction range end must be an int in 4..12"),
+    ):
         for bad in (2.5, 9.5, True, "9", None):
-            with pytest.raises(ValueError, match=f"{name}.* must be an int of at least 1, got {bad!r}"):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{rule}, got {bad!r}')}$"):
                 SuiteOptions(**{field: bad})
     # a zero budget and an unlimited one stay valid: a zero budget runs the
     # search and reports it undecided
