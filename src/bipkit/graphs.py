@@ -71,6 +71,8 @@ class Graph:
 
     def __post_init__(self):
         _int_in("vertex count", self.n, 0)
+        if self.adj.__class__ is not tuple:
+            raise ValueError(f"adjacency must be a tuple of int bitmasks, got a {type(self.adj).__name__}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -94,7 +96,11 @@ class Graph:
         """Build a graph from an edge list; duplicate edges collapse silently."""
         _int_in("vertex count", n, 0)
         adj = [0] * n
-        for u, v in edges:
+        for i, edge in enumerate(edges, start=1):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {i} must be a pair of vertex ids, got {edge!r}") from None
             if u.__class__ is not int or v.__class__ is not int or not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge endpoints must be ints in 1..{n}, got {u!r},{v!r}")
             if u == v:

@@ -27,30 +27,37 @@ arguments are plain data: ints, names, graphs and module-level functions.
   name: its universe (connected bipartite graphs free of the ``forbidden``
   graphs and containing ``required``) and its claim (a generator of one note
   per violation on a member).  Then give the suite a builder whose specs come
-  from ``_exhaustive``.  ``_case_lemma_chunk`` checks the claim on every
-  member of its chunk; a violation's witness is ``kind <suite>`` with
-  sections ``@graph`` and ``@note``, and :func:`reverify_witness` accepts it
-  when the graph is a member and the claim, run again, yields the note.
+  from ``_exhaustive``, which runs the claim on every member it admits;
+  ``_case_lemma_chunk`` reports a chunk's outcome.  A violation's witness is
+  ``kind <suite>`` with sections ``@graph`` and ``@note``, and
+  :func:`reverify_witness` accepts it when the graph is a member and the
+  claim, run again, yields the note.
 
-``_exhaustive`` decides membership while it lists the chunks, walking the
-levels from 1 up.  A representative minus its last vertex is its enumerator
-parent (``enumeration.parent_rows``), and the forbidden patterns are induced
-subgraphs, so a graph whose parent is not free is rejected unsearched.
-Every other graph gets one search per forbidden pattern, anchored at its
-last vertex (``matching._find_embedding_through``): a copy that avoids that
-vertex would lie in the free parent.  A free graph gets one whole-graph
-search for the required pattern, which is not inherited.  Every search
-takes the suite's budget.  A graph whose search runs out is undecided,
-neither free nor rejected, and so are its children, for which the parent
-rule has no answer; a chunk that holds an undecided graph is UNDECIDED,
-with their count in its note.  A spot case reads membership off its own
-pattern searches; only :func:`reverify_witness` runs the full search
-(``_member``).
+``_exhaustive`` decides membership and runs the claim while it lists the
+chunks, walking the levels from 1 up.  A representative minus its last
+vertex is its enumerator parent (``enumeration.parent_rows``), and the
+forbidden patterns are induced subgraphs, so a graph whose parent is not
+free is rejected unsearched.  Every other graph gets one search per
+forbidden pattern, anchored at its last vertex
+(``matching._find_embedding_through``): a copy that avoids that vertex would
+lie in the free parent.  A lemma whose claim certifies membership
+(``Lemma.certifies``, closure's alone) runs its claim first instead, and
+searches only a graph the claim fails: a free one is a member that
+violates the claim.  A free graph gets one whole-graph search for the
+required pattern, which is not inherited, and a member gets the claim.
+Every search and claim takes the suite's budget.  A graph whose membership
+search runs out is undecided, neither free nor rejected, and so are its
+children, for which the parent rule has no answer; so is a member whose
+claim runs out.  A chunk with a violation fails, with the first one as its
+witness; else a chunk that holds an undecided graph is UNDECIDED, with
+their count in its note.  The walk runs outside any case, so any other
+error in a search or a claim stops the suite's build.  A spot case reads
+membership off its own pattern searches; only :func:`reverify_witness` runs
+the full search (``_member``).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import multiprocessing
 import random
@@ -557,13 +564,16 @@ class Lemma:
 
     ``claim(g, b, budget)`` yields one note per violation of the claim on a
     member ``g`` with bipartition ``b``, its searches bounded by ``budget``;
-    ``members`` names the members in a chunk's note.
+    ``members`` names the members in a chunk's note.  ``certifies`` says
+    that a claim that holds on a graph proves it a member, so the walk runs
+    the claim first and searches only a graph the claim fails.
     """
 
     forbidden: tuple[Graph, ...]
     required: Graph | None
     claim: Callable[[Graph, Bipartition, int | None], Iterator[str]]
     members: str
+    certifies: bool = False
 
 
 def _no_p9(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
@@ -589,10 +599,13 @@ LEMMAS = {
     "lemma-reduction": Lemma(
         forbidden=(sun1(), path(7)), required=cycle(4), claim=_complete_bipartite, members="with C4 in universe"
     ),
-    "closure": Lemma(forbidden=(s123(), path(7)), required=None, claim=_decomposes, members="in class"),
+    "closure": Lemma(
+        forbidden=(s123(), path(7)), required=None, claim=_decomposes, members="in class", certifies=True
+    ),
 }
 """The lemmas by suite name, forbidden patterns listed cheapest rejection
-first.  Two facts have an argument that carries them to every n.
+first.  Two facts have an argument that carries them to every n, and one
+lets closure's claim stand in for its membership search.
 
 lemma-key's chords: every 7-vertex path of a member has one chord, (1,6) or
 (2,7).  This half of the lemma holds on every bipartite (P7,C4)-free graph,
@@ -615,6 +628,22 @@ K.  x lies on the side of G opposite b, so it has no neighbour on K's side
 opposite b, and by the maximality of K it misses some b' on b's side.  Then
 b, b' and two vertices of K's other side make a C4 to which x is a pendant
 at b: an induced Sun1.
+
+closure certifies: a connected bipartite graph with a build tree that
+recomposes to it is (P7,S123)-free.  Decomposability is hereditary: by the
+single cross-edge rule (``structure._add_cross``), two leaves' adjacency
+depends only on their lowest common ancestor's kind, their sides and the
+skew order, and dropping the other leaves and splicing out every node left
+with one operand keeps all three, so an induced subgraph of a buildable
+graph is buildable.  P7 and S123 do not decompose (the ``decompose/path7-none``
+case, and tier-1's check of ``decompose``'s "no" answers against
+(P7,S123)-freeness), so a buildable graph holds neither.  The walk takes no
+verdict from this: every member has a member parent, so it is either given
+a tree, and the claim holds on it, or searched exactly, and a member
+without a tree fails the claim.  The argument decides only a chunk's
+member count and which children the walk visits, and
+``test_exhaustive_members_equal_full_search`` checks both against the full
+search up to n=10.
 """
 
 
@@ -633,17 +662,18 @@ def _lemma_witness(suite: str, g: Graph, note: str) -> str:
 
 
 def _case_lemma_chunk(
-    case: str, suite: str, size: int, members: list[Graph], *, budget: int | None = DEFAULT_BUDGET, undecided: int = 0
+    case: str, suite: str, size: int, members: list[Graph], undecided: int, violation: tuple[Graph, str] | None
 ) -> CaseVerdict:
-    """Check the suite's lemma on ``members``, the universe's members among a
-    chunk of ``size`` graphs of one connected level, of which ``undecided``
-    more ran out of budget before their membership was known.  A violation
-    fails the chunk; else an undecided graph leaves it UNDECIDED."""
-    lemma = LEMMAS[suite]
-    for g in members:
-        for note in lemma.claim(g, find_bipartition(g), budget):
-            return _fail(case, note, _lemma_witness(suite, g, note))
-    note = f"{size} graphs, {len(members)} {lemma.members}"
+    """Report the walk's verdict on a chunk of ``size`` graphs of one
+    connected level: ``members`` are the universe's members among them,
+    ``undecided`` counts the graphs whose membership or claim ran out of
+    budget, and ``violation`` is the first member the claim fails, with the
+    claim's note, or None.  A violation fails the chunk; else an undecided
+    graph leaves it UNDECIDED."""
+    if violation is not None:
+        g, note = violation
+        return _fail(case, note, _lemma_witness(suite, g, note))
+    note = f"{size} graphs, {len(members)} {LEMMAS[suite].members}"
     if undecided:
         return CaseVerdict(case, "UNDECIDED", f"{note}, {undecided} undecided: step budget exhausted")
     return _ok(case, note)
@@ -671,11 +701,10 @@ _CHUNK = 2000
 
 
 def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT_BUDGET) -> list:
-    """One ``_case_lemma_chunk`` spec per chunk of levels n_min..n_max, each
-    with its members, decided by the parent rule of the module docstring
-    with every search bounded by ``budget``."""
+    """One ``_case_lemma_chunk`` spec per chunk of levels n_min..n_max, with
+    the chunk's size, members, undecided count and first violation, found by
+    the walk of the module docstring with every search bounded by ``budget``."""
     lemma = LEMMAS[suite]
-    required = lemma.required
     # rows of the free and of the undecided representatives one level down;
     # () is level 0
     free, unknown = {()}, set()
@@ -684,32 +713,47 @@ def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT
         level = bipartite_level(n)
         free_below, unknown_below = free, unknown
         free, unknown = set(), set()
-        for g in level:
-            parent = parent_rows(g)
-            if parent in unknown_below:
-                unknown.add(g.adj)
-            elif parent in free_below:
-                try:
-                    if not any(_find_embedding_through(h, g, n, budget=budget) is not None for h in lemma.forbidden):
-                        free.add(g.adj)
-                except StepBudgetExceeded:
-                    unknown.add(g.adj)
-        if n < n_min:
-            continue
         for idx, start in enumerate(range(0, len(level), _CHUNK)):
             part = level[start : start + _CHUNK]
-            members, undecided = [], 0
+            members, undecided, violation = [], 0, None
             for g in part:
-                if g.adj in unknown:
+                parent = parent_rows(g)
+                if parent in unknown_below:
+                    unknown.add(g.adj)
                     undecided += 1
-                elif g.adj in free:
-                    try:
-                        if required is None or find_induced_embedding(required, g, budget=budget) is not None:
-                            members.append(g)
-                    except StepBudgetExceeded:
-                        undecided += 1
-            case = functools.partial(_case_lemma_chunk, budget=budget, undecided=undecided)
-            specs.append((f"exhaustive/n{n}/part{idx:02d}", case, (suite, len(part), members)))
+                    continue
+                if parent not in free_below:
+                    continue
+                try:
+                    # a certifying claim that holds proves membership, so only
+                    # a graph it fails is searched
+                    note = next(lemma.claim(g, find_bipartition(g), budget), None) if lemma.certifies else None
+                    proved = lemma.certifies and note is None
+                    if not proved and any(
+                        _find_embedding_through(h, g, n, budget=budget) is not None for h in lemma.forbidden
+                    ):
+                        continue
+                except StepBudgetExceeded:
+                    unknown.add(g.adj)
+                    undecided += 1
+                    continue
+                free.add(g.adj)
+                if n < n_min:
+                    continue
+                try:
+                    if lemma.required is not None and find_induced_embedding(lemma.required, g, budget=budget) is None:
+                        continue
+                    members.append(g)
+                    if not lemma.certifies:
+                        note = next(lemma.claim(g, find_bipartition(g), budget), None)
+                except StepBudgetExceeded:
+                    undecided += 1
+                    continue
+                if note is not None and violation is None:
+                    violation = (g, note)
+            if n >= n_min:
+                args = (suite, len(part), members, undecided, violation)
+                specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_chunk, args))
     return specs
 
 

@@ -26,6 +26,8 @@ class Permutation:
     oneline: tuple[int, ...]
 
     def __post_init__(self):
+        if self.oneline.__class__ is not tuple:
+            raise ValueError(f"one-line form must be a tuple of ints, got a {type(self.oneline).__name__}")
         n = len(self.oneline)
         for v in self.oneline:
             if v.__class__ is not int:
@@ -55,11 +57,15 @@ def compose(outer: Permutation, inner: Permutation) -> Permutation:
     return Permutation(tuple(outer.oneline[inner.oneline[i] - 1] for i in range(inner.size)))
 
 
+def _inverse_oneline(oneline: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(oneline)
+    for i, v in enumerate(oneline, start=1):
+        inv[v - 1] = i
+    return tuple(inv)
+
+
 def inverse(p: Permutation) -> Permutation:
-    inv = [0] * p.size
-    for i, v in enumerate(p.oneline):
-        inv[v - 1] = i + 1
-    return Permutation(tuple(inv))
+    return Permutation(_inverse_oneline(p.oneline))
 
 
 def _inversion_rows(seq: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
@@ -151,7 +157,8 @@ def verify_biconvex_witness(p: Permutation, w: BiconvexWitness) -> bool:
 
 def permutation_graph(p: Permutation) -> Graph:
     """Inversion graph on values 1..n: i < j adjacent iff i appears after j."""
-    return Graph(p.size, _inversion_rows(inverse(p).oneline)[0])
+    # inversion rows are symmetric and loop-free by construction
+    return Graph._trusted(p.size, _inversion_rows(_inverse_oneline(p.oneline))[0])
 
 
 def star_perm_T(n: int) -> Permutation:

@@ -53,6 +53,11 @@ def test_graph_constructors_refuse_values_of_the_wrong_type():
         (lambda: Graph(-1, ()), "vertex count must be an int of at least 0, got -1"),
         (lambda: Graph(2, (0.0, 0)), "vertex 1 row must be an int bitmask, got 0.0"),
         (lambda: Graph(2, (0, True)), "vertex 2 row must be an int bitmask, got True"),
+        # a list constructed, and then hash() raised TypeError; None failed at len
+        (lambda: Graph(2, [0, 0]), "adjacency must be a tuple of int bitmasks, got a list"),
+        (lambda: Graph(2, None), "adjacency must be a tuple of int bitmasks, got a NoneType"),
+        (lambda: Graph.from_edges(3, [1]), "edge 1 must be a pair of vertex ids, got 1"),
+        (lambda: Graph.from_edges(3, [(1, 2), (1, 2, 3)]), "edge 2 must be a pair of vertex ids, got (1, 2, 3)"),
         (lambda: Graph.from_edges("3", []), "vertex count must be an int of at least 0, got '3'"),
         (lambda: Graph.from_edges(3, [(1, 2.0)]), "edge endpoints must be ints in 1..3, got 1,2.0"),
         (lambda: Graph.from_edges(3, [("1", 2)]), "edge endpoints must be ints in 1..3, got '1',2"),

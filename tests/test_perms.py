@@ -6,10 +6,12 @@ import re
 
 import pytest
 
+from bipkit.graphs import Graph
 from bipkit.matching import StepBudgetExceeded
 from bipkit.perms import (
     BiconvexWitness,
     Permutation,
+    _inversion_rows,
     compose,
     contains_pattern,
     format_permutation,
@@ -41,6 +43,9 @@ def test_permutation_entries_are_ints():
         with pytest.raises(ValueError, match=f"^permutation entries must be ints, got {re.escape(repr(bad))}$"):
             Permutation(entries)
     assert inverse(Permutation((2, 1))) == Permutation((2, 1))
+    # a list constructed, and then hash() raised TypeError
+    with pytest.raises(ValueError, match="^one-line form must be a tuple of ints, got a list$"):
+        Permutation([2, 1])
 
 
 def test_printed_instances_byte_exact():
@@ -284,6 +289,15 @@ def test_permutation_graph_examples():
         (5, 6), (5, 8), (5, 10), (7, 8), (7, 9), (7, 10), (9, 10),
     }
     assert set(fig.edges()) == expected
+
+
+def test_permutation_graph_equals_the_checked_construction():
+    # the rows are built trusted from the inverse's one-line form; the checked
+    # construction through inverse() and Graph is the reference
+    for n in range(8):
+        for seq in itertools.permutations(range(1, n + 1)):
+            p = Permutation(seq)
+            assert permutation_graph(p) == Graph(n, _inversion_rows(inverse(p).oneline)[0]), seq
 
 
 def test_permutation_graph_counts_inversions():

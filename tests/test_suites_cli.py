@@ -32,7 +32,7 @@ from bipkit.harness.suites import (
 )
 from bipkit.matching import are_isomorphic, find_induced_embedding
 from bipkit.perms import Permutation, permutation_graph
-from bipkit.structure import format_tree
+from bipkit.structure import decompose, format_tree, recompose
 
 PINNED_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_verdicts.txt"
 
@@ -176,7 +176,9 @@ def test_lemma_witness_reverifies_when_the_claim_yields_its_note(monkeypatch):
 
     monkeypatch.setitem(suites.LEMMAS, "closure", replace(LEMMAS["closure"], claim=false_claim))
     [(case, _, args)] = _exhaustive("closure", 7, 7)
-    assert len(args[2]) > 0
+    # the false claim fails on P7 and S123 too, so the walk searches them and
+    # keeps them out of the members
+    assert args[2] and all(_member(g, LEMMAS["closure"]) is not None for g in args[2])
     verdict = suites._case_lemma_chunk(case, *args)
     assert verdict.status == "FAIL" and verdict.note == "7 vertices"
     assert verdict.witness_text.startswith("kind closure\n@graph\n")
@@ -253,13 +255,15 @@ def test_worker_pool_matches_sequential():
 
 def test_exhaustive_members_equal_full_search(connected_levels):
     # the parent rule drops a graph unsearched when its parent holds a
-    # forbidden pattern; the full membership search on every graph is the oracle
+    # forbidden pattern, and closure admits a graph with a build tree
+    # unsearched; the full membership search on every graph is the oracle
     for suite in ("lemma-key", "lemma-reduction", "closure"):
         for n in range(1, 11):
             chunks = [args[1:] for _, _, args in _exhaustive(suite, n, n)]
             level = connected_levels[n]
-            assert sum(size for size, _ in chunks) == len(level), (suite, n)
-            got = [g.adj for _, members in chunks for g in members]
+            assert sum(size for size, *_ in chunks) == len(level), (suite, n)
+            assert all(undecided == 0 and violation is None for *_, undecided, violation in chunks), (suite, n)
+            got = [g.adj for _, members, *_ in chunks for g in members]
             assert got == [g.adj for g in level if _member(g, LEMMAS[suite]) is not None], (suite, n)
 
 
@@ -309,9 +313,9 @@ def _record_searches(monkeypatch, name: str = "find_induced_embedding") -> list:
 
 
 def test_exhaustive_searches_each_pattern_once_per_graph(monkeypatch):
-    # membership is decided while the specs are built, each parent's freeness
-    # read from the level below and each child searched through its new
-    # vertex only; the chunks only run the claim
+    # membership and the claim are decided while the specs are built, each
+    # parent's freeness read from the level below and each child searched
+    # through its new vertex only; the chunks only report
     calls = _record_searches(monkeypatch, "_find_embedding_through")
     full = _record_searches(monkeypatch)
     for suite in ("lemma-key", "lemma-reduction", "closure"):
@@ -327,6 +331,33 @@ def test_exhaustive_searches_each_pattern_once_per_graph(monkeypatch):
         for spec in specs:
             assert suites._exec_spec(spec).status == "ok", (suite, spec[0])
         assert calls == full == [], suite
+
+
+def test_closure_searches_only_graphs_without_a_build_tree(monkeypatch):
+    # closure's claim certifies membership (LEMMAS docstring): a graph with a
+    # build tree that recomposes is a member unsearched, so the walk searches
+    # only the graphs with a member parent and no tree
+    calls = _record_searches(monkeypatch, "_find_embedding_through")
+    _exhaustive("closure", 1, 10)
+    hosts = {host for _, host in calls}
+    for rows in hosts:
+        g = Graph(len(rows), rows)
+        tree = decompose(g, find_bipartition(g))
+        assert tree is None or recompose(tree) != g, g.edges()
+    assert len(hosts) == 207
+
+
+def test_a_claim_out_of_budget_leaves_its_chunk_undecided(monkeypatch):
+    # membership searches run unbounded here, so only the claim, lemma-key's
+    # 9-vertex path search, meets the budget of one step
+    search = suites._find_embedding_through
+    monkeypatch.setattr(suites, "_find_embedding_through", lambda h, g, v, budget: search(h, g, v))
+    [spec] = _exhaustive("lemma-key", 9, 9, budget=1)
+    note = "730 graphs, 36 in universe, 20 undecided: step budget exhausted"
+    assert suites._exec_spec(spec) == suites.CaseVerdict(spec[0], "UNDECIDED", note)
+    # the other 16 members have parts too lopsided to hold the path, unsearched
+    [spec] = _exhaustive("lemma-key", 9, 9)
+    assert suites._exec_spec(spec) == suites.CaseVerdict(spec[0], "ok", "730 graphs, 36 in universe")
 
 
 def test_spot_cases_search_each_pattern_once(monkeypatch):
