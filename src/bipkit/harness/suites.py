@@ -38,13 +38,12 @@ chunks, walking the levels from 1 up.  A representative minus its last
 vertex is its enumerator parent (``enumeration.parent_rows``), and the
 forbidden patterns are induced subgraphs, so a graph whose parent is not
 free is rejected unsearched.  Every other graph gets one search per
-forbidden pattern, anchored at its last vertex
-(``matching._find_embedding_through``): a copy that avoids that vertex would
-lie in the free parent.  A lemma whose claim certifies membership
-(``Lemma.certifies``, closure's alone) runs its claim first instead, and
-searches only a graph the claim fails: a free one is a member that
-violates the claim.  A free graph gets one whole-graph search for the
-required pattern, which is not inherited, and a member gets the claim.
+forbidden pattern, and any copy found uses the last vertex: a copy that
+avoids it would lie in the free parent.  A lemma whose claim certifies
+membership (``Lemma.certifies``, closure's alone) runs its claim first
+instead, and searches only a graph the claim fails: a free one is a member
+that violates the claim.  A free graph gets one search for the required
+pattern, which is not inherited, and a member gets the claim.
 Every search and claim takes the suite's budget.  A graph whose membership
 search runs out is undecided, neither free nor rejected, and so are its
 children, for which the parent rule has no answer; so is a member whose
@@ -80,7 +79,6 @@ from ..matching import (
     Embedding,
     StepBudgetExceeded,
     _Budget,
-    _find_embedding_through,
     find_induced_embedding,
     has_path_subgraph,
     is_free,
@@ -206,7 +204,11 @@ class SuiteOptions:
             ("t-pair", self.t_pairs, star_perm_T),
             ("s-pair", self.s_pairs, star_perm_S),
         ):
-            for i, j in pairs:
+            for pair in pairs:
+                try:
+                    i, j = pair
+                except (TypeError, ValueError):
+                    raise ValueError(f"{flag} {pair!r}: a pair is two indices") from None
                 try:
                     member(i)
                     member(j)
@@ -459,6 +461,12 @@ def antichain_check(
     count = GRAPH_FAMILIES[family][0] if family in GRAPH_FAMILIES else None
     if family not in PERM_FAMILIES and (count != 1 or family == "perm-graph"):
         raise ValueError(f"unknown family {family!r}: name a registered family with one integer parameter")
+    # each index through its family's builder, before any case runs
+    for i in indices:
+        try:
+            PERM_FAMILIES[family](i) if family in PERM_FAMILIES else build_family(family, i)
+        except ValueError as exc:
+            raise ValueError(f"{family} index {i!r}: {exc}") from None
     start = time.perf_counter()
     pairs = _ordered_pairs(indices)
     specs = _pair_specs(family + "/{i}-into-{j}", family, pairs, budget)
@@ -730,7 +738,7 @@ def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT
                     note = next(lemma.claim(g, find_bipartition(g), budget), None) if lemma.certifies else None
                     proved = lemma.certifies and note is None
                     if not proved and any(
-                        _find_embedding_through(h, g, n, budget=budget) is not None for h in lemma.forbidden
+                        find_induced_embedding(h, g, budget=budget) is not None for h in lemma.forbidden
                     ):
                         continue
                 except StepBudgetExceeded:

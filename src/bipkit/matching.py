@@ -47,23 +47,6 @@ Stronger per-host set-up (arc consistency, neighbour-degree dominance, a
 distance ball around each root candidate) was measured to cost more than it
 pruned.
 
-An anchored search (``_find_embedding_through``, ``_search``'s ``anchor``)
-asks whether some embedding uses one host vertex v.  The lemma suites ask it
-of each graph whose enumerator parent, the graph minus v, is free of the
-pattern: a copy that avoids v lies in the parent, so any copy uses v.  The
-root level places at v one pattern vertex per orbit of the pattern's
-automorphism group (``_pattern_symmetry``), skipping any of higher degree
-than v, and below it the search runs with both filters as usual.  One root
-per orbit loses nothing: if an embedding f sends w' to v and the
-automorphism s sends w to w', then f composed with s is an embedding that
-sends w to v.
-On the 4,904 (pattern, graph) searches of the closure lemma over levels up
-to 10 (S123 and P7 into each graph with a free parent) this takes 48,934
-steps instead of the whole-graph search's 102,811; every pattern vertex as
-a root takes 60,666.  Pinning each root through ``domains``, one search per
-pin, turns both filters off and was measured slower than the whole-graph
-search.
-
 The order constraints serve two callers.  ``is_free`` builds them from the
 orbits of an orbit-pruned stabiliser chain of each forbidden pattern's
 automorphisms (``_automorphism_generators``, which the enumerator also uses
@@ -74,10 +57,9 @@ the pattern into itself only for an image that the automorphisms found so
 far do not reach and that no failed search has ruled out: building levels
 1..10 of the enumerator, whose parents start from their round-1 colours,
 takes 1,304 such searches, not the 2,878 of trying every vertex of the base
-point's colour class.  One chain per pattern gives both the order
-constraints and the anchored search's orbit roots, and its build stops at
-the caller's budget, so the two are cached together per pattern and limit
-(``_pattern_symmetry``), each search charged the chain's steps.
+point's colour class.  The chain's build stops at the caller's budget, so
+the constraints are cached with its steps per pattern and limit
+(``_pattern_symmetry``), each search charged those steps.
 Pattern containment of permutations chains every pattern position below the
 next, which makes an induced embedding of the positional inversion graphs an
 occurrence.
@@ -113,13 +95,14 @@ class Embedding:
 
 
 def verify_embedding(emb: Embedding, pattern: Graph, host: Graph) -> bool:
-    """Independent checker: injectivity plus the induced condition on all pairs."""
+    """Independent checker: injectivity plus the induced condition on all
+    pairs.  An image that is not an int (a bool included) is no host vertex."""
     m = emb.mapping
     if len(m) != pattern.n:
         return False
-    if len(set(m)) != len(m):
+    if any(x.__class__ is not int or not 1 <= x <= host.n for x in m):
         return False
-    if any(not (1 <= x <= host.n) for x in m):
+    if len(set(m)) != len(m):
         return False
     for u in range(1, pattern.n + 1):
         for v in range(u + 1, pattern.n + 1):
@@ -221,7 +204,6 @@ def _search(
     budget: _Budget,
     domains: list[int] | None = None,
     larger: list[int] | None = None,
-    anchor: tuple[int, int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield each induced embedding in search order, as a tuple of 1-based
     host ids (item u is the image of pattern vertex ``u + 1``).
@@ -242,13 +224,6 @@ def _search(
     ``u`` at ``x`` then keeps only the host vertices above ``x`` in those
     vertices' domains, and only those below ``x`` in the domains of vertices
     that must stay under ``u``.
-
-    ``anchor`` is ``(x, roots)``: only embeddings that send a pattern vertex
-    of the mask ``roots`` to host vertex ``x + 1`` are searched.  The root
-    level then places each vertex of ``roots`` at x in turn, one step each,
-    skipping those the degree filter bars from x, instead of trying host
-    vertices for one pattern vertex; below it the search runs as without an
-    anchor.  It is used with the degree filter and without ``larger``.
 
     The search tree is walked on an explicit stack, so its depth is not
     bounded by the interpreter's recursion limit.
@@ -280,31 +255,18 @@ def _search(
     # one frame per assigned pattern vertex: the vertex, its untried
     # candidates, the domains it was chosen from and the vertices left after it
     frames: list[tuple[int, int, list[int], int]] = []
-    if anchor is None:
-        # most-constrained vertex first, ascending-id tie-break; after the
-        # first, each choice is made while the domains are filtered
-        sizes = [d.bit_count() for d in domains]
-        u = sizes.index(min(sizes))
-        remaining = ((1 << p) - 1) & ~(1 << u)
-        cands = domains[u]
-        roots = 0
-    else:
-        at, roots = 1 << anchor[0], anchor[1]
-        cands = 0  # the loop starts at the first root
+    # most-constrained vertex first, ascending-id tie-break; after the first,
+    # each choice is made while the domains are filtered
+    sizes = [d.bit_count() for d in domains]
+    u = sizes.index(min(sizes))
+    remaining = ((1 << p) - 1) & ~(1 << u)
+    cands = domains[u]
     while True:
         if not cands:
-            if frames:
-                u, cands, domains, remaining = frames.pop()
-            elif roots:
-                # the next root at the anchor, with the root-level domains
-                low = roots & -roots
-                roots ^= low
-                u = low.bit_length() - 1
-                remaining = ((1 << p) - 1) & ~low
-                cands = domains[u] & at
-            else:
+            if not frames:
                 budget.spent = steps
                 return
+            u, cands, domains, remaining = frames.pop()
             continue
         low = cands & -cands
         cands ^= low
@@ -384,11 +346,10 @@ def _search(
 
 def _automorphism_generators(
     adj: tuple[int, ...], budget: _Budget, colors: list
-) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+) -> tuple[list[tuple[int, ...]], list[int]]:
     """Generators of the automorphism group of the graph with rows ``adj``,
-    each automorphism as 0-based images (``gen[x]``); per vertex u the mask
-    of u's orbit under the automorphisms that fix 0..u-1; and per vertex x
-    the mask of x's orbit under the whole group.
+    each automorphism as 0-based images (``gen[x]``), and per vertex u the
+    mask of u's orbit under the automorphisms that fix 0..u-1.
 
     ``colors[x]`` is a colour of vertex x (any hashable value) that every
     automorphism keeps, such as a refinement round's key or the stable
@@ -426,8 +387,7 @@ def _automorphism_generators(
     So they generate a subgroup of G that contains H, the stabiliser of u
     in G, and that is transitive on u's orbit, which is all of G by the
     orbit-stabiliser theorem.  Each orbit mask is read when its base point
-    is done, so it is u's whole orbit under G.  At the end the generators
-    generate the whole group, so the masks kept for them are its orbits.
+    is done, so it is u's whole orbit under G.
     """
     n = len(adj)
     by_color: dict = {}
@@ -471,16 +431,15 @@ def _automorphism_generators(
             else:
                 add(tuple(x - 1 for x in found))
         orbits[u] = orbit[u]
-    return gens, orbits, orbit
+    return gens, orbits
 
 
 @lru_cache(maxsize=256)
-def _pattern_symmetry(pattern: Graph, limit: int) -> tuple[list[int] | None, int, int]:
+def _pattern_symmetry(pattern: Graph, limit: int) -> tuple[list[int] | None, int]:
     """The symmetry record of ``pattern``: its order constraints, in
     ``_search``'s ``larger`` form (None when the pattern has no automorphism
-    but the identity); the mask of the least vertex of each orbit of its
-    automorphism group; and the steps the one ``_automorphism_generators``
-    chain behind both spent on ``_Budget(limit)``.
+    but the identity), and the steps the ``_automorphism_generators`` chain
+    behind them spent on ``_Budget(limit)``.
 
     ``larger[u]`` is u's orbit under the automorphisms that fix 0..u-1,
     without u, so each such v adds "image(u) < image(v)".  Among the
@@ -490,38 +449,16 @@ def _pattern_symmetry(pattern: Graph, limit: int) -> tuple[list[int] | None, int
     agrees with it before u and puts image(v) at u.  So the pairs lose no
     embedding up to automorphism, and for an all-different search they keep
     exactly one per orbit (Puget 2005, "Breaking symmetries in all different
-    problems").  The roots are read off the chain's orbit partition of the
-    whole group.
+    problems").
 
     The caller charges the steps on a hit as on a miss, so budgets and
     UNDECIDED verdicts do not depend on what was built before.  A build that
     runs out raises and is not cached; a smaller limit is its own key.
     """
     budget = _Budget(limit)
-    _, orbits, partition = _automorphism_generators(pattern.adj, budget, _refinement_colors(pattern.adj)[0])
+    orbits = _automorphism_generators(pattern.adj, budget, _refinement_colors(pattern.adj)[0])[1]
     larger = [orbit & ~(1 << u) for u, orbit in enumerate(orbits)]
-    # x is its orbit's least vertex when no lower bit is set in the orbit
-    roots = sum(1 << x for x, orbit in enumerate(partition) if orbit & -orbit == 1 << x)
-    return (larger if any(larger) else None), roots, budget.spent
-
-
-def _find_embedding_through(
-    pattern: Graph, host: Graph, v: int, *, budget: int | None = None
-) -> Embedding | None:
-    """An induced embedding of ``pattern`` into ``host`` that uses host
-    vertex ``v``, or None when every embedding avoids v.
-
-    One search anchored at v (``_search``'s ``anchor``), its roots one
-    pattern vertex per automorphism orbit (``_pattern_symmetry``), whose
-    build steps are charged first.  Raises StepBudgetExceeded when a step
-    budget is given and runs out.
-    """
-    tracker = _Budget(budget)
-    if pattern.n > host.n or pattern.edge_count > host.edge_count:
-        return None  # cannot embed: skip the automorphism searches as well
-    _, roots, tracker.spent = _pattern_symmetry(pattern, tracker.limit)
-    found = next(_search(pattern.adj, host.adj, tracker, anchor=(v - 1, roots)), None)
-    return None if found is None else Embedding(found)
+    return (larger if any(larger) else None), budget.spent
 
 
 def find_induced_embedding(
@@ -562,7 +499,7 @@ def is_free(
         if h.n > g.n or h.edge_count > g.edge_count:
             continue  # cannot embed: skip the automorphism searches as well
         # each pattern gets the whole budget, its constraints' steps charged first
-        larger, _, tracker.spent = _pattern_symmetry(h, tracker.limit)
+        larger, tracker.spent = _pattern_symmetry(h, tracker.limit)
         found = next(_search(h.adj, g.adj, tracker, larger=larger), None)
         if found is not None:
             return FreenessResult(False, idx, Embedding(found))

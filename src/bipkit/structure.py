@@ -49,10 +49,9 @@ from .graphs import (
 
 def _independent_part(g: Graph, part: set[int] | frozenset[int]) -> list[int]:
     """The part's ids ascending, once each is a vertex of ``g`` and no two are adjacent."""
+    for v in part:
+        _int_in("part vertex", v, 1, g.n)
     vs = sorted(part)
-    for v in vs:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"part vertex {v} outside 1..{g.n}")
     pmask = mask_of(vs)
     for v in vs:
         if g.adj[v - 1] & pmask:
@@ -111,6 +110,8 @@ def verify_biconvex_order(
 ) -> bool:
     """True iff every neighbourhood is consecutive in the opposite part's order."""
     validate_bipartition(g, b)
+    for v in itertools.chain(order_a, order_b):
+        _int_in("order vertex", v, 1, g.n)
     if sorted(order_a) != sorted(b.part_a) or sorted(order_b) != sorted(b.part_b):
         raise ValueError("orders must be permutations of the parts")
     return _intervals_in_order(g, tuple(b.part_b), tuple(order_a)) and _intervals_in_order(
@@ -433,7 +434,7 @@ def parse_tree(text: str) -> DecompositionTree:
             entries.append(vertex if tok == "X" else -vertex)
             expect = ")"
         elif expect == "done":
-            raise ValueError("trailing tokens after tree")
+            raise ValueError(f"trailing tokens after tree at token {pos}")
         else:
             if tok != ")":
                 raise ValueError(f"malformed tree text near token {pos}")

@@ -13,7 +13,6 @@ from bipkit.matching import (
     StepBudgetExceeded,
     _Budget,
     _automorphism_generators,
-    _find_embedding_through,
     _parts,
     _pattern_symmetry,
     _refinement_colors,
@@ -204,7 +203,6 @@ def test_search_entries_reject_a_bad_budget_before_their_graphs():
         "are_isomorphic": lambda b: are_isomorphic(None, None, budget=b),
         "has_path_subgraph": lambda b: has_path_subgraph(None, 3, budget=b),
         "contains_pattern": lambda b: contains_pattern(None, None, budget=b),
-        "_find_embedding_through": lambda b: _find_embedding_through(None, None, 1, budget=b),
     }
     for entry in entries.values():
         for bad in (-1, True, 2.5, "7"):
@@ -238,7 +236,7 @@ def test_path_length_and_count_limit_must_be_ints_of_at_least_one():
 
 def test_cached_order_constraints_charge_their_steps_on_every_call():
     host, pattern = t_graph_star(10).graph, two_p3()
-    larger, roots, cost = _pattern_symmetry(pattern, _Budget(None).limit)
+    larger, cost = _pattern_symmetry(pattern, _Budget(None).limit)
     tracker = _Budget(None)
     tracker.spent = cost
     assert next(_search(pattern.adj, host.adj, tracker, larger=larger), None) is None
@@ -250,7 +248,7 @@ def test_cached_order_constraints_charge_their_steps_on_every_call():
     assert _pattern_symmetry.cache_info().currsize == 0  # a build that runs out is not kept
     assert is_free(host, [pattern], budget=total).free
     assert _pattern_symmetry.cache_info().currsize == 1
-    assert _pattern_symmetry(pattern, total) == (larger, roots, cost)
+    assert _pattern_symmetry(pattern, total) == (larger, cost)
     for budget in (cost - 1, total - 1):
         for _ in range(2):  # a miss, then for total - 1 a hit, which charges the build again
             with pytest.raises(StepBudgetExceeded):
@@ -259,10 +257,6 @@ def test_cached_order_constraints_charge_their_steps_on_every_call():
     assert (info.hits, info.currsize) == (2, 2)
     assert is_free(host, [pattern], budget=total).free
     assert _pattern_symmetry.cache_info().hits == 3
-    # the anchored search reads the same record
-    assert _find_embedding_through(pattern, host, 1, budget=total) is None
-    info = _pattern_symmetry.cache_info()
-    assert (info.hits, info.currsize) == (4, 2)
 
 
 def test_has_path_subgraph_finds_paths_longer_than_the_recursion_limit():
@@ -372,47 +366,6 @@ def test_cached_search_set_up_runs_out_of_budget_at_the_same_step(connected_leve
             assert (None if emb is None else emb.mapping) == found
 
 
-def test_anchored_search_against_the_full_enumeration(connected_levels):
-    # an embedding through v exists exactly when one of the full search's
-    # does; C3+C4's refinement colours are one class but its orbits two, so
-    # roots taken per colour class would miss the embeddings through one cycle
-    patterns = [cycle(4), path(7), sun1(), s123(), two_p3(), cycle(5), _disjoint(cycle(3), cycle(4))]
-    hosts = [g for n in range(1, 9) for g in connected_levels[n]]
-    hosts += [_disjoint(cycle(3), cycle(4)), _disjoint(path(2), cycle(4), cycle(3)), _disjoint(cycle(5), path(4))]
-    hosts += [_disjoint(path(3), path(3), path(2)), _disjoint(sun1(), path(7)), complete(4), cycle(7)]
-    for pattern in patterns:
-        for host in hosts:
-            used = 0
-            for found in _search(pattern.adj, host.adj, _Budget(None)):
-                used |= sum(1 << x for x in found)
-            for v in range(1, host.n + 1):
-                emb = _find_embedding_through(pattern, host, v)
-                assert (emb is not None) == bool(used >> v & 1), (pattern.edges(), host.edges(), v)
-                assert emb is None or (v in emb.mapping and verify_embedding(emb, pattern, host))
-
-
-def test_anchored_search_runs_out_at_the_step_past_its_budget(connected_levels):
-    for pattern, host, v in ((path(7), path(9), 5), (s123(), connected_levels[10][-1], 10), (cycle(4), cycle(8), 1)):
-        _, roots, cost = _pattern_symmetry(pattern, _Budget(None).limit)
-        tracker = _Budget(None)
-        found = next(_search(pattern.adj, host.adj, tracker, anchor=(v - 1, roots)), None)
-        steps = tracker.spent
-        assert steps > 0
-        for k in range(steps):
-            tracker = _Budget(k)
-            with pytest.raises(StepBudgetExceeded):
-                next(_search(pattern.adj, host.adj, tracker, anchor=(v - 1, roots)), None)
-            assert tracker.spent == k + 1
-        # the entry point charges the roots' build first, on a miss or a hit
-        _pattern_symmetry.cache_clear()
-        for _ in range(2):
-            for k in {max(cost - 1, 0), cost + steps - 1}:
-                with pytest.raises(StepBudgetExceeded):
-                    _find_embedding_through(pattern, host, v, budget=k)
-            emb = _find_embedding_through(pattern, host, v, budget=cost + steps)
-            assert (None if emb is None else emb.mapping) == found
-
-
 def _quasi_order_pool() -> list[Graph]:
     pool = [path(n) for n in range(1, 8)]
     pool += [cycle(n) for n in range(3, 8)]
@@ -466,6 +419,10 @@ def test_embedding_checker_rejects_bad_maps():
     assert not verify_embedding(emb, path(3), path(4))  # out of range
     emb = Embedding((1, 2))
     assert not verify_embedding(emb, path(3), path(4))  # wrong arity
+    # an image that is not an int is no host vertex: a string or a float
+    # raised TypeError, and True passed as vertex 1
+    for bad in ((1, "2"), (1, 2.0), (True, 2)):
+        assert not verify_embedding(Embedding(bad), path(2), path(3)), bad
 
 
 def test_deterministic_witness():
@@ -569,22 +526,12 @@ def test_automorphism_generators_generate_the_whole_group():
     for g in graphs:
         auts = _brute_force_automorphisms(g)
         for colors in (round_one_keys(g.adj), _refinement_colors(g.adj)[0]):
-            gens, orbits, partition = _automorphism_generators(g.adj, _Budget(None), colors)
+            gens, orbits = _automorphism_generators(g.adj, _Budget(None), colors)
             assert _closure(gens, g.n) == auts, g.adj
-            # orbits[u]: u's orbit under the automorphisms that fix 0..u-1;
-            # partition[u]: u's orbit under the whole group
+            # orbits[u]: u's orbit under the automorphisms that fix 0..u-1
             for u in range(g.n):
                 want = sum({1 << a[u] for a in auts if a[:u] == tuple(range(u))})
                 assert orbits[u] == want, (g.adj, u)
-                assert partition[u] == sum({1 << a[u] for a in auts}), (g.adj, u)
-
-
-def test_pattern_roots_are_the_least_vertex_of_each_orbit():
-    # every automorphism, from the unconstrained search of the pattern into itself
-    for name, pattern in SYMMETRIC_PATTERNS.items():
-        auts = list(_search(pattern.adj, pattern.adj, _Budget(None)))
-        least = {min(a[u] - 1 for a in auts) for u in range(pattern.n)}
-        assert _pattern_symmetry(pattern, _Budget(None).limit)[1] == sum(1 << x for x in least), name
 
 
 def test_order_constraints_are_pinned():
@@ -605,11 +552,11 @@ def test_order_constraints_are_pinned():
 
 
 def test_pattern_symmetry_starts_from_stable_colours():
-    # the steps is_free and the anchored search are charged for a pattern's
-    # symmetry record; from round-1 keys, which leave a long path or a large
-    # grid in a few coarse classes, the chain spends 30,861 and 9,559
+    # the steps is_free is charged for a pattern's symmetry record; from
+    # round-1 keys, which leave a long path or a large grid in a few coarse
+    # classes, the chain spends 30,861 and 9,559
     for pattern, want in ((path(60), 495), (universal_grid(8, 8)[0], 399)):
-        assert _pattern_symmetry(pattern, _Budget(None).limit)[2] == want, pattern.n
+        assert _pattern_symmetry(pattern, _Budget(None).limit)[1] == want, pattern.n
 
 
 def test_constrained_search_keeps_one_embedding_per_automorphism_orbit(connected_levels):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from conftest import all_bipartite
@@ -106,11 +107,12 @@ def test_incomparability_examples():
 
 
 def test_part_ids_outside_the_graph_are_located():
-    # bad ids end in a ValueError naming them, never in an IndexError
+    # bad ids end in a ValueError naming them, never in an IndexError or a
+    # TypeError, and a bool is no vertex id
     for check in (neighborhoods_nested, incomparability_graph):
-        for bad in (0, 4):
-            with pytest.raises(ValueError, match=f"vertex {bad} outside 1..3"):
-                check(path(3), {1, bad})
+        for bad in (0, 4, 1.5, "1", True):
+            with pytest.raises(ValueError, match=re.escape(f"part vertex must be an int in 1..3, got {bad!r}")):
+                check(path(3), {3, bad})
 
 
 def test_incomparability_isolated_vertices():
@@ -138,6 +140,11 @@ def test_verify_biconvex_order_examples():
             assert not verify_biconvex_order(c6, b6, order_a, order_b)
     with pytest.raises(ValueError):
         verify_biconvex_order(g, b, (1, 2), (3, 4))
+    # an order entry that is not a vertex id is named before any comparison
+    p3, b3 = path(3), Bipartition.of([1, 3], [2])
+    for order_a, order_b, bad in (((1, "3"), (2,), "3"), ((1, 3), (2.0,), 2.0), ((1, 3), (True,), True)):
+        with pytest.raises(ValueError, match=re.escape(f"order vertex must be an int in 1..3, got {bad!r}")):
+            verify_biconvex_order(p3, b3, order_a, order_b)
 
 
 def test_proof_order_for_three_zone_graphs():
@@ -361,6 +368,9 @@ def test_tree_round_trip_and_errors():
         parse_tree("(leaf 1 Z)")
     with pytest.raises(ValueError, match="unknown node kind 'meet' at token 1$"):
         parse_tree("(meet (leaf 1 X) (leaf 2 Y))")
+    # text after a whole tree is located at its first token
+    with pytest.raises(ValueError, match="^trailing tokens after tree at token 5$"):
+        parse_tree("(leaf 1 X) (leaf 2 X)")
     for bad in (
         "(union (leaf 1 X) (leaf 2 X)) extra",
         "(union (leaf 1 X) (leaf 2 X) (leaf 3 X))",

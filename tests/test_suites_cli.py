@@ -30,7 +30,8 @@ from bipkit.harness.suites import (
     _member,
     _placement_degree,
 )
-from bipkit.matching import are_isomorphic, find_induced_embedding
+from bipkit.harness.enumeration import parent_rows
+from bipkit.matching import are_isomorphic, find_induced_embedding, is_free
 from bipkit.perms import Permutation, permutation_graph
 from bipkit.structure import decompose, format_tree, recompose
 
@@ -53,6 +54,16 @@ def test_antichain_check_families():
     for name in ("nope", "H", "permT", "kab", "sun4", "perm-graph"):
         with pytest.raises(ValueError, match="unknown family"):
             antichain_check(name, [1, 2])
+    # each index goes through its family's builder before any case runs; a
+    # bad one built every case anyway, each printing a traceback and failing
+    for family, indices, bad, message in (
+        ("h", [1, "2"], "'2'", "i must be an int of at least 1, got '2'"),
+        ("h", [0, 1], "0", "i must be an int of at least 1, got 0"),
+        ("star-t", [6, 7], "7", "defined for even n >= 6"),
+        ("t-graph", [True, 8], "True", "n must be an int of at least 6, got True"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{family} index {bad}: {message}")):
+            antichain_check(family, indices)
 
 
 def test_failing_case_produces_reverifiable_witness():
@@ -299,45 +310,43 @@ def test_seven_vertex_path_has_one_chord_in_every_member():
     assert free == [((1, 6),), ((2, 7),)]
 
 
-def _record_searches(monkeypatch, name: str = "find_induced_embedding") -> list:
-    """The (pattern rows, host rows) of every call of the search ``name`` that suites imports."""
+def _record_searches(monkeypatch) -> list:
+    """The (pattern rows, host rows) of every ``find_induced_embedding`` call in suites."""
     calls = []
-    search = getattr(suites, name)
+    search = suites.find_induced_embedding
 
     def recorded(pattern, host, *args, **kwargs):
         calls.append((pattern.adj, host.adj))
         return search(pattern, host, *args, **kwargs)
 
-    monkeypatch.setattr(suites, name, recorded)
+    monkeypatch.setattr(suites, "find_induced_embedding", recorded)
     return calls
 
 
 def test_exhaustive_searches_each_pattern_once_per_graph(monkeypatch):
     # membership and the claim are decided while the specs are built, each
-    # parent's freeness read from the level below and each child searched
-    # through its new vertex only; the chunks only report
-    calls = _record_searches(monkeypatch, "_find_embedding_through")
-    full = _record_searches(monkeypatch)
+    # parent's freeness read from the level below and only a child of a free
+    # parent searched; the chunks only report
+    calls = _record_searches(monkeypatch)
     for suite in ("lemma-key", "lemma-reduction", "closure"):
-        forbidden = {h.adj for h in LEMMAS[suite].forbidden}
+        forbidden = LEMMAS[suite].forbidden
         calls.clear()
-        full.clear()
         specs = _exhaustive(suite, 1, 9)
-        assert any(key[0] in forbidden for key in calls), suite
+        assert any(key[0] in {h.adj for h in forbidden} for key in calls), suite
         assert len(calls) == len(set(calls)), suite
-        assert not any(key[0] in forbidden for key in full), suite
+        parents = {parent_rows(Graph(len(host), host)) for _, host in calls}
+        assert all(is_free(Graph(len(rows), rows), list(forbidden)).free for rows in parents), suite
         calls.clear()
-        full.clear()
         for spec in specs:
             assert suites._exec_spec(spec).status == "ok", (suite, spec[0])
-        assert calls == full == [], suite
+        assert calls == [], suite
 
 
 def test_closure_searches_only_graphs_without_a_build_tree(monkeypatch):
     # closure's claim certifies membership (LEMMAS docstring): a graph with a
     # build tree that recomposes is a member unsearched, so the walk searches
     # only the graphs with a member parent and no tree
-    calls = _record_searches(monkeypatch, "_find_embedding_through")
+    calls = _record_searches(monkeypatch)
     _exhaustive("closure", 1, 10)
     hosts = {host for _, host in calls}
     for rows in hosts:
@@ -350,8 +359,8 @@ def test_closure_searches_only_graphs_without_a_build_tree(monkeypatch):
 def test_a_claim_out_of_budget_leaves_its_chunk_undecided(monkeypatch):
     # membership searches run unbounded here, so only the claim, lemma-key's
     # 9-vertex path search, meets the budget of one step
-    search = suites._find_embedding_through
-    monkeypatch.setattr(suites, "_find_embedding_through", lambda h, g, v, budget: search(h, g, v))
+    search = suites.find_induced_embedding
+    monkeypatch.setattr(suites, "find_induced_embedding", lambda h, g, budget: search(h, g))
     [spec] = _exhaustive("lemma-key", 9, 9, budget=1)
     note = "730 graphs, 36 in universe, 20 undecided: step budget exhausted"
     assert suites._exec_spec(spec) == suites.CaseVerdict(spec[0], "UNDECIDED", note)
@@ -652,6 +661,10 @@ def test_cli_verify_checks_pairs_before_any_suite_runs(capsys):
         assert captured.out == "" and message in captured.err, argv
     with pytest.raises(ValueError, match="s-pair 10,7"):
         SuiteOptions(s_pairs=((10, 7),))
+    # a pair that is not two values is named too, not an unpacking error
+    for field, flag, pair in (("t_pairs", "t-pair", (6, 8, 10)), ("s_pairs", "s-pair", 8), ("t_pairs", "t-pair", (6,))):
+        with pytest.raises(ValueError, match=re.escape(f"{flag} {pair!r}: a pair is two indices")):
+            SuiteOptions(**{field: (pair,)})
     assert SuiteOptions(t_pairs=((8, 10),), s_pairs=((10, 12),)).t_pairs == ((8, 10),)
 
 
