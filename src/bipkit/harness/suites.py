@@ -39,20 +39,25 @@ vertex is its enumerator parent (``enumeration.parent_rows``), and the
 forbidden patterns are induced subgraphs, so a graph whose parent is not
 free is rejected unsearched.  Every other graph gets one search per
 forbidden pattern, and any copy found uses the last vertex: a copy that
-avoids it would lie in the free parent.  A lemma whose claim certifies
-membership (``Lemma.certifies``, closure's alone) runs its claim first
-instead, and searches only a graph the claim fails: a free one is a member
-that violates the claim.  A free graph gets one search for the required
-pattern, which is not inherited, and a member gets the claim.
+avoids it would lie in the free parent.  Closure's claim, a build tree that
+recomposes, certifies membership (``LEMMAS``), so its walk runs the claim
+first and searches only a graph the claim fails: a free one is a member
+that violates the claim.  It keeps each certified graph's tree for one
+level and grows each child's tree from its parent's
+(``structure.extend_tree``); only level 1, and a child of a free parent
+without a tree, are decomposed whole.  A free graph gets one search for
+the required pattern, which is not inherited, and a member gets the claim.
 Every search and claim takes the suite's budget.  A graph whose membership
 search runs out is undecided, neither free nor rejected, and so are its
 children, for which the parent rule has no answer; so is a member whose
-claim runs out.  A chunk with a violation fails, with the first one as its
-witness; else a chunk that holds an undecided graph is UNDECIDED, with
-their count in its note.  The walk runs outside any case, so any other
-error in a search or a claim stops the suite's build.  A spot case reads
-membership off its own pattern searches; only :func:`reverify_witness` runs
-the full search (``_member``).
+claim runs out.  Any other error in a search or a claim is handed to the
+graph's chunk, with the graph, and the walk goes on: the parent rule only
+spares searches, so the graph's children are searched whole, or decomposed
+afresh.  A chunk with such an error fails with a note; else a chunk with a
+violation fails, with the first one as its witness; else a chunk that
+holds an undecided graph is UNDECIDED, with their count in its note.  A
+spot case reads membership off its own pattern searches; only
+:func:`reverify_witness` runs the full search (``_member``).
 """
 
 from __future__ import annotations
@@ -118,6 +123,7 @@ from ..families import (
 from ..structure import (
     DecompositionTree,
     decompose,
+    extend_tree,
     format_tree,
     letter_representation_grid,
     decode_letter,
@@ -461,6 +467,9 @@ def antichain_check(
     count = GRAPH_FAMILIES[family][0] if family in GRAPH_FAMILIES else None
     if family not in PERM_FAMILIES and (count != 1 or family == "perm-graph"):
         raise ValueError(f"unknown family {family!r}: name a registered family with one integer parameter")
+    # the budget and the worker count through the package's one rule, as ``SuiteOptions`` checks them
+    _Budget(budget)
+    _int_in("workers", workers)
     # each index through its family's builder, before any case runs
     for i in indices:
         try:
@@ -572,16 +581,13 @@ class Lemma:
 
     ``claim(g, b, budget)`` yields one note per violation of the claim on a
     member ``g`` with bipartition ``b``, its searches bounded by ``budget``;
-    ``members`` names the members in a chunk's note.  ``certifies`` says
-    that a claim that holds on a graph proves it a member, so the walk runs
-    the claim first and searches only a graph the claim fails.
+    ``members`` names the members in a chunk's note.
     """
 
     forbidden: tuple[Graph, ...]
     required: Graph | None
     claim: Callable[[Graph, Bipartition, int | None], Iterator[str]]
     members: str
-    certifies: bool = False
 
 
 def _no_p9(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
@@ -594,10 +600,14 @@ def _complete_bipartite(g: Graph, b: Bipartition, budget: int | None) -> Iterato
         yield "graph with C4 is not complete bipartite"
 
 
-def _decomposes(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
-    tree = decompose(g, b)
+def _tree_notes(g: Graph, tree: DecompositionTree | None) -> Iterator[str]:
+    """Closure's claim on ``g`` given the build tree found for it, or None."""
     if tree is None or recompose(tree) != g:
         yield "class member fails to decompose"
+
+
+def _decomposes(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
+    return _tree_notes(g, decompose(g, b))
 
 
 LEMMAS = {
@@ -608,7 +618,7 @@ LEMMAS = {
         forbidden=(sun1(), path(7)), required=cycle(4), claim=_complete_bipartite, members="with C4 in universe"
     ),
     "closure": Lemma(
-        forbidden=(s123(), path(7)), required=None, claim=_decomposes, members="in class", certifies=True
+        forbidden=(s123(), path(7)), required=None, claim=_decomposes, members="in class"
     ),
 }
 """The lemmas by suite name, forbidden patterns listed cheapest rejection
@@ -643,15 +653,18 @@ single cross-edge rule (``structure._add_cross``), two leaves' adjacency
 depends only on their lowest common ancestor's kind, their sides and the
 skew order, and dropping the other leaves and splicing out every node left
 with one operand keeps all three, so an induced subgraph of a buildable
-graph is buildable.  P7 and S123 do not decompose (the ``decompose/path7-none``
-case, and tier-1's check of ``decompose``'s "no" answers against
-(P7,S123)-freeness), so a buildable graph holds neither.  The walk takes no
-verdict from this: every member has a member parent, so it is either given
-a tree, and the claim holds on it, or searched exactly, and a member
-without a tree fails the claim.  The argument decides only a chunk's
-member count and which children the walk visits, and
-``test_exhaustive_members_equal_full_search`` checks both against the full
-search up to n=10.
+graph is buildable; ``structure.restrict`` does exactly this, and tier-1
+checks that its tree recomposes to the induced subgraph.  P7 and S123 do
+not decompose (the ``decompose/path7-none`` case, and tier-1's check of
+``decompose``'s "no" answers against (P7,S123)-freeness), so a buildable
+graph holds neither.  The same heredity makes the walk's tree growth exact
+(``structure.extend_tree``): a child whose re-split subtree has no tree
+has none.  The walk takes no verdict from this: every member has a member
+parent, so it is either given a tree, and the claim holds on it, or
+searched exactly, and a member without a tree fails the claim.  The
+argument decides only a chunk's member count and which children the walk
+visits, and ``test_exhaustive_members_equal_full_search`` checks both
+against the full search up to n=10.
 """
 
 
@@ -670,14 +683,26 @@ def _lemma_witness(suite: str, g: Graph, note: str) -> str:
 
 
 def _case_lemma_chunk(
-    case: str, suite: str, size: int, members: list[Graph], undecided: int, violation: tuple[Graph, str] | None
+    case: str,
+    suite: str,
+    size: int,
+    members: list[Graph],
+    error: tuple[Graph, str] | None,
+    undecided: int,
+    violation: tuple[Graph, str] | None,
 ) -> CaseVerdict:
     """Report the walk's verdict on a chunk of ``size`` graphs of one
     connected level: ``members`` are the universe's members among them,
-    ``undecided`` counts the graphs whose membership or claim ran out of
-    budget, and ``violation`` is the first member the claim fails, with the
-    claim's note, or None.  A violation fails the chunk; else an undecided
-    graph leaves it UNDECIDED."""
+    ``error`` is the first graph on which a search or claim raised, with
+    the error's type and message, or None, ``undecided`` counts the graphs
+    whose membership or claim ran out of budget, and ``violation`` is the
+    first member the claim fails, with the claim's note, or None.  An
+    error fails the chunk with a note and no witness, since the walk's
+    answers there are not known; else a violation fails it; else an
+    undecided graph leaves it UNDECIDED."""
+    if error is not None:
+        g, message = error
+        return _fail(case, f"walk error on the graph with edges {g.edges()}: {message}")
     if violation is not None:
         g, note = violation
         return _fail(case, note, _lemma_witness(suite, g, note))
@@ -710,20 +735,25 @@ _CHUNK = 2000
 
 def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT_BUDGET) -> list:
     """One ``_case_lemma_chunk`` spec per chunk of levels n_min..n_max, with
-    the chunk's size, members, undecided count and first violation, found by
-    the walk of the module docstring with every search bounded by ``budget``."""
+    the chunk's size, members, undecided count, first violation and first
+    walk error, found by the walk of the module docstring with every search
+    bounded by ``budget``."""
     lemma = LEMMAS[suite]
-    # rows of the free and of the undecided representatives one level down;
-    # () is level 0
-    free, unknown = {()}, set()
+    # closure's claim, a build tree that recomposes, proves membership
+    # (``LEMMAS``), so the walk grows each graph's tree from its parent's and
+    # searches only a graph without one
+    certifies = lemma.claim is _decomposes
+    # rows of the free and of the undecided representatives one level down,
+    # and the build trees of the certified ones; () is level 0
+    free, unknown, trees = {()}, set(), {}
     specs = []
     for n in range(1, n_max + 1):
         level = bipartite_level(n)
-        free_below, unknown_below = free, unknown
-        free, unknown = set(), set()
+        free_below, unknown_below, trees_below = free, unknown, trees
+        free, unknown, trees = set(), set(), {}
         for idx, start in enumerate(range(0, len(level), _CHUNK)):
             part = level[start : start + _CHUNK]
-            members, undecided, violation = [], 0, None
+            members, undecided, violation, error = [], 0, None, None
             for g in part:
                 parent = parent_rows(g)
                 if parent in unknown_below:
@@ -732,35 +762,47 @@ def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT
                     continue
                 if parent not in free_below:
                     continue
+                admitted, note = False, None
                 try:
-                    # a certifying claim that holds proves membership, so only
-                    # a graph it fails is searched
-                    note = next(lemma.claim(g, find_bipartition(g), budget), None) if lemma.certifies else None
-                    proved = lemma.certifies and note is None
-                    if not proved and any(
+                    if certifies:
+                        below = trees_below.get(parent)
+                        tree = decompose(g, find_bipartition(g)) if below is None else extend_tree(below, g)
+                        note = next(_tree_notes(g, tree), None)
+                        if note is None:
+                            trees[g.adj] = tree
+                    if (not certifies or note is not None) and any(
                         find_induced_embedding(h, g, budget=budget) is not None for h in lemma.forbidden
                     ):
                         continue
-                except StepBudgetExceeded:
-                    unknown.add(g.adj)
-                    undecided += 1
-                    continue
-                free.add(g.adj)
-                if n < n_min:
-                    continue
-                try:
+                    free.add(g.adj)
+                    admitted = True
+                    if n < n_min:
+                        continue
                     if lemma.required is not None and find_induced_embedding(lemma.required, g, budget=budget) is None:
                         continue
                     members.append(g)
-                    if not lemma.certifies:
+                    if not certifies:
                         note = next(lemma.claim(g, find_bipartition(g), budget), None)
                 except StepBudgetExceeded:
+                    # a graph whose membership is not known leaves its children undecided
+                    if not admitted:
+                        unknown.add(g.adj)
                     undecided += 1
+                    continue
+                except Exception as exc:
+                    # any other error fails this chunk alone, as ``_exec_spec``
+                    # fails one case.  The children are still decided: the
+                    # parent rule only spares searches, so a child of a graph
+                    # counted free is searched whole, or decomposed afresh
+                    free.add(g.adj)
+                    traceback.print_exc()
+                    if error is None:
+                        error = (g, f"{type(exc).__name__}: {exc}")
                     continue
                 if note is not None and violation is None:
                     violation = (g, note)
             if n >= n_min:
-                args = (suite, len(part), members, undecided, violation)
+                args = (suite, len(part), members, error, undecided, violation)
                 specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_chunk, args))
     return specs
 

@@ -25,6 +25,20 @@ closure, the whole subgraph, so the vertices that close to the whole
 subgraph are exactly those that reach ``low``: the closure of ``low`` over
 the reversed arcs.  The least vertex outside that set starts the split, and
 when no vertex is outside it no skew split exists.
+
+``decompose`` and ``extend_tree`` share one splitter, ``_split``, which
+forces the splits of any vertex set of a graph under fixed sides.
+``extend_tree`` decides a graph from a tree of the graph minus its last
+vertex v, after Corneil, Perl and Stewart's cotree insertion ("A linear
+recognition algorithm for cographs", SIAM J. Comput. 14, 1985).  It walks
+down from the root while v relates to the other operand's leaves as the
+node requires, and either splices v's leaf in by a join or a union above
+the first node whose opposite-side leaves v sees all or none of, or
+re-splits only that node's leaves plus v.  It is exact both ways: the
+spliced subtree's leaves relate to the rest as the node's ancestors
+require, and a re-split with no tree is an induced subgraph without one,
+so the whole graph has none, since decomposability is hereditary
+(``restrict``).
 """
 
 from __future__ import annotations
@@ -294,26 +308,23 @@ def recompose(t: DecompositionTree) -> Graph:
     return Graph._trusted(n, tuple(rows))
 
 
-def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
-    """Find a build tree for ``g`` under ``b``, or None when no tree exists.
+def _split(adj: tuple[int, ...], x_mask: int, y_mask: int, mask: int) -> list[int | str] | None:
+    """The preorder entries of a build tree of the subgraph that ``mask``
+    induces in the graph with rows ``adj`` under the sides ``x_mask`` and
+    ``y_mask``, or None when it has no tree.
 
-    Exact with no size cap: every split is forced, so nothing is searched.  The
-    root orientation needs no second try, because a skew join under the
-    flipped orientation is a skew join with its operands swapped.
+    Exact with no size cap: every split is forced, so nothing is searched.
+    ``mask`` must be nonempty and lie inside ``x_mask | y_mask``.
     """
-    validate_bipartition(g, b)
-    if g.n == 0:
-        return None
-    adj = g.adj
-    x_mask, y_mask = mask_of(b.part_a), mask_of(b.part_b)
-    in_x = [bool((x_mask >> i) & 1) for i in range(g.n)]
+    n = len(adj)
+    in_x = [bool((x_mask >> i) & 1) for i in range(n)]
     # cross non-neighbours: adjacency once cross pairs are flipped
-    co_adj = [(y_mask if in_x[i] else x_mask) & ~adj[i] for i in range(g.n)]
+    co_adj = [(y_mask if in_x[i] else x_mask) & ~adj[i] for i in range(n)]
     # a set closed under x->y on cross non-edges and y->x on cross edges is
     # exactly the first operand of a skew split
-    arcs = [co_adj[i] if in_x[i] else adj[i] for i in range(g.n)]
+    arcs = [co_adj[i] if in_x[i] else adj[i] for i in range(n)]
     # the same rule over reversed arcs: y->x on cross non-edges, x->y on cross edges
-    back = [adj[i] if in_x[i] else co_adj[i] for i in range(g.n)]
+    back = [adj[i] if in_x[i] else co_adj[i] for i in range(n)]
 
     def closure(seed: int, succ: list[int], mask: int) -> int:
         reached = frontier = seed
@@ -330,7 +341,7 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
     # force the split of every subgraph, first operand first: the visit
     # order is the tree's preorder
     tree: list[int | str] = []
-    todo = [x_mask | y_mask]
+    todo = [mask]
     while todo:
         mask = todo.pop()
         if mask.bit_count() == 1:
@@ -354,7 +365,145 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
                 first = closure(rest & -rest, arcs, mask)
         tree.append(kind)
         todo += (mask & ~first, first)
-    return DecompositionTree(tree)
+    return tree
+
+
+def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
+    """Find a build tree for ``g`` under ``b``, or None when no tree exists.
+
+    Exact with no size cap: every split is forced, so nothing is searched.  The
+    root orientation needs no second try, because a skew join under the
+    flipped orientation is a skew join with its operands swapped.
+    """
+    validate_bipartition(g, b)
+    if g.n == 0:
+        return None
+    x_mask, y_mask = mask_of(b.part_a), mask_of(b.part_b)
+    entries = _split(g.adj, x_mask, y_mask, x_mask | y_mask)
+    return None if entries is None else DecompositionTree(entries)
+
+
+def _spans(t: DecompositionTree) -> tuple[list[int], list[int], list[int]]:
+    """Per entry of a checked tree: the end of its subtree in the preorder,
+    and the masks of its X and Y leaves.
+
+    One reverse-preorder pass: a binary node at i has its first operand at
+    i + 1 and its second where the first ends, both finished before it.
+    """
+    size = len(t)
+    end, xs, ys = [0] * size, [0] * size, [0] * size
+    for i in range(size - 1, -1, -1):
+        entry = t[i]
+        if entry.__class__ is int:
+            end[i] = i + 1
+            if entry > 0:
+                xs[i] = 1 << (entry - 1)
+            else:
+                ys[i] = 1 << (-entry - 1)
+        else:
+            second = end[i + 1]
+            end[i] = end[second]
+            xs[i] = xs[i + 1] | xs[second]
+            ys[i] = ys[i + 1] | ys[second]
+    return end, xs, ys
+
+
+def extend_tree(t: DecompositionTree, g: Graph) -> DecompositionTree | None:
+    """A build tree of ``g`` grown from ``t``, a build tree of ``g`` minus its
+    last vertex v, or None when ``g`` has none.
+
+    v goes on the side opposite its neighbours (X when it has none).  From
+    the root, at each node the walk first checks whether v sees all or none
+    of the node's leaves on the side opposite v; if so it splices a join or
+    a union of v's leaf and the node in the node's place.  Otherwise it goes
+    into an operand only when v relates to the other operand's leaves as the
+    node's kind requires: none under a union, all under a join, and under a
+    skew all when v in X enters the first operand or v in Y the second, none
+    otherwise; the first operand when both qualify.  When neither does, the
+    node's leaves plus v are split again (``_split``) and put in its place.
+
+    Exact both ways.  Every leaf of the new subtree, v included, relates to
+    the leaves outside it as the node's ancestors require, so the spliced
+    tree is a tree of ``g``.  And the node's leaves plus v induce a subgraph
+    of ``g``, and an induced subgraph of a buildable graph is buildable
+    (``restrict``), so a subgraph with no tree means ``g`` has none.  The
+    answer is exact only when ``t`` is a tree of ``g`` minus v, which is not
+    checked here: closure's walk re-checks each tree it keeps with
+    ``recompose``.
+
+    ValueError on a malformed ``t``, on a ``t`` whose vertex count is not
+    ``g.n - 1``, and when v has neighbours on both of ``t``'s sides.
+    """
+    n = _check_tree(t)
+    if n != g.n - 1:
+        raise ValueError(f"tree has {n} vertices, but g minus its last vertex has {g.n - 1}")
+    end, xs, ys = _spans(t)
+    seen = g.adj[n]
+    if seen & xs[0] and seen & ys[0]:
+        raise ValueError(f"vertex {g.n} has neighbours on both sides of the tree")
+    v_in_x = not seen & xs[0]
+    bit = 1 << n
+    leaf = g.n if v_in_x else -g.n
+    # per entry, its leaves on the side opposite v
+    opposite = ys if v_in_x else xs
+    i = 0
+    while True:
+        here = seen & opposite[i]
+        if here == opposite[i] or not here:
+            # a leaf always stops here: it is on v's side or one vertex opposite
+            return DecompositionTree(t[:i] + ("join" if here else "union", leaf) + t[i:])
+        kind, first = t[i], i + 1
+        second = end[first]
+        # v may enter an operand when it sees all of the other operand's
+        # opposite leaves or none of them, as the node's kind requires
+        for into, other, see_all in (
+            (first, second, kind == "join" or (kind == "skew" and v_in_x)),
+            (second, first, kind == "join" or (kind == "skew" and not v_in_x)),
+        ):
+            if seen & opposite[other] == (opposite[other] if see_all else 0):
+                i = into
+                break
+        else:
+            x_mask = xs[0] | bit if v_in_x else xs[0]
+            y_mask = ys[0] if v_in_x else ys[0] | bit
+            entries = _split(g.adj, x_mask, y_mask, xs[i] | ys[i] | bit)
+            if entries is None:
+                return None
+            return DecompositionTree(t[:i] + tuple(entries) + t[end[i] :])
+
+
+def restrict(t: DecompositionTree, ids) -> DecompositionTree:
+    """The tree of the subgraph that ``ids`` induce in ``recompose(t)``,
+    relabelled 1..k in ascending id order as ``induced_subgraph`` does.
+
+    The leaves outside ``ids`` are dropped and each node left with one
+    operand is spliced out.  Two leaves' adjacency depends only on their
+    lowest common ancestor's kind, their sides and which operand each is in
+    (``_add_cross``), and both survive the splicing, so the tree recomposes
+    to the induced subgraph: decomposability is hereditary.  A node keeps
+    its entry exactly when both its operands keep a leaf, and a kept
+    operand keeps its entries in place, so the result is the kept entries
+    in preorder.
+
+    ValueError on a malformed tree, on an id outside 1..n and on empty ``ids``.
+    """
+    n = _check_tree(t)
+    keep = set(ids)
+    for v in keep:
+        _int_in("vertex", v, 1, n)
+    if not keep:
+        raise ValueError("ids must name at least one vertex")
+    end, xs, ys = _spans(t)
+    kept = mask_of(keep)
+    rank = {v: k for k, v in enumerate(sorted(keep), start=1)}
+    out: list[int | str] = []
+    for i, entry in enumerate(t):
+        if entry.__class__ is int:
+            if abs(entry) in keep:
+                out.append(rank[entry] if entry > 0 else -rank[-entry])
+        elif (xs[i + 1] | ys[i + 1]) & kept and (xs[end[i + 1]] | ys[end[i + 1]]) & kept:
+            out.append(entry)
+    return DecompositionTree(out)
 
 
 # ---------------------------------------------------------------------------

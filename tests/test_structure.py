@@ -33,12 +33,14 @@ from bipkit.families import (
     two_p3,
     universal_grid,
 )
+from bipkit import structure
 from bipkit.structure import (
     DecompositionTree,
     LetterRepresentation,
     decode_letter,
     decompose,
     disjoint_union,
+    extend_tree,
     find_biconvex_order,
     format_letter,
     format_tree,
@@ -48,10 +50,12 @@ from bipkit.structure import (
     neighborhoods_nested,
     parse_tree,
     recompose,
+    restrict,
     skew_join,
     verify_biconvex_order,
     verify_letter,
 )
+from bipkit.harness.enumeration import parent_rows
 from bipkit.harness.suites import proof_biconvex_orders, random_leaf_tree
 
 
@@ -639,6 +643,92 @@ def test_decompose_fails_exactly_on_graphs_with_p7_or_s123(connected_levels):
             assert (tree is None) == (not is_free(g, forbidden).free), serialize_graph(g)
             refused += tree is None
     assert refused == 302
+
+
+def test_extend_tree_agrees_with_decompose_on_every_closure_child(connected_levels, monkeypatch):
+    # the closure walk's parents: each member's tree is grown from its
+    # parent's tree, level 1 decomposed; every child of a member is checked
+    splits = []
+    split = structure._split
+
+    def recorded(*args):
+        splits.append(split(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(structure, "_split", recorded)
+    trees = {g.adj: decompose(g, find_bipartition(g)) for g in connected_levels[1]}
+    ways = {"attached": 0, "re-split": 0, "no tree": 0}
+    for n in range(2, 11):
+        below, trees = trees, {}
+        for g in connected_levels[n]:
+            parent = parent_rows(g)
+            if parent not in below:
+                continue
+            splits.clear()
+            tree = extend_tree(below[parent], g)
+            assert len(splits) <= 1
+            ways["no tree" if tree is None else "re-split" if splits else "attached"] += 1
+            want = decompose(g, find_bipartition(g))
+            assert (tree is None) == (want is None), serialize_graph(g)
+            if tree is not None:
+                assert recompose(tree) == g, serialize_graph(g)
+                trees[g.adj] = tree
+    # the no-tree children are exactly the graphs closure's walk searches
+    assert ways == {"attached": 1850, "re-split": 476, "no tree": 207}
+
+
+def test_extend_tree_places_the_new_leaf():
+    # a pendant at a Y leaf joins that leaf; a vertex seeing all of Y joins the root
+    star = DecompositionTree(("join", 1, "union", -2, -3))
+    pendant = Graph.from_edges(4, [(1, 2), (1, 3), (2, 4)])
+    assert format_tree(extend_tree(star, pendant)) == (
+        "(join (leaf 1 X) (union (join (leaf 4 X) (leaf 2 Y)) (leaf 3 Y)))"
+    )
+    twin = Graph.from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+    assert format_tree(extend_tree(star, twin)) == (
+        "(join (leaf 4 X) (join (leaf 1 X) (union (leaf 2 Y) (leaf 3 Y))))"
+    )
+    # P7 grown from P6 has no tree, and neither has S123 grown from its parent
+    p6 = decompose(path(6), find_bipartition(path(6)))
+    assert extend_tree(p6, path(7)) is None
+    s = s123()
+    parent = Graph(s.n - 1, tuple(row & ~(1 << (s.n - 1)) for row in s.adj[:-1]))
+    assert extend_tree(decompose(parent, find_bipartition(parent)), s) is None
+
+
+def test_extend_tree_rejects_bad_input_with_a_located_error():
+    with pytest.raises(ValueError, match="malformed tree: binary node without two children"):
+        extend_tree(DecompositionTree(("union", 1)), path(3))
+    with pytest.raises(ValueError, match="tree has 2 vertices, but g minus its last vertex has 4"):
+        extend_tree(DecompositionTree(("join", 1, -2)), path(5))
+    triangle = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+    with pytest.raises(ValueError, match="vertex 3 has neighbours on both sides of the tree"):
+        extend_tree(DecompositionTree(("join", 1, -2)), triangle)
+
+
+def test_restrict_recomposes_to_the_induced_subgraph():
+    rng = random.Random(4242)
+    for _ in range(300):
+        tree = random_leaf_tree(rng, max_leaves=16)
+        n = len(tree.vertices())
+        ids = rng.sample(range(1, n + 1), rng.randint(1, n))
+        assert recompose(restrict(tree, ids)) == induced_subgraph(recompose(tree), ids), (format_tree(tree), ids)
+    # a node left with one operand is spliced out, and the kept ids renumbered
+    tree = parse_tree("(skew (join (leaf 1 X) (leaf 2 Y)) (union (leaf 3 X) (leaf 4 Y)))")
+    assert format_tree(restrict(tree, [2, 4])) == "(skew (leaf 1 Y) (leaf 2 Y))"
+    assert format_tree(restrict(tree, {3, 1, 4})) == "(skew (leaf 1 X) (union (leaf 2 X) (leaf 3 Y)))"
+    assert restrict(tree, range(1, 5)) == tree
+
+
+def test_restrict_rejects_bad_input_with_a_located_error():
+    tree = DecompositionTree(("join", 1, -2))
+    for bad in ([0], [3], [1, "2"]):
+        with pytest.raises(ValueError, match="vertex must be an int"):
+            restrict(tree, bad)
+    with pytest.raises(ValueError, match="ids must name at least one vertex"):
+        restrict(tree, [])
+    with pytest.raises(ValueError, match="malformed tree"):
+        restrict(DecompositionTree(("join", 1)), [1])
 
 
 def test_letter_grid_decodes_exactly():

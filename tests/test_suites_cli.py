@@ -66,6 +66,20 @@ def test_antichain_check_families():
             antichain_check(family, indices)
 
 
+def test_antichain_check_refuses_a_bad_budget_or_worker_count_before_any_case():
+    # as SuiteOptions does; a negative budget built every case anyway, each
+    # printing a traceback and failing, and zero workers ran as one
+    for kwargs, message in (
+        ({"budget": -1}, "budget must be an int of at least 0, got -1"),
+        ({"budget": "9"}, "budget must be an int of at least 0, got '9'"),
+        ({"workers": 0}, "workers must be an int of at least 1, got 0"),
+        ({"workers": 2.0}, "workers must be an int of at least 1, got 2.0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            antichain_check("h", [1, 2], **kwargs)
+    assert antichain_check("h", [1, 2], budget=None, workers=1).failed == 0
+
+
 def test_failing_case_produces_reverifiable_witness():
     # a member trivially contains itself, so an equal pair must fail loudly
     verdict = _case_pair("self", "star-t", 6, 6, None)
@@ -354,6 +368,38 @@ def test_closure_searches_only_graphs_without_a_build_tree(monkeypatch):
         tree = decompose(g, find_bipartition(g))
         assert tree is None or recompose(tree) != g, g.edges()
     assert len(hosts) == 207
+
+
+def test_a_walk_error_fails_its_chunk_alone(monkeypatch, capsys, tmp_path):
+    # an unexpected error in the walk's claim on one graph fails that graph's
+    # chunk with a note and no witness; its children are still decided on
+    # their own, and every other chunk reports as without the error
+    grow = suites.extend_tree
+    planted = []
+
+    def faulty(tree, g):
+        if g.n == 9 and not planted:
+            planted.append(g)
+            raise RuntimeError("planted")
+        return grow(tree, g)
+
+    monkeypatch.setattr(suites, "extend_tree", faulty)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", "all", "--workers", "1", "--nmax", "9", "--reduction-nmax", "7", "--verbose"]) == 1
+    out, err = capsys.readouterr()
+    assert "RuntimeError: planted" in err
+    summaries = [json.loads(line) for line in out.splitlines() if line.startswith('{"suite"')]
+    assert [(row["suite"], row["fail"]) for row in summaries] == [(name, int(name == "closure")) for name in SUITE_NAMES]
+    lines = [line for line in out.splitlines() if line.startswith(("ok closure/", "FAIL", "UNDECIDED"))]
+    [g] = planted
+    note = f"walk error on the graph with edges {g.edges()}: RuntimeError: planted"
+    assert [line for line in lines if line.startswith("FAIL")] == [f"FAIL closure/exhaustive/n9/part00  # {note}"]
+    pinned = PINNED_VERDICTS.read_text().splitlines()
+    assert [line.split("  # ")[0] for line in lines if "FAIL" not in line] == [
+        line for line in pinned if line.startswith("ok closure/") and line != "ok closure/exhaustive/n9/part00"
+    ]
+    assert "ok closure/exhaustive/n10/part00  # 2000 graphs, 1354 in class" in lines
+    assert not list(tmp_path.iterdir())
 
 
 def test_a_claim_out_of_budget_leaves_its_chunk_undecided(monkeypatch):
