@@ -141,12 +141,16 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
+        _int_in("vertex", u, 1, self.n)
+        _int_in("vertex", v, 1, self.n)
         return bool((self.adj[u - 1] >> (v - 1)) & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        _int_in("vertex", v, 1, self.n)
         return tuple(mask_vertices(self.adj[v - 1]))
 
     def degree(self, v: int) -> int:
+        _int_in("vertex", v, 1, self.n)
         return self.adj[v - 1].bit_count()
 
     def __repr__(self):

@@ -430,7 +430,10 @@ def level_stats() -> dict[int, dict[str, float]]:
 
 def euler_transform(connected_counts: list[int]) -> list[int]:
     """Class counts of all graphs on 1..k vertices from the connected counts
-    on 1..k vertices, since a graph is a multiset of connected graphs."""
+    on 1..k vertices, since a graph is a multiset of connected graphs;
+    ValueError on a count that is not an int of at least 0."""
+    for count in connected_counts:
+        _int_in("connected count", count, 0)
     a = [0, *connected_counts]
     # c[m]: the sum of d * a[d] over the divisors d of m
     c = [sum(d * a[d] for d in range(1, m + 1) if m % d == 0) for m in range(len(a))]

@@ -104,9 +104,11 @@ def verify_embedding(emb: Embedding, pattern: Graph, host: Graph) -> bool:
         return False
     if len(set(m)) != len(m):
         return False
-    for u in range(1, pattern.n + 1):
-        for v in range(u + 1, pattern.n + 1):
-            if pattern.has_edge(u, v) != host.has_edge(m[u - 1], m[v - 1]):
+    # the map is checked, so each pair reads the rows' bits directly
+    for u in range(pattern.n):
+        row, image = pattern.adj[u], host.adj[m[u] - 1]
+        for v in range(u + 1, pattern.n):
+            if (row >> v) & 1 != (image >> (m[v] - 1)) & 1:
                 return False
     return True
 

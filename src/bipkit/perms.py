@@ -40,6 +40,7 @@ class Permutation:
         return len(self.oneline)
 
     def __call__(self, i: int) -> int:
+        _int_in("position", i, 1, len(self.oneline))
         return self.oneline[i - 1]
 
     def __repr__(self):

@@ -233,8 +233,9 @@ class DecompositionTree(tuple):
     vertex is named once, with its side.
 
     Equality, hashing, pickling and repr are the tuple's own; the tuple is
-    flat, so none of them recurses however deep the tree is.  The parts are
-    read off the leaves once the tree passes ``recompose``'s checks.
+    flat, so none of them recurses however deep the tree is.  The parts and
+    the vertex count come from the one checked pass over the tree
+    (``_spans``), so every reader rejects a malformed tree alike.
     """
 
     __slots__ = ()
@@ -242,69 +243,74 @@ class DecompositionTree(tuple):
     @property
     def part_x(self) -> tuple[int, ...]:
         """The X leaves' ids, ascending."""
-        _check_tree(self)
-        return tuple(sorted(e for e in self if e.__class__ is int and e > 0))
+        return tuple(mask_vertices(_spans(self)[2][0]))
 
     @property
     def part_y(self) -> tuple[int, ...]:
         """The Y leaves' ids, ascending."""
-        _check_tree(self)
-        return tuple(sorted(-e for e in self if e.__class__ is int and e < 0))
+        return tuple(mask_vertices(_spans(self)[3][0]))
 
     def vertices(self) -> tuple[int, ...]:
-        return tuple(range(1, _check_tree(self) + 1))
+        return tuple(range(1, _spans(self)[0] + 1))
 
 
-def _check_tree(t: DecompositionTree) -> int:
-    """The tree's vertex count, once its entries make one tree whose leaf
-    ids are 1..n, each once; ValueError otherwise.
+def _spans(t: DecompositionTree) -> tuple[int, list[int], list[int], list[int]]:
+    """The tree's vertex count n and, per entry, the end of its subtree in
+    the preorder and the masks of its X and Y leaves, once the entries make
+    one tree whose leaf ids are 1..n, each once; ValueError otherwise.
 
-    In reverse preorder a node's operands are finished before the node, so
-    counting finished operands checks the shape: a leaf finishes one, and a
-    binary node turns its two into one.
+    One reverse-preorder pass: a binary node at i has its first operand at
+    i + 1 and its second where the first ends, both finished before it, and
+    it has two operands exactly when neither runs past the last entry.  An
+    id outside 1..len(t) builds no bit, so with n leaves the root's masks
+    cover 1..n exactly when every leaf adds its own bit: the ids are 1..n,
+    each once.
     """
-    finished = 0
-    ids = []
-    for entry in reversed(t):
+    size = len(t)
+    # one slot past the last entry: an operand starting there is missing
+    end, xs, ys = [0] * size + [size], [0] * (size + 1), [0] * (size + 1)
+    for i in range(size - 1, -1, -1):
+        entry = t[i]
         if entry.__class__ is int:
-            ids.append(abs(entry))
-            finished += 1
+            end[i] = i + 1
+            if 0 < entry <= size:
+                xs[i] = 1 << (entry - 1)
+            elif 0 < -entry <= size:
+                ys[i] = 1 << (-entry - 1)
         elif entry in _BINARY:
-            if finished < 2:
+            second = end[i + 1]
+            if second == size:
                 raise ValueError("malformed tree: binary node without two children")
-            finished -= 1
+            end[i] = end[second]
+            xs[i] = xs[i + 1] | xs[second]
+            ys[i] = ys[i + 1] | ys[second]
         else:
             raise ValueError(f"malformed tree: unknown node kind {entry!r}")
-    if finished != 1:
-        raise ValueError(f"malformed tree: {len(t)} entries do not make one tree")
-    if sorted(ids) != list(range(1, len(ids) + 1)):
-        raise ValueError(f"malformed tree: leaf ids must be 1..{len(ids)}, each once")
-    return len(ids)
+    if not size or end[0] != size:
+        raise ValueError(f"malformed tree: {size} entries do not make one tree")
+    n = (size + 1) // 2
+    if xs[0] | ys[0] != (1 << n) - 1:
+        raise ValueError(f"malformed tree: leaf ids must be 1..{n}, each once")
+    return n, end, xs, ys
 
 
 def recompose(t: DecompositionTree) -> Graph:
     """Replay a build tree into the graph it certifies (same ids, same edges).
 
-    The tree is checked first, so the leaf ids are 1..n, each once, before
-    any mask is built.  Then, in reverse preorder, every node meets its
-    operands' finished (X, Y) masks and ORs the cross edges its kind fixes
-    into the rows.  ``_add_cross`` writes each edge into the rows of both
-    its ends, which are leaves of disjoint operands with ids in 1..n, so the
-    rows are symmetric, loop-free and in range by construction and skip
-    ``Graph``'s checks.
+    The tree is checked first (``_spans``), so the leaf ids are 1..n, each
+    once, and every node's operands have their (X, Y) masks.  Then every
+    binary node ORs the cross edges its kind fixes into the rows.
+    ``_add_cross`` writes each edge into the rows of both its ends, which
+    are leaves of disjoint operands with ids in 1..n, so the rows are
+    symmetric, loop-free and in range by construction and skip ``Graph``'s
+    checks.
     """
-    n = _check_tree(t)
+    n, end, xs, ys = _spans(t)
     rows = [0] * n
-    # a node's first operand finishes last, so its masks sit on top of the stack
-    masks: list[tuple[int, int]] = []
-    for entry in reversed(t):
-        if entry.__class__ is int:
-            masks.append((1 << (entry - 1), 0) if entry > 0 else (0, 1 << (-entry - 1)))
-        else:
-            lx, ly = masks.pop()
-            rx, ry = masks.pop()
-            _add_cross(rows, entry, lx, ly, rx, ry)
-            masks.append((lx | rx, ly | ry))
+    for i, entry in enumerate(t):
+        if entry.__class__ is not int:
+            second = end[i + 1]
+            _add_cross(rows, entry, xs[i + 1], ys[i + 1], xs[second], ys[second])
     return Graph._trusted(n, tuple(rows))
 
 
@@ -383,31 +389,6 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
     return None if entries is None else DecompositionTree(entries)
 
 
-def _spans(t: DecompositionTree) -> tuple[list[int], list[int], list[int]]:
-    """Per entry of a checked tree: the end of its subtree in the preorder,
-    and the masks of its X and Y leaves.
-
-    One reverse-preorder pass: a binary node at i has its first operand at
-    i + 1 and its second where the first ends, both finished before it.
-    """
-    size = len(t)
-    end, xs, ys = [0] * size, [0] * size, [0] * size
-    for i in range(size - 1, -1, -1):
-        entry = t[i]
-        if entry.__class__ is int:
-            end[i] = i + 1
-            if entry > 0:
-                xs[i] = 1 << (entry - 1)
-            else:
-                ys[i] = 1 << (-entry - 1)
-        else:
-            second = end[i + 1]
-            end[i] = end[second]
-            xs[i] = xs[i + 1] | xs[second]
-            ys[i] = ys[i + 1] | ys[second]
-    return end, xs, ys
-
-
 def extend_tree(t: DecompositionTree, g: Graph) -> DecompositionTree | None:
     """A build tree of ``g`` grown from ``t``, a build tree of ``g`` minus its
     last vertex v, or None when ``g`` has none.
@@ -431,13 +412,14 @@ def extend_tree(t: DecompositionTree, g: Graph) -> DecompositionTree | None:
     checked here: closure's walk re-checks each tree it keeps with
     ``recompose``.
 
+    ``t`` is checked by the same pass that gives its entries their subtree
+    ends and leaf masks (``_spans``).
     ValueError on a malformed ``t``, on a ``t`` whose vertex count is not
     ``g.n - 1``, and when v has neighbours on both of ``t``'s sides.
     """
-    n = _check_tree(t)
+    n, end, xs, ys = _spans(t)
     if n != g.n - 1:
         raise ValueError(f"tree has {n} vertices, but g minus its last vertex has {g.n - 1}")
-    end, xs, ys = _spans(t)
     seen = g.adj[n]
     if seen & xs[0] and seen & ys[0]:
         raise ValueError(f"vertex {g.n} has neighbours on both sides of the tree")
@@ -487,13 +469,12 @@ def restrict(t: DecompositionTree, ids) -> DecompositionTree:
 
     ValueError on a malformed tree, on an id outside 1..n and on empty ``ids``.
     """
-    n = _check_tree(t)
+    n, end, xs, ys = _spans(t)
     keep = set(ids)
     for v in keep:
         _int_in("vertex", v, 1, n)
     if not keep:
         raise ValueError("ids must name at least one vertex")
-    end, xs, ys = _spans(t)
     kept = mask_of(keep)
     rank = {v: k for k, v in enumerate(sorted(keep), start=1)}
     out: list[int | str] = []
@@ -514,7 +495,7 @@ def format_tree(t: DecompositionTree) -> str:
     """S-expression naming each vertex once, at its leaf, e.g.
     ``(skew (leaf 1 X) (leaf 2 Y))``; a tree ``recompose`` rejects raises the
     same ValueError here."""
-    _check_tree(t)
+    _spans(t)
     pieces: list[str] = []
     # operands still to write, per open binary node, innermost last
     owed: list[int] = []
@@ -624,11 +605,11 @@ class LetterRepresentation:
 
 def decode_letter(rep: LetterRepresentation) -> Graph:
     """Rebuild the graph the representation prescribes; ValueError when the
-    order is not a permutation of the vertices or a letter is not an int of
-    at least 0."""
+    order is not a permutation of the vertices (an entry that is not an int,
+    a bool included, is no vertex) or a letter is not an int of at least 0."""
     letters, order, decoder = rep.letters, rep.order, rep.decoder
     n = len(letters)
-    if sorted(order) != list(range(1, n + 1)):
+    if any(v.__class__ is not int for v in order) or sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of the vertices")
     if any(a.__class__ is not int or a < 0 for a in letters):
         raise ValueError("letters must be ints of at least 0")

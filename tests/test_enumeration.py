@@ -83,6 +83,10 @@ def test_colouring_oracle_arguments():
     for bad in (0, -1, True, 3.0):
         with pytest.raises(ValueError, match="n must be an int of at least 1"):
             brute_force_bipartite_counts(bad)
+    # the counts its Euler transform is checked against follow the same rule
+    for bad in ([-1, "x"], [1, True], [1, 2.0]):
+        with pytest.raises(ValueError, match="connected count must be an int of at least 0"):
+            euler_transform(bad)
 
 
 def test_counts_match_bruteforce_oracle():

@@ -28,6 +28,7 @@ from bipkit.families import (
     two_p3,
 )
 from bipkit.matching import are_isomorphic
+from bipkit.perms import Permutation
 
 
 def test_graph_validation_rejects_bad_values():
@@ -71,6 +72,22 @@ def test_graph_constructors_refuse_values_of_the_wrong_type():
             build()
         assert str(info.value) == message
     assert Graph(0, ()) == Graph.from_edges(0, []) == induced_subgraph(path(3), [])
+
+
+@pytest.mark.parametrize("bad", [0, -1, 5, "1", True, 2.5])
+def test_vertex_and_position_accessors_refuse_a_bad_id(bad):
+    # unchecked, 0 and -1 read the last row or entry, True read the first,
+    # and the rest raised an IndexError, a TypeError or an unlocated
+    # "negative shift count"
+    g, p = path(4), Permutation((2, 1, 4, 3))
+    for read in (g.neighbors, g.degree, lambda v: g.has_edge(v, 1), lambda v: g.has_edge(1, v)):
+        with pytest.raises(ValueError) as info:
+            read(bad)
+        assert str(info.value) == f"vertex must be an int in 1..4, got {bad!r}"
+    with pytest.raises(ValueError) as info:
+        p(bad)
+    assert str(info.value) == f"position must be an int in 1..4, got {bad!r}"
+    assert (g.neighbors(1), g.degree(2), g.has_edge(3, 4), p(4)) == ((2,), 2, True, 3)
 
 
 def test_equality_and_hash_go_by_rows():

@@ -103,3 +103,26 @@ def test_the_count_rule_lives_in_graphs_alone():
             elif isinstance(node, ast.Raise) and "must be an int" in ast.unparse(node):
                 validators.append((source.name, node.lineno, ast.unparse(node)))
     assert validators == []
+
+
+def test_one_pass_validates_a_build_tree():
+    # ``structure._spans`` checks a tree's shape and leaf ids in the same pass
+    # that gives every reader its masks: every "malformed tree:" message in
+    # the package is raised inside it, which a second tree validator would
+    # break
+    def raises(root: ast.AST) -> list[int]:
+        return sorted(
+            node.lineno
+            for node in ast.walk(root)
+            if isinstance(node, ast.Raise) and "malformed tree:" in ast.unparse(node)
+        )
+
+    everywhere, in_spans = [], []
+    for source in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+        everywhere += [(source.name, line) for line in raises(tree)]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "_spans":
+                in_spans += [(source.name, line) for line in raises(node)]
+    assert len(in_spans) == 4
+    assert everywhere == in_spans

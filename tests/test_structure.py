@@ -333,9 +333,9 @@ def test_recompose_rejects_malformed_trees():
 
 
 def test_format_tree_rejects_malformed_trees():
-    # every flat tuple that is no tree, with the same message from both and
-    # never an IndexError; the ids are checked before recompose builds any
-    # mask, so 10**12 never becomes one
+    # every flat tuple that is no tree, with the same message from every
+    # reader and never an IndexError; an id is bounded before its bit is
+    # built, so 10**12 never becomes one
     for bad, message in (
         ((), "0 entries do not make one tree"),
         (("union", 1, -2, 3), "4 entries do not make one tree"),
@@ -354,7 +354,15 @@ def test_format_tree_rejects_malformed_trees():
         (("union", 0, -1), "leaf ids must be 1..2, each once"),
         (("union", 1, -(10**12)), "leaf ids must be 1..2, each once"),
     ):
-        for show in (format_tree, recompose):
+        for show in (
+            format_tree,
+            recompose,
+            lambda t: extend_tree(t, path(3)),
+            lambda t: restrict(t, [1]),
+            lambda t: t.part_x,
+            lambda t: t.part_y,
+            lambda t: t.vertices(),
+        ):
             with pytest.raises(ValueError) as err:
                 show(DecompositionTree(bad))
             assert str(err.value) == f"malformed tree: {message}", (show, bad)
@@ -763,11 +771,14 @@ def test_letter_validation_errors():
     # unknown part kind or a table that is not mirror-consistent cannot be built;
     # what can be wrong is the order and the letters
     decoder = frozenset({(0, 1)})
-    for order in ((1, 1, 3), (1, 2, 4), (1, 2), (1, 2, 3, 4)):
+    # an order entry that is not an int is no vertex: "1" and 1.0 failed in
+    # sorted with a TypeError, and True decoded as vertex 1
+    for order in ((1, 1, 3), (1, 2, 4), (1, 2), (1, 2, 3, 4), ("1", 2, 3), (1.0, 2, 3), (True, 2, 3)):
         rep = LetterRepresentation((0, 0, 1), order, decoder)
         with pytest.raises(ValueError, match="order must be a permutation"):
             decode_letter(rep)
         assert not verify_letter(rep, path(3))
+    assert not verify_letter(LetterRepresentation((0, 1), ("1", 2), frozenset()), path(2))
     for letters in ((0, -1, 1), (0, 1.0, 1), (0, True, 1)):
         rep = LetterRepresentation(letters, (1, 2, 3), decoder)
         with pytest.raises(ValueError, match="letters must be ints of at least 0"):
