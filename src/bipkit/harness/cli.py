@@ -9,6 +9,7 @@ cannot be read or written, 3 undecided outcomes without failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -345,10 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: every ``main`` call reads
+    it, and parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -121,6 +121,9 @@ from ..matching import (
 MAX_VERTICES = 12
 
 _LEVEL_CACHE: dict[int, list[Graph]] = {}
+# per built level n: where each parent's children start, one index per graph
+# of level n-1 and then the level's length; read through _child_starts()
+_CHILD_STARTS: dict[int, list[int]] = {}
 # per built level: candidates, passed (the deletion rule), refined (children
 # refined once to the stable colouring), exact (isomorphism calls),
 # automorphism_steps, classes and seconds; read through level_stats()
@@ -339,9 +342,11 @@ def _round_one(parent: Graph) -> tuple[dict[int, int], list[tuple[int, tuple[int
 
 def _build_level(n: int) -> list[Graph]:
     """Level n from level n-1 under the canonical-deletion rule (see the
-    module docstring), with build statistics recorded in ``_LEVEL_STATS``."""
+    module docstring), with build statistics recorded in ``_LEVEL_STATS`` and
+    the start of each parent's children in ``_CHILD_STARTS``."""
     if n == 1:
         _LEVEL_STATS[n] = dict(candidates=1, passed=1, refined=0, exact=0, automorphism_steps=0, classes=1, seconds=0.0)
+        _CHILD_STARTS[n] = [0, 1]  # the one graph hangs off the empty level 0
         return [Graph(1, (0,))]
     parents = bipartite_level(n - 1)
     start = time.perf_counter()
@@ -351,7 +356,9 @@ def _build_level(n: int) -> list[Graph]:
     new = n - 1  # 0-based index of the new vertex
     new_bit = 1 << new
     candidates = passed = refined = 0
+    starts = []
     for parent in parents:
+        starts.append(len(out))
         ((_, side, _),) = _component_masks(parent.adj)
         a = side.bit_count()
         candidates += (1 << a) + (1 << (new - a)) - 2
@@ -392,15 +399,8 @@ def _build_level(n: int) -> list[Graph]:
         "classes": len(out),
         "seconds": time.perf_counter() - start,
     }
+    _CHILD_STARTS[n] = starts + [len(out)]
     return out
-
-
-def parent_rows(g: Graph) -> tuple[int, ...]:
-    """``g`` minus its last vertex.  ``_build_level`` appends each child's new
-    vertex last, so for a connected representative these are exactly the rows
-    of the representative on n-1 vertices that it was grown from."""
-    drop = ~(1 << (g.n - 1))
-    return tuple(row & drop for row in g.adj[:-1])
 
 
 def bipartite_level(n: int, connected: bool = True) -> list[Graph]:
@@ -412,6 +412,17 @@ def bipartite_level(n: int, connected: bool = True) -> list[Graph]:
     if n not in _LEVEL_CACHE:
         _LEVEL_CACHE[n] = _build_level(n)
     return _LEVEL_CACHE[n]
+
+
+def _child_starts(n: int) -> list[int]:
+    """Where the children of each graph of level n-1 start in level n, in
+    level n-1's order, followed by level n's length: parent i's children,
+    grown from its rows by one new last vertex, are
+    ``bipartite_level(n)[starts[i]:starts[i + 1]]``.  Each parent's children
+    are built together, so they are one contiguous run; level 0 is one empty
+    graph, the parent of level 1's one graph."""
+    bipartite_level(n)
+    return _CHILD_STARTS[n]
 
 
 def level_stats() -> dict[int, dict[str, float]]:

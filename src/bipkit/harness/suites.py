@@ -34,18 +34,23 @@ arguments are plain data: ints, names, graphs and module-level functions.
   claim, run again, yields the note.
 
 ``_exhaustive`` decides membership and runs the claim while it lists the
-chunks, walking the levels from 1 up.  A representative minus its last
-vertex is its enumerator parent (``enumeration.parent_rows``), and the
-forbidden patterns are induced subgraphs, so a graph whose parent is not
-free is rejected unsearched.  Every other graph gets one search per
-forbidden pattern, and any copy found uses the last vertex: a copy that
+chunks, walking the levels from 1 up.  The enumerator builds each graph of
+a level from a parent one level down by adding a last vertex, and each
+parent's children are one contiguous run of the level
+(``enumeration._child_starts``).  The forbidden patterns are induced
+subgraphs, so a graph whose parent is not free holds one: the walk keeps
+the free graphs of each level by index and visits only their children, in
+level order, never reading the others.  A visited graph gets one search
+per forbidden pattern, and any copy found uses the last vertex: a copy that
 avoids it would lie in the free parent.  Closure's claim, a build tree that
 recomposes, certifies membership (``LEMMAS``), so its walk runs the claim
 first and searches only a graph the claim fails: a free one is a member
 that violates the claim.  It keeps each certified graph's tree for one
 level and grows each child's tree from its parent's
-(``structure.extend_tree``); only level 1, and a child of a free parent
-without a tree, are decomposed whole.  A free graph gets one search for
+(``structure._extend_tree``); only level 1, and a child of a free parent
+without a tree, are decomposed whole.  Each kept tree is checked once
+(``structure._spans``), and that one pass serves both the re-check that it
+recomposes to its graph and the growth of every child.  A free graph gets one search for
 the required pattern, which is not inherited, and a member gets the claim.
 Every search and claim takes the suite's budget.  A graph whose membership
 search runs out is undecided, neither free nor rejected, and so are its
@@ -63,7 +68,6 @@ spot case reads membership off its own pattern searches; only
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import random
 import time
 import traceback
@@ -122,8 +126,10 @@ from ..families import (
 )
 from ..structure import (
     DecompositionTree,
+    _extend_tree,
+    _recompose,
+    _spans,
     decompose,
-    extend_tree,
     format_tree,
     letter_representation_grid,
     decode_letter,
@@ -136,10 +142,10 @@ from ..structure import (
 )
 from .enumeration import (
     MAX_VERTICES,
+    _child_starts,
     bipartite_level,
     brute_force_bipartite_counts,
     euler_transform,
-    parent_rows,
 )
 
 DEFAULT_BUDGET = 10**9
@@ -354,6 +360,9 @@ def _exec_spec(spec) -> CaseVerdict:
 def _run_cases(specs: list, workers: int) -> list[CaseVerdict]:
     if workers <= 1:
         return [_exec_spec(spec) for spec in specs]
+    # imported here, so that a process that starts no pool does not load it
+    import multiprocessing
+
     with multiprocessing.Pool(workers) as pool:
         return list(pool.imap(_exec_spec, specs, chunksize=1))
 
@@ -600,14 +609,21 @@ def _complete_bipartite(g: Graph, b: Bipartition, budget: int | None) -> Iterato
         yield "graph with C4 is not complete bipartite"
 
 
-def _tree_notes(g: Graph, tree: DecompositionTree | None) -> Iterator[str]:
-    """Closure's claim on ``g`` given the build tree found for it, or None."""
-    if tree is None or recompose(tree) != g:
-        yield "class member fails to decompose"
+_NO_TREE = "class member fails to decompose"
+
+
+def _checked_tree(g: Graph, tree: DecompositionTree | None) -> tuple | None:
+    """``tree`` with its checked pass (``structure._spans``) when it is a
+    build tree that recomposes to ``g``, else None."""
+    if tree is None:
+        return None
+    spans = _spans(tree)
+    return (tree, spans) if _recompose(tree, spans) == g else None
 
 
 def _decomposes(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
-    return _tree_notes(g, decompose(g, b))
+    if _checked_tree(g, decompose(g, b)) is None:
+        yield _NO_TREE
 
 
 LEMMAS = {
@@ -658,10 +674,11 @@ checks that its tree recomposes to the induced subgraph.  P7 and S123 do
 not decompose (the ``decompose/path7-none`` case, and tier-1's check of
 ``decompose``'s "no" answers against (P7,S123)-freeness), so a buildable
 graph holds neither.  The same heredity makes the walk's tree growth exact
-(``structure.extend_tree``): a child whose re-split subtree has no tree
-has none.  The walk takes no verdict from this: every member has a member
-parent, so it is either given a tree, and the claim holds on it, or
-searched exactly, and a member without a tree fails the claim.  The
+(``structure.extend_tree``, run on the child range of each parent with a
+tree): a child whose re-split subtree has no tree has none.  The walk
+takes no verdict from this: every member has a member parent, so it is
+either given a tree, re-checked to recompose to it, and the claim holds on
+it, or searched exactly, and a member without a tree fails the claim.  The
 argument decides only a chunk's member count and which children the walk
 visits, and ``test_exhaustive_members_equal_full_search`` checks both
 against the full search up to n=10.
@@ -743,67 +760,79 @@ def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT
     # (``LEMMAS``), so the walk grows each graph's tree from its parent's and
     # searches only a graph without one
     certifies = lemma.claim is _decomposes
-    # rows of the free and of the undecided representatives one level down,
-    # and the build trees of the certified ones; () is level 0
-    free, unknown, trees = {()}, set(), {}
+    # indices in their level of the free and of the undecided graphs one
+    # level down, and the checked build trees of the certified ones, each
+    # with its ``_spans`` pass; level 0 is one free graph
+    free, unknown, trees = {0}, set(), {}
     specs = []
     for n in range(1, n_max + 1):
         level = bipartite_level(n)
+        starts = _child_starts(n)
+        chunks = range(0, len(level), _CHUNK)
+        members = [[] for _ in chunks]
+        undecided = [0] * len(chunks)
+        violation = [None] * len(chunks)
+        error = [None] * len(chunks)
         free_below, unknown_below, trees_below = free, unknown, trees
         free, unknown, trees = set(), set(), {}
-        for idx, start in enumerate(range(0, len(level), _CHUNK)):
-            part = level[start : start + _CHUNK]
-            members, undecided, violation, error = [], 0, None, None
-            for g in part:
-                parent = parent_rows(g)
-                if parent in unknown_below:
-                    unknown.add(g.adj)
-                    undecided += 1
-                    continue
-                if parent not in free_below:
-                    continue
+        # only the children of a free or undecided graph can be members:
+        # the patterns are induced subgraphs, so the others hold one
+        for i in sorted(free_below | unknown_below):
+            children = range(starts[i], starts[i + 1])
+            if i in unknown_below:
+                # a graph whose membership is not known leaves its children undecided
+                unknown.update(children)
+                for j in children:
+                    undecided[j // _CHUNK] += 1
+                continue
+            below = trees_below.get(i)
+            for j in children:
+                g = level[j]
+                c = j // _CHUNK
                 admitted, note = False, None
                 try:
                     if certifies:
-                        below = trees_below.get(parent)
-                        tree = decompose(g, find_bipartition(g)) if below is None else extend_tree(below, g)
-                        note = next(_tree_notes(g, tree), None)
-                        if note is None:
-                            trees[g.adj] = tree
+                        tree = decompose(g, find_bipartition(g)) if below is None else _extend_tree(*below, g)
+                        checked = _checked_tree(g, tree)
+                        if checked is None:
+                            note = _NO_TREE
+                        else:
+                            trees[j] = checked
                     if (not certifies or note is not None) and any(
                         find_induced_embedding(h, g, budget=budget) is not None for h in lemma.forbidden
                     ):
                         continue
-                    free.add(g.adj)
+                    free.add(j)
                     admitted = True
                     if n < n_min:
                         continue
                     if lemma.required is not None and find_induced_embedding(lemma.required, g, budget=budget) is None:
                         continue
-                    members.append(g)
+                    members[c].append(g)
                     if not certifies:
                         note = next(lemma.claim(g, find_bipartition(g), budget), None)
                 except StepBudgetExceeded:
-                    # a graph whose membership is not known leaves its children undecided
                     if not admitted:
-                        unknown.add(g.adj)
-                    undecided += 1
+                        unknown.add(j)
+                    undecided[c] += 1
                     continue
                 except Exception as exc:
                     # any other error fails this chunk alone, as ``_exec_spec``
                     # fails one case.  The children are still decided: the
                     # parent rule only spares searches, so a child of a graph
                     # counted free is searched whole, or decomposed afresh
-                    free.add(g.adj)
+                    free.add(j)
                     traceback.print_exc()
-                    if error is None:
-                        error = (g, f"{type(exc).__name__}: {exc}")
+                    if error[c] is None:
+                        error[c] = (g, f"{type(exc).__name__}: {exc}")
                     continue
-                if note is not None and violation is None:
-                    violation = (g, note)
-            if n >= n_min:
-                args = (suite, len(part), members, error, undecided, violation)
-                specs.append((f"exhaustive/n{n}/part{idx:02d}", _case_lemma_chunk, args))
+                if note is not None and violation[c] is None:
+                    violation[c] = (g, note)
+        if n >= n_min:
+            for c, start in enumerate(chunks):
+                size = min(_CHUNK, len(level) - start)
+                args = (suite, size, members[c], error[c], undecided[c], violation[c])
+                specs.append((f"exhaustive/n{n}/part{c:02d}", _case_lemma_chunk, args))
     return specs
 
 
@@ -1046,19 +1075,24 @@ def _case_embed_size(case: str, m: int, budget: int | None) -> CaseVerdict:
 
 
 def _case_row_occupancy(case: str, m_max: int, budget: int | None) -> CaseVerdict:
+    # induced paths are hereditary, as dropping an end vertex of an induced
+    # P(j+1) leaves an induced P(j), so the longest one on at most m vertices
+    # is found by scanning j = 1, 2, ... up to the first that does not embed
+    paths = [path(j) for j in range(1, m_max + 1)]
+    hosts: dict[tuple[int, int], Graph] = {}
     checked = 0
     for m in range(2, m_max + 1):
         for p in itertools.permutations(range(1, m + 1)):
             gp = permutation_graph(Permutation(p))
             if find_bipartition(gp) is None or not is_connected(gp):
                 continue
-            longest = max(
-                (j for j in range(1, m + 1) if find_induced_embedding(path(j), gp) is not None),
-                default=0,
-            )
+            longest = 0
+            while longest < m and find_induced_embedding(paths[longest], gp) is not None:
+                longest += 1
             rows = min(longest + 1, m)
-            host, _ = universal_grid(rows, m)
-            if find_induced_embedding(gp, host, budget=budget) is None:
+            if (rows, m) not in hosts:
+                hosts[rows, m] = universal_grid(rows, m)[0]
+            if find_induced_embedding(gp, hosts[rows, m], budget=budget) is None:
                 return _fail(case, f"{p} needs more than {rows} rows")
             checked += 1
     return _ok(case, f"{checked} connected graphs")

@@ -305,7 +305,12 @@ def recompose(t: DecompositionTree) -> Graph:
     symmetric, loop-free and in range by construction and skip ``Graph``'s
     checks.
     """
-    n, end, xs, ys = _spans(t)
+    return _recompose(t, _spans(t))
+
+
+def _recompose(t: DecompositionTree, spans: tuple[int, list[int], list[int], list[int]]) -> Graph:
+    """``recompose`` of a tree given its checked pass, ``spans = _spans(t)``."""
+    n, end, xs, ys = spans
     rows = [0] * n
     for i, entry in enumerate(t):
         if entry.__class__ is not int:
@@ -417,7 +422,14 @@ def extend_tree(t: DecompositionTree, g: Graph) -> DecompositionTree | None:
     ValueError on a malformed ``t``, on a ``t`` whose vertex count is not
     ``g.n - 1``, and when v has neighbours on both of ``t``'s sides.
     """
-    n, end, xs, ys = _spans(t)
+    return _extend_tree(t, _spans(t), g)
+
+
+def _extend_tree(
+    t: DecompositionTree, spans: tuple[int, list[int], list[int], list[int]], g: Graph
+) -> DecompositionTree | None:
+    """``extend_tree`` of a tree given its checked pass, ``spans = _spans(t)``."""
+    n, end, xs, ys = spans
     if n != g.n - 1:
         raise ValueError(f"tree has {n} vertices, but g minus its last vertex has {g.n - 1}")
     seen = g.adj[n]
@@ -613,12 +625,32 @@ def decode_letter(rep: LetterRepresentation) -> Graph:
         raise ValueError("order must be a permutation of the vertices")
     if any(a.__class__ is not int or a < 0 for a in letters):
         raise ValueError("letters must be ints of at least 0")
-    rows = [0] * n
-    for i, u in enumerate(order):
-        for v in order[i + 1 :]:
-            if (letters[u - 1], letters[v - 1]) in decoder:
-                rows[u - 1] |= 1 << (v - 1)
-                rows[v - 1] |= 1 << (u - 1)
+    # letter b -> the letters a whose vertices placed earlier a vertex of letter b sees
+    sees: dict[int, list[int]] = {}
+    for pair in decoder:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            continue  # not a pair: no two letters match it
+        if (a, b) in decoder:  # an element that unpacks but is no ordered pair matches nothing
+            sees.setdefault(b, []).append(a)
+    # one walk along the order: each vertex sees the vertices placed so far of
+    # the letters it sees, read off one mask per letter
+    placed: dict[int, int] = {}
+    earlier = [0] * n
+    for v in order:
+        b = letters[v - 1]
+        seen = 0
+        for a in sees.get(b, ()):
+            seen |= placed.get(a, 0)
+        earlier[v - 1] = seen
+        placed[b] = placed.get(b, 0) | 1 << (v - 1)
+    rows = list(earlier)
+    for v, row in enumerate(earlier):
+        while row:
+            low = row & -row
+            row ^= low
+            rows[low.bit_length() - 1] |= 1 << v
     # the order is a permutation of 1..n, so the rows are symmetric, loop-free and in range
     return Graph._trusted(n, tuple(rows))
 

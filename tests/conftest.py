@@ -44,6 +44,14 @@ def all_bipartite(n: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
+def parent_rows(g: Graph) -> tuple[int, ...]:
+    """``g`` minus its last vertex: the enumerator appends each child's new
+    vertex last, so for a connected representative these are the rows of the
+    representative it was grown from (the oracle of its child ranges)."""
+    drop = ~(1 << (g.n - 1))
+    return tuple(row & drop for row in g.adj[:-1])
+
+
 def round_one_keys(adj: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """Refinement round-1 keys, (degree, sorted neighbour degrees) per vertex,
     from the rows bit by bit: a colouring every automorphism keeps."""

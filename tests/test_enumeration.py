@@ -8,7 +8,7 @@ import sys
 from math import comb, factorial, prod
 
 import pytest
-from conftest import all_bipartite, round_one_keys
+from conftest import all_bipartite, parent_rows, round_one_keys
 
 import bipkit
 from bipkit.graphs import Graph, connected_components, find_bipartition, is_connected
@@ -23,7 +23,6 @@ from bipkit.harness.enumeration import (
     bipartite_level,
     euler_transform,
     level_stats,
-    parent_rows,
 )
 
 A033995 = [1, 2, 3, 7, 13, 35, 88, 303, 1119]  # all bipartite graphs on 1..9 vertices
@@ -403,6 +402,20 @@ def test_every_representative_grows_from_a_parent_representative(connected_level
         parents = {g.adj for g in connected_levels[n - 1]}
         for g in connected_levels[n]:
             assert parent_rows(g) in parents, g.adj
+
+
+def test_child_ranges_hold_exactly_each_parents_children(connected_levels):
+    # the walks read each graph's parent off these ranges, not off its rows
+    assert enumeration._child_starts(1) == [0, 1]
+    for n in range(2, 12):
+        parents, level = connected_levels[n - 1], connected_levels[n]
+        starts = enumeration._child_starts(n)
+        assert len(starts) == len(parents) + 1, n
+        assert starts[0] == 0 and starts[-1] == len(level), n
+        assert all(a <= b for a, b in zip(starts, starts[1:])), n
+        for i, parent in enumerate(parents):
+            for g in level[starts[i] : starts[i + 1]]:
+                assert parent_rows(g) == parent.adj, (n, i)
 
 
 def test_representatives_pass_full_validation(connected_levels):

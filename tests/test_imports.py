@@ -2,12 +2,15 @@
 library only"): every absolute import in ``src/bipkit`` names a stdlib module,
 and every name a module imports is read in it.
 And every name the benchmark under ``perfbench/`` imports from the package
-exists, so a rename fails here rather than in a benchmark run."""
+exists, so a rename fails here rather than in a benchmark run.  And importing
+the CLI leaves ``multiprocessing`` unloaded until a pool starts."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -126,3 +129,12 @@ def test_one_pass_validates_a_build_tree():
                 in_spans += [(source.name, line) for line in raises(node)]
     assert len(in_spans) == 4
     assert everywhere == in_spans
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a run with more than one worker starts a pool, and only it loads
+    # multiprocessing, so a cold start that starts none does not pay for it
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, bipkit.harness.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -8,7 +8,7 @@ import random
 import re
 
 import pytest
-from conftest import all_bipartite
+from conftest import all_bipartite, parent_rows
 
 from bipkit.graphs import (
     Bipartition,
@@ -55,7 +55,6 @@ from bipkit.structure import (
     verify_biconvex_order,
     verify_letter,
 )
-from bipkit.harness.enumeration import parent_rows
 from bipkit.harness.suites import proof_biconvex_orders, random_leaf_tree
 
 
@@ -764,6 +763,31 @@ def test_letter_with_clique_parts():
     forward = LetterRepresentation(letters=(0, 0, 1, 1), order=(1, 3, 2, 4), decoder=frozenset({(0, 1)}))
     decoded = decode_letter(forward)
     assert set(decoded.edges()) == {(1, 3), (1, 4), (2, 4)}
+
+
+def _pair_scan_decode_reference(rep: LetterRepresentation) -> Graph:
+    """Every pair of the order tested against the decoder, earlier vertex first."""
+    edges = []
+    for i, u in enumerate(rep.order):
+        for v in rep.order[i + 1 :]:
+            if (rep.letters[u - 1], rep.letters[v - 1]) in rep.decoder:
+                edges.append((min(u, v), max(u, v)))
+    return Graph.from_edges(len(rep.letters), edges)
+
+
+def test_letter_decode_matches_the_pair_scan():
+    # seeded random representations: (a, a) pairs included, and decoders
+    # that name letters no vertex uses
+    rng = random.Random(606)
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        k = rng.randint(1, 5)
+        letters = tuple(rng.randrange(k) for _ in range(n))
+        order = tuple(rng.sample(range(1, n + 1), n))
+        pairs = [(a, b) for a in range(k + 2) for b in range(k + 2)]
+        decoder = frozenset(rng.sample(pairs, rng.randint(0, len(pairs))))
+        rep = LetterRepresentation(letters, order, decoder)
+        assert decode_letter(rep) == _pair_scan_decode_reference(rep), rep
 
 
 def test_letter_validation_errors():

@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import parent_rows
 
 from bipkit.graphs import Graph, find_bipartition, parse_graph, serialize_graph
 from bipkit.families import cycle, path, sun1, universal_grid
@@ -30,9 +31,9 @@ from bipkit.harness.suites import (
     _member,
     _placement_degree,
 )
-from bipkit.harness.enumeration import parent_rows
 from bipkit.matching import are_isomorphic, find_induced_embedding, is_free
 from bipkit.perms import Permutation, permutation_graph
+from bipkit import structure
 from bipkit.structure import decompose, format_tree, recompose
 
 PINNED_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_verdicts.txt"
@@ -370,20 +371,53 @@ def test_closure_searches_only_graphs_without_a_build_tree(monkeypatch):
     assert len(hosts) == 207
 
 
+def test_walks_visit_only_children_of_free_parents_and_check_each_tree_once(monkeypatch):
+    # each walk reads a graph of a level only when its parent, by the
+    # enumerator's child ranges, is free; closure's walk makes one checked
+    # pass (``structure._spans``) per build tree it keeps, shared by the
+    # tree's recompose re-check and the growth of its children
+    reads = []
+
+    class Level(list):
+        def __getitem__(self, key):
+            if key.__class__ is int:
+                reads.append(key)
+            return super().__getitem__(key)
+
+    level = suites.bipartite_level
+    monkeypatch.setattr(suites, "bipartite_level", lambda n: Level(level(n)))
+    passes = []
+    spans = structure._spans
+
+    def counted(t):
+        passes.append(t)
+        return spans(t)
+
+    monkeypatch.setattr(suites, "_spans", counted)
+    monkeypatch.setattr(structure, "_spans", counted)
+    visits = {}
+    for suite, n_min in (("lemma-key", 9), ("lemma-reduction", 4), ("closure", 1)):
+        reads.clear()
+        passes.clear()
+        _exhaustive(suite, n_min, 10)
+        visits[suite] = (len(reads), len(passes))
+    assert visits == {"lemma-key": (1029, 0), "lemma-reduction": (1038, 0), "closure": (2534, 2327)}
+
+
 def test_a_walk_error_fails_its_chunk_alone(monkeypatch, capsys, tmp_path):
     # an unexpected error in the walk's claim on one graph fails that graph's
     # chunk with a note and no witness; its children are still decided on
     # their own, and every other chunk reports as without the error
-    grow = suites.extend_tree
+    grow = suites._extend_tree
     planted = []
 
-    def faulty(tree, g):
+    def faulty(tree, spans, g):
         if g.n == 9 and not planted:
             planted.append(g)
             raise RuntimeError("planted")
-        return grow(tree, g)
+        return grow(tree, spans, g)
 
-    monkeypatch.setattr(suites, "extend_tree", faulty)
+    monkeypatch.setattr(suites, "_extend_tree", faulty)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["verify", "all", "--workers", "1", "--nmax", "9", "--reduction-nmax", "7", "--verbose"]) == 1
     out, err = capsys.readouterr()
@@ -851,8 +885,14 @@ def test_row_occupancy_fails_located_when_no_path_embeds(monkeypatch):
 
 
 def test_cli_verify_range_help_names_the_enumerator_bound(capsys, monkeypatch):
+    # main reads a parser built once per process: it is built afresh under
+    # the patch, and dropped again so later tests build it unpatched
+    cli._parser.cache_clear()
     monkeypatch.setattr(cli, "MAX_VERTICES", 14)
-    assert cli.main(["verify", "--help"]) == 0
+    try:
+        assert cli.main(["verify", "--help"]) == 0
+    finally:
+        cli._parser.cache_clear()
     text = capsys.readouterr().out
     assert "(9..14)" in text and "(4..14)" in text
 
