@@ -9,12 +9,12 @@ enforced incrementally.  Domains start from a degree filter (a host vertex
 is a candidate for every pattern vertex of no larger degree), or from masks
 the caller supplies: the enumerator's isomorphism test passes its refinement
 colour classes, and ``perms.contains_pattern`` passes position windows.
-Optional order constraints (``larger``) keep some images above others.
-Variable order is most-constrained-first with ascending-id tie-breaks, the
-next choice taken while the domains are filtered rather than by a second
-scan, and candidates are tried in ascending host id, so results are
-deterministic for fixed inputs.  ``_search`` is a generator: it yields
-each embedding as a tuple of host ids, and it counts every candidate
+Optional order constraints (``larger``) keep some images above others: they
+narrow the domains with the component narrowing, before each step's one pass
+that filters the domains and picks the next vertex, most-constrained first
+with ascending-id tie-breaks.  Candidates are tried in ascending host id, so
+results are deterministic.  ``_search`` is a generator: it yields each
+embedding as a tuple of host ids, and it counts every candidate
 placement as one step of a ``_Budget``, bounded or not.  Every caller takes
 ``next(_search(...), None)`` for the first embedding or None, except
 ``count_induced_embeddings``, which counts an ``itertools.islice`` of it.
@@ -225,7 +225,9 @@ def _search(
     image of pattern vertex ``u + 1`` (see ``_pattern_symmetry``).  Placing
     ``u`` at ``x`` then keeps only the host vertices above ``x`` in those
     vertices' domains, and only those below ``x`` in the domains of vertices
-    that must stay under ``u``.
+    that must stay under ``u``.  These masks and the component narrowing come
+    first; then one pass filters each unplaced domain by ``x``'s row, prunes
+    at an empty domain and picks the smallest domain, lowest id first, next.
 
     The search tree is walked on an explicit stack, so its depth is not
     bounded by the interpreter's recursion limit.
@@ -297,6 +299,16 @@ def _search(
                 rest ^= vlow
                 v = vlow.bit_length() - 1
                 new_domains[v] &= same if su & vlow else other
+        if larger is not None:
+            rest = (larger[u] | smaller[u]) & remaining
+            while rest:
+                vlow = rest & -rest
+                rest ^= vlow
+                v = vlow.bit_length() - 1
+                if larger[u] & vlow:
+                    new_domains[v] &= -(low << 1)  # the host bits above x
+                if smaller[u] & vlow:
+                    new_domains[v] &= low - 1  # the host bits below x
         ok = True
         best = -1
         best_size = len(hadj) + 1
@@ -313,26 +325,6 @@ def _search(
             size = nd.bit_count()
             if size < best_size:
                 best, best_size = v, size
-        if ok and larger is not None:
-            rest = (larger[u] | smaller[u]) & remaining
-            while rest:
-                vlow = rest & -rest
-                rest ^= vlow
-                v = vlow.bit_length() - 1
-                nd = new_domains[v]
-                if larger[u] & vlow:
-                    nd &= -(low << 1)  # the host bits above x
-                if smaller[u] & vlow:
-                    nd &= low - 1  # the host bits below x
-                if nd == 0:
-                    ok = False
-                    break
-                if nd != new_domains[v]:
-                    # only a shrunk domain can overtake the best choice
-                    new_domains[v] = nd
-                    size = nd.bit_count()
-                    if size < best_size or (size == best_size and v < best):
-                        best, best_size = v, size
         if not ok:
             continue
         if remaining == 0:

@@ -162,16 +162,21 @@ def permutation_graph(p: Permutation) -> Graph:
     return Graph._trusted(p.size, _inversion_rows(_inverse_oneline(p.oneline))[0])
 
 
+def _even_size(n: int, least: int) -> None:
+    """The generator families' one size rule: ``n`` passes ``graphs._int_in``
+    with ``least`` and is even."""
+    _int_in("n", n, least)
+    if n % 2:
+        raise ValueError(f"defined for even n >= {least}")
+
+
 def star_perm_T(n: int) -> Permutation:
     """Self-inverse family feeding the four-zone antichain graphs (even n >= 6).
 
     Shape: prefix (4, 2), pairs (2j, 2j-5) for j = 3 .. n/2, tail (n-1, n-3).
-    An n that is not an int of at least 6 fails ``graphs._int_in``; an odd
-    one fails the parity check.
+    An n that is not an int of at least 6 or is odd fails ``_even_size``.
     """
-    _int_in("n", n, 6)
-    if n % 2:
-        raise ValueError("defined for even n >= 6")
+    _even_size(n, 6)
     seq = [4, 2]
     for j in range(3, n // 2 + 1):
         seq += [2 * j, 2 * j - 5]
@@ -185,12 +190,9 @@ def star_perm_S(n: int) -> Permutation:
     Shape: prefix (2, 3, 5, 1), pairs (2j+3, 2j) for j = 2 .. n/2 - 3, tail
     (n, n-4, n-1, n-2).  The pair range ends at n/2 - 3: this is the unique
     range that reproduces the fixed instances for n = 8, 10 and 12, below.
-    An n that is not an int of at least 8 fails ``graphs._int_in``; an odd
-    one fails the parity check.
+    An n that is not an int of at least 8 or is odd fails ``_even_size``.
     """
-    _int_in("n", n, 8)
-    if n % 2:
-        raise ValueError("defined for even n >= 8")
+    _even_size(n, 8)
     seq = [2, 3, 5, 1]
     for j in range(2, n // 2 - 2):
         seq += [2 * j + 3, 2 * j]
@@ -199,11 +201,8 @@ def star_perm_S(n: int) -> Permutation:
 
 
 def rho_star(n: int) -> Permutation:
-    """Convex factor: 1, 2, odd values ascending to n-1, n, even values descending to 4.
-    Sizes are checked as in ``star_perm_S``."""
-    _int_in("n", n, 8)
-    if n % 2:
-        raise ValueError("defined for even n >= 8")
+    """Convex factor (even n >= 8): 1, 2, odd values ascending to n-1, n, even values descending to 4."""
+    _even_size(n, 8)
     seq = [1, 2]
     seq += list(range(3, n, 2))
     seq += [n]
@@ -212,11 +211,8 @@ def rho_star(n: int) -> Permutation:
 
 
 def mu_star(n: int) -> Permutation:
-    """Convex factor: 2, odds ascending to n-3, n, n-1, n-2, evens descending to 4, 1.
-    Sizes are checked as in ``star_perm_S``."""
-    _int_in("n", n, 8)
-    if n % 2:
-        raise ValueError("defined for even n >= 8")
+    """Convex factor (even n >= 8): 2, odds ascending to n-3, n, n-1, n-2, evens descending to 4, 1."""
+    _even_size(n, 8)
     seq = [2]
     seq += list(range(3, n - 2, 2))
     seq += [n, n - 1, n - 2]

@@ -16,6 +16,8 @@ member trees of the connected graphs on up to 10 vertices hold over 40,000
 nodes.  A tree can be as deep as the vertex count; every walk over one
 (decompose, recompose, tree text) is a loop over the flat entries or the
 tokens, and ``==``, hashing and repr are the flat tuple's own.
+``format_tree`` closes each node from the subtree ends of ``_spans``, the
+one checked pass every reader starts from.
 
 The skew split's first operand is the closure of the least vertex whose
 closure is not the whole subgraph, found with at most three closures.  If
@@ -506,26 +508,19 @@ def restrict(t: DecompositionTree, ids) -> DecompositionTree:
 def format_tree(t: DecompositionTree) -> str:
     """S-expression naming each vertex once, at its leaf, e.g.
     ``(skew (leaf 1 X) (leaf 2 Y))``; a tree ``recompose`` rejects raises the
-    same ValueError here."""
-    _spans(t)
+    same ValueError here.  Each binary node is counted at its entry against
+    the leaf that ends its subtree (``_spans``), which the preorder reaches
+    later, and that leaf is followed by one ``)`` per count."""
+    end = _spans(t)[1]
+    closing = [0] * len(t)
     pieces: list[str] = []
-    # operands still to write, per open binary node, innermost last
-    owed: list[int] = []
-    for entry in t:
-        if entry.__class__ is not int:
-            pieces.append(f"({entry} ")
-            owed.append(2)
-            continue
-        pieces.append(f"(leaf {entry} X)" if entry > 0 else f"(leaf {-entry} Y)")
-        # a finished operand closes every node it was the last operand of
-        while owed:
-            owed[-1] -= 1
-            if owed[-1]:
-                pieces.append(" ")
-                break
-            owed.pop()
-            pieces.append(")")
-    return "".join(pieces)
+    for i, entry in enumerate(t):
+        if entry.__class__ is int:
+            pieces.append((f"(leaf {entry} X)" if entry > 0 else f"(leaf {-entry} Y)") + ")" * closing[i])
+        else:
+            closing[end[i] - 1] += 1
+            pieces.append(f"({entry}")
+    return " ".join(pieces)
 
 
 def parse_tree(text: str) -> DecompositionTree:
@@ -615,25 +610,30 @@ class LetterRepresentation:
     decoder: frozenset[tuple[int, int]]
 
 
-def decode_letter(rep: LetterRepresentation) -> Graph:
-    """Rebuild the graph the representation prescribes; ValueError when the
-    order is not a permutation of the vertices (an entry that is not an int,
-    a bool included, is no vertex) or a letter is not an int of at least 0."""
-    letters, order, decoder = rep.letters, rep.order, rep.decoder
-    n = len(letters)
-    if any(v.__class__ is not int for v in order) or sorted(order) != list(range(1, n + 1)):
+def _check_letter(rep: LetterRepresentation) -> None:
+    """ValueError when the order is not a permutation of the vertices (an
+    entry that is not an int, a bool included, is no vertex), a letter is not
+    an int of at least 0, or a decoder element is not a pair of letters."""
+    letters, order = rep.letters, rep.order
+    if any(v.__class__ is not int for v in order) or sorted(order) != list(range(1, len(letters) + 1)):
         raise ValueError("order must be a permutation of the vertices")
     if any(a.__class__ is not int or a < 0 for a in letters):
         raise ValueError("letters must be ints of at least 0")
+    for pair in rep.decoder:
+        if pair.__class__ is not tuple or len(pair) != 2 or any(a.__class__ is not int or a < 0 for a in pair):
+            raise ValueError(f"decoder element {pair!r} is not a pair of letters")
+
+
+def decode_letter(rep: LetterRepresentation) -> Graph:
+    """Rebuild the graph the representation prescribes; ValueError on a
+    representation ``_check_letter`` refuses."""
+    _check_letter(rep)
+    letters, order = rep.letters, rep.order
+    n = len(letters)
     # letter b -> the letters a whose vertices placed earlier a vertex of letter b sees
     sees: dict[int, list[int]] = {}
-    for pair in decoder:
-        try:
-            a, b = pair
-        except (TypeError, ValueError):
-            continue  # not a pair: no two letters match it
-        if (a, b) in decoder:  # an element that unpacks but is no ordered pair matches nothing
-            sees.setdefault(b, []).append(a)
+    for a, b in rep.decoder:
+        sees.setdefault(b, []).append(a)
     # one walk along the order: each vertex sees the vertices placed so far of
     # the letters it sees, read off one mask per letter
     placed: dict[int, int] = {}
@@ -680,7 +680,9 @@ def format_letter(rep: LetterRepresentation) -> str:
     """Text form: each letter 0..max as a part of its vertices, tagged K when
     (a, a) is in the decoder and I otherwise; the order; and a table whose
     row a, column b is F when only (a, b) is in the decoder, B when only
-    (b, a) is, C when both are, E when neither is, and . on the diagonal."""
+    (b, a) is, C when both are, E when neither is, and . on the diagonal.
+    ValueError on a representation ``decode_letter`` refuses."""
+    _check_letter(rep)
     k = max(rep.letters, default=-1) + 1
     d = rep.decoder
     lines = [f"parts {k}"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import re
@@ -7,6 +8,8 @@ import re
 import pytest
 from conftest import all_bipartite, round_one_keys
 
+import bipkit.matching
+import bipkit.perms
 from bipkit.graphs import Graph
 from bipkit.matching import (
     Embedding,
@@ -39,7 +42,15 @@ from bipkit.families import (
     two_p3,
     universal_grid,
 )
-from bipkit.perms import Permutation, contains_pattern, permutation_graph
+from bipkit.perms import (
+    Permutation,
+    contains_pattern,
+    mu_star,
+    permutation_graph,
+    rho_star,
+    star_perm_S,
+    star_perm_T,
+)
 
 
 def brute_force_embedding_count(pattern: Graph, host: Graph) -> int:
@@ -589,3 +600,45 @@ def test_is_free_agrees_with_unconstrained_search(connected_levels):
     for n in range(8, 19, 2):
         assert is_free(s_graph_star(n).graph, forbidden_s).free
         assert all(find_induced_embedding(h, s_graph_star(n).graph) is None for h in forbidden_s)
+
+
+CONSTRAINED_SEARCH_DIGEST = (1193, "4ff1e11f005277e91846be6436e27ab6cbf4f6bb5afa015ef953ffa5356414ba")
+
+
+def test_constrained_search_witnesses_and_steps_are_pinned(connected_levels, monkeypatch):
+    # Every search run with order constraints, as (first embedding or None,
+    # budget steps when it stops): is_free's orbit constraints and
+    # contains_pattern's position chain.  Steps are exact, so a change to how
+    # the constrained domains are narrowed or ranked that alters the search
+    # tree fails here, even when every verdict stays the same.
+    log = []
+    real = bipkit.matching._search
+
+    def spy(padj, hadj, budget, domains=None, larger=None):
+        for found in real(padj, hadj, budget, domains, larger):
+            if larger is not None:
+                log.append((found, budget.spent))
+            yield found
+        if larger is not None:
+            log.append((None, budget.spent))
+
+    monkeypatch.setattr(bipkit.matching, "_search", spy)
+    monkeypatch.setattr(bipkit.perms, "_search", spy)
+    for n in range(6, 17, 2):
+        is_free(t_graph_star(n).graph, [two_p3(), sun4()])
+    for n in range(8, 19, 2):
+        is_free(s_graph_star(n).graph, [path(8), p_tilde(8)])
+    hosts = [g for n in range(4, 10) for g in connected_levels[n][::9]]
+    for pattern in SYMMETRIC_PATTERNS.values():
+        if pattern.n <= 9:
+            for host in hosts:
+                is_free(host, [pattern])
+    rng = random.Random(40)
+    perm_patterns = [star_perm_T(8), star_perm_S(8), rho_star(8), mu_star(8)]
+    for _ in range(8):
+        seq = list(range(1, 41))
+        rng.shuffle(seq)
+        for pattern in perm_patterns:
+            contains_pattern(Permutation(tuple(seq)), pattern)
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()
+    assert (len(log), digest) == CONSTRAINED_SEARCH_DIGEST

@@ -793,20 +793,36 @@ def test_letter_decode_matches_the_pair_scan():
 def test_letter_validation_errors():
     # the form holds each vertex's one letter, so a vertex in two parts, an
     # unknown part kind or a table that is not mirror-consistent cannot be built;
-    # what can be wrong is the order and the letters
+    # what can be wrong is the order, the letters and the decoder's elements.
+    # format_letter reads a representation as decode_letter does: it printed
+    # "parts 0" for the letter -1 and raised TypeError for the letter "a"
+    readers = (decode_letter, format_letter)
     decoder = frozenset({(0, 1)})
     # an order entry that is not an int is no vertex: "1" and 1.0 failed in
     # sorted with a TypeError, and True decoded as vertex 1
     for order in ((1, 1, 3), (1, 2, 4), (1, 2), (1, 2, 3, 4), ("1", 2, 3), (1.0, 2, 3), (True, 2, 3)):
         rep = LetterRepresentation((0, 0, 1), order, decoder)
-        with pytest.raises(ValueError, match="order must be a permutation"):
-            decode_letter(rep)
+        for reader in readers:
+            with pytest.raises(ValueError, match="order must be a permutation"):
+                reader(rep)
         assert not verify_letter(rep, path(3))
     assert not verify_letter(LetterRepresentation((0, 1), ("1", 2), frozenset()), path(2))
-    for letters in ((0, -1, 1), (0, 1.0, 1), (0, True, 1)):
+    for letters in ((0, -1, 1), (0, 1.0, 1), (0, True, 1), (0, "a", 1)):
         rep = LetterRepresentation(letters, (1, 2, 3), decoder)
+        for reader in readers:
+            with pytest.raises(ValueError, match="letters must be ints of at least 0"):
+                reader(rep)
+        assert not verify_letter(rep, path(3))
+    rep = LetterRepresentation((-1,), (1,), frozenset())
+    for reader in readers:
         with pytest.raises(ValueError, match="letters must be ints of at least 0"):
-            decode_letter(rep)
+            reader(rep)
+    # a decoder element that is not a pair of letters was skipped by the decoder
+    for bad in ((0,), (0, 1, 1), (0, -1), (True, 0), (0, "1"), "01", 7, None):
+        rep = LetterRepresentation((0, 0, 1), (1, 2, 3), decoder | {bad})
+        for reader in readers:
+            with pytest.raises(ValueError, match=re.escape(f"decoder element {bad!r} is not a pair of letters")):
+                reader(rep)
         assert not verify_letter(rep, path(3))
 
 

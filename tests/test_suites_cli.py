@@ -246,6 +246,22 @@ def test_incomparability_witness_reverifies_by_isomorphism_type(monkeypatch):
     assert reverify_witness(verdict.witness_text)
 
 
+def test_letter_decode_case_decodes_each_grid_once(monkeypatch):
+    # it decoded each grid a second time through verify_letter: 128 decodes
+    calls = []
+    real = suites.decode_letter
+
+    def counting(rep):
+        calls.append(rep)
+        return real(rep)
+
+    monkeypatch.setattr(suites, "decode_letter", counting)
+    monkeypatch.setattr(structure, "decode_letter", counting)
+    verdict = suites._case_letters_decode("letters/decode-grids", 8)
+    assert (verdict.status, verdict.note) == ("ok", "all grids up to 8x8")
+    assert len(calls) == 64
+
+
 def test_identity_suite_is_deterministic():
     a = run_suite("identities")
     b = run_suite("identities")
