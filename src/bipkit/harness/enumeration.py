@@ -140,7 +140,6 @@ class _IsoRegistry:
     """
 
     def __init__(self):
-        # per certificate, each representative with its colour-class masks
         self._buckets: dict[tuple, list[tuple[Graph, list[int]]]] = {}
         self.exact_calls = 0
 
@@ -148,15 +147,15 @@ class _IsoRegistry:
         """Register g, given its refinement colours and certificate; True when
         it is a new isomorphism class."""
         bucket = self._buckets.setdefault(cert, [])
-        for rep, classes in bucket:
+        for rep, rep_colors in bucket:
             self.exact_calls += 1
+            classes = [0] * len(colors)
+            for x, c in enumerate(rep_colors):
+                classes[c] |= 1 << x
             domains = [classes[c] for c in colors]
             if next(_search(g.adj, rep.adj, _Budget(None), domains), None) is not None:
                 return False
-        classes = [0] * len(colors)
-        for x, c in enumerate(colors):
-            classes[c] |= 1 << x
-        bucket.append((g, classes))
+        bucket.append((g, colors))
         return True
 
 
