@@ -459,8 +459,8 @@ def _case_pair(case: str, family: str, i: int, j: int, budget: int | None) -> Ca
 
 
 def _pair_specs(label: str, family: str, pairs: list[tuple[int, int]], budget: int | None) -> list:
-    """One ``_case_pair`` spec per ordered pair; ``label`` formats ``i`` and ``j``."""
-    return [(label.format(i=i, j=j), _case_pair, (family, i, j, budget)) for i, j in pairs]
+    """One ``_case_pair`` spec per ordered pair, once each; ``label`` formats ``i`` and ``j``."""
+    return [(label.format(i=i, j=j), _case_pair, (family, i, j, budget)) for i, j in dict.fromkeys(pairs)]
 
 
 def _ordered_pairs(indices) -> list[tuple[int, int]]:
@@ -486,8 +486,7 @@ def antichain_check(
         except ValueError as exc:
             raise ValueError(f"{family} index {i!r}: {exc}") from None
     start = time.perf_counter()
-    pairs = _ordered_pairs(indices)
-    specs = _pair_specs(family + "/{i}-into-{j}", family, pairs, budget)
+    specs = _pair_specs(family + "/{i}-into-{j}", family, _ordered_pairs(indices), budget)
     built = time.perf_counter()
     verdicts = _run_cases(specs, workers)
     return SuiteReport(f"antichain-{family}", verdicts, built - start, time.perf_counter() - built)
@@ -638,7 +637,7 @@ LEMMAS = {
     ),
 }
 """The lemmas by suite name, forbidden patterns listed cheapest rejection
-first.  Two facts have an argument that carries them to every n, and one
+first.  Three facts have an argument that carries them to every n, and one
 lets closure's claim stand in for its membership search.
 
 lemma-key's chords: every 7-vertex path of a member has one chord, (1,6) or
@@ -652,7 +651,13 @@ non-adjacent.  The two distance-5 chords together close the induced C4
 1-2-7-6.  With no chord the path is an induced P7.  So exactly one of (1,6)
 and (2,7) is a chord.  ``test_seven_vertex_path_has_one_chord_in_every_member``
 checks this on the 64 graphs the path and a subset of its six odd-distance
-chords make, which covers every member of every size.
+chords make, which covers every member of every size.  The other half is
+decided for every n by the n=9 chunk: a 9-vertex path's vertices in a
+member induce a bipartite (P7,C4)-free graph that holds the path, so is
+connected: a 9-vertex member with the path.  None of the 36 members on 9
+vertices has one (the longest path has 8 vertices), so no member of any
+size has one, as ``test_no_nine_vertex_member_has_a_nine_vertex_path``
+pins; the n=10 and n=11 chunks check the enumerator, not the lemma.
 
 lemma-reduction: a connected bipartite graph G with an induced C4 that is
 not complete bipartite holds an induced Sun1, P7-free or not.  Take a
@@ -664,13 +669,12 @@ b, b' and two vertices of K's other side make a C4 to which x is a pendant
 at b: an induced Sun1.
 
 closure certifies: a connected bipartite graph with a build tree that
-recomposes to it is (P7,S123)-free.  Decomposability is hereditary: by the
-single cross-edge rule (``structure._add_cross``), two leaves' adjacency
-depends only on their lowest common ancestor's kind, their sides and the
-skew order, and dropping the other leaves and splicing out every node left
-with one operand keeps all three, so an induced subgraph of a buildable
-graph is buildable; ``structure.restrict`` does exactly this, and tier-1
-checks that its tree recomposes to the induced subgraph.  P7 and S123 do
+recomposes to it is (P7,S123)-free.  Decomposability is hereditary: two
+leaves are adjacent exactly when their lowest common ancestor's kind joins
+their sides (``structure._sees``), and dropping the other leaves and
+splicing out every node left with one operand keeps that ancestor and each
+leaf's operand in it, so an induced subgraph of a buildable graph is
+buildable (``structure.restrict``, checked in tier-1).  P7 and S123 do
 not decompose (the ``decompose/path7-none`` case, and tier-1's check of
 ``decompose``'s "no" answers against (P7,S123)-freeness), so a buildable
 graph holds neither.  The same heredity makes the walk's tree growth exact

@@ -17,7 +17,8 @@ nodes.  A tree can be as deep as the vertex count; every walk over one
 (decompose, recompose, tree text) is a loop over the flat entries or the
 tokens, and ``==``, hashing and repr are the flat tuple's own.
 ``format_tree`` closes each node from the subtree ends of ``_spans``, the
-one checked pass every reader starts from.
+one checked pass every reader starts from.  ``_sees`` states once which
+cross edges a node adds; composing, ``recompose`` and ``extend_tree`` read it.
 
 The skew split's first operand is the closure of the least vertex whose
 closure is not the whole subgraph, found with at most three closures.  If
@@ -33,14 +34,10 @@ forces the splits of any vertex set of a graph under fixed sides.
 ``extend_tree`` decides a graph from a tree of the graph minus its last
 vertex v, after Corneil, Perl and Stewart's cotree insertion ("A linear
 recognition algorithm for cographs", SIAM J. Comput. 14, 1985).  It walks
-down from the root while v relates to the other operand's leaves as the
-node requires, and either splices v's leaf in by a join or a union above
-the first node whose opposite-side leaves v sees all or none of, or
-re-splits only that node's leaves plus v.  It is exact both ways: the
-spliced subtree's leaves relate to the rest as the node's ancestors
-require, and a re-split with no tree is an induced subgraph without one,
-so the whole graph has none, since decomposability is hereditary
-(``restrict``).
+down from the root while v sees across each node what the operand it
+enters sees (``_sees``), and either splices v's leaf in by a join or a
+union above the first node whose opposite-side leaves v sees all or none
+of, or re-splits only that node's leaves plus v, which is exact both ways.
 """
 
 from __future__ import annotations
@@ -170,24 +167,18 @@ def find_biconvex_order(g: Graph, b: Bipartition) -> tuple[tuple[int, ...], tupl
 # composition operations
 
 
-def _add_cross(rows: list[int], kind: str, x1: int, y1: int, x2: int, y2: int) -> None:
-    """OR into ``rows`` the edges a node of this kind adds between operands
-    with side masks (X1, Y1) and (X2, Y2).
-
-    A node's kind alone fixes them: none for a union, X1-Y2 for a skew join,
-    and X1-Y2 plus X2-Y1 for a join (a join is a skew join both ways).
-    Callers pass one of the three kinds; a tree's kinds are checked before
-    it is replayed.
-    """
+def _sees(kind: str, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int]:
+    """The one cross-edge rule: what the X1, Y1, X2 and Y2 leaves of a node
+    of this kind see across it, given its operands' side masks.  A union
+    adds no edges, a skew join X1-Y2, and a join X1-Y2 and X2-Y1.  Each
+    edge is in the masks of both its ends and no leaf sees its own operand,
+    so rows built from them are symmetric and loop-free.  Callers pass one
+    of the three kinds; a tree's kinds are checked before it is read."""
     if kind == "union":
-        return
-    pairs: tuple[tuple[int, int], ...] = ((x1, y2),) if kind == "skew" else ((x1, y2), (x2, y1))
-    for xs, ys in pairs:
-        for side, other in ((xs, ys), (ys, xs)):
-            while side:
-                low = side & -side
-                side ^= low
-                rows[low.bit_length() - 1] |= other
+        return 0, 0, 0, 0
+    if kind == "skew":
+        return y2, 0, 0, x1
+    return y2, x2, y1, x1
 
 
 def _compose(kind: str, g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) -> tuple[Graph, Bipartition]:
@@ -199,7 +190,9 @@ def _compose(kind: str, g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) 
     rows = list(g1.adj) + [row << shift for row in g2.adj]
     x1, y1 = mask_of(b1.part_a), mask_of(b1.part_b)
     x2, y2 = mask_of(b2.part_a) << shift, mask_of(b2.part_b) << shift
-    _add_cross(rows, kind, x1, y1, x2, y2)
+    for side, seen in zip((x1, y1, x2, y2), _sees(kind, x1, y1, x2, y2)):
+        for v in mask_vertices(side):
+            rows[v - 1] |= seen
     b = Bipartition.of(mask_vertices(x1 | x2), mask_vertices(y1 | y2))
     return Graph(g1.n + g2.n, tuple(rows)), b
 
@@ -300,12 +293,13 @@ def recompose(t: DecompositionTree) -> Graph:
     """Replay a build tree into the graph it certifies (same ids, same edges).
 
     The tree is checked first (``_spans``), so the leaf ids are 1..n, each
-    once, and every node's operands have their (X, Y) masks.  Then every
-    binary node ORs the cross edges its kind fixes into the rows.
-    ``_add_cross`` writes each edge into the rows of both its ends, which
-    are leaves of disjoint operands with ids in 1..n, so the rows are
-    symmetric, loop-free and in range by construction and skip ``Graph``'s
-    checks.
+    once.  One forward pass over the preorder carries what each entry's X
+    and Y leaves see outside its subtree: nothing at the root, and at an
+    operand its node's pair ORed with the operand's masks from ``_sees``.
+    Two leaves are adjacent exactly when their lowest common ancestor's kind
+    joins their sides, so a leaf's row is its side's mask.  ``_sees`` puts
+    each edge in both its ends' masks and none in a leaf's own operand, so
+    the rows are symmetric, loop-free and in range and skip ``Graph``'s checks.
     """
     return _recompose(t, _spans(t))
 
@@ -314,10 +308,16 @@ def _recompose(t: DecompositionTree, spans: tuple[int, list[int], list[int], lis
     """``recompose`` of a tree given its checked pass, ``spans = _spans(t)``."""
     n, end, xs, ys = spans
     rows = [0] * n
+    # per entry, what its X leaves and its Y leaves see outside its subtree
+    out = [(0, 0)] * len(t)
     for i, entry in enumerate(t):
-        if entry.__class__ is not int:
-            second = end[i + 1]
-            _add_cross(rows, entry, xs[i + 1], ys[i + 1], xs[second], ys[second])
+        ox, oy = out[i]
+        if entry.__class__ is int:
+            rows[abs(entry) - 1] = ox if entry > 0 else oy
+            continue
+        second = end[i + 1]
+        sx1, sy1, sx2, sy2 = _sees(entry, xs[i + 1], ys[i + 1], xs[second], ys[second])
+        out[i + 1], out[second] = (ox | sx1, oy | sy1), (ox | sx2, oy | sy2)
     return Graph._trusted(n, tuple(rows))
 
 
@@ -404,11 +404,10 @@ def extend_tree(t: DecompositionTree, g: Graph) -> DecompositionTree | None:
     the root, at each node the walk first checks whether v sees all or none
     of the node's leaves on the side opposite v; if so it splices a join or
     a union of v's leaf and the node in the node's place.  Otherwise it goes
-    into an operand only when v relates to the other operand's leaves as the
-    node's kind requires: none under a union, all under a join, and under a
-    skew all when v in X enters the first operand or v in Y the second, none
-    otherwise; the first operand when both qualify.  When neither does, the
-    node's leaves plus v are split again (``_split``) and put in its place.
+    into an operand only when v sees across the node what that operand's
+    leaves on v's side see (``_sees``), the first operand when both do.
+    When neither does, the node's leaves plus v are split again
+    (``_split``) and put in its place.
 
     Exact both ways.  Every leaf of the new subtree, v included, relates to
     the leaves outside it as the node's ancestors require, so the spliced
@@ -440,28 +439,24 @@ def _extend_tree(
     v_in_x = not seen & xs[0]
     bit = 1 << n
     leaf = g.n if v_in_x else -g.n
-    # per entry, its leaves on the side opposite v
-    opposite = ys if v_in_x else xs
+    # per entry, its leaves on the side opposite v; v's side's place in ``_sees``
+    opposite, side = (ys, 0) if v_in_x else (xs, 1)
     i = 0
     while True:
         here = seen & opposite[i]
         if here == opposite[i] or not here:
             # a leaf always stops here: it is on v's side or one vertex opposite
             return DecompositionTree(t[:i] + ("join" if here else "union", leaf) + t[i:])
-        kind, first = t[i], i + 1
+        first = i + 1
         second = end[first]
-        # v may enter an operand when it sees all of the other operand's
-        # opposite leaves or none of them, as the node's kind requires
-        for into, other, see_all in (
-            (first, second, kind == "join" or (kind == "skew" and v_in_x)),
-            (second, first, kind == "join" or (kind == "skew" and not v_in_x)),
-        ):
-            if seen & opposite[other] == (opposite[other] if see_all else 0):
-                i = into
-                break
+        sees = _sees(t[i], xs[first], ys[first], xs[second], ys[second])
+        # v enters an operand whose leaves on v's side see across the node what v sees
+        if seen & opposite[second] == sees[side]:
+            i = first
+        elif seen & opposite[first] == sees[side + 2]:
+            i = second
         else:
-            x_mask = xs[0] | bit if v_in_x else xs[0]
-            y_mask = ys[0] if v_in_x else ys[0] | bit
+            x_mask, y_mask = (xs[0] | bit, ys[0]) if v_in_x else (xs[0], ys[0] | bit)
             entries = _split(g.adj, x_mask, y_mask, xs[i] | ys[i] | bit)
             if entries is None:
                 return None
@@ -475,7 +470,7 @@ def restrict(t: DecompositionTree, ids) -> DecompositionTree:
     The leaves outside ``ids`` are dropped and each node left with one
     operand is spliced out.  Two leaves' adjacency depends only on their
     lowest common ancestor's kind, their sides and which operand each is in
-    (``_add_cross``), and both survive the splicing, so the tree recomposes
+    (``_sees``), and both survive the splicing, so the tree recomposes
     to the induced subgraph: decomposability is hereditary.  A node keeps
     its entry exactly when both its operands keep a leaf, and a kept
     operand keeps its entries in place, so the result is the kept entries

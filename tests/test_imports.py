@@ -131,6 +131,31 @@ def test_one_pass_validates_a_build_tree():
     assert everywhere == in_spans
 
 
+def test_one_cross_edge_rule():
+    # which cross edges a node of each kind adds is stated once, in
+    # ``structure._sees``: every comparison against a kind's name in the
+    # package lies inside it, which a second statement of the rule would break
+    kinds = {"union", "join", "skew"}
+
+    def compares(root: ast.AST) -> list[int]:
+        return sorted(
+            node.lineno
+            for node in ast.walk(root)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(c, ast.Constant) and c.value in kinds for c in [node.left, *node.comparators])
+        )
+
+    everywhere, in_sees = [], []
+    for source in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+        everywhere += [(source.name, line) for line in compares(tree)]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "_sees":
+                in_sees += [(source.name, line) for line in compares(node)]
+    assert everywhere == in_sees
+    assert in_sees
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # only a run with more than one worker starts a pool, and only it loads
     # multiprocessing, so a cold start that starts none does not pay for it

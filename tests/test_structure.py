@@ -194,11 +194,20 @@ def test_join_matches_direct_formula():
         g2, b2 = _random_bipartite(rng)
         joined, jb = join(g1, b1, g2, b2)
         union, ub = disjoint_union(g1, b1, g2, b2)
+        skewed, sb = skew_join(g1, b1, g2, b2)
         shift = g1.n
-        extra = {(min(x, y + shift), max(x, y + shift)) for x in b1.part_a for y in b2.part_b}
-        extra |= {(min(x + shift, y), max(x + shift, y)) for x in b2.part_a for y in b1.part_b}
-        assert set(joined.edges()) == set(union.edges()) | extra
-        assert jb == ub
+        # each operation from its direct edge formula: the operands' own edges,
+        # the second's shifted, plus X1-Y2 under a skew and X2-Y1 too under a join
+        own = set(g1.edges()) | {(u + shift, v + shift) for u, v in g2.edges()}
+        x1_y2 = {(x, y + shift) for x in b1.part_a for y in b2.part_b}
+        x2_y1 = {(y, x + shift) for x in b2.part_a for y in b1.part_b}
+        assert set(union.edges()) == own
+        assert set(skewed.edges()) == own | x1_y2
+        assert set(joined.edges()) == own | x1_y2 | x2_y1
+        sides = Bipartition.of(
+            set(b1.part_a) | {x + shift for x in b2.part_a}, set(b1.part_b) | {y + shift for y in b2.part_b}
+        )
+        assert jb == ub == sb == sides
         # the definition: cross-complement of the union of the cross-complements
         c1, c2 = bipartite_complement(g1, b1), bipartite_complement(g2, b2)
         literal = bipartite_complement(*disjoint_union(c1, b1, c2, b2))
@@ -319,6 +328,36 @@ def _tree_edges_reference(t: DecompositionTree) -> set[tuple[int, int]]:
                 for y in ys:
                     acc.add((min(x, y), max(x, y)))
     return acc
+
+
+def _exact_leaf_tree(rng: random.Random, leaves: int) -> DecompositionTree:
+    """A random build tree with exactly ``leaves`` leaves: each node splits
+    its leaf count at random, and the ids and sides are drawn at random."""
+    entries: list = []
+    todo = [leaves]
+    while todo:
+        k = todo.pop()
+        if k == 1:
+            entries.append(None)
+            continue
+        first = rng.randint(1, k - 1)
+        entries.append(rng.choice(_KINDS))
+        todo += (k - first, first)
+    ids = iter(rng.sample(range(1, leaves + 1), leaves))
+    return DecompositionTree(e if e is not None else next(ids) * rng.choice((1, -1)) for e in entries)
+
+
+def test_recompose_matches_the_pair_reference(connected_levels):
+    # the forward pass against every cross pair of every node, on the member
+    # trees of closure up to 9 vertices and on random 14-leaf shapes
+    trees = [decompose(g, find_bipartition(g)) for n in range(1, 10) for g in connected_levels[n]]
+    trees = [t for t in trees if t is not None]
+    assert len(trees) == 682
+    rng = random.Random(1414)
+    shapes = [_exact_leaf_tree(rng, 14) for _ in range(300)]
+    assert all(len(t.vertices()) == 14 for t in shapes)
+    for t in trees + shapes:
+        assert recompose(t).edges() == sorted(_tree_edges_reference(t)), format_tree(t)
 
 
 def test_recompose_rejects_malformed_trees():

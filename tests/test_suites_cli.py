@@ -31,7 +31,7 @@ from bipkit.harness.suites import (
     _member,
     _placement_degree,
 )
-from bipkit.matching import are_isomorphic, find_induced_embedding, is_free
+from bipkit.matching import are_isomorphic, find_induced_embedding, has_path_subgraph, is_free
 from bipkit.perms import Permutation, permutation_graph
 from bipkit import structure
 from bipkit.structure import decompose, format_tree, recompose
@@ -65,6 +65,20 @@ def test_antichain_check_families():
     ):
         with pytest.raises(ValueError, match=re.escape(f"{family} index {bad}: {message}")):
             antichain_check(family, indices)
+
+
+def test_a_pair_or_index_given_twice_runs_one_case(capsys):
+    # every case name of every suite is distinct under the defaults, and the
+    # default antichain pairs given again run once; they ran twice under one name
+    names = [line.split()[1] for line in PINNED_VERDICTS.read_text(encoding="utf-8").splitlines()]
+    assert len(names) == len(set(names))
+    for argv in (["t-antichain", "--t-pair", "6,8"], ["s-antichain", "--s-pair", "8,10"]):
+        for extra in ([], argv[1:]):
+            assert cli.main(["verify", argv[0], *extra]) == 0
+            names = [line.split()[1] for line in capsys.readouterr().out.splitlines() if not line.startswith("{")]
+            assert len(names) == len(set(names)) == 14, argv
+    report = antichain_check("t-graph", [6, 8, 6])
+    assert [v.case for v in report.verdicts] == ["t-graph/6-into-8", "t-graph/8-into-6"]
 
 
 def test_antichain_check_refuses_a_bad_budget_or_worker_count_before_any_case():
@@ -339,6 +353,16 @@ def test_seven_vertex_path_has_one_chord_in_every_member():
             if all(find_induced_embedding(h, g) is None for h in (cycle(4), path(7))):
                 free.append(chords)
     assert free == [((1, 6),), ((2, 7),)]
+
+
+def test_no_nine_vertex_member_has_a_nine_vertex_path(connected_levels):
+    # the base case of lemma-key's path half for every n: a 9-vertex path of
+    # a member of any size induces a 9-vertex member holding it (LEMMAS
+    # docstring), and none of the 36 has one
+    members = [g for g in connected_levels[9] if _member(g, LEMMAS["lemma-key"]) is not None]
+    assert len(members) == 36
+    assert not any(has_path_subgraph(g, 9) for g in members)
+    assert any(has_path_subgraph(g, 8) for g in members)
 
 
 def _record_searches(monkeypatch) -> list:
