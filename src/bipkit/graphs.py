@@ -169,6 +169,11 @@ class Bipartition:
     part_a: frozenset[int]
     part_b: frozenset[int]
 
+    def __post_init__(self):
+        for name, part in (("part A", self.part_a), ("part B", self.part_b)):
+            if part.__class__ is not frozenset or not {int}.issuperset(map(type, part)):
+                raise ValueError(f"{name} must be a frozenset of int vertex ids, got {part!r}")
+
     @classmethod
     def of(cls, part_a: Iterable[int], part_b: Iterable[int]) -> "Bipartition":
         return cls(frozenset(part_a), frozenset(part_b))

@@ -95,13 +95,22 @@ one of lower degree is below v in every round.
 Children still tied with another deletable vertex at the stable colouring
 go to an exact registry: a refinement certificate buckets them, and the
 matcher separates isomorphic ones inside a bucket.  At n = 11 that is 33
-isomorphism searches for 25,598 classes.  Counts for small n are pinned
-against an independent brute force (``brute_force_bipartite_counts``) that
-scans every edge set lying inside the cross pairs of some 2-colouring, which
-are exactly the bipartite edge sets.  A bipartite graph is a
-multiset of connected ones, so the counts of all bipartite graphs are the
-Euler transform of the connected counts (``euler_transform``; Harary &
-Palmer 1973, "Graphical Enumeration").
+isomorphism searches for 25,598 classes.
+
+``_build_level`` grows any ordered list of parents.  On a hereditary class,
+such as the (P7,C4)-, (P7,Sun1)- or (P7,S123)-free graphs, the children of
+the class's level n-1, filtered, are the full level n filtered, in order.
+A kept child's new vertex is not a cut vertex, so its parent is a member
+when the child is.  A parent's children depend on it alone except through
+the registry, where a member child never meets a non-member's child: a
+stored graph isomorphic to a member is a member, so its parent is one too.
+
+Counts for small n are pinned against an independent brute force
+(``brute_force_bipartite_counts``) that scans every edge set lying inside
+the cross pairs of some 2-colouring, which are exactly the bipartite edge
+sets.  A bipartite graph is a multiset of connected ones, so the counts of
+all bipartite graphs are the Euler transform of the connected counts
+(``euler_transform``; Harary & Palmer 1973, "Graphical Enumeration").
 """
 
 from __future__ import annotations
@@ -118,16 +127,10 @@ from ..matching import (
     _search,
 )
 
-MAX_VERTICES = 12
+MAX_VERTICES = 12  # the bound of bipartite_level; a class level may go past it
 
-_LEVEL_CACHE: dict[int, list[Graph]] = {}
-# per built level n: where each parent's children start, one index per graph
-# of level n-1 and then the level's length; read through _child_starts()
-_CHILD_STARTS: dict[int, list[int]] = {}
-# per built level: candidates, passed (the deletion rule), refined (children
-# refined once to the stable colouring), exact (isomorphism calls),
-# automorphism_steps, classes and seconds; read through level_stats()
-_LEVEL_STATS: dict[int, dict[str, float]] = {}
+# n -> _build_level of level n-1: bipartite_level, _child_starts, level_stats
+_LEVELS: dict[int, tuple[list[Graph], list[int], dict[str, float]]] = {}
 
 
 class _IsoRegistry:
@@ -340,25 +343,21 @@ def _round_one(parent: Graph) -> tuple[dict[int, int], list[tuple[int, tuple[int
     return kept, keys
 
 
-def _build_level(n: int) -> list[Graph]:
-    """Level n from level n-1 under the canonical-deletion rule (see the
-    module docstring), with build statistics recorded in ``_LEVEL_STATS`` and
-    the start of each parent's children in ``_CHILD_STARTS``."""
-    if n == 1:
-        _LEVEL_STATS[n] = dict(candidates=1, passed=1, refined=0, exact=0, automorphism_steps=0, classes=1, seconds=0.0)
-        _CHILD_STARTS[n] = [0, 1]  # the one graph hangs off the empty level 0
-        return [Graph(1, (0,))]
-    parents = bipartite_level(n - 1)
+def _build_level(parents: list[Graph]) -> tuple[list[Graph], list[int], dict[str, float]]:
+    """The children of ``parents``, connected graphs on n-1 vertices in order,
+    under the canonical-deletion rule (see the module docstring), the start of
+    each parent's children and then their count, and the statistics of
+    ``level_stats``; no module state is read or written."""
     start = time.perf_counter()
     registry = _IsoRegistry()
     automorphisms = _Budget(None)
     out: list[Graph] = []
-    new = n - 1  # 0-based index of the new vertex
-    new_bit = 1 << new
     candidates = passed = refined = 0
     starts = []
     for parent in parents:
         starts.append(len(out))
+        new = parent.n  # 0-based index of the new vertex
+        new_bit = 1 << new
         ((_, side, _),) = _component_masks(parent.adj)
         a = side.bit_count()
         candidates += (1 << a) + (1 << (new - a)) - 2
@@ -384,13 +383,13 @@ def _build_level(n: int) -> list[Graph]:
                     continue  # a deletable vertex outranks the new one
                 if best == colors[new]:
                     passed += 1
-                    child = Graph._trusted(n, adj)
+                    child = Graph._trusted(new + 1, adj)
                     if registry.add(child, colors, cert):
                         out.append(child)
                     continue
             passed += 1  # the new vertex is the lone top, or tied with its twins only: a new class
-            out.append(Graph._trusted(n, adj))
-    _LEVEL_STATS[n] = {
+            out.append(Graph._trusted(new + 1, adj))
+    return out, starts + [len(out)], {
         "candidates": candidates,
         "passed": passed,
         "refined": refined,
@@ -399,8 +398,6 @@ def _build_level(n: int) -> list[Graph]:
         "classes": len(out),
         "seconds": time.perf_counter() - start,
     }
-    _CHILD_STARTS[n] = starts + [len(out)]
-    return out
 
 
 def bipartite_level(n: int, connected: bool = True) -> list[Graph]:
@@ -409,9 +406,10 @@ def bipartite_level(n: int, connected: bool = True) -> list[Graph]:
     if connected is not True:
         raise ValueError("only connected levels are enumerated")
     _int_in("n", n, 1, MAX_VERTICES)
-    if n not in _LEVEL_CACHE:
-        _LEVEL_CACHE[n] = _build_level(n)
-    return _LEVEL_CACHE[n]
+    if n not in _LEVELS:
+        stats = dict(candidates=1, passed=1, refined=0, exact=0, automorphism_steps=0, classes=1, seconds=0.0)
+        _LEVELS[n] = _build_level(bipartite_level(n - 1)) if n > 1 else ([Graph(1, (0,))], [0, 1], stats)
+    return _LEVELS[n][0]
 
 
 def _child_starts(n: int) -> list[int]:
@@ -422,21 +420,21 @@ def _child_starts(n: int) -> list[int]:
     are built together, so they are one contiguous run; level 0 is one empty
     graph, the parent of level 1's one graph."""
     bipartite_level(n)
-    return _CHILD_STARTS[n]
+    return _LEVELS[n][1]
 
 
 def level_stats() -> dict[int, dict[str, float]]:
-    """Build statistics of every level built in this process, keyed by n:
-    candidates (parent and attachment-set pairs, counting the sets that the
-    degree test rules out before they are generated), passed (children, one per
-    attachment-set orbit, that met the deletion rule), refined (children that
-    round 1 left tied with a deletable vertex other than a twin of the new
-    vertex, each refined once to its stable colouring), exact (isomorphism
-    searches run by the registry), automorphism_steps (the search steps of
-    ``_automorphism_generators`` on the parents with two or more kept
-    attachment sets, started from each parent's round-1 keys), classes and
-    seconds (excluding level n-1)."""
-    return {n: dict(stats) for n, stats in _LEVEL_STATS.items()}
+    """Build statistics of every level ``bipartite_level`` built in this
+    process, keyed by n: candidates (parent and attachment-set pairs,
+    counting the sets that the degree test rules out before they are
+    generated), passed (children, one per attachment-set orbit, that met the
+    deletion rule), refined (children that round 1 left tied with a deletable
+    vertex other than a twin of the new vertex, each refined once to its
+    stable colouring), exact (isomorphism searches run by the registry),
+    automorphism_steps (the search steps of ``_automorphism_generators`` on
+    the parents with two or more kept attachment sets, started from each
+    parent's round-1 keys), classes and seconds (excluding level n-1)."""
+    return {n: dict(stats) for n, (_, _, stats) in _LEVELS.items()}
 
 
 def euler_transform(connected_counts: list[int]) -> list[int]:
@@ -486,6 +484,7 @@ def brute_force_bipartite_counts(n: int) -> tuple[int, int]:
     pipeline or the matcher, so it calibrates them.
     """
     _int_in("n", n)
+    _int_in("n", n, 1, 8)  # the relabel table holds n! * n(n-1)/2 masks, 320 MB at n = 8
     pairs = list(itertools.combinations(range(n), 2))
     pair_index = {pr: i for i, pr in enumerate(pairs)}
     # relabel[k][i]: the bit of pair i under the k-th vertex permutation

@@ -606,9 +606,14 @@ class LetterRepresentation:
 
 
 def _check_letter(rep: LetterRepresentation) -> None:
-    """ValueError when the order is not a permutation of the vertices (an
-    entry that is not an int, a bool included, is no vertex), a letter is not
-    an int of at least 0, or a decoder element is not a pair of letters."""
+    """ValueError when a field is not of its declared kind, the order is not
+    a permutation of the vertices (an entry that is not an int, a bool
+    included, is no vertex), a letter is not an int of at least 0, or a
+    decoder element is not a pair of letters."""
+    for name, kind in (("letters", tuple), ("order", tuple), ("decoder", frozenset)):
+        value = getattr(rep, name)
+        if value.__class__ is not kind:
+            raise ValueError(f"{name} must be a {kind.__name__}, got a {type(value).__name__}")
     letters, order = rep.letters, rep.order
     if any(v.__class__ is not int for v in order) or sorted(order) != list(range(1, len(letters) + 1)):
         raise ValueError("order must be a permutation of the vertices")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from math import comb, factorial, prod
+from types import SimpleNamespace
 
 import pytest
 from conftest import all_bipartite, parent_rows, round_one_keys
@@ -86,6 +87,19 @@ def test_colouring_oracle_arguments():
     for bad in ([-1, "x"], [1, True], [1, 2.0]):
         with pytest.raises(ValueError, match="connected count must be an int of at least 0"):
             euler_transform(bad)
+
+
+def test_colouring_oracle_refuses_more_than_eight_vertices(monkeypatch):
+    # its relabel table holds n! * n(n-1)/2 masks, about 320 MB at n = 8 and
+    # nine times that at n = 9, so 9 and above are refused before any pair
+    # or permutation is built
+    def build(*args):
+        raise AssertionError("oracle table built")
+
+    monkeypatch.setattr(enumeration, "itertools", SimpleNamespace(combinations=build, permutations=build))
+    for bad in (9, 10, 13):
+        with pytest.raises(ValueError, match=r"n must be an int in 1\.\.8, got"):
+            brute_force_bipartite_counts(bad)
 
 
 def test_counts_match_bruteforce_oracle():

@@ -208,6 +208,27 @@ def test_find_bipartition_result_is_valid():
         validate_bipartition(g, b)
 
 
+def test_bipartition_parts_are_frozensets_of_ints():
+    # each part is a frozenset of int vertex ids, a bool refused, as Graph
+    # and Permutation refuse what they do not declare: 1.0 reached
+    # validate_bipartition's mask_of as a TypeError, True was taken as
+    # vertex 1, and a list or None raised TypeError at construction
+    for part in ({1.0, 3}, {True, 3}, {"1", 3}, {None}):
+        with pytest.raises(ValueError, match="part A must be a frozenset of int vertex ids"):
+            Bipartition.of(part, {2, 4})
+        with pytest.raises(ValueError, match="part B must be a frozenset of int vertex ids"):
+            Bipartition.of({2, 4}, part)
+    for a, b in (([1], [2]), (None, None), ({1}, frozenset({2})), (frozenset({1}), (2,))):
+        with pytest.raises(ValueError, match="part [AB] must be a frozenset of int vertex ids"):
+            Bipartition(a, b)
+    b = Bipartition(frozenset({1, 3}), frozenset({2, 4}))
+    assert b == Bipartition.of([1, 3], (2, 4)) and b.flipped() == Bipartition.of({2, 4}, {1, 3})
+    validate_bipartition(path(4), b)
+    # validate_bipartition keeps its messages for parts of ints
+    with pytest.raises(ValueError, match="parts do not cover the vertex set"):
+        validate_bipartition(path(4), Bipartition.of({1, 3}, {2, 5}))
+
+
 def test_connected_components_examples():
     assert connected_components(two_p3()) == [(1, 2, 3), (4, 5, 6)]
     assert connected_components(Graph.from_edges(1, [])) == [(1,)]

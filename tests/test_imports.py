@@ -156,6 +156,40 @@ def test_one_cross_edge_rule():
     assert in_sees
 
 
+def test_level_builder_touches_no_module_state():
+    # ``enumeration._build_level`` is a function of its parents alone, so a
+    # class level can be built from any parents without touching the full
+    # levels: it names neither ``bipartite_level`` nor a module-level dict,
+    # and only ``bipartite_level`` writes the one level record, ``_LEVELS``
+    source = PACKAGE / "harness" / "enumeration.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+    dicts = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+            dicts.update(t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target]))
+    (builder,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_build_level"]
+    names = {node.id for node in ast.walk(builder) if isinstance(node, ast.Name)}
+    assert names & (dicts | {"bipartite_level"}) == set()
+    assert not any(isinstance(node, (ast.Global, ast.Nonlocal)) for node in ast.walk(builder))
+
+    def writes_levels(root: ast.AST) -> bool:
+        for node in ast.walk(root):
+            if isinstance(node, (ast.Name, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value if isinstance(node, ast.Subscript) else node
+                if isinstance(target, ast.Name) and target.id == "_LEVELS":
+                    return True
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_LEVELS":
+                if node.attr not in ("get", "items", "keys", "values"):
+                    return True
+        return False
+
+    # the module-level statements and functions that write ``_LEVELS``,
+    # apart from its one declaration
+    declared = [node for node in tree.body if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "_LEVELS"]
+    writers = [getattr(node, "name", "module level") for node in tree.body if node not in declared and writes_levels(node)]
+    assert len(declared) == 1 and writers == ["bipartite_level"]
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # only a run with more than one worker starts a pool, and only it loads
     # multiprocessing, so a cold start that starts none does not pay for it

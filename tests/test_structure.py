@@ -863,6 +863,24 @@ def test_letter_validation_errors():
             with pytest.raises(ValueError, match=re.escape(f"decoder element {bad!r} is not a pair of letters")):
                 reader(rep)
         assert not verify_letter(rep, path(3))
+    # a field not of its declared kind raised TypeError from len or from
+    # iterating it, and verify_letter raised it instead of returning False;
+    # a list or a set that decoded before is refused too
+    for fields, name in (
+        (((0, 0, 1), (1, 2, 3), None), "decoder"),
+        (((0, 0, 1), (1, 2, 3), {(0, 1)}), "decoder"),
+        ((None, (1, 2, 3), decoder), "letters"),
+        ((3, (1, 2, 3), decoder), "letters"),
+        (([0, 0, 1], (1, 2, 3), decoder), "letters"),
+        (((0, 0, 1), None, decoder), "order"),
+        (((0, 0, 1), [1, 2, 3], decoder), "order"),
+    ):
+        rep = LetterRepresentation(*fields)
+        for reader in readers:
+            with pytest.raises(ValueError, match=f"^{name} must be a (tuple|frozenset), got a "):
+                reader(rep)
+        assert not verify_letter(rep, path(3))
+    assert not verify_letter(LetterRepresentation((0, 1), (1, 2), None), path(2))
 
 
 def _table_decode_reference(text: str) -> Graph:

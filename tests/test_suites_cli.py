@@ -14,7 +14,7 @@ from conftest import parent_rows
 
 from bipkit.graphs import Graph, find_bipartition, parse_graph, serialize_graph
 from bipkit.families import cycle, path, sun1, universal_grid
-from bipkit.harness import cli, suites
+from bipkit.harness import cli, enumeration, suites
 from bipkit.harness.suites import (
     DEFAULT_BUDGET,
     LEMMAS,
@@ -321,6 +321,51 @@ def test_exhaustive_members_equal_full_search(connected_levels):
             assert all(undecided == 0 and violation is None for *_, undecided, violation in chunks), (suite, n)
             got = [g.adj for _, members, *_ in chunks for g in members]
             assert got == [g.adj for g in level if _member(g, LEMMAS[suite]) is not None], (suite, n)
+
+
+def _class_levels(suite: str, nmax: int) -> dict[int, list[Graph]]:
+    """Levels 1..nmax of the hereditary half of a lemma's universe (its
+    forbidden patterns, no required one), each the children that
+    ``enumeration._build_level`` grows from the level below, filtered with
+    ``_member``."""
+    universe = replace(LEMMAS[suite], required=None)
+    levels = {1: [g for g in enumeration.bipartite_level(1) if _member(g, universe) is not None]}
+    for n in range(2, nmax + 1):
+        levels[n] = [g for g in enumeration._build_level(levels[n - 1])[0] if _member(g, universe) is not None]
+    return levels
+
+
+def test_class_levels_equal_the_full_levels_filtered(connected_levels):
+    # the enumerator docstring's argument: on a hereditary class, the
+    # children of the class's level below, filtered, are the full level
+    # filtered, in order; and building them leaves the full levels' one
+    # record (graphs, child starts, statistics) as it was
+    starts = {n: list(enumeration._child_starts(n)) for n in connected_levels}
+    stats = enumeration.level_stats()
+    copies = {n: list(level) for n, level in connected_levels.items()}
+    for suite, members in (("lemma-key", 66), ("lemma-reduction", 70), ("closure", 1_645)):
+        universe = replace(LEMMAS[suite], required=None)
+        levels = _class_levels(suite, 10)
+        for n in range(1, 11):
+            want = [g.adj for g in connected_levels[n] if _member(g, universe) is not None]
+            assert [g.adj for g in levels[n]] == want, (suite, n)
+        assert len(levels[10]) == members, suite
+    for n, level in connected_levels.items():
+        assert enumeration.bipartite_level(n) is level and level == copies[n], n
+        assert enumeration._child_starts(n) == starts[n], n
+    assert enumeration.level_stats() == stats
+
+
+def test_class_level_counts_past_the_verify_range():
+    # regression pins, not an independent check: the class levels come from
+    # the same builder that the test above checks against the full levels
+    # up to n=10, here grown past them at a fraction of their cost
+    key = _class_levels("lemma-key", 12)
+    assert [len(key[n]) for n in (11, 12)] == [103, 174]
+    reduction = _class_levels("lemma-reduction", 12)
+    assert [len(reduction[n]) for n in (11, 12)] == [107, 179]
+    with_c4 = [sum(find_induced_embedding(cycle(4), g) is not None for g in reduction[n]) for n in (11, 12)]
+    assert with_c4 == [4, 5]
 
 
 def test_sun1_embeds_in_every_connected_bipartite_graph_with_a_c4_that_is_not_complete_bipartite(connected_levels):
