@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lgrid.add_argument("--verify", default=None)
     p_lgrid.set_defaults(fn=_cmd_letter)
 
-    p_bic = sub.add_parser("biconvex", help="search for a biconvex order pair")
+    p_bic = sub.add_parser("biconvex", help="find a biconvex order pair")
     p_bic.add_argument("graph")
     p_bic.set_defaults(fn=_cmd_biconvex)
 

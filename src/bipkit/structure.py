@@ -38,11 +38,24 @@ down from the root while v sees across each node what the operand it
 enters sees (``_sees``), and either splices v's leaf in by a join or a
 union above the first node whose opposite-side leaves v sees all or none
 of, or re-splits only that node's leaves plus v, which is exact both ways.
+
+``find_biconvex_order`` forces its splits too: it searches no order and has
+no size cap.  A part's order only has to make the opposite neighbourhoods
+(its rows) intervals, the consecutive-ones property (Booth & Lueker 1976;
+Hsu, J. Algorithms 43, 2002).  Two rows overlap when they meet and neither
+holds the other.  The rows that overlap the largest row, directly or
+through other rows, cover an interval, and their columns fall into blocks
+whose order is forced up to reversal: each row placed overlaps one already
+placed, so it covers a run of blocks, whole inside and split at its two
+ends, with its unplaced columns as one new block beyond the end it reaches.
+Any other row overlaps none of these rows and, since none is larger than
+the first, holds none of them, so it lies inside one block or outside them
+all.  Each block and the outside are then ordered alone, off a work list,
+so a chain of nested rows needs no recursion.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import (
@@ -61,7 +74,10 @@ from .graphs import (
 
 
 def _independent_part(g: Graph, part: set[int] | frozenset[int]) -> list[int]:
-    """The part's ids ascending, once each is a vertex of ``g`` and no two are adjacent."""
+    """The part's ids ascending, once the part is a set or frozenset, each id
+    is a vertex of ``g`` and no two are adjacent."""
+    if part.__class__ not in (set, frozenset):
+        raise ValueError(f"part must be a set or frozenset, got a {type(part).__name__}")
     for v in part:
         _int_in("part vertex", v, 1, g.n)
     vs = sorted(part)
@@ -121,9 +137,13 @@ def verify_biconvex_order(
     order_a: tuple[int, ...],
     order_b: tuple[int, ...],
 ) -> bool:
-    """True iff every neighbourhood is consecutive in the opposite part's order."""
+    """True iff every neighbourhood is consecutive in the opposite part's
+    order; ValueError when an order is not a tuple of the part's ids."""
     validate_bipartition(g, b)
-    for v in itertools.chain(order_a, order_b):
+    for name, order in (("order_a", order_a), ("order_b", order_b)):
+        if order.__class__ is not tuple:
+            raise ValueError(f"{name} must be a tuple, got a {type(order).__name__}")
+    for v in order_a + order_b:
         _int_in("order vertex", v, 1, g.n)
     if sorted(order_a) != sorted(b.part_a) or sorted(order_b) != sorted(b.part_b):
         raise ValueError("orders must be permutations of the parts")
@@ -132,32 +152,74 @@ def verify_biconvex_order(
     )
 
 
-# the most vertices per part that find_biconvex_order tries every order of
-BICONVEX_GUARD = 8
+def _consecutive_order(cols: int, rows: list[int]) -> tuple[int, ...] | None:
+    """An order of the ids in ``cols`` in which every row (a mask inside
+    ``cols``) is consecutive, or None when no order is: the consecutive-ones
+    property, decided by forced block splits (see the module docstring)."""
+    order: list[int] = []
+    # each work item is a column set and the rows inside it, largest first
+    work = [(cols, sorted(set(rows), key=lambda r: (-r.bit_count(), r)))]
+    while work:
+        cols, rows = work.pop()
+        rows = [r for r in rows if r != cols and r.bit_count() > 1]
+        if not rows:
+            order.extend(mask_vertices(cols))
+            continue
+        component, blocks, placed, pending = [rows[0]], [rows[0]], rows[0], rows[1:]
+        for q in component:
+            rest = []
+            for r in pending:
+                if not (r & q and r & ~q and q & ~r):
+                    rest.append(r)
+                    continue
+                blocks = _place_row(blocks, r, r & ~placed)
+                if blocks is None:
+                    return None
+                component.append(r)
+                placed |= r
+            pending = rest
+        parts = [(blk, [r for r in pending if not r & ~blk]) for blk in blocks]
+        if cols & ~placed:
+            parts.append((cols & ~placed, [r for r in pending if not r & placed]))
+        work.extend(reversed(parts))
+    return tuple(order)
+
+
+def _place_row(blocks: list[int], r: int, new: int) -> list[int] | None:
+    """The blocks after placing row ``r``, which overlaps a placed row and
+    holds the unplaced columns ``new``, or None when it cannot be placed.
+    The run of blocks ``r`` meets must be whole inside and is split at its
+    two ends; ``new`` is one more block, whole in ``r``, at the end the run
+    reaches."""
+    hit = [i for i, blk in enumerate(blocks) if blk & r]
+    lo, hi = hit[0], hit[-1]
+
+    def whole(i: int, j: int) -> bool:
+        return all(not blk & ~r for blk in blocks[i:j])
+
+    if new and hi == len(blocks) - 1 and whole(lo + 1, hi + 1):
+        blocks, hi = blocks + [new], hi + 1
+    elif new and lo == 0 and whole(0, hi):
+        blocks, hi = [new] + blocks, hi + 1
+    elif new or not whole(lo + 1, hi):
+        return None
+    run = (blocks[lo] & ~r, blocks[lo] & r, *blocks[lo + 1 : hi], blocks[hi] & r, blocks[hi] & ~r)
+    return blocks[:lo] + [blk for blk in run if blk] + blocks[hi + 1 :]
 
 
 def find_biconvex_order(g: Graph, b: Bipartition) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Exhaustive first-hit search for a biconvex order pair, or None.
+    """A biconvex order pair, or None when the graph has none.
 
     The two part orders are independent (a part's order only has to make the
-    opposite part's neighbourhoods into intervals), so each side is searched
-    separately over at most ``BICONVEX_GUARD``! candidates.
+    opposite part's neighbourhoods into intervals), so each part is ordered
+    by ``_consecutive_order`` with those neighbourhoods as its rows.  Columns
+    that no row tells apart keep ascending ids.
     """
     validate_bipartition(g, b)
-    side_a, side_b = b.sorted_a(), b.sorted_b()
-    if len(side_a) > BICONVEX_GUARD or len(side_b) > BICONVEX_GUARD:
-        raise ValueError(f"parts exceed the search guard of {BICONVEX_GUARD}")
-
-    def first_order(side: tuple[int, ...], opposite: tuple[int, ...]):
-        for candidate in itertools.permutations(side):
-            if _intervals_in_order(g, opposite, candidate):
-                return candidate
-        return None
-
-    order_a = first_order(side_a, side_b)
+    order_a = _consecutive_order(mask_of(b.part_a), [g.adj[v - 1] for v in b.part_b])
     if order_a is None:
         return None
-    order_b = first_order(side_b, side_a)
+    order_b = _consecutive_order(mask_of(b.part_b), [g.adj[v - 1] for v in b.part_a])
     if order_b is None:
         return None
     return order_a, order_b

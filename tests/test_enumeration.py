@@ -486,7 +486,11 @@ def test_level_arguments(monkeypatch):
     with pytest.raises(ValueError):
         bipartite_level(4, False)
     # n is an int: a bool or a float is refused before any level is looked
-    # up or built
+    # up or built; levels 1..4 are built first, so the cached ones below
+    # hold when this test runs alone
+    for n in range(1, 5):
+        bipartite_level(n)
+
     def build(n):
         raise AssertionError(f"level {n!r} built")
 

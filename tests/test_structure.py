@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 import re
+import sys
 
 import pytest
 from conftest import all_bipartite, parent_rows
@@ -116,6 +117,10 @@ def test_part_ids_outside_the_graph_are_located():
         for bad in (0, 4, 1.5, "1", True):
             with pytest.raises(ValueError, match=re.escape(f"part vertex must be an int in 1..3, got {bad!r}")):
                 check(path(3), {3, bad})
+        # a part that is not a set or frozenset is named, not iterated
+        for bad, kind in ((None, "NoneType"), ([1, 3], "list"), ((1, 3), "tuple"), ("13", "str")):
+            with pytest.raises(ValueError, match=f"part must be a set or frozenset, got a {kind}"):
+                check(path(3), bad)
 
 
 def test_incomparability_isolated_vertices():
@@ -148,6 +153,15 @@ def test_verify_biconvex_order_examples():
     for order_a, order_b, bad in (((1, "3"), (2,), "3"), ((1, 3), (2.0,), 2.0), ((1, 3), (True,), True)):
         with pytest.raises(ValueError, match=re.escape(f"order vertex must be an int in 1..3, got {bad!r}")):
             verify_biconvex_order(p3, b3, order_a, order_b)
+    # an order that is not a tuple is named before its entries are read
+    for order_a, order_b, name, kind in (
+        ((1, 3), None, "order_b", "NoneType"),
+        (None, (2,), "order_a", "NoneType"),
+        ([1, 3], (2,), "order_a", "list"),
+        ((1, 3), {2}, "order_b", "set"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be a tuple, got a {kind}"):
+            verify_biconvex_order(p3, b3, order_a, order_b)
 
 
 def test_proof_order_for_three_zone_graphs():
@@ -161,15 +175,73 @@ def test_find_biconvex_order():
     assert find_biconvex_order(path(6), find_bipartition(path(6))) is not None
     assert find_biconvex_order(cycle(6), find_bipartition(cycle(6))) is None
     assert find_biconvex_order(cycle(4), find_bipartition(cycle(4))) is not None
-    # the guard allows 8 vertices per part and refuses 9
     assert find_biconvex_order(path(16), find_bipartition(path(16))) is not None
-    with pytest.raises(ValueError, match="parts exceed the search guard of 8"):
-        find_biconvex_order(path(17), find_bipartition(path(17)))
     found = find_biconvex_order(path(6), find_bipartition(path(6)))
     assert verify_biconvex_order(path(6), find_bipartition(path(6)), *found)
-    big = complete_bipartite(9, 2)
-    with pytest.raises(ValueError):
-        find_biconvex_order(big, find_bipartition(big))
+    # parts of more than 8 vertices are answered, not refused
+    for g in (path(17), complete_bipartite(9, 2)):
+        b = find_bipartition(g)
+        found = find_biconvex_order(g, b)
+        assert found is not None and verify_biconvex_order(g, b, *found)
+
+
+def _factorial_biconvex_order(g: Graph, b: Bipartition):
+    """Reference: the first order of each part, over every order of it, that
+    makes the opposite part's neighbourhoods intervals."""
+
+    def first_order(side, opposite):
+        for order in itertools.permutations(side):
+            rank = {v: i for i, v in enumerate(order)}
+            if all(
+                not ranks or max(ranks) - min(ranks) + 1 == len(ranks)
+                for ranks in ([rank[u] for u in mask_vertices(g.adj[v - 1])] for v in opposite)
+            ):
+                return order
+        return None
+
+    order_a = first_order(b.sorted_a(), b.sorted_b())
+    order_b = None if order_a is None else first_order(b.sorted_b(), b.sorted_a())
+    return None if order_b is None else (order_a, order_b)
+
+
+def test_biconvex_orders_agree_with_the_factorial_search():
+    # every bipartite graph on up to 9 vertices with parts of at most 8
+    # vertices, plus cycle(6): the same answer, None or not, and every order
+    # found verifies
+    graphs = [g for n in range(1, 10) for g in all_bipartite(n)] + [cycle(6)]
+    checked = no_order = 0
+    for g in graphs:
+        b = find_bipartition(g)
+        if max(len(b.part_a), len(b.part_b)) > 8:
+            continue
+        found = find_biconvex_order(g, b)
+        assert (found is None) == (_factorial_biconvex_order(g, b) is None), serialize_graph(g, b)
+        assert found is None or verify_biconvex_order(g, b, *found), serialize_graph(g, b)
+        checked += 1
+        no_order += found is None
+    assert (checked, no_order) == (1571, 340)
+
+
+def test_three_zone_graphs_have_biconvex_orders_found():
+    for n in range(8, 42, 2):
+        layout = s_graph_star(n)
+        found = find_biconvex_order(layout.graph, layout.bipartition)
+        assert found is not None and verify_biconvex_order(layout.graph, layout.bipartition, *found), n
+
+
+def test_nested_rows_deeper_than_the_recursion_limit():
+    # a chain graph: A vertex i sees B vertices k+i..2k, so each part's rows
+    # nest k deep, and the finder still answers under a recursion limit of 250
+    k = 400
+    g = Graph.from_edges(2 * k, [(i, k + j) for i in range(1, k + 1) for j in range(i, k + 1)])
+    b = Bipartition.of(range(1, k + 1), range(k + 1, 2 * k + 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        found = find_biconvex_order(g, b)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found is not None and verify_biconvex_order(g, b, *found)
 
 
 def test_operations_examples():
