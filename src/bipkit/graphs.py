@@ -157,49 +157,79 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Bipartition:
     """An explicit two-part split, carried beside the graph it describes.
 
     The split is ordered: several operations (bipartite complement inside a
     fixed frame, the skew join) distinguish part A from part B, so callers
     must not treat the parts as interchangeable.
+
+    The parts are stored as two vertex masks, ``mask_a`` and ``mask_b``, in
+    the bit layout of :class:`Graph` rows.  ``part_a`` and ``part_b`` build
+    a frozenset on each call, so hot paths should read the masks.  Equality
+    and hashing compare the masks of two bipartitions, never a bipartition
+    with a tuple.
     """
 
-    part_a: frozenset[int]
-    part_b: frozenset[int]
+    mask_a: int
+    mask_b: int
 
-    def __post_init__(self):
-        for name, part in (("part A", self.part_a), ("part B", self.part_b)):
-            if part.__class__ is not frozenset or not {int}.issuperset(map(type, part)):
+    def __init__(self, part_a: frozenset[int], part_b: frozenset[int]):
+        for name, part in (("part A", part_a), ("part B", part_b)):
+            # an id below 1 has no bit in a mask
+            if part.__class__ is not frozenset or not {int}.issuperset(map(type, part)) or min(part, default=1) < 1:
                 raise ValueError(f"{name} must be a frozenset of int vertex ids, got {part!r}")
+        object.__setattr__(self, "mask_a", mask_of(part_a))
+        object.__setattr__(self, "mask_b", mask_of(part_b))
+
+    @classmethod
+    def _trusted(cls, mask_a: int, mask_b: int) -> "Bipartition":
+        """A bipartition from two masks of ids, skipping ``__init__``'s checks."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "mask_a", mask_a)
+        object.__setattr__(b, "mask_b", mask_b)
+        return b
 
     @classmethod
     def of(cls, part_a: Iterable[int], part_b: Iterable[int]) -> "Bipartition":
         return cls(frozenset(part_a), frozenset(part_b))
 
+    def __repr__(self):
+        return f"Bipartition(part_a={self.part_a!r}, part_b={self.part_b!r})"
+
+    @property
+    def part_a(self) -> frozenset[int]:
+        return frozenset(mask_vertices(self.mask_a))
+
+    @property
+    def part_b(self) -> frozenset[int]:
+        return frozenset(mask_vertices(self.mask_b))
+
     def flipped(self) -> "Bipartition":
-        return Bipartition(self.part_b, self.part_a)
+        return Bipartition._trusted(self.mask_b, self.mask_a)
 
     def sorted_a(self) -> tuple[int, ...]:
-        return tuple(sorted(self.part_a))
+        return tuple(mask_vertices(self.mask_a))
 
     def sorted_b(self) -> tuple[int, ...]:
-        return tuple(sorted(self.part_b))
+        return tuple(mask_vertices(self.mask_b))
 
 
 def validate_bipartition(g: Graph, b: Bipartition) -> None:
-    """Raise ValueError unless ``b`` is a valid bipartition of ``g``."""
-    if b.part_a & b.part_b:
+    """Raise ValueError unless ``b`` is a :class:`Bipartition` and a valid
+    bipartition of ``g``."""
+    if b.__class__ is not Bipartition:
+        raise ValueError(f"b must be a Bipartition, got a {type(b).__name__}")
+    mask_a, mask_b = b.mask_a, b.mask_b
+    if mask_a & mask_b:
         raise ValueError("parts are not disjoint")
-    if b.part_a | b.part_b != set(g.vertices()):
+    if mask_a | mask_b != (1 << g.n) - 1:
         raise ValueError("parts do not cover the vertex set")
-    mask_a = mask_of(b.part_a)
-    mask_b = mask_of(b.part_b)
-    for v in b.part_a:
+    for v in mask_vertices(mask_a):
         if g.adj[v - 1] & mask_a:
             raise ValueError(f"edge inside part A at vertex {v}")
-    for v in b.part_b:
+    for v in mask_vertices(mask_b):
         if g.adj[v - 1] & mask_b:
             raise ValueError(f"edge inside part B at vertex {v}")
 
@@ -229,12 +259,11 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
 def bipartite_complement(g: Graph, b: Bipartition) -> Graph:
     """Complement across the two parts: cross edge present iff absent in ``g``."""
     validate_bipartition(g, b)
-    mask_a = mask_of(b.part_a)
-    mask_b = mask_of(b.part_b)
+    mask_a, mask_b = b.mask_a, b.mask_b
     adj = list(g.adj)
-    for v in b.part_a:
+    for v in mask_vertices(mask_a):
         adj[v - 1] = mask_b & ~g.adj[v - 1]
-    for v in b.part_b:
+    for v in mask_vertices(mask_b):
         adj[v - 1] = mask_a & ~g.adj[v - 1]
     return Graph(g.n, tuple(adj))
 
@@ -296,8 +325,7 @@ def find_bipartition(g: Graph) -> Bipartition | None:
         if not bipartite:
             return None
         part_a |= side
-    part_b = ((1 << g.n) - 1) & ~part_a
-    return Bipartition(frozenset(mask_vertices(part_a)), frozenset(mask_vertices(part_b)))
+    return Bipartition._trusted(part_a, ((1 << g.n) - 1) & ~part_a)
 
 
 def parse_graph(text: str) -> tuple[Graph, Bipartition | None]:
@@ -365,8 +393,8 @@ def parse_graph(text: str) -> tuple[Graph, Bipartition | None]:
     g = Graph.from_edges(n, edges)
     b = None
     if part_a is not None:
-        rest = frozenset(g.vertices()) - frozenset(part_a)
-        b = Bipartition(frozenset(part_a), rest)
+        mask_a = mask_of(part_a)
+        b = Bipartition._trusted(mask_a, ((1 << n) - 1) & ~mask_a)
         validate_bipartition(g, b)
     return g, b
 

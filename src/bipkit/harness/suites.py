@@ -604,7 +604,7 @@ def _no_p9(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
 
 
 def _complete_bipartite(g: Graph, b: Bipartition, budget: int | None) -> Iterator[str]:
-    if g.edge_count != len(b.part_a) * len(b.part_b):
+    if g.edge_count != b.mask_a.bit_count() * b.mask_b.bit_count():
         yield "graph with C4 is not complete bipartite"
 
 

@@ -145,11 +145,10 @@ def verify_biconvex_order(
             raise ValueError(f"{name} must be a tuple, got a {type(order).__name__}")
     for v in order_a + order_b:
         _int_in("order vertex", v, 1, g.n)
-    if sorted(order_a) != sorted(b.part_a) or sorted(order_b) != sorted(b.part_b):
+    part_a, part_b = b.sorted_a(), b.sorted_b()
+    if tuple(sorted(order_a)) != part_a or tuple(sorted(order_b)) != part_b:
         raise ValueError("orders must be permutations of the parts")
-    return _intervals_in_order(g, tuple(b.part_b), tuple(order_a)) and _intervals_in_order(
-        g, tuple(b.part_a), tuple(order_b)
-    )
+    return _intervals_in_order(g, part_b, order_a) and _intervals_in_order(g, part_a, order_b)
 
 
 def _consecutive_order(cols: int, rows: list[int]) -> tuple[int, ...] | None:
@@ -216,10 +215,10 @@ def find_biconvex_order(g: Graph, b: Bipartition) -> tuple[tuple[int, ...], tupl
     that no row tells apart keep ascending ids.
     """
     validate_bipartition(g, b)
-    order_a = _consecutive_order(mask_of(b.part_a), [g.adj[v - 1] for v in b.part_b])
+    order_a = _consecutive_order(b.mask_a, [g.adj[v - 1] for v in mask_vertices(b.mask_b)])
     if order_a is None:
         return None
-    order_b = _consecutive_order(mask_of(b.part_b), [g.adj[v - 1] for v in b.part_a])
+    order_b = _consecutive_order(b.mask_b, [g.adj[v - 1] for v in mask_vertices(b.mask_a)])
     if order_b is None:
         return None
     return order_a, order_b
@@ -250,12 +249,12 @@ def _compose(kind: str, g1: Graph, b1: Bipartition, g2: Graph, b2: Bipartition) 
     validate_bipartition(g2, b2)
     shift = g1.n
     rows = list(g1.adj) + [row << shift for row in g2.adj]
-    x1, y1 = mask_of(b1.part_a), mask_of(b1.part_b)
-    x2, y2 = mask_of(b2.part_a) << shift, mask_of(b2.part_b) << shift
+    x1, y1 = b1.mask_a, b1.mask_b
+    x2, y2 = b2.mask_a << shift, b2.mask_b << shift
     for side, seen in zip((x1, y1, x2, y2), _sees(kind, x1, y1, x2, y2)):
         for v in mask_vertices(side):
             rows[v - 1] |= seen
-    b = Bipartition.of(mask_vertices(x1 | x2), mask_vertices(y1 | y2))
+    b = Bipartition._trusted(x1 | x2, y1 | y2)
     return Graph(g1.n + g2.n, tuple(rows)), b
 
 
@@ -453,8 +452,7 @@ def decompose(g: Graph, b: Bipartition) -> DecompositionTree | None:
     validate_bipartition(g, b)
     if g.n == 0:
         return None
-    x_mask, y_mask = mask_of(b.part_a), mask_of(b.part_b)
-    entries = _split(g.adj, x_mask, y_mask, x_mask | y_mask)
+    entries = _split(g.adj, b.mask_a, b.mask_b, b.mask_a | b.mask_b)
     return None if entries is None else DecompositionTree(entries)
 
 

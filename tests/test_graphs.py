@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -212,8 +213,9 @@ def test_bipartition_parts_are_frozensets_of_ints():
     # each part is a frozenset of int vertex ids, a bool refused, as Graph
     # and Permutation refuse what they do not declare: 1.0 reached
     # validate_bipartition's mask_of as a TypeError, True was taken as
-    # vertex 1, and a list or None raised TypeError at construction
-    for part in ({1.0, 3}, {True, 3}, {"1", 3}, {None}):
+    # vertex 1, and a list or None raised TypeError at construction; an id
+    # below 1 has no bit in the part's mask
+    for part in ({1.0, 3}, {True, 3}, {"1", 3}, {None}, {0, 3}, {-1, 3}):
         with pytest.raises(ValueError, match="part A must be a frozenset of int vertex ids"):
             Bipartition.of(part, {2, 4})
         with pytest.raises(ValueError, match="part B must be a frozenset of int vertex ids"):
@@ -227,6 +229,28 @@ def test_bipartition_parts_are_frozensets_of_ints():
     # validate_bipartition keeps its messages for parts of ints
     with pytest.raises(ValueError, match="parts do not cover the vertex set"):
         validate_bipartition(path(4), Bipartition.of({1, 3}, {2, 5}))
+
+
+def test_bipartition_is_two_masks(connected_levels):
+    graphs = [g for n in range(1, 11) for g in connected_levels[n]]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parts = [find_bipartition(g) for g in graphs]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # two masks take about 100 B a bipartition, two frozensets about 1.2 kB
+    assert len(parts) == 5016 and held < 1 << 20, held
+    assert not hasattr(parts[0], "__dict__")
+    for b in parts[::250]:
+        same = Bipartition.of(b.part_a, b.part_b)
+        for other in (same, pickle.loads(pickle.dumps(b))):
+            assert other == b and hash(other) == hash(b) and other.__class__ is Bipartition
+        assert b != (b.mask_a, b.mask_b) and b != (b.part_a, b.part_b)
+    b = Bipartition.of({1, 3}, {2, 4})
+    assert (b.mask_a, b.mask_b) == (0b0101, 0b1010)
+    assert repr(b) == "Bipartition(part_a=frozenset({1, 3}), part_b=frozenset({2, 4}))"
 
 
 def test_connected_components_examples():

@@ -259,6 +259,41 @@ def test_operations_examples():
     assert g == two_p3()
 
 
+@pytest.mark.parametrize(
+    "reader",
+    [
+        bipartite_complement,
+        serialize_graph,
+        decompose,
+        find_biconvex_order,
+        lambda g, b: verify_biconvex_order(g, b, (1, 3), (2, 4)),
+        lambda g, b: disjoint_union(g, b, g, find_bipartition(g)),
+        lambda g, b: join(g, b, g, find_bipartition(g)),
+        lambda g, b: skew_join(g, find_bipartition(g), g, b),
+    ],
+    ids=[
+        "bipartite_complement",
+        "serialize_graph",
+        "decompose",
+        "find_biconvex_order",
+        "verify_biconvex_order",
+        "disjoint_union",
+        "join",
+        "skew_join",
+    ],
+)
+@pytest.mark.parametrize(
+    "bad", [None, (frozenset({1, 3}), frozenset({2, 4})), (0b0101, 0b1010)], ids=["None", "frozensets", "masks"]
+)
+def test_readers_refuse_a_b_that_is_not_a_bipartition(reader, bad):
+    if reader is serialize_graph and bad is None:
+        # None means no 'b' line
+        assert serialize_graph(path(4), None) == "p 4\ne 1 2\ne 2 3\ne 3 4\n"
+        return
+    with pytest.raises(ValueError, match=f"b must be a Bipartition, got a {type(bad).__name__}"):
+        reader(path(4), bad)
+
+
 def test_join_matches_direct_formula():
     rng = random.Random(5150)
     for _ in range(60):
