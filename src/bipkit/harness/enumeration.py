@@ -352,12 +352,17 @@ def _build_level(parents: list[Graph]) -> tuple[list[Graph], list[int], dict[str
     registry = _IsoRegistry()
     automorphisms = _Budget(None)
     out: list[Graph] = []
+    # one int object per row value of the level, parents' rows included:
+    # a row the new vertex joins, or the new vertex's own, most often
+    # repeats a value that another child holds already
+    row_of: dict[int, int] = {}
     candidates = passed = refined = 0
     starts = []
     for parent in parents:
         starts.append(len(out))
         new = parent.n  # 0-based index of the new vertex
         new_bit = 1 << new
+        base = [row_of.setdefault(row, row) for row in parent.adj]
         ((_, side, _),) = _component_masks(parent.adj)
         a = side.bit_count()
         candidates += (1 << a) + (1 << (new - a)) - 2
@@ -367,12 +372,14 @@ def _build_level(parents: list[Graph]) -> tuple[list[Graph], list[int], dict[str
         # mask is its own orbit
         gens = _automorphism_generators(parent.adj, automorphisms, keys)[0] if len(kept) > 1 else []
         for mask in _orbit_representatives(list(kept), gens):
-            rows = [*parent.adj, mask]
+            rows = [*base, row_of.setdefault(mask, mask)]
             rest = mask
             while rest:
                 low = rest & -rest
                 rest ^= low
-                rows[low.bit_length() - 1] |= new_bit
+                v = low.bit_length() - 1
+                row = rows[v] | new_bit
+                rows[v] = row_of.setdefault(row, row)
             adj = tuple(rows)
             tied = kept[mask]
             if tied:  # decided at the stable colouring

@@ -765,8 +765,10 @@ def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT
     # searches only a graph without one
     certifies = lemma.claim is _decomposes
     # indices in their level of the free and of the undecided graphs one
-    # level down, and the checked build trees of the certified ones, each
-    # with its ``_spans`` pass; level 0 is one free graph
+    # level down, and the checked build trees, each with its ``_spans``
+    # pass, of the certified ones whose children are still to grow; a tree
+    # is dropped once its children are grown, and the last level keeps
+    # none; level 0 is one free graph
     free, unknown, trees = {0}, set(), {}
     specs = []
     for n in range(1, n_max + 1):
@@ -789,7 +791,7 @@ def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT
                 for j in children:
                     undecided[j // _CHUNK] += 1
                 continue
-            below = trees_below.get(i)
+            below = trees_below.pop(i, None)
             for j in children:
                 g = level[j]
                 c = j // _CHUNK
@@ -800,7 +802,7 @@ def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT
                         checked = _checked_tree(g, tree)
                         if checked is None:
                             note = _NO_TREE
-                        else:
+                        elif n < n_max:
                             trees[j] = checked
                     if (not certifies or note is not None) and any(
                         find_induced_embedding(h, g, budget=budget) is not None for h in lemma.forbidden

@@ -602,7 +602,9 @@ def parse_tree(text: str) -> DecompositionTree:
             expect = "kind"
         elif expect == "kind":
             if tok in _BINARY:
-                entries.append(tok)
+                # the module's kind string, not the token: a tree holds no
+                # string of its own
+                entries.append(_BINARY[_BINARY.index(tok)])
                 first_read.append(False)
                 expect = "("
             elif tok == "leaf":

@@ -91,7 +91,7 @@ def test_vertex_and_position_accessors_refuse_a_bad_id(bad):
     assert (g.neighbors(1), g.degree(2), g.has_edge(3, 4), p(4)) == ((2,), 2, True, 3)
 
 
-def test_equality_and_hash_go_by_rows():
+def test_equality_and_hash_go_by_rows(connected_levels):
     # every way of making a graph, the worker pool's pickle round trip
     # included, gives one value per (n, rows)
     rows = (0b010, 0b101, 0b010)
@@ -107,6 +107,14 @@ def test_equality_and_hash_go_by_rows():
         assert (g.n, g.adj) == (3, rows)
     assert len(set(made)) == 1
     assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+    # a level's graphs hold their fields in slots, with no dict, and agree
+    # with the checked constructor through a pickle round trip
+    for g in connected_levels[9][::100]:
+        assert not hasattr(g, "__dict__")
+        same = Graph(g.n, g.adj)
+        for other in (g, pickle.loads(pickle.dumps(g))):
+            assert other == same and hash(other) == hash(same) and repr(other) == repr(same)
+            assert other.__class__ is Graph
     # other rows, another vertex count or another type are not equal
     assert Graph(3, (0b110, 0b001, 0b001)) != path(3)
     assert Graph(4, rows + (0,)) != path(3)
@@ -228,7 +236,12 @@ def test_bipartition_parts_are_frozensets_of_ints():
     validate_bipartition(path(4), b)
     # validate_bipartition keeps its messages for parts of ints
     with pytest.raises(ValueError, match="parts do not cover the vertex set"):
-        validate_bipartition(path(4), Bipartition.of({1, 3}, {2, 5}))
+        validate_bipartition(path(4), Bipartition.of({1, 3}, {2}))
+    # a valid bipartition names ids 1..|A| + |B|; a larger id is refused
+    # before its mask is built, which for 10**7 takes 1.33 MB
+    for part_b, top, size in (({2, 5}, 5, 4), ({10**7}, 10**7, 3)):
+        with pytest.raises(ValueError, match=rf"^vertex id {top} is above \|A\| \+ \|B\| = {size}$"):
+            Bipartition.of({1, 3}, part_b)
 
 
 def test_bipartition_is_two_masks(connected_levels):

@@ -519,6 +519,9 @@ def test_tree_round_trip_and_errors():
     text = format_tree(t)
     again = parse_tree(text)
     assert again == t and format_tree(again) == text and recompose(again) == p6
+    # a parsed tree's kinds are the module's strings, not copies of its tokens
+    kinds = [entry for entry in again if entry.__class__ is str]
+    assert kinds and all(any(entry is kind for kind in structure._BINARY) for entry in kinds)
     assert format_tree(_tree("union", -2, 1)) == "(union (leaf 2 Y) (leaf 1 X))"
     assert parse_tree("(union (leaf 2 Y) (leaf 1 X))") == ("union", -2, 1)
     with pytest.raises(ValueError, match="got 'Z' at token 3$"):
