@@ -54,6 +54,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
+EXIT_PIPE = 141
 
 
 def _build_family(name: str, args: list[str]) -> tuple[Graph, Bipartition | None]:
@@ -328,7 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = SuiteOptions()
     p_ver.add_argument("--budget", type=_integer, default=defaults.budget)
     p_ver.add_argument(
-        "--nmax", type=_integer, default=defaults.lemma_key_max, help=f"lemma-key upper vertex count (9..{MAX_VERTICES})"
+        "--nmax",
+        type=_integer,
+        default=defaults.lemma_key_max,
+        help=f"lemma-key upper vertex count, default %(default)s (9..{MAX_VERTICES})",
     )
     p_ver.add_argument(
         "--reduction-nmax",
@@ -359,11 +363,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
-    except StepBudgetExceeded:
-        # raised by check free, embed and paths; suites turn it into UNDECIDED cases
-        print("UNDECIDED step budget exhausted")
-        return EXIT_UNDECIDED
+        try:
+            status = args.fn(args)
+        except StepBudgetExceeded:
+            # raised by check free, embed and paths; suites turn it into UNDECIDED cases
+            print("UNDECIDED step budget exhausted")
+            status = EXIT_UNDECIDED
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader left (``| head -1``): no message, and stdout points at
+        # devnull so the flush at exit stays quiet; 141 is what a shell
+        # reports for a tool that SIGPIPE ends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

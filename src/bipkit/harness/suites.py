@@ -199,7 +199,7 @@ class SuiteReport:
 @dataclass(frozen=True)
 class SuiteOptions:
     budget: int | None = DEFAULT_BUDGET
-    lemma_key_max: int = 11
+    lemma_key_max: int = 9
     lemma_reduction_max: int = 10
     t_pairs: tuple[tuple[int, int], ...] = ((6, 8),)
     s_pairs: tuple[tuple[int, int], ...] = ((8, 10),)
@@ -657,7 +657,8 @@ member induce a bipartite (P7,C4)-free graph that holds the path, so is
 connected: a 9-vertex member with the path.  None of the 36 members on 9
 vertices has one (the longest path has 8 vertices), so no member of any
 size has one, as ``test_no_nine_vertex_member_has_a_nine_vertex_path``
-pins; the n=10 and n=11 chunks check the enumerator, not the lemma.
+pins.  So the range ends at 9 by default; the chunks past it (``--nmax``
+10..12) check the enumerator, not the lemma.
 
 lemma-reduction: a connected bipartite graph G with an induced C4 that is
 not complete bipartite holds an induced Sun1, P7-free or not.  Take a

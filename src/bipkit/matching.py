@@ -39,8 +39,26 @@ to x's host component and, if that component is bipartite, to x's side or
 the other one as its pattern side agrees with u's.  On the 5,016 connected
 bipartite graphs of up to 10 vertices this takes the first-embedding steps
 of P7 from 303,076 to 106,534 and of S123 from 193,638 to 80,411; C4 and
-Sun1 hardly move (30,344 to 30,257, 31,729 to 31,552).  It does nothing for
-the T-pair non-embeddings (T8 into T14 takes 359,586 steps either way).
+Sun1 hardly move (30,344 to 30,257, 31,729 to 31,552).
+
+Without order constraints (``find_induced_embedding``,
+``count_induced_embeddings``, ``are_isomorphic``) the domains also start
+from cross non-degrees, the degree filter of the bipartite complement
+(McCreesh & Prosser 2015 filter degrees in such supplemental graphs).  A
+vertex's cross non-degree counts the vertices on the other side of its
+component that it does not see.  An induced map keeps a bipartite pattern
+component inside one bipartite host component with the sides kept (the
+parity argument above), so the cross non-neighbours of u land on distinct
+cross non-neighbours of u's image: a host vertex of smaller cross
+non-degree is no candidate, unless it lies in a component with an odd
+cycle, where sides say nothing.  Over the same 5,016 hosts this takes P7
+from 106,534 steps to 51,704, S123 from 80,411 to 32,927 and Sun1 from
+31,552 to 29,803; C4 stays at 30,257.  On the paper's T pairs it decides
+T6 into T8 in 136 steps instead of 1,024, and T8 into T14 in 1,210 instead
+of 359,586.  ``is_free``'s constrained search keeps degree-only domains:
+narrowed, T6..T14 with {2P3, Sun4} went from 26,429 steps to 35,203,
+because the smaller domains lead the most-constrained choice to worse
+roots for the order constraints.
 Callers that pass ``domains`` (the enumerator, ``contains_pattern``,
 ``_automorphism_generators``) keep their search tree step for step.
 Stronger per-host set-up (arc consistency, neighbour-degree dominance, a
@@ -171,12 +189,19 @@ def _refinement_colors(adj: tuple[int, ...]) -> tuple[list[int], tuple]:
 
 
 @lru_cache(maxsize=256)
-def _parts(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...], bool, tuple[int, ...], tuple[int, ...]]:
+def _parts(
+    adj: tuple[int, ...],
+) -> tuple[int, tuple[int, ...], tuple[int, ...], bool, tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The degree-filter set-up of a graph, host or pattern: its degree total
     and degrees; ``at_least[d]``, the vertices of degree at least d, for d up
-    to the top degree; whether every component is bipartite; and per vertex
-    u, u's component (``comp[u]``) and the vertices of that component on u's
-    side (``side[u]``, 0 when the component has an odd cycle)."""
+    to the top degree; whether every component is bipartite; per vertex u,
+    u's component (``comp[u]``) and the vertices of that component on u's
+    side (``side[u]``, 0 when the component has an odd cycle); per vertex u,
+    u's cross non-degree (``co[u]``), the vertices on the other side of u's
+    component that u does not see (0 when the component has an odd cycle);
+    and ``co_at_least[k]``, the vertices of cross non-degree at least k plus
+    every vertex of an odd-cycle component, for k up to one past the top
+    cross non-degree."""
     degrees = tuple(row.bit_count() for row in adj)
     at_least = [0] * (max(degrees, default=0) + 1)
     for x, d in enumerate(degrees):
@@ -185,10 +210,15 @@ def _parts(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...],
         at_least[d] |= at_least[d + 1]
     comp = [0] * len(adj)
     side = [0] * len(adj)
+    co = [0] * len(adj)
+    odd = 0
     all_bipartite = True
     for c, s, bipartite in _component_masks(adj):
         all_bipartite = all_bipartite and bipartite
+        if not bipartite:
+            odd |= c
         t = c & ~s
+        across_s, across_t = t.bit_count(), s.bit_count()
         rest = c
         while rest:
             low = rest & -rest
@@ -196,8 +226,20 @@ def _parts(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...],
             u = low.bit_length() - 1
             comp[u] = c
             if bipartite:
-                side[u] = s if s & low else t
-    return sum(degrees), degrees, tuple(at_least), all_bipartite, tuple(comp), tuple(side)
+                if s & low:
+                    side[u] = s
+                    co[u] = across_s - degrees[u]
+                else:
+                    side[u] = t
+                    co[u] = across_t - degrees[u]
+    co_at_least = [odd] * (max(co, default=0) + 2)
+    for x, k in enumerate(co):
+        co_at_least[k] |= 1 << x
+    for k in range(len(co_at_least) - 2, -1, -1):
+        co_at_least[k] |= co_at_least[k + 1]
+    return (
+        sum(degrees), degrees, tuple(at_least), all_bipartite, tuple(comp), tuple(side), tuple(co), tuple(co_at_least)
+    )
 
 
 def _search(
@@ -218,8 +260,9 @@ def _search(
     starting mask of host vertices that pattern vertex ``u + 1`` may map to.
     A caller that knows more than degrees, such as equal refinement colours
     or a position window, passes its own masks.  When None, a host vertex is
-    a candidate for every pattern vertex of no larger degree, and the
-    component-and-parity filter of the module docstring runs.
+    a candidate for every pattern vertex of no larger degree and, without
+    ``larger``, of no larger cross non-degree, and the component-and-parity
+    filter of the module docstring runs.
 
     ``larger[u]`` is the mask of pattern vertices whose image must exceed the
     image of pattern vertex ``u + 1`` (see ``_pattern_symmetry``).  Placing
@@ -238,13 +281,17 @@ def _search(
         return
     pcomp = None
     if domains is None:
-        hsum, _, at_least, hbipartite, hcomp, hside = _parts(hadj)
-        psum, pdeg, pat_least, pbipartite, pcomp, pside = _parts(padj)
+        hsum, _, at_least, hbipartite, hcomp, hside, _, co_at_least = _parts(hadj)
+        psum, pdeg, pat_least, pbipartite, pcomp, pside, pco, _ = _parts(padj)
         if p > len(hadj) or psum > hsum or len(pat_least) > len(at_least) or (hbipartite and not pbipartite):
             # too big, a vertex of higher degree than any host vertex (an
             # empty domain), or an odd cycle with no image in a bipartite host
             return
-        domains = [at_least[d] for d in pdeg]
+        if larger is None:  # is_free's order constraints pick worse roots from narrower domains
+            top = len(co_at_least) - 1
+            domains = [at_least[d] & co_at_least[min(k, top)] for d, k in zip(pdeg, pco)]
+        else:
+            domains = [at_least[d] for d in pdeg]
     steps = budget.spent
     cap = budget.limit
     assignment = [0] * p

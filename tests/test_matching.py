@@ -326,6 +326,37 @@ def test_component_and_parity_filter_against_bruteforce_oracle():
             assert count_induced_embeddings(pattern, host, 10**9) == expected
 
 
+def _dense_bipartite_hosts() -> list[Graph]:
+    """K_{a,b} (a + b <= 8) minus a matching and minus a zigzag path, the
+    sides being 1..a and a+1..a+b: hosts where most vertices miss only a few
+    cross vertices, so cross non-degrees are small and varied."""
+    hosts = []
+    for a, b in ((2, 3), (3, 3), (2, 5), (3, 4), (4, 4), (3, 5)):
+        full = set(complete_bipartite(a, b).edges())
+        matching = {(i, a + i) for i in range(1, min(a, b) + 1)}
+        zigzag = [v for i in range(1, min(a, b) + 1) for v in (i, a + i)]
+        steps = {tuple(sorted(pair)) for pair in zip(zigzag, zigzag[1:])}
+        hosts += [Graph.from_edges(a + b, sorted(full - cut)) for cut in (matching, steps)]
+    return hosts
+
+
+def test_cross_nondegree_filter_against_bruteforce_oracle():
+    # dense bipartite hosts, each alone and beside an odd-cycle component,
+    # where a bipartite pattern component may land with no regard to sides
+    dense = _dense_bipartite_hosts()
+    hosts = dense + [_disjoint(g, odd) for g in dense for odd in (cycle(5), complete(3))]
+    patterns = [path(5), path(6), cycle(6), two_p3(), sun1(), s123(), path(7)]
+    patterns += [_disjoint(path(4), path(1)), _disjoint(complete(3), path(3))]
+    for pattern in patterns:
+        for host in hosts:
+            expected = brute_force_embedding_count(pattern, host)
+            mine = find_induced_embedding(pattern, host)
+            assert (mine is not None) == (expected > 0), (pattern.edges(), host.edges())
+            if mine is not None:
+                assert verify_embedding(mine, pattern, host)
+            assert count_induced_embeddings(pattern, host, 10**9) == expected, (pattern.edges(), host.edges())
+
+
 def test_odd_cycle_into_bipartite_host_needs_no_step():
     assert find_induced_embedding(cycle(5), universal_grid(4, 4)[0], budget=0) is None
 
@@ -336,10 +367,12 @@ def test_lemma_pattern_search_steps_are_pinned(connected_levels):
     # hosts), as the module docstring states them.  Steps are exact where
     # wall time is noisy, so a change that loses pruning fails here.  Before
     # the component-and-parity filter the 1..9 totals were C4 5,949, P7
-    # 43,097, Sun1 6,089 and S123 27,368.
+    # 43,097, Sun1 6,089 and S123 27,368.  Before the cross non-degree
+    # filter they were C4 5,913, P7 15,470, Sun1 6,051 and S123 10,666 for
+    # 1..9, and 30,257 / 106,534 / 31,552 / 80,411 for 1..10.
     pinned = {
-        9: {"C4": 5913, "P7": 15470, "Sun1": 6051, "S123": 10666},
-        10: {"C4": 30257, "P7": 106534, "Sun1": 31552, "S123": 80411},
+        9: {"C4": 5913, "P7": 5387, "Sun1": 5312, "S123": 3169},
+        10: {"C4": 30257, "P7": 51704, "Sun1": 29803, "S123": 32927},
     }
     patterns = {"C4": cycle(4), "P7": path(7), "Sun1": sun1(), "S123": s123()}
     totals = {9: {}, 10: {}}
@@ -362,12 +395,18 @@ def test_lemma_pattern_search_steps_are_pinned(connected_levels):
 
 
 def test_cached_search_set_up_runs_out_of_budget_at_the_same_step(connected_levels):
-    host = connected_levels[10][-1]
+    # the last level-10 graph rejects P7 and S123 by cross non-degrees
+    # before any step, so the host is one where every pattern takes steps
+    for pattern in (path(7), s123()):
+        tracker = _Budget(0)
+        assert next(_search(pattern.adj, connected_levels[10][-1].adj, tracker), None) is None
+        assert tracker.spent == 0
+    host = connected_levels[10][4013]
     for pattern in (cycle(4), path(7), sun1(), s123()):
         tracker = _Budget(None)
         found = next(_search(pattern.adj, host.adj, tracker), None)
         steps = tracker.spent
-        assert steps > 0
+        assert steps >= 2
         for cold in (True, False):  # a cache miss, then a hit
             if cold:
                 _parts.cache_clear()
@@ -375,6 +414,26 @@ def test_cached_search_set_up_runs_out_of_budget_at_the_same_step(connected_leve
                 find_induced_embedding(pattern, host, budget=steps - 1)
             emb = find_induced_embedding(pattern, host, budget=steps)
             assert (None if emb is None else emb.mapping) == found
+
+
+def test_t_and_s_pair_search_steps_are_pinned():
+    # first-embedding steps of the paper's antichain pairs; before the cross
+    # non-degree filter they were 1,024, 1,040, 359,586 and 81
+    pinned = {(t_graph_star, 6, 8): 136, (t_graph_star, 10, 12): 154, (t_graph_star, 8, 14): 1210}
+    pinned[(s_graph_star, 10, 12)] = 18
+    for (family, i, j), want in pinned.items():
+        tracker = _Budget(None)
+        assert next(_search(family(i).graph.adj, family(j).graph.adj, tracker), None) is None
+        assert tracker.spent == want, (family.__name__, i, j)
+
+
+def test_no_t_graph_embeds_in_another_for_even_indices_6_to_20():
+    # claim 1's antichain on every ordered pair; the worst pair, T6 into
+    # T20, takes 8,528 steps, so a budget of 10**5 fails loudly on lost
+    # pruning rather than hang
+    graphs = {i: t_graph_star(i).graph for i in range(6, 21, 2)}
+    for (i, g), (j, h) in itertools.permutations(graphs.items(), 2):
+        assert find_induced_embedding(g, h, budget=10**5) is None, (i, j)
 
 
 def _quasi_order_pool() -> list[Graph]:

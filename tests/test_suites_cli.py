@@ -3,9 +3,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 from conftest import parent_rows
 
+import bipkit
 from bipkit.graphs import Graph, find_bipartition, parse_graph, serialize_graph
 from bipkit.families import cycle, path, sun1, universal_grid
 from bipkit.harness import cli, enumeration, suites
@@ -954,6 +958,31 @@ def test_cli_file_errors_are_usage_errors(capsys, tmp_path, monkeypatch):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and "Traceback" not in err, argv
+
+
+def test_cli_a_closed_pipe_exits_141_without_a_message(tmp_path):
+    # ``bipkit verify identities | head -1``: the reader is gone, which is no
+    # usage error; the read end closes before the run writes, so every
+    # write fails, from a print (unbuffered) or from main's flush, also the
+    # UNDECIDED line of a search that runs out of budget
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bipkit.__file__)))
+    for argv in (["verify", "identities"], ["paths", "kab:5,4", "9", "--budget", "1"]):
+        for unbuffered in ("1", ""):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                run = subprocess.run(
+                    [sys.executable, "-m", "bipkit.harness.cli", *argv],
+                    stdout=write_end,
+                    stderr=subprocess.PIPE,
+                    cwd=tmp_path,
+                    env=env,
+                    text=True,
+                )
+            finally:
+                os.close(write_end)
+            assert (run.returncode, run.stderr) == (141, ""), (argv, unbuffered)
 
 
 def _raise_runtime_error(case: str):
