@@ -199,26 +199,15 @@ def _cmd_biconvex(args) -> int:
     return EXIT_OK
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    try:
-        i, j = (_canonical_int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"pair must look like '6,8', got {text!r}") from None
-    return i, j
-
-
 def _cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {args.suite!r}")
-    defaults = SuiteOptions()
     opts = SuiteOptions(
         budget=args.budget,
         lemma_key_max=args.nmax,
         lemma_reduction_max=args.reduction_nmax,
         workers=args.workers,
-        t_pairs=defaults.t_pairs + tuple(_parse_pair(p) for p in args.t_pair),
-        s_pairs=defaults.s_pairs + tuple(_parse_pair(p) for p in args.s_pair),
     )
     any_fail = any_undecided = False
     summaries = []
@@ -342,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--workers", type=_integer, default=defaults.workers)
     p_ver.add_argument("--witness-dir", default="witnesses")
-    p_ver.add_argument("--t-pair", action="append", default=[], help="extra T pair, e.g. 8,10")
-    p_ver.add_argument("--s-pair", action="append", default=[], help="extra S pair, e.g. 10,12")
     p_ver.add_argument("--verbose", action="store_true")
     p_ver.set_defaults(fn=_cmd_verify)
 

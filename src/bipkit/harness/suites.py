@@ -109,7 +109,6 @@ from ..perms import (
     star_perm_T,
 )
 from ..families import (
-    GRAPH_FAMILIES,
     PERM_FAMILIES,
     build_family,
     complete_bipartite,
@@ -201,8 +200,6 @@ class SuiteOptions:
     budget: int | None = DEFAULT_BUDGET
     lemma_key_max: int = 9
     lemma_reduction_max: int = 10
-    t_pairs: tuple[tuple[int, int], ...] = ((6, 8),)
-    s_pairs: tuple[tuple[int, int], ...] = ((8, 10),)
     workers: int = 1
 
     def __post_init__(self):
@@ -211,21 +208,6 @@ class SuiteOptions:
         _int_in("lemma-reduction range end", self.lemma_reduction_max, 4, MAX_VERTICES)
         _int_in("workers", self.workers)
         _Budget(self.budget)
-        # each index through its family's own check, before any suite runs
-        for flag, pairs, member in (
-            ("t-pair", self.t_pairs, star_perm_T),
-            ("s-pair", self.s_pairs, star_perm_S),
-        ):
-            for pair in pairs:
-                try:
-                    i, j = pair
-                except (TypeError, ValueError):
-                    raise ValueError(f"{flag} {pair!r}: a pair is two indices") from None
-                try:
-                    member(i)
-                    member(j)
-                except ValueError as exc:
-                    raise ValueError(f"{flag} {i},{j}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -459,41 +441,20 @@ def _case_pair(case: str, family: str, i: int, j: int, budget: int | None) -> Ca
 
 
 def _pair_specs(label: str, family: str, pairs: list[tuple[int, int]], budget: int | None) -> list:
-    """One ``_case_pair`` spec per ordered pair, once each; ``label`` formats ``i`` and ``j``."""
-    return [(label.format(i=i, j=j), _case_pair, (family, i, j, budget)) for i, j in dict.fromkeys(pairs)]
+    """One ``_case_pair`` spec per ordered pair; ``label`` formats ``i`` and ``j``."""
+    return [(label.format(i=i, j=j), _case_pair, (family, i, j, budget)) for i, j in pairs]
 
 
 def _ordered_pairs(indices) -> list[tuple[int, int]]:
     return [(i, j) for i in indices for j in indices if i != j]
 
 
-def antichain_check(
-    family: str, indices: list[int], *, budget: int | None = DEFAULT_BUDGET, workers: int = 1
-) -> SuiteReport:
-    """Pairwise non-containment over every ordered pair of family members;
-    ``family`` is a registry name with one integer parameter: a graph family
-    such as ``h`` or ``t-graph``, or a permutation family such as ``star-t``."""
-    count = GRAPH_FAMILIES[family][0] if family in GRAPH_FAMILIES else None
-    if family not in PERM_FAMILIES and (count != 1 or family == "perm-graph"):
-        raise ValueError(f"unknown family {family!r}: name a registered family with one integer parameter")
-    # the budget and the worker count through the package's one rule, as ``SuiteOptions`` checks them
-    _Budget(budget)
-    _int_in("workers", workers)
-    # each index through its family's builder, before any case runs
-    for i in indices:
-        try:
-            PERM_FAMILIES[family](i) if family in PERM_FAMILIES else build_family(family, i)
-        except ValueError as exc:
-            raise ValueError(f"{family} index {i!r}: {exc}") from None
-    start = time.perf_counter()
-    specs = _pair_specs(family + "/{i}-into-{j}", family, _ordered_pairs(indices), budget)
-    built = time.perf_counter()
-    verdicts = _run_cases(specs, workers)
-    return SuiteReport(f"antichain-{family}", verdicts, built - start, time.perf_counter() - built)
-
-
 def _antichain_suite(perms: str, indices: tuple[int, ...], graphs: str, letter: str, pairs, budget) -> list:
-    """The generator permutations pairwise, then each graph pair both ways."""
+    """The generator permutations pairwise, then each graph pair both ways.
+
+    The graph pairs are fixed: (6, 8) for the T graphs and (8, 10) for the S
+    graphs.  Widening them changes the case list, and so the pinned verdicts
+    of ``perfbench/verify_verdicts.txt`` (ROADMAP item 7, the S-side antichain)."""
     both_ways = [pair for i, j in pairs for pair in ((i, j), (j, i))]
     label = f"graph/{letter}{{i}}-into-{letter}{{j}}"
     specs = _pair_specs("perm/{i}-into-{j}", perms, _ordered_pairs(indices), budget)
@@ -501,11 +462,11 @@ def _antichain_suite(perms: str, indices: tuple[int, ...], graphs: str, letter: 
 
 
 def _suite_t_antichain(opts: SuiteOptions) -> list:
-    return _antichain_suite("star-t", (6, 8, 10, 12), "t-graph", "T", opts.t_pairs, opts.budget)
+    return _antichain_suite("star-t", (6, 8, 10, 12), "t-graph", "T", ((6, 8),), opts.budget)
 
 
 def _suite_s_antichain(opts: SuiteOptions) -> list:
-    return _antichain_suite("star-s", (8, 10, 12, 14), "s-graph", "S", opts.s_pairs, opts.budget)
+    return _antichain_suite("star-s", (8, 10, 12, 14), "s-graph", "S", ((8, 10),), opts.budget)
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,10 @@ def permutation_graph(p: Permutation) -> Graph:
 
 def _even_size(n: int, least: int) -> None:
     """The generator families' one size rule: ``n`` passes ``graphs._int_in``
-    with ``least`` and is even."""
+    with ``least`` and is even, else one ValueError in ``_int_in``'s form."""
     _int_in("n", n, least)
     if n % 2:
-        raise ValueError(f"defined for even n >= {least}")
+        raise ValueError(f"n must be an even int of at least {least}, got {n!r}")
 
 
 def star_perm_T(n: int) -> Permutation:

@@ -196,18 +196,18 @@ def test_family_freeness_spot_checks():
         (letter_representation_grid, (True, 3), "k must be an int of at least 1, got True"),
         (grid_permutation, (3, 2.0), "m must be an int of at least 1, got 2.0"),
         (star_perm_T, (6.0,), "n must be an int of at least 6, got 6.0"),
-        (star_perm_T, (7,), "defined for even n >= 6"),
+        (star_perm_T, (7,), "n must be an even int of at least 6, got 7"),
         (star_perm_S, (8.0,), "n must be an int of at least 8, got 8.0"),
         (rho_star, (10.0,), "n must be an int of at least 8, got 10.0"),
-        (mu_star, (9,), "defined for even n >= 8"),
+        (mu_star, (9,), "n must be an even int of at least 8, got 9"),
         (mu_star, (True,), "n must be an int of at least 8, got True"),
     ],
 )
 def test_family_sizes_are_ints(build, args, message):
     # a float size raised TypeError deep in the build, and True built the
     # size-1 member; every size goes through ``graphs._int_in``, type first
-    # and then the family's least size, and only the parity messages are the
-    # builders' own
+    # and then the family's least size; an odd size of a generator family
+    # fails in the same form, naming its value
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(*args)
 

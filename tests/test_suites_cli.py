@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -18,86 +19,95 @@ from conftest import parent_rows
 
 import bipkit
 from bipkit.graphs import Graph, find_bipartition, parse_graph, serialize_graph
-from bipkit.families import cycle, path, sun1, universal_grid
+from bipkit.families import (
+    GRAPH_FAMILIES,
+    PERM_FAMILIES,
+    cycle,
+    path,
+    sun1,
+    t_graph_star,
+    two_p3,
+    universal_grid,
+)
 from bipkit.harness import cli, enumeration, suites
 from bipkit.harness.suites import (
     DEFAULT_BUDGET,
     LEMMAS,
     SUITE_NAMES,
     SuiteOptions,
-    antichain_check,
     brute_grid_permutation,
     grid_permutation,
     make_witness,
     reverify_witness,
     run_suite,
+    _case_free,
     _case_pair,
     _exhaustive,
     _member,
     _placement_degree,
 )
-from bipkit.matching import are_isomorphic, find_induced_embedding, has_path_subgraph, is_free
-from bipkit.perms import Permutation, permutation_graph
+from bipkit.matching import (
+    Embedding,
+    FreenessResult,
+    are_isomorphic,
+    find_induced_embedding,
+    has_path_subgraph,
+    is_free,
+)
+from bipkit.perms import Permutation, permutation_graph, star_perm_S, star_perm_T
 from bipkit import structure
 from bipkit.structure import decompose, format_tree, recompose
 
 PINNED_VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_verdicts.txt"
 
 
-def test_antichain_check_families():
-    # families go by their registry names
-    report = antichain_check("h", [1, 2, 3, 4])
-    assert report.failed == 0 and report.undecided == 0
-    assert len(report.verdicts) == 12
-    assert report.suite == "antichain-h" and report.verdicts[0].case == "h/1-into-2"
-    report = antichain_check("star-t", [6, 8])
-    assert report.failed == 0 and len(report.verdicts) == 2
-    report = antichain_check("star-s", [8, 10])
-    assert report.failed == 0 and len(report.verdicts) == 2
-    report = antichain_check("t-graph", [6, 8])
-    assert report.failed == 0 and len(report.verdicts) == 2
-    # unknown names, the old aliases, and families not indexed by one integer
-    for name in ("nope", "H", "permT", "kab", "sun4", "perm-graph"):
-        with pytest.raises(ValueError, match="unknown family"):
-            antichain_check(name, [1, 2])
-    # each index goes through its family's builder before any case runs; a
-    # bad one built every case anyway, each printing a traceback and failing
-    for family, indices, bad, message in (
-        ("h", [1, "2"], "'2'", "i must be an int of at least 1, got '2'"),
-        ("h", [0, 1], "0", "i must be an int of at least 1, got 0"),
-        ("star-t", [6, 7], "7", "defined for even n >= 6"),
-        ("t-graph", [True, 8], "True", "n must be an int of at least 6, got True"),
-    ):
-        with pytest.raises(ValueError, match=re.escape(f"{family} index {bad}: {message}")):
-            antichain_check(family, indices)
+def test_case_pair_checks_registered_families():
+    # Ding's antichain h1..h4, every ordered pair, and the suites' pairs of
+    # the generator permutations and the T graphs, each through the one case
+    # function the antichain suites run
+    for family, indices in (("h", (1, 2, 3, 4)), ("star-t", (6, 8)), ("star-s", (8, 10)), ("t-graph", (6, 8))):
+        for i, j in itertools.permutations(indices, 2):
+            verdict = _case_pair(f"{family}/{i}-into-{j}", family, i, j, None)
+            assert (verdict.status, verdict.witness_text) == ("ok", None), (family, i, j)
 
 
-def test_a_pair_or_index_given_twice_runs_one_case(capsys):
-    # every case name of every suite is distinct under the defaults, and the
-    # default antichain pairs given again run once; they ran twice under one name
+def test_every_pinned_case_name_is_distinct():
     names = [line.split()[1] for line in PINNED_VERDICTS.read_text(encoding="utf-8").splitlines()]
     assert len(names) == len(set(names))
-    for argv in (["t-antichain", "--t-pair", "6,8"], ["s-antichain", "--s-pair", "8,10"]):
-        for extra in ([], argv[1:]):
-            assert cli.main(["verify", argv[0], *extra]) == 0
-            names = [line.split()[1] for line in capsys.readouterr().out.splitlines() if not line.startswith("{")]
-            assert len(names) == len(set(names)) == 14, argv
-    report = antichain_check("t-graph", [6, 8, 6])
-    assert [v.case for v in report.verdicts] == ["t-graph/6-into-8", "t-graph/8-into-6"]
 
 
-def test_antichain_check_refuses_a_bad_budget_or_worker_count_before_any_case():
-    # as SuiteOptions does; a negative budget built every case anyway, each
-    # printing a traceback and failing, and zero workers ran as one
-    for kwargs, message in (
-        ({"budget": -1}, "budget must be an int of at least 0, got -1"),
-        ({"budget": "9"}, "budget must be an int of at least 0, got '9'"),
-        ({"workers": 0}, "workers must be an int of at least 1, got 0"),
-        ({"workers": 2.0}, "workers must be an int of at least 1, got 2.0"),
-    ):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            antichain_check("h", [1, 2], **kwargs)
-    assert antichain_check("h", [1, 2], budget=None, workers=1).failed == 0
+def test_case_pair_fails_on_a_planted_defect(monkeypatch):
+    # a defect in the subject: a builder that gives one member for every
+    # index fails with a witness that re-verifies
+    monkeypatch.setitem(PERM_FAMILIES, "star-s", lambda n: star_perm_S(8))
+    t_graph = GRAPH_FAMILIES["t-graph"][1]
+    monkeypatch.setitem(GRAPH_FAMILIES, "t-graph", (1, lambda n: t_graph(6)))
+    subject = [_case_pair("planted", "star-s", 8, 10, None), _case_pair("planted", "t-graph", 6, 8, None)]
+    # a defect in the checker: a search that reports a copy that is not there
+    monkeypatch.setattr(suites, "contains_pattern", lambda host, pattern, budget=None: True)
+    monkeypatch.setattr(suites, "find_induced_embedding", lambda pattern, host, budget=None: Embedding((1,) * pattern.n))
+    checker = [_case_pair("planted", "star-t", 6, 8, None), _case_pair("planted", "h", 1, 2, None)]
+    monkeypatch.undo()  # reverify_witness reads the same names
+    assert [v.status for v in subject + checker] == ["FAIL"] * 4
+    assert [reverify_witness(v.witness_text) for v in subject + checker] == [True, True, False, False]
+    assert _case_pair("planted", "t-graph", 6, 8, None).status == "ok"
+
+
+def test_case_free_fails_on_a_planted_defect(monkeypatch):
+    forbidden = suites._T_FORBIDDEN
+    t8 = t_graph_star(8)
+    # a defect in the subject: a host that holds 2P3 beside T8
+    host, _ = structure.disjoint_union(t8.graph, t8.bipartition, two_p3(), find_bipartition(two_p3()))
+    subject = _case_free("planted", host, forbidden, None)
+    assert subject.status == "FAIL" and reverify_witness(subject.witness_text)
+    # a defect in the checker: a search that reports a copy of 2P3 in T8 with a bogus map
+    monkeypatch.setattr(
+        suites, "is_free", lambda g, patterns, budget=None: FreenessResult(False, 0, Embedding((1,) * patterns[0].n))
+    )
+    checker = _case_free("planted", t8.graph, forbidden, None)
+    monkeypatch.undo()  # reverify_witness reads the same names
+    assert checker.status == "FAIL" and not reverify_witness(checker.witness_text)
+    assert _case_free("planted", t8.graph, forbidden, None).status == "ok"
 
 
 def test_failing_case_produces_reverifiable_witness():
@@ -778,15 +788,16 @@ def test_cli_verify_identities(capsys, tmp_path, monkeypatch):
 
 def test_cli_verify_failure_writes_witness(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # an equal pair is not an antichain: T6 embeds into itself, so this must fail
-    code = cli.main(["verify", "t-antichain", "--t-pair", "6,6"])
+    # a planted defect: every generator permutation is the n=6 one, so each
+    # ordered pair of the suite holds its pattern and must fail
+    monkeypatch.setitem(PERM_FAMILIES, "star-t", lambda n: star_perm_T(6))
+    code = cli.main(["verify", "t-antichain"])
     assert code == 1
     out = capsys.readouterr().out
     fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert fail_lines, out
-    witness_path = fail_lines[0].split()[-1]
-    text = (tmp_path / witness_path).read_text()
-    assert reverify_witness(text)
+    assert len(fail_lines) == 12, out
+    for line in fail_lines:
+        assert reverify_witness((tmp_path / line.split()[-1]).read_text()), line
 
 
 def test_cli_verify_lines_match_pinned_verdicts(capsys, tmp_path, connected_levels):
@@ -798,15 +809,28 @@ def test_cli_verify_lines_match_pinned_verdicts(capsys, tmp_path, connected_leve
     assert lines == PINNED_VERDICTS.read_text(encoding="utf-8").splitlines()
 
 
-def test_cli_verify_defaults_are_the_suite_options(monkeypatch):
+def test_cli_verify_defaults_are_the_suite_options(capsys, monkeypatch):
+    # the knobs match one to one: every field has a flag and every flag but
+    # the suite, the witness directory and --verbose sets a field
+    knobs = {"budget": "budget", "lemma_key_max": "nmax", "lemma_reduction_max": "reduction_nmax", "workers": "workers"}
+    [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest for a in subparsers.choices["verify"]._actions} - {"help", "suite", "witness_dir", "verbose"}
+    assert {f.name for f in fields(SuiteOptions)} == set(knobs)
+    assert flags == set(knobs.values())
+    # the antichain suites' graph pairs are fixed: no flag widens them
+    assert cli.main(["verify", "t-antichain", "--t-pair", "8,10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --t-pair 8,10" in captured.err
     args = cli.build_parser().parse_args(["verify", "all"])
     defaults = SuiteOptions()
-    assert (args.budget, args.nmax, args.reduction_nmax, args.workers) == (
-        defaults.budget,
-        defaults.lemma_key_max,
-        defaults.lemma_reduction_max,
-        defaults.workers,
-    )
+    for field, flag in knobs.items():
+        assert getattr(args, flag) == getattr(defaults, field), flag
+    # each flag reaches its field
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, opts: seen.append(opts) or suites.SuiteReport(name, []))
+    argv = ["verify", "identities", "--budget", "7", "--nmax", "11", "--reduction-nmax", "5", "--workers", "3"]
+    assert cli.main(argv) == 0
+    assert seen == [SuiteOptions(budget=7, lemma_key_max=11, lemma_reduction_max=5, workers=3)]
     # a changed default reaches the parser without a second edit
     monkeypatch.setattr(cli, "SuiteOptions", lambda: SuiteOptions(lemma_key_max=12, lemma_reduction_max=11))
     args = cli.build_parser().parse_args(["verify", "all"])
@@ -830,26 +854,6 @@ def test_cli_verify_checks_ranges_before_any_suite_runs(capsys):
         SuiteOptions(lemma_key_max=8)
     with pytest.raises(ValueError, match="^lemma-reduction range end must be an int in 4..12, got 13$"):
         SuiteOptions(lemma_reduction_max=13)
-
-
-def test_cli_verify_checks_pairs_before_any_suite_runs(capsys):
-    # a pair outside its family fails at once, naming the pair, before the
-    # suites ahead of the antichain suites print a line
-    for argv, message in (
-        (["verify", "all", "--t-pair", "6,7"], "t-pair 6,7: defined for even n >= 6"),
-        (["verify", "all", "--s-pair", "8,9"], "s-pair 8,9: defined for even n >= 8"),
-        (["verify", "t-antichain", "--t-pair", "4,6"], "t-pair 4,6: n must be an int of at least 6, got 4"),
-    ):
-        assert cli.main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == "" and message in captured.err, argv
-    with pytest.raises(ValueError, match="s-pair 10,7"):
-        SuiteOptions(s_pairs=((10, 7),))
-    # a pair that is not two values is named too, not an unpacking error
-    for field, flag, pair in (("t_pairs", "t-pair", (6, 8, 10)), ("s_pairs", "s-pair", 8), ("t_pairs", "t-pair", (6,))):
-        with pytest.raises(ValueError, match=re.escape(f"{flag} {pair!r}: a pair is two indices")):
-            SuiteOptions(**{field: (pair,)})
-    assert SuiteOptions(t_pairs=((8, 10),), s_pairs=((10, 12),)).t_pairs == ((8, 10),)
 
 
 def test_cli_rejects_negative_budgets_and_workers(capsys):
@@ -912,8 +916,6 @@ def test_cli_reads_integers_in_canonical_form_only(capsys, tmp_path, monkeypatch
         ["verify", "identities", "--nmax", "09"],
         ["verify", "identities", "--reduction-nmax", "+5"],
         ["verify", "identities", "--workers", "01"],
-        ["verify", "t-antichain", "--t-pair", "\u0668,\u0661\u0660"],
-        ["verify", "s-antichain", "--s-pair", "10,012"],
     ):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().out == "", argv
@@ -939,7 +941,6 @@ def test_cli_reads_integers_in_canonical_form_only(capsys, tmp_path, monkeypatch
         ["verify", "all", "--budget", "1000", "--nmax", "10", "--reduction-nmax", "9", "--workers", "2"]
     )
     assert (args.budget, args.nmax, args.reduction_nmax, args.workers) == (1000, 10, 9, 2)
-    assert cli._parse_pair("8,10") == (8, 10)
 
 
 def test_cli_file_errors_are_usage_errors(capsys, tmp_path, monkeypatch):
@@ -948,12 +949,14 @@ def test_cli_file_errors_are_usage_errors(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     afile = tmp_path / "afile"
     afile.write_text("")
+    # the verify row's defect: every generator permutation is the n=6 one
+    monkeypatch.setitem(PERM_FAMILIES, "star-t", lambda n: star_perm_T(6))
     for argv, name in (
         (["gen", "path", "3", "--out", str(tmp_path / "missing" / "x.graph")], "x.graph"),
         (["gen", "grid", "2", "2", "--out", str(tmp_path)], str(tmp_path)),
         (["embed", str(tmp_path), "path:3"], str(tmp_path)),
-        # the self-pair fails, and its witness cannot be written under a file
-        (["verify", "t-antichain", "--t-pair", "6,6", "--witness-dir", str(afile)], str(afile)),
+        # the planted defect fails, and its witness cannot be written under a file
+        (["verify", "t-antichain", "--witness-dir", str(afile)], str(afile)),
     ):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
