@@ -209,6 +209,8 @@ def _cmd_verify(args) -> int:
         lemma_reduction_max=args.reduction_nmax,
         workers=args.workers,
     )
+    if os.path.exists(args.witness_dir) and not os.path.isdir(args.witness_dir):
+        raise ValueError(f"--witness-dir {args.witness_dir} is not a directory")
     any_fail = any_undecided = False
     summaries = []
     for name in names:

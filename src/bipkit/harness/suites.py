@@ -27,42 +27,50 @@ arguments are plain data: ints, names, graphs and module-level functions.
   name: its universe (connected bipartite graphs free of the ``forbidden``
   graphs and containing ``required``) and its claim (a generator of one note
   per violation on a member).  Then give the suite a builder whose specs come
-  from ``_exhaustive``, which runs the claim on every member it admits;
-  ``_case_lemma_chunk`` reports a chunk's outcome.  A violation's witness is
-  ``kind <suite>`` with sections ``@graph`` and ``@note``, and
-  :func:`reverify_witness` accepts it when the graph is a member and the
-  claim, run again, yields the note.
+  from ``_exhaustive``, and ``_exhaustive`` a walk that runs the claim on
+  every member it admits; ``_case_lemma_chunk`` reports a chunk's outcome.
+  A violation's witness is ``kind <suite>`` with sections ``@graph`` and
+  ``@note``, and :func:`reverify_witness` accepts it when the graph is a
+  member and the claim, run again, yields the note.
 
-``_exhaustive`` decides membership and runs the claim while it lists the
-chunks, walking the levels from 1 up.  The enumerator builds each graph of
-a level from a parent one level down by adding a last vertex, and each
-parent's children are one contiguous run of the level
-(``enumeration._child_starts``).  The forbidden patterns are induced
-subgraphs, so a graph whose parent is not free holds one: the walk keeps
-the free graphs of each level by index and visits only their children, in
-level order, never reading the others.  A visited graph gets one search
-per forbidden pattern, and any copy found uses the last vertex: a copy that
-avoids it would lie in the free parent.  Closure's claim, a build tree that
-recomposes, certifies membership (``LEMMAS``), so its walk runs the claim
-first and searches only a graph the claim fails: a free one is a member
-that violates the claim.  It keeps each certified graph's tree for one
-level and grows each child's tree from its parent's
-(``structure._extend_tree``); only level 1, and a child of a free parent
-without a tree, are decomposed whole.  Each kept tree is checked once
-(``structure._spans``), and that one pass serves both the re-check that it
-recomposes to its graph and the growth of every child.  A free graph gets one search for
-the required pattern, which is not inherited, and a member gets the claim.
+``_exhaustive`` reads each chunk off a walk of the levels from 1 up, made
+while it lists the chunks.  The enumerator builds each graph of a level
+from a parent one level down by adding a last vertex, and each parent's
+children are one contiguous run of the level (``enumeration._child_starts``).
+The forbidden patterns are induced subgraphs, so a graph whose parent is
+not free holds one: a walk keeps the free graphs of each level by index and
+visits only their children, in level order.  A visited graph gets one
+search per pattern, and any copy found uses the last vertex: a copy that
+avoids it would lie in the free parent.
+
+The lemma suites share one walk.  Sun1 holds an induced C4, so every
+(P7,C4)-free graph is (P7,Sun1)-free: the walk searches each child of a
+(Sun1,P7)-free graph for Sun1, then P7, then C4.  A free child without C4
+is a lemma-key member, one with C4 a lemma-reduction member, and that
+suite's claim runs on it.  Over levels 1..10 that is 1,386 searches on
+1,038 graphs (Sun1 1,038, P7 181, C4 167), against 2,577 on 2,067 for a
+walk per suite.  ``_lemma_level`` keeps it per budget and level for the
+process, so a level is walked once, in the ``build_seconds`` of whichever
+lemma suite runs first.  Closure's claim, a build tree that recomposes,
+certifies membership (``LEMMAS``), so its walk runs the claim first and
+searches only a graph the claim fails.  It grows each child's tree from its
+parent's (``structure._extend_tree``), checked once by ``structure._spans``
+for both its recompose re-check and its children's growth, and decomposes
+whole only level 1 and a child of a free parent without a tree.
+
 Every search and claim takes the suite's budget.  A graph whose membership
 search runs out is undecided, neither free nor rejected, and so are its
 children, for which the parent rule has no answer; so is a member whose
-claim runs out.  Any other error in a search or a claim is handed to the
-graph's chunk, with the graph, and the walk goes on: the parent rule only
-spares searches, so the graph's children are searched whole, or decomposed
-afresh.  A chunk with such an error fails with a note; else a chunk with a
-violation fails, with the first one as its witness; else a chunk that
-holds an undecided graph is UNDECIDED, with their count in its note.  A
-spot case reads membership off its own pattern searches; only
-:func:`reverify_witness` runs the full search (``_member``).
+claim runs out, and a graph whose C4 search runs out, which stays in the
+walk.  Any other error in a search or a claim is handed to the graph's
+chunk, with the graph, and the walk goes on: the parent rule only spares
+searches, so the children are searched whole, or decomposed afresh.  A
+search's run-out or error counts in each suite of its walk, a claim's in
+its own.  A chunk with an error fails with a note; else a chunk with a
+violation fails, with the first one as its witness; else a chunk that holds
+an undecided graph is UNDECIDED, with their count in its note.  A spot case
+reads membership off its own pattern searches; only :func:`reverify_witness`
+runs the full search (``_member``).
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ import itertools
 import random
 import time
 import traceback
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -630,6 +639,10 @@ opposite b, and by the maximality of K it misses some b' on b's side.  Then
 b, b' and two vertices of K's other side make a C4 to which x is a pendant
 at b: an induced Sun1.
 
+Under a tight ``--budget`` lemma-key can read UNDECIDED on a graph with a
+C4 whose Sun1 or P7 search runs out, as the lemma walk (module docstring)
+searches C4 last; it never reads ok on a graph it has not decided.
+
 closure certifies: a connected bipartite graph with a build tree that
 recomposes to it is (P7,S123)-free.  Decomposability is hereditary: two
 leaves are adjacent exactly when their lowest common ancestor's kind joins
@@ -715,93 +728,106 @@ def _case_spot(case: str, suite: str, g: Graph, embeds: tuple[bool, ...], budget
 # chunks slice the full level, members or not, so case names stay fixed
 _CHUNK = 2000
 
+# (budget, n) -> the lemma walk's level n under that budget (``_lemma_level``)
+_LEMMA_LEVELS: dict[tuple[int | None, int], tuple] = {}
+
+
+def _walk_level(walked: tuple[str, ...], n: int, below: tuple, budget: int | None, keep_trees: bool = False) -> tuple:
+    """Level ``n`` of the walk of the suites ``walked``, closure's or the
+    lemma walk (module docstring), from its level n-1, ``below``: the free
+    and the undecided graphs' indices, the checked build trees with their
+    ``_spans`` that ``keep_trees`` keeps for closure's next level, and per
+    suite each chunk's ``_case_lemma_chunk`` arguments after the suite."""
+    free_below, unknown_below, trees_below, _ = below
+    walk = LEMMAS[walked[-1]]  # closure's universe, or Sun1 and P7 and the C4 that splits the lemma walk
+    certifies = walk.claim is _decomposes  # closure's claim, a tree that recomposes, proves membership
+    level, starts = bipartite_level(n), _child_starts(n)
+    free, unknown, trees = set(), set(), {}
+    members, undecided, error, violation = defaultdict(list), Counter(), {}, {}  # by (suite, chunk)
+    # only the children of a free or undecided graph can be members: the
+    # patterns are induced subgraphs, so the others hold one
+    for i in sorted(free_below | unknown_below):
+        children = range(starts[i], starts[i + 1])
+        if i in unknown_below:
+            # a graph whose membership is not known leaves its children undecided
+            unknown.update(children)
+            undecided.update((suite, j // _CHUNK) for j in children for suite in walked)
+            continue
+        grown = trees_below.pop(i, None)  # a tree is dropped once its children are grown
+        for j in children:
+            g, c = level[j], j // _CHUNK
+            owners, note = walked, None  # a search's run-out or error counts in each suite of the walk
+            try:
+                if certifies:
+                    tree = decompose(g, find_bipartition(g)) if grown is None else _extend_tree(*grown, g)
+                    checked = _checked_tree(g, tree)
+                    if checked is None:
+                        note = _NO_TREE
+                    elif keep_trees:
+                        trees[j] = checked
+                if (not certifies or note is not None) and any(
+                    find_induced_embedding(h, g, budget=budget) is not None for h in walk.forbidden
+                ):
+                    continue
+                free.add(j)
+                if walk.required is not None:
+                    split = find_induced_embedding(walk.required, g, budget=budget)
+                    owners = ("lemma-key" if split is None else "lemma-reduction",)
+                members[owners[0], c].append(g)
+                if not certifies:
+                    note = next(LEMMAS[owners[0]].claim(g, find_bipartition(g), budget), None)
+            except StepBudgetExceeded:
+                if j not in free:
+                    unknown.add(j)
+                undecided.update((owner, c) for owner in owners)
+                continue
+            except Exception as exc:
+                # fails the chunk alone, as ``_exec_spec`` fails one case; the
+                # parent rule only spares searches, so the children are still
+                # decided, searched whole or decomposed afresh
+                free.add(j)
+                traceback.print_exc()
+                for owner in owners:
+                    error.setdefault((owner, c), (g, f"{type(exc).__name__}: {exc}"))
+                continue
+            if note is not None:
+                violation.setdefault((owners[0], c), (g, note))
+    sizes = [min(_CHUNK, len(level) - start) for start in range(0, len(level), _CHUNK)]
+    chunks = {
+        s: [
+            (size, members[s, c], error.get((s, c)), undecided[s, c], violation.get((s, c)))
+            for c, size in enumerate(sizes)
+        ]
+        for s in walked
+    }
+    return free, unknown, trees, chunks
+
+
+def _lemma_level(n: int, budget: int | None) -> tuple:
+    """The lemma walk's level ``n`` under ``budget`` (``_walk_level``), grown
+    from its level n-1 on first use and kept for the process."""
+    if (budget, n) not in _LEMMA_LEVELS:
+        below = _lemma_level(n - 1, budget) if n > 1 else ({0}, set(), {}, None)
+        _LEMMA_LEVELS[budget, n] = _walk_level(("lemma-key", "lemma-reduction"), n, below, budget)
+    return _LEMMA_LEVELS[budget, n]
+
 
 def _exhaustive(suite: str, n_min: int, n_max: int, budget: int | None = DEFAULT_BUDGET) -> list:
     """One ``_case_lemma_chunk`` spec per chunk of levels n_min..n_max, with
-    the chunk's size, members, undecided count, first violation and first
-    walk error, found by the walk of the module docstring with every search
-    bounded by ``budget``."""
-    lemma = LEMMAS[suite]
-    # closure's claim, a build tree that recomposes, proves membership
-    # (``LEMMAS``), so the walk grows each graph's tree from its parent's and
-    # searches only a graph without one
-    certifies = lemma.claim is _decomposes
-    # indices in their level of the free and of the undecided graphs one
-    # level down, and the checked build trees, each with its ``_spans``
-    # pass, of the certified ones whose children are still to grow; a tree
-    # is dropped once its children are grown, and the last level keeps
-    # none; level 0 is one free graph
-    free, unknown, trees = {0}, set(), {}
-    specs = []
-    for n in range(1, n_max + 1):
-        level = bipartite_level(n)
-        starts = _child_starts(n)
-        chunks = range(0, len(level), _CHUNK)
-        members = [[] for _ in chunks]
-        undecided = [0] * len(chunks)
-        violation = [None] * len(chunks)
-        error = [None] * len(chunks)
-        free_below, unknown_below, trees_below = free, unknown, trees
-        free, unknown, trees = set(), set(), {}
-        # only the children of a free or undecided graph can be members:
-        # the patterns are induced subgraphs, so the others hold one
-        for i in sorted(free_below | unknown_below):
-            children = range(starts[i], starts[i + 1])
-            if i in unknown_below:
-                # a graph whose membership is not known leaves its children undecided
-                unknown.update(children)
-                for j in children:
-                    undecided[j // _CHUNK] += 1
-                continue
-            below = trees_below.pop(i, None)
-            for j in children:
-                g = level[j]
-                c = j // _CHUNK
-                admitted, note = False, None
-                try:
-                    if certifies:
-                        tree = decompose(g, find_bipartition(g)) if below is None else _extend_tree(*below, g)
-                        checked = _checked_tree(g, tree)
-                        if checked is None:
-                            note = _NO_TREE
-                        elif n < n_max:
-                            trees[j] = checked
-                    if (not certifies or note is not None) and any(
-                        find_induced_embedding(h, g, budget=budget) is not None for h in lemma.forbidden
-                    ):
-                        continue
-                    free.add(j)
-                    admitted = True
-                    if n < n_min:
-                        continue
-                    if lemma.required is not None and find_induced_embedding(lemma.required, g, budget=budget) is None:
-                        continue
-                    members[c].append(g)
-                    if not certifies:
-                        note = next(lemma.claim(g, find_bipartition(g), budget), None)
-                except StepBudgetExceeded:
-                    if not admitted:
-                        unknown.add(j)
-                    undecided[c] += 1
-                    continue
-                except Exception as exc:
-                    # any other error fails this chunk alone, as ``_exec_spec``
-                    # fails one case.  The children are still decided: the
-                    # parent rule only spares searches, so a child of a graph
-                    # counted free is searched whole, or decomposed afresh
-                    free.add(j)
-                    traceback.print_exc()
-                    if error[c] is None:
-                        error[c] = (g, f"{type(exc).__name__}: {exc}")
-                    continue
-                if note is not None and violation[c] is None:
-                    violation[c] = (g, note)
-        if n >= n_min:
-            for c, start in enumerate(chunks):
-                size = min(_CHUNK, len(level) - start)
-                args = (suite, size, members[c], error[c], undecided[c], violation[c])
-                specs.append((f"exhaustive/n{n}/part{c:02d}", _case_lemma_chunk, args))
-    return specs
+    every search bounded by ``budget``: read off the lemma walk for a lemma
+    suite, walked afresh for closure, whose last level keeps no tree."""
+    if suite != "closure":
+        chunks = {n: _lemma_level(n, budget)[3][suite] for n in range(n_min, n_max + 1)}
+    else:
+        chunks, level = {}, ({0}, set(), {}, None)  # level 0 is one free graph
+        for n in range(1, n_max + 1):
+            level = _walk_level((suite,), n, level, budget, keep_trees=n < n_max)
+            chunks[n] = level[3][suite]
+    return [
+        (f"exhaustive/n{n}/part{c:02d}", _case_lemma_chunk, (suite, *chunk))
+        for n in range(n_min, n_max + 1)
+        for c, chunk in enumerate(chunks[n])
+    ]
 
 
 def _case_calibration(case: str, n: int) -> CaseVerdict:

@@ -8,7 +8,16 @@ from typing import Iterator
 import pytest
 
 from bipkit.graphs import Graph
+from bipkit.harness import suites
 from bipkit.harness.enumeration import bipartite_level
+
+
+@pytest.fixture(autouse=True)
+def fresh_lemma_walk():
+    """Each test walks the lemma levels afresh: the walk's record for the
+    process (``suites._LEMMA_LEVELS``) would otherwise answer a test's
+    patched search or claim from an earlier test's walk."""
+    suites._LEMMA_LEVELS.clear()
 
 
 @pytest.fixture(scope="session")

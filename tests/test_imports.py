@@ -171,23 +171,36 @@ def test_level_builder_touches_no_module_state():
     names = {node.id for node in ast.walk(builder) if isinstance(node, ast.Name)}
     assert names & (dicts | {"bipartite_level"}) == set()
     assert not any(isinstance(node, (ast.Global, ast.Nonlocal)) for node in ast.walk(builder))
+    assert _record_writers(tree, "_LEVELS") == ["bipartite_level"]
 
-    def writes_levels(root: ast.AST) -> bool:
+
+def _record_writers(tree: ast.Module, record: str) -> list[str]:
+    """The module-level functions and statements of ``tree`` that write the
+    module-level dict ``record``, apart from its one annotated declaration."""
+
+    def writes(root: ast.AST) -> bool:
         for node in ast.walk(root):
             if isinstance(node, (ast.Name, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
                 target = node.value if isinstance(node, ast.Subscript) else node
-                if isinstance(target, ast.Name) and target.id == "_LEVELS":
+                if isinstance(target, ast.Name) and target.id == record:
                     return True
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_LEVELS":
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == record:
                 if node.attr not in ("get", "items", "keys", "values"):
                     return True
         return False
 
-    # the module-level statements and functions that write ``_LEVELS``,
-    # apart from its one declaration
-    declared = [node for node in tree.body if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "_LEVELS"]
-    writers = [getattr(node, "name", "module level") for node in tree.body if node not in declared and writes_levels(node)]
-    assert len(declared) == 1 and writers == ["bipartite_level"]
+    declared = [node for node in tree.body if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == record]
+    assert len(declared) == 1, record
+    return [getattr(node, "name", "module level") for node in tree.body if node not in declared and writes(node)]
+
+
+def test_lemma_walk_record_has_one_writer():
+    # the lemma walk keeps one record per budget and level for the process,
+    # ``suites._LEMMA_LEVELS``, and only ``_lemma_level`` writes it, each
+    # level grown from the one below, as ``bipartite_level`` grows ``_LEVELS``
+    source = PACKAGE / "harness" / "suites.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+    assert _record_writers(tree, "_LEMMA_LEVELS") == ["_lemma_level"]
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

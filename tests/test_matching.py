@@ -468,16 +468,21 @@ def test_quasi_order_laws_on_pool():
 
 
 def test_consistency_with_pattern_containment():
-    perms = []
+    # the patterns of a permutation, found with no search: itself and the
+    # patterns of each one-entry deletion, standardised.  Every pair they
+    # give for sizes 1..6 is contained, and its permutation graphs embed
+    patterns: dict[tuple[int, ...], set[tuple[int, ...]]] = {(): set()}  # the empty one is no pattern
     for m in range(1, 7):
-        perms.extend(Permutation(p) for p in itertools.permutations(range(1, m + 1)))
-    graphs = {p: permutation_graph(p) for p in perms}
-    for host in perms:
-        for pat in perms:
-            if pat.size > host.size:
-                continue
-            if contains_pattern(host, pat):
-                assert find_induced_embedding(graphs[pat], graphs[host]) is not None
+        for p in itertools.permutations(range(1, m + 1)):
+            patterns[p] = {p}
+            for k in range(m):
+                patterns[p] |= patterns[tuple(v - (v > p[k]) for v in p[:k] + p[k + 1 :])]
+    pairs = [(Permutation(host), Permutation(pat)) for host, pats in patterns.items() for pat in pats]
+    assert len(pairs) == 16_039
+    graphs = {host: permutation_graph(host) for host, _ in pairs}
+    for host, pat in pairs:
+        assert contains_pattern(host, pat), (host, pat)
+        assert find_induced_embedding(graphs[pat], graphs[host]) is not None, (host, pat)
 
 
 def test_embedding_checker_rejects_bad_maps():

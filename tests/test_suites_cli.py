@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -49,10 +50,12 @@ from bipkit.harness.suites import (
 from bipkit.matching import (
     Embedding,
     FreenessResult,
+    StepBudgetExceeded,
     are_isomorphic,
     find_induced_embedding,
     has_path_subgraph,
     is_free,
+    verify_embedding,
 )
 from bipkit.perms import Permutation, permutation_graph, star_perm_S, star_perm_T
 from bipkit import structure
@@ -455,20 +458,105 @@ def _record_searches(monkeypatch) -> list:
 def test_exhaustive_searches_each_pattern_once_per_graph(monkeypatch):
     # membership and the claim are decided while the specs are built, each
     # parent's freeness read from the level below and only a child of a free
-    # parent searched; the chunks only report
+    # parent searched; the chunks only report.  The two lemma suites share
+    # one walk over (Sun1,P7)-free parents: Sun1 on each graph it reads, P7
+    # on the Sun1-free ones, C4 on the free ones, and no search twice
     calls = _record_searches(monkeypatch)
-    for suite in ("lemma-key", "lemma-reduction", "closure"):
-        forbidden = LEMMAS[suite].forbidden
+    names = {sun1().adj: "Sun1", path(7).adj: "P7", cycle(4).adj: "C4"}
+    for suites_walked, n_max, forbidden in (
+        (("lemma-key", "lemma-reduction"), 10, LEMMAS["lemma-reduction"].forbidden),
+        (("closure",), 9, LEMMAS["closure"].forbidden),
+    ):
         calls.clear()
-        specs = _exhaustive(suite, 1, 9)
-        assert any(key[0] in {h.adj for h in forbidden} for key in calls), suite
-        assert len(calls) == len(set(calls)), suite
+        specs = [spec for suite in suites_walked for spec in _exhaustive(suite, 1, n_max)]
+        assert any(key[0] in {h.adj for h in forbidden} for key in calls), suites_walked
+        assert len(calls) == len(set(calls)), suites_walked
         parents = {parent_rows(Graph(len(host), host)) for _, host in calls}
-        assert all(is_free(Graph(len(rows), rows), list(forbidden)).free for rows in parents), suite
+        assert all(is_free(Graph(len(rows), rows), list(forbidden)).free for rows in parents), suites_walked
+        if suites_walked != ("closure",):
+            assert Counter(names[pattern] for pattern, _ in calls) == {"Sun1": 1038, "P7": 181, "C4": 167}
+            assert len(calls) == 1386
         calls.clear()
         for spec in specs:
-            assert suites._exec_spec(spec).status == "ok", (suite, spec[0])
-        assert calls == [], suite
+            assert suites._exec_spec(spec).status == "ok", spec[0]
+        assert calls == [], suites_walked
+
+
+def test_c4_embeds_in_sun1():
+    # the nesting the lemma walk rests on: every (P7,C4)-free graph is
+    # (P7,Sun1)-free, so lemma-key's members are the walk's free graphs
+    # without C4 and lemma-reduction's those with one
+    emb = find_induced_embedding(cycle(4), sun1())
+    assert emb is not None and verify_embedding(emb, cycle(4), sun1())
+
+
+def test_lemma_walk_hands_each_run_out_and_error_to_its_suites(monkeypatch):
+    # the budget and error rule of the module docstring, planted on a
+    # lemma-reduction member of level 8 that has a member child
+    both = ("lemma-key", "lemma-reduction")
+    clean = {suite: {n: args for n in (8, 9) for _, _, args in _exhaustive(suite, n, n)} for suite in both}
+    level, starts = enumeration.bipartite_level(8), enumeration._child_starts(9)
+    nine = enumeration.bipartite_level(9)
+    [t, *_] = [
+        i
+        for i, g in enumerate(level)
+        if g in clean["lemma-reduction"][8][2] and set(nine[starts[i] : starts[i + 1]]) & set(clean["lemma-reduction"][9][2])
+    ]
+    target, children = level[t], nine[starts[t] : starts[t + 1]]
+    search = suites.find_induced_embedding
+
+    def walk(fault, pattern=None, claim=None):
+        suites._LEMMA_LEVELS.clear()
+        original = LEMMAS[claim].claim if claim is not None else None
+
+        def planted(h, g, budget):
+            if g == target and h == pattern:
+                raise fault
+            return search(h, g, budget=budget)
+
+        def faulty(g, b, budget):
+            if g == target:
+                raise fault
+            yield from original(g, b, budget)
+
+        monkeypatch.setattr(suites, "find_induced_embedding", planted)
+        if claim is not None:
+            monkeypatch.setitem(suites.LEMMAS, claim, replace(LEMMAS[claim], claim=faulty))
+        got = {suite: {n: args for n in (8, 9) for _, _, args in _exhaustive(suite, n, n)} for suite in both}
+        monkeypatch.undo()
+        return got
+
+    def changed(args, **fields):
+        """``_case_lemma_chunk`` arguments after the case, with ``fields`` replaced."""
+        names = ("suite", "size", "members", "error", "undecided", "violation")
+        return tuple(fields.get(name, arg) for name, arg in zip(names, args))
+
+    without = [g for g in clean["lemma-reduction"][8][2] if g != target]
+    error = (target, "RuntimeError: planted")
+    # a C4 search that runs out or fails leaves the graph in the walk,
+    # undecided or failed in both suites, and its children searched whole
+    got = walk(StepBudgetExceeded(), cycle(4))
+    assert got["lemma-key"][8] == changed(clean["lemma-key"][8], undecided=1)
+    assert got["lemma-reduction"][8] == changed(clean["lemma-reduction"][8], members=without, undecided=1)
+    assert all(got[suite][9] == clean[suite][9] for suite in both)
+    got = walk(RuntimeError("planted"), cycle(4))
+    assert got["lemma-key"][8] == changed(clean["lemma-key"][8], error=error)
+    assert got["lemma-reduction"][8] == changed(clean["lemma-reduction"][8], members=without, error=error)
+    assert all(got[suite][9] == clean[suite][9] for suite in both)
+    # a claim's error reaches its own suite alone
+    got = walk(RuntimeError("planted"), claim="lemma-reduction")
+    assert got["lemma-key"] == clean["lemma-key"]
+    assert got["lemma-reduction"][8] == changed(clean["lemma-reduction"][8], error=error)
+    assert got["lemma-reduction"][9] == clean["lemma-reduction"][9]
+    # a Sun1 search that runs out leaves the graph and its children
+    # undecided in both suites
+    got = walk(StepBudgetExceeded(), sun1())
+    members9 = [g for g in clean["lemma-reduction"][9][2] if g not in children]
+    assert len(members9) < len(clean["lemma-reduction"][9][2])
+    assert got["lemma-key"][8] == changed(clean["lemma-key"][8], undecided=1)
+    assert got["lemma-reduction"][8] == changed(clean["lemma-reduction"][8], members=without, undecided=1)
+    assert got["lemma-key"][9] == changed(clean["lemma-key"][9], undecided=len(children))
+    assert got["lemma-reduction"][9] == changed(clean["lemma-reduction"][9], members=members9, undecided=len(children))
 
 
 def test_closure_searches_only_graphs_without_a_build_tree(monkeypatch):
@@ -515,7 +603,8 @@ def test_walks_visit_only_children_of_free_parents_and_check_each_tree_once(monk
         passes.clear()
         _exhaustive(suite, n_min, 10)
         visits[suite] = (len(reads), len(passes))
-    assert visits == {"lemma-key": (1029, 0), "lemma-reduction": (1038, 0), "closure": (2534, 2327)}
+    # the lemma suites share one walk, which the first of them makes
+    assert visits == {"lemma-key": (1038, 0), "lemma-reduction": (0, 0), "closure": (2534, 2327)}
 
 
 def test_a_walk_error_fails_its_chunk_alone(monkeypatch, capsys, tmp_path):
@@ -809,6 +898,43 @@ def test_cli_verify_lines_match_pinned_verdicts(capsys, tmp_path, connected_leve
     assert lines == PINNED_VERDICTS.read_text(encoding="utf-8").splitlines()
 
 
+def test_lemma_suites_print_the_same_lines_in_any_order(capsys, tmp_path, monkeypatch):
+    # the lemma walk is made by whichever lemma suite runs first in a
+    # process: each suite prints the same lines alone, after the other in
+    # either order and inside verify all
+    monkeypatch.chdir(tmp_path)
+    argv = {"lemma-key": ["--nmax", "10"], "lemma-reduction": [], "all": ["--nmax", "10"]}
+
+    def run(*commands: str) -> dict[str, list[str]]:
+        """Each lemma suite's lines over ``verify`` runs of ``commands``, the walk's record cleared first."""
+        suites._LEMMA_LEVELS.clear()
+        lines = []
+        for name in commands:
+            assert cli.main(["verify", name, "--workers", "1", "--verbose", *argv[name]]) == 0
+            lines += capsys.readouterr().out.splitlines()
+        return {name: [line for line in lines if line.split(" ", 1)[-1].startswith(f"{name}/")] for name in argv if name != "all"}
+
+    alone = {name: run(name)[name] for name in ("lemma-key", "lemma-reduction")}
+    pinned = PINNED_VERDICTS.read_text(encoding="utf-8").splitlines()
+    for name, lines in alone.items():
+        assert [line.split("  # ")[0] for line in lines] == [line for line in pinned if line.split()[1].startswith(f"{name}/")]
+    assert run("lemma-key", "lemma-reduction") == alone
+    assert run("lemma-reduction", "lemma-key") == alone
+    assert run("all") == alone
+
+
+def test_cli_verify_checks_the_witness_dir_before_any_suite_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    assert cli.main(["verify", "all", "--witness-dir", "afile"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --witness-dir afile is not a directory\n"
+    # a directory that does not exist is made only for a witness
+    assert cli.main(["verify", "identities", "--witness-dir", "new"]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["afile"]
+
+
 def test_cli_verify_defaults_are_the_suite_options(capsys, monkeypatch):
     # the knobs match one to one: every field has a flag and every flag but
     # the suite, the witness directory and --verbose sets a field
@@ -1044,12 +1170,14 @@ def test_cli_verify_undecided_exit_code(capsys, tmp_path, monkeypatch):
 def test_cli_verify_budget_bounds_the_lemma_suites(capsys, tmp_path, monkeypatch):
     # membership, spot, claim and random-tree searches all take --budget; a
     # graph whose search runs out is undecided, so are its children, and so
-    # is every chunk that holds one, the same for any worker count
+    # is every chunk that holds one, the same for any worker count; each run
+    # makes the lemma walk afresh
     monkeypatch.chdir(tmp_path)
     lines = {}
-    for suite, budget in (("lemma-reduction", "1"), ("closure", "10")):
+    for suite, budget in (("lemma-key", "1"), ("lemma-reduction", "1"), ("closure", "10")):
         outs = []
         for workers in ("1", "2"):
+            suites._LEMMA_LEVELS.clear()
             assert cli.main(["verify", suite, "--budget", budget, "--workers", workers, "--verbose"]) == 3
             outs.append([line for line in capsys.readouterr().out.splitlines() if not line.startswith("{")])
         assert outs[0] == outs[1], suite
@@ -1057,6 +1185,7 @@ def test_cli_verify_budget_bounds_the_lemma_suites(capsys, tmp_path, monkeypatch
         lines[suite] = outs[0]
         chunks = [line for line in outs[0] if line.startswith(f"UNDECIDED {suite}/exhaustive/")]
         assert chunks and all(line.endswith(" undecided: step budget exhausted") for line in chunks), suite
+    assert "UNDECIDED lemma-key/spot/cycle8  # step budget exhausted" in lines["lemma-key"]
     assert "UNDECIDED lemma-reduction/spot/k33  # step budget exhausted" in lines["lemma-reduction"]
     assert "UNDECIDED closure/random-trees/300  # step budget exhausted" in lines["closure"]
     # levels below P7's and S123's size need no search and stay decided
