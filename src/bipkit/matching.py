@@ -41,12 +41,11 @@ bipartite graphs of up to 10 vertices this takes the first-embedding steps
 of P7 from 303,076 to 106,534 and of S123 from 193,638 to 80,411; C4 and
 Sun1 hardly move (30,344 to 30,257, 31,729 to 31,552).
 
-Without order constraints (``find_induced_embedding``,
-``count_induced_embeddings``, ``are_isomorphic``) the domains also start
-from cross non-degrees, the degree filter of the bipartite complement
-(McCreesh & Prosser 2015 filter degrees in such supplemental graphs).  A
-vertex's cross non-degree counts the vertices on the other side of its
-component that it does not see.  An induced map keeps a bipartite pattern
+Without order constraints (``find_induced_embedding``, ``are_isomorphic``)
+the domains also start from cross non-degrees, the degree filter of the
+bipartite complement (McCreesh & Prosser 2015 filter degrees in such
+supplemental graphs).  A vertex's cross non-degree counts the vertices on
+the other side of its component that it does not see.  An induced map keeps a bipartite pattern
 component inside one bipartite host component with the sides kept (the
 parity argument above), so the cross non-neighbours of u land on distinct
 cross non-neighbours of u's image: a host vertex of smaller cross
@@ -55,36 +54,42 @@ cycle, where sides say nothing.  Over the same 5,016 hosts this takes P7
 from 106,534 steps to 51,704, S123 from 80,411 to 32,927 and Sun1 from
 31,552 to 29,803; C4 stays at 30,257.  On the paper's T pairs it decides
 T6 into T8 in 136 steps instead of 1,024, and T8 into T14 in 1,210 instead
-of 359,586.  ``is_free``'s constrained search keeps degree-only domains:
-narrowed, T6..T14 with {2P3, Sun4} went from 26,429 steps to 35,203,
-because the smaller domains lead the most-constrained choice to worse
-roots for the order constraints.
+of 359,586.  The constrained searches of ``is_free`` and
+``count_induced_embeddings`` keep degree-only domains: narrowed, T6..T14
+with {2P3, Sun4} went from 26,429 steps to 35,203, because the smaller
+domains lead the most-constrained choice to worse roots for the order
+constraints; family-search's two counts (below) would save 38 of 23,024
+steps and no measurable time, too little for a second domain rule.
 Callers that pass ``domains`` (the enumerator, ``contains_pattern``,
 ``_automorphism_generators``) keep their search tree step for step.
 Stronger per-host set-up (arc consistency, neighbour-degree dominance, a
 distance ball around each root candidate) was measured to cost more than it
 pruned.
 
-The order constraints serve two callers.  ``is_free`` builds them from the
-orbits of an orbit-pruned stabiliser chain of each forbidden pattern's
-automorphisms (``_automorphism_generators``, which the enumerator also uses
-to prune attachment sets), so it visits one embedding per orbit rather than
-every automorphic copy: 2P3 has |Aut| = 8, and the T-graphs'
-{2P3, Sun4}-freeness was mostly spent on those copies.  The chain searches
-the pattern into itself only for an image that the automorphisms found so
-far do not reach and that no failed search has ruled out: building levels
-1..10 of the enumerator, whose parents start from their round-1 colours,
-takes 1,304 such searches, not the 2,878 of trying every vertex of the base
-point's colour class.  The chain's build stops at the caller's budget, so
-the constraints are cached with its steps per pattern and limit
-(``_pattern_symmetry``), each search charged those steps.
+The order constraints serve three callers.  ``is_free`` and
+``count_induced_embeddings`` build them from the orbits of an orbit-pruned
+stabiliser chain of each pattern's automorphisms
+(``_automorphism_generators``, which the enumerator also uses to prune
+attachment sets), so they visit one embedding per orbit rather than every
+automorphic copy: 2P3 has |Aut| = 8, and the T-graphs' {2P3, Sun4}-freeness
+was mostly spent on those copies.  The count multiplies each orbit by
+|Aut|: P5 into T10 and P6 into the 6x6 grid, family-search's two counts,
+went from 10,902 and 31,964 steps to 5,208 and 17,816, the constraints'
+steps included.  The chain searches the pattern into itself only for an
+image that the automorphisms found so far do not reach and that no failed
+search has ruled out: building levels 1..10 of the enumerator, whose
+parents start from their round-1 colours, takes 1,304 such searches, not
+the 2,878 of trying every vertex of the base point's colour class.  The
+chain's build stops at the caller's budget, so the constraints are cached
+with its steps per pattern and limit (``_pattern_symmetry``), each search
+charged those steps.
 Pattern containment of permutations chains every pattern position below the
 next, which makes an induced embedding of the positional inversion graphs an
 occurrence.
-``find_induced_embedding`` and ``count_induced_embeddings`` search without
-them: on the paper's T pairs the pattern automorphism group has order 2, and
-on thousands of small permutation-graph embeddings building the constraints
-cost more than the search they saved.
+``find_induced_embedding`` searches without them: on the paper's T pairs
+the pattern automorphism group has order 2, and on thousands of small
+permutation-graph embeddings building the constraints cost more than the
+search they saved.
 """
 
 from __future__ import annotations
@@ -271,6 +276,10 @@ def _search(
     that must stay under ``u``.  These masks and the component narrowing come
     first; then one pass filters each unplaced domain by ``x``'s row, prunes
     at an empty domain and picks the smallest domain, lowest id first, next.
+    Placing the last vertex skips all of that and yields at once: its domain
+    was already filtered against every placed vertex, and if it is the first
+    placed in its pattern component, that component is itself, which the
+    component rule cannot reject.
 
     The search tree is walked on an explicit stack, so its depth is not
     bounded by the interpreter's recursion limit.
@@ -327,6 +336,11 @@ def _search(
             budget.spent = steps
             raise StepBudgetExceeded("step budget exhausted")
         assignment[u] = x + 1
+        if remaining == 0:
+            # exact with no pass over the domains (see the docstring)
+            budget.spent = steps
+            yield tuple(assignment)
+            continue
         pu = padj[u]
         nbr = hadj[x]
         non = ~nbr & ~low
@@ -373,10 +387,6 @@ def _search(
             if size < best_size:
                 best, best_size = v, size
         if not ok:
-            continue
-        if remaining == 0:
-            budget.spent = steps
-            yield tuple(assignment)
             continue
         frames.append((u, cands, domains, remaining))
         domains = new_domains
@@ -517,10 +527,30 @@ def find_induced_embedding(
 def count_induced_embeddings(
     pattern: Graph, host: Graph, limit: int, *, budget: int | None = None
 ) -> int:
-    """Number of distinct induced embeddings (as maps), stopping at ``limit``."""
+    """Number of distinct induced embeddings (as maps), stopping at ``limit``.
+
+    Aut(P) acts freely on the embeddings (composing with a non-trivial
+    automorphism moves some image), so each orbit holds exactly |Aut(P)| of
+    them.  The search runs under ``is_free``'s order constraints, which keep
+    one embedding per orbit, and each is counted |Aut(P)| times, the product
+    of the constraints' orbit sizes (Grochow & Kellis 2007 count motifs by
+    the same symmetry breaking).  It stops after ``ceil(limit / |Aut(P)|)``
+    orbits, and the answer is ``min(limit, orbits * |Aut(P)|)``, which is
+    exact both ways.  The budget pays for the constraints' steps on every
+    call, cached or not, as in ``is_free``.
+
+    Raises StepBudgetExceeded when a step budget is given and runs out.
+    """
     _int_in("limit", limit)
     tracker = _Budget(budget)
-    return sum(1 for _ in itertools.islice(_search(pattern.adj, host.adj, tracker), limit))
+    if pattern.n > host.n or pattern.edge_count > host.edge_count:
+        return 0  # cannot embed: skip the automorphism searches as well
+    larger, tracker.spent = _pattern_symmetry(pattern, tracker.limit)
+    aut = 1
+    for mask in larger or ():
+        aut *= 1 + mask.bit_count()
+    orbits = _search(pattern.adj, host.adj, tracker, larger=larger)
+    return min(limit, aut * sum(1 for _ in itertools.islice(orbits, -(-limit // aut))))
 
 
 def is_free(

@@ -427,11 +427,11 @@ def test_t_and_s_pair_search_steps_are_pinned():
         assert tracker.spent == want, (family.__name__, i, j)
 
 
-def test_no_t_graph_embeds_in_another_for_even_indices_6_to_20():
-    # claim 1's antichain on every ordered pair; the worst pair, T6 into
-    # T20, takes 8,528 steps, so a budget of 10**5 fails loudly on lost
+def test_no_t_graph_embeds_in_another_for_even_indices_6_to_24():
+    # claim 1's antichain on all 90 ordered pairs; the worst pair, T6 into
+    # T24, takes 19,908 steps, so a budget of 10**5 fails loudly on lost
     # pruning rather than hang
-    graphs = {i: t_graph_star(i).graph for i in range(6, 21, 2)}
+    graphs = {i: t_graph_star(i).graph for i in range(6, 25, 2)}
     for (i, g), (j, h) in itertools.permutations(graphs.items(), 2):
         assert find_induced_embedding(g, h, budget=10**5) is None, (i, j)
 
@@ -552,15 +552,22 @@ def _constrained_count(pattern: Graph, host: Graph) -> int:
     return sum(1 for _ in _search(pattern.adj, host.adj, _Budget(None), larger=larger))
 
 
+def _unconstrained_count(pattern: Graph, host: Graph) -> int:
+    """Every embedding, walked without order constraints: the count's oracle
+    that shares no symmetry record with it."""
+    return sum(1 for _ in _search(pattern.adj, host.adj, _Budget(None)))
+
+
 def test_order_constraints_follow_the_orbit_stabiliser_theorem():
     # base point u's orbit under the stabiliser of the earlier base points is
-    # u plus the vertices that must map above it; the orbit sizes multiply to |Aut|
+    # u plus the vertices that must map above it; the orbit sizes multiply to
+    # |Aut|, the number of embeddings of the pattern into itself
     for name, pattern in SYMMETRIC_PATTERNS.items():
         larger = _pattern_symmetry(pattern, _Budget(None).limit)[0] or []
         product = 1
         for mask in larger:
             product *= 1 + mask.bit_count()
-        assert product == count_induced_embeddings(pattern, pattern, 10**9), name
+        assert product == _unconstrained_count(pattern, pattern), name
 
 
 LEMMA_PATTERNS = ("C4", "P7", "Sun1", "S123", "2P3", "Sun4", "P8", "P~8")
@@ -640,12 +647,74 @@ def test_constrained_search_keeps_one_embedding_per_automorphism_orbit(connected
     for name, pattern in SYMMETRIC_PATTERNS.items():
         if pattern.n > 9:
             continue
-        aut = count_induced_embeddings(pattern, pattern, 10**9)
+        aut = _unconstrained_count(pattern, pattern)
         for host in hosts:
-            assert _constrained_count(pattern, host) * aut == count_induced_embeddings(pattern, host, 10**9), (
-                name,
-                host.edges(),
-            )
+            assert _constrained_count(pattern, host) * aut == _unconstrained_count(pattern, host), (name, host.edges())
+
+
+ORBIT_COUNT_PATTERNS = {"S123": s123(), "P5": path(5), "C4": cycle(4), "4K1": Graph.from_edges(4, [])}
+
+
+def _orbit_count_hosts(connected_levels) -> list[Graph]:
+    hosts = [cycle(8), complete_bipartite(3, 3), universal_grid(3, 3)[0]]
+    return hosts + [g for n in range(5, 9) for g in connected_levels[n][::40]]
+
+
+def _check_orbit_count(hosts: list[Graph]) -> None:
+    """The orbit count's limit and budget rules: every limit from 1 to one
+    past the brute-force count N gives ``min(limit, N)``, and an unbounded
+    count, which pays the symmetry record and then walks every orbit, runs
+    out on a budget of one step fewer than it spends."""
+    for name, pattern in ORBIT_COUNT_PATTERNS.items():
+        for host in hosts:
+            want = brute_force_embedding_count(pattern, host)
+            for limit in range(1, want + 2):
+                assert count_induced_embeddings(pattern, host, limit) == min(limit, want), (name, host.adj, limit)
+            tracker = _Budget(None)
+            larger, tracker.spent = bipkit.matching._pattern_symmetry(pattern, tracker.limit)
+            for _ in _search(pattern.adj, host.adj, tracker, larger=larger):
+                pass
+            steps = tracker.spent
+            assert count_induced_embeddings(pattern, host, want + 1, budget=steps) == want, (name, host.adj)
+            if steps:
+                with pytest.raises(StepBudgetExceeded):
+                    count_induced_embeddings(pattern, host, want + 1, budget=steps - 1)
+
+
+def test_orbit_count_keeps_its_limit_and_budget_rules(connected_levels):
+    # one pattern per |Aut| of 1, 2, 8 and 24
+    sizes = {name: len(_brute_force_automorphisms(g)) for name, g in ORBIT_COUNT_PATTERNS.items()}
+    assert sizes == {"S123": 1, "P5": 2, "C4": 8, "4K1": 24}
+    _check_orbit_count(_orbit_count_hosts(connected_levels))
+
+
+def test_orbit_count_check_fails_on_a_dropped_orbit_bit(connected_levels, monkeypatch):
+    # planted defect: the symmetry record loses one vertex of one orbit, so
+    # the search keeps more than one embedding per orbit and |Aut| is undercounted
+    real = bipkit.matching._pattern_symmetry
+
+    def defective(pattern: Graph, limit: int) -> tuple[list[int] | None, int]:
+        larger, cost = real(pattern, limit)
+        if larger is not None:
+            larger = list(larger)
+            u = next(u for u, mask in enumerate(larger) if mask)
+            larger[u] &= larger[u] - 1
+        return larger, cost
+
+    monkeypatch.setattr(bipkit.matching, "_pattern_symmetry", defective)
+    with pytest.raises(AssertionError):
+        _check_orbit_count(_orbit_count_hosts(connected_levels))
+
+
+def test_family_search_count_steps_are_pinned():
+    # P5 into T10 and P6 into the 6x6 grid, each total including the
+    # symmetry record's steps (6 and 9); walking every embedding without
+    # order constraints took 10,902 and 31,964 steps
+    jobs = ((path(5), t_graph_star(10).graph, 8496, 5208), (path(6), universal_grid(6, 6)[0], 20776, 17816))
+    for pattern, host, want, steps in jobs:
+        assert count_induced_embeddings(pattern, host, 10**9, budget=steps) == want
+        with pytest.raises(StepBudgetExceeded):
+            count_induced_embeddings(pattern, host, 10**9, budget=steps - 1)
 
 
 def test_is_free_agrees_with_unconstrained_search(connected_levels):
