@@ -93,9 +93,10 @@ deletability, and only the deletable vertices of v's degree are passed on:
 one of lower degree is below v in every round.
 
 Children still tied with another deletable vertex at the stable colouring
-go to an exact registry: a refinement certificate buckets them, and the
-matcher separates isomorphic ones inside a bucket.  At n = 11 that is 33
-isomorphism searches for 25,598 classes.
+go to an exact registry, McKay's exact fallback: the child's refinement
+certificate picks a bucket, and ``matching.are_isomorphic`` compares the
+child with each class kept in that bucket, stopping at the first match.  At
+n = 11 that is 33 comparisons for 25,598 classes.
 
 ``_build_level`` grows any ordered list of parents.  On a hereditary class,
 such as the (P7,C4)-, (P7,Sun1)- or (P7,S123)-free graphs, the children of
@@ -120,46 +121,12 @@ import time
 from typing import Iterator
 
 from ..graphs import Graph, _component_masks, _int_in
-from ..matching import (
-    _automorphism_generators,
-    _Budget,
-    _refinement_colors,
-    _search,
-)
+from ..matching import _automorphism_generators, _Budget, _refinement_colors, are_isomorphic
 
 MAX_VERTICES = 12  # the bound of bipartite_level; a class level may go past it
 
 # n -> _build_level of level n-1: bipartite_level, _child_starts, level_stats
 _LEVELS: dict[int, tuple[list[Graph], list[int], dict[str, float]]] = {}
-
-
-class _IsoRegistry:
-    """Certificate buckets with exact-matcher separation inside each bucket.
-
-    Members of a bucket carry equal refinement certificates, so they have
-    equal order, size and colour classes.  The exact test is the matcher's
-    search with one domain per colour class: an induced embedding that
-    preserves colours is then a bijection, an isomorphism.
-    """
-
-    def __init__(self):
-        self._buckets: dict[tuple, list[tuple[Graph, list[int]]]] = {}
-        self.exact_calls = 0
-
-    def add(self, g: Graph, colors: list[int], cert: tuple) -> bool:
-        """Register g, given its refinement colours and certificate; True when
-        it is a new isomorphism class."""
-        bucket = self._buckets.setdefault(cert, [])
-        for rep, rep_colors in bucket:
-            self.exact_calls += 1
-            classes = [0] * len(colors)
-            for x, c in enumerate(rep_colors):
-                classes[c] |= 1 << x
-            domains = [classes[c] for c in colors]
-            if next(_search(g.adj, rep.adj, _Budget(None), domains), None) is not None:
-                return False
-        bucket.append((g, colors))
-        return True
 
 
 def _attachment_sets(parent: Graph, floor: int) -> list[int]:
@@ -349,7 +316,8 @@ def _build_level(parents: list[Graph]) -> tuple[list[Graph], list[int], dict[str
     each parent's children and then their count, and the statistics of
     ``level_stats``; no module state is read or written."""
     start = time.perf_counter()
-    registry = _IsoRegistry()
+    registry: dict[tuple, list[Graph]] = {}  # certificate -> the classes kept with it
+    exact = 0
     automorphisms = _Budget(None)
     out: list[Graph] = []
     # one int object per row value of the level, parents' rows included:
@@ -391,7 +359,13 @@ def _build_level(parents: list[Graph]) -> tuple[list[Graph], list[int], dict[str
                 if best == colors[new]:
                     passed += 1
                     child = Graph._trusted(new + 1, adj)
-                    if registry.add(child, colors, cert):
+                    bucket = registry.setdefault(cert, [])
+                    for rep in bucket:
+                        exact += 1
+                        if are_isomorphic(child, rep):
+                            break
+                    else:
+                        bucket.append(child)
                         out.append(child)
                     continue
             passed += 1  # the new vertex is the lone top, or tied with its twins only: a new class
@@ -400,7 +374,7 @@ def _build_level(parents: list[Graph]) -> tuple[list[Graph], list[int], dict[str
         "candidates": candidates,
         "passed": passed,
         "refined": refined,
-        "exact": registry.exact_calls,
+        "exact": exact,
         "automorphism_steps": automorphisms.spent,
         "classes": len(out),
         "seconds": time.perf_counter() - start,
@@ -437,7 +411,7 @@ def level_stats() -> dict[int, dict[str, float]]:
     generated), passed (children, one per attachment-set orbit, that met the
     deletion rule), refined (children that round 1 left tied with a deletable
     vertex other than a twin of the new vertex, each refined once to its
-    stable colouring), exact (isomorphism searches run by the registry),
+    stable colouring), exact (the registry's ``are_isomorphic`` calls),
     automorphism_steps (the search steps of ``_automorphism_generators`` on
     the parents with two or more kept attachment sets, started from each
     parent's round-1 keys), classes and seconds (excluding level n-1)."""

@@ -7,8 +7,8 @@ neighbourhood (for pattern edges) or non-neighbourhood (for pattern
 non-edges) of the image, so the induced condition and injectivity are
 enforced incrementally.  Domains start from a degree filter (a host vertex
 is a candidate for every pattern vertex of no larger degree), or from masks
-the caller supplies: the enumerator's isomorphism test passes its refinement
-colour classes, and ``perms.contains_pattern`` passes position windows.
+the caller supplies: ``perms.contains_pattern`` passes position windows,
+and ``_automorphism_generators`` colour classes with some vertices fixed.
 Optional order constraints (``larger``) keep some images above others: they
 narrow the domains with the component narrowing, before each step's one pass
 that filters the domains and picks the next vertex, most-constrained first
@@ -33,13 +33,20 @@ hit spends the same steps as a miss.  A connected pattern component maps
 into one host component, and a pattern path of length d maps to a host walk
 of length d, so in a bipartite host component pattern distance parity is
 kept.  Hence a pattern with an odd cycle has no embedding in a bipartite
-host (answered before any step), and when the first vertex u of a pattern
-component is placed at x, every other vertex of that component is confined
-to x's host component and, if that component is bipartite, to x's side or
-the other one as its pattern side agrees with u's.  On the 5,016 connected
-bipartite graphs of up to 10 vertices this takes the first-embedding steps
-of P7 from 303,076 to 106,534 and of S123 from 193,638 to 80,411; C4 and
-Sun1 hardly move (30,344 to 30,257, 31,729 to 31,552).
+host, and when the first vertex u of a pattern component is placed at x,
+every other vertex of that component is confined to x's host component
+and, if that component is bipartite, to x's side or the other one as its
+pattern side agrees with u's.  On the 5,016 connected bipartite graphs of
+up to 10 vertices this takes the first-embedding steps of P7 from 303,076
+to 106,534 and of S123 from 193,638 to 80,411; C4 and Sun1 hardly move
+(30,344 to 30,257, 31,729 to 31,552).
+
+``_fits`` is the one rule of the degree-filter and constrained paths that
+answers "no" before any step: more vertices, a larger degree total, a vertex
+of higher degree than any host vertex, or an odd cycle into a bipartite
+host.  ``_search`` asks it before it builds domains, and ``_orbit_search``
+(``is_free``, ``count_induced_embeddings``) before it charges the pattern's
+symmetry record, so C5 into a grid is "no" at budget 0 on every entry point.
 
 Without order constraints (``find_induced_embedding``, ``are_isomorphic``)
 the domains also start from cross non-degrees, the degree filter of the
@@ -60,8 +67,7 @@ with {2P3, Sun4} went from 26,429 steps to 35,203, because the smaller
 domains lead the most-constrained choice to worse roots for the order
 constraints; family-search's two counts (below) would save 38 of 23,024
 steps and no measurable time, too little for a second domain rule.
-Callers that pass ``domains`` (the enumerator, ``contains_pattern``,
-``_automorphism_generators``) keep their search tree step for step.
+Callers that pass ``domains`` keep their search tree step for step.
 Stronger per-host set-up (arc consistency, neighbour-degree dominance, a
 distance ball around each root candidate) was measured to cost more than it
 pruned.
@@ -247,6 +253,19 @@ def _parts(
     )
 
 
+def _fits(pparts: tuple, hparts: tuple) -> bool:
+    """False when the pattern whose ``_parts`` record is ``pparts`` has no
+    induced embedding in the host of ``hparts``, as seen before any step: it
+    has more vertices or a larger degree total, a vertex of higher degree
+    than any host vertex (an empty domain), or an odd cycle with no image in
+    a bipartite host."""
+    psum, pdeg, pat_least, pbipartite = pparts[:4]
+    hsum, hdeg, at_least, hbipartite = hparts[:4]
+    return not (
+        len(pdeg) > len(hdeg) or psum > hsum or len(pat_least) > len(at_least) or (hbipartite and not pbipartite)
+    )
+
+
 def _search(
     padj: tuple[int, ...],
     hadj: tuple[int, ...],
@@ -290,12 +309,11 @@ def _search(
         return
     pcomp = None
     if domains is None:
-        hsum, _, at_least, hbipartite, hcomp, hside, _, co_at_least = _parts(hadj)
-        psum, pdeg, pat_least, pbipartite, pcomp, pside, pco, _ = _parts(padj)
-        if p > len(hadj) or psum > hsum or len(pat_least) > len(at_least) or (hbipartite and not pbipartite):
-            # too big, a vertex of higher degree than any host vertex (an
-            # empty domain), or an odd cycle with no image in a bipartite host
+        hparts, pparts = _parts(hadj), _parts(padj)
+        if not _fits(pparts, hparts):
             return
+        _, _, at_least, _, hcomp, hside, _, co_at_least = hparts
+        _, pdeg, _, _, pcomp, pside, pco, _ = pparts
         if larger is None:  # is_free's order constraints pick worse roots from narrower domains
             top = len(co_at_least) - 1
             domains = [at_least[d] & co_at_least[min(k, top)] for d, k in zip(pdeg, pco)]
@@ -512,6 +530,20 @@ def _pattern_symmetry(pattern: Graph, limit: int) -> tuple[list[int] | None, int
     return (larger if any(larger) else None), budget.spent
 
 
+def _orbit_search(pattern: Graph, host: Graph, tracker: _Budget) -> tuple[Iterator[tuple[int, ...]], int]:
+    """The search of ``pattern`` in ``host`` that yields one embedding per
+    orbit of Aut(pattern), and |Aut(pattern)|; an empty search and 1, with no
+    step charged, when ``_fits`` rules the pattern out.  ``tracker.spent`` is
+    otherwise set to the symmetry record's steps, cached or not."""
+    if not _fits(_parts(pattern.adj), _parts(host.adj)):
+        return iter(()), 1
+    larger, tracker.spent = _pattern_symmetry(pattern, tracker.limit)
+    aut = 1
+    for mask in larger or ():
+        aut *= 1 + mask.bit_count()
+    return _search(pattern.adj, host.adj, tracker, larger=larger), aut
+
+
 def find_induced_embedding(
     pattern: Graph, host: Graph, *, budget: int | None = None
 ) -> Embedding | None:
@@ -531,25 +563,16 @@ def count_induced_embeddings(
 
     Aut(P) acts freely on the embeddings (composing with a non-trivial
     automorphism moves some image), so each orbit holds exactly |Aut(P)| of
-    them.  The search runs under ``is_free``'s order constraints, which keep
-    one embedding per orbit, and each is counted |Aut(P)| times, the product
-    of the constraints' orbit sizes (Grochow & Kellis 2007 count motifs by
+    them.  The search visits one embedding per orbit (``_orbit_search``),
+    and each is counted |Aut(P)| times (Grochow & Kellis 2007 count motifs by
     the same symmetry breaking).  It stops after ``ceil(limit / |Aut(P)|)``
     orbits, and the answer is ``min(limit, orbits * |Aut(P)|)``, which is
-    exact both ways.  The budget pays for the constraints' steps on every
-    call, cached or not, as in ``is_free``.
+    exact both ways.
 
     Raises StepBudgetExceeded when a step budget is given and runs out.
     """
     _int_in("limit", limit)
-    tracker = _Budget(budget)
-    if pattern.n > host.n or pattern.edge_count > host.edge_count:
-        return 0  # cannot embed: skip the automorphism searches as well
-    larger, tracker.spent = _pattern_symmetry(pattern, tracker.limit)
-    aut = 1
-    for mask in larger or ():
-        aut *= 1 + mask.bit_count()
-    orbits = _search(pattern.adj, host.adj, tracker, larger=larger)
+    orbits, aut = _orbit_search(pattern, host, _Budget(budget))
     return min(limit, aut * sum(1 for _ in itertools.islice(orbits, -(-limit // aut))))
 
 
@@ -559,19 +582,13 @@ def is_free(
     """True iff no graph in ``forbidden`` embeds induced; else a witness for
     the first one that does.
 
-    Each pattern gets its own step budget, which also pays for its order
-    constraints, cached per pattern and budget or not (``_pattern_symmetry``):
-    the search then visits one embedding per orbit of the pattern's
-    automorphisms, not all of them.
+    Each pattern gets the whole step budget and one search per orbit of its
+    automorphisms (``_orbit_search``).
     Raises StepBudgetExceeded when a budget runs out.
     """
     tracker = _Budget(budget)
     for idx, h in enumerate(forbidden):
-        if h.n > g.n or h.edge_count > g.edge_count:
-            continue  # cannot embed: skip the automorphism searches as well
-        # each pattern gets the whole budget, its constraints' steps charged first
-        larger, tracker.spent = _pattern_symmetry(h, tracker.limit)
-        found = next(_search(h.adj, g.adj, tracker, larger=larger), None)
+        found = next(_orbit_search(h, g, tracker)[0], None)
         if found is not None:
             return FreenessResult(False, idx, Embedding(found))
     return FreenessResult(True, None, None)

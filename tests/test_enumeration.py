@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from math import comb, factorial, prod
@@ -13,7 +14,7 @@ from conftest import all_bipartite, parent_rows, round_one_keys
 
 import bipkit
 from bipkit.graphs import Graph, connected_components, find_bipartition, is_connected
-from bipkit.matching import _automorphism_generators, _Budget, _refinement_colors, are_isomorphic
+from bipkit.matching import _automorphism_generators, _Budget, _refinement_colors, _search, are_isomorphic
 from bipkit.families import complete_bipartite, cycle, path
 from bipkit.harness import enumeration
 from bipkit.harness.enumeration import (
@@ -476,6 +477,55 @@ def test_level_stats(connected_levels):
         got = (s["candidates"], s["passed"], s["refined"], s["exact"], s["automorphism_steps"], s["classes"])
         assert got == want, n
         assert s["classes"] == len(connected_levels[n])
+
+
+def _colour_class_isomorphic(g: Graph, h: Graph) -> bool:
+    """The registry's former exact test, for two graphs with one refinement
+    certificate: a search of g into h with one domain per colour class, whose
+    induced embedding is then a bijection that keeps colours."""
+    classes = [0] * h.n
+    for x, c in enumerate(_refinement_colors(h.adj)[0]):
+        classes[c] |= 1 << x
+    domains = [classes[c] for c in _refinement_colors(g.adj)[0]]
+    return next(_search(g.adj, h.adj, _Budget(None), domains), None) is not None
+
+
+# 16 certificates of levels 1..10 hold two classes each: with a relabelled
+# copy of each class, 96 pairs, 32 of them isomorphic
+PAIRS_SHARING_A_CERTIFICATE = (96, 32)
+
+
+def test_registry_isomorphism_test_against_colour_class_search(connected_levels):
+    # Every pair of graphs of levels 1..10 that share a certificate, each
+    # beside a relabelled copy of every graph of its bucket, so that both
+    # answers occur: are_isomorphic agrees with the colour-class search.
+    rng = random.Random(50)
+    buckets: dict[tuple, list[Graph]] = {}
+    for n in range(1, 11):
+        for g in connected_levels[n]:
+            buckets.setdefault(_refinement_colors(g.adj)[1], []).append(g)
+    answers = []
+    for bucket in buckets.values():
+        if len(bucket) < 2:
+            continue
+        copies = []
+        for g in bucket:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            copies.append(Graph.from_edges(g.n, [(perm[u - 1] + 1, perm[v - 1] + 1) for u, v in g.edges()]))
+        for g, h in itertools.combinations(bucket + copies, 2):
+            want = _colour_class_isomorphic(g, h)
+            assert are_isomorphic(g, h) == want, (g.edges(), h.edges())
+            answers.append(want)
+    assert (len(answers), sum(answers)) == PAIRS_SHARING_A_CERTIFICATE
+
+
+def test_registry_drops_the_one_isomorphic_child_at_n10(monkeypatch):
+    # planted defect: a registry whose test never finds an isomorphism keeps
+    # the one repeated class among level 10's tied children
+    parents = bipartite_level(9)
+    monkeypatch.setattr(enumeration, "are_isomorphic", lambda g, h: False)
+    assert len(enumeration._build_level(parents)[0]) == 4_033
 
 
 def test_connected_four_vertex_classes():

@@ -358,7 +358,16 @@ def test_cross_nondegree_filter_against_bruteforce_oracle():
 
 
 def test_odd_cycle_into_bipartite_host_needs_no_step():
-    assert find_induced_embedding(cycle(5), universal_grid(4, 4)[0], budget=0) is None
+    # _fits answers before any step on every entry point, also before the
+    # constrained ones build the pattern's symmetry record: an odd cycle
+    # into a bipartite host, and Sun4's degree 3 above any cycle vertex
+    grid = universal_grid(4, 4)[0]
+    assert find_induced_embedding(cycle(5), grid, budget=0) is None
+    assert is_free(grid, [cycle(5)], budget=0).free
+    assert count_induced_embeddings(cycle(5), grid, 3, budget=0) == 0
+    assert find_induced_embedding(sun4(), cycle(10), budget=0) is None
+    assert is_free(cycle(10), [sun4()], budget=0).free
+    assert count_induced_embeddings(sun4(), cycle(10), 5, budget=0) == 0
 
 
 def test_lemma_pattern_search_steps_are_pinned(connected_levels):
@@ -735,7 +744,10 @@ def test_is_free_agrees_with_unconstrained_search(connected_levels):
         assert all(find_induced_embedding(h, s_graph_star(n).graph) is None for h in forbidden_s)
 
 
-CONSTRAINED_SEARCH_DIGEST = (1193, "4ff1e11f005277e91846be6436e27ab6cbf4f6bb5afa015ef953ffa5356414ba")
+# Before ``_fits`` gated the constrained entry points the log held 1,193
+# entries (digest 4ff1e11f...); the gate removes 21 calls, each logged as
+# (None, 0), and the rest of the log is byte-identical.
+CONSTRAINED_SEARCH_DIGEST = (1172, "dd7e8e959db008a71c2e2f06f7da4ebbced8a8453dba639b940a1a095c057432")
 
 
 def test_constrained_search_witnesses_and_steps_are_pinned(connected_levels, monkeypatch):
